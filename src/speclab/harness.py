@@ -6,6 +6,14 @@ the configured algorithm, appends the accepted block plus the extra token,
 and (for the block verifiers) installs the modified target for the next
 iteration. Serial-call accounting charges one target call per iteration, so
 autoregressive decoding has block efficiency exactly 1.
+
+Each block-verifier iteration stacks one ``ModifiedChain`` on the last. After
+every iteration ``prune_spent`` collapses the layers that can no longer
+override into one ``RawChain``, and every chain keeps only the context tail
+its Markov model reads, so memory and per-iteration work do not grow with
+decode length. The pruning is exact: a spent layer only passes its base's
+conditional through, and so does every layer beneath it, which is what the
+raw target at that layer's absolute context returns.
 """
 
 from __future__ import annotations
@@ -43,13 +51,22 @@ CSV_HEADER = [
 ]
 
 
+def _tail(context: tuple[int, ...], order: int) -> tuple[int, ...]:
+    """The last ``order`` tokens of ``context``: all an order-``order`` model reads."""
+    return tuple(context[-order:]) if order > 0 else ()
+
+
 class RawChain:
-    """Target or draft conditionals from a fixed absolute context, memoized."""
+    """Target or draft conditionals from a fixed absolute context, memoized.
+
+    Only the context's last ``model.order`` tokens are kept. A context shorter
+    than the order is kept whole, so the model zero-pads it as before.
+    """
 
     def __init__(self, model: MarkovModel, temperature: float, context: tuple[int, ...]):
         self.model = model
         self.temperature = temperature
-        self.context = tuple(context)
+        self.context = _tail(context, model.order)
         self._memo: dict[tuple[int, ...], Distribution] = {}
 
     def conditional(self, ctx: tuple[int, ...]) -> Distribution:
@@ -63,14 +80,30 @@ class RawChain:
 class ModifiedChain:
     """Target chain for the iteration after a block-verification step.
 
-    Contexts are relative to the new prefix; the wrapped record bridges back
-    to the previous iteration's coordinates.
+    Contexts are relative to ``origin``, the absolute context right after the
+    verified block; the wrapped record bridges back to the previous
+    iteration's coordinates through ``base``.
+
+    A layer overrides only when asked for a context shorter than its record's
+    horizon, and any such query walks every parent of that context, so it asks
+    its base for contexts from ``len(record.prefix)`` tokens up. Once no
+    context that short can reach a layer it is spent: it passes its base's
+    conditional through unchanged, as does every layer beneath it, and
+    ``prune_spent`` replaces the lot with a ``RawChain`` at its origin.
     """
 
-    def __init__(self, base, draft: RawChain, record: ModifiedTarget, counters: Counters | None = None):
+    def __init__(
+        self,
+        base,
+        draft: RawChain,
+        record: ModifiedTarget,
+        origin: tuple[int, ...],
+        counters: Counters | None = None,
+    ):
         self.base = base
         self.draft = draft
         self.record = record
+        self.origin = origin
         self.counters = counters
         self._memo: dict[tuple[int, ...], Distribution] = {}
 
@@ -82,6 +115,30 @@ class ModifiedChain:
             )
             self._memo[ctx] = hit
         return hit
+
+
+def prune_spent(chain, target: MarkovModel, temperature: float):
+    """Collapse the first spent layer of ``chain`` and all beneath it into a raw chain.
+
+    The walk starts at the top, which the next iteration asks for contexts
+    from length 0. A layer asked for contexts from length d is live iff
+    d < its horizon, and then asks the layer beneath from d = len(prefix).
+    A spent layer is asked for d >= horizon tokens and asks its base for
+    d + len(prefix) >= horizon + tau + 1 >= L, past any horizon, so every
+    layer beneath it is spent too. A layer stacked on top later only
+    lengthens these shortest contexts, so a spent layer stays spent.
+    """
+    depth, above, layer = 0, None, chain
+    while isinstance(layer, ModifiedChain):
+        if depth >= layer.record.horizon:
+            raw = RawChain(target, temperature, layer.origin)
+            if above is None:
+                return raw
+            above.base = raw
+            break
+        depth = len(layer.record.prefix)
+        above, layer = layer, layer.base
+    return chain
 
 
 @dataclass(frozen=True)
@@ -169,6 +226,8 @@ def decode(
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algo {algo!r}")
     eos = pair.vocab_size - 1
+    keep = max(pair.draft.order, pair.target.order)
+    history = _tail(prompt, keep)
     out: list[int] = []
     taus: list[int] = []
     totals = Counters()
@@ -176,18 +235,18 @@ def decode(
 
     if algo == "ar":
         while len(out) < max_tokens:
-            d = pair.target_conditional(tuple(prompt) + tuple(out))
+            d = pair.target_conditional(history)
             totals.target_calls += 1
             tok = sample(d, rng)
             out.append(tok)
+            history = _tail(history + (tok,), keep)
             if tok == eos:
                 break
     else:
         K_eff = 1 if algo in SINGLE_DRAFT_ALGOS else K
-        q_chain = RawChain(pair.target, pair.temperature, tuple(prompt))
+        q_chain = RawChain(pair.target, pair.temperature, history)
         while len(out) < max_tokens:
-            abs_ctx = tuple(prompt) + tuple(out)
-            p_chain = RawChain(pair.draft, pair.temperature, abs_ctx)
+            p_chain = RawChain(pair.draft, pair.temperature, history)
             drafts = draft_rows(p_chain.conditional, K_eff, L, rng)
             totals.draft_calls += K_eff * L
             scores = score_rows(drafts, q_chain.conditional)
@@ -205,10 +264,14 @@ def decode(
             block = outcome.t + (outcome.y,)
             out.extend(block)
             taus.append(outcome.tau)
+            history = _tail(history + block, keep)
             if mod is not None:
-                q_chain = ModifiedChain(q_chain, p_chain, mod, totals)
+                q_chain = prune_spent(
+                    ModifiedChain(q_chain, p_chain, mod, history, totals),
+                    pair.target, pair.temperature,
+                )
             else:
-                q_chain = RawChain(pair.target, pair.temperature, tuple(prompt) + tuple(out))
+                q_chain = RawChain(pair.target, pair.temperature, history)
             if eos in block:
                 break
 

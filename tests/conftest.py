@@ -21,6 +21,15 @@ def matched_pair():
     return ModelPair(m, m)
 
 
+def eos_free(model: MarkovModel) -> MarkovModel:
+    """The same model with the end-of-sequence column zeroed and rows renormalized,
+    so decodes run to their cap."""
+    table = model.table.copy()
+    table[:, -1] = 0.0
+    table /= table.sum(axis=1, keepdims=True)
+    return MarkovModel(model.vocab_size, model.order, table)
+
+
 def dist(*mass):
     return Distribution(np.array(mass, dtype=float))
 

@@ -15,19 +15,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+from conftest import eos_free
 from speclab.cli import main
 from speclab.harness import ALGORITHMS
-from speclab.models import MarkovModel, generate_pair, random_model, save_model
+from speclab.models import generate_pair, random_model, save_model
 
 GOLDEN = Path(__file__).parent / "data" / "golden_run.csv"
-
-
-def eos_free(model: MarkovModel) -> MarkovModel:
-    """The same model with the end-of-sequence column zeroed and rows renormalized."""
-    table = model.table.copy()
-    table[:, -1] = 0.0
-    table /= table.sum(axis=1, keepdims=True)
-    return MarkovModel(model.vocab_size, model.order, table)
 
 
 def _run_args(tmp: Path) -> list[list[str]]:

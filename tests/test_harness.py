@@ -1,6 +1,9 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from conftest import eos_free
 from speclab.harness import (
     CSV_HEADER,
     ALGORITHMS,
@@ -11,10 +14,19 @@ from speclab.harness import (
     block_efficiency,
     compare_algorithms,
     decode,
+    prune_spent,
     run_experiment,
 )
-from speclab.models import generate_pair
+from speclab.models import ModelPair, generate_pair, random_model
 from speclab.probability import RandomSource
+from speclab.verifiers import (
+    Counters,
+    ModifiedTarget,
+    draft_rows,
+    score_rows,
+    verify_gbv,
+    verify_spectr_gbv,
+)
 
 
 class TestBlockEfficiency:
@@ -81,8 +93,8 @@ class TestChains:
         drafts = draft_rows(p0.conditional, 2, 3, rng)
         scores = score_rows(drafts, q0.conditional)
         out, mod = verify_spectr_gbv(drafts, scores, rng)
-        chain = ModifiedChain(q0, p0, mod, None)
         block = out.t + (out.y,)
+        chain = ModifiedChain(q0, p0, mod, prompt + block)
         # past the horizon the chain must agree with the raw model
         deep_ctx = tuple(0 for _ in range(mod.horizon + 1))
         got = chain.conditional(deep_ctx)
@@ -93,6 +105,133 @@ class TestChains:
         pair = generate_pair(4, 1, 13, 1.0, 0.5)
         chain = RawChain(pair.target, 1.0, (1,))
         assert chain.conditional((0,)) is chain.conditional((0,))
+
+    def test_raw_chain_keeps_only_the_tail_its_model_reads(self):
+        model = random_model(4, 2, 3, 1.0)
+        assert RawChain(model, 1.0, (1, 2, 3, 0)).context == (3, 0)
+        assert RawChain(random_model(4, 0, 3, 1.0), 1.0, (1, 2, 3)).context == ()
+        # a context shorter than the order is kept whole and zero-padded as before
+        short = RawChain(model, 0.7, (2,))
+        assert short.context == (2,)
+        for ctx in [(), (1,), (3, 1, 2)]:
+            want = model.conditional((2,) + ctx, 0.7)
+            assert np.array_equal(short.conditional(ctx).mass, want.mass)
+
+
+class _Memo:
+    """A chain as decode built it before pruning: every layer kept, full contexts."""
+
+    def __init__(self, lookup):
+        self.lookup = lookup
+        self.memo = {}
+
+    def conditional(self, ctx):
+        if ctx not in self.memo:
+            self.memo[ctx] = self.lookup(ctx)
+        return self.memo[ctx]
+
+
+def _unpruned_decode(pair, algo, K, L, prompt, max_tokens, rng):
+    """Block-verifier decode loop that stacks a layer per iteration and never drops one."""
+    verify = verify_gbv if algo == "gbv" else verify_spectr_gbv
+    K = 1 if algo == "gbv" else K
+    totals = Counters()
+
+    def raw(model, context):
+        return _Memo(lambda ctx: model.conditional(context + ctx, pair.temperature))
+
+    def modified(mod, q, p):
+        return _Memo(lambda ctx: mod.conditional(ctx, q.conditional, p.conditional, totals))
+
+    out, taus = [], []
+    q = raw(pair.target, prompt)
+    while len(out) < max_tokens:
+        p = raw(pair.draft, prompt + tuple(out))
+        drafts = draft_rows(p.conditional, K, L, rng)
+        totals.draft_calls += K * L
+        scores = score_rows(drafts, q.conditional)
+        totals.target_calls += 1
+        outcome, mod = verify(drafts, scores, rng)
+        totals.add(outcome.counters)
+        out.extend(outcome.t + (outcome.y,))
+        taus.append(outcome.tau)
+        q = modified(mod, q, p)
+    m = RunMetrics(
+        decoded_tokens=len(out),
+        target_calls=totals.target_calls,
+        draft_calls=totals.draft_calls,
+        mean_tau=float(np.mean(taus)),
+        accept_rate=float(np.mean([t / L for t in taus])),
+        vocab_scans=totals.vocab_scans,
+        warnings=totals.warnings,
+    )
+    m.block_efficiency = block_efficiency(m)
+    return out, m
+
+
+def _eos_free_v16():
+    pair = generate_pair(16, 1, 5, 1.0, 0.6)
+    return ModelPair(eos_free(pair.draft), eos_free(pair.target))
+
+
+class TestPruning:
+    @pytest.mark.parametrize("algo", ["gbv", "spectr-gbv"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_long_decode_matches_unpruned_stack(self, algo, seed):
+        pair = _eos_free_v16()
+        prompt = (3, 1, 4, 1, 5, 9, 2, 6)
+        got, gm = decode(pair, algo, 3, 8, prompt, 384, RandomSource(seed))
+        want, wm = _unpruned_decode(pair, algo, 3, 8, prompt, 384, RandomSource(seed))
+        assert got == want
+        gm, wm = asdict(gm), asdict(wm)
+        del gm["wall_ms"], wm["wall_ms"]
+        assert gm == wm
+
+    def _stack(self, layers):
+        """Hand-built chain; layers are (horizon, prefix length) pairs, newest first."""
+        pair = generate_pair(4, 1, 13, 1.0, 0.5)
+        bottom = RawChain(pair.target, 1.0, (0,))
+        chain = bottom
+        for i, (horizon, plen) in enumerate(reversed(layers)):
+            record = ModifiedTarget(horizon, 3, (1,) * plen, 0.0, 0.0)
+            chain = ModifiedChain(chain, RawChain(pair.draft, 1.0, (0,)), record, (i + 1,))
+        return pair.target, bottom, chain
+
+    def _layers(self, chain):
+        out = []
+        while isinstance(chain, ModifiedChain):
+            out.append(chain)
+            chain = chain.base
+        return out, chain
+
+    def test_live_layer_re_reads_from_its_prefix(self):
+        # the top layer asks the next for contexts from 6 tokens (< 7), and that
+        # one, by walking every parent, asks the third from 1 token (< 7); a rule
+        # keeping only the L - 1 newest positions would drop the third
+        target, bottom, chain = self._stack([(2, 6), (7, 1), (7, 1)])
+        assert prune_spent(chain, target, 1.0) is chain
+        layers, base = self._layers(chain)
+        assert len(layers) == 3 and base is bottom
+        # so a run of tau = 0 iterations keeps arbitrarily many layers live
+        target, bottom, chain = self._stack([(2, 6)] + [(7, 1)] * 10)
+        assert prune_spent(chain, target, 1.0) is chain
+        assert len(self._layers(chain)[0]) == 11
+
+    def test_first_spent_layer_and_below_collapse_to_raw(self):
+        target, _, chain = self._stack([(2, 6), (6, 1), (7, 1)])
+        assert prune_spent(chain, target, 1.0) is chain
+        layers, base = self._layers(chain)
+        assert len(layers) == 1
+        assert type(base) is RawChain and base.model is target and base.context == (2,)
+
+    def test_spent_top_becomes_raw(self):
+        target, _, chain = self._stack([(0, 8), (7, 1)])
+        pruned = prune_spent(chain, target, 1.0)
+        assert type(pruned) is RawChain and pruned.context == (2,)
+
+    def test_4096_token_decode_completes(self):
+        out, m = decode(_eos_free_v16(), "spectr-gbv", 3, 8, (0,) * 8, 4096, RandomSource(7))
+        assert len(out) >= 4096 and m.decoded_tokens == len(out)
 
 
 class TestRunConfig:
