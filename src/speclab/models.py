@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -41,11 +41,13 @@ def _validate_table(vocab_size: int, order: int, table: np.ndarray) -> np.ndarra
         if np.any(row < 0):
             raise InvalidRow(i, "negative entry")
         s = float(row.sum())
-        if abs(s - 1.0) > ROW_SUM_TOL:
+        if not abs(s - 1.0) <= ROW_SUM_TOL:  # also rejects a NaN sum
             raise InvalidRow(i, f"row sums to {s!r}")
         # rescale only when needed so clean tables round-trip bit-exactly
         if abs(s - 1.0) > 1e-12:
             rows[i] = row / s
+    # read-only because the cached row Distributions are views of this table
+    rows.setflags(write=False)
     return rows
 
 
@@ -54,12 +56,15 @@ class MarkovModel:
     """Conditional next-token table over V^order contexts.
 
     Row index: context read as a base-V number, most recent token least
-    significant.
+    significant. Each (row, temperature) conditional is validated once, on
+    first lookup, and the same read-only ``Distribution`` is returned after
+    that; at T = 1 it is a view of the table, which is read-only too.
     """
 
     vocab_size: int
     order: int
     table: np.ndarray
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.vocab_size < 2:
@@ -79,10 +84,13 @@ class MarkovModel:
         return idx
 
     def conditional(self, context: Sequence[int], temperature: float = 1.0) -> Distribution:
-        row = self.table[self.row_index(context)]
-        if temperature == 1.0:
-            return Distribution(row)
-        return temperature_scale(Distribution(row), temperature)
+        key = (self.row_index(context), temperature)
+        d = self._rows.get(key)
+        if d is None:
+            d = temperature_scale(Distribution(self.table[key[0]]), temperature)
+            d.mass.setflags(write=False)
+            self._rows[key] = d
+        return d
 
 
 def temperature_scale(d: Distribution, temperature: float) -> Distribution:

@@ -1,9 +1,10 @@
 """Probability primitives shared by every verifier and oracle in the lab.
 
-Mass vectors are plain numpy float64 arrays wrapped in a validated
-``Distribution``. Joint probabilities of token prefixes are carried in log
-space with an absorbing -inf marker for exact zeros, because products of
-conditionals over a block underflow in linear space for peaked models.
+Mass vectors are plain numpy float64 arrays wrapped in a ``Distribution``,
+which validates them once, when it is built. Joint probabilities of token
+prefixes are carried in log space with an absorbing -inf marker for exact
+zeros, because products of conditionals over a block underflow in linear
+space for peaked models.
 """
 
 from __future__ import annotations
@@ -51,7 +52,10 @@ class RandomSource:
 
 @dataclass(frozen=True)
 class Distribution:
-    """Probability vector over the vocabulary: entries >= 0, sum within 1e-9 of 1."""
+    """Probability vector over the vocabulary: entries >= 0, sum within 1e-9 of 1.
+
+    A NaN or infinite entry makes the sum non-finite and is rejected.
+    """
 
     mass: np.ndarray
 
@@ -63,7 +67,8 @@ class Distribution:
         if np.any(m < 0):
             raise ValueError("negative probability mass")
         s = float(m.sum())
-        if abs(s - 1.0) > SUM_TOL:
+        # written so that a NaN sum fails the test too
+        if not abs(s - 1.0) <= SUM_TOL:
             raise ValueError(f"mass sums to {s!r}, not 1")
 
     @property
@@ -103,18 +108,18 @@ def tv_distance(a: Distribution, b: Distribution) -> float:
 
 
 def sample(d: Distribution, rng: RandomSource) -> int:
-    """Inverse-CDF draw with a single uniform and a linear vocabulary scan."""
+    """Inverse-CDF draw with a single uniform.
+
+    Returns the first index whose sequential float64 cumulative mass exceeds
+    the uniform. Zero-mass entries add nothing to the running sum, so they
+    are never chosen. A uniform in the float dust past the last cumulative
+    step returns the last positive-mass index.
+    """
     u = rng.uniform()
-    acc = 0.0
-    last_positive = -1
-    for i, w in enumerate(d.mass):
-        if w > 0.0:
-            last_positive = i
-            acc += float(w)
-            if u < acc:
-                return i
-    # u landed in the float dust past the last cumulative step
-    return last_positive
+    i = int(np.cumsum(d.mass).searchsorted(u, side="right"))
+    if i < d.mass.size:
+        return i
+    return int(np.flatnonzero(d.mass)[-1])
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ Four verifiers share the same inputs: a ``DraftSet`` holding K drafted rows
 with the conditionals used at drafting time, and ``TargetScores`` holding the
 target conditionals for every row prefix (one extra conditional past the
 draft length). All randomness flows through a single ``RandomSource`` so
-outcomes are bit-reproducible, and every vocabulary-sized pass is counted.
+outcomes are bit-reproducible. ``Counters.vocab_scans`` counts the
+vocabulary-sized passes the verifiers make themselves: block acceptance
+evaluations, rho bisection steps, residual passes and modification passes.
+Draws by ``sample`` and model lookups are not counted.
 
 verify_sd        token-level rejection sampling, single draft
 verify_kseq      per-position multi-draft acceptance with the rho scale

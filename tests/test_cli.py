@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from speclab.cli import main
 from speclab.models import load_model, random_model
@@ -62,6 +63,15 @@ class TestRun:
         out2 = tmp_path / "o2.csv"
         assert main(["run", "--config", str(cfg), "--algo", "gbv", "--out", str(out2)]) == 0
         assert out2.read_text().splitlines()[1].startswith("gbv,1,2,")
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+    def test_underflowing_temperature_is_rejected(self, tmp_path, capsys):
+        # at T = 0.0005 every row's d^(1/T) underflows to zero, so T-scaling yields 0/0
+        out = tmp_path / "r.csv"
+        code = main(["run", "--algo", "sd", "--temperature", "0.0005", "--out", str(out)])
+        assert code == 1
+        assert "nan" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["run", "--algo", "nonsense"]) == 1

@@ -58,6 +58,19 @@ class TestConditional:
         assert np.array_equal(m.conditional((1,)).mass, m.conditional((0, 1)).mass)
         assert np.array_equal(m.conditional(()).mass, m.conditional((0, 0)).mass)
 
+    @pytest.mark.parametrize("T", [1.0, 0.7])
+    def test_rows_cached_and_read_only(self, T):
+        m = random_model(3, 1, 5, 1.0)
+        row = m.conditional((2,), T)
+        assert m.conditional((1, 2), T) is row
+        assert m.conditional((2,), 0.5) is not row
+        before = row.mass.copy()
+        with pytest.raises(ValueError):
+            row.mass[0] = 0.0
+        with pytest.raises(ValueError):
+            m.table[2, 0] = 0.0
+        assert np.array_equal(m.conditional((2,), T).mass, before)
+
 
 class TestTemperatureScale:
     def test_identity(self):
@@ -120,6 +133,14 @@ class TestFileFormat:
         path = tmp_path / "m.json"
         path.write_text(json.dumps({
             "vocab_size": 2, "order": 0, "table": [[0.6, 0.6]],
+        }))
+        with pytest.raises(InvalidRow):
+            load_model(path)
+
+    def test_nan_entry_rejected(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({
+            "vocab_size": 2, "order": 0, "table": [[float("nan"), 0.5]],
         }))
         with pytest.raises(InvalidRow):
             load_model(path)

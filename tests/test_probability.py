@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from speclab.probability import (
@@ -28,6 +28,20 @@ mass_vectors = st.lists(
 ).filter(lambda v: sum(v) > 1e-6)
 
 
+def _reference_sample(d, rng):
+    """The original inverse-CDF draw: a linear scan accumulating positive mass."""
+    u = rng.uniform()
+    acc = 0.0
+    last_positive = -1
+    for i, w in enumerate(d.mass):
+        if w > 0.0:
+            last_positive = i
+            acc += float(w)
+            if u < acc:
+                return i
+    return last_positive
+
+
 class FixedUniforms:
     """Stand-in random source replaying a scripted list of uniforms."""
 
@@ -36,6 +50,13 @@ class FixedUniforms:
 
     def uniform(self):
         return self.values.pop(0)
+
+
+class TestDistribution:
+    @pytest.mark.parametrize("mass", [[math.nan, math.nan], [math.inf, 0.0]])
+    def test_non_finite_mass_rejected(self, mass):
+        with pytest.raises(ValueError):
+            Distribution(np.array(mass))
 
 
 class TestNormalize:
@@ -80,6 +101,8 @@ class TestResidual:
     @settings(max_examples=100)
     def test_zero_mass_where_draft_dominates(self, a, b):
         n = min(len(a), len(b))
+        # truncation can leave an all-zero prefix, which is not a distribution
+        assume(sum(a[:n]) > 1e-6 and sum(b[:n]) > 1e-6)
         p = normalize(a[:n])
         q = normalize(b[:n])
         try:
@@ -138,6 +161,37 @@ class TestSample:
 
     def test_skips_zero_mass(self):
         assert sample(dist(0.0, 1.0), FixedUniforms([0.0])) == 1
+
+    def test_past_last_step_returns_last_positive(self):
+        # ten 0.1s accumulate to 1 - 2**-53, so no cumulative step exceeds that uniform
+        d = normalize([0.1] * 10 + [0.0])
+        assert sample(d, FixedUniforms([np.nextafter(1.0, 0.0)])) == 9
+
+    @given(
+        st.integers(2, 1024),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["dirichlet", "sparse", "peaked"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_loop(self, V, seed, kind):
+        gen = np.random.Generator(np.random.PCG64(seed))
+        if kind == "peaked":
+            raw = gen.random(V) * 1e-12
+            raw[gen.integers(V)] = 1.0
+        else:
+            raw = gen.dirichlet(np.full(V, 0.05 if kind == "sparse" else 1.0))
+            # zero a random share of entries and a random tail, keeping one positive
+            raw[gen.random(V) < gen.random()] = 0.0
+            raw[V - int(gen.integers(V)):] = 0.0
+            if not raw.any():
+                raw[gen.integers(V)] = 1.0
+        d = normalize(raw)
+        steps = np.cumsum(d.mass)
+        uniforms = [0.0, np.nextafter(steps[-1], 2.0)]
+        for step in steps:
+            uniforms += [step, np.nextafter(step, 0.0)]
+        for u in uniforms:
+            assert sample(d, FixedUniforms([u])) == _reference_sample(d, FixedUniforms([u]))
 
     def test_monte_carlo_frequency(self):
         # binomial check: sd of the frequency at n=1e5 is ~0.00126, so 0.005 is ~4 sigma
