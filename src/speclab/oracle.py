@@ -1,11 +1,14 @@
 """Ground-truth computations at tiny scale.
 
-Everything here is an independent re-implementation of the verification
-semantics: the event tree walks the verifier's control flow symbolically,
-integrating over the uniform draws with closed-form branch probabilities and
-over draft tuples by exhaustive enumeration. It shares only the probability
-primitives with the rest of the package, never the verifier code, so
-agreement between the two is evidence rather than tautology.
+The event tree integrates the shipped block-verification code exactly: it
+enumerates every draft tuple, walks the sequential scan over the uniform
+draws with closed-form branch probabilities, and completes every leaf
+through the modified target chain. The acceptance rules and the residual
+(``subblock_accept_prob``, ``full_block_accept_prob``, ``block_residual``)
+and the chains (``harness.RawChain``, ``harness.ModifiedChain``) are the
+ones decoding runs. The walk over the scan (``_walk_tuple``) and the closed
+forms the tree is checked against are written here, apart from the
+verifiers, so agreement between the two is evidence rather than tautology.
 
 The reports check three closed forms against the enumerated tree:
 
@@ -21,12 +24,21 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from .harness import ModifiedChain, RawChain
 from .models import ModelPair
-from .probability import LOG_ZERO
+from .probability import LOG_ZERO, AllZeroMass, PrefixJoint, extend_joint
+from .verifiers import (
+    Counters,
+    IterationRecord,
+    block_residual,
+    distribution_modification,
+    full_block_accept_prob,
+    subblock_accept_prob,
+)
 
 MAX_ENUM = 1_000_000
 PRUNE = 1e-15
@@ -36,87 +48,11 @@ class TooLarge(ValueError):
     """Instance exceeds the exhaustive-enumeration guard."""
 
 
-Cond = Callable[[tuple[int, ...]], np.ndarray]
-
-
-class _RawChain:
-    """Conditional provider for a Markov model from a fixed base context."""
-
-    def __init__(self, model, temperature: float, context: tuple[int, ...]):
-        self.model = model
-        self.temperature = temperature
-        self.context = tuple(context)
-        self._memo: dict[tuple[int, ...], np.ndarray] = {}
-
-    def cond(self, ctx: tuple[int, ...]) -> np.ndarray:
-        hit = self._memo.get(ctx)
-        if hit is None:
-            hit = self.model.conditional(self.context + ctx, self.temperature).mass
-            self._memo[ctx] = hit
-        return hit
-
-
-class _ModChain:
-    """Modified target chain: surplus-weighted conditionals for the first
-    ``horizon`` positions after ``prefix``, base conditionals beyond."""
-
-    def __init__(self, base_q, base_p, K: int, prefix: tuple[int, ...], horizon: int):
-        self.base_q = base_q
-        self.base_p = base_p
-        self.K = K
-        self.prefix = tuple(prefix)
-        self.horizon = max(horizon, 0)
-        self._memo: dict[tuple[int, ...], np.ndarray] = {}
-        self._joints: dict[tuple[int, ...], tuple[float, float]] = {}
-        self.fallbacks = 0
-
-    def _joint(self, ctx: tuple[int, ...]) -> tuple[float, float]:
-        if ctx in self._joints:
-            return self._joints[ctx]
-        if not ctx:
-            lp = _log_chain_joint(self.base_p.cond, self.prefix)
-            lq = _log_chain_joint(self.base_q.cond, self.prefix)
-        else:
-            lp, lq = self._joint(ctx[:-1])
-            tok = ctx[-1]
-            pv = float(self.base_p.cond(self.prefix + ctx[:-1])[tok])
-            qv = float(self.base_q.cond(self.prefix + ctx[:-1])[tok])
-            lp = lp + math.log(pv) if lp != LOG_ZERO and pv > 0 else LOG_ZERO
-            lq = lq + math.log(qv) if lq != LOG_ZERO and qv > 0 else LOG_ZERO
-        self._joints[ctx] = (lp, lq)
-        return lp, lq
-
-    def cond(self, ctx: tuple[int, ...]) -> np.ndarray:
-        hit = self._memo.get(ctx)
-        if hit is not None:
-            return hit
-        qn = self.base_q.cond(self.prefix + ctx)
-        if len(ctx) + 1 > self.horizon:
-            self._memo[ctx] = qn
-            return qn
-        lp, lq = self._joint(ctx)
-        if lq == LOG_ZERO:
-            self.fallbacks += 1
-            self._memo[ctx] = qn
-            return qn
-        pn = self.base_p.cond(self.prefix + ctx)
-        r = 0.0 if lp == LOG_ZERO else math.exp(min(lp - lq, 700.0))
-        w = _surplus_weights(r, pn, qn, self.K)
-        s = float(w.sum())
-        if s <= 0.0:
-            self.fallbacks += 1
-            self._memo[ctx] = qn
-            return qn
-        out = w / s
-        self._memo[ctx] = out
-        return out
-
-
-def _log_chain_joint(cond: Cond, seq: Sequence[int]) -> float:
+def _log_chain_joint(chain, seq: Sequence[int]) -> float:
     lp = 0.0
     ctx: tuple[int, ...] = ()
     for tok in seq:
-        v = float(cond(ctx)[tok])
+        v = float(chain.conditional(ctx).mass[tok])
         if v <= 0.0:
             return LOG_ZERO
         lp += math.log(v)
@@ -124,23 +60,24 @@ def _log_chain_joint(cond: Cond, seq: Sequence[int]) -> float:
     return lp
 
 
-def _surplus_weights(ratio: float, pn: np.ndarray, qn: np.ndarray, K: int) -> np.ndarray:
-    """Weights q(.|ctx) * (1 - min(joint ratio extended by the next token, 1))^K."""
-    m = np.where(qn > 0.0, np.minimum(ratio * pn / np.where(qn > 0.0, qn, 1.0), 1.0), 1.0)
-    return qn * (1.0 - m) ** K
-
-
 @dataclass
 class _Instance:
-    """Joint tables and acceptance probabilities for one (p-chain, q-chain, L, K)."""
+    """One (draft chain, target chain, L, K) at an absolute ``context``.
 
-    pchain: object
+    The linear joint tables feed the closed forms; the acceptance rules run
+    on one log-space ``PrefixJoint`` per block, built as the verifier builds
+    it.
+    """
+
+    pchain: RawChain
     qchain: object
+    context: tuple[int, ...]
     V: int
     L: int
     K: int
     pj: dict = field(default_factory=dict)
     qj: dict = field(default_factory=dict)
+    prefix_joints: dict = field(default_factory=dict)
     h_part: dict = field(default_factory=dict)
     h_full: dict = field(default_factory=dict)
 
@@ -152,8 +89,8 @@ class _Instance:
             return 1.0, 1.0
         pp, qp = self.joints(blk[:-1])
         tok = blk[-1]
-        p = pp * float(self.pchain.cond(blk[:-1])[tok])
-        q = qp * float(self.qchain.cond(blk[:-1])[tok])
+        p = pp * float(self.pchain.conditional(blk[:-1]).mass[tok])
+        q = qp * float(self.qchain.conditional(blk[:-1]).mass[tok])
         self.pj[blk], self.qj[blk] = p, q
         return p, q
 
@@ -165,52 +102,57 @@ class _Instance:
         s = min(p / q, 1.0)
         return q * (1.0 - (1.0 - s) ** self.K)
 
+    def joint(self, blk: tuple[int, ...]) -> PrefixJoint:
+        hit = self.prefix_joints.get(blk)
+        if hit is None:
+            if blk:
+                ctx = blk[:-1]
+                hit = extend_joint(
+                    self.joint(ctx), blk[-1], self.pchain.conditional(ctx), self.qchain.conditional(ctx)
+                )
+            else:
+                hit = PrefixJoint.empty()
+            self.prefix_joints[blk] = hit
+        return hit
+
     def h_partial(self, blk: tuple[int, ...]) -> float:
-        if blk in self.h_part:
-            return self.h_part[blk]
-        pj, qj = self.joints(blk)
-        pn = self.pchain.cond(blk)
-        qn = self.qchain.cond(blk)
-        pe = pj * pn
-        qe = qj * qn
-        m = np.where(qe > 0.0, np.minimum(pe / np.where(qe > 0.0, qe, 1.0), 1.0), 1.0)
-        S = float((qe * (1.0 - m) ** self.K).sum())
-        mi = min(pj / qj, 1.0) if qj > 0.0 else 1.0
-        num = S - qj * (1.0 - mi) ** self.K
-        den = 1.0 - (1.0 - pj) ** self.K - qj + S
-        if abs(den) < 1e-15:
-            h = 1.0 if qj > pj else 0.0
-        else:
-            h = min(1.0, max(0.0, num / den))
-        self.h_part[blk] = h
+        h = self.h_part.get(blk)
+        if h is None:
+            h = subblock_accept_prob(
+                self.joint(blk), self.pchain.conditional(blk), self.qchain.conditional(blk), self.K
+            )
+            self.h_part[blk] = h
         return h
 
     def h_fullblock(self, blk: tuple[int, ...]) -> float:
-        if blk in self.h_full:
-            return self.h_full[blk]
-        pj, qj = self.joints(blk)
-        den = 1.0 - (1.0 - pj) ** self.K
-        if den < 1e-15 or qj <= 0.0:
-            h = 0.0
-        else:
-            s = min(pj / qj, 1.0)
-            h = min(1.0, qj * (1.0 - (1.0 - s) ** self.K) / den)
-        self.h_full[blk] = h
+        h = self.h_full.get(blk)
+        if h is None:
+            h = full_block_accept_prob(self.joint(blk), self.K)
+            self.h_full[blk] = h
         return h
 
-    def residual(self, blk: tuple[int, ...]) -> np.ndarray | None:
-        """Replacement-token law at a stopped prefix, or None when the
-        surplus is empty and the raw conditional fallback applies."""
-        pj, qj = self.joints(blk)
-        qn = self.qchain.cond(blk)
-        if qj <= 0.0:
-            return None
-        pn = self.pchain.cond(blk)
-        w = _surplus_weights(pj / qj, pn, qn, self.K)
-        s = float(w.sum())
-        if s <= 0.0:
-            return None
-        return w / s
+    def extra_token(self, tau: int, t: tuple[int, ...]) -> tuple[np.ndarray, bool]:
+        """Law of the token after leaf (tau, t), and whether it is the
+        raw-conditional fallback taken when the residual surplus is empty."""
+        if tau == self.L:
+            return self.qchain.conditional(t).mass, False
+        try:
+            res = block_residual(self.joint(t), self.pchain.conditional(t), self.qchain.conditional(t), self.K)
+        except AllZeroMass:
+            return self.qchain.conditional(t).mass, True
+        return res.mass, False
+
+    def modified(self, tau: int, t: tuple[int, ...], y: int) -> ModifiedChain:
+        """The target chain of the iteration after leaf (tau, t) and extra token y."""
+        if tau == self.L:
+            record = IterationRecord(tau, t, y, 0.0, 0.0, self.K, self.L)
+        else:
+            j = extend_joint(self.joint(t), y, self.pchain.conditional(t), self.qchain.conditional(t))
+            record = IterationRecord(tau, t, y, j.log_p, j.log_q, self.K, self.L)
+        return ModifiedChain(
+            self.qchain, self.pchain, distribution_modification(record),
+            self.context + t + (y,), Counters(),
+        )
 
 
 def _walk_tuple(inst: _Instance, rows: tuple[tuple[int, ...], ...]) -> tuple[dict, float, float]:
@@ -292,50 +234,6 @@ def _enumerate_leaves(inst: _Instance) -> tuple[dict, dict]:
     return leaves, diag
 
 
-def _gbv_alpha(inst: _Instance, blk: tuple[int, ...]) -> float:
-    """Single-draft whole-block acceptance from the likelihood-ratio chain."""
-    pj, qj = inst.joints(blk)
-    nu = float("inf") if pj <= 0.0 else qj / pj
-    if len(blk) == inst.L:
-        return min(1.0, nu)
-    pn = inst.pchain.cond(blk)
-    qn = inst.qchain.cond(blk)
-    if math.isinf(nu):
-        return 1.0
-    num = float(np.maximum(nu * qn - pn, 0.0).sum())
-    den = float(np.maximum(pn - nu * qn, 0.0).sum())
-    if den < 1e-15:
-        return 1.0 if nu > 1.0 else 0.0
-    return min(1.0, max(0.0, num / den))
-
-
-def _enumerate_gbv_leaves(inst: _Instance) -> dict:
-    """Independent-draw single-row block verification, enumerated exactly."""
-    V, L = inst.V, inst.L
-    if V**L > MAX_ENUM:
-        raise TooLarge(f"V^L = {V ** L} exceeds {MAX_ENUM}")
-    leaves: dict[tuple[int, tuple[int, ...]], float] = {}
-    for row in itertools.product(range(V), repeat=L):
-        w = inst.joints(row)[0]
-        if w <= 0.0:
-            continue
-        # branch over the L independent accept draws; tau = longest accepted
-        states = {0: 1.0}
-        for i in range(1, L + 1):
-            a = _gbv_alpha(inst, row[:i])
-            new: dict[int, float] = {}
-            for tau, pr in states.items():
-                if a > 0.0:
-                    new[i] = new.get(i, 0.0) + pr * a
-                if a < 1.0:
-                    new[tau] = new.get(tau, 0.0) + pr * (1.0 - a)
-            states = new
-        for tau, pr in states.items():
-            key = (tau, row[:tau])
-            leaves[key] = leaves.get(key, 0.0) + w * pr
-    return leaves
-
-
 def _output_joint(
     inst: _Instance, leaves: dict, depth: int
 ) -> tuple[dict[tuple[int, ...], float], float]:
@@ -350,36 +248,29 @@ def _output_joint(
     for (tau, t), mass in leaves.items():
         if mass <= 0.0:
             continue
-        if tau == inst.L:
-            prefix = t[:depth]
-            if len(t) >= depth:
-                out[prefix] = out.get(prefix, 0.0) + mass
-                continue
-            ydist = inst.qchain.cond(t)
-            start_need = depth - len(t) - 1
-        else:
-            ydist = inst.residual(t)
-            if ydist is None:
-                ydist = inst.qchain.cond(t)
-                fallback_mass += mass
-            start_need = depth - len(t) - 1
+        if len(t) >= depth:
+            out[t[:depth]] = out.get(t[:depth], 0.0) + mass
+            continue
+        ydist, fell_back = inst.extra_token(tau, t)
+        if fell_back:
+            fallback_mass += mass
+        need = depth - len(t) - 1
         for y, py in enumerate(ydist):
             if py <= 0.0:
                 continue
             m0 = mass * float(py)
             base = t + (int(y),)
-            if start_need <= 0:
-                key = base[:depth]
-                out[key] = out.get(key, 0.0) + m0
+            if need <= 0:
+                out[base] = out.get(base, 0.0) + m0
                 continue
-            mod = _ModChain(inst.qchain, inst.pchain, inst.K, base, inst.L - tau - 1)
+            mod = inst.modified(tau, t, int(y))
             frontier = [((), m0)]
-            for _ in range(start_need):
+            for _ in range(need):
                 nxt = []
                 for ctx, m in frontier:
-                    before = mod.fallbacks
-                    c = mod.cond(ctx)
-                    if mod.fallbacks > before:
+                    before = mod.counters.warnings
+                    c = mod.conditional(ctx).mass
+                    if mod.counters.warnings > before:
                         fallback_mass += m
                     for x, px in enumerate(c):
                         if px > 0.0:
@@ -437,9 +328,10 @@ class ExactReport:
 
 
 def _instance(pair: ModelPair, L: int, K: int, context: tuple[int, ...] = ()) -> _Instance:
-    p = _RawChain(pair.draft, pair.temperature, context)
-    q = _RawChain(pair.target, pair.temperature, context)
-    return _Instance(p, q, pair.vocab_size, L, K)
+    context = tuple(context)
+    p = RawChain(pair.draft, pair.temperature, context)
+    q = RawChain(pair.target, pair.temperature, context)
+    return _Instance(p, q, context, pair.vocab_size, L, K)
 
 
 def bound_K(pair: ModelPair, L: int, K: int, context: tuple[int, ...] = ()) -> float:
@@ -510,7 +402,7 @@ def _lemma_table(inst: _Instance, leaves: dict) -> tuple[dict, float]:
     return table, max_dev
 
 
-def _marginal_devs(inst: _Instance, out: dict, depth: int, qchain) -> tuple[dict, float, float]:
+def _marginal_devs(inst: _Instance, out: dict, depth: int) -> tuple[dict, float, float]:
     """Prefix marginals of the output law against the target chain."""
     marg: dict[tuple[int, ...], float] = {}
     for seq, m in out.items():
@@ -521,7 +413,7 @@ def _marginal_devs(inst: _Instance, out: dict, depth: int, qchain) -> tuple[dict
     for i in range(1, depth + 1):
         level = 0.0
         for blk in itertools.product(range(inst.V), repeat=i):
-            qv = math.exp(_log_chain_joint(qchain.cond, blk))
+            qv = math.exp(_log_chain_joint(inst.qchain, blk))
             got = marg.get(blk, 0.0)
             max_dev = max(max_dev, abs(got - qv))
             level += got
@@ -543,7 +435,7 @@ def exact_output_distribution(
     bound = bound_K(pair, L, K, context)
     lemma_masses, lemma_dev = _lemma_table(inst, leaves)
     out, fallback_mass = _output_joint(inst, leaves, L)
-    marg, max_dev, sums_err = _marginal_devs(inst, out, L, inst.qchain)
+    marg, max_dev, sums_err = _marginal_devs(inst, out, L)
     two_iter_dev = None
     if iterations == 2:
         two_iter_dev, fb2 = _two_iteration_dev(pair, L, K, context)
@@ -578,108 +470,38 @@ def _two_iteration_dev(
     chain at depth 2(L+1)."""
     depth = 2 * (L + 1)
     V = pair.vocab_size
-    if V**depth > MAX_ENUM or (V ** (K * L)) ** 1 > MAX_ENUM:
+    if V**depth > MAX_ENUM or V ** (K * L) > MAX_ENUM:
         raise TooLarge("two-iteration enumeration exceeds the guard")
-    p1 = _RawChain(pair.draft, pair.temperature, context)
-    q1 = _RawChain(pair.target, pair.temperature, context)
-    inst1 = _Instance(p1, q1, V, L, K)
+    inst1 = _instance(pair, L, K, context)
     leaves1, _ = _enumerate_leaves(inst1)
     out: dict[tuple[int, ...], float] = {}
     fallback = 0.0
     for (tau1, t1), m1 in leaves1.items():
         if m1 <= 0.0:
             continue
-        if tau1 == L:
-            ydist = inst1.qchain.cond(t1)
-        else:
-            yd = inst1.residual(t1)
-            if yd is None:
-                ydist = inst1.qchain.cond(t1)
-                fallback += m1
-            else:
-                ydist = yd
+        ydist, fell_back = inst1.extra_token(tau1, t1)
+        if fell_back:
+            fallback += m1
         for y1, py1 in enumerate(ydist):
             if py1 <= 0.0:
                 continue
             prefix1 = t1 + (int(y1),)
-            q2 = _ModChain(q1, p1, K, prefix1, L - tau1 - 1)
-            p2 = _RawChain(pair.draft, pair.temperature, tuple(context) + prefix1)
-            inst2 = _Instance(p2, q2, V, L, K)
+            draft2 = RawChain(pair.draft, pair.temperature, inst1.context + prefix1)
+            inst2 = _Instance(draft2, inst1.modified(tau1, t1, int(y1)), inst1.context + prefix1, V, L, K)
             leaves2, _ = _enumerate_leaves(inst2)
-            for (tau2, t2), m2 in leaves2.items():
-                if m2 <= 0.0:
-                    continue
-                if tau2 == L:
-                    y2dist = inst2.qchain.cond(t2)
-                else:
-                    y2d = inst2.residual(t2)
-                    if y2d is None:
-                        y2dist = inst2.qchain.cond(t2)
-                        fallback += m1 * float(py1) * m2
-                    else:
-                        y2dist = y2d
-                for y2, py2 in enumerate(y2dist):
-                    if py2 <= 0.0:
-                        continue
-                    base = prefix1 + t2 + (int(y2),)
-                    mass = m1 * float(py1) * m2 * float(py2)
-                    need = depth - len(base)
-                    if need <= 0:
-                        key = base[:depth]
-                        out[key] = out.get(key, 0.0) + mass
-                        continue
-                    q3 = _ModChain(q2, p2, K, t2 + (int(y2),), L - tau2 - 1)
-                    frontier = [((), mass)]
-                    for _ in range(need):
-                        nxt = []
-                        for ctx, m in frontier:
-                            before = q3.fallbacks
-                            c = q3.cond(ctx)
-                            if q3.fallbacks > before:
-                                fallback += m
-                            for x, px in enumerate(c):
-                                if px > 0.0:
-                                    nxt.append((ctx + (x,), m * float(px)))
-                        frontier = nxt
-                    for ctx, m in frontier:
-                        key = base + ctx
-                        out[key] = out.get(key, 0.0) + m
-    qref = _RawChain(pair.target, pair.temperature, context)
+            out2, fb2 = _output_joint(inst2, leaves2, depth - len(prefix1))
+            w = m1 * float(py1)
+            fallback += w * fb2
+            for seq, m in out2.items():
+                key = prefix1 + seq
+                out[key] = out.get(key, 0.0) + w * m
     max_dev = 0.0
     for blk in itertools.product(range(V), repeat=depth):
-        qv = math.exp(_log_chain_joint(qref.cond, blk))
+        qv = math.exp(_log_chain_joint(inst1.qchain, blk))
         max_dev = max(max_dev, abs(out.get(blk, 0.0) - qv))
     return max_dev, fallback
 
 
 def gbv_exact_report(pair: ModelPair, L: int, context: tuple[int, ...] = ()) -> ExactReport:
-    """Exact report for single-draft block verification (the K = 1 tree)."""
-    t0 = time.perf_counter()
-    inst = _instance(pair, L, 1, context)
-    leaves = _enumerate_gbv_leaves(inst)
-    expected_tau = sum(tau * m for (tau, _t), m in leaves.items())
-    bound = bound_K(pair, L, 1, context)
-    lemma_masses, lemma_dev = _lemma_table(inst, leaves)
-    out, fallback_mass = _output_joint(inst, leaves, L)
-    marg, max_dev, sums_err = _marginal_devs(inst, out, L, inst.qchain)
-    return ExactReport(
-        vocab_size=pair.vocab_size,
-        L=L,
-        K=1,
-        iterations=1,
-        expected_tau=expected_tau,
-        bound=bound,
-        max_marginal_dev=max_dev,
-        lemma_max_dev=lemma_dev,
-        max_marginal_dev_two_iter=None,
-        marginal_sums_max_err=sums_err,
-        leaf_states=len(leaves),
-        tuples=pair.vocab_size**L,
-        max_leafsum_err=0.0,
-        dropped_mass=0.0,
-        fallback_mass=fallback_mass,
-        runtime_s=time.perf_counter() - t0,
-        subblock_marginals=marg,
-        lemma_masses=lemma_masses,
-        leaves=leaves,
-    )
+    """Exact report for single-draft block verification: the K = 1 tree."""
+    return exact_output_distribution(pair, L, 1, context=context)

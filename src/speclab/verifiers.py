@@ -428,16 +428,24 @@ def subblock_accept_prob(
     return min(1.0, max(0.0, num / den))
 
 
+def _at_least_once(x: float, K: int) -> float:
+    """1 - (1 - x)^K as x * sum_{i<K} (1 - x)^i, so that K = 1 gives x exactly."""
+    s = 1.0
+    for _ in range(K - 1):
+        s = 1.0 + (1.0 - x) * s
+    return x * s
+
+
 def full_block_accept_prob(joint: PrefixJoint, K: int, counters: Counters | None = None) -> float:
     """Acceptance probability for an entire drafted block under K drafts."""
     if counters is not None:
         counters.h_full_evals += 1
     pj, qj = joint.p, joint.q
-    den = 1.0 - (1.0 - pj) ** K
+    den = _at_least_once(pj, K)
     if den < DENOM_EPS or qj <= 0.0:
         return 0.0
     s = min(joint.ratio_p_over_q(), 1.0)
-    return min(1.0, qj * (1.0 - (1.0 - s) ** K) / den)
+    return min(1.0, qj * _at_least_once(s, K) / den)
 
 
 def block_residual(

@@ -13,10 +13,15 @@ from speclab.oracle import (
     exact_expected_tau,
     exact_output_distribution,
     gbv_block_sum,
-    gbv_exact_report,
 )
-from speclab.probability import RandomSource
-from speclab.verifiers import draft_rows, score_rows, verify_spectr_gbv
+from speclab.probability import PrefixJoint, RandomSource, extend_joint
+from speclab.verifiers import (
+    GbvChainState,
+    draft_rows,
+    gbv_accept_prob,
+    score_rows,
+    verify_spectr_gbv,
+)
 
 
 def frac_bound(p_row, q_row, L, K):
@@ -33,6 +38,59 @@ def frac_bound(p_row, q_row, L, K):
             s = min(Fraction(pj, qj), Fraction(1))
             total += qj * (1 - (1 - s) ** K)
     return total
+
+
+
+def gbv_reference(pair, L):
+    """Leaf law and accepted-prefix table of ``--algo gbv`` by independent draws.
+
+    Each drafted row gets one accept draw per sub-block with the shipped
+    nu-form rule ``gbv_accept_prob``, and tau is the longest accepted length,
+    as ``verify_gbv`` does. Returns the leaf masses keyed by (tau, block) and,
+    per sub-block, (accepted-prefix mass, min of the two joints).
+    """
+    V = pair.vocab_size
+    joints = {(): PrefixJoint.empty()}
+    for n in range(1, L + 1):
+        for blk in itertools.product(range(V), repeat=n):
+            ctx = blk[:-1]
+            joints[blk] = extend_joint(
+                joints[ctx], blk[-1], pair.draft_conditional(ctx), pair.target_conditional(ctx)
+            )
+    leaves = {}
+    for row in itertools.product(range(V), repeat=L):
+        w = joints[row].p
+        if w <= 0.0:
+            continue
+        states = {0: 1.0}
+        for i in range(1, L + 1):
+            at_end = i == L
+            j = joints[row[:i]]
+            a = gbv_accept_prob(
+                j,
+                None if at_end else pair.draft_conditional(row[:i]),
+                None if at_end else pair.target_conditional(row[:i]),
+                GbvChainState(j.ratio_q_over_p(), i),
+                at_end,
+            )
+            new = {}
+            for tau, pr in states.items():
+                if a > 0.0:
+                    new[i] = new.get(i, 0.0) + pr * a
+                if a < 1.0:
+                    new[tau] = new.get(tau, 0.0) + pr * (1.0 - a)
+            states = new
+        for tau, pr in states.items():
+            key = (tau, row[:tau])
+            leaves[key] = leaves.get(key, 0.0) + w * pr
+    accepted = {}
+    for (tau, t), m in leaves.items():
+        for i in range(1, tau + 1):
+            accepted[t[:i]] = accepted.get(t[:i], 0.0) + m
+    lemma = {
+        blk: (accepted.get(blk, 0.0), min(j.p, j.q)) for blk, j in joints.items() if blk
+    }
+    return leaves, lemma
 
 
 class TestBound:
@@ -104,13 +162,14 @@ class TestEventTree:
         for seed in range(4):
             pair = generate_pair(3, 1, seed + 10, 1.0, 0.4)
             a = exact_output_distribution(pair, 2, 1)
-            b = gbv_exact_report(pair, 2)
-            assert abs(a.expected_tau - b.expected_tau) < 1e-12
-            keys = set(a.leaves) | set(b.leaves)
+            b_leaves, b_lemma = gbv_reference(pair, 2)
+            b_tau = sum(tau * m for (tau, _t), m in b_leaves.items())
+            assert abs(a.expected_tau - b_tau) < 1e-12
+            keys = set(a.leaves) | set(b_leaves)
             for key in keys:
-                assert abs(a.leaves.get(key, 0.0) - b.leaves.get(key, 0.0)) < 1e-12
+                assert abs(a.leaves.get(key, 0.0) - b_leaves.get(key, 0.0)) < 1e-12
             for blk, (got, claimed) in a.lemma_masses.items():
-                got_b, claimed_b = b.lemma_masses[blk]
+                got_b, claimed_b = b_lemma[blk]
                 assert abs(got - got_b) < 1e-12
                 assert abs(claimed - claimed_b) < 1e-12
 
@@ -132,8 +191,9 @@ class TestEventTree:
     def test_two_iteration_single_draft_exact(self):
         for seed in range(3):
             pair = generate_pair(2, 1, seed + 30, 1.0, 0.5)
-            r = exact_output_distribution(pair, 2, 1, iterations=2)
-            assert r.max_marginal_dev_two_iter < 1e-9
+            for context in ((), (1,)):
+                r = exact_output_distribution(pair, 2, 1, iterations=2, context=context)
+                assert r.max_marginal_dev_two_iter < 1e-9
 
     def test_multi_draft_known_gap(self, canonical_pair):
         # regression pin for the measured multi-draft behavior of the
@@ -151,8 +211,10 @@ class TestEventTree:
 
 class TestOracleMatchesVerifier:
     def test_leaf_frequencies_match_monte_carlo(self, canonical_pair):
-        """The verifier (production path) and the event tree (oracle path)
-        are independent implementations; their leaf laws must agree."""
+        """The event tree walks its own copy of the sequential scan over the
+        shipped acceptance rules; the verifier runs the scan itself with
+        uniform draws. The walks are independent, so their leaf laws must
+        agree."""
         report = exact_output_distribution(canonical_pair, 2, 2)
         rng = RandomSource(314)
         n = 50_000

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -273,6 +274,13 @@ class TestAcceptanceFormulas:
         expected = j.q / (1.0 - (1.0 - j.q) ** 2)
         assert abs(full_block_accept_prob(j, 2) - expected) < 1e-12
         assert full_block_accept_prob(joint_of((1,), p, q), 1) == 1.0
+
+    def test_full_block_prob_single_draft_matched_is_exactly_one(self):
+        # 1 - (1 - x)^K loses the cancellation at K = 1; h must be 1.0 exactly
+        p = q = dist(0.4, 0.3, 0.2, 0.1)
+        for n in range(1, 5):
+            for blk in itertools.product(range(4), repeat=n):
+                assert full_block_accept_prob(joint_of(blk, p, q), 1) == 1.0, blk
 
     def test_full_block_prob_canonical(self):
         # q(0,0)=0.64, p(0,0)=0.25: 0.64 * (1 - 0.609375^2) / (1 - 0.75^2)
