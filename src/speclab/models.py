@@ -94,12 +94,16 @@ class MarkovModel:
 
 
 def temperature_scale(d: Distribution, temperature: float) -> Distribution:
-    """Rescale mass as d^(1/T), renormalized. T=1 returns d unchanged."""
+    """Rescale mass as d^(1/T), renormalized. T=1 returns d unchanged.
+
+    Computed as (d / max d)^(1/T): the largest entry stays exactly 1 before
+    renormalizing, so no row underflows to 0/0 at a low temperature.
+    """
     if temperature <= 0:
         raise ValueError("temperature must be > 0")
     if temperature == 1.0:
         return d
-    powered = np.power(d.mass, 1.0 / temperature)
+    powered = np.power(d.mass / d.mass.max(), 1.0 / temperature)
     return Distribution(powered / powered.sum())
 
 

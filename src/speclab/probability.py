@@ -64,7 +64,7 @@ class Distribution:
         object.__setattr__(self, "mass", m)
         if m.ndim != 1 or m.size == 0:
             raise ValueError("mass must be a non-empty 1-d vector")
-        if np.any(m < 0):
+        if m.min() < 0:
             raise ValueError("negative probability mass")
         s = float(m.sum())
         # written so that a NaN sum fails the test too
@@ -86,7 +86,7 @@ def normalize(raw) -> Distribution:
     residual branches decide their own fallback.
     """
     v = np.asarray(raw, dtype=np.float64)
-    if np.any(v < 0):
+    if v.size and v.min() < 0:
         raise ValueError("normalize requires nonnegative entries")
     s = float(v.sum())
     if s <= 0.0:

@@ -17,6 +17,12 @@ verify_spectr_gbv multi-draft block acceptance over sub-blocks with a shared
 
 The block verifiers also emit the lazily evaluated modified target used by
 the next decoding iteration.
+
+The power-form rules of ``verify_spectr_gbv`` share one kernel, ``_surplus``:
+the per-token surplus w(x) = q(x) * (1 - min(r * p(x) / q(x), 1))^K at a
+prefix with joint ratio r = p/q. Its sum over the vocabulary gives the
+sub-block acceptance, its normalization the block residual, and with r read
+from the running joints it is the next iteration's modified target.
 """
 
 from __future__ import annotations
@@ -330,8 +336,11 @@ def gbv_accept_prob(
         return min(1.0, chain.nu)
     if counters is not None:
         counters.vocab_scans += 1
-    num = float(np.maximum(chain.nu * q_next.mass - p_next.mass, 0.0).sum())
-    den = float(np.maximum(p_next.mass - chain.nu * q_next.mass, 0.0).sum())
+    # p - nu*q is -(nu*q - p) exactly, so one difference serves both sums
+    d = chain.nu * q_next.mass
+    d -= p_next.mass
+    num = float(np.maximum(d, 0.0).sum())
+    den = float(np.maximum(np.negative(d, out=d), 0.0, out=d).sum())
     if den < DENOM_EPS:
         # rejection here has probability ~0; accept iff target mass is in surplus
         return 1.0 if chain.nu > 1.0 else 0.0
@@ -397,6 +406,25 @@ def verify_gbv(
 # multi-draft block verification
 
 
+def _surplus(p: np.ndarray, q: np.ndarray, r: float, K: int) -> np.ndarray:
+    """Per-token surplus w = q * (1 - min(r * p / q, 1))^K, with w = 0 where q = 0.
+
+    r = 0 gives w = q. r = inf gives q where p = 0 and 0 elsewhere, without
+    forming inf * 0. Two arrays are allocated and every other pass writes in
+    place; the K-th power is taken by repeated multiplication.
+    """
+    if math.isinf(r):
+        return q * (p == 0.0)
+    t = r * p
+    np.divide(t, q, out=t, where=q > 0.0)
+    np.minimum(t, 1.0, out=t)
+    np.subtract(1.0, t, out=t)
+    w = q * t
+    for _ in range(K - 1):
+        w *= t
+    return w
+
+
 def subblock_accept_prob(
     joint: PrefixJoint,
     p_next: Distribution,
@@ -414,11 +442,9 @@ def subblock_accept_prob(
         counters.vocab_scans += 1
         counters.h_partial_evals += 1
     pj, qj = joint.p, joint.q
-    pe = pj * p_next.mass
-    qe = qj * q_next.mass
-    m_ext = np.where(qe > 0.0, np.minimum(pe / np.where(qe > 0.0, qe, 1.0), 1.0), 1.0)
-    S = float((qe * (1.0 - m_ext) ** K).sum())
-    mi = min(joint.ratio_p_over_q(), 1.0)
+    r = joint.ratio_p_over_q()
+    S = qj * float(_surplus(p_next.mass, q_next.mass, r, K).sum())
+    mi = min(r, 1.0)
     num = S - qj * (1.0 - mi) ** K
     den = 1.0 - (1.0 - pj) ** K - qj + S
     if abs(den) < DENOM_EPS:
@@ -468,11 +494,7 @@ def block_residual(
     r = joint.ratio_p_over_q()
     if math.isinf(r):
         raise AllZeroMass("prefix has zero target mass")
-    qn = q_next.mass
-    pn = p_next.mass
-    m_ext = np.where(qn > 0.0, np.minimum(r * pn / np.where(qn > 0.0, qn, 1.0), 1.0), 1.0)
-    w = qn * (1.0 - m_ext) ** K
-    return normalize(w)
+    return normalize(_surplus(p_next.mass, q_next.mass, r, K))
 
 
 def verify_spectr_gbv(
@@ -630,20 +652,13 @@ class ModifiedTarget:
                 counters.warnings += 1
             return qn
         if self.rule == "nu":
-            if lp == LOG_ZERO:
-                w = np.where(qn.mass > 0.0, qn.mass, 0.0)
+            if lp == LOG_ZERO or lq - lp >= 700.0:
+                w = qn.mass  # nu = inf
             else:
-                nu = math.exp(lq - lp) if lq - lp < 700.0 else float("inf")
-                if math.isinf(nu):
-                    w = np.where(qn.mass > 0.0, qn.mass, 0.0)
-                else:
-                    w = np.maximum(nu * qn.mass - pn.mass, 0.0)
+                w = np.maximum(math.exp(lq - lp) * qn.mass - pn.mass, 0.0)
         else:
             r = 0.0 if lp == LOG_ZERO else math.exp(min(lp - lq, 700.0))
-            m_ext = np.where(
-                qn.mass > 0.0, np.minimum(r * pn.mass / np.where(qn.mass > 0.0, qn.mass, 1.0), 1.0), 1.0
-            )
-            w = qn.mass * (1.0 - m_ext) ** self.K
+            w = _surplus(pn.mass, qn.mass, r, self.K)
         s = float(w.sum())
         if s <= 0.0:
             if counters is not None:

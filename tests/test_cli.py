@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from speclab.cli import main
+from speclab.harness import RunConfig
 from speclab.models import load_model, random_model
 
 
@@ -64,14 +65,17 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--algo", "gbv", "--out", str(out2)]) == 0
         assert out2.read_text().splitlines()[1].startswith("gbv,1,2,")
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
-    def test_underflowing_temperature_is_rejected(self, tmp_path, capsys):
-        # at T = 0.0005 every row's d^(1/T) underflows to zero, so T-scaling yields 0/0
+    def test_low_temperature_run_succeeds(self, tmp_path):
+        # at T = 0.0005 every row's d^(1/T) underflows; (d / max d)^(1/T) keeps the argmax at 1
         out = tmp_path / "r.csv"
         code = main(["run", "--algo", "sd", "--temperature", "0.0005", "--out", str(out)])
-        assert code == 1
-        assert "nan" in capsys.readouterr().err
-        assert not out.exists()
+        assert code == 0
+        assert len(out.read_text().splitlines()) > 1
+        pair = RunConfig(temperature=0.0005).build_pair()  # the run's default model pair
+        for model in (pair.draft, pair.target):
+            for row in range(model.table.shape[0]):
+                cold = model.conditional([row], 0.0005).mass
+                assert cold[int(model.table[row].argmax())] > 1.0 - 1e-9
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["run", "--algo", "nonsense"]) == 1

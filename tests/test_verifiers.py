@@ -9,15 +9,20 @@ from hypothesis import strategies as st
 
 from speclab.models import generate_pair
 from speclab.probability import (
+    LOG_ZERO,
     AllZeroMass,
     Distribution,
     PrefixJoint,
     RandomSource,
     extend_joint,
+    normalize,
 )
 from speclab.verifiers import (
+    DENOM_EPS,
     GbvChainState,
     IterationRecord,
+    ModifiedTarget,
+    _surplus,
     block_residual,
     distribution_modification,
     draft_rows,
@@ -75,6 +80,170 @@ def frac_h_partial(blk, K):
     num = S - qj * (1 - mi) ** K
     den = 1 - (1 - pj) ** K - qj + S
     return num / den
+
+
+# Reference forms of the power-form rules, each with its own masked m_ext
+# expression and a float power; the shipped rules share one in-place kernel.
+
+
+def ref_subblock_accept_prob(joint, p_next, q_next, K):
+    pj, qj = joint.p, joint.q
+    pe = pj * p_next.mass
+    qe = qj * q_next.mass
+    m_ext = np.where(qe > 0.0, np.minimum(pe / np.where(qe > 0.0, qe, 1.0), 1.0), 1.0)
+    S = float((qe * (1.0 - m_ext) ** K).sum())
+    mi = min(joint.ratio_p_over_q(), 1.0)
+    num = S - qj * (1.0 - mi) ** K
+    den = 1.0 - (1.0 - pj) ** K - qj + S
+    if abs(den) < DENOM_EPS:
+        return 1.0 if qj > pj else 0.0
+    return min(1.0, max(0.0, num / den))
+
+
+def ref_block_residual(joint, p_next, q_next, K):
+    r = joint.ratio_p_over_q()
+    if math.isinf(r):
+        raise AllZeroMass("prefix has zero target mass")
+    qn, pn = q_next.mass, p_next.mass
+    m_ext = np.where(qn > 0.0, np.minimum(r * pn / np.where(qn > 0.0, qn, 1.0), 1.0), 1.0)
+    return normalize(qn * (1.0 - m_ext) ** K)
+
+
+def ref_power_rule(lp, lq, p_next, q_next, K):
+    qn = q_next
+    if lq == LOG_ZERO:
+        return qn
+    r = 0.0 if lp == LOG_ZERO else math.exp(min(lp - lq, 700.0))
+    m_ext = np.where(
+        qn.mass > 0.0, np.minimum(r * p_next.mass / np.where(qn.mass > 0.0, qn.mass, 1.0), 1.0), 1.0
+    )
+    w = qn.mass * (1.0 - m_ext) ** K
+    s = float(w.sum())
+    if s <= 0.0:
+        return qn
+    return Distribution(w / s)
+
+
+def ref_gbv_accept_prob(p_next, q_next, nu):
+    """The nu-form interior rule with its two separate passes."""
+    num = float(np.maximum(nu * q_next.mass - p_next.mass, 0.0).sum())
+    den = float(np.maximum(p_next.mass - nu * q_next.mass, 0.0).sum())
+    if den < DENOM_EPS:
+        return 1.0 if nu > 1.0 else 0.0
+    return min(1.0, max(0.0, num / den))
+
+
+def kernel_vector(gen, V, kind):
+    v = gen.dirichlet(np.full(V, 0.05 if kind == "sparse" else 1.0))
+    if kind == "peaked":
+        v = (v / v.max()) ** 30
+    return v
+
+
+def kernel_pair(seed, V, p_kind, q_kind):
+    """p and q with zeros in p only, in q only and in both (the first three
+    zeroed slots, when V allows); the last slot stays positive in both."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    p, q = kernel_vector(gen, V, p_kind), kernel_vector(gen, V, q_kind)
+    slots = gen.permutation(V)
+    n_zero = int(gen.integers(0, V))
+    kinds = gen.integers(0, 3, size=n_zero)
+    kinds[: min(3, n_zero)] = np.arange(min(3, n_zero))
+    for slot, kind in zip(slots[:n_zero], kinds):
+        if kind != 1:
+            p[slot] = 0.0
+        if kind != 0:
+            q[slot] = 0.0
+    last = slots[-1]
+    p[last] = max(p[last], 1e-3)
+    q[last] = max(q[last], 1e-3)
+    return normalize(p), normalize(q)
+
+
+TINY = 1e-300
+KERNEL_RATIOS = (0.0, TINY, 1.0, math.exp(700.0), math.inf)
+
+
+def joint_with_ratio(r, a):
+    """A prefix joint whose larger probability is exp(a) and whose p/q is r."""
+    if r <= 1.0:
+        return PrefixJoint(a + math.log(r) if r > 0.0 else LOG_ZERO, a)
+    return PrefixJoint(a, a - math.log(r) if math.isfinite(r) else LOG_ZERO)
+
+
+kernel_cases = given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 1024),
+    st.sampled_from(("flat", "sparse", "peaked")),
+    st.sampled_from(("flat", "sparse", "peaked")),
+    st.integers(1, 8),
+    st.sampled_from(KERNEL_RATIOS),
+    st.floats(-5.0, 0.0),
+)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+class TestSurplusKernel:
+    """The shipped power-form rules against their reference forms, to 1e-12.
+
+    At r = e^700, r * p / q overflows to inf on peaked q in both forms; the
+    clamp min(., 1) makes that exact. Ratios between about 1e-9 and 1e-3 are
+    left out: there the sub-block rule's num and den both cancel to rounding
+    residue, in either form, so the two differ by up to a few 1e-3.
+    """
+
+    @kernel_cases
+    @settings(max_examples=300, deadline=None)
+    def test_subblock_accept_prob(self, seed, V, p_kind, q_kind, K, r, a):
+        p, q = kernel_pair(seed, V, p_kind, q_kind)
+        joint = joint_with_ratio(r, a)
+        got = subblock_accept_prob(joint, p, q, K)
+        assert abs(got - ref_subblock_accept_prob(joint, p, q, K)) <= 1e-12
+
+    @kernel_cases
+    @settings(max_examples=300, deadline=None)
+    def test_block_residual(self, seed, V, p_kind, q_kind, K, r, a):
+        p, q = kernel_pair(seed, V, p_kind, q_kind)
+        joint = joint_with_ratio(r, a)
+        try:
+            want = ref_block_residual(joint, p, q, K)
+        except AllZeroMass:
+            with pytest.raises(AllZeroMass):
+                block_residual(joint, p, q, K)
+            return
+        got = block_residual(joint, p, q, K)
+        assert np.max(np.abs(got.mass - want.mass)) <= 1e-12
+
+    @kernel_cases
+    @settings(max_examples=300, deadline=None)
+    def test_power_rule(self, seed, V, p_kind, q_kind, K, r, a):
+        p, q = kernel_pair(seed, V, p_kind, q_kind)
+        joint = joint_with_ratio(r, a)
+        mod = ModifiedTarget(horizon=1, K=K, prefix=(), log_p_prefix=joint.log_p, log_q_prefix=joint.log_q)
+        got = mod.conditional((), lambda ctx: q, lambda ctx: p)
+        want = ref_power_rule(joint.log_p, joint.log_q, p, q, K)
+        assert np.max(np.abs(got.mass - want.mass)) <= 1e-12
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 1024), st.integers(1, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_infinite_ratio_keeps_only_tokens_the_draft_never_emits(self, seed, V, K):
+        # no rule above reaches r = inf with positive q-joint at a visible scale
+        p, q = kernel_pair(seed, V, "sparse", "flat")
+        w = _surplus(p.mass, q.mass, math.inf, K)
+        assert np.array_equal(w, np.where(p.mass == 0.0, q.mass, 0.0))
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 1024),
+        st.sampled_from(("flat", "sparse", "peaked")),
+        st.sampled_from(("flat", "sparse", "peaked")),
+        st.sampled_from((0.0, TINY, 0.5, 1.0, 2.0, math.exp(700.0))),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_nu_rule_equals_two_pass_form(self, seed, V, p_kind, q_kind, nu):
+        p, q = kernel_pair(seed, V, p_kind, q_kind)
+        got = gbv_accept_prob(PrefixJoint.empty(), p, q, GbvChainState(nu, 1), at_end=False)
+        assert got == ref_gbv_accept_prob(p, q, nu)
 
 
 # ---------------------------------------------------------------------------
