@@ -46,6 +46,7 @@ def main() -> int:
             and abs(r.expected_tau - r.bound) < TOL
             and r.lemma_max_dev < TOL
             and (r.max_marginal_dev_two_iter is None or r.max_marginal_dev_two_iter < TOL)
+            and (r.lemma_max_dev_two_iter is None or r.lemma_max_dev_two_iter < TOL)
         )
         all_ok &= ok
         rows.append({"V": V, "L": L, "K": K, "passed": ok, **r.to_jsonable()})

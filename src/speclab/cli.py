@@ -168,7 +168,10 @@ def _cmd_oracle_check(args) -> int:
         ("subblock_acceptance_identity", report.lemma_max_dev, ORACLE_TOL),
     ]
     if args.iterations == 2:
-        checks.append(("two_iteration_preservation", report.max_marginal_dev_two_iter, ORACLE_TOL))
+        checks += [
+            ("two_iteration_preservation", report.max_marginal_dev_two_iter, ORACLE_TOL),
+            ("two_iteration_subblock_identity", report.lemma_max_dev_two_iter, ORACLE_TOL),
+        ]
     results = [
         {"name": name, "value": value, "tolerance": tol, "passed": bool(value < tol)}
         for name, value, tol in checks

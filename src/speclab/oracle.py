@@ -1,18 +1,23 @@
 """Ground-truth computations at tiny scale.
 
-The event tree integrates the shipped block-verification code exactly: it
-enumerates every draft tuple, walks the sequential scan over the uniform
-draws with closed-form branch probabilities, and completes every leaf
-through the modified target chain. The acceptance rules and the residual
-(``subblock_accept_prob``, ``full_block_accept_prob``, ``block_residual``)
-and the chains (``harness.RawChain``, ``harness.ModifiedChain``) are the
-ones decoding runs. The walk over the scan (``_walk_tuple``) and the closed
-forms the tree is checked against are written here, apart from the
-verifiers, so agreement between the two is evidence rather than tautology.
+The event tree integrates the shipped block-verification code exactly. The
+draft rows are i.i.d., and the scan's future depends only on (tau, accepted
+prefix, rejected sub-blocks longer than tau), so the enumerator folds one
+row at a time over a dict from that state to its mass, equal states merged,
+with each row's outcome law in closed form (``_row_law``). Every leaf is
+then completed through the modified target chain. The acceptance rules and
+the residual (``subblock_accept_prob``, ``full_block_accept_prob``,
+``block_residual``) and the chains (``harness.RawChain``,
+``harness.ModifiedChain``) are the ones decoding runs. The fold over the
+scan and the closed forms the tree is checked against are written here,
+apart from the verifiers, so agreement between the two is evidence rather
+than tautology.
 
 The reports check three closed forms against the enumerated tree:
 
-* the block-level acceptance-mass identity per sub-block,
+* the block-level acceptance-mass identity per sub-block, in each of two
+  decoding iterations; the second iteration's claimed masses read the draft
+  joint straight from the model at the absolute context,
 * the expected-acceptance-length bound (equality claimed for the verifier),
 * preservation of the target chain by the full output (block, extra token,
   modified-target completion), over one or two decoding iterations.
@@ -41,11 +46,28 @@ from .verifiers import (
 )
 
 MAX_ENUM = 1_000_000
-PRUNE = 1e-15
 
 
 class TooLarge(ValueError):
     """Instance exceeds the exhaustive-enumeration guard."""
+
+
+def _accept_mass(p: float, q: float, K: int) -> float:
+    """q * (1 - (1 - min(p/q, 1))^K): the claimed acceptance mass of a block
+    with draft joint p and target joint q."""
+    if q <= 0.0:
+        return 0.0
+    s = min(p / q, 1.0)
+    return q * (1.0 - (1.0 - s) ** K)
+
+
+def _model_joint(model, temperature: float, context: tuple[int, ...], blk: tuple[int, ...]) -> float:
+    """Joint of ``blk`` after the absolute ``context``, read from the model
+    itself rather than through a chain."""
+    p = 1.0
+    for j, tok in enumerate(blk):
+        p *= float(model.conditional(context + blk[:j], temperature).mass[tok])
+    return p
 
 
 def _log_chain_joint(chain, seq: Sequence[int]) -> float:
@@ -95,12 +117,8 @@ class _Instance:
         return p, q
 
     def accept_mass(self, blk: tuple[int, ...]) -> float:
-        """q(blk) * (1 - (1 - min(p/q, 1))^K): the claimed acceptance mass."""
         p, q = self.joints(blk)
-        if q <= 0.0:
-            return 0.0
-        s = min(p / q, 1.0)
-        return q * (1.0 - (1.0 - s) ** self.K)
+        return _accept_mass(p, q, self.K)
 
     def joint(self, blk: tuple[int, ...]) -> PrefixJoint:
         hit = self.prefix_joints.get(blk)
@@ -155,81 +173,86 @@ class _Instance:
         )
 
 
-def _walk_tuple(inst: _Instance, rows: tuple[tuple[int, ...], ...]) -> tuple[dict, float, float]:
-    """Integrate the verifier's control flow over its uniform draws for one
-    draft tuple. Returns leaf masses keyed by (tau, accepted block), the
-    pruned probability mass, and the leaf-mass total."""
-    K, L = inst.K, inst.L
-    leaves: dict[tuple[int, tuple[int, ...]], float] = {}
-    dropped = 0.0
-    total = 0.0
-    # state: (row index, next length to test, tau, winning row, rejected set, prob)
-    stack = [(0, 1, 0, 0, frozenset(), 1.0)]
-    while stack:
-        k, i, tau, f, H, pr = stack.pop()
-        if pr < PRUNE:
-            dropped += pr
+def _row_law(inst: _Instance, tau: int, row: tuple[int, ...], hit: frozenset) -> list:
+    """(next tau, rejections longer than it, probability) triples: the law
+    of one row's tests from accepted length tau, where ``hit`` holds the
+    row's prefixes longer than tau that the rejected set H holds.
+
+    The row tests its sub-blocks longer than tau and not in H. tau becomes
+    the longest accepted length i, with probability h_i times the rejection
+    of every longer test, or stays if every test rejects. The full-block
+    test comes last: next tau is L if it accepts, else the row joins the
+    rejections.
+    """
+    L = inst.L
+    # a row in H rejects with certainty, and re-adding it to H changes nothing
+    h_full = 0.0 if row in hit else inst.h_fullblock(row)
+    law = []
+
+    def outcome(tau2: int, rejected: tuple, pr: float) -> None:
+        if pr <= 0.0:
+            return
+        if h_full > 0.0:
+            law.append((L, (), pr * h_full))
+        if h_full < 1.0:
+            law.append((tau2, rejected, pr * (1.0 - h_full)))
+
+    rejected = (row,)
+    miss = 1.0  # probability that every test longer than i rejects
+    for i in range(L - 1, tau, -1):
+        sub = row[:i]
+        if sub in hit:
             continue
-        if k == K:
-            key = (tau, rows[f][:tau])
-            leaves[key] = leaves.get(key, 0.0) + pr
-            total += pr
-            continue
-        row = rows[k]
-        if i <= L - 1:
-            sub = row[:i]
-            if sub in H:
-                stack.append((k, i + 1, tau, f, H, pr))
-                continue
-            h = inst.h_partial(sub)
-            if h > 0.0:
-                stack.append((k, i + 1, i, k, H, pr * h))
-            if h < 1.0:
-                stack.append((k, i + 1, tau, f, H | {sub}, pr * (1.0 - h)))
-            continue
-        if row in H:
-            stack.append((k + 1, tau + 1, tau, f, H, pr))
-            continue
-        h = inst.h_fullblock(row)
-        if h > 0.0:
-            key = (L, row)
-            leaves[key] = leaves.get(key, 0.0) + pr * h
-            total += pr * h
-        if h < 1.0:
-            stack.append((k + 1, tau + 1, tau, f, H | {row}, pr * (1.0 - h)))
-    return leaves, dropped, total
+        h = inst.h_partial(sub)
+        outcome(i, rejected, miss * h)
+        rejected += (sub,)
+        miss *= 1.0 - h
+    outcome(tau, rejected, miss)
+    return law
 
 
 def _enumerate_leaves(inst: _Instance) -> tuple[dict, dict]:
-    """Leaf masses over all draft tuples, weighted by the draft product law."""
+    """Leaf masses of the scan: each i.i.d. draft row folds a dict from the
+    state (tau, accepted prefix t, rejected sub-blocks H longer than tau) to
+    its mass, and after the last row only (tau, t) is kept. A row's law
+    depends on the state only through tau and which of its prefixes H
+    holds, so it is computed once per such pair.
+    """
     V, L, K = inst.V, inst.L, inst.K
     if V ** (K * L) > MAX_ENUM:
         raise TooLarge(f"V^(K*L) = {V ** (K * L)} exceeds {MAX_ENUM}")
-    blocks = list(itertools.product(range(V), repeat=L))
-    weights = {}
-    for b in blocks:
-        weights[b] = inst.joints(b)[0]
-    leaves: dict[tuple[int, tuple[int, ...]], float] = {}
+    rows = []  # (row, draft weight, the row's prefixes, its laws by (tau, hit))
+    for b in itertools.product(range(V), repeat=L):
+        w = inst.joints(b)[0]
+        if w > 0.0:
+            rows.append((b, w, frozenset(b[:i] for i in range(1, L + 1)), {}))
     max_leafsum_err = 0.0
-    dropped_total = 0.0
-    tuples_seen = 0
-    for rows in itertools.product(blocks, repeat=K):
-        w = 1.0
-        for r in rows:
-            w *= weights[r]
-        if w <= 0.0:
-            continue
-        tuples_seen += 1
-        tuple_leaves, dropped, total = _walk_tuple(inst, rows)
-        max_leafsum_err = max(max_leafsum_err, abs(total + dropped - 1.0))
-        dropped_total += w * dropped
-        for key, pr in tuple_leaves.items():
-            leaves[key] = leaves.get(key, 0.0) + w * pr
+    leaves: dict[tuple[int, tuple[int, ...]], float] = {}
+    states = {(0, (), frozenset()): 1.0}
+    for k in range(K):
+        last = k == K - 1
+        nxt: dict = {}
+        for (tau, t, H), mass in states.items():
+            for row, w, prefixes, laws in rows:
+                hit = H & prefixes
+                law = laws.get((tau, hit))
+                if law is None:
+                    law = laws[(tau, hit)] = _row_law(inst, tau, row, hit)
+                    max_leafsum_err = max(max_leafsum_err, abs(sum(pr for _, _, pr in law) - 1.0))
+                m = mass * w
+                for tau2, rejected, pr in law:
+                    t2 = t if tau2 == tau else row[:tau2]
+                    if tau2 == L or last:
+                        leaves[(tau2, t2)] = leaves.get((tau2, t2), 0.0) + m * pr
+                        continue
+                    kept = H if tau2 == tau else frozenset(s for s in H if len(s) > tau2)
+                    key = (tau2, t2, kept.union(rejected))
+                    nxt[key] = nxt.get(key, 0.0) + m * pr
+        states = nxt
     diag = {
-        "tuples": tuples_seen,
+        "tuples": len(rows) ** K,
         "leaf_states": len(leaves),
         "max_leafsum_err": max_leafsum_err,
-        "dropped_mass": dropped_total,
     }
     return leaves, diag
 
@@ -295,15 +318,16 @@ class ExactReport:
     max_marginal_dev: float
     lemma_max_dev: float
     max_marginal_dev_two_iter: float | None
+    lemma_max_dev_two_iter: float | None
     marginal_sums_max_err: float
     leaf_states: int
     tuples: int
     max_leafsum_err: float
-    dropped_mass: float
     fallback_mass: float
     runtime_s: float
     subblock_marginals: dict = field(repr=False, default_factory=dict)
     lemma_masses: dict = field(repr=False, default_factory=dict)
+    lemma_masses_two_iter: dict = field(repr=False, default_factory=dict)
     leaves: dict = field(repr=False, default_factory=dict)
 
     def to_jsonable(self) -> dict:
@@ -317,11 +341,11 @@ class ExactReport:
             "max_marginal_dev": self.max_marginal_dev,
             "lemma_max_dev": self.lemma_max_dev,
             "max_marginal_dev_two_iter": self.max_marginal_dev_two_iter,
+            "lemma_max_dev_two_iter": self.lemma_max_dev_two_iter,
             "marginal_sums_max_err": self.marginal_sums_max_err,
             "leaf_states": self.leaf_states,
             "tuples": self.tuples,
             "max_leafsum_err": self.max_leafsum_err,
-            "dropped_mass": self.dropped_mass,
             "fallback_mass": self.fallback_mass,
             "runtime_s": self.runtime_s,
         }
@@ -339,10 +363,13 @@ def bound_K(pair: ModelPair, L: int, K: int, context: tuple[int, ...] = ()) -> f
     V = pair.vocab_size
     if V**L > MAX_ENUM:
         raise TooLarge(f"V^L = {V ** L} exceeds {MAX_ENUM}")
-    inst = _instance(pair, L, K, context)
+    return _bound(_instance(pair, L, K, context))
+
+
+def _bound(inst: _Instance) -> float:
     total = 0.0
-    for i in range(1, L + 1):
-        total += sum(inst.accept_mass(blk) for blk in itertools.product(range(V), repeat=i))
+    for i in range(1, inst.L + 1):
+        total += sum(inst.accept_mass(blk) for blk in itertools.product(range(inst.V), repeat=i))
     return total
 
 
@@ -385,8 +412,9 @@ def exact_expected_tau(pair: ModelPair, L: int, K: int, context: tuple[int, ...]
     return sum(tau * m for (tau, _t), m in leaves.items())
 
 
-def _lemma_table(inst: _Instance, leaves: dict) -> tuple[dict, float]:
-    """Accepted-prefix masses from the tree against the closed form."""
+def _lemma_table(inst: _Instance, leaves: dict, claimed_mass) -> tuple[dict, float]:
+    """Accepted-prefix masses from the tree against the closed form
+    ``claimed_mass(blk)``."""
     acc: dict[tuple[int, ...], float] = {}
     for (tau, t), m in leaves.items():
         for i in range(1, tau + 1):
@@ -395,7 +423,7 @@ def _lemma_table(inst: _Instance, leaves: dict) -> tuple[dict, float]:
     table = {}
     for i in range(1, inst.L + 1):
         for blk in itertools.product(range(inst.V), repeat=i):
-            claimed = inst.accept_mass(blk)
+            claimed = claimed_mass(blk)
             got = acc.get(blk, 0.0)
             table[blk] = (got, claimed)
             max_dev = max(max_dev, abs(got - claimed))
@@ -432,13 +460,14 @@ def exact_output_distribution(
     inst = _instance(pair, L, K, context)
     leaves, diag = _enumerate_leaves(inst)
     expected_tau = sum(tau * m for (tau, _t), m in leaves.items())
-    bound = bound_K(pair, L, K, context)
-    lemma_masses, lemma_dev = _lemma_table(inst, leaves)
+    bound = _bound(inst)
+    lemma_masses, lemma_dev = _lemma_table(inst, leaves, inst.accept_mass)
     out, fallback_mass = _output_joint(inst, leaves, L)
     marg, max_dev, sums_err = _marginal_devs(inst, out, L)
-    two_iter_dev = None
+    two_iter_dev = lemma_dev2 = None
+    lemma_masses2: dict = {}
     if iterations == 2:
-        two_iter_dev, fb2 = _two_iteration_dev(pair, L, K, context)
+        two_iter_dev, fb2, lemma_masses2, lemma_dev2 = _two_iteration_dev(pair, inst, leaves)
         fallback_mass += fb2
     return ExactReport(
         vocab_size=pair.vocab_size,
@@ -450,32 +479,40 @@ def exact_output_distribution(
         max_marginal_dev=max_dev,
         lemma_max_dev=lemma_dev,
         max_marginal_dev_two_iter=two_iter_dev,
+        lemma_max_dev_two_iter=lemma_dev2,
         marginal_sums_max_err=sums_err,
         leaf_states=diag["leaf_states"],
         tuples=diag["tuples"],
         max_leafsum_err=diag["max_leafsum_err"],
-        dropped_mass=diag["dropped_mass"],
         fallback_mass=fallback_mass,
         runtime_s=time.perf_counter() - t0,
         subblock_marginals=marg,
         lemma_masses=lemma_masses,
+        lemma_masses_two_iter=lemma_masses2,
         leaves=leaves,
     )
 
 
 def _two_iteration_dev(
-    pair: ModelPair, L: int, K: int, context: tuple[int, ...]
-) -> tuple[float, float]:
-    """Max deviation of the two-iteration completed output from the target
-    chain at depth 2(L+1)."""
+    pair: ModelPair, inst1: _Instance, leaves1: dict
+) -> tuple[float, float, dict, float]:
+    """Second decoding iteration after every first-iteration leaf.
+
+    Returns the max deviation of the completed output from the target chain
+    at depth 2(L+1), the fallback mass, and the second iteration's lemma
+    table with its max deviation. The table is keyed by (first-iteration
+    output, block) and holds conditional masses; its claimed masses read the
+    draft joint straight from ``pair.draft`` at the absolute context, so a
+    draft chain built at the wrong context shows there.
+    """
+    V, L, K = inst1.V, inst1.L, inst1.K
     depth = 2 * (L + 1)
-    V = pair.vocab_size
-    if V**depth > MAX_ENUM or V ** (K * L) > MAX_ENUM:
+    if V**depth > MAX_ENUM:
         raise TooLarge("two-iteration enumeration exceeds the guard")
-    inst1 = _instance(pair, L, K, context)
-    leaves1, _ = _enumerate_leaves(inst1)
     out: dict[tuple[int, ...], float] = {}
     fallback = 0.0
+    lemma_table: dict = {}
+    lemma_dev = 0.0
     for (tau1, t1), m1 in leaves1.items():
         if m1 <= 0.0:
             continue
@@ -486,9 +523,19 @@ def _two_iteration_dev(
             if py1 <= 0.0:
                 continue
             prefix1 = t1 + (int(y1),)
-            draft2 = RawChain(pair.draft, pair.temperature, inst1.context + prefix1)
-            inst2 = _Instance(draft2, inst1.modified(tau1, t1, int(y1)), inst1.context + prefix1, V, L, K)
+            context2 = inst1.context + prefix1
+            draft2 = RawChain(pair.draft, pair.temperature, context2)
+            inst2 = _Instance(draft2, inst1.modified(tau1, t1, int(y1)), context2, V, L, K)
             leaves2, _ = _enumerate_leaves(inst2)
+
+            def claimed(blk):
+                p2 = _model_joint(pair.draft, pair.temperature, context2, blk)
+                return _accept_mass(p2, inst2.joints(blk)[1], K)
+
+            table2, dev2 = _lemma_table(inst2, leaves2, claimed)
+            lemma_dev = max(lemma_dev, dev2)
+            for blk, entry in table2.items():
+                lemma_table[(prefix1, blk)] = entry
             out2, fb2 = _output_joint(inst2, leaves2, depth - len(prefix1))
             w = m1 * float(py1)
             fallback += w * fb2
@@ -499,7 +546,7 @@ def _two_iteration_dev(
     for blk in itertools.product(range(V), repeat=depth):
         qv = math.exp(_log_chain_joint(inst1.qchain, blk))
         max_dev = max(max_dev, abs(out.get(blk, 0.0) - qv))
-    return max_dev, fallback
+    return max_dev, fallback, lemma_table, lemma_dev
 
 
 def gbv_exact_report(pair: ModelPair, L: int, context: tuple[int, ...] = ()) -> ExactReport:

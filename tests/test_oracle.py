@@ -5,9 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from speclab import harness, oracle
 from speclab.models import MarkovModel, ModelPair, generate_pair
 from speclab.oracle import (
     TooLarge,
+    _instance,
     bound_K,
     bound_properties,
     exact_expected_tau,
@@ -91,6 +93,73 @@ def gbv_reference(pair, L):
         blk: (accepted.get(blk, 0.0), min(j.p, j.q)) for blk, j in joints.items() if blk
     }
     return leaves, lemma
+
+
+def walk_tuple(inst, rows):
+    """Reference walk of the ``spectr-gbv`` scan for one draft tuple.
+
+    Every uniform draw is a binary branch, taken with the shipped rule's
+    probability from ``inst``. Returns leaf masses keyed by (tau, accepted
+    block), their total, and the events seen: "skip" (a test skipped because
+    its sub-block is in the rejected set), "h0" and "h1" (a test that
+    accepts with probability exactly 0 or 1).
+    """
+    K, L = inst.K, inst.L
+    leaves: dict = {}
+    total = 0.0
+    events = set()
+    # state: (row index, next length to test, tau, winning row, rejected set, prob)
+    stack = [(0, 1, 0, 0, frozenset(), 1.0)]
+    while stack:
+        k, i, tau, f, H, pr = stack.pop()
+        if k == K:
+            key = (tau, rows[f][:tau])
+            leaves[key] = leaves.get(key, 0.0) + pr
+            total += pr
+            continue
+        row = rows[k]
+        sub = row[:i] if i <= L - 1 else row
+        if sub in H:
+            events.add("skip")
+            if i <= L - 1:
+                stack.append((k, i + 1, tau, f, H, pr))
+            else:
+                stack.append((k + 1, tau + 1, tau, f, H, pr))
+            continue
+        h = inst.h_partial(sub) if i <= L - 1 else inst.h_fullblock(row)
+        if h in (0.0, 1.0):
+            events.add(f"h{int(h)}")
+        if i <= L - 1:
+            if h > 0.0:
+                stack.append((k, i + 1, i, k, H, pr * h))
+            if h < 1.0:
+                stack.append((k, i + 1, tau, f, H | {sub}, pr * (1.0 - h)))
+            continue
+        if h > 0.0:
+            key = (L, row)
+            leaves[key] = leaves.get(key, 0.0) + pr * h
+            total += pr * h
+        if h < 1.0:
+            stack.append((k + 1, tau + 1, tau, f, H | {row}, pr * (1.0 - h)))
+    return leaves, total, events
+
+
+def walk_reference(pair, L, K, context):
+    """Leaf law of the scan by walking every positive-weight draft tuple."""
+    inst = _instance(pair, L, K, context)
+    blocks = list(itertools.product(range(pair.vocab_size), repeat=L))
+    leaves: dict = {}
+    events = set()
+    for rows in itertools.product(blocks, repeat=K):
+        w = math.prod(inst.joints(r)[0] for r in rows)
+        if w <= 0.0:
+            continue
+        tuple_leaves, total, seen = walk_tuple(inst, rows)
+        assert abs(total - 1.0) < 1e-12
+        events |= seen
+        for key, pr in tuple_leaves.items():
+            leaves[key] = leaves.get(key, 0.0) + w * pr
+    return leaves, events
 
 
 class TestBound:
@@ -194,6 +263,7 @@ class TestEventTree:
             for context in ((), (1,)):
                 r = exact_output_distribution(pair, 2, 1, iterations=2, context=context)
                 assert r.max_marginal_dev_two_iter < 1e-9
+                assert r.lemma_max_dev_two_iter < 1e-9
 
     def test_multi_draft_known_gap(self, canonical_pair):
         # regression pin for the measured multi-draft behavior of the
@@ -209,11 +279,73 @@ class TestEventTree:
             exact_expected_tau(pair, 5, 3)
 
 
+class TestRowFold:
+    """The row fold against a walk of every draft tuple through its own
+    accept/reject branches. V = 2 makes rows share prefixes, so rejected-set
+    skips fire; the concentration-0.05 pair has tests that accept with
+    probability exactly 0 or 1."""
+
+    PAIRS = (generate_pair(2, 1, 7, 1.0, 0.5), generate_pair(2, 1, 2, 0.05, 0.5))
+
+    def test_fold_matches_tuple_walk(self):
+        events = set()
+        for pair, context, L, K in itertools.product(self.PAIRS, ((), (1,)), (1, 2, 3), (1, 2, 3, 4)):
+            r = exact_output_distribution(pair, L, K, context=context)
+            ref, seen = walk_reference(pair, L, K, context)
+            events |= seen
+            assert r.max_leafsum_err < 1e-12
+            for key in set(r.leaves) | set(ref):
+                assert abs(r.leaves.get(key, 0.0) - ref.get(key, 0.0)) < 1e-12, (L, K, key)
+            ref_tau = sum(tau * m for (tau, _t), m in ref.items())
+            assert abs(r.expected_tau - ref_tau) < 1e-12
+            accepted: dict = {}
+            for (tau, t), m in ref.items():
+                for i in range(1, tau + 1):
+                    accepted[t[:i]] = accepted.get(t[:i], 0.0) + m
+            for blk, (got, _claimed) in r.lemma_masses.items():
+                assert abs(got - accepted.get(blk, 0.0)) < 1e-12, (L, K, blk)
+        assert events == {"skip", "h0", "h1"}
+
+    def test_tuples_count_positive_weight_draft_tuples(self):
+        pair = self.PAIRS[1]
+        r = exact_output_distribution(pair, 2, 3)
+        inst = _instance(pair, 2, 3)
+        positive = sum(inst.joints(b)[0] > 0.0 for b in itertools.product(range(2), repeat=2))
+        assert 0 < positive < 4
+        assert r.tuples == positive**3
+
+
+class TestDraftLaw:
+    """The second iteration's lemma table reads its draft joint from the
+    model at the absolute context, not through the chain the tree drafts
+    from, so a draft chain built at the wrong context fails it at K = 1
+    (it holds unmutated: ``test_two_iteration_single_draft_exact``). The
+    output law equals the target for any draft law, so the two-iteration
+    preservation check alone cannot see that."""
+
+    CONTEXT = (1,)
+
+    def report(self, seed):
+        pair = generate_pair(2, 1, seed, 1.0, 0.5)
+        return exact_output_distribution(pair, 2, 1, iterations=2, context=self.CONTEXT)
+
+    def test_second_iteration_drafted_from_context_alone_fails(self, monkeypatch):
+        n = len(self.CONTEXT)
+        monkeypatch.setattr(
+            oracle, "RawChain", lambda model, T, ctx: harness.RawChain(model, T, ctx[:n])
+        )
+        assert max(self.report(seed).lemma_max_dev_two_iter for seed in range(30, 33)) > 1e-3
+
+    def test_tail_that_keeps_the_head_fails(self, monkeypatch):
+        monkeypatch.setattr(harness, "_tail", lambda context, order: tuple(context[:order]))
+        assert max(self.report(seed).lemma_max_dev_two_iter for seed in range(30, 33)) > 1e-3
+
+
 class TestOracleMatchesVerifier:
     def test_leaf_frequencies_match_monte_carlo(self, canonical_pair):
-        """The event tree walks its own copy of the sequential scan over the
-        shipped acceptance rules; the verifier runs the scan itself with
-        uniform draws. The walks are independent, so their leaf laws must
+        """The oracle folds its own closed-form copy of the sequential scan
+        over the shipped acceptance rules; the verifier runs the scan itself
+        with uniform draws. The two are independent, so their leaf laws must
         agree."""
         report = exact_output_distribution(canonical_pair, 2, 2)
         rng = RandomSource(314)
