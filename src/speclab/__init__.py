@@ -8,7 +8,6 @@ from .probability import (
     RandomSource,
     extend_joint,
     normalize,
-    residual_sd,
     sample,
     tv_distance,
 )
@@ -44,6 +43,6 @@ __all__ = [
     "block_residual", "distribution_modification", "draft_rows", "extend_joint",
     "full_block_accept_prob", "gbv_accept_prob", "gbv_modification",
     "generate_pair", "kseq_rho", "load_model", "normalize", "random_model",
-    "residual_sd", "sample", "save_model", "score_rows", "subblock_accept_prob",
+    "sample", "save_model", "score_rows", "subblock_accept_prob",
     "tv_distance", "verify_gbv", "verify_kseq", "verify_sd", "verify_spectr_gbv",
 ]

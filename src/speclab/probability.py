@@ -43,9 +43,6 @@ class RandomSource:
     def uniform(self) -> float:
         return float(self._gen.random())
 
-    def spawn(self, *indices: int) -> "RandomSource":
-        return RandomSource(derive_seed(self.seed, *indices))
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"RandomSource(seed={self.seed})"
 
@@ -92,15 +89,6 @@ def normalize(raw) -> Distribution:
     if s <= 0.0:
         raise AllZeroMass("no positive mass to normalize")
     return Distribution(v / s)
-
-
-def residual_sd(p: Distribution, q: Distribution) -> Distribution:
-    """Single-draft rejection residual: norm(max(q - p, 0)).
-
-    AllZeroMass can only occur when p >= q pointwise, in which case the
-    rejection event that needs this residual has probability zero.
-    """
-    return normalize(np.maximum(q.mass - p.mass, 0.0))
 
 
 def tv_distance(a: Distribution, b: Distribution) -> float:

@@ -9,8 +9,9 @@ vocabulary-sized passes the verifiers make themselves: block acceptance
 evaluations, rho bisection steps, residual passes and modification passes.
 Draws by ``sample`` and model lookups are not counted.
 
-verify_sd        token-level rejection sampling, single draft
-verify_kseq      per-position multi-draft acceptance with the rho scale
+verify_kseq      per-position multi-draft acceptance with the rho scale; the
+                 one token-level verifier
+verify_sd        verify_kseq with one row: standard speculative sampling
 verify_gbv       single-draft whole-block acceptance via the nu likelihood chain
 verify_spectr_gbv multi-draft block acceptance over sub-blocks with a shared
                  rejected-content set
@@ -40,7 +41,6 @@ from .probability import (
     RandomSource,
     extend_joint,
     normalize,
-    residual_sd,
     sample,
 )
 
@@ -58,12 +58,8 @@ class Counters:
     target_calls: int = 0
     draft_calls: int = 0
     vocab_scans: int = 0
-    eta_draws: int = 0
     h_partial_evals: int = 0
-    h_full_evals: int = 0
     residual_evals: int = 0
-    modification_evals: int = 0
-    rho_iters: int = 0
     warnings: int = 0
 
     def add(self, other: "Counters") -> None:
@@ -173,41 +169,6 @@ def score_rows(drafts: DraftSet, q_cond) -> TargetScores:
 
 
 # ---------------------------------------------------------------------------
-# standard speculative decoding (single draft, token-level)
-
-
-def verify_sd(drafts: DraftSet, scores: TargetScores, rng: RandomSource, trace=None) -> VerifyOutcome:
-    """Accept tokens left to right with probability min(1, q/p); on the first
-    rejection sample the replacement from norm(max(q - p, 0))."""
-    if drafts.K != 1:
-        raise ValueError("verify_sd is a single-draft verifier")
-    counters = Counters()
-    row = drafts.tokens[0]
-    L = drafts.L
-    for i in range(L):
-        p_i = drafts.cond[0][i]
-        q_i = scores.cond[0][i]
-        tok = row[i]
-        a = min(1.0, float(q_i.mass[tok]) / float(p_i.mass[tok]))
-        counters.eta_draws += 1
-        accepted = rng.uniform() < a
-        if trace is not None:
-            trace.append(("token", i + 1, tok, a, accepted))
-        if not accepted:
-            counters.vocab_scans += 1
-            counters.residual_evals += 1
-            try:
-                res = residual_sd(p_i, q_i)
-            except AllZeroMass:
-                res = q_i
-                counters.warnings += 1
-            y = sample(res, rng)
-            return VerifyOutcome(tau=i, f=0, t=row[:i], y=y, counters=counters)
-    y = sample(scores.cond[0][L], rng)
-    return VerifyOutcome(tau=L, f=0, t=row, y=y, counters=counters)
-
-
-# ---------------------------------------------------------------------------
 # K-SEQ (per-position multi-draft acceptance)
 
 
@@ -224,9 +185,6 @@ def kseq_rho(p: Distribution, q: Distribution, K: int, tol: float = 1e-12) -> Ks
 
     def beta(rho: float) -> float:
         return float(np.minimum(pm, qm / rho).sum())
-
-    if K == 1:
-        return KseqScale(1.0, beta(1.0), 0, 1)
 
     def g(rho: float) -> tuple[float, float]:
         b = beta(rho)
@@ -266,24 +224,27 @@ def verify_kseq(drafts: DraftSet, scores: TargetScores, rng: RandomSource, trace
 
     At each position the scale rho is solved for the number of rows still
     alive; surviving rows are those whose tokens match every accepted token
-    so far, so their conditionals at the position coincide.
+    so far, so their conditionals at the position coincide. Where one row
+    survives rho = 1 and no scan is made: the position is a step of standard
+    speculative sampling, accepting with min(1, q/p) and on rejection drawing
+    from norm(max(q - p, 0)).
     """
     counters = Counters()
     L = drafts.L
     survivors = list(range(drafts.K))
-    prefix: tuple[int, ...] = ()
     for i in range(L):
         s0 = survivors[0]
         p_i = drafts.cond[s0][i]
         q_i = scores.cond[s0][i]
-        scale = kseq_rho(p_i, q_i, len(survivors))
-        counters.rho_iters += scale.iterations
-        counters.vocab_scans += scale.beta_evals
+        rho = 1.0
+        if len(survivors) > 1:
+            scale = kseq_rho(p_i, q_i, len(survivors))
+            rho = scale.rho
+            counters.vocab_scans += scale.beta_evals
         accepted = None
         for k in survivors:
             tok = drafts.tokens[k][i]
-            a = min(1.0, float(q_i.mass[tok]) / (scale.rho * float(p_i.mass[tok])))
-            counters.eta_draws += 1
+            a = min(1.0, float(q_i.mass[tok]) / (rho * float(p_i.mass[tok])))
             ok = rng.uniform() < a
             if trace is not None:
                 trace.append(("candidate", i + 1, k, tok, a, ok))
@@ -293,25 +254,30 @@ def verify_kseq(drafts: DraftSet, scores: TargetScores, rng: RandomSource, trace
         if accepted is None:
             counters.vocab_scans += 1
             counters.residual_evals += 1
-            denom = 1.0 - scale.rho * scale.beta
-            if denom < 1e-12:
+            # q - min(rho p, q) >= 0 exactly, is q - p where positive at rho = 1,
+            # and sums to 1 - rho * beta(rho), the rejection probability
+            w = rho * p_i.mass
+            np.minimum(w, q_i.mass, out=w)
+            np.subtract(q_i.mass, w, out=w)
+            try:
+                res = normalize(w)
+            except AllZeroMass:
                 res = q_i
                 counters.warnings += 1
-            else:
-                w = np.maximum(q_i.mass - scale.rho * np.minimum(p_i.mass, q_i.mass / scale.rho), 0.0)
-                try:
-                    res = normalize(w)
-                except AllZeroMass:
-                    res = q_i
-                    counters.warnings += 1
             y = sample(res, rng)
-            f = survivors[0] if i > 0 else 0
-            return VerifyOutcome(tau=i, f=f, t=prefix, y=y, counters=counters)
-        prefix = prefix + (accepted,)
-        survivors = [k for k in survivors if drafts.tokens[k][i] == accepted]
+            return VerifyOutcome(tau=i, f=s0, t=drafts.tokens[s0][:i], y=y, counters=counters)
+        if len(survivors) > 1:
+            survivors = [k for k in survivors if drafts.tokens[k][i] == accepted]
     f = survivors[0]
     y = sample(scores.cond[f][L], rng)
-    return VerifyOutcome(tau=L, f=f, t=prefix, y=y, counters=counters)
+    return VerifyOutcome(tau=L, f=f, t=drafts.tokens[f], y=y, counters=counters)
+
+
+def verify_sd(drafts: DraftSet, scores: TargetScores, rng: RandomSource, trace=None) -> VerifyOutcome:
+    """Standard speculative sampling: ``verify_kseq`` over a single row."""
+    if drafts.K != 1:
+        raise ValueError("verify_sd is a single-draft verifier")
+    return verify_kseq(drafts, scores, rng, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +341,6 @@ def verify_gbv(
             at_end,
             counters,
         )
-        counters.eta_draws += 1
         accepted = rng.uniform() < a
         if trace is not None:
             trace.append(("subblock", i, row[:i], a, accepted))
@@ -462,10 +427,8 @@ def _at_least_once(x: float, K: int) -> float:
     return x * s
 
 
-def full_block_accept_prob(joint: PrefixJoint, K: int, counters: Counters | None = None) -> float:
+def full_block_accept_prob(joint: PrefixJoint, K: int) -> float:
     """Acceptance probability for an entire drafted block under K drafts."""
-    if counters is not None:
-        counters.h_full_evals += 1
     pj, qj = joint.p, joint.q
     den = _at_least_once(pj, K)
     if den < DENOM_EPS or qj <= 0.0:
@@ -537,7 +500,6 @@ def verify_spectr_gbv(
                     trace.append(("skip", k, sub))
             else:
                 h = subblock_accept_prob(joint(k, i), drafts.cond[k][i], scores.cond[k][i], K, counters)
-                counters.eta_draws += 1
                 accepted = rng.uniform() < h
                 if trace is not None:
                     trace.append(("subblock", k, sub, h, accepted))
@@ -550,8 +512,7 @@ def verify_spectr_gbv(
             if trace is not None:
                 trace.append(("skip", k, row))
             continue
-        h = full_block_accept_prob(joint(k, L), K, counters)
-        counters.eta_draws += 1
+        h = full_block_accept_prob(joint(k, L), K)
         accepted = rng.uniform() < h
         if trace is not None:
             trace.append(("full", k, row, h, accepted))
@@ -644,13 +605,11 @@ class ModifiedTarget:
             return qn
         if counters is not None:
             counters.vocab_scans += 1
-            counters.modification_evals += 1
         lp, lq = self._joint(ctx, q_base, p_base)
-        pn = p_base(self.prefix + ctx)
         if lq == LOG_ZERO:
-            if counters is not None:
-                counters.warnings += 1
+            # a zero target joint has no override: the base conditional is the answer
             return qn
+        pn = p_base(self.prefix + ctx)
         if self.rule == "nu":
             if lp == LOG_ZERO or lq - lp >= 700.0:
                 w = qn.mass  # nu = inf

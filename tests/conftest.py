@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from speclab.models import MarkovModel, ModelPair
-from speclab.probability import Distribution
+from speclab.probability import Distribution, normalize
 
 
 @pytest.fixture
@@ -28,6 +28,26 @@ def eos_free(model: MarkovModel) -> MarkovModel:
     table[:, -1] = 0.0
     table /= table.sum(axis=1, keepdims=True)
     return MarkovModel(model.vocab_size, model.order, table)
+
+
+def residual_sd(p: Distribution, q: Distribution) -> Distribution:
+    """Single-draft rejection residual norm(max(q - p, 0)): the reference the
+    token-level verifier's residual is checked against.
+
+    AllZeroMass can only occur when p >= q pointwise, in which case the
+    rejection event that needs this residual has probability zero.
+    """
+    return normalize(np.maximum(q.mass - p.mass, 0.0))
+
+
+class FixedUniforms:
+    """Stand-in random source replaying a scripted list of uniforms."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def uniform(self):
+        return self.values.pop(0)
 
 
 def dist(*mass):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import FixedUniforms, residual_sd
 from speclab.probability import (
     AllZeroMass,
     Distribution,
@@ -13,7 +14,6 @@ from speclab.probability import (
     derive_seed,
     extend_joint,
     normalize,
-    residual_sd,
     sample,
     tv_distance,
 )
@@ -40,16 +40,6 @@ def _reference_sample(d, rng):
             if u < acc:
                 return i
     return last_positive
-
-
-class FixedUniforms:
-    """Stand-in random source replaying a scripted list of uniforms."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def uniform(self):
-        return self.values.pop(0)
 
 
 class TestDistribution:
@@ -85,6 +75,9 @@ class TestNormalize:
 
 
 class TestResidual:
+    """The reference residual that ``tests/test_verifiers.py`` holds the
+    single-row verifier to."""
+
     def test_disjoint_supports(self):
         out = residual_sd(dist(1, 0), dist(0, 1))
         assert np.allclose(out.mass, [0, 1])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import FixedUniforms, residual_sd
 from speclab.models import generate_pair
 from speclab.probability import (
     LOG_ZERO,
@@ -16,12 +17,16 @@ from speclab.probability import (
     RandomSource,
     extend_joint,
     normalize,
+    sample,
 )
 from speclab.verifiers import (
     DENOM_EPS,
+    Counters,
+    DraftSet,
     GbvChainState,
     IterationRecord,
     ModifiedTarget,
+    TargetScores,
     _surplus,
     block_residual,
     distribution_modification,
@@ -48,6 +53,30 @@ def order0_setup(pair, K, L, rng):
     drafts = draft_rows(p_cond, K, L, rng)
     scores = score_rows(drafts, pair.target_conditional)
     return drafts, scores
+
+
+def reference_sd(drafts, scores, rng):
+    """Standard speculative sampling as its own loop over the single row.
+
+    Accept left to right with min(1, q/p); on the first rejection draw from
+    norm(max(q - p, 0)), or from q with a warning when that has no mass.
+    Returns (tau, t, y, f, vocab_scans, warnings): the residual is the only
+    vocabulary scan.
+    """
+    row = drafts.tokens[0]
+    for i in range(drafts.L):
+        p_i, q_i = drafts.cond[0][i], scores.cond[0][i]
+        if not rng.uniform() < min(1.0, float(q_i.mass[row[i]]) / float(p_i.mass[row[i]])):
+            try:
+                res, warnings = residual_sd(p_i, q_i), 0
+            except AllZeroMass:
+                res, warnings = q_i, 1
+            return i, row[:i], sample(res, rng), 0, 1, warnings
+    return drafts.L, row, sample(scores.cond[0][drafts.L], rng), 0, 0, 0
+
+
+def sd_fields(out):
+    return out.tau, out.t, out.y, out.f, out.counters.vocab_scans, out.counters.warnings
 
 
 def joint_of(tokens, p_vec, q_vec):
@@ -258,11 +287,7 @@ class TestVerifySd:
             assert out.tau == 4 and out.t == drafts.tokens[0]
 
     def test_disjoint_supports_reject_first_token(self):
-        drafts_tokens = ((0,),)
-        cond = ((dist(1, 0),),)
-        from speclab.verifiers import DraftSet, TargetScores
-
-        drafts = DraftSet(drafts_tokens, cond)
+        drafts = DraftSet(((0,),), ((dist(1, 0),),))
         scores = TargetScores(((dist(0, 1), dist(0.5, 0.5)),))
         rng = RandomSource(0)
         for _ in range(20):
@@ -324,14 +349,32 @@ class TestKseqRho:
 
 class TestVerifyKseq:
     def test_single_draft_matches_sd_exactly(self, canonical_pair):
-        # rho = 1 at K = 1, so acceptance rule, residual, and draw order coincide
-        for seed in range(40):
-            r1, r2 = RandomSource(seed), RandomSource(seed)
-            d1, s1 = order0_setup(canonical_pair, 1, 3, r1)
-            d2, s2 = order0_setup(canonical_pair, 1, 3, r2)
-            a = verify_sd(d1, s1, r1)
-            b = verify_kseq(d2, s2, r2)
-            assert (a.tau, a.t, a.y) == (b.tau, b.t, b.y)
+        # one surviving row is standard speculative sampling: the same draws,
+        # residual, fallback and scan count as the reference loop
+        sparse = generate_pair(8, 1, 3, 0.05, 0.3)
+        disjoint = (DraftSet(((0,),), ((dist(1, 0),),)), TargetScores(((dist(0, 1), dist(0.5, 0.5)),)))
+        # p >= q everywhere within the sum tolerance: a rejection leaves no residual mass
+        dominated = (DraftSet(((0,),), ((dist(0.5 + 4e-10, 0.5),),)), TargetScores(((dist(0.5, 0.5),) * 2,)))
+        for verify in (verify_kseq, verify_sd):
+            for pair in (canonical_pair, sparse):
+                for seed in range(300):
+                    drafts, scores = order0_setup(pair, 1, 4, RandomSource(seed))
+                    want = reference_sd(drafts, scores, RandomSource(seed))
+                    assert sd_fields(verify(drafts, scores, RandomSource(seed))) == want
+            for seed in range(50):
+                want = reference_sd(*disjoint, RandomSource(seed))
+                assert sd_fields(verify(*disjoint, RandomSource(seed))) == want
+            want = reference_sd(*dominated, FixedUniforms([0.9999999999, 0.3]))
+            assert want[-1] == 1
+            assert sd_fields(verify(*dominated, FixedUniforms([0.9999999999, 0.3]))) == want
+
+    def test_single_row_charges_a_scan_only_on_rejection(self, canonical_pair):
+        # rho = 1 needs no beta pass, so the residual is the only scan left
+        for seed in range(200):
+            rng = RandomSource(seed)
+            drafts, scores = order0_setup(canonical_pair, 1, 3, rng)
+            out = verify_kseq(drafts, scores, rng)
+            assert out.counters.vocab_scans == (out.tau < 3)
 
     def test_matched_models_accept_everything(self, matched_pair):
         rng = RandomSource(9)
@@ -590,6 +633,16 @@ class TestModification:
                 a = power.conditional(ctx, q_cond, p_cond)
                 b = surplus.conditional(ctx, q_cond, p_cond)
                 assert np.max(np.abs(a.mass - b.mass)) < 1e-12
+
+    def test_zero_target_joint_returns_base_without_warning(self):
+        # q gives token 1 no mass, so ctx (1,) has a zero target joint: nothing
+        # is overridden there, and nothing has fallen back
+        p_vec, q_vec = dist(0.5, 0.5), dist(1.0, 0.0)
+        mod = ModifiedTarget(horizon=2, K=2, prefix=(0,), log_p_prefix=math.log(0.5), log_q_prefix=0.0)
+        counters = Counters()
+        got = mod.conditional((1,), lambda ctx: q_vec, lambda ctx: p_vec, counters)
+        assert got is q_vec
+        assert counters.warnings == 0
 
     def test_modification_from_real_pipeline(self):
         pair = generate_pair(4, 1, 21, 1.0, 0.5)
