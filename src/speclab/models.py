@@ -88,7 +88,6 @@ class MarkovModel:
         d = self._rows.get(key)
         if d is None:
             d = temperature_scale(Distribution(self.table[key[0]]), temperature)
-            d.mass.setflags(write=False)
             self._rows[key] = d
         return d
 

@@ -1,10 +1,13 @@
 """Probability primitives shared by every verifier and oracle in the lab.
 
 Mass vectors are plain numpy float64 arrays wrapped in a ``Distribution``,
-which validates them once, when it is built. Joint probabilities of token
-prefixes are carried in log space with an absorbing -inf marker for exact
-zeros, because products of conditionals over a block underflow in linear
-space for peaked models.
+which validates them once, when it is built, and makes them read-only. Its
+cumulative mass is built on the first draw and kept, so a model row that is
+sampled many times pays for one vocabulary pass. ``RandomSource`` serves its
+doubles from blocks drawn from the generator, which is the same stream as
+one call per double. Joint probabilities of token prefixes are carried in
+log space with an absorbing -inf marker for exact zeros, because products of
+conditionals over a block underflow in linear space for peaked models.
 """
 
 from __future__ import annotations
@@ -12,11 +15,14 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 SUM_TOL = 1e-9
 LOG_ZERO = float("-inf")
+# doubles drawn from the generator per refill of a RandomSource
+UNIFORM_BLOCK = 256
 
 
 class AllZeroMass(ValueError):
@@ -34,14 +40,23 @@ def derive_seed(master: int, *indices: int) -> int:
 
 
 class RandomSource:
-    """Seeded uniform stream. Identical seed, identical draw sequence."""
+    """Seeded uniform stream. Identical seed, identical draw sequence.
+
+    Doubles are drawn UNIFORM_BLOCK at a time with ``Generator.random(n)``,
+    which yields the same PCG64 doubles as n single ``random()`` calls.
+    """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
+        self._block = iter(())
 
     def uniform(self) -> float:
-        return float(self._gen.random())
+        u = next(self._block, None)
+        if u is None:
+            self._block = iter(self._gen.random(UNIFORM_BLOCK).tolist())
+            u = next(self._block)
+        return u
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RandomSource(seed={self.seed})"
@@ -51,7 +66,9 @@ class RandomSource:
 class Distribution:
     """Probability vector over the vocabulary: entries >= 0, sum within 1e-9 of 1.
 
-    A NaN or infinite entry makes the sum non-finite and is rejected.
+    A NaN or infinite entry makes the sum non-finite and is rejected. The
+    mass array is made read-only here, so callers pass an array of their
+    own, and the cached ``cdf`` can never disagree with it.
     """
 
     mass: np.ndarray
@@ -67,6 +84,14 @@ class Distribution:
         # written so that a NaN sum fails the test too
         if not abs(s - 1.0) <= SUM_TOL:
             raise ValueError(f"mass sums to {s!r}, not 1")
+        m.setflags(write=False)
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Sequential float64 cumulative mass, built on first use and read-only."""
+        c = np.cumsum(self.mass)
+        c.setflags(write=False)
+        return c
 
     @property
     def vocab_size(self) -> int:
@@ -98,14 +123,17 @@ def tv_distance(a: Distribution, b: Distribution) -> float:
 def sample(d: Distribution, rng: RandomSource) -> int:
     """Inverse-CDF draw with a single uniform.
 
-    Returns the first index whose sequential float64 cumulative mass exceeds
-    the uniform. Zero-mass entries add nothing to the running sum, so they
-    are never chosen. A uniform in the float dust past the last cumulative
-    step returns the last positive-mass index.
+    Returns the first index whose sequential float64 cumulative mass
+    (``d.cdf``, built on the distribution's first draw) exceeds the uniform,
+    so a draw from an already sampled distribution is one binary search.
+    Zero-mass entries add nothing to the running sum, so they are never
+    chosen. A uniform in the float dust past the last cumulative step
+    returns the last positive-mass index.
     """
     u = rng.uniform()
-    i = int(np.cumsum(d.mass).searchsorted(u, side="right"))
-    if i < d.mass.size:
+    cdf = d.cdf
+    i = int(cdf.searchsorted(u, side="right"))
+    if i < cdf.size:
         return i
     return int(np.flatnonzero(d.mass)[-1])
 

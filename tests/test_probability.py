@@ -48,6 +48,35 @@ class TestDistribution:
         with pytest.raises(ValueError):
             Distribution(np.array(mass))
 
+    def test_mass_is_read_only(self):
+        for d in (Distribution(np.array([0.25, 0.75])), normalize([1.0, 3.0])):
+            with pytest.raises(ValueError):
+                d.mass[0] = 1.0
+
+    @pytest.mark.parametrize("V", [2, 9, 1024])
+    def test_cdf_is_the_cached_sequential_running_sum(self, V):
+        d = Distribution(np.random.Generator(np.random.PCG64(V)).dirichlet(np.ones(V)))
+        acc, want = 0.0, []
+        for w in d.mass.tolist():
+            acc += w
+            want.append(acc)
+        cdf = d.cdf
+        assert np.array_equal(cdf, np.cumsum(d.mass)) and cdf.tolist() == want
+        assert d.cdf is cdf
+        with pytest.raises(ValueError):
+            cdf[0] = 0.0
+
+
+class TestRandomSource:
+    @pytest.mark.parametrize("seed", [0, 7, 2**62 + 1])
+    def test_block_draws_are_the_single_draw_stream(self, seed):
+        gen = np.random.Generator(np.random.PCG64(seed))
+        want = [float(gen.random()) for _ in range(1000)]
+        rng = RandomSource(seed)
+        got = [rng.uniform() for _ in range(1000)]
+        assert got == want
+        assert all(type(u) is float for u in got)
+
 
 class TestNormalize:
     def test_already_normalized(self):
