@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -148,11 +148,10 @@ class PrefixJoint:
 
     log_p: float
     log_q: float
-    tokens: tuple[int, ...] = field(default=())
 
     @classmethod
     def empty(cls) -> "PrefixJoint":
-        return cls(0.0, 0.0, ())
+        return cls(0.0, 0.0)
 
     @property
     def p(self) -> float:
@@ -193,4 +192,4 @@ def extend_joint(j: PrefixJoint, next_token: int, p_cond: Distribution, q_cond: 
     """Multiply one more conditional into both chains; -inf absorbs."""
     lp = j.log_p + _log(float(p_cond.mass[next_token])) if j.log_p != LOG_ZERO else LOG_ZERO
     lq = j.log_q + _log(float(q_cond.mass[next_token])) if j.log_q != LOG_ZERO else LOG_ZERO
-    return PrefixJoint(lp, lq, j.tokens + (int(next_token),))
+    return PrefixJoint(lp, lq)

@@ -399,42 +399,47 @@ def subblock_accept_prob(
 ) -> float:
     """Acceptance probability for a proper sub-block under K drafts.
 
-    One vocabulary scan; the scan count does not depend on K. The
+    The rule's numerator and denominator are divided through by the prefix's
+    target joint q_j, so both depend on the joints only through r = p_j / q_j
+    and sum_{i<K} (1 - p_j)^i, and keep their scale however small the joints
+    get. One vocabulary scan; the scan count does not depend on K. The
     denominator vanishes only on conditioning events of probability zero,
-    where any return value is distributionally irrelevant; 1 is returned.
+    where any return value is distributionally irrelevant; 1 is returned
+    when r < 1, the single-draft ratio rule's convention, so the K = 1
+    reduction is pointwise exact. A zero target joint (r = inf) gives 0.
     """
     if counters is not None:
         counters.vocab_scans += 1
         counters.h_partial_evals += 1
-    pj, qj = joint.p, joint.q
     r = joint.ratio_p_over_q()
-    S = qj * float(_surplus(p_next.mass, q_next.mass, r, K).sum())
-    mi = min(r, 1.0)
-    num = S - qj * (1.0 - mi) ** K
-    den = 1.0 - (1.0 - pj) ** K - qj + S
+    S = float(_surplus(p_next.mass, q_next.mass, r, K).sum())
+    num = S - (1.0 - min(r, 1.0)) ** K
+    den = r * _geometric(joint.p, K) - 1.0 + S
     if abs(den) < DENOM_EPS:
-        # conditioning event has probability ~0; same convention as the
-        # single-draft ratio rule so the K = 1 reduction is pointwise exact
-        return 1.0 if qj > pj else 0.0
+        return 1.0 if r < 1.0 else 0.0
     return min(1.0, max(0.0, num / den))
 
 
-def _at_least_once(x: float, K: int) -> float:
-    """1 - (1 - x)^K as x * sum_{i<K} (1 - x)^i, so that K = 1 gives x exactly."""
+def _geometric(x: float, K: int) -> float:
+    """G(x) = sum_{i<K} (1 - x)^i, so that 1 - (1 - x)^K = x * G(x); G = 1 at K = 1."""
     s = 1.0
     for _ in range(K - 1):
         s = 1.0 + (1.0 - x) * s
-    return x * s
+    return s
 
 
 def full_block_accept_prob(joint: PrefixJoint, K: int) -> float:
-    """Acceptance probability for an entire drafted block under K drafts."""
-    pj, qj = joint.p, joint.q
-    den = _at_least_once(pj, K)
-    if den < DENOM_EPS or qj <= 0.0:
-        return 0.0
-    s = min(joint.ratio_p_over_q(), 1.0)
-    return min(1.0, qj * _at_least_once(s, K) / den)
+    """Acceptance probability for an entire drafted block under K drafts.
+
+    The rule q_j (1 - (1 - s)^K) / (1 - (1 - p_j)^K), s = min(r, 1) and
+    r = p_j / q_j, with each 1 - (1 - x)^K written as x * G(x), where
+    G(x) = sum_{i<K} (1 - x)^i >= 1, and p_j cancelled: G(r) / G(p_j) for
+    r <= 1 and (q_j / p_j) / G(p_j) above. No joint is compared with a
+    threshold, and K = 1 gives min(1, q_j / p_j) exactly.
+    """
+    r = joint.ratio_p_over_q()
+    a = _geometric(r, K) if r <= 1.0 else joint.ratio_q_over_p()
+    return min(1.0, a / _geometric(joint.p, K))
 
 
 def block_residual(
@@ -603,12 +608,12 @@ class ModifiedTarget:
         qn = q_base(self.prefix + ctx)
         if position > self.horizon:
             return qn
-        if counters is not None:
-            counters.vocab_scans += 1
         lp, lq = self._joint(ctx, q_base, p_base)
         if lq == LOG_ZERO:
             # a zero target joint has no override: the base conditional is the answer
             return qn
+        if counters is not None:
+            counters.vocab_scans += 1
         pn = p_base(self.prefix + ctx)
         if self.rule == "nu":
             if lp == LOG_ZERO or lq - lp >= 700.0:

@@ -112,21 +112,34 @@ def frac_h_partial(blk, K):
 
 
 # Reference forms of the power-form rules, each with its own masked m_ext
-# expression and a float power; the shipped rules share one in-place kernel.
+# expression; the shipped rules share one in-place kernel.
 
 
 def ref_subblock_accept_prob(joint, p_next, q_next, K):
-    pj, qj = joint.p, joint.q
-    pe = pj * p_next.mass
-    qe = qj * q_next.mass
-    m_ext = np.where(qe > 0.0, np.minimum(pe / np.where(qe > 0.0, qe, 1.0), 1.0), 1.0)
-    S = float((qe * (1.0 - m_ext) ** K).sum())
-    mi = min(joint.ratio_p_over_q(), 1.0)
-    num = S - qj * (1.0 - mi) ** K
-    den = 1.0 - (1.0 - pj) ** K - qj + S
-    if abs(den) < DENOM_EPS:
-        return 1.0 if qj > pj else 0.0
-    return min(1.0, max(0.0, num / den))
+    """The sub-block rule as written, over joints p_j and q_j, in exact
+    rational arithmetic on the same float inputs: the float form cancels
+    (at r = 1, K = 1 the exact value is 1 and it read 1 - 3.3e-11).
+
+    The shipped conventions hold where q_j = 0 (0) and where the
+    denominator in units of q_j is below DENOM_EPS (1 if p_j < q_j, else 0).
+    """
+    pj, qj = Fraction(joint.p), Fraction(joint.q)
+    if qj == 0:
+        return 0.0
+    # q_e (1 - min(p_e / q_e, 1))^K = (q_e - p_e)^K / q_e^(K-1) where p_e < q_e
+    terms = []
+    for pv, qv in zip(p_next.mass.tolist(), q_next.mass.tolist()):
+        qe, pe = qj * Fraction(qv), pj * Fraction(pv)
+        if pe < qe:
+            terms.append((qe - pe) ** K / qe ** (K - 1))
+    while len(terms) > 1:  # pairwise: one running sum would make every addition long
+        terms = [sum(terms[i : i + 2]) for i in range(0, len(terms), 2)]
+    S = sum(terms, Fraction(0))
+    num = S - qj * (1 - min(pj / qj, Fraction(1))) ** K
+    den = 1 - (1 - pj) ** K - qj + S
+    if abs(den / qj) < DENOM_EPS:
+        return 1.0 if pj < qj else 0.0
+    return float(min(Fraction(1), max(Fraction(0), num / den)))
 
 
 def ref_block_residual(joint, p_next, q_next, K):
@@ -525,16 +538,22 @@ class TestAcceptanceFormulas:
 
 
 class TestVerifySpectrGbv:
-    def test_single_draft_reduces_to_gbv_exactly(self, canonical_pair):
-        # identical formulas and identical draw order at K = 1
+    @pytest.mark.parametrize("V, L", [(2, 3), (1024, 8)])
+    def test_single_draft_reduces_to_gbv_exactly(self, canonical_pair, V, L):
+        # the same rules up to rounding and the same draw order at K = 1; at
+        # V = 1024 the block joints fall below 1e-15 within the block
+        pair = canonical_pair if V == 2 else generate_pair(V, 1, 7, 1.0, 0.6)
+        taus = set()
         for seed in range(60):
             r1, r2 = RandomSource(seed), RandomSource(seed)
-            d1, s1 = order0_setup(canonical_pair, 1, 3, r1)
-            d2, s2 = order0_setup(canonical_pair, 1, 3, r2)
+            d1, s1 = order0_setup(pair, 1, L, r1)
+            d2, s2 = order0_setup(pair, 1, L, r2)
             a, mod_a = verify_gbv(d1, s1, r1)
             b, mod_b = verify_spectr_gbv(d2, s2, r2)
             assert (a.tau, a.t, a.y) == (b.tau, b.t, b.y)
             assert mod_a.horizon == mod_b.horizon and mod_a.prefix == mod_b.prefix
+            taus.add(a.tau)
+        assert {0, L} <= taus
 
     def test_deterministic_including_counters(self, canonical_pair):
         def run():
@@ -643,6 +662,19 @@ class TestModification:
         got = mod.conditional((1,), lambda ctx: q_vec, lambda ctx: p_vec, counters)
         assert got is q_vec
         assert counters.warnings == 0
+
+    @pytest.mark.parametrize("rule", ["power", "nu"])
+    def test_vocab_scan_charged_only_where_a_pass_is_made(self, rule):
+        # ctx (1,) has a zero target joint and returns the base row untouched;
+        # ctx (0,) builds the override with one pass over the vocabulary
+        p_vec, q_vec = dist(0.5, 0.5), dist(1.0, 0.0)
+        mod = ModifiedTarget(horizon=2, K=2, prefix=(0,), log_p_prefix=math.log(0.5), log_q_prefix=0.0,
+                             rule=rule)
+        counters = Counters()
+        mod.conditional((1,), lambda ctx: q_vec, lambda ctx: p_vec, counters)
+        assert counters.vocab_scans == 0
+        mod.conditional((0,), lambda ctx: q_vec, lambda ctx: p_vec, counters)
+        assert counters.vocab_scans == 1
 
     def test_modification_from_real_pipeline(self):
         pair = generate_pair(4, 1, 21, 1.0, 0.5)
