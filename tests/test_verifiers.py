@@ -111,14 +111,15 @@ def frac_h_partial(blk, K):
     return num / den
 
 
-# Reference forms of the power-form rules, each with its own masked m_ext
-# expression; the shipped rules share one in-place kernel.
+# Reference forms of the power-form rules, written apart from the one
+# in-place kernel the shipped rules share.
 
 
 def ref_subblock_accept_prob(joint, p_next, q_next, K):
     """The sub-block rule as written, over joints p_j and q_j, in exact
-    rational arithmetic on the same float inputs: the float form cancels
-    (at r = 1, K = 1 the exact value is 1 and it read 1 - 3.3e-11).
+    rational arithmetic on the same float inputs. A float evaluation of this
+    form cancels: at r = 1, K = 1, where the exact value is 1, it can read
+    1 - 3.3e-11.
 
     The shipped conventions hold where q_j = 0 (0) and where the
     denominator in units of q_j is below DENOM_EPS (1 if p_j < q_j, else 0).
@@ -514,6 +515,23 @@ class TestAcceptanceFormulas:
         expected = 0.40234375 / 0.4375
         assert abs(full_block_accept_prob(j, 2) - expected) < 1e-12
 
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 16),
+        st.integers(1, 8),
+        st.sampled_from((0.1, 0.5, 1.0, 2.0, 1e5)),
+        st.floats(-600.0, -40.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rules_exact_at_tiny_joints(self, seed, V, K, r, a):
+        # joints far below DENOM_EPS, as blocks at wide vocabularies reach
+        p, q = kernel_pair(seed, V, "flat", "flat")
+        j = joint_with_ratio(r, a)
+        assert abs(subblock_accept_prob(j, p, q, K) - ref_subblock_accept_prob(j, p, q, K)) <= 1e-12
+        pj, qj = Fraction(j.p), Fraction(j.q)
+        want = qj * (1 - (1 - min(pj / qj, Fraction(1))) ** K) / (1 - (1 - pj) ** K)
+        assert abs(full_block_accept_prob(j, K) - float(min(want, Fraction(1)))) <= 1e-12
+
     def test_residual_single_draft_matches_surplus(self):
         p, q = dist(0.5, 0.5), dist(0.8, 0.2)
         j = joint_of((0,), p, q)
@@ -538,22 +556,21 @@ class TestAcceptanceFormulas:
 
 
 class TestVerifySpectrGbv:
-    @pytest.mark.parametrize("V, L", [(2, 3), (1024, 8)])
-    def test_single_draft_reduces_to_gbv_exactly(self, canonical_pair, V, L):
+    def test_single_draft_reduces_to_gbv_exactly(self, canonical_pair):
         # the same rules up to rounding and the same draw order at K = 1; at
         # V = 1024 the block joints fall below 1e-15 within the block
-        pair = canonical_pair if V == 2 else generate_pair(V, 1, 7, 1.0, 0.6)
-        taus = set()
-        for seed in range(60):
-            r1, r2 = RandomSource(seed), RandomSource(seed)
-            d1, s1 = order0_setup(pair, 1, L, r1)
-            d2, s2 = order0_setup(pair, 1, L, r2)
-            a, mod_a = verify_gbv(d1, s1, r1)
-            b, mod_b = verify_spectr_gbv(d2, s2, r2)
-            assert (a.tau, a.t, a.y) == (b.tau, b.t, b.y)
-            assert mod_a.horizon == mod_b.horizon and mod_a.prefix == mod_b.prefix
-            taus.add(a.tau)
-        assert {0, L} <= taus
+        for pair, L in ((canonical_pair, 3), (generate_pair(1024, 1, 7, 1.0, 0.6), 8)):
+            taus = set()
+            for seed in range(60):
+                r1, r2 = RandomSource(seed), RandomSource(seed)
+                d1, s1 = order0_setup(pair, 1, L, r1)
+                d2, s2 = order0_setup(pair, 1, L, r2)
+                a, mod_a = verify_gbv(d1, s1, r1)
+                b, mod_b = verify_spectr_gbv(d2, s2, r2)
+                assert (a.tau, a.t, a.y) == (b.tau, b.t, b.y)
+                assert mod_a.horizon == mod_b.horizon and mod_a.prefix == mod_b.prefix
+                taus.add(a.tau)
+            assert {0, L} <= taus
 
     def test_deterministic_including_counters(self, canonical_pair):
         def run():
