@@ -26,7 +26,6 @@ from .verifiers import (
     draft_rows,
     full_block_accept_prob,
     gbv_accept_prob,
-    gbv_modification,
     kseq_rho,
     score_rows,
     subblock_accept_prob,
@@ -41,8 +40,8 @@ __all__ = [
     "IterationRecord", "KseqScale", "MarkovModel", "ModelPair", "ModifiedTarget",
     "NoRoot", "PrefixJoint", "RandomSource", "TargetScores", "VerifyOutcome",
     "block_residual", "distribution_modification", "draft_rows", "extend_joint",
-    "full_block_accept_prob", "gbv_accept_prob", "gbv_modification",
-    "generate_pair", "kseq_rho", "load_model", "normalize", "random_model",
-    "sample", "save_model", "score_rows", "subblock_accept_prob",
-    "tv_distance", "verify_gbv", "verify_kseq", "verify_sd", "verify_spectr_gbv",
+    "full_block_accept_prob", "gbv_accept_prob", "generate_pair", "kseq_rho",
+    "load_model", "normalize", "random_model", "sample", "save_model",
+    "score_rows", "subblock_accept_prob", "tv_distance", "verify_gbv",
+    "verify_kseq", "verify_sd", "verify_spectr_gbv",
 ]

@@ -1,35 +1,39 @@
 """Draft-verification algorithms over explicit token-probability models.
 
-Four verifiers share the same inputs: a ``DraftSet`` holding K drafted rows
-with the conditionals used at drafting time, and ``TargetScores`` holding the
-target conditionals for every row prefix (one extra conditional past the
-draft length). All randomness flows through a single ``RandomSource`` so
-outcomes are bit-reproducible. ``Counters.vocab_scans`` counts the
-vocabulary-sized passes the verifiers make themselves: block acceptance
-evaluations, rho bisection steps, residual passes and modification passes.
-Draws by ``sample`` and model lookups are not counted.
+Two verifier cores share the same inputs: a ``DraftSet`` holding K drafted
+rows with the conditionals used at drafting time, and ``TargetScores``
+holding the target conditionals for every row prefix (one extra conditional
+past the draft length). All randomness flows through a single
+``RandomSource`` so outcomes are bit-reproducible. ``Counters.vocab_scans``
+counts the vocabulary-sized passes the verifiers make themselves: block
+acceptance evaluations, rho bisection steps, residual passes and
+modification passes. Draws by ``sample`` and model lookups are not counted.
 
-verify_kseq      per-position multi-draft acceptance with the rho scale; the
-                 one token-level verifier
-verify_sd        verify_kseq with one row: standard speculative sampling
-verify_gbv       single-draft whole-block acceptance via the nu likelihood chain
+verify_kseq       per-position multi-draft acceptance with the rho scale; the
+                  one token-level verifier
+verify_sd         verify_kseq with one row: standard speculative sampling
 verify_spectr_gbv multi-draft block acceptance over sub-blocks with a shared
-                 rejected-content set
+                  rejected-content set; the one block verifier
+verify_gbv        verify_spectr_gbv with one row: greedy block verification
 
-The block verifiers also emit the lazily evaluated modified target used by
+The block verifier also emits the lazily evaluated modified target used by
 the next decoding iteration.
 
 The power-form rules of ``verify_spectr_gbv`` share one kernel, ``_surplus``:
 the per-token surplus w(x) = q(x) * (1 - min(r * p(x) / q(x), 1))^K at a
 prefix with joint ratio r = p/q. Its sum over the vocabulary gives the
 sub-block acceptance, its normalization the block residual, and with r read
-from the running joints it is the next iteration's modified target.
+from the running joints it is the next iteration's modified target. At
+K = 1 they are the single-draft rules of greedy block verification.
+``gbv_accept_prob`` writes that single-draft acceptance apart, over the
+likelihood ratio nu = q/p; no verifier calls it, and the exact checks hold
+the power-form rules to it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -281,7 +285,7 @@ def verify_sd(drafts: DraftSet, scores: TargetScores, rng: RandomSource, trace=N
 
 
 # ---------------------------------------------------------------------------
-# single-draft greedy block verification
+# single-draft block acceptance in its nu form: an independent reference
 
 
 def gbv_accept_prob(
@@ -292,11 +296,16 @@ def gbv_accept_prob(
     at_end: bool,
     counters: Counters | None = None,
 ) -> float:
-    """Whole-block acceptance probability for the sub-block behind ``chain``.
+    """Single-draft acceptance probability for the sub-block behind ``chain``.
 
     For interior sub-blocks this is the ratio of surplus target mass to
     surplus draft mass at the next position; for the full block it is the
-    likelihood ratio nu_L clamped to a probability.
+    likelihood ratio nu_L clamped to a probability. No verifier calls it:
+    ``verify_gbv`` runs the power-form rules at K = 1. It is kept, with
+    ``GbvChainState``, as the nu-form reference written apart from
+    ``_surplus``: the test suite's ``gbv_reference`` oracle walk and the
+    single-draft consistency criterion hold the power-form rules to it, and
+    ``bench/tracer.py`` wraps it by name.
     """
     if at_end:
         return min(1.0, chain.nu)
@@ -311,60 +320,6 @@ def gbv_accept_prob(
         # rejection here has probability ~0; accept iff target mass is in surplus
         return 1.0 if chain.nu > 1.0 else 0.0
     return min(1.0, max(0.0, num / den))
-
-
-def verify_gbv(
-    drafts: DraftSet, scores: TargetScores, rng: RandomSource, trace=None
-) -> tuple[VerifyOutcome, "ModifiedTarget"]:
-    """Accept every sub-block of the single row independently and keep the longest.
-
-    Returns the outcome together with the modified target for the next
-    iteration (the nu-weighted surplus form).
-    """
-    if drafts.K != 1:
-        raise ValueError("verify_gbv is a single-draft verifier")
-    counters = Counters()
-    row = drafts.tokens[0]
-    L = drafts.L
-    joints = [PrefixJoint.empty()]
-    for i in range(L):
-        joints.append(extend_joint(joints[i], row[i], drafts.cond[0][i], scores.cond[0][i]))
-    tau = 0
-    for i in range(1, L + 1):
-        at_end = i == L
-        nu = joints[i].ratio_q_over_p()
-        a = gbv_accept_prob(
-            joints[i],
-            None if at_end else drafts.cond[0][i],
-            None if at_end else scores.cond[0][i],
-            GbvChainState(nu, i),
-            at_end,
-            counters,
-        )
-        accepted = rng.uniform() < a
-        if trace is not None:
-            trace.append(("subblock", i, row[:i], a, accepted))
-        if accepted:
-            tau = i
-    t = row[:tau]
-    if tau == L:
-        y = sample(scores.cond[0][L], rng)
-        record = IterationRecord(tau, t, y, 0.0, 0.0, 1, L, rule="nu")
-    else:
-        counters.vocab_scans += 1
-        counters.residual_evals += 1
-        nu_tau = joints[tau].ratio_q_over_p()
-        w = np.maximum(nu_tau * scores.cond[0][tau].mass - drafts.cond[0][tau].mass, 0.0)
-        try:
-            res = normalize(w)
-        except AllZeroMass:
-            res = scores.cond[0][tau]
-            counters.warnings += 1
-        y = sample(res, rng)
-        j = extend_joint(joints[tau], y, drafts.cond[0][tau], scores.cond[0][tau])
-        record = IterationRecord(tau, t, y, j.log_p, j.log_q, 1, L, rule="nu")
-    outcome = VerifyOutcome(tau=tau, f=0, t=t, y=y, counters=counters)
-    return outcome, distribution_modification(record)
 
 
 # ---------------------------------------------------------------------------
@@ -536,12 +491,21 @@ def verify_spectr_gbv(
         y = sample(res, rng)
     t = drafts.tokens[f][:tau]
     if tau == L:
-        record = IterationRecord(tau, t, y, 0.0, 0.0, K, L, rule="power")
+        record = IterationRecord(tau, t, y, 0.0, 0.0, K, L)
     else:
         j = extend_joint(joint(f, tau), y, drafts.cond[f][tau], scores.cond[f][tau])
-        record = IterationRecord(tau, t, y, j.log_p, j.log_q, K, L, rule="power")
+        record = IterationRecord(tau, t, y, j.log_p, j.log_q, K, L)
     outcome = VerifyOutcome(tau=tau, f=f, t=t, y=y, counters=counters)
     return outcome, distribution_modification(record)
+
+
+def verify_gbv(
+    drafts: DraftSet, scores: TargetScores, rng: RandomSource, trace=None
+) -> tuple[VerifyOutcome, "ModifiedTarget"]:
+    """Greedy block verification: ``verify_spectr_gbv`` over a single row."""
+    if drafts.K != 1:
+        raise ValueError("verify_gbv is a single-draft verifier")
+    return verify_spectr_gbv(drafts, scores, rng, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +523,6 @@ class IterationRecord:
     log_q_ty: float
     K: int
     L: int
-    rule: str = "power"
 
 
 @dataclass
@@ -578,7 +541,6 @@ class ModifiedTarget:
     prefix: tuple[int, ...]
     log_p_prefix: float
     log_q_prefix: float
-    rule: str = "power"
     _joints: dict = field(default_factory=dict, repr=False, compare=False)
 
     def _joint(self, ctx: tuple[int, ...], q_base, p_base) -> tuple[float, float]:
@@ -615,14 +577,8 @@ class ModifiedTarget:
         if counters is not None:
             counters.vocab_scans += 1
         pn = p_base(self.prefix + ctx)
-        if self.rule == "nu":
-            if lp == LOG_ZERO or lq - lp >= 700.0:
-                w = qn.mass  # nu = inf
-            else:
-                w = np.maximum(math.exp(lq - lp) * qn.mass - pn.mass, 0.0)
-        else:
-            r = 0.0 if lp == LOG_ZERO else math.exp(min(lp - lq, 700.0))
-            w = _surplus(pn.mass, qn.mass, r, self.K)
+        r = 0.0 if lp == LOG_ZERO else math.exp(min(lp - lq, 700.0))
+        w = _surplus(pn.mass, qn.mass, r, self.K)
         s = float(w.sum())
         if s <= 0.0:
             if counters is not None:
@@ -640,10 +596,4 @@ def distribution_modification(record: IterationRecord) -> ModifiedTarget:
         prefix=record.t + (record.y,),
         log_p_prefix=record.log_p_ty,
         log_q_prefix=record.log_q_ty,
-        rule=record.rule,
     )
-
-
-def gbv_modification(record: IterationRecord) -> ModifiedTarget:
-    """The single-draft modified target in its nu-weighted surplus form."""
-    return distribution_modification(replace(record, rule="nu"))

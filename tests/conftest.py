@@ -1,8 +1,27 @@
+import math
+
 import numpy as np
 import pytest
 
 from speclab.models import MarkovModel, ModelPair
-from speclab.probability import Distribution, normalize
+from speclab.probability import (
+    LOG_ZERO,
+    AllZeroMass,
+    Distribution,
+    PrefixJoint,
+    extend_joint,
+    normalize,
+    sample,
+)
+from speclab.verifiers import (
+    Counters,
+    GbvChainState,
+    IterationRecord,
+    ModifiedTarget,
+    VerifyOutcome,
+    distribution_modification,
+    gbv_accept_prob,
+)
 
 
 @pytest.fixture
@@ -38,6 +57,92 @@ def residual_sd(p: Distribution, q: Distribution) -> Distribution:
     rejection event that needs this residual has probability zero.
     """
     return normalize(np.maximum(q.mass - p.mass, 0.0))
+
+
+class _NuModifiedTarget(ModifiedTarget):
+    """The single-draft modified target in its nu-weighted surplus form:
+    norm(max(nu * q - p, 0)) with nu = q/p over the running joints."""
+
+    def conditional(self, ctx, q_base, p_base, counters=None):
+        qn = q_base(self.prefix + ctx)
+        if len(ctx) + 1 > self.horizon:
+            return qn
+        lp, lq = self._joint(ctx, q_base, p_base)
+        if lq == LOG_ZERO:
+            return qn
+        if counters is not None:
+            counters.vocab_scans += 1
+        pn = p_base(self.prefix + ctx)
+        if lp == LOG_ZERO or lq - lp >= 700.0:
+            w = qn.mass  # nu = inf
+        else:
+            w = np.maximum(math.exp(lq - lp) * qn.mass - pn.mass, 0.0)
+        s = float(w.sum())
+        if s <= 0.0:
+            if counters is not None:
+                counters.warnings += 1
+            return qn
+        return Distribution(w / s)
+
+
+def reference_gbv_modification(record: IterationRecord) -> ModifiedTarget:
+    """The next iteration's target after a single-draft block step, in the nu
+    form: the reference the power-form modified target is checked against at
+    K = 1."""
+    base = distribution_modification(record)
+    return _NuModifiedTarget(
+        horizon=base.horizon, K=base.K, prefix=base.prefix,
+        log_p_prefix=base.log_p_prefix, log_q_prefix=base.log_q_prefix,
+    )
+
+
+def reference_gbv(drafts, scores, rng):
+    """Greedy block verification as its own loop over the single row.
+
+    Every sub-block gets one accept draw with the nu-form rule
+    ``gbv_accept_prob`` and tau is the longest accepted length; the extra
+    token comes from norm(max(nu_tau * q - p, 0)), or from q with a warning
+    when that has no mass. Returns the outcome and the nu-form modified
+    target, as ``verify_gbv`` returns its own.
+    """
+    counters = Counters()
+    row = drafts.tokens[0]
+    L = drafts.L
+    joints = [PrefixJoint.empty()]
+    for i in range(L):
+        joints.append(extend_joint(joints[i], row[i], drafts.cond[0][i], scores.cond[0][i]))
+    tau = 0
+    for i in range(1, L + 1):
+        at_end = i == L
+        a = gbv_accept_prob(
+            joints[i],
+            None if at_end else drafts.cond[0][i],
+            None if at_end else scores.cond[0][i],
+            GbvChainState(joints[i].ratio_q_over_p(), i),
+            at_end,
+            counters,
+        )
+        if rng.uniform() < a:
+            tau = i
+    t = row[:tau]
+    if tau == L:
+        y = sample(scores.cond[0][L], rng)
+        record = IterationRecord(tau, t, y, 0.0, 0.0, 1, L)
+    else:
+        counters.vocab_scans += 1
+        counters.residual_evals += 1
+        nu_tau = joints[tau].ratio_q_over_p()
+        w = np.maximum(nu_tau * scores.cond[0][tau].mass - drafts.cond[0][tau].mass, 0.0)
+        try:
+            res = normalize(w)
+        except AllZeroMass:
+            res = scores.cond[0][tau]
+            counters.warnings += 1
+        y = sample(res, rng)
+        j = extend_joint(joints[tau], y, drafts.cond[0][tau], scores.cond[0][tau])
+        record = IterationRecord(tau, t, y, j.log_p, j.log_q, 1, L)
+    outcome = VerifyOutcome(tau=tau, f=0, t=t, y=y, counters=counters)
+    return outcome, reference_gbv_modification(record)
 
 
 class FixedUniforms:

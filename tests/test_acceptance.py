@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from conftest import reference_gbv, reference_gbv_modification
 from speclab.harness import decode
 from speclab.models import generate_pair
 from speclab.oracle import (
@@ -39,11 +40,9 @@ from speclab.verifiers import (
     distribution_modification,
     draft_rows,
     gbv_accept_prob,
-    gbv_modification,
     kseq_rho,
     score_rows,
     subblock_accept_prob,
-    verify_gbv,
     verify_sd,
     verify_spectr_gbv,
 )
@@ -196,7 +195,7 @@ def test_criterion_05_single_draft_consistency(canonical):
         jy = extend_joint(j, y, p_vec, q_vec)
         rec = IterationRecord(plen, toks, y, jy.log_p, jy.log_q, 1, 4)
         power = distribution_modification(rec)
-        surplus = gbv_modification(rec)
+        surplus = reference_gbv_modification(rec)
         q_cond = lambda ctx: q_vec
         p_cond = lambda ctx: p_vec
         for ctx in [(), (0,), (2,)]:
@@ -219,7 +218,7 @@ def test_criterion_05_single_draft_consistency(canonical):
         drafts = draft_rows(p_cond, 1, 2, rng_draft)
         scores = score_rows(drafts, q_cond)
         out_a, _ = verify_spectr_gbv(drafts, scores, rng_a)
-        out_b, _ = verify_gbv(drafts, scores, rng_b)
+        out_b, _ = reference_gbv(drafts, scores, rng_b)
         diffs[i] = out_a.tau - out_b.tau
     mean = float(diffs.mean())
     half = 1.96 * float(diffs.std(ddof=1)) / math.sqrt(n)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FixedUniforms, residual_sd
+from conftest import FixedUniforms, reference_gbv, reference_gbv_modification, residual_sd
 from speclab.models import generate_pair
 from speclab.probability import (
     LOG_ZERO,
@@ -33,7 +33,6 @@ from speclab.verifiers import (
     draft_rows,
     full_block_accept_prob,
     gbv_accept_prob,
-    gbv_modification,
     kseq_rho,
     score_rows,
     subblock_accept_prob,
@@ -557,20 +556,48 @@ class TestAcceptanceFormulas:
 
 class TestVerifySpectrGbv:
     def test_single_draft_reduces_to_gbv_exactly(self, canonical_pair):
-        # the same rules up to rounding and the same draw order at K = 1; at
-        # V = 1024 the block joints fall below 1e-15 within the block
-        for pair, L in ((canonical_pair, 3), (generate_pair(1024, 1, 7, 1.0, 0.6), 8)):
+        # verify_gbv runs the power-form rules at K = 1; reference_gbv runs the
+        # nu-form rules with the same draw order. At V = 1024 the block joints
+        # fall below 1e-15 within the block; at concentration 0.05 the modified
+        # target falls back to the base row where its surplus is empty.
+        cases = (
+            (canonical_pair, 3, False),
+            (generate_pair(1024, 1, 7, 1.0, 0.6), 8, False),
+            (generate_pair(32, 1, 3, 0.05, 0.0), 8, True),
+        )
+        for pair, L, fallbacks in cases:
             taus = set()
+            mod_warnings = 0
             for seed in range(60):
                 r1, r2 = RandomSource(seed), RandomSource(seed)
                 d1, s1 = order0_setup(pair, 1, L, r1)
                 d2, s2 = order0_setup(pair, 1, L, r2)
                 a, mod_a = verify_gbv(d1, s1, r1)
-                b, mod_b = verify_spectr_gbv(d2, s2, r2)
-                assert (a.tau, a.t, a.y) == (b.tau, b.t, b.y)
+                b, mod_b = reference_gbv(d2, s2, r2)
+                assert sd_fields(a) == sd_fields(b)
                 assert mod_a.horizon == mod_b.horizon and mod_a.prefix == mod_b.prefix
                 taus.add(a.tau)
-            assert {0, L} <= taus
+                # the next iteration's overrides: at the empty context, at
+                # every one-token context on small vocabularies, and along a
+                # row drafted after the verified block
+                nxt = draft_rows(lambda ctx: pair.draft_conditional(mod_a.prefix + ctx), 1, L,
+                                 RandomSource(seed + 1000)).tokens[0]
+                ctxs = {nxt[:n] for n in range(L)}
+                if pair.vocab_size <= 32:
+                    ctxs |= {(x,) for x in range(pair.vocab_size)}
+                ca, cb = Counters(), Counters()
+                for ctx in sorted(ctxs):
+                    if len(ctx) + 1 > mod_a.horizon:
+                        continue
+                    ga = mod_a.conditional(ctx, pair.target_conditional, pair.draft_conditional, ca)
+                    gb = mod_b.conditional(ctx, pair.target_conditional, pair.draft_conditional, cb)
+                    assert np.max(np.abs(ga.mass - gb.mass)) < 1e-12
+                assert (ca.vocab_scans, ca.warnings) == (cb.vocab_scans, cb.warnings)
+                mod_warnings += ca.warnings
+            if fallbacks:
+                assert mod_warnings > 0
+            else:
+                assert {0, L} <= taus
 
     def test_deterministic_including_counters(self, canonical_pair):
         def run():
@@ -660,7 +687,7 @@ class TestModification:
                 j = extend_joint(j, tok, p_vec, q_vec)
             rec = IterationRecord(tau, t, y, j.log_p, j.log_q, 1, L)
             power = distribution_modification(rec)
-            surplus = gbv_modification(rec)
+            surplus = reference_gbv_modification(rec)
             q_cond = lambda ctx: q_vec
             p_cond = lambda ctx: p_vec
             for ctx in [(), (0,), (1,), (2,)]:
@@ -680,13 +707,14 @@ class TestModification:
         assert got is q_vec
         assert counters.warnings == 0
 
-    @pytest.mark.parametrize("rule", ["power", "nu"])
-    def test_vocab_scan_charged_only_where_a_pass_is_made(self, rule):
+    @pytest.mark.parametrize("build", [distribution_modification, reference_gbv_modification],
+                             ids=["power", "nu"])
+    def test_vocab_scan_charged_only_where_a_pass_is_made(self, build):
         # ctx (1,) has a zero target joint and returns the base row untouched;
         # ctx (0,) builds the override with one pass over the vocabulary
         p_vec, q_vec = dist(0.5, 0.5), dist(1.0, 0.0)
-        mod = ModifiedTarget(horizon=2, K=2, prefix=(0,), log_p_prefix=math.log(0.5), log_q_prefix=0.0,
-                             rule=rule)
+        mod = build(IterationRecord(0, (), 0, math.log(0.5), 0.0, 2, 3))
+        assert (mod.horizon, mod.K, mod.prefix) == (2, 2, (0,))
         counters = Counters()
         mod.conditional((1,), lambda ctx: q_vec, lambda ctx: p_vec, counters)
         assert counters.vocab_scans == 0
