@@ -15,9 +15,9 @@ import sys
 from dataclasses import replace
 
 from . import harness, oracle
-from .models import InvalidRow, ModelPair, ParseError, blend_model, load_model, random_model, save_model
+from .models import InvalidRow, ParseError, blend_model, random_model, save_model
 from .probability import RandomSource, derive_seed
-from .verifiers import draft_rows, score_rows, verify_gbv, verify_kseq, verify_sd, verify_spectr_gbv
+from .verifiers import draft_rows, score_rows
 
 ORACLE_TOL = 1e-9
 
@@ -148,17 +148,11 @@ def _override(args, **kw):
     return ns
 
 
-def _build_pair(args) -> ModelPair:
-    if args.draft_model and args.target_model:
-        return ModelPair(load_model(args.draft_model), load_model(args.target_model), float(args.temperature))
-    gen = _parse_gen(args.gen) if args.gen else _parse_gen("8,1,0,1.0,0.5")
-    cfg = harness.RunConfig(temperature=float(args.temperature), **gen)
-    return cfg.build_pair()
-
-
 def _cmd_oracle_check(args) -> int:
-    pair = _build_pair(args)
-    K, L = int(args.K), int(args.L)
+    # the oracle enumerates the block verifier; spectr-gbv keeps the given K
+    cfg = _config_from_args(args, algo="spectr-gbv")
+    pair = cfg.build_pair()
+    K, L = cfg.K, cfg.L
     report = oracle.exact_output_distribution(pair, L, K, iterations=args.iterations)
     checks = [
         ("leaf_mass_conservation", report.max_leafsum_err, 1e-12),
@@ -207,8 +201,8 @@ def _cmd_gen_model(args) -> int:
 
 
 def _cmd_verify_demo(args) -> int:
-    pair = _build_pair(args)
     cfg = _config_from_args(args)
+    pair = cfg.build_pair()
     rng = RandomSource(derive_seed(args.seed, 0))
     prompt = harness.generate_prompt(pair.vocab_size, rng)
     p_chain = harness.RawChain(pair.draft, pair.temperature, prompt)
@@ -219,17 +213,7 @@ def _cmd_verify_demo(args) -> int:
     for k, row in enumerate(drafts.tokens):
         print(f"  draft row {k}: {list(row)}")
     trace: list = []
-    if cfg.algo == "sd":
-        outcome = verify_sd(drafts, scores, rng, trace=trace)
-    elif cfg.algo == "spectr":
-        outcome = verify_kseq(drafts, scores, rng, trace=trace)
-    elif cfg.algo == "gbv":
-        outcome, _ = verify_gbv(drafts, scores, rng, trace=trace)
-    elif cfg.algo == "spectr-gbv":
-        outcome, _ = verify_spectr_gbv(drafts, scores, rng, trace=trace)
-    else:
-        print("verify-demo needs a draft-based algorithm", file=sys.stderr)
-        return 1
+    outcome, _ = harness.verify(cfg.algo, drafts, scores, rng, trace)
     for step in trace:
         print(f"  {step}")
     print(f"outcome: tau={outcome.tau} f={outcome.f} t={list(outcome.t)} y={outcome.y}")

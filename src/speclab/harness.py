@@ -209,6 +209,25 @@ def generate_prompt(vocab_size: int, rng: RandomSource, length: int = PROMPT_LEN
     return tuple(sample(uniform, rng) for _ in range(length))
 
 
+def verify(algo: str, drafts, scores, rng: RandomSource, trace=None):
+    """One verification step of ``algo``: the outcome and, for the block
+    verifiers, the modified target for the next iteration (else None).
+
+    The verifiers are read from this module's globals at each call, so a
+    wrapper rebound over one of them, as ``bench/tracer.py`` installs, sees
+    every call.
+    """
+    if algo == "sd":
+        return verify_sd(drafts, scores, rng, trace), None
+    if algo == "spectr":
+        return verify_kseq(drafts, scores, rng, trace), None
+    if algo == "gbv":
+        return verify_gbv(drafts, scores, rng, trace)
+    if algo == "spectr-gbv":
+        return verify_spectr_gbv(drafts, scores, rng, trace)
+    raise ValueError(f"{algo!r} has no draft verifier")
+
+
 def decode(
     pair: ModelPair,
     algo: str,
@@ -251,15 +270,7 @@ def decode(
             totals.draft_calls += K_eff * L
             scores = score_rows(drafts, q_chain.conditional)
             totals.target_calls += 1
-            mod = None
-            if algo == "sd":
-                outcome = verify_sd(drafts, scores, rng)
-            elif algo == "spectr":
-                outcome = verify_kseq(drafts, scores, rng)
-            elif algo == "gbv":
-                outcome, mod = verify_gbv(drafts, scores, rng)
-            else:
-                outcome, mod = verify_spectr_gbv(drafts, scores, rng)
+            outcome, mod = verify(algo, drafts, scores, rng)
             totals.add(outcome.counters)
             block = outcome.t + (outcome.y,)
             out.extend(block)

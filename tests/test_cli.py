@@ -5,7 +5,8 @@ import pytest
 
 from speclab.cli import main
 from speclab.harness import RunConfig
-from speclab.models import load_model, random_model
+from speclab.models import ModelPair, blend_model, generate_pair, load_model, random_model, save_model
+from speclab.oracle import exact_output_distribution
 
 
 class TestGenModel:
@@ -134,3 +135,69 @@ class TestVerifyDemo:
         text = capsys.readouterr().out
         assert "draft row 0" in text
         assert "outcome:" in text
+
+
+# verify-demo output for each way of naming the model pair, as printed when
+# oracle-check and verify-demo built their pair with a helper of their own
+DEMO_OUTPUT = {
+    "default": """\
+algo=spectr-gbv  K=2  L=2  V=8  prompt=[2, 6, 7, 2, 5, 0, 7, 3]
+  draft row 0: [0, 5]
+  draft row 1: [4, 4]
+  ('subblock', 0, (0,), 0.14051506435189912, True)
+  ('full', 0, (0, 5), 0.2723912742325363, True)
+outcome: tau=2 f=0 t=[0, 5] y=4
+""",
+    "gen": """\
+algo=spectr-gbv  K=2  L=2  V=4  prompt=[1, 3, 3, 1, 2, 0, 3, 1]
+  draft row 0: [1, 1]
+  draft row 1: [1, 1]
+  ('subblock', 0, (1,), 0.22289066942460037, True)
+  ('full', 0, (1, 1), 0.13941633030794234, True)
+outcome: tau=2 f=0 t=[1, 1] y=1
+""",
+    "files": """\
+algo=spectr-gbv  K=2  L=2  V=3  prompt=[0, 2, 2, 0, 1, 0, 2, 1]
+  draft row 0: [0, 1]
+  draft row 1: [1, 1]
+  ('subblock', 0, (0,), 0.11587197629775103, True)
+  ('full', 0, (0, 1), 0.7276415706492997, True)
+outcome: tau=2 f=0 t=[0, 1] y=1
+""",
+}
+DEMO_COUNTERS = (
+    "counters: Counters(target_calls=0, draft_calls=0, vocab_scans=1, h_partial_evals=1, "
+    "residual_evals=0, warnings=0)\n"
+)
+
+
+class TestPairSources:
+    """oracle-check and verify-demo build their model pair from the run config:
+    the CLI default pair, ``--gen`` with a similarity, or two model files."""
+
+    @pytest.fixture(params=["default", "gen", "files"])
+    def source(self, request, tmp_path):
+        if request.param == "default":
+            return "default", [], generate_pair(8, 1, 0, 1.0, 0.5)
+        if request.param == "gen":
+            return "gen", ["--gen", "4,1,9,0.7,0.3"], generate_pair(4, 1, 9, 0.7, 0.3)
+        draft, target = tmp_path / "d.json", tmp_path / "t.json"
+        save_model(random_model(3, 1, 4, 0.8), draft)
+        save_model(blend_model(random_model(3, 1, 4, 0.8), random_model(3, 1, 5, 0.8), 0.3), target)
+        args = ["--draft-model", str(draft), "--target-model", str(target)]
+        return "files", args, ModelPair(load_model(draft), load_model(target))
+
+    def test_verify_demo_output_unchanged(self, source, capsys):
+        name, args, _pair = source
+        assert main(["verify-demo", "--K", "2", "--L", "2", "--seed", "5"] + args) == 0
+        assert capsys.readouterr().out == DEMO_OUTPUT[name] + DEMO_COUNTERS
+
+    def test_oracle_check_runs_on_that_pair(self, source, capsys):
+        _name, args, pair = source
+        assert main(["oracle-check", "--K", "1", "--L", "2"] + args) == 0
+        payload = json.loads(capsys.readouterr().out)
+        want = json.loads(json.dumps(exact_output_distribution(pair, 2, 1).to_jsonable()))
+        for report in (payload["report"], want):
+            report.pop("runtime_s")
+        assert payload["report"] == want
+        assert payload["instance"]["vocab_size"] == pair.vocab_size
