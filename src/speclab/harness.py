@@ -239,8 +239,11 @@ def decode(
 ) -> tuple[list[int], RunMetrics]:
     """Run one decode to the end-of-sequence token (index V-1) or the cap.
 
-    Every iteration appends the accepted block plus the extra token, so the
-    per-iteration yield for the block verifiers is exactly tau + 1.
+    Every iteration appends the accepted block plus the extra token, tau + 1
+    tokens, except that the last one stops at the first EOS or at
+    ``max_tokens``. ``mean_tau`` and ``accept_rate`` are properties of the
+    verifier and average the untruncated tau; ``decoded_tokens``, and with it
+    ``block_efficiency``, count the tokens emitted.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algo {algo!r}")
@@ -272,9 +275,13 @@ def decode(
             totals.target_calls += 1
             outcome, mod = verify(algo, drafts, scores, rng)
             totals.add(outcome.counters)
-            block = outcome.t + (outcome.y,)
-            out.extend(block)
             taus.append(outcome.tau)
+            block = outcome.t + (outcome.y,)
+            if eos in block:
+                block = block[: block.index(eos) + 1]
+            out.extend(block[: max_tokens - len(out)])
+            if out[-1] == eos or len(out) == max_tokens:
+                break
             history = _tail(history + block, keep)
             if mod is not None:
                 q_chain = prune_spent(
@@ -283,8 +290,6 @@ def decode(
                 )
             else:
                 q_chain = RawChain(pair.target, pair.temperature, history)
-            if eos in block:
-                break
 
     wall_ms = (time.perf_counter() - t0) * 1e3
     metrics = RunMetrics(

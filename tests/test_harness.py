@@ -47,19 +47,34 @@ class TestDecode:
         assert m.decoded_tokens == m.target_calls
 
     def test_matched_models_single_draft_yield(self, matched_pair):
-        # every iteration accepts the whole block plus the extra token
+        # every iteration accepts the whole block plus the extra token; without
+        # EOS the decode runs to the cap, a whole number of blocks
         L = 4
-        _, m = decode(matched_pair, "gbv", 1, L, (0,), 40, RandomSource(2))
+        pair = ModelPair(eos_free(matched_pair.draft), eos_free(matched_pair.target))
+        _, m = decode(pair, "gbv", 1, L, (0,), 40, RandomSource(2))
         assert m.mean_tau == L
         assert m.accept_rate == 1.0
         assert m.block_efficiency == L + 1
 
-    def test_decoded_tokens_is_tau_plus_one_per_iteration(self):
-        pair = generate_pair(5, 1, 9, 1.0, 0.5)
-        rng = RandomSource(11)
-        out, m = decode(pair, "spectr-gbv", 2, 3, (1, 2), 30, rng)
-        iters = m.target_calls
-        assert m.decoded_tokens == round(m.mean_tau * iters) + iters
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_output_stops_at_eos_and_cap(self, algo):
+        # L = 3 blocks overshoot a cap of 10 or 11 unless the last block fits;
+        # V = 3 puts EOS in about a third of the drafted tokens
+        pair = generate_pair(3, 1, 9, 1.0, 0.5)
+        eos = pair.vocab_size - 1
+        cut = 0
+        for seed in range(40):
+            cap = 10 + seed % 2
+            out, m = decode(pair, algo, 2, 3, (1, 0), cap, RandomSource(seed))
+            assert m.decoded_tokens == len(out) <= cap
+            assert eos not in out[:-1]
+            assert out[-1] == eos or len(out) == cap
+            iters = m.target_calls
+            uncut = iters if algo == "ar" else round(m.mean_tau * iters) + iters
+            assert m.decoded_tokens <= uncut
+            cut += uncut - m.decoded_tokens
+            assert m.block_efficiency == m.decoded_tokens / iters
+        assert (cut > 0) == (algo != "ar")
 
     def test_deterministic(self):
         pair = generate_pair(5, 1, 9, 1.0, 0.5)
@@ -132,7 +147,10 @@ class _Memo:
 
 
 def _unpruned_decode(pair, algo, K, L, prompt, max_tokens, rng):
-    """Block-verifier decode loop that stacks a layer per iteration and never drops one."""
+    """Block-verifier decode loop that stacks a layer per iteration and never drops one.
+
+    For EOS-free pairs: the last block is cut at the cap.
+    """
     verify = verify_gbv if algo == "gbv" else verify_spectr_gbv
     K = 1 if algo == "gbv" else K
     totals = Counters()
@@ -153,7 +171,7 @@ def _unpruned_decode(pair, algo, K, L, prompt, max_tokens, rng):
         totals.target_calls += 1
         outcome, mod = verify(drafts, scores, rng)
         totals.add(outcome.counters)
-        out.extend(outcome.t + (outcome.y,))
+        out.extend((outcome.t + (outcome.y,))[: max_tokens - len(out)])
         taus.append(outcome.tau)
         q = modified(mod, q, p)
     m = RunMetrics(
