@@ -24,10 +24,9 @@ the per-token surplus w(x) = q(x) * (1 - min(r * p(x) / q(x), 1))^K at a
 prefix with joint ratio r = p/q. Its sum over the vocabulary gives the
 sub-block acceptance, its normalization the block residual, and with r read
 from the running joints it is the next iteration's modified target. At
-K = 1 they are the single-draft rules of greedy block verification.
-``gbv_accept_prob`` writes that single-draft acceptance apart, over the
-likelihood ratio nu = q/p; no verifier calls it, and the exact checks hold
-the power-form rules to it.
+K = 1 they are the single-draft rules of greedy block verification;
+``gbv_accept_prob`` writes that acceptance apart, over the likelihood ratio
+nu = q/p, as a reference.
 """
 
 from __future__ import annotations
