@@ -57,9 +57,11 @@ def _load_config_tokens(path: str) -> list[str]:
     return tokens
 
 
-def _add_common(p: argparse.ArgumentParser, algo_default: str | None = "spectr-gbv"):
+def _add_common(
+    p: argparse.ArgumentParser, algo_default: str | None = "spectr-gbv", algos=harness.ALGORITHMS
+):
     if algo_default is not None:
-        p.add_argument("--algo", default=algo_default, choices=harness.ALGORITHMS)
+        p.add_argument("--algo", default=algo_default, choices=algos)
     p.add_argument("--K", default="3")
     p.add_argument("--L", default="8")
     p.add_argument("--temperature", default="1.0")
@@ -96,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gm.add_argument("--out", required=True)
 
     demo = sub.add_parser("verify-demo", help="single verbose verification trace")
-    _add_common(demo)
+    _add_common(demo, algos=[a for a in harness.ALGORITHMS if a != "ar"])
     return parser
 
 

@@ -6,8 +6,9 @@ holding the target conditionals for every row prefix (one extra conditional
 past the draft length). All randomness flows through a single
 ``RandomSource`` so outcomes are bit-reproducible. ``Counters.vocab_scans``
 counts the vocabulary-sized passes the verifiers make themselves: block
-acceptance evaluations, rho bisection steps, residual passes and
-modification passes. Draws by ``sample`` and model lookups are not counted.
+acceptance evaluations, rho solves (one sorted ratio table each, however
+many bisection steps read it), residual passes and modification passes.
+Draws by ``sample`` and model lookups are not counted.
 
 verify_kseq       per-position multi-draft acceptance with the rho scale; the
                   one token-level verifier
@@ -32,6 +33,7 @@ nu = q/p, as a reference.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,7 +86,6 @@ class KseqScale:
     rho: float
     beta: float
     iterations: int
-    beta_evals: int
 
 
 @dataclass(frozen=True)
@@ -175,51 +176,66 @@ def score_rows(drafts: DraftSet, q_cond) -> TargetScores:
 # K-SEQ (per-position multi-draft acceptance)
 
 
+def _beta_table(p: np.ndarray, q: np.ndarray):
+    """beta(rho) = sum_x min(p(x), q(x)/rho) as a lookup into one sorted pass.
+
+    Token x gives p(x) while rho <= c(x) = q(x)/p(x) and q(x)/rho above it,
+    with c = inf where p = 0. With the ratios sorted, the tokens below rho
+    form a prefix, so beta(rho) = Q/rho + P from the q-mass of that prefix
+    and the p-mass of the rest. Building the table is the one vocabulary
+    scan; each evaluation is a bisect over the ratios.
+    """
+    c = np.divide(q, p, out=np.full_like(p, np.inf), where=p > 0.0)
+    order = np.argsort(c)
+    ratios = c[order].tolist()
+    below_q = [0.0] + np.cumsum(q[order]).tolist()
+    above_p = np.cumsum(p[order[::-1]])[::-1].tolist() + [0.0]
+
+    def beta(rho: float) -> float:
+        i = bisect_left(ratios, rho)
+        return below_q[i] / rho + above_p[i]
+
+    return beta
+
+
 def kseq_rho(p: Distribution, q: Distribution, K: int, tol: float = 1e-12) -> KseqScale:
     """Solve 1 - (1 - beta(rho))^K = rho * beta(rho) on [1, K] by bisection.
 
-    beta(rho) = sum_x min(p(x), q(x)/rho). Every beta evaluation is one
-    vocabulary scan; the iteration count is recorded so callers can expose
-    the log(1/tol) cost profile.
+    beta(rho) = sum_x min(p(x), q(x)/rho) is read from a table built in one
+    vocabulary scan (``_beta_table``), so each bisection step is O(log V)
+    scalar work; the iteration count is recorded so callers can expose the
+    log(1/tol) cost profile.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    pm, qm = p.mass, q.mass
-
-    def beta(rho: float) -> float:
-        return float(np.minimum(pm, qm / rho).sum())
+    beta = _beta_table(p.mass, q.mass)
 
     def g(rho: float) -> tuple[float, float]:
         b = beta(rho)
         return 1.0 - (1.0 - b) ** K - rho * b, b
 
-    evals = 0
     lo, hi = 1.0, float(K)
     glo, blo = g(lo)
-    evals += 1
     if abs(glo) <= tol:
-        return KseqScale(lo, blo, 0, evals)
+        return KseqScale(lo, blo, 0)
     ghi, bhi = g(hi)
-    evals += 1
     if abs(ghi) <= tol:
-        return KseqScale(hi, bhi, 0, evals)
+        return KseqScale(hi, bhi, 0)
     if (glo > 0) == (ghi > 0):
         raise NoRoot(f"no sign change on [1, {K}]: g(1)={glo}, g(K)={ghi}")
     iterations = 0
-    mid, bmid = lo, blo
     while hi - lo > tol and iterations < 200:
         mid = 0.5 * (lo + hi)
         gm, bmid = g(mid)
-        evals += 1
         iterations += 1
         if abs(gm) <= tol:
-            return KseqScale(mid, bmid, iterations, evals)
+            return KseqScale(mid, bmid, iterations)
         if (gm > 0) == (glo > 0):
             lo, glo = mid, gm
         else:
             hi = mid
     mid = 0.5 * (lo + hi)
-    return KseqScale(mid, beta(mid), iterations, evals + 1)
+    return KseqScale(mid, beta(mid), iterations)
 
 
 def verify_kseq(drafts: DraftSet, scores: TargetScores, rng: RandomSource, trace=None) -> VerifyOutcome:
@@ -241,9 +257,8 @@ def verify_kseq(drafts: DraftSet, scores: TargetScores, rng: RandomSource, trace
         q_i = scores.cond[s0][i]
         rho = 1.0
         if len(survivors) > 1:
-            scale = kseq_rho(p_i, q_i, len(survivors))
-            rho = scale.rho
-            counters.vocab_scans += scale.beta_evals
+            rho = kseq_rho(p_i, q_i, len(survivors)).rho
+            counters.vocab_scans += 1
         accepted = None
         for k in survivors:
             tok = drafts.tokens[k][i]

@@ -17,7 +17,9 @@ from speclab.verifiers import (
     Counters,
     GbvChainState,
     IterationRecord,
+    KseqScale,
     ModifiedTarget,
+    NoRoot,
     VerifyOutcome,
     distribution_modification,
     gbv_accept_prob,
@@ -57,6 +59,40 @@ def residual_sd(p: Distribution, q: Distribution) -> Distribution:
     rejection event that needs this residual has probability zero.
     """
     return normalize(np.maximum(q.mass - p.mass, 0.0))
+
+
+def reference_kseq_rho(p: Distribution, q: Distribution, K: int, tol: float = 1e-12) -> KseqScale:
+    """The K-SEQ scale by the same bisection as ``kseq_rho``, with every
+    beta(rho) = sum_x min(p(x), q(x)/rho) summed elementwise over the
+    vocabulary: the reference the sorted-table solve is checked against."""
+    pm, qm = p.mass, q.mass
+
+    def g(rho):
+        b = float(np.minimum(pm, qm / rho).sum())
+        return 1.0 - (1.0 - b) ** K - rho * b, b
+
+    lo, hi = 1.0, float(K)
+    glo, blo = g(lo)
+    if abs(glo) <= tol:
+        return KseqScale(lo, blo, 0)
+    ghi, bhi = g(hi)
+    if abs(ghi) <= tol:
+        return KseqScale(hi, bhi, 0)
+    if (glo > 0) == (ghi > 0):
+        raise NoRoot(f"no sign change on [1, {K}]")
+    iterations = 0
+    while hi - lo > tol and iterations < 200:
+        mid = 0.5 * (lo + hi)
+        gm, bmid = g(mid)
+        iterations += 1
+        if abs(gm) <= tol:
+            return KseqScale(mid, bmid, iterations)
+        if (gm > 0) == (glo > 0):
+            lo, glo = mid, gm
+        else:
+            hi = mid
+    mid = 0.5 * (lo + hi)
+    return KseqScale(mid, g(mid)[1], iterations)
 
 
 class _NuModifiedTarget(ModifiedTarget):

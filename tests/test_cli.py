@@ -136,6 +136,11 @@ class TestVerifyDemo:
         assert "draft row 0" in text
         assert "outcome:" in text
 
+    def test_ar_is_refused_before_drafting(self, capsys):
+        # ar never drafts, so the parser rejects it instead of printing rows first
+        assert main(["verify-demo", "--algo", "ar", "--K", "1"]) != 0
+        assert "draft row" not in capsys.readouterr().out
+
 
 # verify-demo output for each way of naming the model pair, as printed when
 # oracle-check and verify-demo built their pair with a helper of their own

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FixedUniforms, reference_gbv, reference_gbv_modification, residual_sd
+from conftest import FixedUniforms, reference_gbv, reference_gbv_modification, reference_kseq_rho, residual_sd
 from speclab.models import generate_pair
 from speclab.probability import (
     LOG_ZERO,
@@ -27,6 +27,7 @@ from speclab.verifiers import (
     IterationRecord,
     ModifiedTarget,
     TargetScores,
+    _beta_table,
     _surplus,
     block_residual,
     distribution_modification,
@@ -355,9 +356,57 @@ class TestKseqRho:
         p = Distribution(gen.dirichlet(np.ones(5)))
         q = Distribution(gen.dirichlet(np.ones(5)))
         s = kseq_rho(p, q, K)
-        g = 1.0 - (1.0 - s.beta) ** K - s.rho * s.beta
+        beta = float(np.minimum(p.mass, q.mass / s.rho).sum())
+        g = 1.0 - (1.0 - beta) ** K - s.rho * beta
         assert abs(g) < 1e-9
         assert 1.0 <= s.rho <= K
+
+    @pytest.mark.parametrize("V", [2, 5, 16, 1024])
+    def test_beta_table_matches_definition(self, V):
+        # at every ratio q/p exactly, between neighbouring ratios, and past both ends
+        for p, q in ratio_instances(V):
+            beta = _beta_table(p.mass, q.mass)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                c = np.unique((q.mass / p.mass)[(p.mass > 0.0) & (q.mass > 0.0)])
+            rhos = np.concatenate([c, 0.5 * (c[1:] + c[:-1]), [0.5 * c[0], 2.0 * c[-1], 1.0, 3.0]])
+            for rho in rhos.tolist():
+                want = float(np.minimum(p.mass, q.mass / rho).sum())
+                assert abs(beta(rho) - want) < 1e-12, (rho, beta(rho), want)
+
+    @pytest.mark.parametrize("V", [2, 5, 16, 1024])
+    def test_matches_elementwise_bisection(self, V):
+        for n, (p, q) in enumerate(ratio_instances(V)):
+            K = 2 + n % 7
+            want = reference_kseq_rho(p, q, K)
+            s = kseq_rho(p, q, K)
+            assert abs(s.rho - want.rho) <= 1e-12
+            assert s.iterations == want.iterations
+
+
+def ratio_instances(V: int, count: int = 40):
+    """Random (p, q) pairs at vocabulary V cycling through no zeros, a zero in
+    p, a zero in q, a zero in both at one index, all three at once (V >= 4),
+    and p = q, where every ratio is 1."""
+    gen = np.random.Generator(np.random.PCG64(V))
+    modes = ("none", "p", "q", "both", "all", "equal")
+    out = []
+    for n in range(count):
+        mode = modes[n % len(modes)]
+        if mode == "all" and V < 4:
+            continue
+        conc = (0.1, 1.0)[n % 2]
+        p, q = gen.dirichlet(np.full(V, conc)), gen.dirichlet(np.full(V, conc))
+        i, j, k = gen.permutation(V)[:3] if V >= 3 else (0, 1, 1)
+        if mode in ("p", "all"):
+            p[i] = 0.0
+        if mode in ("q", "all"):
+            q[j] = 0.0
+        if mode in ("both", "all"):
+            p[k] = q[k] = 0.0
+        if mode == "equal":
+            q = p
+        out.append((Distribution(p / p.sum()), Distribution(q / q.sum())))
+    return out
 
 
 class TestVerifyKseq:
