@@ -57,9 +57,7 @@ def _load_config_tokens(path: str) -> list[str]:
     return tokens
 
 
-def _add_common(
-    p: argparse.ArgumentParser, algo_default: str | None = "spectr-gbv", algos=harness.ALGORITHMS
-):
+def _add_common(p: argparse.ArgumentParser, algo_default: str | None = "spectr-gbv", algos=harness.ALGORITHMS):
     if algo_default is not None:
         p.add_argument("--algo", default=algo_default, choices=algos)
     p.add_argument("--K", default="3")

@@ -394,7 +394,7 @@ def ratio_instances(V: int, count: int = 40):
         mode = modes[n % len(modes)]
         if mode == "all" and V < 4:
             continue
-        conc = (0.1, 1.0)[n % 2]
+        conc = (0.1, 1.0)[n // len(modes) % 2]
         p, q = gen.dirichlet(np.full(V, conc)), gen.dirichlet(np.full(V, conc))
         i, j, k = gen.permutation(V)[:3] if V >= 3 else (0, 1, 1)
         if mode in ("p", "all"):
