@@ -208,7 +208,7 @@ def _cmd_verify_demo(args) -> int:
     p_chain = harness.RawChain(pair.draft, pair.temperature, prompt)
     q_chain = harness.RawChain(pair.target, pair.temperature, prompt)
     drafts = draft_rows(p_chain.conditional, cfg.K, cfg.L, rng)
-    scores = score_rows(drafts, q_chain.conditional)
+    scores = score_rows(drafts, q_chain.conditionals)
     print(f"algo={cfg.algo}  K={cfg.K}  L={cfg.L}  V={pair.vocab_size}  prompt={list(prompt)}")
     for k, row in enumerate(drafts.tokens):
         print(f"  draft row {k}: {list(row)}")

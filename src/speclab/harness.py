@@ -7,6 +7,13 @@ and (for the block verifiers) installs the modified target for the next
 iteration. Serial-call accounting charges one target call per iteration, so
 autoregressive decoding has block efficiency exactly 1.
 
+Chains answer a list of contexts in one ``conditionals`` call. Scoring asks
+for all K * (L + 1) row prefixes at once, so each ``ModifiedChain`` layer
+builds its overrides for an iteration in one block and asks the layer
+beneath once; its ``conditional`` is that call with one context. A
+``RawChain`` lookup makes no vocabulary pass, so its batch is the lookup
+repeated.
+
 Each block-verifier iteration stacks one ``ModifiedChain`` on the last. After
 every iteration ``prune_spent`` collapses the layers that can no longer
 override into one ``RawChain``, and every chain keeps only the context tail
@@ -72,9 +79,11 @@ class RawChain:
     def conditional(self, ctx: tuple[int, ...]) -> Distribution:
         hit = self._memo.get(ctx)
         if hit is None:
-            hit = self.model.conditional(self.context + ctx, self.temperature)
-            self._memo[ctx] = hit
+            hit = self._memo[ctx] = self.model.conditional(self.context + ctx, self.temperature)
         return hit
+
+    def conditionals(self, ctxs) -> list[Distribution]:
+        return [self.conditional(ctx) for ctx in ctxs]
 
 
 class ModifiedChain:
@@ -107,14 +116,18 @@ class ModifiedChain:
         self.counters = counters
         self._memo: dict[tuple[int, ...], Distribution] = {}
 
-    def conditional(self, ctx: tuple[int, ...]) -> Distribution:
-        hit = self._memo.get(ctx)
-        if hit is None:
-            hit = self.record.conditional(
-                ctx, self.base.conditional, self.draft.conditional, self.counters
+    def conditionals(self, ctxs) -> list[Distribution]:
+        memo = self._memo
+        misses = [ctx for ctx in dict.fromkeys(ctxs) if ctx not in memo]
+        if misses:
+            found = self.record.conditional(
+                misses, self.base.conditionals, self.draft.conditionals, self.counters
             )
-            self._memo[ctx] = hit
-        return hit
+            memo.update(zip(misses, found))
+        return [memo[ctx] for ctx in ctxs]
+
+    def conditional(self, ctx: tuple[int, ...]) -> Distribution:
+        return self.conditionals((ctx,))[0]
 
 
 def prune_spent(chain, target: MarkovModel, temperature: float):
@@ -271,7 +284,7 @@ def decode(
             p_chain = RawChain(pair.draft, pair.temperature, history)
             drafts = draft_rows(p_chain.conditional, K_eff, L, rng)
             totals.draft_calls += K_eff * L
-            scores = score_rows(drafts, q_chain.conditional)
+            scores = score_rows(drafts, q_chain.conditionals)
             totals.target_calls += 1
             outcome, mod = verify(algo, drafts, scores, rng)
             totals.add(outcome.counters)

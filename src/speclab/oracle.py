@@ -133,14 +133,16 @@ class _Instance:
             self.prefix_joints[blk] = hit
         return hit
 
-    def h_partial(self, blk: tuple[int, ...]) -> float:
-        h = self.h_part.get(blk)
-        if h is None:
-            h = subblock_accept_prob(
-                self.joint(blk), self.pchain.conditional(blk), self.qchain.conditional(blk), self.K
+    def h_partial(self, blks: list[tuple[int, ...]]) -> list[float]:
+        """Sub-block acceptance of each block, the unknown ones in one call."""
+        todo = [blk for blk in blks if blk not in self.h_part]
+        if todo:
+            hs, _ = subblock_accept_prob(
+                [self.joint(blk) for blk in todo], self.pchain.conditionals(todo),
+                self.qchain.conditionals(todo), self.K,
             )
-            self.h_part[blk] = h
-        return h
+            self.h_part.update(zip(todo, hs))
+        return [self.h_part[blk] for blk in blks]
 
     def h_fullblock(self, blk: tuple[int, ...]) -> float:
         h = self.h_full.get(blk)
@@ -203,7 +205,7 @@ def _row_law(inst: _Instance, tau: int, row: tuple[int, ...], hit: frozenset) ->
         sub = row[:i]
         if sub in hit:
             continue
-        h = inst.h_partial(sub)
+        h = inst.h_part[sub]  # computed up front by _enumerate_leaves
         outcome(i, rejected, miss * h)
         rejected += (sub,)
         miss *= 1.0 - h
@@ -221,11 +223,18 @@ def _enumerate_leaves(inst: _Instance) -> tuple[dict, dict]:
     V, L, K = inst.V, inst.L, inst.K
     if V ** (K * L) > MAX_ENUM:
         raise TooLarge(f"V^(K*L) = {V ** (K * L)} exceeds {MAX_ENUM}")
+    # the joints read both chains at every context shorter than L, and the
+    # first row of the fold tests every proper prefix of every row: each set
+    # is asked for in one batch
+    heads = [c for i in range(L) for c in itertools.product(range(V), repeat=i)]
+    inst.pchain.conditionals(heads)
+    inst.qchain.conditionals(heads)
     rows = []  # (row, draft weight, the row's prefixes, its laws by (tau, hit))
     for b in itertools.product(range(V), repeat=L):
         w = inst.joints(b)[0]
         if w > 0.0:
             rows.append((b, w, frozenset(b[:i] for i in range(1, L + 1)), {}))
+    inst.h_partial(list(dict.fromkeys(b[:i] for b, *_ in rows for i in range(1, L))))
     max_leafsum_err = 0.0
     leaves: dict[tuple[int, tuple[int, ...]], float] = {}
     states = {(0, (), frozenset()): 1.0}
@@ -290,12 +299,11 @@ def _output_joint(
             frontier = [((), m0)]
             for _ in range(need):
                 nxt = []
-                for ctx, m in frontier:
-                    before = mod.counters.warnings
-                    c = mod.conditional(ctx).mass
-                    if mod.counters.warnings > before:
+                dists = mod.conditionals([ctx for ctx, _m in frontier])
+                for (ctx, m), d in zip(frontier, dists):
+                    if ctx in mod.record.fallbacks:
                         fallback_mass += m
-                    for x, px in enumerate(c):
+                    for x, px in enumerate(d.mass):
                         if px > 0.0:
                             nxt.append((ctx + (x,), m * float(px)))
                 frontier = nxt

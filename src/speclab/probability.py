@@ -1,7 +1,8 @@
 """Probability primitives shared by every verifier and oracle in the lab.
 
 Mass vectors are plain numpy float64 arrays wrapped in a ``Distribution``,
-which validates them once, when it is built, and makes them read-only. Its
+which validates them once, when it is built, and makes them read-only;
+``Distribution.rows`` validates a whole block of them at once. Its
 cumulative mass is built on the first draw and kept, so a model row that is
 sampled many times pays for one vocabulary pass. ``RandomSource`` serves its
 doubles from blocks drawn from the generator, which is the same stream as
@@ -85,6 +86,33 @@ class Distribution:
         if not abs(s - 1.0) <= SUM_TOL:
             raise ValueError(f"mass sums to {s!r}, not 1")
         m.setflags(write=False)
+
+    @classmethod
+    def rows(cls, block) -> list["Distribution"]:
+        """One Distribution per row of a 2-d block, validated once for the block.
+
+        The checks are ``__post_init__``'s, made row by row in one pass each:
+        no negative entry, and every row sum within SUM_TOL of 1, so a NaN or
+        infinite entry fails its row. The block is made read-only and each
+        row is a view of it. Row sums of a C-contiguous block equal the sums
+        of the rows taken one at a time, bit for bit.
+        """
+        b = np.ascontiguousarray(block, dtype=np.float64)
+        if b.ndim != 2 or b.size == 0:
+            raise ValueError("block must be a non-empty 2-d array")
+        if b.min() < 0:
+            raise ValueError("negative probability mass")
+        for n, s in enumerate(b.sum(axis=1).tolist()):
+            # written so that a NaN sum fails the test too
+            if not abs(s - 1.0) <= SUM_TOL:
+                raise ValueError(f"row {n} mass sums to {s!r}, not 1")
+        b.setflags(write=False)
+        out = []
+        for row in b:
+            d = object.__new__(cls)
+            object.__setattr__(d, "mass", row)
+            out.append(d)
+        return out
 
     @cached_property
     def cdf(self) -> np.ndarray:

@@ -28,6 +28,14 @@ from the running joints it is the next iteration's modified target. At
 K = 1 they are the single-draft rules of greedy block verification;
 ``gbv_accept_prob`` writes that acceptance apart, over the likelihood ratio
 nu = q/p, as a reference.
+
+The kernel works on an (n, V) block of prefixes at once, and every row is
+bit for bit what that prefix alone would give, so batching changes no
+outcome. The block verifier makes one ``subblock_accept_prob`` call per
+drafted row, for all of the row's tested sub-blocks, before it draws that
+row's uniforms. ``ModifiedTarget.conditional`` answers a list of contexts
+with one surplus block, normalized and validated as one block
+(``Distribution.rows``). Scan counts stay per prefix.
 """
 
 from __future__ import annotations
@@ -163,13 +171,15 @@ def draft_rows(p_cond, K: int, L: int, rng: RandomSource) -> DraftSet:
     return DraftSet(tuple(tokens), tuple(conds))
 
 
-def score_rows(drafts: DraftSet, q_cond) -> TargetScores:
-    """Target conditionals for every prefix of every row, plus the bonus position."""
-    out = []
-    for k in range(drafts.K):
-        row = drafts.tokens[k]
-        out.append(tuple(q_cond(row[:i]) for i in range(drafts.L + 1)))
-    return TargetScores(tuple(out))
+def score_rows(drafts: DraftSet, q_conds) -> TargetScores:
+    """Target conditionals for every prefix of every row, plus the bonus position.
+
+    q_conds maps a list of token prefixes to their target Distributions; all
+    K * (L + 1) prefixes are asked for in one call.
+    """
+    width = drafts.L + 1
+    flat = q_conds([row[:i] for row in drafts.tokens for i in range(width)])
+    return TargetScores(tuple(tuple(flat[n:n + width]) for n in range(0, len(flat), width)))
 
 
 # ---------------------------------------------------------------------------
@@ -340,53 +350,71 @@ def gbv_accept_prob(
 # multi-draft block verification
 
 
-def _surplus(p: np.ndarray, q: np.ndarray, r: float, K: int) -> np.ndarray:
+def _surplus(p: np.ndarray, q: np.ndarray, r, K: int) -> np.ndarray:
     """Per-token surplus w = q * (1 - min(r * p / q, 1))^K, with w = 0 where q = 0.
 
-    r = 0 gives w = q. r = inf gives q where p = 0 and 0 elsewhere, without
-    forming inf * 0. Two arrays are allocated and every other pass writes in
-    place; the K-th power is taken by repeated multiplication.
+    p and q are (n, V) blocks and r holds one ratio per row; a single
+    context is the block of one row. r = 0 gives w = q. r = inf gives q
+    where p = 0 and 0 elsewhere, without forming inf * 0. Two arrays are
+    allocated and every other pass writes in place; the K-th power is taken
+    by repeated multiplication. Every entry is computed as for its row
+    alone, so a row of the block equals that row's own surplus bit for bit.
     """
-    if math.isinf(r):
-        return q * (p == 0.0)
-    t = r * p
+    inf = [n for n, x in enumerate(r) if x == math.inf]
+    t = np.array(r, dtype=np.float64)[:, None]
+    if inf:
+        t[inf] = 0.0
+    t = t * p
     np.divide(t, q, out=t, where=q > 0.0)
     np.minimum(t, 1.0, out=t)
     np.subtract(1.0, t, out=t)
     w = q * t
     for _ in range(K - 1):
         w *= t
+    if inf:
+        w[inf] = q[inf] * (p[inf] == 0.0)
     return w
 
 
 def subblock_accept_prob(
-    joint: PrefixJoint,
-    p_next: Distribution,
-    q_next: Distribution,
+    joints: list[PrefixJoint],
+    p_next: list[Distribution],
+    q_next: list[Distribution],
     K: int,
     counters: Counters | None = None,
-) -> float:
-    """Acceptance probability for a proper sub-block under K drafts.
+) -> tuple[list[float], np.ndarray]:
+    """Acceptance probabilities for n proper sub-blocks under K drafts.
 
-    The rule's numerator and denominator are divided through by the prefix's
-    target joint q_j, so both depend on the joints only through r = p_j / q_j
-    and sum_{i<K} (1 - p_j)^i, and keep their scale however small the joints
-    get. One vocabulary scan; the scan count does not depend on K. The
-    denominator vanishes only on conditioning events of probability zero,
-    where any return value is distributionally irrelevant; 1 is returned
-    when r < 1, the single-draft ratio rule's convention, so the K = 1
-    reduction is pointwise exact. A zero target joint (r = inf) gives 0.
+    Sub-block n has prefix joint joints[n] and next-position conditionals
+    p_next[n] and q_next[n]. The rule's numerator and denominator are
+    divided through by the prefix's target joint q_j, so both depend on the
+    joints only through r = p_j / q_j and sum_{i<K} (1 - p_j)^i, and keep
+    their scale however small the joints get. One vocabulary scan per
+    sub-block, made for all n in one surplus block; the scan count does not
+    depend on K. The denominator vanishes only on conditioning events of
+    probability zero, where any return value is distributionally
+    irrelevant; 1 is returned when r < 1, the single-draft ratio rule's
+    convention, so the K = 1 reduction is pointwise exact. A zero target
+    joint (r = inf) gives 0.
+
+    Returns the n probabilities and the (n, V) surplus block: row n,
+    normalized, is the block residual at sub-block n.
     """
+    n = len(joints)
     if counters is not None:
-        counters.vocab_scans += 1
-        counters.h_partial_evals += 1
-    r = joint.ratio_p_over_q()
-    S = float(_surplus(p_next.mass, q_next.mass, r, K).sum())
-    num = S - (1.0 - min(r, 1.0)) ** K
-    den = r * _geometric(joint.p, K) - 1.0 + S
-    if abs(den) < DENOM_EPS:
-        return 1.0 if r < 1.0 else 0.0
-    return min(1.0, max(0.0, num / den))
+        counters.vocab_scans += n
+        counters.h_partial_evals += n
+    r = [j.ratio_p_over_q() for j in joints]
+    w = _surplus(np.array([d.mass for d in p_next]), np.array([d.mass for d in q_next]), r, K)
+    h = []
+    for rn, joint, S in zip(r, joints, w.sum(axis=1).tolist()):
+        num = S - (1.0 - min(rn, 1.0)) ** K
+        den = rn * _geometric(joint.p, K) - 1.0 + S
+        if abs(den) < DENOM_EPS:
+            h.append(1.0 if rn < 1.0 else 0.0)
+        else:
+            h.append(min(1.0, max(0.0, num / den)))
+    return h, w
 
 
 def _geometric(x: float, K: int) -> float:
@@ -431,7 +459,7 @@ def block_residual(
     r = joint.ratio_p_over_q()
     if math.isinf(r):
         raise AllZeroMass("prefix has zero target mass")
-    return normalize(_surplus(p_next.mass, q_next.mass, r, K))
+    return normalize(_surplus(p_next.mass[None], q_next.mass[None], [r], K)[0])
 
 
 def verify_spectr_gbv(
@@ -445,7 +473,8 @@ def verify_spectr_gbv(
     (advancing tau and the winning index) or inserted into H. Each row ends
     with its full-block test, whose acceptance finishes the call. If no full
     block is accepted, the extra token comes from the block residual at the
-    final accepted prefix.
+    final accepted prefix. The sub-blocks a row tests are known when the row
+    starts, so their probabilities come from one batched call.
     """
     counters = Counters()
     K, L = drafts.K, drafts.L
@@ -466,22 +495,26 @@ def verify_spectr_gbv(
     full_accept = False
     for k in range(K):
         row = drafts.tokens[k]
-        i = tau + 1
-        while i <= L - 1:
+        # the row's tests are fixed when it starts: lengths tau+1 .. L-1 not in H
+        tested = [i for i in range(tau + 1, L) if row[:i] not in H]
+        hs = iter(subblock_accept_prob(
+            [joint(k, i) for i in tested], [drafts.cond[k][i] for i in tested],
+            [scores.cond[k][i] for i in tested], K, counters,
+        )[0] if tested else ())
+        for i in range(tau + 1, L):
             sub = row[:i]
             if sub in H:
                 if trace is not None:
                     trace.append(("skip", k, sub))
+                continue
+            h = next(hs)
+            accepted = rng.uniform() < h
+            if trace is not None:
+                trace.append(("subblock", k, sub, h, accepted))
+            if accepted:
+                tau, f = i, k
             else:
-                h = subblock_accept_prob(joint(k, i), drafts.cond[k][i], scores.cond[k][i], K, counters)
-                accepted = rng.uniform() < h
-                if trace is not None:
-                    trace.append(("subblock", k, sub, h, accepted))
-                if accepted:
-                    tau, f = i, k
-                else:
-                    H.add(sub)
-            i += 1
+                H.add(sub)
         if row in H:
             if trace is not None:
                 trace.append(("skip", k, row))
@@ -547,7 +580,9 @@ class ModifiedTarget:
     Conditionals are computed on demand from the running joint probabilities
     of (accepted block, extra token, new context) under both models relative
     to the previous iteration's prefix. Positions past the horizon fall
-    through to the base target conditional unchanged.
+    through to the base target conditional unchanged. ``fallbacks`` holds
+    the contexts whose surplus was empty, where the base conditional is
+    returned and a warning counted.
     """
 
     horizon: int
@@ -556,20 +591,21 @@ class ModifiedTarget:
     log_p_prefix: float
     log_q_prefix: float
     _joints: dict = field(default_factory=dict, repr=False, compare=False)
+    fallbacks: set = field(default_factory=set, repr=False, compare=False)
 
-    def _joint(self, ctx: tuple[int, ...], q_base, p_base) -> tuple[float, float]:
+    def _joint(self, ctx: tuple[int, ...], q_rows: dict, p_rows: dict) -> tuple[float, float]:
+        """(log p, log q) of prefix + ctx; the rows map each parent context
+        whose joint is not yet known to its base conditional."""
         if ctx in self._joints:
             return self._joints[ctx]
         if not ctx:
             val = (self.log_p_prefix, self.log_q_prefix)
         else:
             parent = ctx[:-1]
-            lp, lq = self._joint(parent, q_base, p_base)
+            lp, lq = self._joint(parent, q_rows, p_rows)
             tok = ctx[-1]
-            pn = p_base(self.prefix + parent)
-            qn = q_base(self.prefix + parent)
-            pv = float(pn.mass[tok])
-            qv = float(qn.mass[tok])
+            pv = float(p_rows[parent].mass[tok])
+            qv = float(q_rows[parent].mass[tok])
             lp = lp + math.log(pv) if lp != LOG_ZERO and pv > 0.0 else LOG_ZERO
             lq = lq + math.log(qv) if lq != LOG_ZERO and qv > 0.0 else LOG_ZERO
             val = (lp, lq)
@@ -577,28 +613,61 @@ class ModifiedTarget:
         return val
 
     def conditional(
-        self, ctx: tuple[int, ...], q_base, p_base, counters: Counters | None = None
-    ) -> Distribution:
-        """Override conditional at the (len(ctx)+1)-th position of the new window."""
-        position = len(ctx) + 1
-        qn = q_base(self.prefix + ctx)
-        if position > self.horizon:
-            return qn
-        lp, lq = self._joint(ctx, q_base, p_base)
-        if lq == LOG_ZERO:
-            # a zero target joint has no override: the base conditional is the answer
-            return qn
+        self, ctxs: list[tuple[int, ...]], q_base, p_base, counters: Counters | None = None
+    ) -> list[Distribution]:
+        """Override conditionals at the (len(ctx)+1)-th position of the new
+        window, for each of the distinct contexts ``ctxs``.
+
+        q_base and p_base map a list of absolute contexts to their base
+        target and draft conditionals. Each is asked once: for every context
+        and, inside the horizon, for the parents whose joints are not yet
+        known. The overrides are one surplus block, normalized and validated
+        as one block. A zero target joint has no override, so the base
+        conditional is the answer and no pass is charged.
+        """
+        parents = {}
+        live = [ctx for ctx in ctxs if len(ctx) < self.horizon]
+        for ctx in live:
+            n = len(ctx)
+            # a parent already listed has its own unknown ancestors listed too
+            while n > 0 and ctx[:n] not in self._joints and ctx[:n - 1] not in parents:
+                n -= 1
+                parents[ctx[:n]] = None
+        q_keys = list(dict.fromkeys([*ctxs, *parents]))
+        p_keys = list(dict.fromkeys([*live, *parents]))
+        q_rows = dict(zip(q_keys, q_base([self.prefix + c for c in q_keys])))
+        p_rows = dict(zip(p_keys, p_base([self.prefix + c for c in p_keys])))
+        out = [q_rows[ctx] for ctx in ctxs]
+        scan, r = [], []
+        for n, ctx in enumerate(ctxs):
+            if len(ctx) >= self.horizon:
+                continue
+            lp, lq = self._joint(ctx, q_rows, p_rows)
+            if lq != LOG_ZERO:
+                scan.append(n)
+                r.append(0.0 if lp == LOG_ZERO else math.exp(min(lp - lq, 700.0)))
+        if not scan:
+            return out
         if counters is not None:
-            counters.vocab_scans += 1
-        pn = p_base(self.prefix + ctx)
-        r = 0.0 if lp == LOG_ZERO else math.exp(min(lp - lq, 700.0))
-        w = _surplus(pn.mass, qn.mass, r, self.K)
-        s = float(w.sum())
-        if s <= 0.0:
-            if counters is not None:
-                counters.warnings += 1
-            return qn
-        return Distribution(w / s)
+            counters.vocab_scans += len(scan)
+        w = _surplus(
+            np.array([p_rows[ctxs[n]].mass for n in scan]), np.array([out[n].mass for n in scan]),
+            r, self.K,
+        )
+        s = w.sum(axis=1)
+        if min(s.tolist()) <= 0.0:
+            full = s > 0.0
+            for n, keep in zip(scan, full.tolist()):
+                if not keep:
+                    self.fallbacks.add(ctxs[n])
+                    if counters is not None:
+                        counters.warnings += 1
+            scan = [n for n, keep in zip(scan, full.tolist()) if keep]
+            w, s = w[full], s[full]
+        w /= s[:, None]
+        for n, d in zip(scan, Distribution.rows(w) if scan else ()):
+            out[n] = d
+        return out
 
 
 def distribution_modification(record: IterationRecord) -> ModifiedTarget:

@@ -23,6 +23,7 @@ from speclab.verifiers import (
     VerifyOutcome,
     distribution_modification,
     gbv_accept_prob,
+    subblock_accept_prob,
 )
 
 
@@ -95,20 +96,42 @@ def reference_kseq_rho(p: Distribution, q: Distribution, K: int, tol: float = 1e
     return KseqScale(mid, g(mid)[1], iterations)
 
 
+def batched(cond):
+    """A one-context lookup as the list-in, list-out query that chains answer."""
+    return lambda ctxs: [cond(ctx) for ctx in ctxs]
+
+
+def override(mod, ctx, q_cond, p_cond, counters=None):
+    """``mod``'s conditional at one context, asked as a batch of one."""
+    return mod.conditional([ctx], batched(q_cond), batched(p_cond), counters)[0]
+
+
+def subblock_h(joint, p_next, q_next, K, counters=None):
+    """The sub-block acceptance probability of one sub-block, asked as a batch of one."""
+    return subblock_accept_prob([joint], [p_next], [q_next], K, counters)[0][0]
+
+
 class _NuModifiedTarget(ModifiedTarget):
     """The single-draft modified target in its nu-weighted surplus form:
-    norm(max(nu * q - p, 0)) with nu = q/p over the running joints."""
+    norm(max(nu * q - p, 0)) with nu = q/p over the running joints, one
+    context at a time."""
 
-    def conditional(self, ctx, q_base, p_base, counters=None):
-        qn = q_base(self.prefix + ctx)
+    def conditional(self, ctxs, q_base, p_base, counters=None):
+        return [self._nu_override(ctx, q_base, p_base, counters) for ctx in ctxs]
+
+    def _nu_override(self, ctx, q_base, p_base, counters):
+        heads = [ctx[:n] for n in range(len(ctx) + 1)]
+        q_rows = dict(zip(heads, q_base([self.prefix + c for c in heads])))
+        p_rows = dict(zip(heads, p_base([self.prefix + c for c in heads])))
+        qn = q_rows[ctx]
         if len(ctx) + 1 > self.horizon:
             return qn
-        lp, lq = self._joint(ctx, q_base, p_base)
+        lp, lq = self._joint(ctx, q_rows, p_rows)
         if lq == LOG_ZERO:
             return qn
         if counters is not None:
             counters.vocab_scans += 1
-        pn = p_base(self.prefix + ctx)
+        pn = p_rows[ctx]
         if lp == LOG_ZERO or lq - lp >= 700.0:
             w = qn.mass  # nu = inf
         else:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import reference_gbv, reference_gbv_modification
+from conftest import batched, override, reference_gbv, reference_gbv_modification, subblock_h
 from speclab.harness import decode
 from speclab.models import generate_pair
 from speclab.oracle import (
@@ -42,7 +42,6 @@ from speclab.verifiers import (
     gbv_accept_prob,
     kseq_rho,
     score_rows,
-    subblock_accept_prob,
     verify_sd,
     verify_spectr_gbv,
 )
@@ -182,7 +181,7 @@ def test_criterion_05_single_draft_consistency(canonical):
         for tok in toks:
             j = extend_joint(j, tok, p_vec, q_vec)
         nu = j.ratio_q_over_p()
-        a = subblock_accept_prob(j, p_vec, q_vec, 1)
+        a = subblock_h(j, p_vec, q_vec, 1)
         b = gbv_accept_prob(j, p_vec, q_vec, GbvChainState(nu, plen), at_end=False)
         worst_h = max(worst_h, abs(a - b))
         try:
@@ -201,8 +200,8 @@ def test_criterion_05_single_draft_consistency(canonical):
         for ctx in [(), (0,), (2,)]:
             if len(ctx) + 1 > power.horizon:
                 continue
-            da = power.conditional(ctx, q_cond, p_cond)
-            db = surplus.conditional(ctx, q_cond, p_cond)
+            da = override(power, ctx, q_cond, p_cond)
+            db = override(surplus, ctx, q_cond, p_cond)
             worst_mod = max(worst_mod, float(np.max(np.abs(da.mass - db.mass))))
         checked += 1
 
@@ -216,7 +215,7 @@ def test_criterion_05_single_draft_consistency(canonical):
     diffs = np.empty(n)
     for i in range(n):
         drafts = draft_rows(p_cond, 1, 2, rng_draft)
-        scores = score_rows(drafts, q_cond)
+        scores = score_rows(drafts, batched(q_cond))
         out_a, _ = verify_spectr_gbv(drafts, scores, rng_a)
         out_b, _ = reference_gbv(drafts, scores, rng_b)
         diffs[i] = out_a.tau - out_b.tau
@@ -242,12 +241,12 @@ def test_criterion_06_monte_carlo_fidelity(canonical):
 
     for i in range(n):
         drafts = draft_rows(p_cond, K, L, rng)
-        scores = score_rows(drafts, q_cond)
+        scores = score_rows(drafts, batched(q_cond))
         out, mod = verify_spectr_gbv(drafts, scores, rng)
         taus[i] = out.tau
         seq = out.t + (out.y,)
         while len(seq) < L:
-            d = mod.conditional(seq[len(mod.prefix):], q_cond, p_cond)
+            d = override(mod, seq[len(mod.prefix):], q_cond, p_cond)
             seq = seq + (sample(d, rng),)
         counts[seq[:L]] += 1
     emp = Distribution((counts / n).reshape(-1))
@@ -270,7 +269,7 @@ def test_criterion_07_baselines(canonical):
     q_cond = canonical.target_conditional
     for _ in range(n):
         drafts = draft_rows(p_cond, 1, 1, rng)
-        scores = score_rows(drafts, q_cond)
+        scores = score_rows(drafts, batched(q_cond))
         accepted += verify_sd(drafts, scores, rng).tau
     sd_rate = accepted / n
     sd_ok = abs(sd_rate - 0.7) < 0.01
@@ -367,7 +366,7 @@ def test_criterion_09_complexity_counters(canonical):
     for K in (1, 8):
         rng = RandomSource(13)
         drafts = draft_rows(canonical.draft_conditional, K, 3, rng)
-        scores = score_rows(drafts, canonical.target_conditional)
+        scores = score_rows(drafts, batched(canonical.target_conditional))
         out, _ = verify_spectr_gbv(drafts, scores, rng)
         c = out.counters
         evals = c.h_partial_evals + c.residual_evals

@@ -58,3 +58,24 @@ def test_each_verifier_layer_records_spans(algo, layers):
     assert verifiers == layers
     for owner, attr, original, _wrapper in tracer._patches:
         assert owner.__dict__[attr] is original
+
+
+def test_batched_layers_still_record_spans():
+    # each ModifiedTarget.conditional call asks the layer beneath in one
+    # batched call, so a span nested in another of the same layer shows a
+    # stack of two or more layers; the per-layer split must still see both
+    # the override work and the batched acceptance evaluations
+    pair = generate_pair(16, 1, 5, 1.0, 0.6)
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        decode(pair, "spectr-gbv", 3, 8, (3, 1, 4, 1), 64, RandomSource(2))
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans()
+    layer, parent = spans["layer"], spans["parent"]
+    override = tracer.layer_id["verifiers.ModifiedTarget.conditional"]
+    nested = (layer == override) & (parent >= 0)
+    nested[nested] = layer[parent[nested]] == override
+    assert nested.any()
+    assert (layer == tracer.layer_id["verifiers.accept_eval"]).any()

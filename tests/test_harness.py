@@ -16,9 +16,10 @@ from speclab.harness import (
     decode,
     prune_spent,
     run_experiment,
+    verify,
 )
 from speclab.models import ModelPair, generate_pair, random_model
-from speclab.probability import RandomSource
+from speclab.probability import LOG_ZERO, RandomSource
 from speclab.verifiers import (
     Counters,
     ModifiedTarget,
@@ -106,7 +107,7 @@ class TestChains:
         q0 = RawChain(pair.target, pair.temperature, prompt)
         p0 = RawChain(pair.draft, pair.temperature, prompt)
         drafts = draft_rows(p0.conditional, 2, 3, rng)
-        scores = score_rows(drafts, q0.conditional)
+        scores = score_rows(drafts, q0.conditionals)
         out, mod = verify_spectr_gbv(drafts, scores, rng)
         block = out.t + (out.y,)
         chain = ModifiedChain(q0, p0, mod, prompt + block)
@@ -145,6 +146,9 @@ class _Memo:
             self.memo[ctx] = self.lookup(ctx)
         return self.memo[ctx]
 
+    def conditionals(self, ctxs):
+        return [self.conditional(ctx) for ctx in ctxs]
+
 
 def _unpruned_decode(pair, algo, K, L, prompt, max_tokens, rng):
     """Block-verifier decode loop that stacks a layer per iteration and never drops one.
@@ -159,7 +163,7 @@ def _unpruned_decode(pair, algo, K, L, prompt, max_tokens, rng):
         return _Memo(lambda ctx: model.conditional(context + ctx, pair.temperature))
 
     def modified(mod, q, p):
-        return _Memo(lambda ctx: mod.conditional(ctx, q.conditional, p.conditional, totals))
+        return _Memo(lambda ctx: mod.conditional([ctx], q.conditionals, p.conditionals, totals)[0])
 
     out, taus = [], []
     q = raw(pair.target, prompt)
@@ -167,7 +171,7 @@ def _unpruned_decode(pair, algo, K, L, prompt, max_tokens, rng):
         p = raw(pair.draft, prompt + tuple(out))
         drafts = draft_rows(p.conditional, K, L, rng)
         totals.draft_calls += K * L
-        scores = score_rows(drafts, q.conditional)
+        scores = score_rows(drafts, q.conditionals)
         totals.target_calls += 1
         outcome, mod = verify(drafts, scores, rng)
         totals.add(outcome.counters)
@@ -190,6 +194,65 @@ def _unpruned_decode(pair, algo, K, L, prompt, max_tokens, rng):
 def _eos_free_v16():
     pair = generate_pair(16, 1, 5, 1.0, 0.6)
     return ModelPair(eos_free(pair.draft), eos_free(pair.target))
+
+
+def _three_layer_chain(pair, K, L, seed):
+    """The target chain of a decode after the first iteration that leaves three
+    or more live ``ModifiedChain`` layers, the top one overriding two
+    positions or more; with the draft chain at that point and the counters."""
+    algo = "gbv" if K == 1 else "spectr-gbv"
+    rng = RandomSource(seed)
+    history = (0, 1)
+    totals = Counters()
+    q_chain = RawChain(pair.target, pair.temperature, history)
+    for _ in range(500):
+        p_chain = RawChain(pair.draft, pair.temperature, history)
+        drafts = draft_rows(p_chain.conditional, K, L, rng)
+        scores = score_rows(drafts, q_chain.conditionals)
+        outcome, mod = verify(algo, drafts, scores, rng)
+        history = history + outcome.t + (outcome.y,)
+        q_chain = prune_spent(
+            ModifiedChain(q_chain, p_chain, mod, history, totals), pair.target, pair.temperature
+        )
+        depth, layer = 0, q_chain
+        while isinstance(layer, ModifiedChain):
+            depth, layer = depth + 1, layer.base
+        if depth >= 3 and q_chain.record.horizon >= 2:
+            return q_chain, RawChain(pair.draft, pair.temperature, history), totals
+    raise AssertionError("no three-layer stack")
+
+
+class TestChainBatch:
+    @pytest.mark.parametrize("K", [1, 3])
+    @pytest.mark.parametrize("make_pair", [
+        _eos_free_v16, lambda: generate_pair(32, 1, 3, 0.05, 0.0),
+    ], ids=["eos-free-v16", "sparse-v32"])
+    def test_batched_query_equals_one_at_a_time(self, make_pair, K):
+        pair = make_pair()
+        V, L = pair.vocab_size, 8
+        seen_fallback = seen_zero_joint = False
+        for seed in range(4):
+            batch, draft, batch_totals = _three_layer_chain(pair, K, L, seed)
+            single, _, single_totals = _three_layer_chain(pair, K, L, seed)
+            assert batch_totals == single_totals
+            before = batch_totals.warnings
+            # every one-token context, the prefixes of rows drafted after the
+            # verified block, and contexts through the end-of-sequence token
+            rows = draft_rows(draft.conditional, 3, L, RandomSource(seed + 100)).tokens
+            ctxs = [()] + [(x,) for x in range(V)] + [row[:i] for row in rows for i in range(2, L + 1)]
+            ctxs = list(dict.fromkeys(ctxs + [(V - 1, 0), (0, V - 1)]))
+            got = batch.conditionals(ctxs)
+            want = [single.conditional(ctx) for ctx in ctxs]
+            for ctx, a, b in zip(ctxs, got, want):
+                assert np.array_equal(a.mass, b.mass), ctx
+            assert batch_totals == single_totals
+            assert batch.record.fallbacks == single.record.fallbacks
+            seen_fallback |= batch_totals.warnings > before
+            seen_zero_joint |= batch.record._joints.get((V - 1,), (0.0, 0.0))[1] == LOG_ZERO
+        if make_pair is _eos_free_v16:
+            assert seen_zero_joint
+        else:
+            assert seen_fallback
 
 
 class TestPruning:

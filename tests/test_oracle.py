@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import batched
 from speclab import harness, oracle
 from speclab.models import MarkovModel, ModelPair, generate_pair
 from speclab.oracle import (
@@ -126,7 +127,7 @@ def walk_tuple(inst, rows):
             else:
                 stack.append((k + 1, tau + 1, tau, f, H, pr))
             continue
-        h = inst.h_partial(sub) if i <= L - 1 else inst.h_fullblock(row)
+        h = inst.h_partial([sub])[0] if i <= L - 1 else inst.h_fullblock(row)
         if h in (0.0, 1.0):
             events.add(f"h{int(h)}")
         if i <= L - 1:
@@ -353,7 +354,7 @@ class TestOracleMatchesVerifier:
         counts: dict = {}
         for _ in range(n):
             drafts = draft_rows(canonical_pair.draft_conditional, 2, 2, rng)
-            scores = score_rows(drafts, canonical_pair.target_conditional)
+            scores = score_rows(drafts, batched(canonical_pair.target_conditional))
             out, _ = verify_spectr_gbv(drafts, scores, rng)
             key = (out.tau, out.t)
             counts[key] = counts.get(key, 0) + 1

@@ -67,6 +67,55 @@ class TestDistribution:
             cdf[0] = 0.0
 
 
+class TestDistributionRows:
+    """The block validator rejects what ``Distribution`` rejects, row by row."""
+
+    GOOD = [0.25, 0.25, 0.5]
+
+    @pytest.mark.parametrize("bad", [
+        [0.5, -1e-12, 0.5 + 1e-12],
+        [math.nan, 0.5, 0.5],
+        [math.inf, 0.0, 0.0],
+        [-math.inf, 0.5, 0.5],
+        [0.25, 0.25, 0.5 + 2e-9],
+        [0.25, 0.25, 0.5 - 2e-9],
+    ])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_rejects_a_bad_row(self, bad, at):
+        with pytest.raises(ValueError):
+            Distribution(np.array(bad))
+        block = np.array([self.GOOD] * 3)
+        block[at] = bad
+        with pytest.raises(ValueError):
+            Distribution.rows(block)
+
+    def test_accepts_what_distribution_accepts(self):
+        near = [0.25, 0.25, 0.5 + 5e-10]
+        Distribution(np.array(near))
+        assert len(Distribution.rows(np.array([self.GOOD, near]))) == 2
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 1), (0, 3), (2, 0)])
+    def test_rejects_a_wrong_shape(self, shape):
+        with pytest.raises(ValueError):
+            Distribution.rows(np.ones(shape) / (shape[-1] or 1))
+
+    @pytest.mark.parametrize("V", [2, 9, 1024])
+    def test_rows_are_read_only_distributions(self, V):
+        block = np.random.Generator(np.random.PCG64(V)).dirichlet(np.ones(V), size=5)
+        want = block.copy()
+        rows = Distribution.rows(block)
+        assert len(rows) == 5
+        for n, d in enumerate(rows):
+            assert isinstance(d, Distribution)
+            assert np.array_equal(d.mass, want[n])
+            assert np.array_equal(d.cdf, np.cumsum(want[n]))
+            assert np.array_equal(d.cdf, Distribution(want[n].copy()).cdf)
+            with pytest.raises(ValueError):
+                d.mass[0] = 1.0
+            with pytest.raises(ValueError):
+                d.cdf[0] = 1.0
+
+
 class TestRandomSource:
     @pytest.mark.parametrize("seed", [0, 7, 2**62 + 1])
     def test_block_draws_are_the_single_draw_stream(self, seed):

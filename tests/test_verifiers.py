@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FixedUniforms, reference_gbv, reference_gbv_modification, reference_kseq_rho, residual_sd
+from conftest import (
+    FixedUniforms,
+    batched,
+    override,
+    reference_gbv,
+    reference_gbv_modification,
+    reference_kseq_rho,
+    residual_sd,
+    subblock_h,
+)
 from speclab.models import generate_pair
 from speclab.probability import (
     LOG_ZERO,
@@ -51,7 +60,7 @@ def dist(*mass):
 def order0_setup(pair, K, L, rng):
     p_cond = pair.draft_conditional
     drafts = draft_rows(p_cond, K, L, rng)
-    scores = score_rows(drafts, pair.target_conditional)
+    scores = score_rows(drafts, batched(pair.target_conditional))
     return drafts, scores
 
 
@@ -240,7 +249,7 @@ class TestSurplusKernel:
     def test_subblock_accept_prob(self, seed, V, p_kind, q_kind, K, r, a):
         p, q = kernel_pair(seed, V, p_kind, q_kind)
         joint = joint_with_ratio(r, a)
-        got = subblock_accept_prob(joint, p, q, K)
+        got = subblock_h(joint, p, q, K)
         assert abs(got - ref_subblock_accept_prob(joint, p, q, K)) <= 1e-12
 
     @kernel_cases
@@ -263,7 +272,7 @@ class TestSurplusKernel:
         p, q = kernel_pair(seed, V, p_kind, q_kind)
         joint = joint_with_ratio(r, a)
         mod = ModifiedTarget(horizon=1, K=K, prefix=(), log_p_prefix=joint.log_p, log_q_prefix=joint.log_q)
-        got = mod.conditional((), lambda ctx: q, lambda ctx: p)
+        got = override(mod, (), lambda ctx: q, lambda ctx: p)
         want = ref_power_rule(joint.log_p, joint.log_q, p, q, K)
         assert np.max(np.abs(got.mass - want.mass)) <= 1e-12
 
@@ -272,7 +281,7 @@ class TestSurplusKernel:
     def test_infinite_ratio_keeps_only_tokens_the_draft_never_emits(self, seed, V, K):
         # no rule above reaches r = inf with positive q-joint at a visible scale
         p, q = kernel_pair(seed, V, "sparse", "flat")
-        w = _surplus(p.mass, q.mass, math.inf, K)
+        w = _surplus(p.mass[None], q.mass[None], [math.inf], K)[0]
         assert np.array_equal(w, np.where(p.mass == 0.0, q.mass, 0.0))
 
     @given(
@@ -287,6 +296,72 @@ class TestSurplusKernel:
         p, q = kernel_pair(seed, V, p_kind, q_kind)
         got = gbv_accept_prob(PrefixJoint.empty(), p, q, GbvChainState(nu, 1), at_end=False)
         assert got == ref_gbv_accept_prob(p, q, nu)
+
+
+def one_row_surplus(p, q, r, K):
+    """The surplus kernel as written for one row: the form every batched row
+    must reproduce bit for bit."""
+    if math.isinf(r):
+        return q * (p == 0.0)
+    t = r * p
+    np.divide(t, q, out=t, where=q > 0.0)
+    np.minimum(t, 1.0, out=t)
+    np.subtract(1.0, t, out=t)
+    w = q * t
+    for _ in range(K - 1):
+        w *= t
+    return w
+
+
+BATCH_RATIOS = (0.0, 1e-300, 0.3, 1.0, 7.0, math.inf)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+class TestBatchedKernel:
+    """A block of contexts gives each context exactly its own numbers.
+
+    Every ratio in BATCH_RATIOS appears in each block, on its own (p, q)
+    pair, with zeros in p, in q and in both (``kernel_pair``).
+    """
+
+    @staticmethod
+    def block(V, kinds, seed):
+        pairs = [kernel_pair(seed + n, V, *kinds[n % len(kinds)]) for n in range(len(BATCH_RATIOS))]
+        order = np.random.Generator(np.random.PCG64(seed)).permutation(len(BATCH_RATIOS)).tolist()
+        ratios = [BATCH_RATIOS[n] for n in order]
+        return [pairs[n][0] for n in order], [pairs[n][1] for n in order], ratios
+
+    KINDS = [("flat", "flat"), ("sparse", "flat"), ("flat", "sparse"), ("sparse", "sparse"), ("peaked", "flat")]
+
+    @pytest.mark.parametrize("V", [2, 16, 1024])
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_surplus_rows_equal_one_row_kernel(self, V, K):
+        for seed in range(8):
+            ps, qs, ratios = self.block(V, self.KINDS, 100 * seed + V)
+            p = np.array([d.mass for d in ps])
+            q = np.array([d.mass for d in qs])
+            w = _surplus(p, q, ratios, K)
+            sums = w.sum(axis=1)
+            for n, r in enumerate(ratios):
+                want = one_row_surplus(ps[n].mass, qs[n].mass, r, K)
+                assert np.array_equal(w[n], want), (n, r)
+                assert sums[n] == want.sum()
+                assert np.array_equal(_surplus(p[n:n + 1], q[n:n + 1], [r], K)[0], want)
+
+    @pytest.mark.parametrize("V", [2, 16, 1024])
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_batched_h_equals_one_at_a_time(self, V, K):
+        for seed in range(8):
+            ps, qs, ratios = self.block(V, self.KINDS, 100 * seed + V + 7)
+            joints = [joint_with_ratio(r, -0.5 * n) for n, r in enumerate(ratios)]
+            batch = Counters()
+            hs, w = subblock_accept_prob(joints, ps, qs, K, batch)
+            single = Counters()
+            for n, j in enumerate(joints):
+                h, w1 = subblock_accept_prob([j], [ps[n]], [qs[n]], K, single)
+                assert hs[n] == h[0]
+                assert np.array_equal(w[n], w1[0])
+            assert batch == single
 
 
 # ---------------------------------------------------------------------------
@@ -520,19 +595,19 @@ class TestAcceptanceFormulas:
     def test_subblock_prob_matched_models_zero(self):
         p = q = dist(0.25, 0.75)
         j = joint_of((1,), p, q)
-        assert subblock_accept_prob(j, p, q, 3) == 0.0
+        assert subblock_h(j, p, q, 3) == 0.0
 
     def test_subblock_prob_zero_target_mass(self):
         p, q = dist(0.5, 0.5), dist(1.0, 0.0)
         j = joint_of((1,), p, q)  # q-joint = 0
-        assert subblock_accept_prob(j, p, q, 2) == 0.0
+        assert subblock_h(j, p, q, 2) == 0.0
 
     def test_subblock_prob_canonical_exact_rational(self):
         expected = frac_h_partial((0,), 2)
         assert expected == Fraction(801, 1201)
         p, q = dist(0.5, 0.5), dist(0.8, 0.2)
         j = joint_of((0,), p, q)
-        got = subblock_accept_prob(j, p, q, 2)
+        got = subblock_h(j, p, q, 2)
         assert abs(got - float(expected)) < 1e-12
 
     def test_full_block_prob_single_draft_is_likelihood_clamp(self):
@@ -575,7 +650,7 @@ class TestAcceptanceFormulas:
         # joints far below DENOM_EPS, as blocks at wide vocabularies reach
         p, q = kernel_pair(seed, V, "flat", "flat")
         j = joint_with_ratio(r, a)
-        assert abs(subblock_accept_prob(j, p, q, K) - ref_subblock_accept_prob(j, p, q, K)) <= 1e-12
+        assert abs(subblock_h(j, p, q, K) - ref_subblock_accept_prob(j, p, q, K)) <= 1e-12
         pj, qj = Fraction(j.p), Fraction(j.q)
         want = qj * (1 - (1 - min(pj / qj, Fraction(1))) ** K) / (1 - (1 - pj) ** K)
         assert abs(full_block_accept_prob(j, K) - float(min(want, Fraction(1)))) <= 1e-12
@@ -638,8 +713,8 @@ class TestVerifySpectrGbv:
                 for ctx in sorted(ctxs):
                     if len(ctx) + 1 > mod_a.horizon:
                         continue
-                    ga = mod_a.conditional(ctx, pair.target_conditional, pair.draft_conditional, ca)
-                    gb = mod_b.conditional(ctx, pair.target_conditional, pair.draft_conditional, cb)
+                    ga = override(mod_a, ctx, pair.target_conditional, pair.draft_conditional, ca)
+                    gb = override(mod_b, ctx, pair.target_conditional, pair.draft_conditional, cb)
                     assert np.max(np.abs(ga.mass - gb.mass)) < 1e-12
                 assert (ca.vocab_scans, ca.warnings) == (cb.vocab_scans, cb.warnings)
                 mod_warnings += ca.warnings
@@ -702,7 +777,7 @@ class TestModification:
         rng = RandomSource(seed)
         p_cond, q_cond = pair.draft_conditional, pair.target_conditional
         drafts = draft_rows(p_cond, K, L, rng)
-        scores = score_rows(drafts, q_cond)
+        scores = score_rows(drafts, batched(q_cond))
         out, mod = verify_spectr_gbv(drafts, scores, rng)
         return out, mod
 
@@ -710,14 +785,14 @@ class TestModification:
         out, mod = self._record(canonical_pair, 2, 2, seed=4)
         q_cond, p_cond = canonical_pair.target_conditional, canonical_pair.draft_conditional
         ctx = tuple(0 for _ in range(mod.horizon))  # position horizon+1
-        got = mod.conditional(ctx, q_cond, p_cond)
+        got = override(mod, ctx, q_cond, p_cond)
         raw = q_cond(mod.prefix + ctx)
         assert np.array_equal(got.mass, raw.mass)
 
     def test_full_acceptance_has_zero_horizon(self, matched_pair):
         rng = RandomSource(2)
         drafts = draft_rows(matched_pair.draft_conditional, 1, 2, rng)
-        scores = score_rows(drafts, matched_pair.target_conditional)
+        scores = score_rows(drafts, batched(matched_pair.target_conditional))
         out, mod = verify_gbv(drafts, scores, rng)
         assert out.tau == 2 and mod.horizon == 0
 
@@ -742,8 +817,8 @@ class TestModification:
             for ctx in [(), (0,), (1,), (2,)]:
                 if len(ctx) + 1 > power.horizon:
                     continue
-                a = power.conditional(ctx, q_cond, p_cond)
-                b = surplus.conditional(ctx, q_cond, p_cond)
+                a = override(power, ctx, q_cond, p_cond)
+                b = override(surplus, ctx, q_cond, p_cond)
                 assert np.max(np.abs(a.mass - b.mass)) < 1e-12
 
     def test_zero_target_joint_returns_base_without_warning(self):
@@ -752,7 +827,7 @@ class TestModification:
         p_vec, q_vec = dist(0.5, 0.5), dist(1.0, 0.0)
         mod = ModifiedTarget(horizon=2, K=2, prefix=(0,), log_p_prefix=math.log(0.5), log_q_prefix=0.0)
         counters = Counters()
-        got = mod.conditional((1,), lambda ctx: q_vec, lambda ctx: p_vec, counters)
+        got = override(mod, (1,), lambda ctx: q_vec, lambda ctx: p_vec, counters)
         assert got is q_vec
         assert counters.warnings == 0
 
@@ -765,9 +840,9 @@ class TestModification:
         mod = build(IterationRecord(0, (), 0, math.log(0.5), 0.0, 2, 3))
         assert (mod.horizon, mod.K, mod.prefix) == (2, 2, (0,))
         counters = Counters()
-        mod.conditional((1,), lambda ctx: q_vec, lambda ctx: p_vec, counters)
+        override(mod, (1,), lambda ctx: q_vec, lambda ctx: p_vec, counters)
         assert counters.vocab_scans == 0
-        mod.conditional((0,), lambda ctx: q_vec, lambda ctx: p_vec, counters)
+        override(mod, (0,), lambda ctx: q_vec, lambda ctx: p_vec, counters)
         assert counters.vocab_scans == 1
 
     def test_modification_from_real_pipeline(self):
@@ -775,6 +850,6 @@ class TestModification:
         out, mod = self._record(pair, 3, 4, seed=9)
         if mod.horizon == 0:
             return
-        got = mod.conditional((), pair.target_conditional, pair.draft_conditional)
+        got = override(mod, (), pair.target_conditional, pair.draft_conditional)
         assert abs(got.mass.sum() - 1.0) < 1e-9
         assert np.all(got.mass >= 0)
