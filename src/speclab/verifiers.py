@@ -474,7 +474,9 @@ def verify_spectr_gbv(
     with its full-block test, whose acceptance finishes the call. If no full
     block is accepted, the extra token comes from the block residual at the
     final accepted prefix. The sub-blocks a row tests are known when the row
-    starts, so their probabilities come from one batched call.
+    starts, so their probabilities come from one batched call. At tau >= 1
+    the residual is the normalized surplus row of the test that accepted
+    (f, tau), so it costs no second pass.
     """
     counters = Counters()
     K, L = drafts.K, drafts.L
@@ -489,7 +491,7 @@ def verify_spectr_gbv(
             )
         return cache[i]
 
-    tau, f = 0, 0
+    tau, f, kept = 0, 0, None
     H: set[tuple[int, ...]] = set()
     y = None
     full_accept = False
@@ -497,22 +499,22 @@ def verify_spectr_gbv(
         row = drafts.tokens[k]
         # the row's tests are fixed when it starts: lengths tau+1 .. L-1 not in H
         tested = [i for i in range(tau + 1, L) if row[:i] not in H]
-        hs = iter(subblock_accept_prob(
+        tests = iter(zip(*subblock_accept_prob(
             [joint(k, i) for i in tested], [drafts.cond[k][i] for i in tested],
             [scores.cond[k][i] for i in tested], K, counters,
-        )[0] if tested else ())
+        )) if tested else ())
         for i in range(tau + 1, L):
             sub = row[:i]
             if sub in H:
                 if trace is not None:
                     trace.append(("skip", k, sub))
                 continue
-            h = next(hs)
+            h, surplus = next(tests)
             accepted = rng.uniform() < h
             if trace is not None:
                 trace.append(("subblock", k, sub, h, accepted))
             if accepted:
-                tau, f = i, k
+                tau, f, kept = i, k, surplus
             else:
                 H.add(sub)
         if row in H:
@@ -530,11 +532,18 @@ def verify_spectr_gbv(
             break
         H.add(row)
     if not full_accept:
-        try:
-            res = block_residual(joint(f, tau), drafts.cond[f][tau], scores.cond[f][tau], K, counters)
-        except AllZeroMass:
-            res = scores.cond[f][tau]
-            counters.warnings += 1
+        # the accepted test at (f, tau) made the residual's pass: its surplus
+        # row, normalized, is the residual (a zero target joint has h = 0 and
+        # is never accepted)
+        s = float(kept.sum()) if tau > 0 else 0.0
+        if s > 0.0:
+            res = Distribution(kept / s)
+        else:
+            try:
+                res = block_residual(joint(f, tau), drafts.cond[f][tau], scores.cond[f][tau], K, counters)
+            except AllZeroMass:
+                res = scores.cond[f][tau]
+                counters.warnings += 1
         y = sample(res, rng)
     t = drafts.tokens[f][:tau]
     if tau == L:

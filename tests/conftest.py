@@ -161,8 +161,9 @@ def reference_gbv(drafts, scores, rng):
     Every sub-block gets one accept draw with the nu-form rule
     ``gbv_accept_prob`` and tau is the longest accepted length; the extra
     token comes from norm(max(nu_tau * q - p, 0)), or from q with a warning
-    when that has no mass. Returns the outcome and the nu-form modified
-    target, as ``verify_gbv`` returns its own.
+    when that has no mass. Past tau = 0 a residual with mass is charged no
+    scan, since the test at tau made its pass. Returns the outcome and the
+    nu-form modified target, as ``verify_gbv`` returns its own.
     """
     counters = Counters()
     row = drafts.tokens[0]
@@ -188,15 +189,20 @@ def reference_gbv(drafts, scores, rng):
         y = sample(scores.cond[0][L], rng)
         record = IterationRecord(tau, t, y, 0.0, 0.0, 1, L)
     else:
-        counters.vocab_scans += 1
-        counters.residual_evals += 1
         nu_tau = joints[tau].ratio_q_over_p()
         w = np.maximum(nu_tau * scores.cond[0][tau].mass - drafts.cond[0][tau].mass, 0.0)
         try:
             res = normalize(w)
+            # at tau >= 1, w is the positive part of the d = nu * q - p that
+            # the accepted test at tau already formed: no pass of its own
+            fresh = tau == 0
         except AllZeroMass:
             res = scores.cond[0][tau]
             counters.warnings += 1
+            fresh = True
+        if fresh:
+            counters.vocab_scans += 1
+            counters.residual_evals += 1
         y = sample(res, rng)
         j = extend_joint(joints[tau], y, drafts.cond[0][tau], scores.cond[0][tau])
         record = IterationRecord(tau, t, y, j.log_p, j.log_q, 1, L)
