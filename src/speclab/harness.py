@@ -83,7 +83,7 @@ class RawChain:
         return hit
 
     def conditionals(self, ctxs) -> list[Distribution]:
-        return [self.conditional(ctx) for ctx in ctxs]
+        return list(map(self.conditional, ctxs))
 
 
 class ModifiedChain:

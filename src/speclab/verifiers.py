@@ -178,8 +178,9 @@ def score_rows(drafts: DraftSet, q_conds) -> TargetScores:
     K * (L + 1) prefixes are asked for in one call.
     """
     width = drafts.L + 1
-    flat = q_conds([row[:i] for row in drafts.tokens for i in range(width)])
-    return TargetScores(tuple(tuple(flat[n:n + width]) for n in range(0, len(flat), width)))
+    flat = iter(q_conds([row[:i] for row in drafts.tokens for i in range(width)]))
+    # one iterator zipped with itself width times yields its items width at a time
+    return TargetScores(tuple(zip(*[flat] * width)))
 
 
 # ---------------------------------------------------------------------------
