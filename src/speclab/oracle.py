@@ -101,6 +101,7 @@ class _Instance:
     qj: dict = field(default_factory=dict)
     prefix_joints: dict = field(default_factory=dict)
     h_part: dict = field(default_factory=dict)
+    surplus: dict = field(default_factory=dict)
     h_full: dict = field(default_factory=dict)
 
     def joints(self, blk: tuple[int, ...]) -> tuple[float, float]:
@@ -137,11 +138,12 @@ class _Instance:
         """Sub-block acceptance of each block, the unknown ones in one call."""
         todo = [blk for blk in blks if blk not in self.h_part]
         if todo:
-            hs, _ = subblock_accept_prob(
+            hs, w = subblock_accept_prob(
                 [self.joint(blk) for blk in todo], self.pchain.conditionals(todo),
                 self.qchain.conditionals(todo), self.K,
             )
             self.h_part.update(zip(todo, hs))
+            self.surplus.update(zip(todo, w))
         return [self.h_part[blk] for blk in blks]
 
     def h_fullblock(self, blk: tuple[int, ...]) -> float:
@@ -153,11 +155,16 @@ class _Instance:
 
     def extra_token(self, tau: int, t: tuple[int, ...]) -> tuple[np.ndarray, bool]:
         """Law of the token after leaf (tau, t), and whether it is the
-        raw-conditional fallback taken when the residual surplus is empty."""
+        raw-conditional fallback taken when the residual surplus is empty.
+        Past tau = 0 the accepted test at t computed the residual's surplus
+        row, which decoding reuses too."""
         if tau == self.L:
             return self.qchain.conditional(t).mass, False
         try:
-            res = block_residual(self.joint(t), self.pchain.conditional(t), self.qchain.conditional(t), self.K)
+            res = block_residual(
+                self.joint(t), self.pchain.conditional(t), self.qchain.conditional(t), self.K,
+                surplus=self.surplus.get(t),
+            )
         except AllZeroMass:
             return self.qchain.conditional(t).mass, True
         return res.mass, False

@@ -446,6 +446,7 @@ def block_residual(
     q_next: Distribution,
     K: int,
     counters: Counters | None = None,
+    surplus: np.ndarray | None = None,
 ) -> Distribution:
     """Replacement-token distribution after a block stops at the given prefix.
 
@@ -453,11 +454,20 @@ def block_residual(
     extended prefix, 1))^K. Raises AllZeroMass when no extension carries
     surplus target mass; callers fall back to the raw target conditional and
     record a warning, since that state is reached with probability zero.
+
+    ``surplus`` is the row that the sub-block test at this prefix computed,
+    when the block stopped after accepting that test. With positive mass
+    and a finite ratio it is normalized as it is, bit for bit the fresh
+    result, and no pass is charged; otherwise the pass is made.
     """
+    r = joint.ratio_p_over_q()
+    if surplus is not None and not math.isinf(r):
+        s = float(surplus.sum())
+        if s > 0.0:
+            return Distribution(surplus / s)
     if counters is not None:
         counters.vocab_scans += 1
         counters.residual_evals += 1
-    r = joint.ratio_p_over_q()
     if math.isinf(r):
         raise AllZeroMass("prefix has zero target mass")
     return normalize(_surplus(p_next.mass[None], q_next.mass[None], [r], K)[0])
@@ -533,18 +543,13 @@ def verify_spectr_gbv(
             break
         H.add(row)
     if not full_accept:
-        # the accepted test at (f, tau) made the residual's pass: its surplus
-        # row, normalized, is the residual (a zero target joint has h = 0 and
-        # is never accepted)
-        s = float(kept.sum()) if tau > 0 else 0.0
-        if s > 0.0:
-            res = Distribution(kept / s)
-        else:
-            try:
-                res = block_residual(joint(f, tau), drafts.cond[f][tau], scores.cond[f][tau], K, counters)
-            except AllZeroMass:
-                res = scores.cond[f][tau]
-                counters.warnings += 1
+        try:
+            res = block_residual(
+                joint(f, tau), drafts.cond[f][tau], scores.cond[f][tau], K, counters, kept
+            )
+        except AllZeroMass:
+            res = scores.cond[f][tau]
+            counters.warnings += 1
         y = sample(res, rng)
     t = drafts.tokens[f][:tau]
     if tau == L:
@@ -635,8 +640,10 @@ class ModifiedTarget:
         as one block. A zero target joint has no override, so the base
         conditional is the answer and no pass is charged.
         """
-        parents = {}
         live = [ctx for ctx in ctxs if len(ctx) < self.horizon]
+        if not live:
+            return q_base([self.prefix + c for c in ctxs])
+        parents = {}
         for ctx in live:
             n = len(ctx)
             # a parent already listed has its own unknown ancestors listed too

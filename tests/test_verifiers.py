@@ -363,6 +363,28 @@ class TestBatchedKernel:
                 assert np.array_equal(w[n], w1[0])
             assert batch == single
 
+    @pytest.mark.parametrize("V", [2, 16, 1024])
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_residual_from_the_test_row_equals_a_fresh_pass(self, V, K):
+        # the block residual after an accepted sub-block reuses that test's
+        # surplus row; where the fresh rule raises, it still makes its pass
+        for seed in range(8):
+            ps, qs, ratios = self.block(V, self.KINDS, 100 * seed + V + 11)
+            joints = [joint_with_ratio(r, -0.5 * n) for n, r in enumerate(ratios)]
+            _, w = subblock_accept_prob(joints, ps, qs, K)
+            for n, j in enumerate(joints):
+                fresh, reused = Counters(), Counters()
+                try:
+                    want = block_residual(j, ps[n], qs[n], K, fresh)
+                except AllZeroMass:
+                    with pytest.raises(AllZeroMass):
+                        block_residual(j, ps[n], qs[n], K, reused, w[n])
+                    assert reused == fresh
+                    continue
+                got = block_residual(j, ps[n], qs[n], K, reused, w[n])
+                assert np.array_equal(got.mass, want.mass)
+                assert (fresh.vocab_scans, reused.vocab_scans) == (1, 0)
+
 
 # ---------------------------------------------------------------------------
 
