@@ -118,8 +118,9 @@ class ModifiedChain:
 
     def conditionals(self, ctxs) -> list[Distribution]:
         memo = self._memo
-        misses = [ctx for ctx in dict.fromkeys(ctxs) if ctx not in memo]
+        misses = [ctx for ctx in ctxs if ctx not in memo]
         if misses:
+            misses = list(dict.fromkeys(misses))
             found = self.record.conditional(
                 misses, self.base.conditionals, self.draft.conditionals, self.counters
             )
@@ -127,7 +128,8 @@ class ModifiedChain:
         return [memo[ctx] for ctx in ctxs]
 
     def conditional(self, ctx: tuple[int, ...]) -> Distribution:
-        return self.conditionals((ctx,))[0]
+        hit = self._memo.get(ctx)
+        return hit if hit is not None else self.conditionals((ctx,))[0]
 
 
 def prune_spent(chain, target: MarkovModel, temperature: float):
