@@ -10,9 +10,9 @@ autoregressive decoding has block efficiency exactly 1.
 Chains answer a list of contexts in one ``conditionals`` call. Scoring asks
 for all K * (L + 1) row prefixes at once, so each ``ModifiedChain`` layer
 builds its overrides for an iteration in one block and asks the layer
-beneath once; its ``conditional`` is that call with one context. A
-``RawChain`` lookup makes no vocabulary pass, so its batch is the lookup
-repeated.
+beneath once; its ``conditional`` answers from the memo or makes that call
+with one context. A ``RawChain`` lookup makes no vocabulary pass, so its
+batch is the lookup repeated.
 
 Each block-verifier iteration stacks one ``ModifiedChain`` on the last. After
 every iteration ``prune_spent`` collapses the layers that can no longer
@@ -79,7 +79,8 @@ class RawChain:
     def conditional(self, ctx: tuple[int, ...]) -> Distribution:
         hit = self._memo.get(ctx)
         if hit is None:
-            hit = self._memo[ctx] = self.model.conditional(self.context + ctx, self.temperature)
+            hit = self.model.conditional(self.context + ctx, self.temperature)
+            self._memo[ctx] = hit
         return hit
 
     def conditionals(self, ctxs) -> list[Distribution]:

@@ -33,9 +33,11 @@ The kernel works on an (n, V) block of prefixes at once, and every row is
 bit for bit what that prefix alone would give, so batching changes no
 outcome. The block verifier makes one ``subblock_accept_prob`` call per
 drafted row, for all of the row's tested sub-blocks, before it draws that
-row's uniforms. ``ModifiedTarget.conditional`` answers a list of contexts
-with one surplus block, normalized and validated as one block
-(``Distribution.rows``). Scan counts stay per prefix.
+row's uniforms, and a block that stops after an accepted sub-block takes
+its residual from that test's surplus row. ``ModifiedTarget.conditional``
+answers a list of contexts with one surplus block, normalized and
+validated as one block (``Distribution.rows``). Scan counts stay per
+prefix.
 """
 
 from __future__ import annotations
@@ -356,9 +358,9 @@ def _surplus(p: np.ndarray, q: np.ndarray, r, K: int) -> np.ndarray:
 
     p and q are (n, V) blocks and r holds one ratio per row; a single
     context is the block of one row. r = 0 gives w = q. r = inf gives q
-    where p = 0 and 0 elsewhere, without forming inf * 0. Two arrays are
-    allocated and every other pass writes in place; the K-th power is taken
-    by repeated multiplication. Every entry is computed as for its row
+    where p = 0 and 0 elsewhere, without forming inf * 0. Two (n, V) arrays
+    are allocated and every other pass writes in place; the K-th power is
+    taken by repeated multiplication. Every entry is computed as for its row
     alone, so a row of the block equals that row's own surplus bit for bit.
     """
     inf = [n for n, x in enumerate(r) if x == math.inf]
