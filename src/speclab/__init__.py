@@ -14,15 +14,12 @@ from .probability import (
 from .verifiers import (
     Counters,
     DraftSet,
-    GbvChainState,
-    IterationRecord,
     KseqScale,
     ModifiedTarget,
     NoRoot,
     TargetScores,
     VerifyOutcome,
     block_residual,
-    distribution_modification,
     draft_rows,
     full_block_accept_prob,
     gbv_accept_prob,
@@ -36,12 +33,11 @@ from .verifiers import (
 )
 
 __all__ = [
-    "AllZeroMass", "Counters", "Distribution", "DraftSet", "GbvChainState",
-    "IterationRecord", "KseqScale", "MarkovModel", "ModelPair", "ModifiedTarget",
-    "NoRoot", "PrefixJoint", "RandomSource", "TargetScores", "VerifyOutcome",
-    "block_residual", "distribution_modification", "draft_rows", "extend_joint",
-    "full_block_accept_prob", "gbv_accept_prob", "generate_pair", "kseq_rho",
-    "load_model", "normalize", "random_model", "sample", "save_model",
-    "score_rows", "subblock_accept_prob", "tv_distance", "verify_gbv",
-    "verify_kseq", "verify_sd", "verify_spectr_gbv",
+    "AllZeroMass", "Counters", "Distribution", "DraftSet", "KseqScale",
+    "MarkovModel", "ModelPair", "ModifiedTarget", "NoRoot", "PrefixJoint",
+    "RandomSource", "TargetScores", "VerifyOutcome", "block_residual",
+    "draft_rows", "extend_joint", "full_block_accept_prob", "gbv_accept_prob",
+    "generate_pair", "kseq_rho", "load_model", "normalize", "random_model",
+    "sample", "save_model", "score_rows", "subblock_accept_prob", "tv_distance",
+    "verify_gbv", "verify_kseq", "verify_sd", "verify_spectr_gbv",
 ]

@@ -19,8 +19,6 @@ from .models import InvalidRow, ParseError, blend_model, random_model, save_mode
 from .probability import RandomSource, derive_seed
 from .verifiers import draft_rows, score_rows
 
-ORACLE_TOL = 1e-9
-
 
 def _parse_gen(spec: str) -> dict:
     parts = spec.split(",")
@@ -154,21 +152,9 @@ def _cmd_oracle_check(args) -> int:
     pair = cfg.build_pair()
     K, L = cfg.K, cfg.L
     report = oracle.exact_output_distribution(pair, L, K, iterations=args.iterations)
-    checks = [
-        ("leaf_mass_conservation", report.max_leafsum_err, 1e-12),
-        ("marginal_sums_to_one", report.marginal_sums_max_err, ORACLE_TOL),
-        ("distribution_preservation", report.max_marginal_dev, ORACLE_TOL),
-        ("expected_tau_equals_bound", abs(report.expected_tau - report.bound), ORACLE_TOL),
-        ("subblock_acceptance_identity", report.lemma_max_dev, ORACLE_TOL),
-    ]
-    if args.iterations == 2:
-        checks += [
-            ("two_iteration_preservation", report.max_marginal_dev_two_iter, ORACLE_TOL),
-            ("two_iteration_subblock_identity", report.lemma_max_dev_two_iter, ORACLE_TOL),
-        ]
     results = [
         {"name": name, "value": value, "tolerance": tol, "passed": bool(value < tol)}
-        for name, value, tol in checks
+        for name, value, tol in report.checks()
     ]
     payload = {
         "instance": {

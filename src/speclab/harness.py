@@ -220,9 +220,9 @@ def block_efficiency(m: RunMetrics) -> float:
     return m.decoded_tokens / m.target_calls
 
 
-def generate_prompt(vocab_size: int, rng: RandomSource, length: int = PROMPT_LENGTH) -> tuple[int, ...]:
+def generate_prompt(vocab_size: int, rng: RandomSource) -> tuple[int, ...]:
     uniform = Distribution(np.full(vocab_size, 1.0 / vocab_size))
-    return tuple(sample(uniform, rng) for _ in range(length))
+    return tuple(sample(uniform, rng) for _ in range(PROMPT_LENGTH))
 
 
 def verify(algo: str, drafts, scores, rng: RandomSource, trace=None):
@@ -401,14 +401,9 @@ def compare_algorithms(
     """
     per_algo_tau: dict[str, list[float]] = {a: [] for a in algos}
     per_algo_be: dict[str, list[float]] = {a: [] for a in algos}
-    pair_cache: dict[tuple, ModelPair] = {}
+    pair = base_config.build_pair()
     for algo in algos:
         cfg = replace(base_config, algo=algo)
-        key = (cfg.vocab_size, cfg.order, cfg.model_seed, cfg.concentration, cfg.similarity)
-        pair = pair_cache.get(key)
-        if pair is None:
-            pair = cfg.build_pair()
-            pair_cache[key] = pair
         for s in seeds:
             taus, bes = [], []
             for prompt_id in range(cfg.prompts):

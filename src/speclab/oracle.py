@@ -38,14 +38,14 @@ from .models import ModelPair
 from .probability import LOG_ZERO, AllZeroMass, PrefixJoint, extend_joint
 from .verifiers import (
     Counters,
-    IterationRecord,
+    ModifiedTarget,
     block_residual,
-    distribution_modification,
     full_block_accept_prob,
     subblock_accept_prob,
 )
 
 MAX_ENUM = 1_000_000
+CHECK_TOL = 1e-9
 
 
 class TooLarge(ValueError):
@@ -171,15 +171,11 @@ class _Instance:
 
     def modified(self, tau: int, t: tuple[int, ...], y: int) -> ModifiedChain:
         """The target chain of the iteration after leaf (tau, t) and extra token y."""
-        if tau == self.L:
-            record = IterationRecord(tau, t, y, 0.0, 0.0, self.K, self.L)
-        else:
-            j = extend_joint(self.joint(t), y, self.pchain.conditional(t), self.qchain.conditional(t))
-            record = IterationRecord(tau, t, y, j.log_p, j.log_q, self.K, self.L)
-        return ModifiedChain(
-            self.qchain, self.pchain, distribution_modification(record),
-            self.context + t + (y,), Counters(),
-        )
+        prefix = t + (y,)
+        horizon = max(self.L - tau - 1, 0)
+        j = self.joint(prefix) if horizon else PrefixJoint.empty()
+        mod = ModifiedTarget(horizon, self.K, prefix, j.log_p, j.log_q)
+        return ModifiedChain(self.qchain, self.pchain, mod, self.context + prefix, Counters())
 
 
 def _row_law(inst: _Instance, tau: int, row: tuple[int, ...], hit: frozenset) -> list:
@@ -365,6 +361,24 @@ class ExactReport:
             "runtime_s": self.runtime_s,
         }
 
+    def checks(self) -> list[tuple[str, float, float]]:
+        """(name, value, tolerance) of each exactness check, passed when
+        value < tolerance; the two-iteration checks only for a two-iteration
+        report."""
+        out = [
+            ("leaf_mass_conservation", self.max_leafsum_err, 1e-12),
+            ("marginal_sums_to_one", self.marginal_sums_max_err, CHECK_TOL),
+            ("distribution_preservation", self.max_marginal_dev, CHECK_TOL),
+            ("expected_tau_equals_bound", abs(self.expected_tau - self.bound), CHECK_TOL),
+            ("subblock_acceptance_identity", self.lemma_max_dev, CHECK_TOL),
+        ]
+        if self.iterations == 2:
+            out += [
+                ("two_iteration_preservation", self.max_marginal_dev_two_iter, CHECK_TOL),
+                ("two_iteration_subblock_identity", self.lemma_max_dev_two_iter, CHECK_TOL),
+            ]
+        return out
+
 
 def _instance(pair: ModelPair, L: int, K: int, context: tuple[int, ...] = ()) -> _Instance:
     context = tuple(context)
@@ -373,12 +387,12 @@ def _instance(pair: ModelPair, L: int, K: int, context: tuple[int, ...] = ()) ->
     return _Instance(p, q, context, pair.vocab_size, L, K)
 
 
-def bound_K(pair: ModelPair, L: int, K: int, context: tuple[int, ...] = ()) -> float:
+def bound_K(pair: ModelPair, L: int, K: int) -> float:
     """Sum of claimed acceptance masses over all sub-blocks up to length L."""
     V = pair.vocab_size
     if V**L > MAX_ENUM:
         raise TooLarge(f"V^L = {V ** L} exceeds {MAX_ENUM}")
-    return _bound(_instance(pair, L, K, context))
+    return _bound(_instance(pair, L, K))
 
 
 def _bound(inst: _Instance) -> float:
@@ -388,12 +402,12 @@ def _bound(inst: _Instance) -> float:
     return total
 
 
-def gbv_block_sum(pair: ModelPair, L: int, context: tuple[int, ...] = ()) -> float:
+def gbv_block_sum(pair: ModelPair, L: int) -> float:
     """Sum over sub-blocks of min(draft joint, target joint); the K = 1 bound."""
     V = pair.vocab_size
     if V**L > MAX_ENUM:
         raise TooLarge(f"V^L = {V ** L} exceeds {MAX_ENUM}")
-    inst = _instance(pair, L, 1, context)
+    inst = _instance(pair, L, 1)
     total = 0.0
     for i in range(1, L + 1):
         for blk in itertools.product(range(V), repeat=i):
@@ -402,9 +416,9 @@ def gbv_block_sum(pair: ModelPair, L: int, context: tuple[int, ...] = ()) -> flo
     return total
 
 
-def bound_properties(pair: ModelPair, L: int, K_list: Sequence[int], context: tuple[int, ...] = ()) -> dict:
+def bound_properties(pair: ModelPair, L: int, K_list: Sequence[int]) -> dict:
     """Bound values along K_list with monotonicity and convergence checks."""
-    values = [bound_K(pair, L, K, context) for K in K_list]
+    values = [bound_K(pair, L, K) for K in K_list]
     # strict in exact arithmetic whenever the models differ; in float64 the
     # bound saturates at L once the gap drops below machine resolution
     strict = all(b > a or L - a < 1e-12 for a, b in zip(values, values[1:]))
@@ -420,9 +434,9 @@ def bound_properties(pair: ModelPair, L: int, K_list: Sequence[int], context: tu
     }
 
 
-def exact_expected_tau(pair: ModelPair, L: int, K: int, context: tuple[int, ...] = ()) -> float:
+def exact_expected_tau(pair: ModelPair, L: int, K: int) -> float:
     """E[tau] integrated exactly over draft tuples and uniform draws."""
-    inst = _instance(pair, L, K, context)
+    inst = _instance(pair, L, K)
     leaves, _ = _enumerate_leaves(inst)
     return sum(tau * m for (tau, _t), m in leaves.items())
 
@@ -564,6 +578,6 @@ def _two_iteration_dev(
     return max_dev, fallback, lemma_table, lemma_dev
 
 
-def gbv_exact_report(pair: ModelPair, L: int, context: tuple[int, ...] = ()) -> ExactReport:
+def gbv_exact_report(pair: ModelPair, L: int) -> ExactReport:
     """Exact report for single-draft block verification: the K = 1 tree."""
-    return exact_output_distribution(pair, L, 1, context=context)
+    return exact_output_distribution(pair, L, 1)

@@ -121,13 +121,6 @@ class Distribution:
         c.setflags(write=False)
         return c
 
-    @property
-    def vocab_size(self) -> int:
-        return int(self.mass.size)
-
-    def __len__(self) -> int:
-        return int(self.mass.size)
-
 
 def normalize(raw) -> Distribution:
     """Scale a nonnegative vector to total mass 1.

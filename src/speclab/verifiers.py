@@ -17,8 +17,8 @@ verify_spectr_gbv multi-draft block acceptance over sub-blocks with a shared
                   rejected-content set; the one block verifier
 verify_gbv        verify_spectr_gbv with one row: greedy block verification
 
-The block verifier also emits the lazily evaluated modified target used by
-the next decoding iteration.
+The block verifier also returns the ``ModifiedTarget`` that the next
+decoding iteration samples from, evaluated lazily.
 
 The power-form rules of ``verify_spectr_gbv`` share one kernel, ``_surplus``:
 the per-token surplus w(x) = q(x) * (1 - min(r * p(x) / q(x), 1))^K at a
@@ -96,14 +96,6 @@ class KseqScale:
     rho: float
     beta: float
     iterations: int
-
-
-@dataclass(frozen=True)
-class GbvChainState:
-    """Running likelihood ratio nu_i = prod q/p over the accepted prefix."""
-
-    nu: float
-    position: int
 
 
 @dataclass(frozen=True)
@@ -316,36 +308,35 @@ def verify_sd(drafts: DraftSet, scores: TargetScores, rng: RandomSource, trace=N
 
 
 def gbv_accept_prob(
-    joint: PrefixJoint,
+    nu: float,
     p_next: Distribution | None,
     q_next: Distribution | None,
-    chain: GbvChainState,
     at_end: bool,
     counters: Counters | None = None,
 ) -> float:
-    """Single-draft acceptance probability for the sub-block behind ``chain``.
+    """Single-draft acceptance probability of a sub-block whose prefix has
+    likelihood ratio ``nu`` = q/p over its joints.
 
     For interior sub-blocks this is the ratio of surplus target mass to
-    surplus draft mass at the next position; for the full block it is the
-    likelihood ratio nu_L clamped to a probability. No verifier calls it:
-    ``verify_gbv`` runs the power-form rules at K = 1. It is kept, with
-    ``GbvChainState``, as the nu-form reference written apart from
-    ``_surplus``: the test suite's ``gbv_reference`` oracle walk and the
-    single-draft consistency criterion hold the power-form rules to it, and
-    ``bench/tracer.py`` wraps it by name.
+    surplus draft mass at the next position; for the full block it is nu
+    clamped to a probability. No verifier calls it: ``verify_gbv`` runs the
+    power-form rules at K = 1. It is kept as the nu-form reference written
+    apart from ``_surplus``: the test suite's ``gbv_reference`` oracle walk
+    and the single-draft consistency criterion hold the power-form rules to
+    it, and ``bench/tracer.py`` wraps it by name.
     """
     if at_end:
-        return min(1.0, chain.nu)
+        return min(1.0, nu)
     if counters is not None:
         counters.vocab_scans += 1
     # p - nu*q is -(nu*q - p) exactly, so one difference serves both sums
-    d = chain.nu * q_next.mass
+    d = nu * q_next.mass
     d -= p_next.mass
     num = float(np.maximum(d, 0.0).sum())
     den = float(np.maximum(np.negative(d, out=d), 0.0, out=d).sum())
     if den < DENOM_EPS:
         # rejection here has probability ~0; accept iff target mass is in surplus
-        return 1.0 if chain.nu > 1.0 else 0.0
+        return 1.0 if nu > 1.0 else 0.0
     return min(1.0, max(0.0, num / den))
 
 
@@ -455,7 +446,10 @@ def block_residual(
     Weight on x is proportional to q(prefix, x) * (1 - min(p/q over the
     extended prefix, 1))^K. Raises AllZeroMass when no extension carries
     surplus target mass; callers fall back to the raw target conditional and
-    record a warning, since that state is reached with probability zero.
+    record a warning. At K = 1 that has probability zero. At K >= 2 it does
+    not, because the full-block test can reject every row at a prefix where
+    the draft covers the target: on matched models the scan stops at tau = 0
+    with an empty residual about a quarter of the time at L = 2, K = 2.
 
     ``surplus`` is the row that the sub-block test at this prefix computed,
     when the block stopped after accepting that test. With positive mass
@@ -554,13 +548,12 @@ def verify_spectr_gbv(
             counters.warnings += 1
         y = sample(res, rng)
     t = drafts.tokens[f][:tau]
-    if tau == L:
-        record = IterationRecord(tau, t, y, 0.0, 0.0, K, L)
-    else:
+    horizon = max(L - tau - 1, 0)
+    j = PrefixJoint.empty()
+    if horizon:
         j = extend_joint(joint(f, tau), y, drafts.cond[f][tau], scores.cond[f][tau])
-        record = IterationRecord(tau, t, y, j.log_p, j.log_q, K, L)
     outcome = VerifyOutcome(tau=tau, f=f, t=t, y=y, counters=counters)
-    return outcome, distribution_modification(record)
+    return outcome, ModifiedTarget(horizon, K, t + (y,), j.log_p, j.log_q)
 
 
 def verify_gbv(
@@ -573,20 +566,7 @@ def verify_gbv(
 
 
 # ---------------------------------------------------------------------------
-# distribution modification between iterations
-
-
-@dataclass(frozen=True)
-class IterationRecord:
-    """What the next iteration needs to know about the last verification."""
-
-    tau: int
-    t: tuple[int, ...]
-    y: int
-    log_p_ty: float
-    log_q_ty: float
-    K: int
-    L: int
+# the modified target between iterations
 
 
 @dataclass
@@ -594,12 +574,14 @@ class ModifiedTarget:
     """Per-position target overrides for the first ``horizon`` positions of
     the next iteration, represented lazily.
 
-    Conditionals are computed on demand from the running joint probabilities
-    of (accepted block, extra token, new context) under both models relative
-    to the previous iteration's prefix. Positions past the horizon fall
-    through to the base target conditional unchanged. ``fallbacks`` holds
-    the contexts whose surplus was empty, where the base conditional is
-    returned and a warning counted.
+    After a block step that accepted t (tau tokens of L) and drew y, the
+    horizon is max(L - tau - 1, 0) and ``prefix`` is t + (y,). Conditionals
+    are computed on demand from the running joint probabilities of (prefix,
+    new context) under both models relative to the previous iteration's
+    context; the prefix's joints are read only inside a positive horizon.
+    Positions past the horizon fall through to the base target conditional
+    unchanged. ``fallbacks`` holds the contexts whose surplus was empty,
+    where the base conditional is returned and a warning counted.
     """
 
     horizon: int
@@ -688,14 +670,3 @@ class ModifiedTarget:
             out[n] = d
         return out
 
-
-def distribution_modification(record: IterationRecord) -> ModifiedTarget:
-    """Build the lazy modified target for the iteration after ``record``."""
-    horizon = max(record.L - record.tau - 1, 0)
-    return ModifiedTarget(
-        horizon=horizon,
-        K=record.K,
-        prefix=record.t + (record.y,),
-        log_p_prefix=record.log_p_ty,
-        log_q_prefix=record.log_q_ty,
-    )

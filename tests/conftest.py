@@ -15,13 +15,10 @@ from speclab.probability import (
 )
 from speclab.verifiers import (
     Counters,
-    GbvChainState,
-    IterationRecord,
     KseqScale,
     ModifiedTarget,
     NoRoot,
     VerifyOutcome,
-    distribution_modification,
     gbv_accept_prob,
     subblock_accept_prob,
 )
@@ -111,10 +108,11 @@ def subblock_h(joint, p_next, q_next, K, counters=None):
     return subblock_accept_prob([joint], [p_next], [q_next], K, counters)[0][0]
 
 
-class _NuModifiedTarget(ModifiedTarget):
-    """The single-draft modified target in its nu-weighted surplus form:
-    norm(max(nu * q - p, 0)) with nu = q/p over the running joints, one
-    context at a time."""
+class NuModifiedTarget(ModifiedTarget):
+    """The next iteration's target after a single-draft block step, in its
+    nu-weighted surplus form: norm(max(nu * q - p, 0)) with nu = q/p over the
+    running joints, one context at a time. The reference the power-form
+    modified target is checked against at K = 1."""
 
     def conditional(self, ctxs, q_base, p_base, counters=None):
         return [self._nu_override(ctx, q_base, p_base, counters) for ctx in ctxs]
@@ -144,17 +142,6 @@ class _NuModifiedTarget(ModifiedTarget):
         return Distribution(w / s)
 
 
-def reference_gbv_modification(record: IterationRecord) -> ModifiedTarget:
-    """The next iteration's target after a single-draft block step, in the nu
-    form: the reference the power-form modified target is checked against at
-    K = 1."""
-    base = distribution_modification(record)
-    return _NuModifiedTarget(
-        horizon=base.horizon, K=base.K, prefix=base.prefix,
-        log_p_prefix=base.log_p_prefix, log_q_prefix=base.log_q_prefix,
-    )
-
-
 def reference_gbv(drafts, scores, rng):
     """Greedy block verification as its own loop over the single row.
 
@@ -175,10 +162,9 @@ def reference_gbv(drafts, scores, rng):
     for i in range(1, L + 1):
         at_end = i == L
         a = gbv_accept_prob(
-            joints[i],
+            joints[i].ratio_q_over_p(),
             None if at_end else drafts.cond[0][i],
             None if at_end else scores.cond[0][i],
-            GbvChainState(joints[i].ratio_q_over_p(), i),
             at_end,
             counters,
         )
@@ -187,7 +173,6 @@ def reference_gbv(drafts, scores, rng):
     t = row[:tau]
     if tau == L:
         y = sample(scores.cond[0][L], rng)
-        record = IterationRecord(tau, t, y, 0.0, 0.0, 1, L)
     else:
         nu_tau = joints[tau].ratio_q_over_p()
         w = np.maximum(nu_tau * scores.cond[0][tau].mass - drafts.cond[0][tau].mass, 0.0)
@@ -204,10 +189,12 @@ def reference_gbv(drafts, scores, rng):
             counters.vocab_scans += 1
             counters.residual_evals += 1
         y = sample(res, rng)
+    horizon = max(L - tau - 1, 0)
+    j = PrefixJoint.empty()
+    if horizon:
         j = extend_joint(joints[tau], y, drafts.cond[0][tau], scores.cond[0][tau])
-        record = IterationRecord(tau, t, y, j.log_p, j.log_q, 1, L)
     outcome = VerifyOutcome(tau=tau, f=0, t=t, y=y, counters=counters)
-    return outcome, reference_gbv_modification(record)
+    return outcome, NuModifiedTarget(horizon, 1, t + (y,), j.log_p, j.log_q)
 
 
 class FixedUniforms:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import batched, override, reference_gbv, reference_gbv_modification, subblock_h
+from conftest import NuModifiedTarget, batched, override, reference_gbv, subblock_h
 from speclab.harness import decode
 from speclab.models import generate_pair
 from speclab.oracle import (
@@ -34,10 +34,8 @@ from speclab.probability import (
     tv_distance,
 )
 from speclab.verifiers import (
-    GbvChainState,
-    IterationRecord,
+    ModifiedTarget,
     block_residual,
-    distribution_modification,
     draft_rows,
     gbv_accept_prob,
     kseq_rho,
@@ -182,7 +180,7 @@ def test_criterion_05_single_draft_consistency(canonical):
             j = extend_joint(j, tok, p_vec, q_vec)
         nu = j.ratio_q_over_p()
         a = subblock_h(j, p_vec, q_vec, 1)
-        b = gbv_accept_prob(j, p_vec, q_vec, GbvChainState(nu, plen), at_end=False)
+        b = gbv_accept_prob(nu, p_vec, q_vec, at_end=False)
         worst_h = max(worst_h, abs(a - b))
         try:
             res_a = block_residual(j, p_vec, q_vec, 1)
@@ -192,9 +190,9 @@ def test_criterion_05_single_draft_consistency(canonical):
             pass
         y = int(gen.integers(0, 3))
         jy = extend_joint(j, y, p_vec, q_vec)
-        rec = IterationRecord(plen, toks, y, jy.log_p, jy.log_q, 1, 4)
-        power = distribution_modification(rec)
-        surplus = reference_gbv_modification(rec)
+        args = (max(4 - plen - 1, 0), 1, toks + (y,), jy.log_p, jy.log_q)
+        power = ModifiedTarget(*args)
+        surplus = NuModifiedTarget(*args)
         q_cond = lambda ctx: q_vec
         p_cond = lambda ctx: p_vec
         for ctx in [(), (0,), (2,)]:

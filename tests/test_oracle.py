@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import batched
+from conftest import batched, override
 from speclab import harness, oracle
 from speclab.models import MarkovModel, ModelPair, generate_pair
 from speclab.oracle import (
@@ -19,7 +19,7 @@ from speclab.oracle import (
 )
 from speclab.probability import PrefixJoint, RandomSource, extend_joint
 from speclab.verifiers import (
-    GbvChainState,
+    Counters,
     draft_rows,
     gbv_accept_prob,
     score_rows,
@@ -70,10 +70,9 @@ def gbv_reference(pair, L):
             at_end = i == L
             j = joints[row[:i]]
             a = gbv_accept_prob(
-                j,
+                j.ratio_q_over_p(),
                 None if at_end else pair.draft_conditional(row[:i]),
                 None if at_end else pair.target_conditional(row[:i]),
-                GbvChainState(j.ratio_q_over_p(), i),
                 at_end,
             )
             new = {}
@@ -362,3 +361,69 @@ class TestOracleMatchesVerifier:
             emp = counts.get(key, 0) / n
             se = math.sqrt(max(mass * (1 - mass), 1e-6) / n)
             assert abs(emp - mass) < 5 * se, (key, emp, mass)
+
+
+def matched_tau0_mass(row, L, K):
+    """Exact probability that the block scan stops at tau = 0 on an order-0
+    matched pair (p = q = ``row``), as a Fraction.
+
+    With p = q every prefix has r = 1, so every sub-block test has h = 0 and
+    the full-block test accepts a block of joint p with probability
+    1 / G(p), G(x) = sum_{i<K} (1 - x)^i. A row already rejected is skipped.
+    """
+    p = [Fraction(x).limit_denominator(1000) for x in row]
+    joint = {b: math.prod((p[t] for t in b), start=Fraction(1))
+             for b in itertools.product(range(len(p)), repeat=L)}
+    total = Fraction(0)
+    for rows in itertools.product(joint, repeat=K):
+        pr, rejected = Fraction(1), set()
+        for b in rows:
+            pr *= joint[b]
+            if b not in rejected:
+                pr *= 1 - 1 / sum((1 - joint[b]) ** i for i in range(K))
+                rejected.add(b)
+        total += pr
+    return total
+
+
+class TestEmptyResidualFallback:
+    """On matched models the surplus q * (1 - min(r p / q, 1))^K is empty at
+    every prefix, so a scan that stops at tau = 0 has no residual and falls
+    back to the raw target conditional, and so does the next iteration's
+    modified target at its first position. At K = 1 the full block always
+    accepts and the fallback never happens; at K >= 2 it has positive
+    probability."""
+
+    @pytest.mark.parametrize("K, tau0, fallback", [
+        (1, 0.0, 0.0), (2, 0.2491, 0.4983), (3, 0.2947, 0.5894),
+    ])
+    def test_oracle_fallback_mass(self, matched_pair, K, tau0, fallback):
+        report = exact_output_distribution(matched_pair, 2, K)
+        got = sum(m for (tau, _t), m in report.leaves.items() if tau == 0)
+        want = float(matched_tau0_mass((0.4, 0.3, 0.2, 0.1), 2, K))
+        assert abs(got - want) < 1e-12
+        assert abs(got - tau0) < 5e-5
+        # the extra token and the modified target's first position both fall back
+        assert abs(report.fallback_mass - 2 * want) < 1e-12
+        assert abs(report.fallback_mass - fallback) < 5e-5
+
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_verifier_warning_rate_matches_oracle(self, matched_pair, K):
+        tau0 = float(matched_tau0_mass((0.4, 0.3, 0.2, 0.1), 2, K))
+        q_cond, p_cond = matched_pair.target_conditional, matched_pair.draft_conditional
+        rng = RandomSource(2718)
+        n, warned = 2000, 0
+        for _ in range(n):
+            drafts = draft_rows(p_cond, K, 2, rng)
+            out, mod = verify_spectr_gbv(drafts, score_rows(drafts, batched(q_cond)), rng)
+            assert out.counters.warnings == (out.tau == 0)
+            if out.tau == 0:
+                warned += 1
+                counters = Counters()
+                got = override(mod, (), q_cond, p_cond, counters)
+                assert got is q_cond(mod.prefix)
+                assert counters.warnings == 1 and mod.fallbacks == {()}
+        if K == 1:
+            assert warned == 0
+        else:
+            assert abs(warned / n - tau0) < 4 * math.sqrt(tau0 * (1 - tau0) / n)

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from conftest import (
     FixedUniforms,
+    NuModifiedTarget,
     batched,
     override,
     reference_gbv,
-    reference_gbv_modification,
     reference_kseq_rho,
     residual_sd,
     subblock_h,
@@ -32,14 +32,11 @@ from speclab.verifiers import (
     DENOM_EPS,
     Counters,
     DraftSet,
-    GbvChainState,
-    IterationRecord,
     ModifiedTarget,
     TargetScores,
     _beta_table,
     _surplus,
     block_residual,
-    distribution_modification,
     draft_rows,
     full_block_accept_prob,
     gbv_accept_prob,
@@ -294,7 +291,7 @@ class TestSurplusKernel:
     @settings(max_examples=300, deadline=None)
     def test_nu_rule_equals_two_pass_form(self, seed, V, p_kind, q_kind, nu):
         p, q = kernel_pair(seed, V, p_kind, q_kind)
-        got = gbv_accept_prob(PrefixJoint.empty(), p, q, GbvChainState(nu, 1), at_end=False)
+        got = gbv_accept_prob(nu, p, q, at_end=False)
         assert got == ref_gbv_accept_prob(p, q, nu)
 
 
@@ -566,13 +563,12 @@ class TestVerifyKseq:
 class TestGbvAcceptProb:
     def test_matched_models_interior_zero_final_one(self):
         p = q = dist(0.5, 0.5)
-        j = joint_of((0,), p, q)
-        a = gbv_accept_prob(j, p, q, GbvChainState(1.0, 1), at_end=False)
+        a = gbv_accept_prob(1.0, p, q, at_end=False)
         assert a == 0.0
-        assert gbv_accept_prob(j, None, None, GbvChainState(1.0, 2), at_end=True) == 1.0
+        assert gbv_accept_prob(1.0, None, None, at_end=True) == 1.0
 
     def test_zero_target_mass_kills_full_block(self):
-        assert gbv_accept_prob(None, None, None, GbvChainState(0.0, 2), at_end=True) == 0.0
+        assert gbv_accept_prob(0.0, None, None, at_end=True) == 0.0
 
     def test_canonical_full_block_clamps(self):
         # block (0,0): nu = 0.64 / 0.25 = 2.56, clamped to 1
@@ -580,7 +576,7 @@ class TestGbvAcceptProb:
         j = joint_of((0, 0), p, q)
         nu = j.ratio_q_over_p()
         assert abs(nu - 2.56) < 1e-12
-        assert gbv_accept_prob(j, None, None, GbvChainState(nu, 2), at_end=True) == 1.0
+        assert gbv_accept_prob(nu, None, None, at_end=True) == 1.0
 
 
 class TestVerifyGbv:
@@ -831,9 +827,9 @@ class TestModification:
             j = PrefixJoint.empty()
             for tok in t + (y,):
                 j = extend_joint(j, tok, p_vec, q_vec)
-            rec = IterationRecord(tau, t, y, j.log_p, j.log_q, 1, L)
-            power = distribution_modification(rec)
-            surplus = reference_gbv_modification(rec)
+            args = (max(L - tau - 1, 0), 1, t + (y,), j.log_p, j.log_q)
+            power = ModifiedTarget(*args)
+            surplus = NuModifiedTarget(*args)
             q_cond = lambda ctx: q_vec
             p_cond = lambda ctx: p_vec
             for ctx in [(), (0,), (1,), (2,)]:
@@ -853,13 +849,12 @@ class TestModification:
         assert got is q_vec
         assert counters.warnings == 0
 
-    @pytest.mark.parametrize("build", [distribution_modification, reference_gbv_modification],
-                             ids=["power", "nu"])
+    @pytest.mark.parametrize("build", [ModifiedTarget, NuModifiedTarget], ids=["power", "nu"])
     def test_vocab_scan_charged_only_where_a_pass_is_made(self, build):
         # ctx (1,) has a zero target joint and returns the base row untouched;
         # ctx (0,) builds the override with one pass over the vocabulary
         p_vec, q_vec = dist(0.5, 0.5), dist(1.0, 0.0)
-        mod = build(IterationRecord(0, (), 0, math.log(0.5), 0.0, 2, 3))
+        mod = build(horizon=2, K=2, prefix=(0,), log_p_prefix=math.log(0.5), log_q_prefix=0.0)
         assert (mod.horizon, mod.K, mod.prefix) == (2, 2, (0,))
         counters = Counters()
         override(mod, (1,), lambda ctx: q_vec, lambda ctx: p_vec, counters)
