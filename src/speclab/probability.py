@@ -63,13 +63,15 @@ class RandomSource:
         return f"RandomSource(seed={self.seed})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Distribution:
     """Probability vector over the vocabulary: entries >= 0, sum within 1e-9 of 1.
 
     A NaN or infinite entry makes the sum non-finite and is rejected. The
     mass array is made read-only here, so callers pass an array of their
-    own, and the cached ``cdf`` can never disagree with it.
+    own, and the cached ``cdf`` can never disagree with it. Distributions
+    compare and hash by identity, so a model's cached row can key a memo
+    (the K-SEQ scale in ``verifiers``); two rows of equal mass are unequal.
     """
 
     mass: np.ndarray

@@ -10,6 +10,13 @@ acceptance evaluations, rho solves (one sorted ratio table each, however
 many bisection steps read it), residual passes and modification passes.
 Draws by ``sample`` and model lookups are not counted.
 
+The K-SEQ scale rho depends only on the draft row, the target row and the
+number of surviving rows, and model rows are cached ``Distribution``s that
+recur, so ``verify_kseq`` solves each such triple once and keeps rho in a
+memo that lives as long as both rows. A rho solve is still charged to
+``vocab_scans`` wherever one is required, whether or not the memo answers
+it, so the counters of a decode do not depend on what ran before it.
+
 verify_kseq       per-position multi-draft acceptance with the rho scale; the
                   one token-level verifier
 verify_sd         verify_kseq with one row: standard speculative sampling
@@ -43,6 +50,7 @@ prefix.
 from __future__ import annotations
 
 import math
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -243,6 +251,30 @@ def kseq_rho(p: Distribution, q: Distribution, K: int, tol: float = 1e-12) -> Ks
     return KseqScale(mid, beta(mid), iterations)
 
 
+# target row -> {(weak reference to the draft row, survivors): rho}. Both rows
+# are held weakly, so the memo keeps no row alive, even one that is its own
+# draft row, and a target row's entries go with it. An entry whose draft row
+# goes first stays until its target row goes; its dead reference equals no
+# live row's.
+_RHO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _kseq_scale(p: Distribution, q: Distribution, K: int) -> float:
+    """``kseq_rho(p, q, K).rho``, solved once per (target row, draft row, K).
+
+    A miss calls ``kseq_rho`` through this module's global, so a wrapper
+    rebound over it counts real solves.
+    """
+    memo = _RHO.get(q)
+    if memo is None:
+        memo = _RHO[q] = {}
+    key = (weakref.ref(p), K)
+    rho = memo.get(key)
+    if rho is None:
+        rho = memo[key] = kseq_rho(p, q, K).rho
+    return rho
+
+
 def verify_kseq(drafts: DraftSet, scores: TargetScores, rng: RandomSource, trace=None) -> VerifyOutcome:
     """Position-by-position acceptance over the surviving draft rows.
 
@@ -251,7 +283,8 @@ def verify_kseq(drafts: DraftSet, scores: TargetScores, rng: RandomSource, trace
     so far, so their conditionals at the position coincide. Where one row
     survives rho = 1 and no scan is made: the position is a step of standard
     speculative sampling, accepting with min(1, q/p) and on rejection drawing
-    from norm(max(q - p, 0)).
+    from norm(max(q - p, 0)). Where more survive, rho comes from the memo of
+    ``_kseq_scale`` and one scan is charged, hit or miss.
     """
     counters = Counters()
     L = drafts.L
@@ -262,7 +295,7 @@ def verify_kseq(drafts: DraftSet, scores: TargetScores, rng: RandomSource, trace
         q_i = scores.cond[s0][i]
         rho = 1.0
         if len(survivors) > 1:
-            rho = kseq_rho(p_i, q_i, len(survivors)).rho
+            rho = _kseq_scale(p_i, q_i, len(survivors))
             counters.vocab_scans += 1
         accepted = None
         for k in survivors:

@@ -1,9 +1,10 @@
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from conftest import eos_free
+from speclab import verifiers
 from speclab.harness import (
     CSV_HEADER,
     ALGORITHMS,
@@ -84,6 +85,26 @@ class TestDecode:
         assert a[0] == b[0]
         assert a[1].decoded_tokens == b[1].decoded_tokens
         assert a[1].vocab_scans == b[1].vocab_scans
+
+    def test_warm_rho_memo_changes_nothing(self, monkeypatch):
+        # the second decode finds every rho in the memo, yet still charges a
+        # scan per solve, so tokens and every metric but wall_ms agree
+        solves = []
+        solve = verifiers.kseq_rho
+
+        def counted(p, q, K):
+            solves.append(K)
+            return solve(p, q, K)
+
+        monkeypatch.setattr(verifiers, "kseq_rho", counted)
+        pair = ModelPair(eos_free(random_model(6, 1, 17, 1.0)), eos_free(random_model(6, 1, 18, 1.0)))
+        cold = decode(pair, "spectr", 3, 4, (2, 0), 64, RandomSource(8))
+        n = len(solves)
+        warm = decode(pair, "spectr", 3, 4, (2, 0), 64, RandomSource(8))
+        assert n > 0 and len(solves) == n
+        assert warm[0] == cold[0]
+        assert replace(warm[1], wall_ms=0.0) == replace(cold[1], wall_ms=0.0)
+        assert cold[1].vocab_scans >= n
 
     def test_terminates_on_eos_or_cap(self):
         pair = generate_pair(4, 0, 7, 1.0, 0.9)
@@ -353,6 +374,13 @@ class TestRunExperiment:
         sd_rows = [r for r in rows if r["algo"] == "sd"]
         sg_rows = [r for r in rows if r["algo"] == "spectr-gbv"]
         assert [r["seed"] for r in sd_rows] == [r["seed"] for r in sg_rows]
+
+    def test_rows_do_not_depend_on_config_order(self, tmp_path):
+        a, b = self._cfg(algo="spectr", K=2), self._cfg(algo="spectr", K=3)
+        ab = run_experiment([a, b], str(tmp_path / "ab.csv"))
+        ba = run_experiment([b, a], str(tmp_path / "ba.csv"))
+        half = len(ab) // 2
+        assert ab == ba[half:] + ba[:half]
 
     def test_json_format(self, tmp_path):
         import json

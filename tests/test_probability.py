@@ -67,6 +67,23 @@ class TestDistribution:
             cdf[0] = 0.0
 
 
+class TestDistributionIdentity:
+    """Distributions compare and hash by identity, so model rows can key a memo."""
+
+    def test_equal_mass_is_not_equality(self):
+        d = dist(0.25, 0.75)
+        twin = Distribution(d.mass.copy())
+        assert d == d and hash(d) == hash(d)
+        assert np.array_equal(d.mass, twin.mass) and d != twin
+        assert len({d, twin, d}) == 2
+
+    def test_rows_and_normalize_results_are_hashable(self):
+        rows = Distribution.rows(np.array([[0.5, 0.5], [0.5, 0.5]]))
+        made = normalize([1.0, 1.0])
+        assert len({*rows, made}) == 3
+        assert rows[0] == rows[0] and rows[0] != rows[1] and made != rows[0]
+
+
 class TestDistributionRows:
     """The block validator rejects what ``Distribution`` rejects, row by row."""
 

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +19,9 @@ from conftest import (
     residual_sd,
     subblock_h,
 )
-from speclab.models import generate_pair
+from speclab import verifiers
+from speclab.harness import decode
+from speclab.models import ModelPair, generate_pair, random_model
 from speclab.probability import (
     LOG_ZERO,
     AllZeroMass,
@@ -35,6 +39,7 @@ from speclab.verifiers import (
     ModifiedTarget,
     TargetScores,
     _beta_table,
+    _kseq_scale,
     _surplus,
     block_residual,
     draft_rows,
@@ -501,6 +506,71 @@ def ratio_instances(V: int, count: int = 40):
             q = p
         out.append((Distribution(p / p.sum()), Distribution(q / q.sum())))
     return out
+
+
+class TestKseqMemo:
+    """``verify_kseq`` takes rho from a memo keyed by (target row, draft row,
+    survivors): a hit is bit for bit the solve it stands for, and an entry
+    lives no longer than its rows."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+
+        def counted(p, q, K):
+            calls.append(K)
+            return kseq_rho(p, q, K)
+
+        monkeypatch.setattr(verifiers, "kseq_rho", counted)
+        return calls
+
+    @pytest.mark.parametrize("V", [2, 5, 16, 1024])
+    def test_hit_equals_a_fresh_solve(self, V, solves):
+        for p, q in ratio_instances(V):
+            for K in range(2, 9):
+                # each row also serves in the other role, under its own key
+                for d, t in ((p, q), (q, p)):
+                    want = kseq_rho(d, t, K).rho
+                    assert _kseq_scale(d, t, K) == want
+                    n = len(solves)
+                    assert _kseq_scale(d, t, K) == want
+                    assert len(solves) == n
+
+    def test_a_collected_draft_row_answers_for_no_other(self):
+        # each draft row is freed before the next is built, which CPython
+        # tends to place at the same address: a key by id() would hit
+        q = dist(0.7, 0.2, 0.1)
+        for n in range(20):
+            p = normalize([1.0 + n, 1.0, 1.0])
+            assert _kseq_scale(p, q, 2) == kseq_rho(p, q, 2).rho
+            del p
+
+    @staticmethod
+    def _decode_and_watch(pairs):
+        """Decode ``spectr`` on each pair; weak references to every row the
+        decodes looked up, after checking that the memo holds some of them."""
+        rows = []
+        for pair in pairs:
+            decode(pair, "spectr", 3, 4, (0, 1), 48, RandomSource(3))
+            rows += [*pair.draft._rows.values(), *pair.target._rows.values()]
+        assert any(d in verifiers._RHO for d in rows)
+        return [weakref.ref(d) for d in rows]
+
+    @pytest.mark.parametrize("shape", ["pair", "matched", "swapped"])
+    def test_entries_go_with_their_rows(self, shape):
+        # a matched pair makes one row both the draft and the target row of a
+        # key, and swapped pairs make each row the other's draft row: a memo
+        # holding its draft rows strongly would keep these rows alive
+        a, b = random_model(5, 1, 11, 1.0), random_model(5, 1, 12, 1.0)
+        pairs = {
+            "pair": [ModelPair(a, b)],
+            "matched": [ModelPair(a, a)],
+            "swapped": [ModelPair(a, b), ModelPair(b, a)],
+        }[shape]
+        refs = self._decode_and_watch(pairs)
+        del a, b, pairs
+        gc.collect()
+        assert all(r() is None for r in refs)
 
 
 class TestVerifyKseq:
