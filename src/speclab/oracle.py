@@ -275,8 +275,11 @@ def _output_joint(
     """Exact law of the completed output prefix at ``depth`` tokens.
 
     Each leaf contributes its block, then the extra token, then tokens from
-    the modified target chain. Returns the joint table and the probability
-    mass that flowed through raw-conditional fallbacks.
+    the modified target chain. Returns the joint table and the expected
+    number of raw-conditional fallback draws in an output: a path is charged
+    its mass at the extra token and again at each modified-target position
+    that falls back, so this is a count, not a probability mass, and can
+    exceed 1.
     """
     out: dict[tuple[int, ...], float] = {}
     fallback_mass = 0.0
@@ -318,7 +321,13 @@ def _output_joint(
 
 @dataclass
 class ExactReport:
-    """Everything the exact enumeration learned about one instance."""
+    """Everything the exact enumeration learned about one instance.
+
+    ``fallback_mass`` is the expected number of draws per output that fell
+    back to the raw target conditional (the extra token and each
+    modified-target position count apart), not the probability of a
+    fallback.
+    """
 
     vocab_size: int
     L: int

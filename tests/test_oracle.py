@@ -407,6 +407,18 @@ class TestEmptyResidualFallback:
         assert abs(report.fallback_mass - 2 * want) < 1e-12
         assert abs(report.fallback_mass - fallback) < 5e-5
 
+    def test_fallback_mass_counts_each_fallback_draw(self, matched_pair):
+        # at L = 3 a tau = 0 path falls back at the extra token and at both
+        # positions of the modified target's horizon, so the report counts
+        # three draws per such path: an expected count, not a mass
+        report = exact_output_distribution(matched_pair, 3, 2)
+        got = sum(m for (tau, _t), m in report.leaves.items() if tau == 0)
+        want = float(matched_tau0_mass((0.4, 0.3, 0.2, 0.1), 3, 2))
+        assert abs(got - want) < 1e-12
+        assert abs(got - 0.2499) < 5e-5
+        assert abs(report.fallback_mass - 3 * want) < 1e-12
+        assert abs(report.fallback_mass - 0.7497) < 5e-5
+
     @pytest.mark.parametrize("K", [1, 2])
     def test_verifier_warning_rate_matches_oracle(self, matched_pair, K):
         tau0 = float(matched_tau0_mass((0.4, 0.3, 0.2, 0.1), 2, K))
