@@ -13,9 +13,10 @@ Draws by ``sample`` and model lookups are not counted.
 The K-SEQ scale rho depends only on the draft row, the target row and the
 number of surviving rows, and model rows are cached ``Distribution``s that
 recur, so ``verify_kseq`` solves each such triple once and keeps rho in a
-memo that lives as long as both rows. A rho solve is still charged to
-``vocab_scans`` wherever one is required, whether or not the memo answers
-it, so the counters of a decode do not depend on what ran before it.
+memo that holds both rows weakly and drops a target row's entries with it.
+A rho solve is still charged to ``vocab_scans`` wherever one is required,
+whether or not the memo answers it, so the counters of a decode do not
+depend on what ran before it.
 
 verify_kseq       per-position multi-draft acceptance with the rho scale; the
                   one token-level verifier
