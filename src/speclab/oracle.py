@@ -2,10 +2,12 @@
 
 The event tree integrates the shipped block-verification code exactly. The
 draft rows are i.i.d., and the scan's future depends only on (tau, accepted
-prefix, rejected sub-blocks longer than tau), so the enumerator folds one
-row at a time over a dict from that state to its mass, equal states merged,
-with each row's outcome law in closed form (``_row_law``). Every leaf is
-then completed through the modified target chain. The acceptance rules and
+prefix, rejected sub-blocks longer than tau), so the enumerator folds rows
+1 to K - 1 one at a time over a dict from that state to its mass, equal
+states merged, with each row's outcome law in closed form (``_row_law``).
+The last row makes no new state, only leaves, so it is folded once for
+every state together, level by level up the draft trie (``_last_row``).
+Every leaf is then completed through the modified target chain. The acceptance rules and
 the residual (``subblock_accept_prob``, ``full_block_accept_prob``,
 ``block_residual``) and the chains (``harness.RawChain``,
 ``harness.ModifiedChain``) are the ones decoding runs. The fold over the
@@ -181,7 +183,8 @@ class _Instance:
 def _row_law(inst: _Instance, tau: int, row: tuple[int, ...], hit: frozenset) -> list:
     """(next tau, rejections longer than it, probability) triples: the law
     of one row's tests from accepted length tau, where ``hit`` holds the
-    row's prefixes longer than tau that the rejected set H holds.
+    row's prefixes longer than tau that the rejected set H holds. Rows 1 to
+    K - 1 use it; ``_last_row`` folds the last row without it.
 
     The row tests its sub-blocks longer than tau and not in H. tau becomes
     the longest accepted length i, with probability h_i times the rejection
@@ -216,12 +219,79 @@ def _row_law(inst: _Instance, tau: int, row: tuple[int, ...], hit: frozenset) ->
     return law
 
 
+def _last_row(inst: _Instance, nodes: list, states: dict, leaves: dict) -> float:
+    """Add the last row's leaves from every state in ``states`` to
+    ``leaves``; return the largest |outcome mass of a state / its mass - 1|.
+
+    ``nodes[l]`` lists the length-l blocks in lexicographic order, so the
+    children of node j at level l are nodes V*j to V*j + V - 1 at level
+    l + 1. Bottom up, R_l[s, u] is the probability that the row starts with
+    u and that every test at level l or deeper rejects from state s:
+
+        R_L[s, b] = p(b) (1 - h_full(b) [b not in H_s])
+        R_l[s, u] = (1 - h_l(u) [u not in H_s]) sum_x R_{l+1}[s, u + x]
+
+    State s tests only levels above tau_s, and it reads R only there. Its
+    stay leaf (tau_s, t_s) gets m_s sum_v R_{tau_s + 1}[s, v]; leaf (i, u),
+    i > tau_s, gets m_s [u not in H_s] h_i(u) sum_x R_{i+1}[s, u + x]; and
+    leaf (L, b) gets m_s [b not in H_s] p(b) h_full(b). Only one level's
+    arrays are alive at a time.
+    """
+    V, L = inst.V, inst.L
+    keys = list(states)
+    S = len(keys)
+    mass = np.fromiter(states.values(), float, S)
+    tau = np.fromiter((k[0] for k in keys), int, S)
+    index = {u: j for level in nodes for j, u in enumerate(level)}
+    held: list = [([], []) for _ in range(L + 1)]  # (states, nodes) where H_s holds the node
+    for s, (_tau, _t, H) in enumerate(keys):
+        for u in H:
+            held[len(u)][0].append(s)
+            held[len(u)][1].append(index[u])
+
+    def in_h(level: int) -> np.ndarray:
+        mask = np.zeros((S, V**level), dtype=bool)
+        mask[held[level]] = True
+        return mask
+
+    def emit(level: int, got: np.ndarray) -> None:
+        for j in np.flatnonzero(got > 0.0):
+            key = (level, nodes[level][j])
+            leaves[key] = leaves.get(key, 0.0) + float(got[j])
+
+    p = np.array([inst.joints(b)[0] for b in nodes[L]])
+    h = np.array([inst.h_fullblock(b) if w > 0.0 else 0.0 for b, w in zip(nodes[L], p)])
+    hit = in_h(L)
+    emit(L, (mass @ ~hit) * p * h)
+    total = (~hit) @ (p * h)
+    R = np.where(hit, p, p * (1.0 - h))
+    stay = np.zeros(S)
+    for i in range(L - 1, -1, -1):
+        # R is R_{i+1}: the states at tau = i stay if every test rejects
+        at = tau == i
+        stay[at] = R[at].sum(axis=1)
+        if i == 0:
+            break
+        below = R.reshape(S, -1, V).sum(axis=2)
+        hit = in_h(i)
+        h = np.array([inst.h_part.get(u, 0.0) for u in nodes[i]])
+        accept = np.where(hit | (tau[:, None] >= i), 0.0, below * h)
+        emit(i, mass @ accept)
+        total += accept.sum(axis=1)
+        R = np.where(hit, below, below * (1.0 - h))
+    for s, (t_s, t, _H) in enumerate(keys):
+        if stay[s] > 0.0:
+            leaves[(t_s, t)] = leaves.get((t_s, t), 0.0) + mass[s] * stay[s]
+    return float(np.abs(total + stay - 1.0).max(initial=0.0))
+
+
 def _enumerate_leaves(inst: _Instance) -> tuple[dict, dict]:
-    """Leaf masses of the scan: each i.i.d. draft row folds a dict from the
+    """Leaf masses of the scan. Rows 1 to K - 1 each fold a dict from the
     state (tau, accepted prefix t, rejected sub-blocks H longer than tau) to
-    its mass, and after the last row only (tau, t) is kept. A row's law
-    depends on the state only through tau and which of its prefixes H
-    holds, so it is computed once per such pair.
+    its mass; a row's law depends on the state only through tau and which
+    of its prefixes H holds, so it is computed once per such pair. The last
+    row only emits leaves, keyed (tau, t), and ``_last_row`` folds it for
+    all states at once.
     """
     V, L, K = inst.V, inst.L, inst.K
     if V ** (K * L) > MAX_ENUM:
@@ -229,11 +299,12 @@ def _enumerate_leaves(inst: _Instance) -> tuple[dict, dict]:
     # the joints read both chains at every context shorter than L, and the
     # first row of the fold tests every proper prefix of every row: each set
     # is asked for in one batch
-    heads = [c for i in range(L) for c in itertools.product(range(V), repeat=i)]
+    nodes = [list(itertools.product(range(V), repeat=i)) for i in range(L + 1)]
+    heads = [c for level in nodes[:L] for c in level]
     inst.pchain.conditionals(heads)
     inst.qchain.conditionals(heads)
     rows = []  # (row, draft weight, the row's prefixes, its laws by (tau, hit))
-    for b in itertools.product(range(V), repeat=L):
+    for b in nodes[L]:
         w = inst.joints(b)[0]
         if w > 0.0:
             rows.append((b, w, frozenset(b[:i] for i in range(1, L + 1)), {}))
@@ -241,8 +312,7 @@ def _enumerate_leaves(inst: _Instance) -> tuple[dict, dict]:
     max_leafsum_err = 0.0
     leaves: dict[tuple[int, tuple[int, ...]], float] = {}
     states = {(0, (), frozenset()): 1.0}
-    for k in range(K):
-        last = k == K - 1
+    for _ in range(K - 1):
         nxt: dict = {}
         for (tau, t, H), mass in states.items():
             for row, w, prefixes, laws in rows:
@@ -253,14 +323,15 @@ def _enumerate_leaves(inst: _Instance) -> tuple[dict, dict]:
                     max_leafsum_err = max(max_leafsum_err, abs(sum(pr for _, _, pr in law) - 1.0))
                 m = mass * w
                 for tau2, rejected, pr in law:
-                    t2 = t if tau2 == tau else row[:tau2]
-                    if tau2 == L or last:
-                        leaves[(tau2, t2)] = leaves.get((tau2, t2), 0.0) + m * pr
+                    if tau2 == L:
+                        leaves[(L, row)] = leaves.get((L, row), 0.0) + m * pr
                         continue
+                    t2 = t if tau2 == tau else row[:tau2]
                     kept = H if tau2 == tau else frozenset(s for s in H if len(s) > tau2)
                     key = (tau2, t2, kept.union(rejected))
                     nxt[key] = nxt.get(key, 0.0) + m * pr
         states = nxt
+    max_leafsum_err = max(max_leafsum_err, _last_row(inst, nodes, states, leaves))
     diag = {
         "tuples": len(rows) ** K,
         "leaf_states": len(leaves),
