@@ -242,17 +242,17 @@ def _last_row(inst: _Instance, nodes: list, states: dict, leaves: dict) -> float
     S = len(keys)
     mass = np.fromiter(states.values(), float, S)
     tau = np.fromiter((k[0] for k in keys), int, S)
-    index = {u: j for level in nodes for j, u in enumerate(level)}
-    held: list = [([], []) for _ in range(L + 1)]  # (states, nodes) where H_s holds the node
-    for s, (_tau, _t, H) in enumerate(keys):
-        for u in H:
-            held[len(u)][0].append(s)
-            held[len(u)][1].append(index[u])
+    # held[s, j]: H_s holds node j, with level l's nodes at columns start[l]:start[l + 1]
+    index = {u: j for j, u in enumerate(u for level in nodes for u in level)}
+    start = np.cumsum([0] + [len(level) for level in nodes])
+    held = np.zeros((S, start[-1]), dtype=bool)
+    held[
+        np.fromiter((s for s, (_tau, _t, H) in enumerate(keys) for _u in H), np.intp),
+        np.fromiter((index[u] for _tau, _t, H in keys for u in H), np.intp),
+    ] = True
 
     def in_h(level: int) -> np.ndarray:
-        mask = np.zeros((S, V**level), dtype=bool)
-        mask[held[level]] = True
-        return mask
+        return held[:, start[level]:start[level + 1]]
 
     def emit(level: int, got: np.ndarray) -> None:
         for j in np.flatnonzero(got > 0.0):
@@ -262,26 +262,29 @@ def _last_row(inst: _Instance, nodes: list, states: dict, leaves: dict) -> float
     p = np.array([inst.joints(b)[0] for b in nodes[L]])
     h = np.array([inst.h_fullblock(b) if w > 0.0 else 0.0 for b, w in zip(nodes[L], p)])
     hit = in_h(L)
-    emit(L, (mass @ ~hit) * p * h)
-    total = (~hit) @ (p * h)
+    free = ~hit
+    emit(L, (mass @ free) * p * h)
+    total = free @ (p * h)
     R = np.where(hit, p, p * (1.0 - h))
     stay = np.zeros(S)
     for i in range(L - 1, -1, -1):
         # R is R_{i+1}: the states at tau = i stay if every test rejects
         at = tau == i
-        stay[at] = R[at].sum(axis=1)
+        stay[at] = R.sum(axis=1)[at]
         if i == 0:
             break
-        below = R.reshape(S, -1, V).sum(axis=2)
+        R = R.reshape(S, -1, V).sum(axis=2)  # sum_x R_{i+1}[s, u + x]
         hit = in_h(i)
         h = np.array([inst.h_part.get(u, 0.0) for u in nodes[i]])
-        accept = np.where(hit | (tau[:, None] >= i), 0.0, below * h)
+        accept = R * h
+        accept[hit | (tau[:, None] >= i)] = 0.0
         emit(i, mass @ accept)
         total += accept.sum(axis=1)
-        R = np.where(hit, below, below * (1.0 - h))
-    for s, (t_s, t, _H) in enumerate(keys):
-        if stay[s] > 0.0:
-            leaves[(t_s, t)] = leaves.get((t_s, t), 0.0) + mass[s] * stay[s]
+        np.multiply(R, 1.0 - h, out=R, where=~hit)  # now R_i
+    stayed = mass * stay
+    for s, (tau_s, t, _H) in enumerate(keys):
+        if stayed[s] > 0.0:
+            leaves[(tau_s, t)] = leaves.get((tau_s, t), 0.0) + float(stayed[s])
     return float(np.abs(total + stay - 1.0).max(initial=0.0))
 
 
