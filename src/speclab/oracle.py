@@ -7,13 +7,13 @@ prefix, rejected sub-blocks longer than tau), so the enumerator folds rows
 states merged, with each row's outcome law in closed form (``_row_law``).
 The last row makes no new state, only leaves, so it is folded once for
 every state together, level by level up the draft trie (``_last_row``).
-Every leaf is then completed through the modified target chain. The acceptance rules and
-the residual (``subblock_accept_prob``, ``full_block_accept_prob``,
-``block_residual``) and the chains (``harness.RawChain``,
-``harness.ModifiedChain``) are the ones decoding runs. The fold over the
-scan and the closed forms the tree is checked against are written here,
-apart from the verifiers, so agreement between the two is evidence rather
-than tautology.
+Every leaf is then completed through the modified target chain. The
+acceptance rules and the residual (``subblock_accept_prob``,
+``full_block_accept_prob``, ``block_residual``) and the chains
+(``harness.RawChain``, ``harness.ModifiedChain``) are the ones decoding
+runs. The fold over the scan and the closed forms the tree is checked
+against are written here, apart from the verifiers, so agreement between
+the two is evidence rather than tautology.
 
 The reports check three closed forms against the enumerated tree:
 

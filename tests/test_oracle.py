@@ -228,12 +228,17 @@ class TestEventTree:
         assert all(tau == 3 for (tau, _t) in report.leaves)
 
     def test_single_draft_tree_matches_gbv_tree(self):
-        for seed in range(4):
-            pair = generate_pair(3, 1, seed + 10, 1.0, 0.4)
-            a = exact_output_distribution(pair, 2, 1)
-            b_leaves, b_lemma = gbv_reference(pair, 2)
+        # at V = 4, L = 3 the K = 1 fold runs level by level over a 64-leaf trie
+        cases = [(generate_pair(3, 1, seed + 10, 1.0, 0.4), 2) for seed in range(4)]
+        cases += [(generate_pair(4, 1, seed + 20, 1.0, 0.5), 3) for seed in range(2)]
+        for pair, L in cases:
+            a = exact_output_distribution(pair, L, 1)
+            b_leaves, b_lemma = gbv_reference(pair, L)
             b_tau = sum(tau * m for (tau, _t), m in b_leaves.items())
             assert abs(a.expected_tau - b_tau) < 1e-12
+            assert {k for k, m in a.leaves.items() if m > 0.0} == {
+                k for k, m in b_leaves.items() if m > 0.0
+            }
             keys = set(a.leaves) | set(b_leaves)
             for key in keys:
                 assert abs(a.leaves.get(key, 0.0) - b_leaves.get(key, 0.0)) < 1e-12
@@ -241,20 +246,6 @@ class TestEventTree:
                 got_b, claimed_b = b_lemma[blk]
                 assert abs(got - got_b) < 1e-12
                 assert abs(claimed - claimed_b) < 1e-12
-
-    def test_single_draft_tree_matches_gbv_tree_at_four_tokens(self):
-        # K = 1 folds only the last row, level by level over a 64-leaf trie
-        for seed in range(2):
-            pair = generate_pair(4, 1, seed + 20, 1.0, 0.5)
-            a = exact_output_distribution(pair, 3, 1)
-            b_leaves, b_lemma = gbv_reference(pair, 3)
-            assert {k for k, m in a.leaves.items() if m > 0.0} == {
-                k for k, m in b_leaves.items() if m > 0.0
-            }
-            for key in set(a.leaves) | set(b_leaves):
-                assert abs(a.leaves.get(key, 0.0) - b_leaves.get(key, 0.0)) < 1e-12
-            for blk, (got, _claimed) in a.lemma_masses.items():
-                assert abs(got - b_lemma[blk][0]) < 1e-12
 
     def test_leaf_mass_conserved(self, canonical_pair):
         for K in (1, 2, 3):
@@ -303,37 +294,28 @@ class TestRowFold:
     PAIRS = (generate_pair(2, 1, 7, 1.0, 0.5), generate_pair(2, 1, 2, 0.05, 0.5))
     PAIRS_V3 = (generate_pair(3, 1, 7, 1.0, 0.5), generate_pair(3, 1, 2, 0.05, 0.5))
 
-    @staticmethod
-    def check_against_walk(pair, L, K, context):
-        r = exact_output_distribution(pair, L, K, context=context)
-        ref, seen = walk_reference(pair, L, K, context)
-        assert r.max_leafsum_err < 1e-12
-        assert {k for k, m in r.leaves.items() if m > 0.0} == {k for k, m in ref.items() if m > 0.0}
-        for key in set(r.leaves) | set(ref):
-            assert abs(r.leaves.get(key, 0.0) - ref.get(key, 0.0)) < 1e-12, (L, K, key)
-        ref_tau = sum(tau * m for (tau, _t), m in ref.items())
-        assert abs(r.expected_tau - ref_tau) < 1e-12
-        accepted: dict = {}
-        for (tau, t), m in ref.items():
-            for i in range(1, tau + 1):
-                accepted[t[:i]] = accepted.get(t[:i], 0.0) + m
-        for blk, (got, _claimed) in r.lemma_masses.items():
-            assert abs(got - accepted.get(blk, 0.0)) < 1e-12, (L, K, blk)
-        return seen
-
     def test_fold_matches_tuple_walk(self):
+        cells = [(pair, L, K) for pair in self.PAIRS for L in (1, 2, 3) for K in (1, 2, 3, 4)]
+        cells += [(pair, L, K) for pair in self.PAIRS_V3 for L, K in ((2, 2), (2, 3), (3, 2))]
         events = set()
-        for pair, context, L, K in itertools.product(self.PAIRS, ((), (1,)), (1, 2, 3), (1, 2, 3, 4)):
-            events |= self.check_against_walk(pair, L, K, context)
+        for (pair, L, K), context in itertools.product(cells, ((), (1,))):
+            r = exact_output_distribution(pair, L, K, context=context)
+            ref, seen = walk_reference(pair, L, K, context)
+            events |= seen
+            assert r.max_leafsum_err < 1e-12
+            positive = {key for key, m in ref.items() if m > 0.0}
+            assert {key for key, m in r.leaves.items() if m > 0.0} == positive, (L, K)
+            for key in set(r.leaves) | set(ref):
+                assert abs(r.leaves.get(key, 0.0) - ref.get(key, 0.0)) < 1e-12, (L, K, key)
+            ref_tau = sum(tau * m for (tau, _t), m in ref.items())
+            assert abs(r.expected_tau - ref_tau) < 1e-12
+            accepted: dict = {}
+            for (tau, t), m in ref.items():
+                for i in range(1, tau + 1):
+                    accepted[t[:i]] = accepted.get(t[:i], 0.0) + m
+            for blk, (got, _claimed) in r.lemma_masses.items():
+                assert abs(got - accepted.get(blk, 0.0)) < 1e-12, (L, K, blk)
         assert events == {"skip", "h0", "h1"}
-
-    def test_fold_matches_tuple_walk_at_three_tokens(self):
-        events = set()
-        for pair, context, (L, K) in itertools.product(
-            self.PAIRS_V3, ((), (1,)), ((2, 2), (2, 3), (3, 2))
-        ):
-            events |= self.check_against_walk(pair, L, K, context)
-        assert {"skip", "h0"} <= events
 
     def test_tuples_count_positive_weight_draft_tuples(self):
         pair = self.PAIRS[1]
