@@ -1,19 +1,22 @@
 """Ground-truth computations at tiny scale.
 
-The event tree integrates the shipped block-verification code exactly. The
-draft rows are i.i.d., and the scan's future depends only on (tau, accepted
-prefix, rejected sub-blocks longer than tau), so the enumerator folds rows
-1 to K - 1 one at a time over a dict from that state to its mass, equal
-states merged, with each row's outcome law in closed form (``_row_law``).
-The last row makes no new state, only leaves, so it is folded once for
-every state together, level by level up the draft trie (``_last_row``).
-Every leaf is then completed through the modified target chain. The
-acceptance rules and the residual (``subblock_accept_prob``,
-``full_block_accept_prob``, ``block_residual``) and the chains
-(``harness.RawChain``, ``harness.ModifiedChain``) are the ones decoding
-runs. The fold over the scan and the closed forms the tree is checked
-against are written here, apart from the verifiers, so agreement between
-the two is evidence rather than tautology.
+The event tree integrates the shipped block-verification code exactly. A
+row's tests are fixed when it starts, each test's acceptance depends only
+on its own sub-block, and the rejected set H only grows, so each trie node
+is tested at most once: a rejected node is skipped after that, and an
+accepted one lifts tau past its level. The scan's law is therefore that of
+one frozen coin per node, C_u ~ Bernoulli(h(u)), drawn independently of
+the i.i.d. draft rows: tau is the deepest level holding a drafted node with
+C = 1 (0 if none), and t is that node, from the earliest row reaching it.
+A duplicated row reads the same coins again. ``_enumerate_leaves`` sums
+this law over the row counts through each node, bottom up the trie, in
+exponential generating functions. Every leaf is then completed through the
+modified target chain. The acceptance rules and the residual
+(``subblock_accept_prob``, ``full_block_accept_prob``, ``block_residual``)
+and the chains (``harness.RawChain``, ``harness.ModifiedChain``) are the
+ones decoding runs. The recursion over the scan and the closed forms the
+tree is checked against are written here, apart from the verifiers, so
+agreement between the two is evidence rather than tautology.
 
 The reports check three closed forms against the enumerated tree:
 
@@ -27,6 +30,7 @@ The reports check three closed forms against the enumerated tree:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -37,7 +41,7 @@ import numpy as np
 
 from .harness import ModifiedChain, RawChain
 from .models import ModelPair
-from .probability import LOG_ZERO, AllZeroMass, PrefixJoint, extend_joint
+from .probability import AllZeroMass, PrefixJoint, extend_joint
 from .verifiers import (
     Counters,
     ModifiedTarget,
@@ -70,18 +74,6 @@ def _model_joint(model, temperature: float, context: tuple[int, ...], blk: tuple
     for j, tok in enumerate(blk):
         p *= float(model.conditional(context + blk[:j], temperature).mass[tok])
     return p
-
-
-def _log_chain_joint(chain, seq: Sequence[int]) -> float:
-    lp = 0.0
-    ctx: tuple[int, ...] = ()
-    for tok in seq:
-        v = float(chain.conditional(ctx).mass[tok])
-        if v <= 0.0:
-            return LOG_ZERO
-        lp += math.log(v)
-        ctx = ctx + (int(tok),)
-    return lp
 
 
 @dataclass
@@ -180,165 +172,114 @@ class _Instance:
         return ModifiedChain(self.qchain, self.pchain, mod, self.context + prefix, Counters())
 
 
-def _row_law(inst: _Instance, tau: int, row: tuple[int, ...], hit: frozenset) -> list:
-    """(next tau, rejections longer than it, probability) triples: the law
-    of one row's tests from accepted length tau, where ``hit`` holds the
-    row's prefixes longer than tau that the rejected set H holds. Rows 1 to
-    K - 1 use it; ``_last_row`` folds the last row without it.
-
-    The row tests its sub-blocks longer than tau and not in H. tau becomes
-    the longest accepted length i, with probability h_i times the rejection
-    of every longer test, or stays if every test rejects. The full-block
-    test comes last: next tau is L if it accepts, else the row joins the
-    rejections.
-    """
-    L = inst.L
-    # a row in H rejects with certainty, and re-adding it to H changes nothing
-    h_full = 0.0 if row in hit else inst.h_fullblock(row)
-    law = []
-
-    def outcome(tau2: int, rejected: tuple, pr: float) -> None:
-        if pr <= 0.0:
-            return
-        if h_full > 0.0:
-            law.append((L, (), pr * h_full))
-        if h_full < 1.0:
-            law.append((tau2, rejected, pr * (1.0 - h_full)))
-
-    rejected = (row,)
-    miss = 1.0  # probability that every test longer than i rejects
-    for i in range(L - 1, tau, -1):
-        sub = row[:i]
-        if sub in hit:
-            continue
-        h = inst.h_part[sub]  # computed up front by _enumerate_leaves
-        outcome(i, rejected, miss * h)
-        rejected += (sub,)
-        miss *= 1.0 - h
-    outcome(tau, rejected, miss)
-    return law
+@functools.cache
+def _series(n: int, dims: int) -> tuple:
+    """Power series in ``dims`` variables cut at total degree n - 1, as
+    vectors of coefficients over the exponent tuples in lexicographic order,
+    the constant term first. Returns the exponents, one row per variable,
+    and the index arrays i, j and runs of the product: its coefficient r is
+    the sum of x[i[k]] y[j[k]] over the run of k that starts at runs[r]."""
+    exps = [e for e in itertools.product(range(n), repeat=dims) if sum(e) < n]
+    index = {e: r for r, e in enumerate(exps)}
+    r, i, j = np.array(sorted(
+        (index[tuple(map(sum, zip(s, t)))], i, j)
+        for i, s in enumerate(exps) for j, t in enumerate(exps) if sum(s) + sum(t) < n
+    )).T
+    return np.array(exps).T, i, j, np.flatnonzero(np.diff(r, prepend=-1))
 
 
-def _last_row(inst: _Instance, nodes: list, states: dict, leaves: dict) -> float:
-    """Add the last row's leaves from every state in ``states`` to
-    ``leaves``; return the largest |outcome mass of a state / its mass - 1|.
+def _mul(x: np.ndarray, y: np.ndarray, series: tuple) -> np.ndarray:
+    """Products of two batches of series, one per row."""
+    _exps, i, j, runs = series
+    return np.add.reduceat(x[:, i] * y[:, j], runs, axis=1)
 
-    ``nodes[l]`` lists the length-l blocks in lexicographic order, so the
-    children of node j at level l are nodes V*j to V*j + V - 1 at level
-    l + 1. Bottom up, R_l[s, u] is the probability that the row starts with
-    u and that every test at level l or deeper rejects from state s:
 
-        R_L[s, b] = p(b) (1 - h_full(b) [b not in H_s])
-        R_l[s, u] = (1 - h_l(u) [u not in H_s]) sum_x R_{l+1}[s, u + x]
+def _others(x: np.ndarray, series: tuple) -> np.ndarray:
+    """Row u is the product of every row of ``x`` but u: an exclusive prefix
+    scan times an exclusive suffix scan, each by doubling, so that nothing
+    is divided out."""
 
-    State s tests only levels above tau_s, and it reads R only there. Its
-    stay leaf (tau_s, t_s) gets m_s sum_v R_{tau_s + 1}[s, v]; leaf (i, u),
-    i > tau_s, gets m_s [u not in H_s] h_i(u) sum_x R_{i+1}[s, u + x]; and
-    leaf (L, b) gets m_s [b not in H_s] p(b) h_full(b). Only one level's
-    arrays are alive at a time.
-    """
-    V, L = inst.V, inst.L
-    keys = list(states)
-    S = len(keys)
-    mass = np.fromiter(states.values(), float, S)
-    tau = np.fromiter((k[0] for k in keys), int, S)
-    # held[s, j]: H_s holds node j, with level l's nodes at columns start[l]:start[l + 1]
-    index = {u: j for j, u in enumerate(u for level in nodes for u in level)}
-    start = np.cumsum([0] + [len(level) for level in nodes])
-    held = np.zeros((S, start[-1]), dtype=bool)
-    held[
-        np.fromiter((s for s, (_tau, _t, H) in enumerate(keys) for _u in H), np.intp),
-        np.fromiter((index[u] for _tau, _t, H in keys for u in H), np.intp),
-    ] = True
+    def prefix(x):
+        x = x.copy()
+        d = 1
+        while d < len(x):
+            x[d:] = _mul(x[:-d], x[d:], series)
+            d *= 2
+        one = np.zeros_like(x[:1])
+        one[0, 0] = 1.0
+        return np.concatenate([one, x[:-1]])
 
-    def in_h(level: int) -> np.ndarray:
-        return held[:, start[level]:start[level + 1]]
-
-    def emit(level: int, got: np.ndarray) -> None:
-        for j in np.flatnonzero(got > 0.0):
-            key = (level, nodes[level][j])
-            leaves[key] = leaves.get(key, 0.0) + float(got[j])
-
-    p = np.array([inst.joints(b)[0] for b in nodes[L]])
-    h = np.array([inst.h_fullblock(b) if w > 0.0 else 0.0 for b, w in zip(nodes[L], p)])
-    hit = in_h(L)
-    free = ~hit
-    emit(L, (mass @ free) * p * h)
-    total = free @ (p * h)
-    R = np.where(hit, p, p * (1.0 - h))
-    stay = np.zeros(S)
-    for i in range(L - 1, -1, -1):
-        # R is R_{i+1}: the states at tau = i stay if every test rejects
-        at = tau == i
-        stay[at] = R.sum(axis=1)[at]
-        if i == 0:
-            break
-        R = R.reshape(S, -1, V).sum(axis=2)  # sum_x R_{i+1}[s, u + x]
-        hit = in_h(i)
-        h = np.array([inst.h_part.get(u, 0.0) for u in nodes[i]])
-        accept = R * h
-        accept[hit | (tau[:, None] >= i)] = 0.0
-        emit(i, mass @ accept)
-        total += accept.sum(axis=1)
-        np.multiply(R, 1.0 - h, out=R, where=~hit)  # now R_i
-    stayed = mass * stay
-    for s, (tau_s, t, _H) in enumerate(keys):
-        if stayed[s] > 0.0:
-            leaves[(tau_s, t)] = leaves.get((tau_s, t), 0.0) + float(stayed[s])
-    return float(np.abs(total + stay - 1.0).max(initial=0.0))
+    return _mul(prefix(x), prefix(x[::-1])[::-1], series)
 
 
 def _enumerate_leaves(inst: _Instance) -> tuple[dict, dict]:
-    """Leaf masses of the scan. Rows 1 to K - 1 each fold a dict from the
-    state (tau, accepted prefix t, rejected sub-blocks H longer than tau) to
-    its mass; a row's law depends on the state only through tau and which
-    of its prefixes H holds, so it is computed once per such pair. The last
-    row only emits leaves, keyed (tau, t), and ``_last_row`` folds it for
-    all states at once.
+    """Leaf masses of the scan, from its frozen coins (module docstring).
+
+    Write p for the draft joint of a node, h for its test's acceptance and
+    g_u(m) = p(u)^m G_u(m) / m!, where G_u(m) is the probability that every
+    drafted node below u has coin 0 given that m of the K rows pass through
+    u. The rows through u split over its children multinomially, so bottom
+    up, with g_b(m) = p(b)^m / m! at level L,
+
+        g_u = prod_x f_{ux},  f_v(m) = (1 - h(v))^[m >= 1] g_v(m),
+
+    as power series cut at degree K, and the stay leaf (0, ()) has mass
+    K! g_root(K). Leaf (i, u) splits the rows into the A rows before the
+    winner, whose level-i nodes have coin 0, the winner, through u with
+    C_u = 1, and the C = K - 1 - A rows after it:
+
+        Phi_v(y, z) = sum_{a, c} (a + c)! / (a! c!) (1 - h(v))^[a >= 1] g_v(a + c) y^a z^c
+        W_u(z) = sum_c (1 + c) g_u(1 + c) z^c
+        mass(i, u) = h(u) sum_{A + C = K - 1} A! C! [y^A z^C] (prod_{v != u} Phi_v) W_u
+
+    over the level-i nodes v, in lexicographic order. Only sums of products
+    are formed, so a leaf that a zero factor removes has mass exactly 0 and
+    is left out.
     """
     V, L, K = inst.V, inst.L, inst.K
-    if V ** (K * L) > MAX_ENUM:
-        raise TooLarge(f"V^(K*L) = {V ** (K * L)} exceeds {MAX_ENUM}")
-    # the joints read both chains at every context shorter than L, and the
-    # first row of the fold tests every proper prefix of every row: each set
-    # is asked for in one batch
+    # each level multiplies up to V^L bivariate series cut at total degree
+    # K - 1, each product over C(K + 3, 4) pairs of coefficients
+    work = V**L * math.comb(K + 3, 4)
+    if work > MAX_ENUM:
+        raise TooLarge(f"V^L * C(K + 3, 4) = {work} exceeds {MAX_ENUM}")
+    # the joints read both chains at every context shorter than L, and every
+    # drafted proper prefix is tested: each set is asked for in one batch
     nodes = [list(itertools.product(range(V), repeat=i)) for i in range(L + 1)]
     heads = [c for level in nodes[:L] for c in level]
     inst.pchain.conditionals(heads)
     inst.qchain.conditionals(heads)
-    rows = []  # (row, draft weight, the row's prefixes, its laws by (tau, hit))
-    for b in nodes[L]:
-        w = inst.joints(b)[0]
-        if w > 0.0:
-            rows.append((b, w, frozenset(b[:i] for i in range(1, L + 1)), {}))
-    inst.h_partial(list(dict.fromkeys(b[:i] for b, *_ in rows for i in range(1, L))))
-    max_leafsum_err = 0.0
-    leaves: dict[tuple[int, tuple[int, ...]], float] = {}
-    states = {(0, (), frozenset()): 1.0}
-    for _ in range(K - 1):
-        nxt: dict = {}
-        for (tau, t, H), mass in states.items():
-            for row, w, prefixes, laws in rows:
-                hit = H & prefixes
-                law = laws.get((tau, hit))
-                if law is None:
-                    law = laws[(tau, hit)] = _row_law(inst, tau, row, hit)
-                    max_leafsum_err = max(max_leafsum_err, abs(sum(pr for _, _, pr in law) - 1.0))
-                m = mass * w
-                for tau2, rejected, pr in law:
-                    if tau2 == L:
-                        leaves[(L, row)] = leaves.get((L, row), 0.0) + m * pr
-                        continue
-                    t2 = t if tau2 == tau else row[:tau2]
-                    kept = H if tau2 == tau else frozenset(s for s in H if len(s) > tau2)
-                    key = (tau2, t2, kept.union(rejected))
-                    nxt[key] = nxt.get(key, 0.0) + m * pr
-        states = nxt
-    max_leafsum_err = max(max_leafsum_err, _last_row(inst, nodes, states, leaves))
+    p = [np.array([inst.joints(u)[0] for u in level]) for level in nodes]
+    inst.h_partial([u for level, w in zip(nodes[1:L], p[1:L]) for u, pu in zip(level, w) if pu > 0.0])
+    h = [np.array([inst.h_part.get(u, 0.0) for u in level]) for level in nodes[:L]]
+    h.append(np.array([inst.h_fullblock(b) if w > 0.0 else 0.0 for b, w in zip(nodes[L], p[L])]))
+
+    fact = np.array([math.factorial(m) for m in range(K + 1)], float)
+    one_var = _series(K + 1, 1)
+    m = np.arange(K + 1)
+    g = [None] * L + [p[L][:, None] ** m / fact]
+    for i in range(L, 0, -1):
+        f = (np.where(m > 0, 1.0 - h[i][:, None], 1.0) * g[i]).reshape(-1, V, K + 1)
+        g[i - 1] = f[:, 0]
+        for x in range(1, V):
+            g[i - 1] = _mul(g[i - 1], f[:, x], one_var)
+    leaves = {}
+    if g[0][0, K] > 0.0:
+        leaves[(0, ())] = float(fact[K] * g[0][0, K])
+
+    two_var = _series(K, 2)
+    a, c = two_var[0]
+    binom = fact[a + c] / (fact[a] * fact[c])
+    ends = np.where(a + c == K - 1, fact[a] * fact[c], 0.0)
+    for i in range(1, L + 1):
+        phi = np.where(a > 0, 1.0 - h[i][:, None], 1.0) * (binom * g[i][:, a + c])
+        win = np.where(a == 0, (c + 1) * g[i][:, c + 1], 0.0)
+        mass = h[i] * (_mul(_others(phi, two_var), win, two_var) @ ends)
+        for j in np.flatnonzero(mass > 0.0):
+            leaves[(i, nodes[i][j])] = float(mass[j])
     diag = {
-        "tuples": len(rows) ** K,
+        "tuples": int((p[L] > 0.0).sum()) ** K,
         "leaf_states": len(leaves),
-        "max_leafsum_err": max_leafsum_err,
+        "max_leafsum_err": abs(sum(leaves.values()) - 1.0),
     }
     return leaves, diag
 
@@ -553,7 +494,7 @@ def _marginal_devs(inst: _Instance, out: dict, depth: int) -> tuple[dict, float,
     for i in range(1, depth + 1):
         level = 0.0
         for blk in itertools.product(range(inst.V), repeat=i):
-            qv = math.exp(_log_chain_joint(inst.qchain, blk))
+            qv = inst.joints(blk)[1]
             got = marg.get(blk, 0.0)
             max_dev = max(max_dev, abs(got - qv))
             level += got
@@ -656,7 +597,7 @@ def _two_iteration_dev(
                 out[key] = out.get(key, 0.0) + w * m
     max_dev = 0.0
     for blk in itertools.product(range(V), repeat=depth):
-        qv = math.exp(_log_chain_joint(inst1.qchain, blk))
+        qv = inst1.joints(blk)[1]
         max_dev = max(max_dev, abs(out.get(blk, 0.0) - qv))
     return max_dev, fallback, lemma_table, lemma_dev
 

@@ -228,7 +228,7 @@ class TestEventTree:
         assert all(tau == 3 for (tau, _t) in report.leaves)
 
     def test_single_draft_tree_matches_gbv_tree(self):
-        # at V = 4, L = 3 the K = 1 fold runs level by level over a 64-leaf trie
+        # at V = 4, L = 3 the K = 1 recursion runs over a 64-leaf trie
         cases = [(generate_pair(3, 1, seed + 10, 1.0, 0.4), 2) for seed in range(4)]
         cases += [(generate_pair(4, 1, seed + 20, 1.0, 0.5), 3) for seed in range(2)]
         for pair, L in cases:
@@ -279,23 +279,38 @@ class TestEventTree:
         assert 0.07 < r.lemma_max_dev < 0.08
 
     def test_guard(self):
-        pair = generate_pair(3, 1, 0, 1.0, 0.5)
+        # the guard counts the recursion's coefficient products, V^L C(K + 3, 4):
+        # 256 * 3876 at (4, 4, 16) passes, 256 * 4845 at (4, 4, 17) does not
+        for K in range(1, 7):
+            assert len(oracle._series(K, 2)[1]) == math.comb(K + 3, 4)
+        pair = generate_pair(4, 1, 0, 1.0, 0.5)
         with pytest.raises(TooLarge):
-            exact_expected_tau(pair, 5, 3)
+            exact_expected_tau(pair, 4, 17)
+
+    def test_cells_past_the_tuple_count_run(self):
+        # V^(K*L) = 2^24 and 4^16: the tuple-count guard refused both
+        for V, L, K in ((2, 3, 8), (4, 4, 4)):
+            r = exact_output_distribution(generate_pair(V, 1, 1, 1.0, 0.5), L, K)
+            assert r.max_leafsum_err < 1e-12
+            assert abs(sum(r.leaves.values()) - 1.0) < 1e-12
+            assert r.marginal_sums_max_err < 1e-9
 
 
-class TestRowFold:
-    """The row fold against a walk of every draft tuple through its own
-    accept/reject branches. V = 2 makes rows share prefixes, so rejected-set
-    skips fire; the concentration-0.05 pairs have tests that accept with
-    probability exactly 0 or 1. At V = 3 a rejected sub-block covers only
-    part of its parent's subtree in the last row's level-wise fold."""
+class TestCoinRecursion:
+    """The coin recursion against a walk of every draft tuple through its
+    own accept/reject branches, which runs the scan with its rejected set
+    rather than assuming one coin per node. V = 2 makes rows share
+    prefixes, so rejected-set skips fire; the concentration-0.05 pairs have
+    tests that accept with probability exactly 0 or 1. V = 3 gives rows
+    that share some prefixes and not others, and (L, K) = (1, 6) and (2, 5)
+    take the series past the low degrees."""
 
     PAIRS = (generate_pair(2, 1, 7, 1.0, 0.5), generate_pair(2, 1, 2, 0.05, 0.5))
     PAIRS_V3 = (generate_pair(3, 1, 7, 1.0, 0.5), generate_pair(3, 1, 2, 0.05, 0.5))
 
-    def test_fold_matches_tuple_walk(self):
+    def test_recursion_matches_tuple_walk(self):
         cells = [(pair, L, K) for pair in self.PAIRS for L in (1, 2, 3) for K in (1, 2, 3, 4)]
+        cells += [(pair, L, K) for pair in self.PAIRS for L, K in ((1, 6), (2, 5))]
         cells += [(pair, L, K) for pair in self.PAIRS_V3 for L, K in ((2, 2), (2, 3), (3, 2))]
         events = set()
         for (pair, L, K), context in itertools.product(cells, ((), (1,))):
@@ -354,9 +369,9 @@ class TestDraftLaw:
 
 class TestOracleMatchesVerifier:
     def test_leaf_frequencies_match_monte_carlo(self, canonical_pair):
-        """The oracle folds its own closed-form copy of the sequential scan
-        over the shipped acceptance rules; the verifier runs the scan itself
-        with uniform draws. The two are independent, so their leaf laws must
+        """The oracle sums its own coin form of the sequential scan over the
+        shipped acceptance rules; the verifier runs the scan itself with
+        uniform draws. The two are independent, so their leaf laws must
         agree."""
         report = exact_output_distribution(canonical_pair, 2, 2)
         rng = RandomSource(314)
