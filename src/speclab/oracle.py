@@ -177,15 +177,19 @@ def _series(n: int, dims: int) -> tuple:
     """Power series in ``dims`` variables cut at total degree n - 1, as
     vectors of coefficients over the exponent tuples in lexicographic order,
     the constant term first. Returns the exponents, one row per variable,
-    and the index arrays i, j and runs of the product: its coefficient r is
-    the sum of x[i[k]] y[j[k]] over the run of k that starts at runs[r]."""
+    and the index arrays i, j and runs of the product: coefficient r of the
+    product of x and y is the sum of x[i[k]] y[j[k]] over the run of k that
+    starts at runs[r]."""
     exps = [e for e in itertools.product(range(n), repeat=dims) if sum(e) < n]
     index = {e: r for r, e in enumerate(exps)}
     r, i, j = np.array(sorted(
         (index[tuple(map(sum, zip(s, t)))], i, j)
         for i, s in enumerate(exps) for j, t in enumerate(exps) if sum(s) + sum(t) < n
     )).T
-    return np.array(exps).T, i, j, np.flatnonzero(np.diff(r, prepend=-1))
+    tables = np.array(exps).T, i, j, np.flatnonzero(np.diff(r, prepend=-1))
+    for t in tables:
+        t.setflags(write=False)  # shared by every caller through the cache
+    return tables
 
 
 def _mul(x: np.ndarray, y: np.ndarray, series: tuple) -> np.ndarray:
@@ -268,11 +272,12 @@ def _enumerate_leaves(inst: _Instance) -> tuple[dict, dict]:
 
     two_var = _series(K, 2)
     a, c = two_var[0]
-    binom = fact[a + c] / (fact[a] * fact[c])
-    ends = np.where(a + c == K - 1, fact[a] * fact[c], 0.0)
+    deg, lead = a + c, a == 0
+    binom = fact[deg] / (fact[a] * fact[c])
+    ends = np.where(deg == K - 1, fact[a] * fact[c], 0.0)
     for i in range(1, L + 1):
-        phi = np.where(a > 0, 1.0 - h[i][:, None], 1.0) * (binom * g[i][:, a + c])
-        win = np.where(a == 0, (c + 1) * g[i][:, c + 1], 0.0)
+        phi = np.where(lead, 1.0, 1.0 - h[i][:, None]) * (binom * g[i][:, deg])
+        win = np.where(lead, (c + 1) * g[i][:, c + 1], 0.0)
         mass = h[i] * (_mul(_others(phi, two_var), win, two_var) @ ends)
         for j in np.flatnonzero(mass > 0.0):
             leaves[(i, nodes[i][j])] = float(mass[j])
