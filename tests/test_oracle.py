@@ -251,7 +251,6 @@ class TestEventTree:
         for K in (1, 2, 3):
             r = exact_output_distribution(canonical_pair, 2, K)
             assert r.max_leafsum_err < 1e-12
-            assert abs(sum(r.leaves.values()) - 1.0) < 1e-12
             assert r.marginal_sums_max_err < 1e-9
 
     def test_single_draft_preserves_target_and_identity(self):
@@ -292,7 +291,6 @@ class TestEventTree:
         for V, L, K in ((2, 3, 8), (4, 4, 4)):
             r = exact_output_distribution(generate_pair(V, 1, 1, 1.0, 0.5), L, K)
             assert r.max_leafsum_err < 1e-12
-            assert abs(sum(r.leaves.values()) - 1.0) < 1e-12
             assert r.marginal_sums_max_err < 1e-9
 
 
