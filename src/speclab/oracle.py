@@ -80,9 +80,10 @@ def _model_joint(model, temperature: float, context: tuple[int, ...], blk: tuple
 class _Instance:
     """One (draft chain, target chain, L, K) at an absolute ``context``.
 
-    The linear joint tables feed the closed forms; the acceptance rules run
-    on one log-space ``PrefixJoint`` per block, built as the verifier builds
-    it.
+    The linear joint tables feed the recursion, the closed forms and the
+    target marginals the output is checked against; the acceptance rules
+    run on one log-space ``PrefixJoint`` per block, built as the verifier
+    builds it.
     """
 
     pchain: RawChain
