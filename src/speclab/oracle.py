@@ -34,7 +34,7 @@ import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -58,13 +58,11 @@ class TooLarge(ValueError):
     """Instance exceeds the exhaustive-enumeration guard."""
 
 
-def _accept_mass(p: float, q: float, K: int) -> float:
-    """q * (1 - (1 - min(p/q, 1))^K): the claimed acceptance mass of a block
-    with draft joint p and target joint q."""
-    if q <= 0.0:
-        return 0.0
-    s = min(p / q, 1.0)
-    return q * (1.0 - (1.0 - s) ** K)
+def _accept_mass(p: np.ndarray, q: np.ndarray, K: int) -> np.ndarray:
+    """q * (1 - (1 - min(p/q, 1))^K): the claimed acceptance masses of blocks
+    with draft joints p and target joints q, 0 where q is."""
+    s = np.minimum(np.divide(p, q, out=np.ones_like(q), where=q > 0.0), 1.0)
+    return np.where(q > 0.0, q * (1.0 - (1.0 - s) ** K), 0.0)
 
 
 def _model_joint(model, temperature: float, context: tuple[int, ...], blk: tuple[int, ...]) -> float:
@@ -80,10 +78,11 @@ def _model_joint(model, temperature: float, context: tuple[int, ...], blk: tuple
 class _Instance:
     """One (draft chain, target chain, L, K) at an absolute ``context``.
 
-    The linear joint tables feed the recursion, the closed forms and the
-    target marginals the output is checked against; the acceptance rules
-    run on one log-space ``PrefixJoint`` per block, built as the verifier
-    builds it.
+    ``levels`` holds the linear joints of every block, one array per trie
+    level in lexicographic order; they feed the recursion, the closed forms
+    and the target marginals the output is checked against. The acceptance
+    rules run on one log-space ``PrefixJoint`` per block, built as the
+    verifier builds it.
     """
 
     pchain: RawChain
@@ -92,29 +91,36 @@ class _Instance:
     V: int
     L: int
     K: int
-    pj: dict = field(default_factory=dict)
-    qj: dict = field(default_factory=dict)
+    tables: dict = field(default_factory=dict)
     prefix_joints: dict = field(default_factory=dict)
     h_part: dict = field(default_factory=dict)
     surplus: dict = field(default_factory=dict)
     h_full: dict = field(default_factory=dict)
 
-    def joints(self, blk: tuple[int, ...]) -> tuple[float, float]:
-        if blk in self.pj:
-            return self.pj[blk], self.qj[blk]
-        if not blk:
-            self.pj[blk], self.qj[blk] = 1.0, 1.0
-            return 1.0, 1.0
-        pp, qp = self.joints(blk[:-1])
-        tok = blk[-1]
-        p = pp * float(self.pchain.conditional(blk[:-1]).mass[tok])
-        q = qp * float(self.qchain.conditional(blk[:-1]).mass[tok])
-        self.pj[blk], self.qj[blk] = p, q
-        return p, q
-
-    def accept_mass(self, blk: tuple[int, ...]) -> float:
-        p, q = self.joints(blk)
-        return _accept_mass(p, q, self.K)
+    def levels(self, depth: int) -> list[tuple[list, np.ndarray, np.ndarray]]:
+        """(blocks, draft joints, target joints) at each level 0 ... depth,
+        the blocks in lexicographic order, so block u's children are the V
+        entries from V * index(u) on. A joint is its parent's times the
+        chain's conditional; each chain answers every context shorter than
+        ``depth`` in one call."""
+        hit = self.tables.get(depth)
+        if hit is None:
+            V = self.V
+            blocks = [list(itertools.product(range(V), repeat=i)) for i in range(depth + 1)]
+            heads = [u for level in blocks[:depth] for u in level]
+            p_rows, q_rows = (
+                np.array([d.mass for d in chain.conditionals(heads)]).reshape(-1, V)
+                for chain in (self.pchain, self.qchain)
+            )
+            hit = [(blocks[0], np.ones(1), np.ones(1))]
+            start = 0
+            for level in blocks[1:]:
+                _parents, p, q = hit[-1]
+                rows = slice(start, start + len(p))
+                start += len(p)
+                hit.append((level, (p[:, None] * p_rows[rows]).ravel(), (q[:, None] * q_rows[rows]).ravel()))
+            self.tables[depth] = hit
+        return hit
 
     def joint(self, blk: tuple[int, ...]) -> PrefixJoint:
         hit = self.prefix_joints.get(blk)
@@ -247,13 +253,8 @@ def _enumerate_leaves(inst: _Instance) -> tuple[dict, dict]:
     work = V**L * math.comb(K + 3, 4)
     if work > MAX_ENUM:
         raise TooLarge(f"V^L * C(K + 3, 4) = {work} exceeds {MAX_ENUM}")
-    # the joints read both chains at every context shorter than L, and every
-    # drafted proper prefix is tested: each set is asked for in one batch
-    nodes = [list(itertools.product(range(V), repeat=i)) for i in range(L + 1)]
-    heads = [c for level in nodes[:L] for c in level]
-    inst.pchain.conditionals(heads)
-    inst.qchain.conditionals(heads)
-    p = [np.array([inst.joints(u)[0] for u in level]) for level in nodes]
+    # every drafted proper prefix is tested: the set is asked for in one batch
+    nodes, p, _q = zip(*inst.levels(L))
     inst.h_partial([u for level, w in zip(nodes[1:L], p[1:L]) for u, pu in zip(level, w) if pu > 0.0])
     h = [np.array([inst.h_part.get(u, 0.0) for u in level]) for level in nodes[:L]]
     h.append(np.array([inst.h_fullblock(b) if w > 0.0 else 0.0 for b, w in zip(nodes[L], p[L])]))
@@ -366,30 +367,12 @@ class ExactReport:
     max_leafsum_err: float
     fallback_mass: float
     runtime_s: float
-    subblock_marginals: dict = field(repr=False, default_factory=dict)
     lemma_masses: dict = field(repr=False, default_factory=dict)
-    lemma_masses_two_iter: dict = field(repr=False, default_factory=dict)
     leaves: dict = field(repr=False, default_factory=dict)
 
     def to_jsonable(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "L": self.L,
-            "K": self.K,
-            "iterations": self.iterations,
-            "expected_tau": self.expected_tau,
-            "bound": self.bound,
-            "max_marginal_dev": self.max_marginal_dev,
-            "lemma_max_dev": self.lemma_max_dev,
-            "max_marginal_dev_two_iter": self.max_marginal_dev_two_iter,
-            "lemma_max_dev_two_iter": self.lemma_max_dev_two_iter,
-            "marginal_sums_max_err": self.marginal_sums_max_err,
-            "leaf_states": self.leaf_states,
-            "tuples": self.tuples,
-            "max_leafsum_err": self.max_leafsum_err,
-            "fallback_mass": self.fallback_mass,
-            "runtime_s": self.runtime_s,
-        }
+        """The scalar fields, in declaration order; the tables are left out."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
 
     def checks(self) -> list[tuple[str, float, float]]:
         """(name, value, tolerance) of each exactness check, passed when
@@ -417,33 +400,26 @@ def _instance(pair: ModelPair, L: int, K: int, context: tuple[int, ...] = ()) ->
     return _Instance(p, q, context, pair.vocab_size, L, K)
 
 
-def bound_K(pair: ModelPair, L: int, K: int) -> float:
-    """Sum of claimed acceptance masses over all sub-blocks up to length L."""
+def _sub_blocks(pair: ModelPair, L: int, K: int) -> list:
+    """The joint tables of every sub-block up to length L, guarded on V^L."""
     V = pair.vocab_size
     if V**L > MAX_ENUM:
         raise TooLarge(f"V^L = {V ** L} exceeds {MAX_ENUM}")
-    return _bound(_instance(pair, L, K))
+    return _instance(pair, L, K).levels(L)[1:]
 
 
-def _bound(inst: _Instance) -> float:
-    total = 0.0
-    for i in range(1, inst.L + 1):
-        total += sum(inst.accept_mass(blk) for blk in itertools.product(range(inst.V), repeat=i))
-    return total
+def bound_K(pair: ModelPair, L: int, K: int) -> float:
+    """Sum of claimed acceptance masses over all sub-blocks up to length L."""
+    return _bound(_sub_blocks(pair, L, K), K)
+
+
+def _bound(sub_blocks: list, K: int) -> float:
+    return sum(float(_accept_mass(p, q, K).sum()) for _blocks, p, q in sub_blocks)
 
 
 def gbv_block_sum(pair: ModelPair, L: int) -> float:
     """Sum over sub-blocks of min(draft joint, target joint); the K = 1 bound."""
-    V = pair.vocab_size
-    if V**L > MAX_ENUM:
-        raise TooLarge(f"V^L = {V ** L} exceeds {MAX_ENUM}")
-    inst = _instance(pair, L, 1)
-    total = 0.0
-    for i in range(1, L + 1):
-        for blk in itertools.product(range(V), repeat=i):
-            p, q = inst.joints(blk)
-            total += min(p, q)
-    return total
+    return sum(float(np.minimum(p, q).sum()) for _blocks, p, q in _sub_blocks(pair, L, 1))
 
 
 def bound_properties(pair: ModelPair, L: int, K_list: Sequence[int]) -> dict:
@@ -471,41 +447,36 @@ def exact_expected_tau(pair: ModelPair, L: int, K: int) -> float:
     return sum(tau * m for (tau, _t), m in leaves.items())
 
 
-def _lemma_table(inst: _Instance, leaves: dict, claimed_mass) -> tuple[dict, float]:
-    """Accepted-prefix masses from the tree against the closed form
-    ``claimed_mass(blk)``."""
+def _lemma_table(inst: _Instance, leaves: dict, claimed: list[np.ndarray]) -> tuple[dict, float]:
+    """Accepted-prefix masses from the tree against the closed-form masses
+    ``claimed``, one array per level 1 ... L in ``levels`` order."""
     acc: dict[tuple[int, ...], float] = {}
     for (tau, t), m in leaves.items():
         for i in range(1, tau + 1):
             acc[t[:i]] = acc.get(t[:i], 0.0) + m
     max_dev = 0.0
     table = {}
-    for i in range(1, inst.L + 1):
-        for blk in itertools.product(range(inst.V), repeat=i):
-            claimed = claimed_mass(blk)
-            got = acc.get(blk, 0.0)
-            table[blk] = (got, claimed)
-            max_dev = max(max_dev, abs(got - claimed))
+    for (blocks, _p, _q), want in zip(inst.levels(inst.L)[1:], claimed):
+        got = np.array([acc.get(blk, 0.0) for blk in blocks])
+        table.update(zip(blocks, zip(got.tolist(), want.tolist())))
+        max_dev = max(max_dev, float(np.abs(got - want).max()))
     return table, max_dev
 
 
-def _marginal_devs(inst: _Instance, out: dict, depth: int) -> tuple[dict, float, float]:
-    """Prefix marginals of the output law against the target chain."""
+def _marginal_devs(inst: _Instance, out: dict, depth: int) -> tuple[float, float]:
+    """Prefix marginals of the output law against the target chain: the max
+    deviation and the max error of a level's total."""
     marg: dict[tuple[int, ...], float] = {}
     for seq, m in out.items():
         for i in range(1, depth + 1):
             marg[seq[:i]] = marg.get(seq[:i], 0.0) + m
     max_dev = 0.0
     sums_err = 0.0
-    for i in range(1, depth + 1):
-        level = 0.0
-        for blk in itertools.product(range(inst.V), repeat=i):
-            qv = inst.joints(blk)[1]
-            got = marg.get(blk, 0.0)
-            max_dev = max(max_dev, abs(got - qv))
-            level += got
-        sums_err = max(sums_err, abs(level - 1.0))
-    return marg, max_dev, sums_err
+    for blocks, _p, q in inst.levels(depth)[1:]:
+        got = np.array([marg.get(blk, 0.0) for blk in blocks])
+        max_dev = max(max_dev, float(np.abs(got - q).max()))
+        sums_err = max(sums_err, abs(float(got.sum()) - 1.0))
+    return max_dev, sums_err
 
 
 def exact_output_distribution(
@@ -519,14 +490,15 @@ def exact_output_distribution(
     inst = _instance(pair, L, K, context)
     leaves, diag = _enumerate_leaves(inst)
     expected_tau = sum(tau * m for (tau, _t), m in leaves.items())
-    bound = _bound(inst)
-    lemma_masses, lemma_dev = _lemma_table(inst, leaves, inst.accept_mass)
+    sub_blocks = inst.levels(L)[1:]
+    bound = _bound(sub_blocks, K)
+    claimed = [_accept_mass(p, q, K) for _blocks, p, q in sub_blocks]
+    lemma_masses, lemma_dev = _lemma_table(inst, leaves, claimed)
     out, fallback_mass = _output_joint(inst, leaves, L)
-    marg, max_dev, sums_err = _marginal_devs(inst, out, L)
+    max_dev, sums_err = _marginal_devs(inst, out, L)
     two_iter_dev = lemma_dev2 = None
-    lemma_masses2: dict = {}
     if iterations == 2:
-        two_iter_dev, fb2, lemma_masses2, lemma_dev2 = _two_iteration_dev(pair, inst, leaves)
+        two_iter_dev, fb2, lemma_dev2 = _two_iteration_dev(pair, inst, leaves)
         fallback_mass += fb2
     return ExactReport(
         vocab_size=pair.vocab_size,
@@ -545,22 +517,17 @@ def exact_output_distribution(
         max_leafsum_err=diag["max_leafsum_err"],
         fallback_mass=fallback_mass,
         runtime_s=time.perf_counter() - t0,
-        subblock_marginals=marg,
         lemma_masses=lemma_masses,
-        lemma_masses_two_iter=lemma_masses2,
         leaves=leaves,
     )
 
 
-def _two_iteration_dev(
-    pair: ModelPair, inst1: _Instance, leaves1: dict
-) -> tuple[float, float, dict, float]:
+def _two_iteration_dev(pair: ModelPair, inst1: _Instance, leaves1: dict) -> tuple[float, float, float]:
     """Second decoding iteration after every first-iteration leaf.
 
     Returns the max deviation of the completed output from the target chain
-    at depth 2(L+1), the fallback mass, and the second iteration's lemma
-    table with its max deviation. The table is keyed by (first-iteration
-    output, block) and holds conditional masses; its claimed masses read the
+    at depth 2(L+1), the fallback mass, and the max deviation of the second
+    iteration's conditional lemma tables. Their claimed masses read the
     draft joint straight from ``pair.draft`` at the absolute context, so a
     draft chain built at the wrong context shows there.
     """
@@ -570,7 +537,6 @@ def _two_iteration_dev(
         raise TooLarge("two-iteration enumeration exceeds the guard")
     out: dict[tuple[int, ...], float] = {}
     fallback = 0.0
-    lemma_table: dict = {}
     lemma_dev = 0.0
     for (tau1, t1), m1 in leaves1.items():
         if m1 <= 0.0:
@@ -586,26 +552,20 @@ def _two_iteration_dev(
             draft2 = RawChain(pair.draft, pair.temperature, context2)
             inst2 = _Instance(draft2, inst1.modified(tau1, t1, int(y1)), context2, V, L, K)
             leaves2, _ = _enumerate_leaves(inst2)
-
-            def claimed(blk):
-                p2 = _model_joint(pair.draft, pair.temperature, context2, blk)
-                return _accept_mass(p2, inst2.joints(blk)[1], K)
-
-            table2, dev2 = _lemma_table(inst2, leaves2, claimed)
-            lemma_dev = max(lemma_dev, dev2)
-            for blk, entry in table2.items():
-                lemma_table[(prefix1, blk)] = entry
+            claimed = []
+            for blocks, _p, q in inst2.levels(L)[1:]:
+                p2 = [_model_joint(pair.draft, pair.temperature, context2, blk) for blk in blocks]
+                claimed.append(_accept_mass(np.array(p2), q, K))
+            lemma_dev = max(lemma_dev, _lemma_table(inst2, leaves2, claimed)[1])
             out2, fb2 = _output_joint(inst2, leaves2, depth - len(prefix1))
             w = m1 * float(py1)
             fallback += w * fb2
             for seq, m in out2.items():
                 key = prefix1 + seq
                 out[key] = out.get(key, 0.0) + w * m
-    max_dev = 0.0
-    for blk in itertools.product(range(V), repeat=depth):
-        qv = inst1.joints(blk)[1]
-        max_dev = max(max_dev, abs(out.get(blk, 0.0) - qv))
-    return max_dev, fallback, lemma_table, lemma_dev
+    blocks, _p, q = inst1.levels(depth)[depth]
+    max_dev = float(np.abs(np.array([out.get(blk, 0.0) for blk in blocks]) - q).max())
+    return max_dev, fallback, lemma_dev
 
 
 def gbv_exact_report(pair: ModelPair, L: int) -> ExactReport:

@@ -11,6 +11,7 @@ from speclab.models import MarkovModel, ModelPair, generate_pair
 from speclab.oracle import (
     TooLarge,
     _instance,
+    _model_joint,
     bound_K,
     bound_properties,
     exact_expected_tau,
@@ -147,11 +148,12 @@ def walk_tuple(inst, rows):
 def walk_reference(pair, L, K, context):
     """Leaf law of the scan by walking every positive-weight draft tuple."""
     inst = _instance(pair, L, K, context)
-    blocks = list(itertools.product(range(pair.vocab_size), repeat=L))
+    blocks, p, _q = inst.levels(L)[L]
+    draft = dict(zip(blocks, p.tolist()))
     leaves: dict = {}
     events = set()
     for rows in itertools.product(blocks, repeat=K):
-        w = math.prod(inst.joints(r)[0] for r in rows)
+        w = math.prod(draft[r] for r in rows)
         if w <= 0.0:
             continue
         tuple_leaves, total, seen = walk_tuple(inst, rows)
@@ -160,6 +162,22 @@ def walk_reference(pair, L, K, context):
         for key, pr in tuple_leaves.items():
             leaves[key] = leaves.get(key, 0.0) + w * pr
     return leaves, events
+
+
+class TestLevels:
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("context", [(), (1,)])
+    def test_joints_equal_the_model_read_directly(self, order, context):
+        # each entry is the parent's joint times one conditional, the same
+        # float products _model_joint forms walking the block from the model
+        pair = generate_pair(3, order, 5, 1.0, 0.5)
+        levels = _instance(pair, 3, 2, context).levels(3)
+        assert [len(blocks) for blocks, _p, _q in levels] == [1, 3, 9, 27]
+        for i, (blocks, p, q) in enumerate(levels):
+            assert blocks == list(itertools.product(range(3), repeat=i))
+            for blk, pb, qb in zip(blocks, p.tolist(), q.tolist()):
+                assert pb == _model_joint(pair.draft, 1.0, context, blk)
+                assert qb == _model_joint(pair.target, 1.0, context, blk)
 
 
 class TestBound:
@@ -333,8 +351,8 @@ class TestCoinRecursion:
     def test_tuples_count_positive_weight_draft_tuples(self):
         pair = self.PAIRS[1]
         r = exact_output_distribution(pair, 2, 3)
-        inst = _instance(pair, 2, 3)
-        positive = sum(inst.joints(b)[0] > 0.0 for b in itertools.product(range(2), repeat=2))
+        _blocks, p, _q = _instance(pair, 2, 3).levels(2)[2]
+        positive = int((p > 0.0).sum())
         assert 0 < positive < 4
         assert r.tuples == positive**3
 
