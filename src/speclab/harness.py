@@ -64,24 +64,20 @@ def _tail(context: tuple[int, ...], order: int) -> tuple[int, ...]:
 
 
 class RawChain:
-    """Target or draft conditionals from a fixed absolute context, memoized.
+    """Target or draft conditionals from a fixed absolute context.
 
     Only the context's last ``model.order`` tokens are kept. A context shorter
-    than the order is kept whole, so the model zero-pads it as before.
+    than the order is kept whole, so the model zero-pads it as before. The
+    model caches its rows, so a context asked twice gets the same object.
     """
 
     def __init__(self, model: MarkovModel, temperature: float, context: tuple[int, ...]):
         self.model = model
         self.temperature = temperature
         self.context = _tail(context, model.order)
-        self._memo: dict[tuple[int, ...], Distribution] = {}
 
     def conditional(self, ctx: tuple[int, ...]) -> Distribution:
-        hit = self._memo.get(ctx)
-        if hit is None:
-            hit = self.model.conditional(self.context + ctx, self.temperature)
-            self._memo[ctx] = hit
-        return hit
+        return self.model.conditional(self.context + ctx, self.temperature)
 
     def conditionals(self, ctxs) -> list[Distribution]:
         return list(map(self.conditional, ctxs))

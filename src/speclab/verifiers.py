@@ -626,24 +626,20 @@ class ModifiedTarget:
     _joints: dict = field(default_factory=dict, repr=False, compare=False)
     fallbacks: set = field(default_factory=set, repr=False, compare=False)
 
-    def _joint(self, ctx: tuple[int, ...], q_rows: dict, p_rows: dict) -> tuple[float, float]:
-        """(log p, log q) of prefix + ctx; the rows map each parent context
-        whose joint is not yet known to its base conditional."""
-        if ctx in self._joints:
-            return self._joints[ctx]
-        if not ctx:
-            val = (self.log_p_prefix, self.log_q_prefix)
-        else:
-            parent = ctx[:-1]
-            lp, lq = self._joint(parent, q_rows, p_rows)
-            tok = ctx[-1]
-            pv = float(p_rows[parent].mass[tok])
-            qv = float(q_rows[parent].mass[tok])
-            lp = lp + math.log(pv) if lp != LOG_ZERO and pv > 0.0 else LOG_ZERO
-            lq = lq + math.log(qv) if lq != LOG_ZERO and qv > 0.0 else LOG_ZERO
-            val = (lp, lq)
-        self._joints[ctx] = val
-        return val
+    def _joint(self, ctx: tuple[int, ...], q_rows: dict, p_rows: dict) -> PrefixJoint:
+        """Joint of prefix + ctx; the rows map each parent context whose
+        joint is not yet known to its base conditional."""
+        hit = self._joints.get(ctx)
+        if hit is None:
+            if ctx:
+                parent = ctx[:-1]
+                hit = extend_joint(
+                    self._joint(parent, q_rows, p_rows), ctx[-1], p_rows[parent], q_rows[parent]
+                )
+            else:
+                hit = PrefixJoint(self.log_p_prefix, self.log_q_prefix)
+            self._joints[ctx] = hit
+        return hit
 
     def conditional(
         self, ctxs: list[tuple[int, ...]], q_base, p_base, counters: Counters | None = None
@@ -677,10 +673,10 @@ class ModifiedTarget:
         for n, ctx in enumerate(ctxs):
             if len(ctx) >= self.horizon:
                 continue
-            lp, lq = self._joint(ctx, q_rows, p_rows)
-            if lq != LOG_ZERO:
+            j = self._joint(ctx, q_rows, p_rows)
+            if j.log_q != LOG_ZERO:
                 scan.append(n)
-                r.append(0.0 if lp == LOG_ZERO else math.exp(min(lp - lq, 700.0)))
+                r.append(0.0 if j.log_p == LOG_ZERO else math.exp(min(j.log_p - j.log_q, 700.0)))
         if not scan:
             return out
         if counters is not None:

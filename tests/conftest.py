@@ -124,7 +124,8 @@ class NuModifiedTarget(ModifiedTarget):
         qn = q_rows[ctx]
         if len(ctx) + 1 > self.horizon:
             return qn
-        lp, lq = self._joint(ctx, q_rows, p_rows)
+        j = self._joint(ctx, q_rows, p_rows)
+        lp, lq = j.log_p, j.log_q
         if lq == LOG_ZERO:
             return qn
         if counters is not None:

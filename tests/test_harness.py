@@ -20,7 +20,7 @@ from speclab.harness import (
     verify,
 )
 from speclab.models import ModelPair, generate_pair, random_model
-from speclab.probability import LOG_ZERO, RandomSource
+from speclab.probability import LOG_ZERO, PrefixJoint, RandomSource
 from speclab.verifiers import (
     Counters,
     ModifiedTarget,
@@ -269,7 +269,7 @@ class TestChainBatch:
             assert batch_totals == single_totals
             assert batch.record.fallbacks == single.record.fallbacks
             seen_fallback |= batch_totals.warnings > before
-            seen_zero_joint |= batch.record._joints.get((V - 1,), (0.0, 0.0))[1] == LOG_ZERO
+            seen_zero_joint |= batch.record._joints.get((V - 1,), PrefixJoint.empty()).log_q == LOG_ZERO
         if make_pair is _eos_free_v16:
             assert seen_zero_joint
         else:
