@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 
 from . import harness, oracle
-from .models import InvalidRow, ParseError, blend_model, random_model, save_model
+from .models import InvalidRow, ParseError, generate_pair, save_model
 from .probability import RandomSource, derive_seed
 from .verifiers import draft_rows, score_rows
 
@@ -175,12 +175,11 @@ def _cmd_oracle_check(args) -> int:
 
 def _cmd_gen_model(args) -> int:
     gen = _parse_gen(args.gen)
-    draft = random_model(gen["vocab_size"], gen["order"], gen["model_seed"], gen["concentration"])
+    spec = (gen["vocab_size"], gen["order"], gen["model_seed"], gen["concentration"])
     if "similarity" in gen:
-        fresh = random_model(gen["vocab_size"], gen["order"], gen["model_seed"] + 1, gen["concentration"])
-        model = blend_model(draft, fresh, gen["similarity"])
+        model = generate_pair(*spec, gen["similarity"]).target
     else:
-        model = draft
+        model = generate_pair(*spec).draft
     save_model(model, args.out)
     print(f"wrote {args.out}")
     return 0

@@ -22,6 +22,18 @@ class TestGenModel:
         # similarity 1.0 blends fully toward the draft implied by the seed
         assert np.allclose(load_model(out).table, random_model(4, 1, 7, 0.9).table)
 
+    def test_lambda_writes_the_generated_target(self, tmp_path):
+        out = tmp_path / "t.json"
+        assert main(["gen-model", "--gen", "4,1,7,0.9,0.3", "--out", str(out)]) == 0
+        assert np.array_equal(load_model(out).table, generate_pair(4, 1, 7, 0.9, 0.3).target.table)
+
+    @pytest.mark.parametrize("lam", ["1.5", "-0.1"])
+    def test_out_of_range_lambda_is_a_usage_error(self, tmp_path, capsys, lam):
+        out = tmp_path / "t.json"
+        assert main(["gen-model", "--gen", f"4,1,7,0.9,{lam}", "--out", str(out)]) == 1
+        assert "similarity must lie in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRun:
     def test_run_writes_csv(self, tmp_path, capsys):
