@@ -253,8 +253,8 @@ def _enumerate_leaves(inst: _Instance) -> tuple[dict, dict]:
     work = V**L * math.comb(K + 3, 4)
     if work > MAX_ENUM:
         raise TooLarge(f"V^L * C(K + 3, 4) = {work} exceeds {MAX_ENUM}")
-    # every drafted proper prefix is tested: the set is asked for in one batch
     nodes, p, _q = zip(*inst.levels(L))
+    # every drafted proper prefix is tested: the set is asked for in one batch
     inst.h_partial([u for level, w in zip(nodes[1:L], p[1:L]) for u, pu in zip(level, w) if pu > 0.0])
     h = [np.array([inst.h_part.get(u, 0.0) for u in level]) for level in nodes[:L]]
     h.append(np.array([inst.h_fullblock(b) if w > 0.0 else 0.0 for b, w in zip(nodes[L], p[L])]))
