@@ -11,7 +11,8 @@ Chains answer a list of contexts in one ``conditionals`` call. Scoring asks
 for all K * (L + 1) row prefixes at once, so each ``ModifiedChain`` layer
 builds its overrides for an iteration in one block and asks the layer
 beneath once; its ``conditional`` answers from the memo or makes that call
-with one context. A ``RawChain`` lookup makes no vocabulary pass, so its
+with one context. A ``RawChain`` lookup is one slice of the context's tail
+and one probe of the model's row cache, with no vocabulary pass, so its
 batch is the lookup repeated.
 
 Each block-verifier iteration stacks one ``ModifiedChain`` on the last. After
@@ -67,17 +68,26 @@ class RawChain:
     """Target or draft conditionals from a fixed absolute context.
 
     Only the context's last ``model.order`` tokens are kept. A context shorter
-    than the order is kept whole, so the model zero-pads it as before. The
-    model caches its rows, so a context asked twice gets the same object.
+    than the order is kept whole and zero-padded for lookups, as the model
+    pads it. A lookup probes ``model.cache`` with the tail of
+    ``context + ctx``, which is ``ctx``'s own tail once ``ctx`` is at least
+    ``order`` long; a miss goes through ``model.conditional``, which fills
+    the cache. A context gets the object the model returns for it.
     """
 
     def __init__(self, model: MarkovModel, temperature: float, context: tuple[int, ...]):
         self.model = model
         self.temperature = temperature
         self.context = _tail(context, model.order)
+        self._order = model.order
+        self._padded = (0,) * (model.order - len(self.context)) + self.context
+        self._rows = model.cache[temperature]
 
     def conditional(self, ctx: tuple[int, ...]) -> Distribution:
-        return self.model.conditional(self.context + ctx, self.temperature)
+        n = len(ctx) - self._order
+        tail = ctx[n:] if n >= 0 else (self._padded + ctx)[len(ctx):]
+        d = self._rows.get(tail)
+        return d if d is not None else self.model.conditional(tail, self.temperature)
 
     def conditionals(self, ctxs) -> list[Distribution]:
         return list(map(self.conditional, ctxs))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -56,15 +57,21 @@ class MarkovModel:
     """Conditional next-token table over V^order contexts.
 
     Row index: context read as a base-V number, most recent token least
-    significant. Each (row, temperature) conditional is validated once, on
-    first lookup, and the same read-only ``Distribution`` is returned after
-    that; at T = 1 it is a view of the table, which is read-only too.
+    significant. ``cache[T]`` maps a row's tail, the context's last ``order``
+    tokens left-padded with 0, to its conditional at temperature T, so a
+    context and its zero-padded form share one entry, and the cache holds one
+    entry per distinct row per temperature. A lookup is a slice and a dict
+    probe; ``row_index`` runs and the row is validated only on a miss, and
+    the same read-only ``Distribution`` is returned after that. At T = 1 it
+    is a view of the table, which is read-only too.
     """
 
     vocab_size: int
     order: int
     table: np.ndarray
-    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    cache: defaultdict = field(
+        default_factory=lambda: defaultdict(dict), init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.vocab_size < 2:
@@ -84,11 +91,14 @@ class MarkovModel:
         return idx
 
     def conditional(self, context: Sequence[int], temperature: float = 1.0) -> Distribution:
-        key = (self.row_index(context), temperature)
-        d = self._rows.get(key)
+        n = len(context) - self.order
+        tail = tuple(context[n:]) if n >= 0 else (0,) * -n + tuple(context)
+        rows = self.cache[temperature]
+        d = rows.get(tail)
         if d is None:
-            d = temperature_scale(Distribution(self.table[key[0]]), temperature)
-            self._rows[key] = d
+            d = rows[tail] = temperature_scale(
+                Distribution(self.table[self.row_index(tail)]), temperature
+            )
         return d
 
 

@@ -503,6 +503,24 @@ def block_residual(
     return normalize(_surplus(p_next.mass[None], q_next.mass[None], [r], K)[0])
 
 
+def _row_joints(tokens, p_conds, q_conds) -> list[PrefixJoint]:
+    """Joints of every prefix of a drafted row, lengths 0 .. L, in one pass.
+
+    The arithmetic is that of ``extend_joint`` chained from
+    ``PrefixJoint.empty()``: one ``math.log`` per factor, added in prefix
+    order, and -inf absorbs (-inf + log x is -inf), so each joint is bit for
+    bit the chained one.
+    """
+    lp = lq = 0.0
+    out = [PrefixJoint(lp, lq)]
+    for tok, p, q in zip(tokens, p_conds, q_conds):
+        x, z = p.mass.item(tok), q.mass.item(tok)
+        lp = lp + math.log(x) if x > 0.0 else LOG_ZERO
+        lq = lq + math.log(z) if z > 0.0 else LOG_ZERO
+        out.append(PrefixJoint(lp, lq))
+    return out
+
+
 def verify_spectr_gbv(
     drafts: DraftSet, scores: TargetScores, rng: RandomSource, trace=None
 ) -> tuple[VerifyOutcome, "ModifiedTarget"]:
@@ -521,27 +539,19 @@ def verify_spectr_gbv(
     """
     counters = Counters()
     K, L = drafts.K, drafts.L
-    joints: list[list[PrefixJoint]] = [[PrefixJoint.empty()] for _ in range(K)]
-
-    def joint(k: int, i: int) -> PrefixJoint:
-        cache = joints[k]
-        while len(cache) <= i:
-            n = len(cache) - 1
-            cache.append(
-                extend_joint(cache[n], drafts.tokens[k][n], drafts.cond[k][n], scores.cond[k][n])
-            )
-        return cache[i]
-
+    # joints[k][i]: the joint of row k's first i tokens, built when row k starts
+    joints: list[list[PrefixJoint]] = []
     tau, f, kept = 0, 0, None
     H: set[tuple[int, ...]] = set()
     y = None
     full_accept = False
     for k in range(K):
         row = drafts.tokens[k]
+        joints.append(_row_joints(row, drafts.cond[k], scores.cond[k]))
         # the row's tests are fixed when it starts: lengths tau+1 .. L-1 not in H
         tested = [i for i in range(tau + 1, L) if row[:i] not in H]
         tests = iter(zip(*subblock_accept_prob(
-            [joint(k, i) for i in tested], [drafts.cond[k][i] for i in tested],
+            [joints[k][i] for i in tested], [drafts.cond[k][i] for i in tested],
             [scores.cond[k][i] for i in tested], K, counters,
         )) if tested else ())
         for i in range(tau + 1, L):
@@ -562,7 +572,7 @@ def verify_spectr_gbv(
             if trace is not None:
                 trace.append(("skip", k, row))
             continue
-        h = full_block_accept_prob(joint(k, L), K)
+        h = full_block_accept_prob(joints[k][L], K)
         accepted = rng.uniform() < h
         if trace is not None:
             trace.append(("full", k, row, h, accepted))
@@ -575,7 +585,7 @@ def verify_spectr_gbv(
     if not full_accept:
         try:
             res = block_residual(
-                joint(f, tau), drafts.cond[f][tau], scores.cond[f][tau], K, counters, kept
+                joints[f][tau], drafts.cond[f][tau], scores.cond[f][tau], K, counters, kept
             )
         except AllZeroMass:
             res = scores.cond[f][tau]
@@ -585,7 +595,7 @@ def verify_spectr_gbv(
     horizon = max(L - tau - 1, 0)
     j = PrefixJoint.empty()
     if horizon:
-        j = extend_joint(joint(f, tau), y, drafts.cond[f][tau], scores.cond[f][tau])
+        j = extend_joint(joints[f][tau], y, drafts.cond[f][tau], scores.cond[f][tau])
     outcome = VerifyOutcome(tau=tau, f=f, t=t, y=y, counters=counters)
     return outcome, ModifiedTarget(horizon, K, t + (y,), j.log_p, j.log_q)
 

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -140,19 +141,27 @@ class TestChains:
 
     def test_raw_chain_memoizes(self):
         pair = generate_pair(4, 1, 13, 1.0, 0.5)
-        chain = RawChain(pair.target, 1.0, (1,))
-        assert chain.conditional((0,)) is chain.conditional((0,))
+        model = random_model(4, 2, 3, 1.0)
+        for T in (1.0, 0.7):
+            chain = RawChain(pair.target, T, (1,))
+            assert chain.conditional((0,)) is chain.conditional((0,))
+            # a zero-padded context is the same cache entry as its short form
+            assert model.conditional((2,), T) is model.conditional((0, 2), T)
+            assert model.conditional((), T) is model.conditional((0, 0), T)
+            assert RawChain(model, T, ()).conditional((2,)) is model.conditional((0, 2), T)
 
     def test_raw_chain_keeps_only_the_tail_its_model_reads(self):
-        model = random_model(4, 2, 3, 1.0)
-        assert RawChain(model, 1.0, (1, 2, 3, 0)).context == (3, 0)
-        assert RawChain(random_model(4, 0, 3, 1.0), 1.0, (1, 2, 3)).context == ()
-        # a context shorter than the order is kept whole and zero-padded as before
-        short = RawChain(model, 0.7, (2,))
-        assert short.context == (2,)
-        for ctx in [(), (1,), (3, 1, 2)]:
-            want = model.conditional((2,) + ctx, 0.7)
-            assert np.array_equal(short.conditional(ctx).mass, want.mass)
+        for order, T in itertools.product((0, 1, 2), (1.0, 0.7)):
+            model = random_model(4, order, 3, 1.0)
+            assert RawChain(model, T, (1, 2, 3, 0)).context == (1, 2, 3, 0)[4 - order:]
+            # a context shorter than the order is kept whole and zero-padded as before
+            for context in [(2,), (1, 2, 3, 0)]:
+                chain = RawChain(model, T, context)
+                if len(context) < order:
+                    assert chain.context == context
+                for n in range(order + 2):
+                    ctx = (3, 1, 2)[:n]
+                    assert chain.conditional(ctx) is model.conditional(context + ctx, T)
 
 
 class _Memo:

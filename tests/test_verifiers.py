@@ -21,7 +21,7 @@ from conftest import (
 )
 from speclab import verifiers
 from speclab.harness import decode
-from speclab.models import ModelPair, generate_pair, random_model
+from speclab.models import MarkovModel, ModelPair, generate_pair, random_model
 from speclab.probability import (
     LOG_ZERO,
     AllZeroMass,
@@ -552,7 +552,7 @@ class TestKseqMemo:
         rows = []
         for pair in pairs:
             decode(pair, "spectr", 3, 4, (0, 1), 48, RandomSource(3))
-            rows += [*pair.draft._rows.values(), *pair.target._rows.values()]
+            rows += [*pair.draft.cache[1.0].values(), *pair.target.cache[1.0].values()]
         assert any(d in verifiers._RHO for d in rows)
         return [weakref.ref(d) for d in rows]
 
@@ -810,6 +810,54 @@ class TestVerifySpectrGbv:
                 assert mod_warnings > 0
             else:
                 assert {0, L} <= taus
+
+    @pytest.mark.parametrize("shape", ["zero-target", "peaked"])
+    def test_joints_equal_chained_extend_joint(self, monkeypatch, shape):
+        # every joint the scan reads, held with == to extend_joint chained
+        # along its row; on "zero-target" drafted token 2 has target
+        # probability 0, so LOG_ZERO must absorb the rest of the row
+        if shape == "zero-target":
+            draft = np.array([[0.5, 0.2, 0.3], [0.3, 0.3, 0.4], [0.2, 0.5, 0.3]])
+            target = np.array([[0.7, 0.3, 0.0], [0.4, 0.6, 0.0], [0.5, 0.5, 0.0]])
+            pair = ModelPair(MarkovModel(3, 1, draft), MarkovModel(3, 1, target))
+        else:
+            pair = generate_pair(16, 1, 4, 0.05, 0.0)
+        seen = {"sub": [], "full": [], "residual": []}
+        real_sub, real_full, real_residual = (
+            verifiers.subblock_accept_prob, verifiers.full_block_accept_prob,
+            verifiers.block_residual,
+        )
+        monkeypatch.setattr(verifiers, "subblock_accept_prob",
+                            lambda joints, *a: seen["sub"].extend(joints) or real_sub(joints, *a))
+        monkeypatch.setattr(verifiers, "full_block_accept_prob",
+                            lambda joint, K: seen["full"].append(joint) or real_full(joint, K))
+        monkeypatch.setattr(verifiers, "block_residual",
+                            lambda joint, *a: seen["residual"].append(joint) or real_residual(joint, *a))
+        zero_joints = 0
+        for seed in range(40):
+            for key in seen:
+                seen[key].clear()
+            rng = RandomSource(seed)
+            drafts, scores = order0_setup(pair, 3, 4, rng)
+            chained = []
+            for k, row in enumerate(drafts.tokens):
+                js = [PrefixJoint.empty()]
+                for i, tok in enumerate(row):
+                    js.append(extend_joint(js[-1], tok, drafts.cond[k][i], scores.cond[k][i]))
+                chained.append(js)
+            trace = []
+            out, mod = verify_spectr_gbv(drafts, scores, rng, trace)
+            assert seen["sub"] == [chained[k][len(sub)] for kind, k, sub, *_ in trace if kind == "subblock"]
+            assert seen["full"] == [chained[k][4] for kind, k, *_ in trace if kind == "full"]
+            if out.tau < 4:
+                assert seen["residual"] == [chained[out.f][out.tau]]
+            if mod.horizon:
+                f, tau = out.f, out.tau
+                j = extend_joint(chained[f][tau], out.y, drafts.cond[f][tau], scores.cond[f][tau])
+                assert (mod.log_p_prefix, mod.log_q_prefix) == (j.log_p, j.log_q)
+            zero_joints += sum(j.log_q == LOG_ZERO for j in seen["sub"] + seen["full"])
+        if shape == "zero-target":
+            assert zero_joints > 0
 
     def test_deterministic_including_counters(self, canonical_pair):
         def run():
