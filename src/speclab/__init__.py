@@ -9,7 +9,6 @@ from .probability import (
     extend_joint,
     normalize,
     sample,
-    tv_distance,
 )
 from .verifiers import (
     Counters,
@@ -38,6 +37,6 @@ __all__ = [
     "RandomSource", "TargetScores", "VerifyOutcome", "block_residual",
     "draft_rows", "extend_joint", "full_block_accept_prob", "gbv_accept_prob",
     "generate_pair", "kseq_rho", "load_model", "normalize", "random_model",
-    "sample", "save_model", "score_rows", "subblock_accept_prob", "tv_distance",
+    "sample", "save_model", "score_rows", "subblock_accept_prob",
     "verify_gbv", "verify_kseq", "verify_sd", "verify_spectr_gbv",
 ]

@@ -35,7 +35,6 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field, fields
-from typing import Sequence
 
 import numpy as np
 
@@ -415,29 +414,6 @@ def bound_K(pair: ModelPair, L: int, K: int) -> float:
 
 def _bound(sub_blocks: list, K: int) -> float:
     return sum(float(_accept_mass(p, q, K).sum()) for _blocks, p, q in sub_blocks)
-
-
-def gbv_block_sum(pair: ModelPair, L: int) -> float:
-    """Sum over sub-blocks of min(draft joint, target joint); the K = 1 bound."""
-    return sum(float(np.minimum(p, q).sum()) for _blocks, p, q in _sub_blocks(pair, L, 1))
-
-
-def bound_properties(pair: ModelPair, L: int, K_list: Sequence[int]) -> dict:
-    """Bound values along K_list with monotonicity and convergence checks."""
-    values = [bound_K(pair, L, K) for K in K_list]
-    # strict in exact arithmetic whenever the models differ; in float64 the
-    # bound saturates at L once the gap drops below machine resolution
-    strict = all(b > a or L - a < 1e-12 for a, b in zip(values, values[1:]))
-    return {
-        "K_list": list(K_list),
-        "bounds": values,
-        "strictly_increasing": strict,
-        "final_gap_to_L": L - values[-1],
-        "gaps_decreasing": all(
-            (L - b) <= (L - a) + 1e-15 for a, b in zip(values, values[1:])
-        ),
-        "all_below_L": all(v <= L + 1e-12 for v in values),
-    }
 
 
 def exact_expected_tau(pair: ModelPair, L: int, K: int) -> float:

@@ -139,10 +139,6 @@ def normalize(raw) -> Distribution:
     return Distribution(v / s)
 
 
-def tv_distance(a: Distribution, b: Distribution) -> float:
-    return 0.5 * float(np.abs(a.mass - b.mass).sum())
-
-
 def sample(d: Distribution, rng: RandomSource) -> int:
     """Inverse-CDF draw with a single uniform.
 

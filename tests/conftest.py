@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from speclab import oracle
 from speclab.models import MarkovModel, ModelPair
 from speclab.probability import (
     LOG_ZERO,
@@ -47,6 +48,33 @@ def eos_free(model: MarkovModel) -> MarkovModel:
     table[:, -1] = 0.0
     table /= table.sum(axis=1, keepdims=True)
     return MarkovModel(model.vocab_size, model.order, table)
+
+
+def tv_distance(a: Distribution, b: Distribution) -> float:
+    return 0.5 * float(np.abs(a.mass - b.mass).sum())
+
+
+def gbv_block_sum(pair: ModelPair, L: int) -> float:
+    """Sum over sub-blocks of min(draft joint, target joint); the K = 1 bound."""
+    return sum(float(np.minimum(p, q).sum()) for _blocks, p, q in oracle._sub_blocks(pair, L, 1))
+
+
+def bound_properties(pair: ModelPair, L: int, K_list) -> dict:
+    """Bound values along K_list with monotonicity and convergence checks."""
+    values = [oracle.bound_K(pair, L, K) for K in K_list]
+    # strict in exact arithmetic whenever the models differ; in float64 the
+    # bound saturates at L once the gap drops below machine resolution
+    strict = all(b > a or L - a < 1e-12 for a, b in zip(values, values[1:]))
+    return {
+        "K_list": list(K_list),
+        "bounds": values,
+        "strictly_increasing": strict,
+        "final_gap_to_L": L - values[-1],
+        "gaps_decreasing": all(
+            (L - b) <= (L - a) + 1e-15 for a, b in zip(values, values[1:])
+        ),
+        "all_below_L": all(v <= L + 1e-12 for v in values),
+    }
 
 
 def residual_sd(p: Distribution, q: Distribution) -> Distribution:

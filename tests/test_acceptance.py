@@ -16,14 +16,19 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import NuModifiedTarget, batched, override, reference_gbv, subblock_h
+from conftest import (
+    NuModifiedTarget,
+    batched,
+    bound_properties,
+    gbv_block_sum,
+    override,
+    reference_gbv,
+    subblock_h,
+    tv_distance,
+)
 from speclab.harness import decode
 from speclab.models import generate_pair
-from speclab.oracle import (
-    bound_properties,
-    exact_output_distribution,
-    gbv_block_sum,
-)
+from speclab.oracle import exact_output_distribution
 from speclab.probability import (
     AllZeroMass,
     Distribution,
@@ -31,7 +36,6 @@ from speclab.probability import (
     RandomSource,
     extend_joint,
     normalize,
-    tv_distance,
 )
 from speclab.verifiers import (
     ModifiedTarget,

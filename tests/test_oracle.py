@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import batched, override
+from conftest import batched, bound_properties, gbv_block_sum, override
 from speclab import harness, oracle
 from speclab.models import MarkovModel, ModelPair, generate_pair
 from speclab.oracle import (
@@ -13,10 +13,8 @@ from speclab.oracle import (
     _instance,
     _model_joint,
     bound_K,
-    bound_properties,
     exact_expected_tau,
     exact_output_distribution,
-    gbv_block_sum,
 )
 from speclab.probability import PrefixJoint, RandomSource, extend_joint
 from speclab.verifiers import (

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import FixedUniforms, residual_sd
+from conftest import FixedUniforms, residual_sd, tv_distance
 from speclab.probability import (
     AllZeroMass,
     Distribution,
@@ -15,7 +15,6 @@ from speclab.probability import (
     extend_joint,
     normalize,
     sample,
-    tv_distance,
 )
 
 
