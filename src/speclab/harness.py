@@ -68,11 +68,11 @@ class RawChain:
     """Target or draft conditionals from a fixed absolute context.
 
     Only the context's last ``model.order`` tokens are kept. A context shorter
-    than the order is kept whole and zero-padded for lookups, as the model
-    pads it. A lookup probes ``model.cache`` with the tail of
-    ``context + ctx``, which is ``ctx``'s own tail once ``ctx`` is at least
-    ``order`` long; a miss goes through ``model.conditional``, which fills
-    the cache. A context gets the object the model returns for it.
+    than the order is kept whole, so the model zero-pads it as before. When
+    ``ctx`` alone is at least ``order`` long, its tail is the row's key, and
+    a lookup probes ``model.cache`` with it directly; a shorter ``ctx`` or a
+    miss goes through ``model.conditional``, which pads and fills the cache.
+    A context gets the object the model returns for it.
     """
 
     def __init__(self, model: MarkovModel, temperature: float, context: tuple[int, ...]):
@@ -80,14 +80,15 @@ class RawChain:
         self.temperature = temperature
         self.context = _tail(context, model.order)
         self._order = model.order
-        self._padded = (0,) * (model.order - len(self.context)) + self.context
         self._rows = model.cache[temperature]
 
     def conditional(self, ctx: tuple[int, ...]) -> Distribution:
         n = len(ctx) - self._order
-        tail = ctx[n:] if n >= 0 else (self._padded + ctx)[len(ctx):]
-        d = self._rows.get(tail)
-        return d if d is not None else self.model.conditional(tail, self.temperature)
+        if n >= 0:
+            d = self._rows.get(ctx[n:])
+            if d is not None:
+                return d
+        return self.model.conditional(self.context + ctx, self.temperature)
 
     def conditionals(self, ctxs) -> list[Distribution]:
         return list(map(self.conditional, ctxs))
