@@ -60,10 +60,10 @@ class MarkovModel:
     significant. ``cache[T]`` maps a row's tail, the context's last ``order``
     tokens left-padded with 0, to its conditional at temperature T, so a
     context and its zero-padded form share one entry, and the cache holds one
-    entry per distinct row per temperature. A lookup is a slice and a dict
-    probe; ``row_index`` runs and the row is validated only on a miss, and
-    the same read-only ``Distribution`` is returned after that. At T = 1 it
-    is a view of the table, which is read-only too.
+    entry per distinct row per temperature. A lookup slices the context and
+    probes the cache; ``row_index`` runs and the row is validated only on a
+    miss, and the same read-only ``Distribution`` is returned after that. At
+    T = 1 it is a view of the table, which is read-only too.
     """
 
     vocab_size: int
