@@ -37,16 +37,18 @@ def _validate_table(vocab_size: int, order: int, table: np.ndarray) -> np.ndarra
         raise ParseError(
             f"table shape {table.shape} does not match V={vocab_size}, order={order}"
         )
-    rows = np.array(table, dtype=np.float64)
-    for i, row in enumerate(rows):
-        if np.any(row < 0):
-            raise InvalidRow(i, "negative entry")
-        s = float(row.sum())
-        if not abs(s - 1.0) <= ROW_SUM_TOL:  # also rejects a NaN sum
-            raise InvalidRow(i, f"row sums to {s!r}")
-        # rescale only when needed so clean tables round-trip bit-exactly
-        if abs(s - 1.0) > 1e-12:
-            rows[i] = row / s
+    # C order, so a row's sum over axis 1 is bit for bit that row's own sum
+    rows = np.array(table, dtype=np.float64, order="C")
+    negative = (rows < 0).any(axis=1)
+    sums = rows.sum(axis=1)
+    off = np.abs(sums - 1.0)
+    bad = negative | ~(off <= ROW_SUM_TOL)  # a NaN sum is bad too
+    if bad.any():
+        i = int(bad.argmax())
+        raise InvalidRow(i, "negative entry" if negative[i] else f"row sums to {float(sums[i])!r}")
+    # rescale only when needed so clean tables round-trip bit-exactly
+    scale = off > 1e-12
+    rows[scale] /= sums[scale, None]
     # read-only because the cached row Distributions are views of this table
     rows.setflags(write=False)
     return rows
@@ -124,15 +126,17 @@ def random_model(vocab_size: int, order: int, seed: int, concentration: float) -
         raise ValueError("concentration must be > 0")
     gen = np.random.Generator(np.random.PCG64(seed))
     alpha = np.full(vocab_size, float(concentration))
-    rows = np.stack([gen.dirichlet(alpha) for _ in range(vocab_size**order)])
-    return MarkovModel(vocab_size, order, rows)
+    # one draw of all rows: the same doubles as one draw per row, in row order
+    return MarkovModel(vocab_size, order, gen.dirichlet(alpha, size=vocab_size**order))
 
 
 def blend_model(base: MarkovModel, other: MarkovModel, weight: float) -> MarkovModel:
     """Rows weight*base + (1-weight)*other; weight 1 reproduces base."""
     if base.vocab_size != other.vocab_size or base.order != other.order:
         raise ValueError("blend requires models of identical shape")
-    rows = weight * base.table + (1.0 - weight) * other.table
+    # addition commutes in IEEE arithmetic, so adding in place is bit-identical
+    rows = (1.0 - weight) * other.table
+    rows += weight * base.table
     return MarkovModel(base.vocab_size, base.order, rows)
 
 

@@ -31,6 +31,15 @@ class TestRandomModel:
         assert m.table.shape == (1, 2)
         assert abs(m.table[0].sum() - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("concentration", [0.05, 1.0, 1e4])
+    def test_one_draw_equals_per_row_draws(self, order, concentration):
+        V, seed = 5, 17
+        gen = np.random.Generator(np.random.PCG64(seed))
+        alpha = np.full(V, concentration)
+        rows = np.stack([gen.dirichlet(alpha) for _ in range(V**order)])
+        assert np.array_equal(random_model(V, order, seed, concentration).table, rows)
+
     def test_high_concentration_approaches_uniform(self):
         # Dirichlet(1e4) entry sd ~ sqrt(0.25*0.75/40001) ~ 0.0022; 0.02 is ~9 sigma
         m = random_model(4, 2, 3, 1e4)
@@ -158,6 +167,46 @@ class TestFileFormat:
             load_model(path)
 
 
+class TestValidateTable:
+    def _table(self):
+        return random_model(4, 1, 2, 1.0).table.copy()
+
+    def _error(self, table):
+        with pytest.raises(InvalidRow) as e:
+            MarkovModel(4, 1, table)
+        return e.value
+
+    def test_first_bad_row_reported(self):
+        table = self._table()
+        table[1] *= 1.5
+        table[2, 0] = -0.1
+        err = self._error(table)
+        assert (err.index, err.reason) == (1, f"row sums to {float(table[1].sum())!r}")
+
+    def test_negative_entry_checked_before_row_sum(self):
+        table = self._table()
+        table[3, 0] = -0.5
+        err = self._error(table)
+        assert (err.index, err.reason) == (3, "negative entry")
+
+    def test_nan_row_reports_its_sum(self):
+        table = self._table()
+        table[2, 1] = np.nan
+        err = self._error(table)
+        assert (err.index, err.reason) == (2, "row sums to nan")
+
+    def test_slightly_off_row_rescaled_by_its_sum(self):
+        table = random_model(64, 1, 2, 1.0).table.copy()
+        table[1] *= 1.0 + 1e-9
+        table[2] *= 1.0 + 3e-7
+        table[3] *= 1.0 + 1e-13
+        m = MarkovModel(64, 1, table)
+        for i in (1, 2):
+            assert np.array_equal(m.table[i], table[i] / table[i].sum())
+        kept = np.delete(np.arange(64), [1, 2])
+        assert np.array_equal(m.table[kept], table[kept])
+
+
 class TestPairs:
     def test_vocab_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -171,7 +220,7 @@ class TestPairs:
         a = random_model(3, 1, 1, 1.0)
         b = random_model(3, 1, 2, 1.0)
         mid = blend_model(a, b, 0.25)
-        assert np.allclose(mid.table, 0.25 * a.table + 0.75 * b.table)
+        assert np.array_equal(mid.table, 0.25 * a.table + 0.75 * b.table)
 
     def test_temperature_applied_to_both(self):
         pair = generate_pair(4, 0, 5, 1.0, similarity=0.3, temperature=0.5)
