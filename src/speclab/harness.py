@@ -11,9 +11,10 @@ Chains answer a list of contexts in one ``conditionals`` call. Scoring asks
 for all K * (L + 1) row prefixes at once, so each ``ModifiedChain`` layer
 builds its overrides for an iteration in one block and asks the layer
 beneath once; its ``conditional`` answers from the memo or makes that call
-with one context. A ``RawChain`` lookup is one slice of the context's tail
-and one probe of the model's row cache, with no vocabulary pass, so its
-batch is the lookup repeated.
+with one context; a context past its horizon goes to a ``RawChain`` at its
+origin, not down the stack. A ``RawChain`` lookup is one slice of the
+context's tail and one probe of the model's row cache, with no vocabulary
+pass, so its batch is the lookup repeated.
 
 Each block-verifier iteration stacks one ``ModifiedChain`` on the last. After
 every iteration ``prune_spent`` collapses the layers that can no longer
@@ -103,10 +104,13 @@ class ModifiedChain:
 
     A layer overrides only when asked for a context shorter than its record's
     horizon, and any such query walks every parent of that context, so it asks
-    its base for contexts from ``len(record.prefix)`` tokens up. Once no
-    context that short can reach a layer it is spent: it passes its base's
-    conditional through unchanged, as does every layer beneath it, and
-    ``prune_spent`` replaces the lot with a ``RawChain`` at its origin.
+    its base for contexts from ``len(record.prefix)`` tokens up. The horizon
+    plus the prefix length is L, or the horizon is 0 and the prefix is at
+    least L long, so a context at or past the horizon would reach every layer
+    beneath with L tokens or more, past any horizon, and come back as the raw
+    target at ``origin``: ``raw``, a ``RawChain`` there, answers it, and only
+    live contexts go down. Once no context that short can reach a layer it
+    is spent, and ``prune_spent`` replaces it and all beneath with its ``raw``.
     """
 
     def __init__(
@@ -122,26 +126,29 @@ class ModifiedChain:
         self.record = record
         self.origin = origin
         self.counters = counters
+        bottom = getattr(base, "raw", base)
+        self.raw = RawChain(bottom.model, bottom.temperature, origin)
         self._memo: dict[tuple[int, ...], Distribution] = {}
 
     def conditionals(self, ctxs) -> list[Distribution]:
-        memo = self._memo
-        misses = [ctx for ctx in ctxs if ctx not in memo]
+        memo, horizon = self._memo, self.record.horizon
+        misses = [ctx for ctx in ctxs if len(ctx) < horizon and ctx not in memo]
         if misses:
             misses = list(dict.fromkeys(misses))
             found = self.record.conditional(
                 misses, self.base.conditionals, self.draft.conditionals, self.counters
             )
             memo.update(zip(misses, found))
-        return [memo[ctx] for ctx in ctxs]
+        raw = self.raw.conditional
+        return [memo[ctx] if len(ctx) < horizon else raw(ctx) for ctx in ctxs]
 
     def conditional(self, ctx: tuple[int, ...]) -> Distribution:
         hit = self._memo.get(ctx)
         return hit if hit is not None else self.conditionals((ctx,))[0]
 
 
-def prune_spent(chain, target: MarkovModel, temperature: float):
-    """Collapse the first spent layer of ``chain`` and all beneath it into a raw chain.
+def prune_spent(chain):
+    """Collapse the first spent layer of ``chain`` and all beneath it into its raw chain.
 
     The walk starts at the top, which the next iteration asks for contexts
     from length 0. A layer asked for contexts from length d is live iff
@@ -154,10 +161,9 @@ def prune_spent(chain, target: MarkovModel, temperature: float):
     depth, above, layer = 0, None, chain
     while isinstance(layer, ModifiedChain):
         if depth >= layer.record.horizon:
-            raw = RawChain(target, temperature, layer.origin)
             if above is None:
-                return raw
-            above.base = raw
+                return layer.raw
+            above.base = layer.raw
             break
         depth = len(layer.record.prefix)
         above, layer = layer, layer.base
@@ -307,10 +313,7 @@ def decode(
                 break
             history = _tail(history + block, keep)
             if mod is not None:
-                q_chain = prune_spent(
-                    ModifiedChain(q_chain, p_chain, mod, history, totals),
-                    pair.target, pair.temperature,
-                )
+                q_chain = prune_spent(ModifiedChain(q_chain, p_chain, mod, history, totals))
             else:
                 q_chain = RawChain(pair.target, pair.temperature, history)
 

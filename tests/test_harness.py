@@ -241,9 +241,7 @@ def _three_layer_chain(pair, K, L, seed):
         scores = score_rows(drafts, q_chain.conditionals)
         outcome, mod = verify(algo, drafts, scores, rng)
         history = history + outcome.t + (outcome.y,)
-        q_chain = prune_spent(
-            ModifiedChain(q_chain, p_chain, mod, history, totals), pair.target, pair.temperature
-        )
+        q_chain = prune_spent(ModifiedChain(q_chain, p_chain, mod, history, totals))
         depth, layer = 0, q_chain
         while isinstance(layer, ModifiedChain):
             depth, layer = depth + 1, layer.base
@@ -285,6 +283,37 @@ class TestChainBatch:
             assert seen_fallback
 
 
+class TestPastHorizon:
+    @pytest.mark.parametrize("algo", ["gbv", "spectr-gbv"])
+    def test_no_layer_asks_its_base_for_L_tokens(self, algo, monkeypatch):
+        # a context of L tokens or more is past every horizon beneath
+        L, asked = 8, []
+        shipped = ModifiedTarget.conditional
+
+        def spy(self, ctxs, q_base, p_base, counters=None):
+            def q(base_ctxs):
+                asked.extend(len(c) for c in base_ctxs)
+                return q_base(base_ctxs)
+
+            return shipped(self, ctxs, q, p_base, counters)
+
+        monkeypatch.setattr(ModifiedTarget, "conditional", spy)
+        decode(_eos_free_v16(), algo, 3, L, (3, 1, 4, 1, 5, 9, 2, 6), 256, RandomSource(1))
+        assert asked and max(asked) < L
+
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_past_horizon_answers_are_the_models_rows(self, K):
+        pair, L = _eos_free_v16(), 8
+        chain, _, _ = _three_layer_chain(pair, K, L, 0)
+        while isinstance(chain, ModifiedChain):
+            horizon = chain.record.horizon
+            for ctx in [(5,) * horizon, (2, 7) * L, (0,) * (horizon + 1)]:
+                want = pair.target.conditional(chain.origin + ctx, pair.temperature)
+                assert chain.conditional(ctx) is want
+                assert chain.conditionals([(), ctx])[1] is want
+            chain = chain.base
+
+
 class TestPruning:
     @pytest.mark.parametrize("algo", ["gbv", "spectr-gbv"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -320,24 +349,24 @@ class TestPruning:
         # one, by walking every parent, asks the third from 1 token (< 7); a rule
         # keeping only the L - 1 newest positions would drop the third
         target, bottom, chain = self._stack([(2, 6), (7, 1), (7, 1)])
-        assert prune_spent(chain, target, 1.0) is chain
+        assert prune_spent(chain) is chain
         layers, base = self._layers(chain)
         assert len(layers) == 3 and base is bottom
         # so a run of tau = 0 iterations keeps arbitrarily many layers live
         target, bottom, chain = self._stack([(2, 6)] + [(7, 1)] * 10)
-        assert prune_spent(chain, target, 1.0) is chain
+        assert prune_spent(chain) is chain
         assert len(self._layers(chain)[0]) == 11
 
     def test_first_spent_layer_and_below_collapse_to_raw(self):
         target, _, chain = self._stack([(2, 6), (6, 1), (7, 1)])
-        assert prune_spent(chain, target, 1.0) is chain
+        assert prune_spent(chain) is chain
         layers, base = self._layers(chain)
         assert len(layers) == 1
         assert type(base) is RawChain and base.model is target and base.context == (2,)
 
     def test_spent_top_becomes_raw(self):
         target, _, chain = self._stack([(0, 8), (7, 1)])
-        pruned = prune_spent(chain, target, 1.0)
+        pruned = prune_spent(chain)
         assert type(pruned) is RawChain and pruned.context == (2,)
 
     def test_4096_token_decode_completes(self):
