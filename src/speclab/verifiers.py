@@ -636,20 +636,8 @@ class ModifiedTarget:
     _joints: dict = field(default_factory=dict, repr=False, compare=False)
     fallbacks: set = field(default_factory=set, repr=False, compare=False)
 
-    def _joint(self, ctx: tuple[int, ...], q_rows: dict, p_rows: dict) -> PrefixJoint:
-        """Joint of prefix + ctx; the rows map each parent context whose
-        joint is not yet known to its base conditional."""
-        hit = self._joints.get(ctx)
-        if hit is None:
-            if ctx:
-                parent = ctx[:-1]
-                hit = extend_joint(
-                    self._joint(parent, q_rows, p_rows), ctx[-1], p_rows[parent], q_rows[parent]
-                )
-            else:
-                hit = PrefixJoint(self.log_p_prefix, self.log_q_prefix)
-            self._joints[ctx] = hit
-        return hit
+    def __post_init__(self):
+        self._joints[()] = PrefixJoint(self.log_p_prefix, self.log_q_prefix)
 
     def conditional(
         self, ctxs: list[tuple[int, ...]], q_base, p_base, counters: Counters | None = None
@@ -667,23 +655,33 @@ class ModifiedTarget:
         live = [ctx for ctx in ctxs if len(ctx) < self.horizon]
         if not live:
             return q_base([self.prefix + c for c in ctxs])
-        parents = {}
+        # every head of a live context whose joint is not yet known
+        joints, missing = self._joints, {}
         for ctx in live:
             n = len(ctx)
-            # a parent already listed has its own unknown ancestors listed too
-            while n > 0 and ctx[:n] not in self._joints and ctx[:n - 1] not in parents:
+            while ctx[:n] not in joints and ctx[:n] not in missing:
+                missing[ctx[:n]] = None
                 n -= 1
-                parents[ctx[:n]] = None
+        parents = [ctx[:-1] for ctx in missing]
         q_keys = list(dict.fromkeys([*ctxs, *parents]))
         p_keys = list(dict.fromkeys([*live, *parents]))
         q_rows = dict(zip(q_keys, q_base([self.prefix + c for c in q_keys])))
         p_rows = dict(zip(p_keys, p_base([self.prefix + c for c in p_keys])))
+        # shortest first, so each joint extends a known one: extend_joint's
+        # arithmetic, one math.log per factor and -inf absorbing
+        for ctx in sorted(missing, key=len):
+            head, tok = ctx[:-1], ctx[-1]
+            j, x, z = joints[head], p_rows[head].mass.item(tok), q_rows[head].mass.item(tok)
+            joints[ctx] = PrefixJoint(
+                j.log_p + math.log(x) if x > 0.0 else LOG_ZERO,
+                j.log_q + math.log(z) if z > 0.0 else LOG_ZERO,
+            )
         out = [q_rows[ctx] for ctx in ctxs]
         scan, r = [], []
         for n, ctx in enumerate(ctxs):
             if len(ctx) >= self.horizon:
                 continue
-            j = self._joint(ctx, q_rows, p_rows)
+            j = joints[ctx]
             if j.log_q != LOG_ZERO:
                 scan.append(n)
                 r.append(0.0 if j.log_p == LOG_ZERO else math.exp(min(j.log_p - j.log_q, 700.0)))

@@ -139,7 +139,8 @@ def subblock_h(joint, p_next, q_next, K, counters=None):
 class NuModifiedTarget(ModifiedTarget):
     """The next iteration's target after a single-draft block step, in its
     nu-weighted surplus form: norm(max(nu * q - p, 0)) with nu = q/p over the
-    running joints, one context at a time. The reference the power-form
+    running joints, one context at a time, each joint chained with
+    ``extend_joint`` from the prefix's. The reference the power-form
     modified target is checked against at K = 1."""
 
     def conditional(self, ctxs, q_base, p_base, counters=None):
@@ -152,7 +153,9 @@ class NuModifiedTarget(ModifiedTarget):
         qn = q_rows[ctx]
         if len(ctx) + 1 > self.horizon:
             return qn
-        j = self._joint(ctx, q_rows, p_rows)
+        j = PrefixJoint(self.log_p_prefix, self.log_q_prefix)
+        for n, tok in enumerate(ctx):
+            j = extend_joint(j, tok, p_rows[ctx[:n]], q_rows[ctx[:n]])
         lp, lq = j.log_p, j.log_q
         if lq == LOG_ZERO:
             return qn

@@ -859,6 +859,37 @@ class TestVerifySpectrGbv:
         if shape == "zero-target":
             assert zero_joints > 0
 
+    @pytest.mark.parametrize("V", [3, 16])
+    def test_modified_target_joints_equal_chained_extend_joint(self, V):
+        # every joint the modified target builds for a shuffled batch, held
+        # with == to extend_joint chained from its prefix's joint; at V = 3
+        # token 2 has target probability 0, so LOG_ZERO must absorb
+        if V == 3:
+            draft = np.array([[0.5, 0.2, 0.3], [0.3, 0.3, 0.4], [0.2, 0.5, 0.3]])
+            target = np.array([[0.7, 0.3, 0.0], [0.4, 0.6, 0.0], [0.5, 0.5, 0.0]])
+            pair = ModelPair(MarkovModel(3, 1, draft), MarkovModel(3, 1, target))
+        else:
+            pair = generate_pair(16, 1, 4, 0.05, 0.0)
+        q_base, p_base = batched(pair.target_conditional), batched(pair.draft_conditional)
+        checked = zero = 0
+        for seed in range(40):
+            rng = RandomSource(seed)
+            _, mod = verify_spectr_gbv(*order0_setup(pair, 3, 4, rng), rng)
+            ctxs = [c for n in range(mod.horizon) for c in itertools.product(range(V), repeat=n)]
+            np.random.default_rng(seed).shuffle(ctxs)
+            mod.conditional(ctxs, q_base, p_base)
+            for ctx in ctxs:
+                j = PrefixJoint(mod.log_p_prefix, mod.log_q_prefix)
+                for n, tok in enumerate(ctx):
+                    head = mod.prefix + ctx[:n]
+                    j = extend_joint(j, tok, pair.draft_conditional(head), pair.target_conditional(head))
+                assert mod._joints[ctx] == j
+                checked += len(ctx) > 1
+                zero += j.log_q == LOG_ZERO
+        assert checked > 0
+        if V == 3:
+            assert zero > 0
+
     def test_deterministic_including_counters(self, canonical_pair):
         def run():
             rng = RandomSource(17)
