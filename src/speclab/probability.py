@@ -3,8 +3,10 @@
 Mass vectors are plain numpy float64 arrays wrapped in a ``Distribution``,
 which validates them once, when it is built, and makes them read-only;
 ``Distribution.rows`` validates a whole block of them at once. Its
-cumulative mass is built on the first draw and kept, so a model row that is
-sampled many times pays for one vocabulary pass. ``RandomSource`` serves its
+cumulative mass is built on the first draw and kept, with a read-only
+``memoryview`` of it that ``sample`` bisects, so a model row that is sampled
+many times pays for one vocabulary pass and each later draw is one binary
+search without a numpy call. ``RandomSource`` serves its
 doubles from blocks drawn from the generator, which is the same stream as
 one call per double. Joint probabilities of token prefixes are carried in
 log space with an absorbing -inf marker for exact zeros, because products of
@@ -13,6 +15,7 @@ conditionals over a block underflow in linear space for peaked models.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import math
 from dataclasses import dataclass
@@ -123,6 +126,11 @@ class Distribution:
         c.setflags(write=False)
         return c
 
+    @cached_property
+    def _cdf_view(self) -> memoryview:
+        """Read-only view of ``cdf`` that ``bisect`` indexes as Python floats."""
+        return memoryview(self.cdf)
+
 
 def normalize(raw) -> Distribution:
     """Scale a nonnegative vector to total mass 1.
@@ -143,16 +151,18 @@ def sample(d: Distribution, rng: RandomSource) -> int:
     """Inverse-CDF draw with a single uniform.
 
     Returns the first index whose sequential float64 cumulative mass
-    (``d.cdf``, built on the distribution's first draw) exceeds the uniform,
-    so a draw from an already sampled distribution is one binary search.
-    Zero-mass entries add nothing to the running sum, so they are never
-    chosen. A uniform in the float dust past the last cumulative step
+    (``d.cdf``, built on the distribution's first draw) exceeds the uniform:
+    ``cdf.searchsorted(u, side="right")``, found by ``bisect.bisect_right``
+    over the distribution's cached view of the same doubles, so a draw from
+    an already sampled distribution is one binary search with no numpy
+    dispatch. Zero-mass entries add nothing to the running sum, so they are
+    never chosen. A uniform in the float dust past the last cumulative step
     returns the last positive-mass index.
     """
     u = rng.uniform()
-    cdf = d.cdf
-    i = int(cdf.searchsorted(u, side="right"))
-    if i < cdf.size:
+    view = d._cdf_view
+    i = bisect.bisect_right(view, u)
+    if i < len(view):
         return i
     return int(np.flatnonzero(d.mass)[-1])
 
@@ -209,6 +219,6 @@ def _log(x: float) -> float:
 
 def extend_joint(j: PrefixJoint, next_token: int, p_cond: Distribution, q_cond: Distribution) -> PrefixJoint:
     """Multiply one more conditional into both chains; -inf absorbs."""
-    lp = j.log_p + _log(float(p_cond.mass[next_token])) if j.log_p != LOG_ZERO else LOG_ZERO
-    lq = j.log_q + _log(float(q_cond.mass[next_token])) if j.log_q != LOG_ZERO else LOG_ZERO
+    lp = j.log_p + _log(p_cond.mass.item(next_token)) if j.log_p != LOG_ZERO else LOG_ZERO
+    lq = j.log_q + _log(q_cond.mass.item(next_token)) if j.log_q != LOG_ZERO else LOG_ZERO
     return PrefixJoint(lp, lq)

@@ -27,6 +27,41 @@ mass_vectors = st.lists(
 ).filter(lambda v: sum(v) > 1e-6)
 
 
+def _searchsorted_sample(d, rng):
+    """The draw as numpy's binary search over the cached CDF gives it, with the
+    last-positive fallback past the last step."""
+    u = rng.uniform()
+    i = int(d.cdf.searchsorted(u, side="right"))
+    return i if i < d.cdf.size else int(np.flatnonzero(d.mass)[-1])
+
+
+def _sample_row(V, seed, kind):
+    """A dirichlet, sparse or peaked row with zero-mass runs at both ends."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    if kind == "peaked":
+        raw = gen.random(V) * 1e-12
+        raw[gen.integers(V)] = 1.0
+    else:
+        raw = gen.dirichlet(np.full(V, 0.05 if kind == "sparse" else 1.0))
+        # zero a random share of entries, a random head and a random tail
+        raw[gen.random(V) < gen.random()] = 0.0
+        raw[:int(gen.integers(V))] = 0.0
+        raw[V - int(gen.integers(V)):] = 0.0
+        if not raw.any():
+            raw[gen.integers(V)] = 1.0
+    return normalize(raw)
+
+
+def _probe_uniforms(d):
+    """0, the largest uniform, every CDF step and the doubles either side of
+    it, as the Python floats a RandomSource yields; the double above the last
+    step lies in the dust past it."""
+    us = [0.0, math.nextafter(1.0, 0.0)]
+    for step in d.cdf.tolist():
+        us += [math.nextafter(step, 0.0), step, math.nextafter(step, 2.0)]
+    return us
+
+
 def _reference_sample(d, rng):
     """The original inverse-CDF draw: a linear scan accumulating positive mass."""
     u = rng.uniform()
@@ -130,6 +165,14 @@ class TestDistributionRows:
                 d.mass[0] = 1.0
             with pytest.raises(ValueError):
                 d.cdf[0] = 1.0
+        # each row draws through a view of its own CDF, not of a shared block
+        views = []
+        for d in rows:
+            sample(d, FixedUniforms([0.5]))
+            views.append(d._cdf_view)
+            assert views[-1].readonly and np.shares_memory(np.asarray(views[-1]), d.cdf)
+        assert len({id(v) for v in views}) == len(rows)
+        assert [v.tolist() for v in views] == [np.cumsum(row).tolist() for row in want]
 
 
 class TestRandomSource:
@@ -260,24 +303,34 @@ class TestSample:
     )
     @settings(max_examples=100, deadline=None)
     def test_matches_reference_loop(self, V, seed, kind):
-        gen = np.random.Generator(np.random.PCG64(seed))
-        if kind == "peaked":
-            raw = gen.random(V) * 1e-12
-            raw[gen.integers(V)] = 1.0
-        else:
-            raw = gen.dirichlet(np.full(V, 0.05 if kind == "sparse" else 1.0))
-            # zero a random share of entries and a random tail, keeping one positive
-            raw[gen.random(V) < gen.random()] = 0.0
-            raw[V - int(gen.integers(V)):] = 0.0
-            if not raw.any():
-                raw[gen.integers(V)] = 1.0
-        d = normalize(raw)
-        steps = np.cumsum(d.mass)
-        uniforms = [0.0, np.nextafter(steps[-1], 2.0)]
-        for step in steps:
-            uniforms += [step, np.nextafter(step, 0.0)]
-        for u in uniforms:
+        d = _sample_row(V, seed, kind)
+        for u in _probe_uniforms(d):
             assert sample(d, FixedUniforms([u])) == _reference_sample(d, FixedUniforms([u]))
+
+    @given(
+        st.integers(2, 1024),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["dirichlet", "sparse", "peaked"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_searchsorted_draw_for_draw(self, V, seed, kind):
+        d = _sample_row(V, seed, kind)
+        for u in _probe_uniforms(d):
+            assert sample(d, FixedUniforms([u])) == _searchsorted_sample(d, FixedUniforms([u]))
+        a, b = RandomSource(seed), RandomSource(seed)
+        assert [sample(d, a) for _ in range(64)] == [_searchsorted_sample(d, b) for _ in range(64)]
+
+    def test_cdf_view_is_built_once_and_read_only(self):
+        d = dist(0.25, 0.0, 0.75)
+        assert "cdf" not in vars(d) and "_cdf_view" not in vars(d)
+        assert sample(d, FixedUniforms([0.5])) == 2
+        view = d._cdf_view
+        assert sample(d, FixedUniforms([0.1])) == 0
+        assert d._cdf_view is view and view.readonly
+        assert view.tolist() == d.cdf.tolist()
+        assert np.shares_memory(np.asarray(view), d.cdf)
+        with pytest.raises(TypeError):
+            view[0] = 1.0
 
     def test_monte_carlo_frequency(self):
         # binomial check: sd of the frequency at n=1e5 is ~0.00126, so 0.005 is ~4 sigma
