@@ -69,7 +69,7 @@ def _model_joint(model, temperature: float, context: tuple[int, ...], blk: tuple
     itself rather than through a chain."""
     p = 1.0
     for j, tok in enumerate(blk):
-        p *= float(model.conditional(context + blk[:j], temperature).mass[tok])
+        p *= model.conditional(context + blk[:j], temperature).mass.item(tok)
     return p
 
 
@@ -314,15 +314,15 @@ def _output_joint(
         if fell_back:
             fallback_mass += mass
         need = depth - len(t) - 1
-        for y, py in enumerate(ydist):
+        for y, py in enumerate(ydist.tolist()):
             if py <= 0.0:
                 continue
-            m0 = mass * float(py)
-            base = t + (int(y),)
+            m0 = mass * py
+            base = t + (y,)
             if need <= 0:
                 out[base] = out.get(base, 0.0) + m0
                 continue
-            mod = inst.modified(tau, t, int(y))
+            mod = inst.modified(tau, t, y)
             frontier = [((), m0)]
             for _ in range(need):
                 nxt = []
@@ -330,9 +330,9 @@ def _output_joint(
                 for (ctx, m), d in zip(frontier, dists):
                     if ctx in mod.record.fallbacks:
                         fallback_mass += m
-                    for x, px in enumerate(d.mass):
+                    for x, px in enumerate(d.mass.tolist()):
                         if px > 0.0:
-                            nxt.append((ctx + (x,), m * float(px)))
+                            nxt.append((ctx + (x,), m * px))
                 frontier = nxt
             for ctx, m in frontier:
                 key = base + ctx
@@ -520,13 +520,13 @@ def _two_iteration_dev(pair: ModelPair, inst1: _Instance, leaves1: dict) -> tupl
         ydist, fell_back = inst1.extra_token(tau1, t1)
         if fell_back:
             fallback += m1
-        for y1, py1 in enumerate(ydist):
+        for y1, py1 in enumerate(ydist.tolist()):
             if py1 <= 0.0:
                 continue
-            prefix1 = t1 + (int(y1),)
+            prefix1 = t1 + (y1,)
             context2 = inst1.context + prefix1
             draft2 = RawChain(pair.draft, pair.temperature, context2)
-            inst2 = _Instance(draft2, inst1.modified(tau1, t1, int(y1)), context2, V, L, K)
+            inst2 = _Instance(draft2, inst1.modified(tau1, t1, y1), context2, V, L, K)
             leaves2, _ = _enumerate_leaves(inst2)
             claimed = []
             for blocks, _p, q in inst2.levels(L)[1:]:
@@ -534,7 +534,7 @@ def _two_iteration_dev(pair: ModelPair, inst1: _Instance, leaves1: dict) -> tupl
                 claimed.append(_accept_mass(np.array(p2), q, K))
             lemma_dev = max(lemma_dev, _lemma_table(inst2, leaves2, claimed)[1])
             out2, fb2 = _output_joint(inst2, leaves2, depth - len(prefix1))
-            w = m1 * float(py1)
+            w = m1 * py1
             fallback += w * fb2
             for seq, m in out2.items():
                 key = prefix1 + seq

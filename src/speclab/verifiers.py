@@ -128,7 +128,7 @@ class DraftSet:
             if len(self.cond[k]) != L:
                 raise ValueError("cond[k] must hold one conditional per position")
             for i, tok in enumerate(row):
-                if self.cond[k][i].mass[tok] <= 0.0:
+                if self.cond[k][i].mass.item(tok) <= 0.0:
                     raise ValueError(f"row {k} token {i} has zero draft probability")
 
     @property
@@ -301,7 +301,7 @@ def verify_kseq(drafts: DraftSet, scores: TargetScores, rng: RandomSource, trace
         accepted = None
         for k in survivors:
             tok = drafts.tokens[k][i]
-            a = min(1.0, float(q_i.mass[tok]) / (rho * float(p_i.mass[tok])))
+            a = min(1.0, q_i.mass.item(tok) / (rho * p_i.mass.item(tok)))
             ok = rng.uniform() < a
             if trace is not None:
                 trace.append(("candidate", i + 1, k, tok, a, ok))
