@@ -437,7 +437,8 @@ def subblock_accept_prob(
     h = []
     for rn, joint, S in zip(r, joints, w.sum(axis=1).tolist()):
         num = S - (1.0 - min(rn, 1.0)) ** K
-        den = rn * _geometric(joint.p, K) - 1.0 + S
+        # rn * G(p_j) - 1 with its 1s cancelled exactly, so p_j near 1 keeps precision
+        den = (rn - 1.0) + rn * _geometric_tail(joint.p, K) + S
         if abs(den) < DENOM_EPS:
             h.append(1.0 if rn < 1.0 else 0.0)
         else:
@@ -445,12 +446,17 @@ def subblock_accept_prob(
     return h, w
 
 
+def _geometric_tail(x: float, K: int) -> float:
+    """G(x) - 1 = sum_{1<=i<K} (1 - x)^i, built without G's leading 1; 0 at K = 1."""
+    t = 0.0
+    for _ in range(K - 1):
+        t = (1.0 - x) * (1.0 + t)
+    return t
+
+
 def _geometric(x: float, K: int) -> float:
     """G(x) = sum_{i<K} (1 - x)^i, so that 1 - (1 - x)^K = x * G(x); G = 1 at K = 1."""
-    s = 1.0
-    for _ in range(K - 1):
-        s = 1.0 + (1.0 - x) * s
-    return s
+    return 1.0 + _geometric_tail(x, K)
 
 
 def full_block_accept_prob(joint: PrefixJoint, K: int) -> float:
