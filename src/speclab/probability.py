@@ -4,13 +4,13 @@ Mass vectors are plain numpy float64 arrays wrapped in a ``Distribution``,
 which validates them once, when it is built, and makes them read-only;
 ``Distribution.rows`` validates a whole block of them at once. Its
 cumulative mass is built on the first draw and kept, with a read-only
-``memoryview`` of it that ``sample`` bisects, so a model row that is sampled
-many times pays for one vocabulary pass and each later draw is one binary
-search without a numpy call. ``RandomSource`` serves its
-doubles from blocks drawn from the generator, which is the same stream as
-one call per double. Joint probabilities of token prefixes are carried in
-log space with an absorbing -inf marker for exact zeros, because products of
-conditionals over a block underflow in linear space for peaked models.
+``memoryview`` that ``sample`` bisects, so a model row sampled many times
+pays for one vocabulary pass and each later draw is one binary search.
+``RandomSource`` serves its doubles from blocks drawn from the generator,
+which is the same stream as one call per double. Joint probabilities of
+token prefixes are carried in log space with an absorbing -inf marker for
+exact zeros, because products of conditionals over a block underflow in
+linear space for peaked models.
 """
 
 from __future__ import annotations
@@ -151,12 +151,11 @@ def sample(d: Distribution, rng: RandomSource) -> int:
     """Inverse-CDF draw with a single uniform.
 
     Returns the first index whose sequential float64 cumulative mass
-    (``d.cdf``, built on the distribution's first draw) exceeds the uniform:
-    ``cdf.searchsorted(u, side="right")``, found by ``bisect.bisect_right``
-    over the distribution's cached view of the same doubles, so a draw from
-    an already sampled distribution is one binary search with no numpy
-    dispatch. Zero-mass entries add nothing to the running sum, so they are
-    never chosen. A uniform in the float dust past the last cumulative step
+    (``d.cdf``, built on the distribution's first draw) exceeds the uniform,
+    as ``cdf.searchsorted(u, side="right")`` would, found by ``bisect`` over
+    a cached view of those doubles without numpy's per-call dispatch.
+    Zero-mass entries add nothing to the running sum, so they are never
+    chosen. A uniform in the float dust past the last cumulative step
     returns the last positive-mass index.
     """
     u = rng.uniform()

@@ -447,16 +447,14 @@ def subblock_accept_prob(
 
 
 def _geometric_tail(x: float, K: int) -> float:
-    """G(x) - 1 = sum_{1<=i<K} (1 - x)^i, built without G's leading 1; 0 at K = 1."""
+    """G(x) - 1, where G(x) = sum_{i<K} (1 - x)^i, so that 1 - (1 - x)^K = x * G(x).
+
+    Built without G's leading 1, so it keeps its precision as x nears 1; it
+    is 0 at K = 1, and 1 + G(x) - 1 is bit for bit the recurrence for G."""
     t = 0.0
     for _ in range(K - 1):
         t = (1.0 - x) * (1.0 + t)
     return t
-
-
-def _geometric(x: float, K: int) -> float:
-    """G(x) = sum_{i<K} (1 - x)^i, so that 1 - (1 - x)^K = x * G(x); G = 1 at K = 1."""
-    return 1.0 + _geometric_tail(x, K)
 
 
 def full_block_accept_prob(joint: PrefixJoint, K: int) -> float:
@@ -469,8 +467,8 @@ def full_block_accept_prob(joint: PrefixJoint, K: int) -> float:
     threshold, and K = 1 gives min(1, q_j / p_j) exactly.
     """
     r = joint.ratio_p_over_q()
-    a = _geometric(r, K) if r <= 1.0 else joint.ratio_q_over_p()
-    return min(1.0, a / _geometric(joint.p, K))
+    a = 1.0 + _geometric_tail(r, K) if r <= 1.0 else joint.ratio_q_over_p()
+    return min(1.0, a / (1.0 + _geometric_tail(joint.p, K)))
 
 
 def block_residual(
