@@ -10,8 +10,13 @@ the i.i.d. draft rows: tau is the deepest level holding a drafted node with
 C = 1 (0 if none), and t is that node, from the earliest row reaching it.
 A duplicated row reads the same coins again. ``_enumerate_leaves`` sums
 this law over the row counts through each node, bottom up the trie, in
-exponential generating functions. Every leaf is then completed through the
-modified target chain. The acceptance rules and the residual
+exponential generating functions, for a batch of instances of equal
+(V, L, K) at once: a second iteration enumerates every (first-iteration
+leaf, extra token) instance in one call, with one acceptance call for all
+their sub-block tests. Every leaf is then completed through the modified
+target chain. Each instance keeps one table per trie level of its blocks'
+joints, linear and log-space; the rules, the closed forms and the target
+marginals all read it. The acceptance rules and the residual
 (``subblock_accept_prob``, ``full_block_accept_prob``, ``block_residual``)
 and the chains (``harness.RawChain``, ``harness.ModifiedChain``) are the
 ones decoding runs. The recursion over the scan and the closed forms the
@@ -40,7 +45,7 @@ import numpy as np
 
 from .harness import ModifiedChain, RawChain
 from .models import ModelPair
-from .probability import AllZeroMass, PrefixJoint, extend_joint
+from .probability import LOG_ZERO, AllZeroMass, PrefixJoint
 from .verifiers import (
     Counters,
     ModifiedTarget,
@@ -77,11 +82,11 @@ def _model_joint(model, temperature: float, context: tuple[int, ...], blk: tuple
 class _Instance:
     """One (draft chain, target chain, L, K) at an absolute ``context``.
 
-    ``levels`` holds the linear joints of every block, one array per trie
-    level in lexicographic order; they feed the recursion, the closed forms
-    and the target marginals the output is checked against. The acceptance
-    rules run on one log-space ``PrefixJoint`` per block, built as the
-    verifier builds it.
+    ``levels`` holds every block's joints, one table per trie level in
+    lexicographic order: the linear joints feed the recursion, the closed
+    forms and the target marginals the output is checked against, and the
+    log-space ``PrefixJoint``s, built as the verifier builds them, feed the
+    acceptance rules.
     """
 
     pchain: RawChain
@@ -91,17 +96,18 @@ class _Instance:
     L: int
     K: int
     tables: dict = field(default_factory=dict)
-    prefix_joints: dict = field(default_factory=dict)
     h_part: dict = field(default_factory=dict)
     surplus: dict = field(default_factory=dict)
-    h_full: dict = field(default_factory=dict)
 
-    def levels(self, depth: int) -> list[tuple[list, np.ndarray, np.ndarray]]:
-        """(blocks, draft joints, target joints) at each level 0 ... depth,
-        the blocks in lexicographic order, so block u's children are the V
-        entries from V * index(u) on. A joint is its parent's times the
-        chain's conditional; each chain answers every context shorter than
-        ``depth`` in one call."""
+    def levels(self, depth: int) -> list[tuple[list, np.ndarray, np.ndarray, list]]:
+        """(blocks, draft joints, target joints, log joints) at each level
+        0 ... depth, the blocks in lexicographic order, so block u's children
+        are the V entries from V * index(u) on. A joint is its parent's times
+        the chain's conditional; each chain answers every context shorter
+        than ``depth`` in one call. The log joints, given up to level L, the
+        deepest the rules read, are each their parent's plus one ``math.log``
+        per factor, -inf absorbing: ``_row_joints``' arithmetic, so each
+        equals the verifier's bit for bit."""
         hit = self.tables.get(depth)
         if hit is None:
             V = self.V
@@ -111,47 +117,35 @@ class _Instance:
                 np.array([d.mass for d in chain.conditionals(heads)]).reshape(-1, V)
                 for chain in (self.pchain, self.qchain)
             )
-            hit = [(blocks[0], np.ones(1), np.ones(1))]
+            hit = [(blocks[0], np.ones(1), np.ones(1), [PrefixJoint.empty()])]
             start = 0
-            for level in blocks[1:]:
-                _parents, p, q = hit[-1]
-                rows = slice(start, start + len(p))
+            for i, level in enumerate(blocks[1:], 1):
+                _parents, p, q, joints = hit[-1]
+                pr, qr = p_rows[start:start + len(p)], q_rows[start:start + len(p)]
                 start += len(p)
-                hit.append((level, (p[:, None] * p_rows[rows]).ravel(), (q[:, None] * q_rows[rows]).ravel()))
+                if i <= self.L:
+                    lp, lq = (
+                        [math.log(x) if x > 0.0 else LOG_ZERO for x in r.ravel().tolist()] for r in (pr, qr)
+                    )
+                    parents = [j for j in joints for _ in range(V)]
+                    joints = [PrefixJoint(j.log_p + x, j.log_q + z) for j, x, z in zip(parents, lp, lq)]
+                else:
+                    joints = None
+                hit.append((level, (p[:, None] * pr).ravel(), (q[:, None] * qr).ravel(), joints))
             self.tables[depth] = hit
         return hit
 
-    def joint(self, blk: tuple[int, ...]) -> PrefixJoint:
-        hit = self.prefix_joints.get(blk)
-        if hit is None:
-            if blk:
-                ctx = blk[:-1]
-                hit = extend_joint(
-                    self.joint(ctx), blk[-1], self.pchain.conditional(ctx), self.qchain.conditional(ctx)
-                )
-            else:
-                hit = PrefixJoint.empty()
-            self.prefix_joints[blk] = hit
-        return hit
+    def _joint(self, blk: tuple[int, ...]) -> PrefixJoint:
+        """The log joints of ``blk``, read from its level's table."""
+        return self.levels(self.L)[len(blk)][3][functools.reduce(lambda n, x: n * self.V + x, blk, 0)]
 
     def h_partial(self, blks: list[tuple[int, ...]]) -> list[float]:
         """Sub-block acceptance of each block, the unknown ones in one call."""
-        todo = [blk for blk in blks if blk not in self.h_part]
-        if todo:
-            hs, w = subblock_accept_prob(
-                [self.joint(blk) for blk in todo], self.pchain.conditionals(todo),
-                self.qchain.conditionals(todo), self.K,
-            )
-            self.h_part.update(zip(todo, hs))
-            self.surplus.update(zip(todo, w))
+        _accept_subblocks([(self, blk, self._joint(blk)) for blk in blks if blk not in self.h_part])
         return [self.h_part[blk] for blk in blks]
 
     def h_fullblock(self, blk: tuple[int, ...]) -> float:
-        h = self.h_full.get(blk)
-        if h is None:
-            h = full_block_accept_prob(self.joint(blk), self.K)
-            self.h_full[blk] = h
-        return h
+        return full_block_accept_prob(self._joint(blk), self.K)
 
     def extra_token(self, tau: int, t: tuple[int, ...]) -> tuple[np.ndarray, bool]:
         """Law of the token after leaf (tau, t), and whether it is the
@@ -162,7 +156,7 @@ class _Instance:
             return self.qchain.conditional(t).mass, False
         try:
             res = block_residual(
-                self.joint(t), self.pchain.conditional(t), self.qchain.conditional(t), self.K,
+                self._joint(t), self.pchain.conditional(t), self.qchain.conditional(t), self.K,
                 surplus=self.surplus.get(t),
             )
         except AllZeroMass:
@@ -173,9 +167,24 @@ class _Instance:
         """The target chain of the iteration after leaf (tau, t) and extra token y."""
         prefix = t + (y,)
         horizon = max(self.L - tau - 1, 0)
-        j = self.joint(prefix) if horizon else PrefixJoint.empty()
+        j = self._joint(prefix) if horizon else PrefixJoint.empty()
         mod = ModifiedTarget(horizon, self.K, prefix, j.log_p, j.log_q)
         return ModifiedChain(self.qchain, self.pchain, mod, self.context + prefix, Counters())
+
+
+def _accept_subblocks(todo: list[tuple[_Instance, tuple[int, ...], PrefixJoint]]) -> None:
+    """Sub-block acceptance and surplus row of each (instance, block, joint),
+    instances of equal K, in one ``subblock_accept_prob`` call: its rows are
+    computed independently, so each is bit for bit the row alone."""
+    if not todo:
+        return
+    insts, blks, joints = zip(*todo)
+    hs, w = subblock_accept_prob(
+        list(joints), [inst.pchain.conditional(blk) for inst, blk in zip(insts, blks)],
+        [inst.qchain.conditional(blk) for inst, blk in zip(insts, blks)], insts[0].K,
+    )
+    for inst, blk, h, row in zip(insts, blks, hs, w):
+        inst.h_part[blk], inst.surplus[blk] = h, row
 
 
 @functools.cache
@@ -199,31 +208,32 @@ def _series(n: int, dims: int) -> tuple:
 
 
 def _mul(x: np.ndarray, y: np.ndarray, series: tuple) -> np.ndarray:
-    """Products of two batches of series, one per row."""
+    """Products of two batches of series, one per entry of the leading axes."""
     _exps, i, j, runs = series
-    return np.add.reduceat(x[:, i] * y[:, j], runs, axis=1)
+    return np.add.reduceat(x[..., i] * y[..., j], runs, axis=-1)
 
 
 def _others(x: np.ndarray, series: tuple) -> np.ndarray:
-    """Row u is the product of every row of ``x`` but u: an exclusive prefix
-    scan times an exclusive suffix scan, each by doubling, so that nothing
-    is divided out."""
+    """Entry (n, u) is the product of every x[n, v] but v = u: an exclusive
+    prefix scan times an exclusive suffix scan along axis 1, each by
+    doubling, so that nothing is divided out."""
 
     def prefix(x):
         x = x.copy()
         d = 1
-        while d < len(x):
-            x[d:] = _mul(x[:-d], x[d:], series)
+        while d < x.shape[1]:
+            x[:, d:] = _mul(x[:, :-d], x[:, d:], series)
             d *= 2
-        one = np.zeros_like(x[:1])
-        one[0, 0] = 1.0
-        return np.concatenate([one, x[:-1]])
+        one = np.zeros_like(x[:, :1])
+        one[:, 0, 0] = 1.0
+        return np.concatenate([one, x[:, :-1]], axis=1)
 
-    return _mul(prefix(x), prefix(x[::-1])[::-1], series)
+    return _mul(prefix(x), prefix(x[:, ::-1])[:, ::-1], series)
 
 
-def _enumerate_leaves(inst: _Instance) -> tuple[dict, dict]:
-    """Leaf masses of the scan, from its frozen coins (module docstring).
+def _enumerate_leaves(insts: list[_Instance]) -> list[dict]:
+    """Leaf masses of the scan, from its frozen coins (module docstring), for
+    each of a batch of instances of equal (V, L, K).
 
     Write p for the draft joint of a node, h for its test's acceptance and
     g_u(m) = p(u)^m G_u(m) / m!, where G_u(m) is the probability that every
@@ -245,31 +255,46 @@ def _enumerate_leaves(inst: _Instance) -> tuple[dict, dict]:
     over the level-i nodes v, in lexicographic order. Only sums of products
     are formed, so a leaf that a zero factor removes has mass exactly 0 and
     is left out.
+
+    The instances' level arrays are concatenated; each instance's V^i rows
+    are contiguous, so grouping rows by V still groups children by parent.
+    Every series is formed row by row, so each instance gets its leaves alone.
     """
-    V, L, K = inst.V, inst.L, inst.K
+    V, L, K = insts[0].V, insts[0].L, insts[0].K
     # each level multiplies up to V^L bivariate series cut at total degree
     # K - 1, each product over C(K + 3, 4) pairs of coefficients
     work = V**L * math.comb(K + 3, 4)
     if work > MAX_ENUM:
         raise TooLarge(f"V^L * C(K + 3, 4) = {work} exceeds {MAX_ENUM}")
-    nodes, p, _q = zip(*inst.levels(L))
-    # every drafted proper prefix is tested: the set is asked for in one batch
-    inst.h_partial([u for level, w in zip(nodes[1:L], p[1:L]) for u, pu in zip(level, w) if pu > 0.0])
-    h = [np.array([inst.h_part.get(u, 0.0) for u in level]) for level in nodes[:L]]
-    h.append(np.array([inst.h_fullblock(b) if w > 0.0 else 0.0 for b, w in zip(nodes[L], p[L])]))
+    tables = [inst.levels(L) for inst in insts]
+    # every drafted proper prefix is tested: all instances' in one call
+    _accept_subblocks([
+        (inst, u, j)
+        for inst, table in zip(insts, tables) for level, w, _q, joints in table[1:L]
+        for u, pu, j in zip(level, w.tolist(), joints) if pu > 0.0 and u not in inst.h_part
+    ])
+    nodes = [level for level, *_rest in tables[0]]
+    h = [np.array([inst.h_part.get(u, 0.0) for inst in insts for u in level]) for level in nodes[:L]]
+    h.append(np.array([
+        full_block_accept_prob(j, K) if w > 0.0 else 0.0
+        for table in tables for w, j in zip(table[L][1].tolist(), table[L][3])
+    ]))
+    p_leaf = np.concatenate([table[L][1] for table in tables])
 
+    n = len(insts)
     fact = np.array([math.factorial(m) for m in range(K + 1)], float)
     one_var = _series(K + 1, 1)
     m = np.arange(K + 1)
-    g = [None] * L + [p[L][:, None] ** m / fact]
+    g = [None] * L + [p_leaf[:, None] ** m / fact]
     for i in range(L, 0, -1):
         f = (np.where(m > 0, 1.0 - h[i][:, None], 1.0) * g[i]).reshape(-1, V, K + 1)
         g[i - 1] = f[:, 0]
         for x in range(1, V):
             g[i - 1] = _mul(g[i - 1], f[:, x], one_var)
-    leaves = {}
-    if g[0][0, K] > 0.0:
-        leaves[(0, ())] = float(fact[K] * g[0][0, K])
+    leaves = [{} for _ in insts]
+    for out, stay in zip(leaves, (fact[K] * g[0][:, K]).tolist()):
+        if stay > 0.0:
+            out[(0, ())] = stay
 
     two_var = _series(K, 2)
     a, c = two_var[0]
@@ -277,17 +302,13 @@ def _enumerate_leaves(inst: _Instance) -> tuple[dict, dict]:
     binom = fact[deg] / (fact[a] * fact[c])
     ends = np.where(deg == K - 1, fact[a] * fact[c], 0.0)
     for i in range(1, L + 1):
-        phi = np.where(lead, 1.0, 1.0 - h[i][:, None]) * (binom * g[i][:, deg])
-        win = np.where(lead, (c + 1) * g[i][:, c + 1], 0.0)
-        mass = h[i] * (_mul(_others(phi, two_var), win, two_var) @ ends)
-        for j in np.flatnonzero(mass > 0.0):
-            leaves[(i, nodes[i][j])] = float(mass[j])
-    diag = {
-        "tuples": int((p[L] > 0.0).sum()) ** K,
-        "leaf_states": len(leaves),
-        "max_leafsum_err": abs(sum(leaves.values()) - 1.0),
-    }
-    return leaves, diag
+        phi = (np.where(lead, 1.0, 1.0 - h[i][:, None]) * (binom * g[i][:, deg])).reshape(n, V**i, -1)
+        win = np.where(lead, (c + 1) * g[i][:, c + 1], 0.0).reshape(n, V**i, -1)
+        mass = h[i].reshape(n, -1) * (_mul(_others(phi, two_var), win, two_var) @ ends)
+        for out, row in zip(leaves, mass):
+            for j in np.flatnonzero(row > 0.0).tolist():
+                out[(i, nodes[i][j])] = float(row[j])
+    return leaves
 
 
 def _output_joint(
@@ -401,25 +422,19 @@ def _instance(pair: ModelPair, L: int, K: int, context: tuple[int, ...] = ()) ->
 
 def _sub_blocks(pair: ModelPair, L: int, K: int) -> list:
     """The joint tables of every sub-block up to length L, guarded on V^L."""
-    V = pair.vocab_size
-    if V**L > MAX_ENUM:
-        raise TooLarge(f"V^L = {V ** L} exceeds {MAX_ENUM}")
+    if pair.vocab_size**L > MAX_ENUM:
+        raise TooLarge(f"V^L = {pair.vocab_size ** L} exceeds {MAX_ENUM}")
     return _instance(pair, L, K).levels(L)[1:]
 
 
 def bound_K(pair: ModelPair, L: int, K: int) -> float:
     """Sum of claimed acceptance masses over all sub-blocks up to length L."""
-    return _bound(_sub_blocks(pair, L, K), K)
-
-
-def _bound(sub_blocks: list, K: int) -> float:
-    return sum(float(_accept_mass(p, q, K).sum()) for _blocks, p, q in sub_blocks)
+    return sum(float(_accept_mass(p, q, K).sum()) for _blocks, p, q, _j in _sub_blocks(pair, L, K))
 
 
 def exact_expected_tau(pair: ModelPair, L: int, K: int) -> float:
     """E[tau] integrated exactly over draft tuples and uniform draws."""
-    inst = _instance(pair, L, K)
-    leaves, _ = _enumerate_leaves(inst)
+    [leaves] = _enumerate_leaves([_instance(pair, L, K)])
     return sum(tau * m for (tau, _t), m in leaves.items())
 
 
@@ -432,7 +447,7 @@ def _lemma_table(inst: _Instance, leaves: dict, claimed: list[np.ndarray]) -> tu
             acc[t[:i]] = acc.get(t[:i], 0.0) + m
     max_dev = 0.0
     table = {}
-    for (blocks, _p, _q), want in zip(inst.levels(inst.L)[1:], claimed):
+    for (blocks, *_joints), want in zip(inst.levels(inst.L)[1:], claimed):
         got = np.array([acc.get(blk, 0.0) for blk in blocks])
         table.update(zip(blocks, zip(got.tolist(), want.tolist())))
         max_dev = max(max_dev, float(np.abs(got - want).max()))
@@ -448,7 +463,7 @@ def _marginal_devs(inst: _Instance, out: dict, depth: int) -> tuple[float, float
             marg[seq[:i]] = marg.get(seq[:i], 0.0) + m
     max_dev = 0.0
     sums_err = 0.0
-    for blocks, _p, q in inst.levels(depth)[1:]:
+    for blocks, _p, q, _j in inst.levels(depth)[1:]:
         got = np.array([marg.get(blk, 0.0) for blk in blocks])
         max_dev = max(max_dev, float(np.abs(got - q).max()))
         sums_err = max(sums_err, abs(float(got.sum()) - 1.0))
@@ -464,11 +479,8 @@ def exact_output_distribution(
         raise ValueError("iterations must be 1 or 2")
     t0 = time.perf_counter()
     inst = _instance(pair, L, K, context)
-    leaves, diag = _enumerate_leaves(inst)
-    expected_tau = sum(tau * m for (tau, _t), m in leaves.items())
-    sub_blocks = inst.levels(L)[1:]
-    bound = _bound(sub_blocks, K)
-    claimed = [_accept_mass(p, q, K) for _blocks, p, q in sub_blocks]
+    [leaves] = _enumerate_leaves([inst])
+    claimed = [_accept_mass(p, q, K) for _blocks, p, q, _j in inst.levels(L)[1:]]
     lemma_masses, lemma_dev = _lemma_table(inst, leaves, claimed)
     out, fallback_mass = _output_joint(inst, leaves, L)
     max_dev, sums_err = _marginal_devs(inst, out, L)
@@ -477,20 +489,15 @@ def exact_output_distribution(
         two_iter_dev, fb2, lemma_dev2 = _two_iteration_dev(pair, inst, leaves)
         fallback_mass += fb2
     return ExactReport(
-        vocab_size=pair.vocab_size,
-        L=L,
-        K=K,
-        iterations=iterations,
-        expected_tau=expected_tau,
-        bound=bound,
-        max_marginal_dev=max_dev,
-        lemma_max_dev=lemma_dev,
-        max_marginal_dev_two_iter=two_iter_dev,
-        lemma_max_dev_two_iter=lemma_dev2,
+        vocab_size=pair.vocab_size, L=L, K=K, iterations=iterations,
+        expected_tau=sum(tau * m for (tau, _t), m in leaves.items()),
+        bound=sum(float(c.sum()) for c in claimed),
+        max_marginal_dev=max_dev, lemma_max_dev=lemma_dev,
+        max_marginal_dev_two_iter=two_iter_dev, lemma_max_dev_two_iter=lemma_dev2,
         marginal_sums_max_err=sums_err,
-        leaf_states=diag["leaf_states"],
-        tuples=diag["tuples"],
-        max_leafsum_err=diag["max_leafsum_err"],
+        leaf_states=len(leaves),
+        tuples=int((inst.levels(L)[L][1] > 0.0).sum()) ** K,
+        max_leafsum_err=abs(sum(leaves.values()) - 1.0),
         fallback_mass=fallback_mass,
         runtime_s=time.perf_counter() - t0,
         lemma_masses=lemma_masses,
@@ -511,35 +518,37 @@ def _two_iteration_dev(pair: ModelPair, inst1: _Instance, leaves1: dict) -> tupl
     depth = 2 * (L + 1)
     if V**depth > MAX_ENUM:
         raise TooLarge("two-iteration enumeration exceeds the guard")
-    out: dict[tuple[int, ...], float] = {}
-    fallback = 0.0
-    lemma_dev = 0.0
+    # every (leaf, extra token) instance is built first, then all are
+    # enumerated in one call; a leaf's fallback mass rides on its first one
+    seconds = []
     for (tau1, t1), m1 in leaves1.items():
         if m1 <= 0.0:
             continue
         ydist, fell_back = inst1.extra_token(tau1, t1)
-        if fell_back:
-            fallback += m1
+        fb1 = m1 if fell_back else 0.0
         for y1, py1 in enumerate(ydist.tolist()):
-            if py1 <= 0.0:
-                continue
-            prefix1 = t1 + (y1,)
-            context2 = inst1.context + prefix1
-            draft2 = RawChain(pair.draft, pair.temperature, context2)
-            inst2 = _Instance(draft2, inst1.modified(tau1, t1, y1), context2, V, L, K)
-            leaves2, _ = _enumerate_leaves(inst2)
-            claimed = []
-            for blocks, _p, q in inst2.levels(L)[1:]:
-                p2 = [_model_joint(pair.draft, pair.temperature, context2, blk) for blk in blocks]
-                claimed.append(_accept_mass(np.array(p2), q, K))
-            lemma_dev = max(lemma_dev, _lemma_table(inst2, leaves2, claimed)[1])
-            out2, fb2 = _output_joint(inst2, leaves2, depth - len(prefix1))
-            w = m1 * py1
-            fallback += w * fb2
-            for seq, m in out2.items():
-                key = prefix1 + seq
-                out[key] = out.get(key, 0.0) + w * m
-    blocks, _p, q = inst1.levels(depth)[depth]
+            if py1 > 0.0:
+                context2 = inst1.context + t1 + (y1,)
+                inst2 = _Instance(RawChain(pair.draft, pair.temperature, context2),
+                                  inst1.modified(tau1, t1, y1), context2, V, L, K)
+                seconds.append((fb1, t1 + (y1,), m1 * py1, inst2))
+                fb1 = 0.0
+    out: dict[tuple[int, ...], float] = {}
+    fallback = 0.0
+    lemma_dev = 0.0
+    for (fb1, prefix1, w, inst2), leaves2 in zip(seconds, _enumerate_leaves([s[-1] for s in seconds])):
+        claimed = []
+        for blocks, _p, q, _j in inst2.levels(L)[1:]:
+            p2 = [_model_joint(pair.draft, pair.temperature, inst2.context, blk) for blk in blocks]
+            claimed.append(_accept_mass(np.array(p2), q, K))
+        lemma_dev = max(lemma_dev, _lemma_table(inst2, leaves2, claimed)[1])
+        out2, fb2 = _output_joint(inst2, leaves2, depth - len(prefix1))
+        fallback += fb1
+        fallback += w * fb2
+        for seq, m in out2.items():
+            key = prefix1 + seq
+            out[key] = out.get(key, 0.0) + w * m
+    blocks, _p, q, _j = inst1.levels(depth)[depth]
     max_dev = float(np.abs(np.array([out.get(blk, 0.0) for blk in blocks]) - q).max())
     return max_dev, fallback, lemma_dev
 

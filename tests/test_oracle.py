@@ -10,15 +10,18 @@ from speclab import harness, oracle
 from speclab.models import MarkovModel, ModelPair, generate_pair
 from speclab.oracle import (
     TooLarge,
+    _enumerate_leaves,
     _instance,
+    _Instance,
     _model_joint,
     bound_K,
     exact_expected_tau,
     exact_output_distribution,
 )
-from speclab.probability import PrefixJoint, RandomSource, extend_joint
+from speclab.probability import LOG_ZERO, PrefixJoint, RandomSource, extend_joint
 from speclab.verifiers import (
     Counters,
+    _row_joints,
     draft_rows,
     gbv_accept_prob,
     score_rows,
@@ -146,7 +149,7 @@ def walk_tuple(inst, rows):
 def walk_reference(pair, L, K, context):
     """Leaf law of the scan by walking every positive-weight draft tuple."""
     inst = _instance(pair, L, K, context)
-    blocks, p, _q = inst.levels(L)[L]
+    blocks, p, _q, _j = inst.levels(L)[L]
     draft = dict(zip(blocks, p.tolist()))
     leaves: dict = {}
     events = set()
@@ -170,12 +173,40 @@ class TestLevels:
         # float products _model_joint forms walking the block from the model
         pair = generate_pair(3, order, 5, 1.0, 0.5)
         levels = _instance(pair, 3, 2, context).levels(3)
-        assert [len(blocks) for blocks, _p, _q in levels] == [1, 3, 9, 27]
-        for i, (blocks, p, q) in enumerate(levels):
+        assert [len(blocks) for blocks, *_rest in levels] == [1, 3, 9, 27]
+        for i, (blocks, p, q, _joints) in enumerate(levels):
             assert blocks == list(itertools.product(range(3), repeat=i))
             for blk, pb, qb in zip(blocks, p.tolist(), q.tolist()):
                 assert pb == _model_joint(pair.draft, 1.0, context, blk)
                 assert qb == _model_joint(pair.target, 1.0, context, blk)
+
+    ZEROS = ModelPair(
+        MarkovModel(3, 1, np.array([[0.5, 0.5, 0.0], [0.0, 0.3, 0.7], [0.2, 0.0, 0.8]])),
+        MarkovModel(3, 1, np.array([[0.0, 0.6, 0.4], [0.1, 0.9, 0.0], [0.5, 0.5, 0.0]])),
+    )
+
+    # V = 12 at order 2 reads 3,456 distinct conditionals: enough that a
+    # vectorized np.log, which differs from math.log on about 0.35% of
+    # doubles, differs on some of them
+    @pytest.mark.parametrize("pair", [
+        generate_pair(3, 1, 5, 1.0, 0.5), generate_pair(12, 2, 5, 1.0, 0.5), ZEROS,
+    ], ids=["order1", "order2", "zeros"])
+    @pytest.mark.parametrize("context", [(), (1,)])
+    def test_log_joints_equal_the_verifiers(self, pair, context):
+        # the rules read the table's log joints; each must be the joint the
+        # verifier builds along a drafted row, bit for bit, and on the pair
+        # with zero conditionals a -inf joint stays -inf below it
+        inst = _instance(pair, 3, 2, context)
+        zero = set()
+        for blocks, _p, _q, joints in inst.levels(3):
+            for blk, joint in zip(blocks, joints):
+                heads = [blk[:j] for j in range(len(blk))]
+                want = _row_joints(blk, inst.pchain.conditionals(heads), inst.qchain.conditionals(heads))
+                assert joint == want[-1], blk
+                if joint.log_p == LOG_ZERO and joint.log_q == LOG_ZERO:
+                    zero.add(blk)
+        if pair is self.ZEROS:
+            assert any(blk[:-1] in zero for blk in zero)
 
 
 class TestBound:
@@ -349,10 +380,52 @@ class TestCoinRecursion:
     def test_tuples_count_positive_weight_draft_tuples(self):
         pair = self.PAIRS[1]
         r = exact_output_distribution(pair, 2, 3)
-        _blocks, p, _q = _instance(pair, 2, 3).levels(2)[2]
+        _blocks, p, _q, _j = _instance(pair, 2, 3).levels(2)[2]
         positive = int((p > 0.0).sum())
         assert 0 < positive < 4
         assert r.tuples == positive**3
+
+
+class TestBatchedEnumeration:
+    """``_enumerate_leaves`` on a batch of instances against each instance
+    enumerated alone. A batch holds raw and modified target chains (the
+    second iteration's instances, built through ``_Instance.modified``), the
+    concentration-0.05 pairs of ``TestCoinRecursion``, whose tests accept
+    with h exactly 0 or 1 and whose zero draft joints leave leaves at mass
+    0, at two contexts."""
+
+    PAIRS = TestCoinRecursion.PAIRS + TestCoinRecursion.PAIRS_V3
+
+    def batch(self, V, L, K) -> list:
+        insts = []
+        for pair in (pair for pair in self.PAIRS if pair.vocab_size == V):
+            for context in ((), (1,)):
+                first = _instance(pair, L, K, context)
+                insts.append(first)
+                [leaves] = _enumerate_leaves([_instance(pair, L, K, context)])
+                for tau, t in list(leaves)[:3]:
+                    prefix = t + (V - 1,)
+                    draft = harness.RawChain(pair.draft, pair.temperature, context + prefix)
+                    target = first.modified(tau, t, V - 1)
+                    insts.append(_Instance(draft, target, context + prefix, V, L, K))
+        return insts
+
+    @pytest.mark.parametrize("V, L, K", [(2, 2, 3), (2, 3, 2), (3, 2, 2), (3, 2, 4), (3, 3, 3)])
+    def test_batch_matches_one_at_a_time(self, V, L, K):
+        batch = self.batch(V, L, K)
+        together = _enumerate_leaves(batch)
+        hs = {h for inst in batch for h in inst.h_part.values()}
+        hs |= {inst.h_fullblock(b) for inst in batch for b, w in zip(*inst.levels(L)[L][:2]) if w > 0.0}
+        assert {0.0, 1.0} <= hs
+        assert any(isinstance(inst.qchain, harness.ModifiedChain) for inst in batch)
+        assert any((inst.levels(L)[L][1] == 0.0).any() for inst in batch)
+        alone = [_enumerate_leaves([inst])[0] for inst in self.batch(V, L, K)]
+        assert len(together) == len(alone) == len(batch)
+        for leaves, want in zip(together, alone):
+            assert leaves.keys() == want.keys()
+            assert all(m > 0.0 for m in leaves.values())
+            for key, m in want.items():
+                assert abs(leaves[key] - m) <= 1e-12, key
 
 
 class TestDraftLaw:
