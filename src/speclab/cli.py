@@ -127,23 +127,12 @@ def _cmd_sweep(args) -> int:
     ks = [int(x) for x in str(args.K).split(",")]
     ls = [int(x) for x in str(args.L).split(",")]
     ts = [float(x) for x in str(args.temperature).split(",")]
-    configs = []
-    base = _config_from_args(_override(args, K="1", L="1", temperature="1.0"))
-    for k in ks:
-        for l in ls:
-            for t in ts:
-                configs.append(replace(base, K=k, L=l, temperature=t))
+    base = _config_from_args(argparse.Namespace(**{**vars(args), "K": "1", "L": "1", "temperature": "1.0"}))
+    configs = [replace(base, K=k, L=l, temperature=t) for k in ks for l in ls for t in ts]
     out = args.out or "sweep.csv"
     harness.run_experiment(configs, out, args.fmt, timings=args.timings)
     print(f"wrote {out} ({len(configs)} configs)")
     return 0
-
-
-def _override(args, **kw):
-    ns = argparse.Namespace(**vars(args))
-    for k, v in kw.items():
-        setattr(ns, k, v)
-    return ns
 
 
 def _cmd_oracle_check(args) -> int:
@@ -209,10 +198,11 @@ def _cmd_verify_demo(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # config file values act as defaults: inject before user flags
-    if argv and argv[0] == "run" and "--config" in argv:
-        idx = argv.index("--config")
+    flags = [n for n, tok in enumerate(argv) if tok == "--config" or tok.startswith("--config=")]
+    if argv and argv[0] == "run" and flags:
+        _flag, eq, path = argv[flags[0]].partition("=")
         try:
-            tokens = _load_config_tokens(argv[idx + 1])
+            tokens = _load_config_tokens(path if eq else argv[flags[0] + 1])
         except IndexError:
             print("--config needs a path", file=sys.stderr)
             return 1

@@ -74,6 +74,10 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         rows = out.read_text().splitlines()
         assert rows[1].startswith("sd,1,2,")
+        # the --flag=value spelling argparse also accepts reads the same file
+        out_eq = tmp_path / "o_eq.csv"
+        assert main(["run", f"--config={cfg}", "--out", str(out_eq)]) == 0
+        assert out_eq.read_bytes() == out.read_bytes()
         out2 = tmp_path / "o2.csv"
         assert main(["run", "--config", str(cfg), "--algo", "gbv", "--out", str(out2)]) == 0
         assert out2.read_text().splitlines()[1].startswith("gbv,1,2,")
