@@ -4,8 +4,9 @@ A change that only reorders the oracle's sums moves its floats in the last
 bits; a change of behaviour moves them by far more. So each scalar of
 ``ExactReport.to_jsonable()`` but ``runtime_s`` is compared at 1e-12, not
 hashed. The cells are the two two-iteration cells of the benchmark, one
-K >= 2 single-iteration cell and one ``gbv_exact_report`` cell, each on one
-fixed ``generate_pair`` seed. Regenerate the fixture only for a deliberate
+K >= 2 single-iteration cell, one ``gbv_exact_report`` cell and one
+two-iteration cell whose outputs fall back to the raw target conditional
+(``fallback_mass`` > 0), each on one fixed ``generate_pair`` seed. Regenerate the fixture only for a deliberate
 behaviour change:
 
     PYTHONPATH=src python tests/test_golden_oracle.py
@@ -25,18 +26,19 @@ from speclab.oracle import exact_output_distribution, gbv_exact_report
 GOLDEN = Path(__file__).parent / "data" / "golden_oracle.json"
 TOL = 1e-12
 
-# (kind, V, L, K, iterations, pair seed)
+# (kind, V, L, K, iterations, pair seed[, similarity]), similarity 0.5 if left out
 CELLS = (
     ("exact", 2, 2, 2, 2, 1),
     ("exact", 3, 2, 3, 2, 2),
     ("exact", 3, 3, 3, 1, 3),
     ("gbv", 3, 3, 1, 1, 4),
+    ("exact", 2, 2, 2, 2, 5, 1.0),
 )
 
 
 def report(cell) -> dict:
-    kind, V, L, K, iterations, seed = cell
-    pair = generate_pair(V, 1, seed, 1.0, 0.5)
+    kind, V, L, K, iterations, seed, similarity = (*cell, 0.5)[:7]
+    pair = generate_pair(V, 1, seed, 1.0, similarity)
     if kind == "gbv":
         r = gbv_exact_report(pair, L)
     else:
