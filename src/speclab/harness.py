@@ -193,10 +193,10 @@ class RunConfig:
     def __post_init__(self):
         if self.algo not in ALGORITHMS:
             raise ValueError(f"unknown algo {self.algo!r}")
-        if self.algo in SINGLE_DRAFT_ALGOS and self.K != 1:
-            object.__setattr__(self, "K", 1)
         if self.K < 1 or self.L < 1:
             raise ValueError("K and L must be >= 1")
+        if self.algo in SINGLE_DRAFT_ALGOS and self.K != 1:
+            object.__setattr__(self, "K", 1)
         if self.temperature <= 0:
             raise ValueError("temperature must be > 0")
         if self.prompts < 1 or self.trials < 1 or self.max_tokens < 1:

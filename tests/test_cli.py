@@ -97,6 +97,12 @@ class TestRun:
     def test_usage_error_exit_code(self, capsys):
         assert main(["run", "--algo", "nonsense"]) == 1
 
+    @pytest.mark.parametrize("algo", ["sd", "gbv", "spectr-gbv"])
+    def test_K_below_one_is_a_usage_error(self, algo, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert main(["run", "--algo", algo, "--K", "0", "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_missing_model_file_is_io_error(self, tmp_path, capsys):
         code = main([
             "run", "--draft-model", str(tmp_path / "nope.json"),
@@ -115,6 +121,14 @@ class TestSweep:
         ])
         assert code == 0
         assert len(out.read_text().splitlines()) == 1 + 4
+
+    def test_K_below_one_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        code = main([
+            "sweep", "--algo", "gbv", "--K", "0,2", "--L", "2", "--gen", "4,0,5,1.0,0.6",
+            "--prompts", "1", "--max-tokens", "8", "--trials", "1", "--out", str(out),
+        ])
+        assert code == 1
 
 
 class TestOracleCheck:

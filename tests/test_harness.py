@@ -381,6 +381,13 @@ class TestRunConfig:
         assert RunConfig(algo="ar", K=7).K == 1
         assert RunConfig(algo="spectr", K=5).K == 5
 
+    @pytest.mark.parametrize("algo", ["ar", "sd", "gbv", "spectr", "spectr-gbv"])
+    def test_K_below_one_is_refused_before_forcing(self, algo):
+        # a single-draft algo forces K to 1 only after K itself is checked
+        for K in (0, -2):
+            with pytest.raises(ValueError, match="K and L"):
+                RunConfig(algo=algo, K=K)
+
     def test_unknown_algo(self):
         with pytest.raises(ValueError):
             RunConfig(algo="banana")
