@@ -14,9 +14,12 @@ exponential generating functions, for a batch of instances of equal
 (V, L, K) at once: a second iteration enumerates every (first-iteration
 leaf, extra token) instance in one call, with one acceptance call for all
 their sub-block tests. Every leaf is then completed through the modified
-target chain. Each instance keeps one table per trie level of its blocks'
-joints, linear and log-space; the rules, the closed forms and the target
-marginals all read it. The acceptance rules and the residual
+target chain. The whole law lives in one layout: one array per trie level,
+its blocks in lexicographic order, so block u's children are the V entries
+from V * index(u) on and its n-token extensions are one run of V^n. The
+joints (linear and log-space), the leaf masses, the output law and the
+masses it is checked against are all such arrays, and every check is a
+reshape and a sum. The acceptance rules and the residual
 (``subblock_accept_prob``, ``full_block_accept_prob``, ``block_residual``)
 and the chains (``harness.RawChain``, ``harness.ModifiedChain``) are the
 ones decoding runs. The recursion over the scan and the closed forms the
@@ -82,11 +85,12 @@ def _model_joint(model, temperature: float, context: tuple[int, ...], blk: tuple
 class _Instance:
     """One (draft chain, target chain, L, K) at an absolute ``context``.
 
-    ``levels`` holds every block's joints, one table per trie level in
+    ``levels`` holds every block's joints, one array per trie level in
     lexicographic order: the linear joints feed the recursion, the closed
     forms and the target marginals the output is checked against, and the
     log-space ``PrefixJoint``s, built as the verifier builds them, feed the
-    acceptance rules.
+    acceptance rules. One table serves every depth up to the one it was
+    built at.
     """
 
     pchain: RawChain
@@ -95,49 +99,33 @@ class _Instance:
     V: int
     L: int
     K: int
-    tables: dict = field(default_factory=dict)
+    table: list | None = None
     h_part: dict = field(default_factory=dict)
     surplus: dict = field(default_factory=dict)
 
     def levels(self, depth: int) -> list[tuple[list, np.ndarray, np.ndarray, list]]:
         """(blocks, draft joints, target joints, log joints) at each level
-        0 ... depth, the blocks in lexicographic order, so block u's children
-        are the V entries from V * index(u) on. A joint is its parent's times
-        the chain's conditional; each chain answers every context shorter
-        than ``depth`` in one call. The log joints, given up to level L, the
-        deepest the rules read, are each their parent's plus one ``math.log``
-        per factor, -inf absorbing: ``_row_joints``' arithmetic, so each
-        equals the verifier's bit for bit."""
-        hit = self.tables.get(depth)
-        if hit is None:
+        0 ... depth, from the instance's table, rebuilt at ``depth`` when it
+        is shallower. The joints are ``_joints``'. The log joints, given up
+        to level L, the deepest the rules read (None deeper), are each their
+        parent's plus one ``math.log`` per factor, -inf absorbing:
+        ``_row_joints``' arithmetic, so each equals the verifier's bit for
+        bit."""
+        if self.table is None or len(self.table) <= depth:
             V = self.V
+            (p, p_rows), (q, q_rows) = (_joints(chain, V, depth) for chain in (self.pchain, self.qchain))
+            logs = [[PrefixJoint.empty()]]
+            for pr, qr in zip(p_rows[:self.L], q_rows[:self.L]):
+                lp, lq = ([math.log(x) if x > 0.0 else LOG_ZERO for x in r.ravel().tolist()] for r in (pr, qr))
+                parents = [j for j in logs[-1] for _ in range(V)]
+                logs.append([PrefixJoint(j.log_p + x, j.log_q + z) for j, x, z in zip(parents, lp, lq)])
             blocks = [list(itertools.product(range(V), repeat=i)) for i in range(depth + 1)]
-            heads = [u for level in blocks[:depth] for u in level]
-            p_rows, q_rows = (
-                np.array([d.mass for d in chain.conditionals(heads)]).reshape(-1, V)
-                for chain in (self.pchain, self.qchain)
-            )
-            hit = [(blocks[0], np.ones(1), np.ones(1), [PrefixJoint.empty()])]
-            start = 0
-            for i, level in enumerate(blocks[1:], 1):
-                _parents, p, q, joints = hit[-1]
-                pr, qr = p_rows[start:start + len(p)], q_rows[start:start + len(p)]
-                start += len(p)
-                if i <= self.L:
-                    lp, lq = (
-                        [math.log(x) if x > 0.0 else LOG_ZERO for x in r.ravel().tolist()] for r in (pr, qr)
-                    )
-                    parents = [j for j in joints for _ in range(V)]
-                    joints = [PrefixJoint(j.log_p + x, j.log_q + z) for j, x, z in zip(parents, lp, lq)]
-                else:
-                    joints = None
-                hit.append((level, (p[:, None] * pr).ravel(), (q[:, None] * qr).ravel(), joints))
-            self.tables[depth] = hit
-        return hit
+            self.table = list(itertools.zip_longest(blocks, p, q, logs))
+        return self.table[:depth + 1]
 
     def _joint(self, blk: tuple[int, ...]) -> PrefixJoint:
         """The log joints of ``blk``, read from its level's table."""
-        return self.levels(self.L)[len(blk)][3][functools.reduce(lambda n, x: n * self.V + x, blk, 0)]
+        return self.levels(len(blk))[-1][3][_index(blk, self.V)]
 
     def h_partial(self, blks: list[tuple[int, ...]]) -> list[float]:
         """Sub-block acceptance of each block, the unknown ones in one call."""
@@ -170,6 +158,32 @@ class _Instance:
         j = self._joint(prefix) if horizon else PrefixJoint.empty()
         mod = ModifiedTarget(horizon, self.K, prefix, j.log_p, j.log_q)
         return ModifiedChain(self.qchain, self.pchain, mod, self.context + prefix, Counters())
+
+
+def _index(blk: tuple[int, ...], V: int) -> int:
+    """Position of ``blk`` in its level, in lexicographic order."""
+    return functools.reduce(lambda n, x: n * V + x, blk, 0)
+
+
+@functools.cache
+def _heads(V: int, depth: int) -> tuple:
+    """Every block shorter than ``depth``, level by level, each level in
+    lexicographic order."""
+    return tuple(u for i in range(depth) for u in itertools.product(range(V), repeat=i))
+
+
+def _joints(chain, V: int, depth: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Joints under ``chain`` of every block at levels 0 ... depth, and its
+    conditional rows at each level 0 ... depth - 1, in lexicographic order.
+    A joint is its parent's times the chain's conditional; the chain answers
+    every context shorter than ``depth`` in one call."""
+    rows = np.array([d.mass for d in chain.conditionals(_heads(V, depth))]).reshape(-1, V)
+    joints, level_rows, start = [np.ones(1)], [], 0
+    for _ in range(depth):
+        level_rows.append(rows[start:start + len(joints[-1])])
+        start += len(joints[-1])
+        joints.append((joints[-1][:, None] * level_rows[-1]).ravel())
+    return joints, level_rows
 
 
 def _accept_subblocks(todo: list[tuple[_Instance, tuple[int, ...], PrefixJoint]]) -> None:
@@ -231,9 +245,10 @@ def _others(x: np.ndarray, series: tuple) -> np.ndarray:
     return _mul(prefix(x), prefix(x[:, ::-1])[:, ::-1], series)
 
 
-def _enumerate_leaves(insts: list[_Instance]) -> list[dict]:
+def _enumerate_leaves(insts: list[_Instance]) -> list[list[np.ndarray]]:
     """Leaf masses of the scan, from its frozen coins (module docstring), for
-    each of a batch of instances of equal (V, L, K).
+    each of a batch of instances of equal (V, L, K): one array per level
+    0 ... L in ``levels`` order, entry u of level i the mass of leaf (i, u).
 
     Write p for the draft joint of a node, h for its test's acceptance and
     g_u(m) = p(u)^m G_u(m) / m!, where G_u(m) is the probability that every
@@ -253,8 +268,7 @@ def _enumerate_leaves(insts: list[_Instance]) -> list[dict]:
         mass(i, u) = h(u) sum_{A + C = K - 1} A! C! [y^A z^C] (prod_{v != u} Phi_v) W_u
 
     over the level-i nodes v, in lexicographic order. Only sums of products
-    are formed, so a leaf that a zero factor removes has mass exactly 0 and
-    is left out.
+    are formed, so a leaf that a zero factor removes has mass exactly 0.
 
     The instances' level arrays are concatenated; each instance's V^i rows
     are contiguous, so grouping rows by V still groups children by parent.
@@ -291,11 +305,7 @@ def _enumerate_leaves(insts: list[_Instance]) -> list[dict]:
         g[i - 1] = f[:, 0]
         for x in range(1, V):
             g[i - 1] = _mul(g[i - 1], f[:, x], one_var)
-    leaves = [{} for _ in insts]
-    for out, stay in zip(leaves, (fact[K] * g[0][:, K]).tolist()):
-        if stay > 0.0:
-            out[(0, ())] = stay
-
+    masses = [fact[K] * g[0][:, K:]]
     two_var = _series(K, 2)
     a, c = two_var[0]
     deg, lead = a + c, a == 0
@@ -304,60 +314,48 @@ def _enumerate_leaves(insts: list[_Instance]) -> list[dict]:
     for i in range(1, L + 1):
         phi = (np.where(lead, 1.0, 1.0 - h[i][:, None]) * (binom * g[i][:, deg])).reshape(n, V**i, -1)
         win = np.where(lead, (c + 1) * g[i][:, c + 1], 0.0).reshape(n, V**i, -1)
-        mass = h[i].reshape(n, -1) * (_mul(_others(phi, two_var), win, two_var) @ ends)
-        for out, row in zip(leaves, mass):
-            for j in np.flatnonzero(row > 0.0).tolist():
-                out[(i, nodes[i][j])] = float(row[j])
-    return leaves
+        masses.append(h[i].reshape(n, -1) * (_mul(_others(phi, two_var), win, two_var) @ ends))
+    return [list(levels) for levels in zip(*masses)]
 
 
-def _output_joint(
-    inst: _Instance, leaves: dict, depth: int
-) -> tuple[dict[tuple[int, ...], float], float]:
-    """Exact law of the completed output prefix at ``depth`` tokens.
+def _output_law(inst: _Instance, leaves: list[np.ndarray], depth: int) -> tuple[np.ndarray, float]:
+    """Exact law of the completed output prefix at ``depth`` tokens, in
+    ``levels`` order.
 
     Each leaf contributes its block, then the extra token, then tokens from
-    the modified target chain. Returns the joint table and the expected
-    number of raw-conditional fallback draws in an output: a path is charged
-    its mass at the extra token and again at each modified-target position
-    that falls back, so this is a count, not a probability mass, and can
-    exceed 1.
+    the modified target chain: branch (tau, t, y) writes its mass times the
+    modified chain's joints into the run of the blocks that extend t + (y,).
+    Returns the law and the expected number of raw-conditional fallback
+    draws in an output: a path is charged its mass at the extra token and
+    again at each modified-target position that falls back, so this is a
+    count, not a probability mass, and can exceed 1. The modified chain is
+    asked for every context, reachable or not, so a fallback is charged by
+    its context's joint, which is 0 where the context is unreachable.
     """
-    out: dict[tuple[int, ...], float] = {}
+    V = inst.V
+    out = np.zeros(V**depth)
     fallback_mass = 0.0
-    for (tau, t), mass in leaves.items():
-        if mass <= 0.0:
+    for tau, ((blocks, *_rest), level) in enumerate(zip(inst.levels(inst.L), leaves)):
+        if tau == depth:
+            out += level
             continue
-        if len(t) >= depth:
-            out[t[:depth]] = out.get(t[:depth], 0.0) + mass
-            continue
-        ydist, fell_back = inst.extra_token(tau, t)
-        if fell_back:
-            fallback_mass += mass
-        need = depth - len(t) - 1
-        for y, py in enumerate(ydist.tolist()):
-            if py <= 0.0:
+        need = depth - tau - 1
+        for j in np.flatnonzero(level > 0.0).tolist():
+            mass, t = float(level[j]), blocks[j]
+            ydist, fell_back = inst.extra_token(tau, t)
+            fallback_mass += mass if fell_back else 0.0
+            if need == 0:
+                out[j * V:(j + 1) * V] += mass * ydist
                 continue
-            m0 = mass * py
-            base = t + (y,)
-            if need <= 0:
-                out[base] = out.get(base, 0.0) + m0
-                continue
-            mod = inst.modified(tau, t, y)
-            frontier = [((), m0)]
-            for _ in range(need):
-                nxt = []
-                dists = mod.conditionals([ctx for ctx, _m in frontier])
-                for (ctx, m), d in zip(frontier, dists):
-                    if ctx in mod.record.fallbacks:
-                        fallback_mass += m
-                    for x, px in enumerate(d.mass.tolist()):
-                        if px > 0.0:
-                            nxt.append((ctx + (x,), m * px))
-                frontier = nxt
-            for ctx, m in frontier:
-                key = base + ctx
-                out[key] = out.get(key, 0.0) + m
+            for y, py in enumerate(ydist.tolist()):
+                if py <= 0.0:
+                    continue
+                m0 = mass * py
+                mod = inst.modified(tau, t, y)
+                joints, _rows = _joints(mod, V, need)
+                start = (j * V + y) * V**need
+                out[start:start + V**need] += m0 * joints[need]
+                fallback_mass += m0 * sum(joints[len(ctx)].item(_index(ctx, V)) for ctx in mod.record.fallbacks)
     return out, fallback_mass
 
 
@@ -420,54 +418,38 @@ def _instance(pair: ModelPair, L: int, K: int, context: tuple[int, ...] = ()) ->
     return _Instance(p, q, context, pair.vocab_size, L, K)
 
 
-def _sub_blocks(pair: ModelPair, L: int, K: int) -> list:
-    """The joint tables of every sub-block up to length L, guarded on V^L."""
-    if pair.vocab_size**L > MAX_ENUM:
-        raise TooLarge(f"V^L = {pair.vocab_size ** L} exceeds {MAX_ENUM}")
-    return _instance(pair, L, K).levels(L)[1:]
-
-
 def bound_K(pair: ModelPair, L: int, K: int) -> float:
     """Sum of claimed acceptance masses over all sub-blocks up to length L."""
-    return sum(float(_accept_mass(p, q, K).sum()) for _blocks, p, q, _j in _sub_blocks(pair, L, K))
+    if pair.vocab_size**L > MAX_ENUM:
+        raise TooLarge(f"V^L = {pair.vocab_size ** L} exceeds {MAX_ENUM}")
+    return sum(float(_accept_mass(p, q, K).sum()) for _blocks, p, q, _j in _instance(pair, L, K).levels(L)[1:])
 
 
 def exact_expected_tau(pair: ModelPair, L: int, K: int) -> float:
     """E[tau] integrated exactly over draft tuples and uniform draws."""
     [leaves] = _enumerate_leaves([_instance(pair, L, K)])
-    return sum(tau * m for (tau, _t), m in leaves.items())
+    return sum(tau * float(level.sum()) for tau, level in enumerate(leaves))
 
 
-def _lemma_table(inst: _Instance, leaves: dict, claimed: list[np.ndarray]) -> tuple[dict, float]:
-    """Accepted-prefix masses from the tree against the closed-form masses
-    ``claimed``, one array per level 1 ... L in ``levels`` order."""
-    acc: dict[tuple[int, ...], float] = {}
-    for (tau, t), m in leaves.items():
-        for i in range(1, tau + 1):
-            acc[t[:i]] = acc.get(t[:i], 0.0) + m
-    max_dev = 0.0
-    table = {}
-    for (blocks, *_joints), want in zip(inst.levels(inst.L)[1:], claimed):
-        got = np.array([acc.get(blk, 0.0) for blk in blocks])
-        table.update(zip(blocks, zip(got.tolist(), want.tolist())))
-        max_dev = max(max_dev, float(np.abs(got - want).max()))
-    return table, max_dev
+def _accepted(leaves: list[np.ndarray]) -> list[np.ndarray]:
+    """Accepted-prefix masses from the tree, one array per level 1 ... L: a
+    block's is its leaf's plus its children's, bottom up."""
+    acc = [leaves[-1]]
+    for level in leaves[-2:0:-1]:
+        acc.insert(0, level + acc[0].reshape(len(level), -1).sum(1))
+    return acc
 
 
-def _marginal_devs(inst: _Instance, out: dict, depth: int) -> tuple[float, float]:
+def _max_dev(got: list[np.ndarray], want: list[np.ndarray]) -> float:
+    return max(float(np.abs(a - b).max()) for a, b in zip(got, want))
+
+
+def _marginal_devs(inst: _Instance, out: np.ndarray, depth: int) -> tuple[float, float]:
     """Prefix marginals of the output law against the target chain: the max
     deviation and the max error of a level's total."""
-    marg: dict[tuple[int, ...], float] = {}
-    for seq, m in out.items():
-        for i in range(1, depth + 1):
-            marg[seq[:i]] = marg.get(seq[:i], 0.0) + m
-    max_dev = 0.0
-    sums_err = 0.0
-    for blocks, _p, q, _j in inst.levels(depth)[1:]:
-        got = np.array([marg.get(blk, 0.0) for blk in blocks])
-        max_dev = max(max_dev, float(np.abs(got - q).max()))
-        sums_err = max(sums_err, abs(float(got.sum()) - 1.0))
-    return max_dev, sums_err
+    targets = [q for _blocks, _p, q, _j in inst.levels(depth)[1:]]
+    marg = [out.reshape(len(q), -1).sum(1) for q in targets]
+    return _max_dev(marg, targets), max(abs(float(m.sum()) - 1.0) for m in marg)
 
 
 def exact_output_distribution(
@@ -479,33 +461,48 @@ def exact_output_distribution(
         raise ValueError("iterations must be 1 or 2")
     t0 = time.perf_counter()
     inst = _instance(pair, L, K, context)
+    if iterations == 2:
+        # the second iteration's check reads depth 2(L + 1): build that
+        # table first, and the first iteration reads its levels from it
+        if pair.vocab_size ** (2 * (L + 1)) > MAX_ENUM:
+            raise TooLarge("two-iteration enumeration exceeds the guard")
+        inst.levels(2 * (L + 1))
     [leaves] = _enumerate_leaves([inst])
-    claimed = [_accept_mass(p, q, K) for _blocks, p, q, _j in inst.levels(L)[1:]]
-    lemma_masses, lemma_dev = _lemma_table(inst, leaves, claimed)
-    out, fallback_mass = _output_joint(inst, leaves, L)
+    table = inst.levels(L)
+    claimed = [_accept_mass(p, q, K) for _blocks, p, q, _j in table[1:]]
+    accepted = _accepted(leaves)
+    out, fallback_mass = _output_law(inst, leaves, L)
     max_dev, sums_err = _marginal_devs(inst, out, L)
     two_iter_dev = lemma_dev2 = None
     if iterations == 2:
         two_iter_dev, fb2, lemma_dev2 = _two_iteration_dev(pair, inst, leaves)
         fallback_mass += fb2
+    blocks = [level for level, *_rest in table]
+    leaf_masses = {
+        (tau, u): m for tau, (level, row) in enumerate(zip(blocks, leaves))
+        for u, m in zip(level, row.tolist()) if m > 0.0
+    }
     return ExactReport(
         vocab_size=pair.vocab_size, L=L, K=K, iterations=iterations,
-        expected_tau=sum(tau * m for (tau, _t), m in leaves.items()),
+        expected_tau=sum(tau * m for (tau, _t), m in leaf_masses.items()),
         bound=sum(float(c.sum()) for c in claimed),
-        max_marginal_dev=max_dev, lemma_max_dev=lemma_dev,
+        max_marginal_dev=max_dev, lemma_max_dev=_max_dev(accepted, claimed),
         max_marginal_dev_two_iter=two_iter_dev, lemma_max_dev_two_iter=lemma_dev2,
         marginal_sums_max_err=sums_err,
-        leaf_states=len(leaves),
-        tuples=int((inst.levels(L)[L][1] > 0.0).sum()) ** K,
-        max_leafsum_err=abs(sum(leaves.values()) - 1.0),
+        leaf_states=len(leaf_masses),
+        tuples=int((table[L][1] > 0.0).sum()) ** K,
+        max_leafsum_err=abs(sum(leaf_masses.values()) - 1.0),
         fallback_mass=fallback_mass,
         runtime_s=time.perf_counter() - t0,
-        lemma_masses=lemma_masses,
-        leaves=leaves,
+        lemma_masses={
+            u: masses for level, got, want in zip(blocks[1:], accepted, claimed)
+            for u, masses in zip(level, zip(got.tolist(), want.tolist()))
+        },
+        leaves=leaf_masses,
     )
 
 
-def _two_iteration_dev(pair: ModelPair, inst1: _Instance, leaves1: dict) -> tuple[float, float, float]:
+def _two_iteration_dev(pair: ModelPair, inst1: _Instance, leaves1: list) -> tuple[float, float, float]:
     """Second decoding iteration after every first-iteration leaf.
 
     Returns the max deviation of the completed output from the target chain
@@ -516,40 +513,33 @@ def _two_iteration_dev(pair: ModelPair, inst1: _Instance, leaves1: dict) -> tupl
     """
     V, L, K = inst1.V, inst1.L, inst1.K
     depth = 2 * (L + 1)
-    if V**depth > MAX_ENUM:
-        raise TooLarge("two-iteration enumeration exceeds the guard")
     # every (leaf, extra token) instance is built first, then all are
     # enumerated in one call; a leaf's fallback mass rides on its first one
     seconds = []
-    for (tau1, t1), m1 in leaves1.items():
-        if m1 <= 0.0:
-            continue
-        ydist, fell_back = inst1.extra_token(tau1, t1)
-        fb1 = m1 if fell_back else 0.0
-        for y1, py1 in enumerate(ydist.tolist()):
-            if py1 > 0.0:
-                context2 = inst1.context + t1 + (y1,)
-                inst2 = _Instance(RawChain(pair.draft, pair.temperature, context2),
-                                  inst1.modified(tau1, t1, y1), context2, V, L, K)
-                seconds.append((fb1, t1 + (y1,), m1 * py1, inst2))
-                fb1 = 0.0
-    out: dict[tuple[int, ...], float] = {}
-    fallback = 0.0
-    lemma_dev = 0.0
-    for (fb1, prefix1, w, inst2), leaves2 in zip(seconds, _enumerate_leaves([s[-1] for s in seconds])):
+    for tau1, ((blocks, *_rest), level) in enumerate(zip(inst1.levels(L), leaves1)):
+        for j in np.flatnonzero(level > 0.0).tolist():
+            m1, t1 = float(level[j]), blocks[j]
+            ydist, fell_back = inst1.extra_token(tau1, t1)
+            fb1 = m1 if fell_back else 0.0
+            for y1, py1 in enumerate(ydist.tolist()):
+                if py1 > 0.0:
+                    context2 = inst1.context + t1 + (y1,)
+                    inst2 = _Instance(RawChain(pair.draft, pair.temperature, context2),
+                                      inst1.modified(tau1, t1, y1), context2, V, L, K)
+                    seconds.append((fb1, tau1 + 1, j * V + y1, m1 * py1, inst2))
+                    fb1 = 0.0
+    out = np.zeros(V**depth)
+    fallback = lemma_dev = 0.0
+    for (fb1, n1, index1, w, inst2), leaves2 in zip(seconds, _enumerate_leaves([s[-1] for s in seconds])):
         claimed = []
         for blocks, _p, q, _j in inst2.levels(L)[1:]:
             p2 = [_model_joint(pair.draft, pair.temperature, inst2.context, blk) for blk in blocks]
             claimed.append(_accept_mass(np.array(p2), q, K))
-        lemma_dev = max(lemma_dev, _lemma_table(inst2, leaves2, claimed)[1])
-        out2, fb2 = _output_joint(inst2, leaves2, depth - len(prefix1))
-        fallback += fb1
-        fallback += w * fb2
-        for seq, m in out2.items():
-            key = prefix1 + seq
-            out[key] = out.get(key, 0.0) + w * m
-    blocks, _p, q, _j = inst1.levels(depth)[depth]
-    max_dev = float(np.abs(np.array([out.get(blk, 0.0) for blk in blocks]) - q).max())
+        lemma_dev = max(lemma_dev, _max_dev(_accepted(leaves2), claimed))
+        out2, fb2 = _output_law(inst2, leaves2, depth - n1)
+        fallback += fb1 + w * fb2
+        out[index1 * len(out2):(index1 + 1) * len(out2)] += w * out2
+    max_dev = float(np.abs(out - inst1.levels(depth)[depth][2]).max())
     return max_dev, fallback, lemma_dev
 
 

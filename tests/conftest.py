@@ -56,7 +56,7 @@ def tv_distance(a: Distribution, b: Distribution) -> float:
 
 def gbv_block_sum(pair: ModelPair, L: int) -> float:
     """Sum over sub-blocks of min(draft joint, target joint); the K = 1 bound."""
-    return sum(float(np.minimum(p, q).sum()) for _blocks, p, q, _j in oracle._sub_blocks(pair, L, 1))
+    return sum(float(np.minimum(p, q).sum()) for _blocks, p, q, _j in oracle._instance(pair, L, 1).levels(L)[1:])
 
 
 def bound_properties(pair: ModelPair, L: int, K_list) -> dict:

@@ -403,7 +403,12 @@ class TestBatchedEnumeration:
                 first = _instance(pair, L, K, context)
                 insts.append(first)
                 [leaves] = _enumerate_leaves([_instance(pair, L, K, context)])
-                for tau, t in list(leaves)[:3]:
+                # the first three positive-mass leaves, in level order
+                positive = [
+                    (tau, blocks[j]) for tau, ((blocks, *_rest), level) in enumerate(zip(first.levels(L), leaves))
+                    for j in np.flatnonzero(level > 0.0).tolist()
+                ]
+                for tau, t in positive[:3]:
                     prefix = t + (V - 1,)
                     draft = harness.RawChain(pair.draft, pair.temperature, context + prefix)
                     target = first.modified(tau, t, V - 1)
@@ -422,10 +427,14 @@ class TestBatchedEnumeration:
         alone = [_enumerate_leaves([inst])[0] for inst in self.batch(V, L, K)]
         assert len(together) == len(alone) == len(batch)
         for leaves, want in zip(together, alone):
-            assert leaves.keys() == want.keys()
-            assert all(m > 0.0 for m in leaves.values())
-            for key, m in want.items():
-                assert abs(leaves[key] - m) <= 1e-12, key
+            assert [level.shape for level in leaves] == [level.shape for level in want] == [
+                (V**i,) for i in range(L + 1)
+            ]
+            for i, (level, w) in enumerate(zip(leaves, want)):
+                # whole levels, zero entries included, and the same positive set
+                assert (level >= 0.0).all() and (w >= 0.0).all(), i
+                assert np.array_equal(level > 0.0, w > 0.0), i
+                assert np.abs(level - w).max() <= 1e-12, i
 
 
 class TestDraftLaw:
