@@ -180,6 +180,20 @@ class TestLevels:
                 assert pb == _model_joint(pair.draft, 1.0, context, blk)
                 assert qb == _model_joint(pair.target, 1.0, context, blk)
 
+    def test_one_table_serves_every_shallower_depth(self):
+        # a two-iteration report builds depth 2(L + 1) first; the first
+        # iteration's levels are that table's, equal to a table built at L
+        pair = generate_pair(3, 1, 5, 1.0, 0.5)
+        inst = _instance(pair, 2, 2)
+        deep = inst.levels(6)
+        assert len(inst.levels(2)) == 3 and all(a is b for a, b in zip(inst.levels(2), deep))
+        assert [joints is None for *_rest, joints in deep] == [False] * 3 + [True] * 4
+        for got, want in zip(inst.levels(2), _instance(pair, 2, 2).levels(2)):
+            assert got[0] == want[0] and got[3] == want[3]
+            assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+        # a deeper depth rebuilds the table
+        assert len(inst.levels(7)) == 8 and inst.levels(7)[7][2].sum() == pytest.approx(1.0)
+
     ZEROS = ModelPair(
         MarkovModel(3, 1, np.array([[0.5, 0.5, 0.0], [0.0, 0.3, 0.7], [0.2, 0.0, 0.8]])),
         MarkovModel(3, 1, np.array([[0.0, 0.6, 0.4], [0.1, 0.9, 0.0], [0.5, 0.5, 0.0]])),
