@@ -127,14 +127,6 @@ class _Instance:
         """The log joints of ``blk``, read from its level's table."""
         return self.levels(len(blk))[-1][3][_index(blk, self.V)]
 
-    def h_partial(self, blks: list[tuple[int, ...]]) -> list[float]:
-        """Sub-block acceptance of each block, the unknown ones in one call."""
-        _accept_subblocks([(self, blk, self._joint(blk)) for blk in blks if blk not in self.h_part])
-        return [self.h_part[blk] for blk in blks]
-
-    def h_fullblock(self, blk: tuple[int, ...]) -> float:
-        return full_block_accept_prob(self._joint(blk), self.K)
-
     def extra_token(self, tau: int, t: tuple[int, ...]) -> tuple[np.ndarray, bool]:
         """Law of the token after leaf (tau, t), and whether it is the
         raw-conditional fallback taken when the residual surplus is empty.

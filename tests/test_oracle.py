@@ -10,6 +10,7 @@ from speclab import harness, oracle
 from speclab.models import MarkovModel, ModelPair, generate_pair
 from speclab.oracle import (
     TooLarge,
+    _accept_subblocks,
     _enumerate_leaves,
     _instance,
     _Instance,
@@ -23,6 +24,7 @@ from speclab.verifiers import (
     Counters,
     _row_joints,
     draft_rows,
+    full_block_accept_prob,
     gbv_accept_prob,
     score_rows,
     verify_spectr_gbv,
@@ -128,7 +130,12 @@ def walk_tuple(inst, rows):
             else:
                 stack.append((k + 1, tau + 1, tau, f, H, pr))
             continue
-        h = inst.h_partial([sub])[0] if i <= L - 1 else inst.h_fullblock(row)
+        if i <= L - 1:
+            if sub not in inst.h_part:
+                _accept_subblocks([(inst, sub, inst._joint(sub))])
+            h = inst.h_part[sub]
+        else:
+            h = full_block_accept_prob(inst._joint(row), inst.K)
         if h in (0.0, 1.0):
             events.add(f"h{int(h)}")
         if i <= L - 1:
@@ -434,7 +441,10 @@ class TestBatchedEnumeration:
         batch = self.batch(V, L, K)
         together = _enumerate_leaves(batch)
         hs = {h for inst in batch for h in inst.h_part.values()}
-        hs |= {inst.h_fullblock(b) for inst in batch for b, w in zip(*inst.levels(L)[L][:2]) if w > 0.0}
+        hs |= {
+            full_block_accept_prob(inst._joint(b), inst.K)
+            for inst in batch for b, w in zip(*inst.levels(L)[L][:2]) if w > 0.0
+        }
         assert {0.0, 1.0} <= hs
         assert any(isinstance(inst.qchain, harness.ModifiedChain) for inst in batch)
         assert any((inst.levels(L)[L][1] == 0.0).any() for inst in batch)
