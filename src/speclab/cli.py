@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Subcommands: run (experiments), sweep (grid over K/L/T), oracle-check
+Subcommands: run (experiments over a grid of K, L and temperature, each
+given as a comma list; one value is a grid of one cell), oracle-check
 (exact-enumeration checks), gen-model (emit a model file), verify-demo
-(single verbose verification trace).
+(single verbose verification trace). Each declares only the options it
+reads, so argparse refuses any other.
 
 Exit codes: 0 success, 1 usage error, 2 oracle-check failure, 3 IO error.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields
 
 from . import harness, oracle
 from .models import InvalidRow, ParseError, generate_pair, save_model
@@ -23,7 +25,7 @@ from .verifiers import draft_rows, score_rows
 def _parse_gen(spec: str) -> dict:
     parts = spec.split(",")
     if len(parts) not in (4, 5):
-        raise argparse.ArgumentTypeError("--gen expects V,ORDER,SEED,CONC[,LAMBDA]")
+        raise argparse.ArgumentTypeError("expected V,ORDER,SEED,CONC[,LAMBDA]")
     out = {
         "vocab_size": int(parts[0]),
         "order": int(parts[1]),
@@ -55,89 +57,79 @@ def _load_config_tokens(path: str) -> list[str]:
     return tokens
 
 
-def _add_common(p: argparse.ArgumentParser, algo_default: str | None = "spectr-gbv", algos=harness.ALGORITHMS):
-    if algo_default is not None:
-        p.add_argument("--algo", default=algo_default, choices=algos)
-    p.add_argument("--K", default="3")
-    p.add_argument("--L", default="8")
-    p.add_argument("--temperature", default="1.0")
-    p.add_argument("--draft-model", dest="draft_model", default=None)
-    p.add_argument("--target-model", dest="target_model", default=None)
-    p.add_argument("--gen", default=None, help="V,ORDER,SEED,CONC[,LAMBDA]")
-    p.add_argument("--prompts", type=int, default=4)
-    p.add_argument("--max-tokens", dest="max_tokens", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", dest="fmt", default="csv", choices=("csv", "json"))
+def _ints(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
+
+
+def _floats(text: str) -> list[float]:
+    return [float(x) for x in text.split(",")]
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # the model pair, which every subcommand but gen-model builds
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--draft-model", dest="draft_path", metavar="FILE")
+    pair.add_argument("--target-model", dest="target_path", metavar="FILE")
+    pair.add_argument("--gen", type=_parse_gen, default={}, help="V,ORDER,SEED,CONC[,LAMBDA]")
+    # one cell, for the subcommands that verify a single instance
+    cell = argparse.ArgumentParser(add_help=False, parents=[pair])
+    cell.add_argument("--K", type=int, default=3)
+    cell.add_argument("--L", type=int, default=8)
+    cell.add_argument("--temperature", type=float, default=1.0)
+
     parser = argparse.ArgumentParser(prog="speclab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run decoding experiments")
+    run = sub.add_parser("run", parents=[pair], help="decoding experiments over a K/L/temperature grid")
     run.add_argument("--config", default=None, help="flat key=value config file")
     run.add_argument("--timings", action="store_true", help="report measured wall_ms")
-    _add_common(run)
+    run.add_argument("--algo", default="spectr-gbv", choices=harness.ALGORITHMS)
+    run.add_argument("--K", type=_ints, default=[3], help="comma list")
+    run.add_argument("--L", type=_ints, default=[8], help="comma list")
+    run.add_argument("--temperature", type=_floats, default=[1.0], help="comma list")
+    run.add_argument("--prompts", type=int, default=4)
+    run.add_argument("--max-tokens", dest="max_tokens", type=int, default=64)
+    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--trials", type=int, default=3)
+    run.add_argument("--out", default="run.csv")
+    run.add_argument("--format", dest="fmt", default="csv", choices=("csv", "json"))
 
-    sweep = sub.add_parser("sweep", help="grid over K/L/temperature")
-    sweep.add_argument("--timings", action="store_true")
-    _add_common(sweep)
-
-    oc = sub.add_parser("oracle-check", help="exact-enumeration checks on one instance")
+    oc = sub.add_parser("oracle-check", parents=[cell], help="exact-enumeration checks on one instance")
     oc.add_argument("--iterations", type=int, default=1, choices=(1, 2))
-    _add_common(oc, algo_default=None)
+    oc.add_argument("--out")
 
     gm = sub.add_parser("gen-model", help="emit a model file")
-    gm.add_argument("--gen", required=True, help="V,ORDER,SEED,CONC[,LAMBDA]")
+    gm.add_argument("--gen", type=_parse_gen, required=True, help="V,ORDER,SEED,CONC[,LAMBDA]")
     gm.add_argument("--out", required=True)
 
-    demo = sub.add_parser("verify-demo", help="single verbose verification trace")
-    _add_common(demo, algos=[a for a in harness.ALGORITHMS if a != "ar"])
+    demo = sub.add_parser("verify-demo", parents=[cell], help="single verbose verification trace")
+    demo.add_argument("--algo", default="spectr-gbv", choices=[a for a in harness.ALGORITHMS if a != "ar"])
+    demo.add_argument("--seed", type=int, default=0)
     return parser
 
 
-def _config_from_args(args, algo=None) -> harness.RunConfig:
-    gen = _parse_gen(args.gen) if args.gen else {}
-    return harness.RunConfig(
-        algo=algo or args.algo,
-        K=int(args.K),
-        L=int(args.L),
-        temperature=float(args.temperature),
-        draft_path=args.draft_model,
-        target_path=args.target_model,
-        prompts=args.prompts,
-        max_tokens=args.max_tokens,
-        seed=args.seed,
-        trials=args.trials,
-        **gen,
-    )
+_CONFIG_FIELDS = {f.name for f in fields(harness.RunConfig)}
+
+
+def _config(args, **cell) -> harness.RunConfig:
+    """The run config of the parsed options, with ``cell`` over them."""
+    given = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS}
+    return harness.RunConfig(**{**given, **args.gen, **cell})
 
 
 def _cmd_run(args) -> int:
-    cfg = _config_from_args(args)
-    out = args.out or "run.csv"
-    harness.run_experiment([cfg], out, args.fmt, timings=args.timings)
-    print(f"wrote {out}")
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    ks = [int(x) for x in str(args.K).split(",")]
-    ls = [int(x) for x in str(args.L).split(",")]
-    ts = [float(x) for x in str(args.temperature).split(",")]
-    base = _config_from_args(argparse.Namespace(**{**vars(args), "K": "1", "L": "1", "temperature": "1.0"}))
-    configs = [replace(base, K=k, L=l, temperature=t) for k in ks for l in ls for t in ts]
-    out = args.out or "sweep.csv"
-    harness.run_experiment(configs, out, args.fmt, timings=args.timings)
-    print(f"wrote {out} ({len(configs)} configs)")
+    configs = [
+        _config(args, K=k, L=l, temperature=t)
+        for k in args.K for l in args.L for t in args.temperature
+    ]
+    harness.run_experiment(configs, args.out, args.fmt, timings=args.timings)
+    print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_oracle_check(args) -> int:
     # the oracle enumerates the block verifier; spectr-gbv keeps the given K
-    cfg = _config_from_args(args, algo="spectr-gbv")
+    cfg = _config(args, algo="spectr-gbv")
     pair = cfg.build_pair()
     K, L = cfg.K, cfg.L
     report = oracle.exact_output_distribution(pair, L, K, iterations=args.iterations)
@@ -163,21 +155,17 @@ def _cmd_oracle_check(args) -> int:
 
 
 def _cmd_gen_model(args) -> int:
-    gen = _parse_gen(args.gen)
-    spec = (gen["vocab_size"], gen["order"], gen["model_seed"], gen["concentration"])
-    if "similarity" in gen:
-        model = generate_pair(*spec, gen["similarity"]).target
-    else:
-        model = generate_pair(*spec).draft
-    save_model(model, args.out)
+    # --gen's fields, in order, are generate_pair's leading parameters
+    pair = generate_pair(*args.gen.values())
+    save_model(pair.target if "similarity" in args.gen else pair.draft, args.out)
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_verify_demo(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = _config(args)
     pair = cfg.build_pair()
-    rng = RandomSource(derive_seed(args.seed, 0))
+    rng = RandomSource(derive_seed(cfg.seed, 0))
     prompt = harness.generate_prompt(pair.vocab_size, rng)
     p_chain = harness.RawChain(pair.draft, pair.temperature, prompt)
     q_chain = harness.RawChain(pair.target, pair.temperature, prompt)
@@ -220,7 +208,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if e.code in (0, None) else 1
     handlers = {
         "run": _cmd_run,
-        "sweep": _cmd_sweep,
         "oracle-check": _cmd_oracle_check,
         "gen-model": _cmd_gen_model,
         "verify-demo": _cmd_verify_demo,

@@ -32,7 +32,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -52,12 +52,6 @@ from .verifiers import (
 ALGORITHMS = ("ar", "sd", "spectr", "gbv", "spectr-gbv")
 SINGLE_DRAFT_ALGOS = ("ar", "sd", "gbv")
 PROMPT_LENGTH = 8
-
-CSV_HEADER = [
-    "algo", "K", "L", "T", "seed", "prompt_id", "decoded_tokens", "target_calls",
-    "draft_calls", "mean_tau", "accept_rate", "block_efficiency", "vocab_scans",
-    "wall_ms", "warnings",
-]
 
 
 def _tail(context: tuple[int, ...], order: int) -> tuple[int, ...]:
@@ -172,7 +166,8 @@ def prune_spent(chain):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One experiment cell. K is forced to 1 for the single-draft algorithms."""
+    """One experiment cell. K is forced to 1 for the single-draft algorithms.
+    Both model paths are given, or neither and the pair is generated."""
 
     algo: str = "spectr-gbv"
     K: int = 3
@@ -201,9 +196,11 @@ class RunConfig:
             raise ValueError("temperature must be > 0")
         if self.prompts < 1 or self.trials < 1 or self.max_tokens < 1:
             raise ValueError("prompts, trials, and max_tokens must be >= 1")
+        if bool(self.draft_path) != bool(self.target_path):
+            raise ValueError("a draft model path needs a target model path, and the reverse")
 
     def build_pair(self) -> ModelPair:
-        if self.draft_path and self.target_path:
+        if self.draft_path:
             return ModelPair(
                 load_model(self.draft_path), load_model(self.target_path), self.temperature
             )
@@ -224,6 +221,10 @@ class RunMetrics:
     vocab_scans: int = 0
     wall_ms: float = 0.0
     warnings: int = 0
+
+
+# a report row: the cell, then its decode's metrics
+CSV_HEADER = ["algo", "K", "L", "T", "seed", "prompt_id", *(f.name for f in fields(RunMetrics))]
 
 
 def block_efficiency(m: RunMetrics) -> float:
@@ -357,22 +358,11 @@ def run_experiment(
                 rng = RandomSource(cell_seed)
                 prompt = generate_prompt(pair.vocab_size, rng)
                 _, m = decode(pair, cfg.algo, cfg.K, cfg.L, prompt, cfg.max_tokens, rng)
+                if not timings:
+                    m.wall_ms = 0.0
                 rows.append({
-                    "algo": cfg.algo,
-                    "K": cfg.K,
-                    "L": cfg.L,
-                    "T": cfg.temperature,
-                    "seed": cell_seed,
-                    "prompt_id": prompt_id,
-                    "decoded_tokens": m.decoded_tokens,
-                    "target_calls": m.target_calls,
-                    "draft_calls": m.draft_calls,
-                    "mean_tau": m.mean_tau,
-                    "accept_rate": m.accept_rate,
-                    "block_efficiency": m.block_efficiency,
-                    "vocab_scans": m.vocab_scans,
-                    "wall_ms": m.wall_ms if timings else 0.0,
-                    "warnings": m.warnings,
+                    "algo": cfg.algo, "K": cfg.K, "L": cfg.L, "T": cfg.temperature,
+                    "seed": cell_seed, "prompt_id": prompt_id, **asdict(m),
                 })
     if fmt == "csv":
         buf = io.StringIO()

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -111,24 +112,99 @@ class TestRun:
         assert code == 3
 
 
-class TestSweep:
-    def test_grid(self, tmp_path):
-        out = tmp_path / "s.csv"
-        code = main([
-            "sweep", "--algo", "spectr-gbv", "--K", "1,2", "--L", "2,3",
-            "--gen", "4,0,5,1.0,0.6", "--prompts", "1", "--max-tokens", "8",
-            "--trials", "1", "--out", str(out),
-        ])
-        assert code == 0
-        assert len(out.read_text().splitlines()) == 1 + 4
+class TestGrid:
+    """``run`` takes comma lists for --K, --L and --temperature; the grid's
+    report is the single-cell reports, K outermost, under one header."""
+
+    CELL = ["--algo", "spectr-gbv", "--gen", "4,0,5,1.0,0.6", "--prompts", "1",
+            "--max-tokens", "8", "--trials", "1"]
+
+    @pytest.mark.parametrize("grid", [
+        {"--K": "1,2", "--L": "2,3"},
+        {"--K": "2", "--L": "3", "--temperature": "0.5,2"},
+    ], ids=["K-L", "temperature"])
+    def test_grid_is_the_single_cell_runs_in_order(self, tmp_path, capsys, grid):
+        out = tmp_path / "grid.csv"
+        flags = [tok for flag, values in grid.items() for tok in (flag, values)]
+        assert main(["run", *self.CELL, *flags, "--out", str(out)]) == 0
+        want: list[bytes] = []
+        for values in itertools.product(*(v.split(",") for v in grid.values())):
+            cell = tmp_path / "cell.csv"
+            flags = [tok for flag, value in zip(grid, values) for tok in (flag, value)]
+            assert main(["run", *self.CELL, *flags, "--out", str(cell)]) == 0
+            rows = cell.read_bytes().splitlines(keepends=True)
+            want.extend(rows if not want else rows[1:])
+        assert out.read_bytes() == b"".join(want)
 
     def test_K_below_one_is_a_usage_error(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
-        code = main([
-            "sweep", "--algo", "gbv", "--K", "0,2", "--L", "2", "--gen", "4,0,5,1.0,0.6",
-            "--prompts", "1", "--max-tokens", "8", "--trials", "1", "--out", str(out),
-        ])
+        code = main(["run", *self.CELL, "--algo", "gbv", "--K", "0,2", "--L", "2", "--out", str(out)])
         assert code == 1
+        assert not out.exists()
+
+    def test_config_file_lists_form_a_grid(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("algo = spectr\nK = 1,3\nL = 2\ngen = 4,0,2,1.0,0.7\n"
+                       "prompts = 1\nmax-tokens = 8\ntrials = 1\n")
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[:3] for row in rows] == [["spectr", "1", "2"], ["spectr", "3", "2"]]
+
+
+# a V = 2, K = 1, L = 2 instance on which oracle-check and verify-demo exit 0
+SMALL = ["--gen", "2,1,5,1.0,0.5", "--K", "1", "--L", "2"]
+
+
+class TestOptions:
+    """Each subcommand accepts only the options it reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle-check", "--prompts", "1"],
+        ["oracle-check", "--max-tokens", "8"],
+        ["oracle-check", "--seed", "3"],
+        ["oracle-check", "--trials", "1"],
+        ["oracle-check", "--format", "csv"],
+        ["verify-demo", "--prompts", "1"],
+        ["verify-demo", "--max-tokens", "8"],
+        ["verify-demo", "--trials", "1"],
+        ["verify-demo", "--format", "json"],
+    ])
+    def test_unread_option_is_refused(self, argv, capsys):
+        assert main([argv[0], *SMALL]) == 0
+        assert main(argv + SMALL) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_verify_demo_refuses_out(self, tmp_path, capsys):
+        out = tmp_path / "demo.txt"
+        assert main(["verify-demo", *SMALL, "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_sweep_is_gone(self, capsys):
+        assert main(["sweep", *SMALL]) == 1
+
+    @pytest.mark.parametrize("command", ["run", "oracle-check", "verify-demo"])
+    @pytest.mark.parametrize("flag", ["--draft-model", "--target-model"])
+    def test_lone_model_path_is_a_usage_error(self, command, flag, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        save_model(random_model(2, 1, 5, 1.0), model)
+        out = tmp_path / "out"
+        argv = [command, flag, str(model), "--K", "1", "--L", "2"]
+        assert main(argv + (["--out", str(out)] if command != "verify-demo" else [])) == 1
+        assert "model path" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--gen", "4,1"],
+        ["gen-model", "--gen", "4,1,7"],
+        ["run", "--gen", "4,x,7,1.0"],
+    ])
+    def test_malformed_gen_is_a_usage_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "argument --gen" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestOracleCheck:

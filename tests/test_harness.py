@@ -392,6 +392,13 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(algo="banana")
 
+    @pytest.mark.parametrize("paths", [{"draft_path": "d.json"}, {"target_path": "t.json"}])
+    def test_lone_model_path_is_refused(self, paths):
+        # the pair comes from both files or is generated, never half from a file
+        with pytest.raises(ValueError, match="model path"):
+            RunConfig(**paths)
+        assert RunConfig(draft_path="d.json", target_path="t.json").draft_path == "d.json"
+
 
 class TestRunExperiment:
     def _cfg(self, **kw):
