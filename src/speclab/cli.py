@@ -49,6 +49,8 @@ def _load_config_tokens(path: str) -> list[str]:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, value = (s.strip() for s in line.split("=", 1))
             key = key.replace("_", "-")
+            if key == "config":
+                raise ValueError(f"{path}:{lineno}: a config file cannot name another")
             if key == "timings":
                 if value.lower() in ("1", "true", "yes", "on"):
                     tokens.append("--timings")
@@ -71,10 +73,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pair.add_argument("--draft-model", dest="draft_path", metavar="FILE")
     pair.add_argument("--target-model", dest="target_path", metavar="FILE")
     pair.add_argument("--gen", type=_parse_gen, default={}, help="V,ORDER,SEED,CONC[,LAMBDA]")
-    # one cell, for the subcommands that verify a single instance
+    # one cell, for the subcommands that verify a single instance; each
+    # adds its own --L, since a shared action carries one default
     cell = argparse.ArgumentParser(add_help=False, parents=[pair])
     cell.add_argument("--K", type=int, default=3)
-    cell.add_argument("--L", type=int, default=8)
     cell.add_argument("--temperature", type=float, default=1.0)
 
     parser = argparse.ArgumentParser(prog="speclab")
@@ -95,6 +97,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--format", dest="fmt", default="csv", choices=("csv", "json"))
 
     oc = sub.add_parser("oracle-check", parents=[cell], help="exact-enumeration checks on one instance")
+    # L = 3 keeps the default V = 8, K = 3 instance inside the enumeration guard
+    oc.add_argument("--L", type=int, default=3)
     oc.add_argument("--iterations", type=int, default=1, choices=(1, 2))
     oc.add_argument("--out")
 
@@ -104,6 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     demo = sub.add_parser("verify-demo", parents=[cell], help="single verbose verification trace")
     demo.add_argument("--algo", default="spectr-gbv", choices=[a for a in harness.ALGORITHMS if a != "ar"])
+    demo.add_argument("--L", type=int, default=8)
     demo.add_argument("--seed", type=int, default=0)
     return parser
 
@@ -118,10 +123,11 @@ def _config(args, **cell) -> harness.RunConfig:
 
 
 def _cmd_run(args) -> int:
-    configs = [
+    # a single-draft algorithm forces every K to 1: one cell per distinct config
+    configs = list(dict.fromkeys(
         _config(args, K=k, L=l, temperature=t)
         for k in args.K for l in args.L for t in args.temperature
-    ]
+    ))
     harness.run_experiment(configs, args.out, args.fmt, timings=args.timings)
     print(f"wrote {args.out}")
     return 0

@@ -13,8 +13,12 @@ this law over the row counts through each node, bottom up the trie, in
 exponential generating functions, for a batch of instances of equal
 (V, L, K) at once: a second iteration enumerates every (first-iteration
 leaf, extra token) instance in one call, with one acceptance call for all
-their sub-block tests. Every leaf is then completed through the modified
-target chain. The whole law lives in one layout: one array per trie level,
+their sub-block tests. The output law then completes every leaf, its
+extra token and its modified target chain in one forward pass over the
+trie levels: a branch's modified-target row at a block depends on the
+block alone, so one ``ModifiedTarget`` at the root gives every branch's
+overrides in one surplus block (``_output_law``). The whole law lives in
+one layout: one array per trie level,
 its blocks in lexicographic order, so block u's children are the V entries
 from V * index(u) on and its n-token extensions are one run of V^n. The
 joints (linear and log-space), the leaf masses, the output law and the
@@ -310,45 +314,57 @@ def _enumerate_leaves(insts: list[_Instance]) -> list[list[np.ndarray]]:
     return [list(levels) for levels in zip(*masses)]
 
 
-def _output_law(inst: _Instance, leaves: list[np.ndarray], depth: int) -> tuple[np.ndarray, float]:
-    """Exact law of the completed output prefix at ``depth`` tokens, in
-    ``levels`` order.
+def _output_law(inst: _Instance, leaves: list[np.ndarray], depth: int) -> tuple[np.ndarray, float, list]:
+    """Exact law of the completed output prefix at ``depth`` >= L tokens, in
+    ``levels`` order, by one forward pass over the trie levels.
 
-    Each leaf contributes its block, then the extra token, then tokens from
-    the modified target chain: branch (tau, t, y) writes its mass times the
-    modified chain's joints into the run of the blocks that extend t + (y,).
-    Returns the law and the expected number of raw-conditional fallback
-    draws in an output: a path is charged its mass at the extra token and
-    again at each modified-target position that falls back, so this is a
-    count, not a probability mass, and can exceed 1. The modified chain is
-    asked for every context, reachable or not, so a fallback is charged by
-    its context's joint, which is 0 where the context is unreachable.
+    Leaf (tau, t) is followed by its extra token y, then by branch (tau, t,
+    y)'s modified target chain. Write F_i for the mass at level i whose next
+    token comes from a chain row and E_i for the level-i leaves' extra-token
+    rows: F_{i+1} = F_i * rows_i + leaves_i * E_i, each ravelled, for i < L.
+    A full block's extra token is the chain's own row, so the level-L leaves
+    join F_L, and the law is F_depth. The chain row at a block
+    b = t + (y,) + c is the same for every branch: its override is live iff
+    tau + 1 + len(c) < L, that is iff len(b) < L, and is built from b's
+    joints, extended from the table's joint of t + (y,) by one ``math.log``
+    per factor as the table's own are. So one ``ModifiedTarget`` at the root
+    (horizon L, joints (0, 0)) gives every branch's overrides bit for bit in
+    one surplus block, and only the order of the sums changes. Rows at
+    levels L and deeper, which only a second iteration reaches, are the raw
+    target at ``inst.context``, the rule ``ModifiedChain.raw`` follows.
+
+    Returns the law, the expected number of raw-conditional fallback draws
+    per output and (E_i, fallback flags) for the leaf levels below L. The
+    count is not a mass: a path is charged its leaf's mass at an extra token
+    that falls back and F(b) at each block b whose override falls back,
+    which is 0 where b is unreachable.
     """
-    V = inst.V
-    out = np.zeros(V**depth)
-    fallback_mass = 0.0
-    for tau, ((blocks, *_rest), level) in enumerate(zip(inst.levels(inst.L), leaves)):
-        if tau == depth:
-            out += level
-            continue
-        need = depth - tau - 1
+    V, L = inst.V, inst.L
+    blocks = _heads(V, depth)[1:]
+    live = sum(V**i for i in range(1, min(L, depth)))
+    record = ModifiedTarget(L, inst.K, (), 0.0, 0.0)
+    found = record.conditional(list(blocks[:live]), inst.qchain.conditionals, inst.pchain.conditionals)
+    # a modified target chain's raw chain is the target at its origin, inst.context
+    found += getattr(inst.qchain, "raw", inst.qchain).conditionals(blocks[live:])
+    rows = np.array([d.mass for d in found]).reshape(-1, V)
+    rows = [None, *np.split(rows, np.cumsum([V**i for i in range(1, depth - 1)]))]
+    extras = []
+    for tau, ((level_blocks, *_rest), level) in enumerate(zip(inst.levels(L - 1), leaves)):
+        ydist, fell = np.zeros((len(level), V)), np.zeros(len(level), bool)
         for j in np.flatnonzero(level > 0.0).tolist():
-            mass, t = float(level[j]), blocks[j]
-            ydist, fell_back = inst.extra_token(tau, t)
-            fallback_mass += mass if fell_back else 0.0
-            if need == 0:
-                out[j * V:(j + 1) * V] += mass * ydist
-                continue
-            for y, py in enumerate(ydist.tolist()):
-                if py <= 0.0:
-                    continue
-                m0 = mass * py
-                mod = inst.modified(tau, t, y)
-                joints, _rows = _joints(mod, V, need)
-                start = (j * V + y) * V**need
-                out[start:start + V**need] += m0 * joints[need]
-                fallback_mass += m0 * sum(joints[len(ctx)].item(_index(ctx, V)) for ctx in mod.record.fallbacks)
-    return out, fallback_mass
+            ydist[j], fell[j] = inst.extra_token(tau, level_blocks[j])
+        extras.append((ydist, fell))
+    flow, fallback_mass = [np.zeros(1)], 0.0
+    for i in range(depth):
+        flow.append((flow[i][:, None] * rows[i]).ravel() if i else np.zeros(V))
+        if i < L:
+            ydist, fell = extras[i]
+            flow[-1] += (leaves[i][:, None] * ydist).ravel()
+            fallback_mass += float(leaves[i][fell].sum())
+        if i + 1 == L:
+            flow[-1] += leaves[L]
+    fallback_mass += sum(flow[len(b)].item(_index(b, V)) for b in record.fallbacks)
+    return flow[depth], fallback_mass, extras
 
 
 @dataclass
@@ -463,11 +479,11 @@ def exact_output_distribution(
     table = inst.levels(L)
     claimed = [_accept_mass(p, q, K) for _blocks, p, q, _j in table[1:]]
     accepted = _accepted(leaves)
-    out, fallback_mass = _output_law(inst, leaves, L)
+    out, fallback_mass, extras = _output_law(inst, leaves, L)
     max_dev, sums_err = _marginal_devs(inst, out, L)
     two_iter_dev = lemma_dev2 = None
     if iterations == 2:
-        two_iter_dev, fb2, lemma_dev2 = _two_iteration_dev(pair, inst, leaves)
+        two_iter_dev, fb2, lemma_dev2 = _two_iteration_dev(pair, inst, leaves, extras)
         fallback_mass += fb2
     blocks = [level for level, *_rest in table]
     leaf_masses = {
@@ -494,7 +510,7 @@ def exact_output_distribution(
     )
 
 
-def _two_iteration_dev(pair: ModelPair, inst1: _Instance, leaves1: list) -> tuple[float, float, float]:
+def _two_iteration_dev(pair: ModelPair, inst1: _Instance, leaves1: list, extras1: list) -> tuple[float, float, float]:
     """Second decoding iteration after every first-iteration leaf.
 
     Returns the max deviation of the completed output from the target chain
@@ -511,8 +527,11 @@ def _two_iteration_dev(pair: ModelPair, inst1: _Instance, leaves1: list) -> tupl
     for tau1, ((blocks, *_rest), level) in enumerate(zip(inst1.levels(L), leaves1)):
         for j in np.flatnonzero(level > 0.0).tolist():
             m1, t1 = float(level[j]), blocks[j]
-            ydist, fell_back = inst1.extra_token(tau1, t1)
-            fb1 = m1 if fell_back else 0.0
+            if tau1 < L:  # drawn once, by the first iteration's _output_law
+                ydist, fell = extras1[tau1][0][j], extras1[tau1][1][j]
+            else:
+                ydist, fell = inst1.extra_token(L, t1)
+            fb1 = m1 if fell else 0.0
             for y1, py1 in enumerate(ydist.tolist()):
                 if py1 > 0.0:
                     context2 = inst1.context + t1 + (y1,)
@@ -528,7 +547,7 @@ def _two_iteration_dev(pair: ModelPair, inst1: _Instance, leaves1: list) -> tupl
             p2 = [_model_joint(pair.draft, pair.temperature, inst2.context, blk) for blk in blocks]
             claimed.append(_accept_mass(np.array(p2), q, K))
         lemma_dev = max(lemma_dev, _max_dev(_accepted(leaves2), claimed))
-        out2, fb2 = _output_law(inst2, leaves2, depth - n1)
+        out2, fb2, _extras2 = _output_law(inst2, leaves2, depth - n1)
         fallback += fb1 + w * fb2
         out[index1 * len(out2):(index1 + 1) * len(out2)] += w * out2
     max_dev = float(np.abs(out - inst1.levels(depth)[depth][2]).max())

@@ -77,6 +77,40 @@ def bound_properties(pair: ModelPair, L: int, K_list) -> dict:
     }
 
 
+def reference_output_law(inst, leaves, depth):
+    """The output law and fallback count of ``oracle._output_law`` by a walk
+    over every (leaf, extra token) branch: each branch builds its own
+    modified target chain with ``inst.modified`` and completes its output
+    with ``oracle._joints``, one chain call per branch. A fallback is charged
+    the branch's mass times the joint of its context under the branch's
+    chain. The reference the oracle's forward pass is checked against."""
+    V = inst.V
+    out = np.zeros(V**depth)
+    fallback_mass = 0.0
+    for tau, ((blocks, *_rest), level) in enumerate(zip(inst.levels(inst.L), leaves)):
+        if tau == depth:
+            out += level
+            continue
+        need = depth - tau - 1
+        for j in np.flatnonzero(level > 0.0).tolist():
+            mass, t = float(level[j]), blocks[j]
+            ydist, fell_back = inst.extra_token(tau, t)
+            fallback_mass += mass if fell_back else 0.0
+            if need == 0:
+                out[j * V:(j + 1) * V] += mass * ydist
+                continue
+            for y, py in enumerate(ydist.tolist()):
+                if py <= 0.0:
+                    continue
+                m0 = mass * py
+                mod = inst.modified(tau, t, y)
+                joints, _rows = oracle._joints(mod, V, need)
+                start = (j * V + y) * V**need
+                out[start:start + V**need] += m0 * joints[need]
+                fallback_mass += m0 * sum(joints[len(ctx)].item(oracle._index(ctx, V)) for ctx in mod.record.fallbacks)
+    return out, fallback_mass
+
+
 def residual_sd(p: Distribution, q: Distribution) -> Distribution:
     """Single-draft rejection residual norm(max(q - p, 0)): the reference the
     token-level verifier's residual is checked against.

@@ -83,6 +83,16 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--algo", "gbv", "--out", str(out2)]) == 0
         assert out2.read_text().splitlines()[1].startswith("gbv,1,2,")
 
+    def test_config_file_naming_a_config_is_a_usage_error(self, tmp_path, capsys):
+        inner = tmp_path / "inner.txt"
+        inner.write_text("algo = sd\n")
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"config = {inner}\nL = 2\n")
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "cfg.txt:1: a config file cannot name another" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_low_temperature_run_succeeds(self, tmp_path):
         # at T = 0.0005 every row's d^(1/T) underflows; (d / max d)^(1/T) keeps the argmax at 1
         out = tmp_path / "r.csv"
@@ -141,6 +151,13 @@ class TestGrid:
         code = main(["run", *self.CELL, "--algo", "gbv", "--K", "0,2", "--L", "2", "--out", str(out)])
         assert code == 1
         assert not out.exists()
+
+    def test_single_draft_K_grid_is_one_cell(self, tmp_path, capsys):
+        # sd forces every K to 1, so K = 1 and K = 3 are the same cell
+        out = tmp_path / "sd.csv"
+        assert main(["run", *self.CELL, "--algo", "sd", "--K", "1,3", "--L", "2", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[:3] for row in rows] == [["sd", "1", "2"]]
 
     def test_config_file_lists_form_a_grid(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
@@ -226,6 +243,17 @@ class TestOracleCheck:
             "--out", str(tmp_path / "oc2.json"),
         ])
         assert code == 2
+
+    def test_defaults_run(self, tmp_path, capsys):
+        # the default V = 8, K = 3 pair at its own default L fits the guard;
+        # K = 3 fails the exactness checks, so the exit code is 2
+        out = tmp_path / "oc.json"
+        assert main(["oracle-check", "--out", str(out)]) in (0, 2)
+        assert json.loads(out.read_text())["instance"]["L"] == 3
+
+    def test_verify_demo_keeps_its_default_L(self, capsys):
+        assert main(["verify-demo"]) == 0
+        assert "K=3  L=8  V=8" in capsys.readouterr().out
 
     def test_too_large_is_usage_error(self, capsys):
         assert main(["oracle-check", "--gen", "8,1,5,1.0,0.5", "--K", "3", "--L", "8"]) == 1

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import batched, bound_properties, gbv_block_sum, override
+from conftest import batched, bound_properties, gbv_block_sum, override, reference_output_law
 from speclab import harness, oracle
 from speclab.models import MarkovModel, ModelPair, generate_pair
 from speclab.oracle import (
@@ -15,6 +15,7 @@ from speclab.oracle import (
     _instance,
     _Instance,
     _model_joint,
+    _output_law,
     bound_K,
     exact_expected_tau,
     exact_output_distribution,
@@ -459,6 +460,54 @@ class TestBatchedEnumeration:
                 assert (level >= 0.0).all() and (w >= 0.0).all(), i
                 assert np.array_equal(level > 0.0, w > 0.0), i
                 assert np.abs(level - w).max() <= 1e-12, i
+
+
+class TestOutputLawPass:
+    """``_output_law``'s forward pass over the trie levels against
+    ``reference_output_law``, the walk that builds one modified target chain
+    per (leaf, extra token) branch, on every output law a report computes.
+    In a two-iteration cell those include each second-iteration instance's:
+    its target is a modified chain, and its output reaches levels L and
+    deeper, where the rows are the raw target's. Similarity 1.0 empties the
+    surpluses, so fallbacks are charged at the extra token and at
+    modified-target positions; concentration 0.05 leaves rows with zeros."""
+
+    def laws(self, monkeypatch, V, L, K, iterations, similarity, concentration, context):
+        """(instance, leaves, depth) of every ``_output_law`` call of one report."""
+        calls = []
+
+        def recorded(inst, leaves, depth):
+            calls.append((inst, leaves, depth))
+            return _output_law(inst, leaves, depth)
+
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_output_law", recorded)
+            pair = generate_pair(V, 1, 7, concentration, similarity)
+            exact_output_distribution(pair, L, K, iterations=iterations, context=context)
+        assert {depth for _inst, _leaves, depth in calls[1:]} <= set(range(L + 1, 2 * L + 2))
+        return calls
+
+    @pytest.mark.parametrize("V, L, K, iterations", [
+        (3, 3, 3, 1), (2, 4, 3, 1), (4, 3, 1, 1), (2, 2, 2, 2), (3, 2, 3, 2), (2, 2, 3, 2),
+    ])
+    def test_pass_matches_branch_walk(self, monkeypatch, V, L, K, iterations):
+        modified_fallback = 0.0
+        for setting in itertools.product((0.5, 1.0), (1.0, 0.05), ((), (1,))):
+            calls = self.laws(monkeypatch, V, L, K, iterations, *setting)
+            assert (len(calls) > 1) == (iterations == 2)
+            for inst, leaves, depth in calls:
+                got, got_fb, extras = _output_law(inst, leaves, depth)
+                want, want_fb = reference_output_law(inst, leaves, depth)
+                assert got.shape == want.shape == (V**depth,)
+                assert np.abs(got - want).max() <= 1e-12, (setting, depth)
+                assert abs(got_fb - want_fb) <= 1e-12, (setting, depth)
+                # the part of the count not charged at an extra token
+                extra_fb = sum(float(level[fell].sum()) for level, (_ydist, fell) in zip(leaves, extras))
+                modified_fallback = max(modified_fallback, got_fb - extra_fb)
+        # at K >= 2 a matched pair's tau = 0 paths fall back at the modified
+        # target's first position too; at K = 1 the full block always accepts
+        if K > 1:
+            assert modified_fallback > 1e-3
 
 
 class TestDraftLaw:
