@@ -13,20 +13,20 @@ this law over the row counts through each node, bottom up the trie, in
 exponential generating functions, for a batch of instances of equal
 (V, L, K) at once: a second iteration enumerates every (first-iteration
 leaf, extra token) instance in one call, with one acceptance call for all
-their sub-block tests. The output law then completes every leaf, its
-extra token and its modified target chain in one forward pass over the
-trie levels: a branch's modified-target row at a block depends on the
-block alone, so one ``ModifiedTarget`` at the root gives every branch's
-overrides in one surplus block (``_output_law``). The whole law lives in
-one layout: one array per trie level,
-its blocks in lexicographic order, so block u's children are the V entries
-from V * index(u) on and its n-token extensions are one run of V^n. The
-joints (linear and log-space), the leaf masses, the output law and the
-masses it is checked against are all such arrays, and every check is a
-reshape and a sum. The acceptance rules and the residual
-(``subblock_accept_prob``, ``full_block_accept_prob``, ``block_residual``)
-and the chains (``harness.RawChain``, ``harness.ModifiedChain``) are the
-ones decoding runs. The recursion over the scan and the closed forms the
+their sub-block tests. The output law then completes every leaf in one
+forward pass over the trie levels (``_output_law``), reading every extra
+token and modified-target row below level L from one ``ModifiedTarget`` at
+the root: in block verification the residual after a block is the next
+iteration's modified target (Sun et al. 2024, arXiv 2403.10444). The whole
+law lives in one layout: one array per trie level, its blocks in
+lexicographic order, so block u's children are the V entries from
+V * index(u) on and its n-token extensions are one run of V^n. The joints
+(linear and log-space), the leaf masses, the output law and the masses it
+is checked against are all such arrays, and every check is a reshape and a
+sum. The acceptance rules (``subblock_accept_prob``,
+``full_block_accept_prob``), the modified target and the chains
+(``harness.RawChain``, ``harness.ModifiedChain``) are the ones decoding
+runs. The recursion over the scan and the closed forms the
 tree is checked against are written here, apart from the verifiers, so
 agreement between the two is evidence rather than tautology.
 
@@ -52,14 +52,8 @@ import numpy as np
 
 from .harness import ModifiedChain, RawChain
 from .models import ModelPair
-from .probability import LOG_ZERO, AllZeroMass, PrefixJoint
-from .verifiers import (
-    Counters,
-    ModifiedTarget,
-    block_residual,
-    full_block_accept_prob,
-    subblock_accept_prob,
-)
+from .probability import LOG_ZERO, PrefixJoint
+from .verifiers import Counters, ModifiedTarget, full_block_accept_prob, subblock_accept_prob
 
 MAX_ENUM = 1_000_000
 CHECK_TOL = 1e-9
@@ -105,7 +99,6 @@ class _Instance:
     K: int
     table: list | None = None
     h_part: dict = field(default_factory=dict)
-    surplus: dict = field(default_factory=dict)
 
     def levels(self, depth: int) -> list[tuple[list, np.ndarray, np.ndarray, list]]:
         """(blocks, draft joints, target joints, log joints) at each level
@@ -130,22 +123,6 @@ class _Instance:
     def _joint(self, blk: tuple[int, ...]) -> PrefixJoint:
         """The log joints of ``blk``, read from its level's table."""
         return self.levels(len(blk))[-1][3][_index(blk, self.V)]
-
-    def extra_token(self, tau: int, t: tuple[int, ...]) -> tuple[np.ndarray, bool]:
-        """Law of the token after leaf (tau, t), and whether it is the
-        raw-conditional fallback taken when the residual surplus is empty.
-        Past tau = 0 the accepted test at t computed the residual's surplus
-        row, which decoding reuses too."""
-        if tau == self.L:
-            return self.qchain.conditional(t).mass, False
-        try:
-            res = block_residual(
-                self._joint(t), self.pchain.conditional(t), self.qchain.conditional(t), self.K,
-                surplus=self.surplus.get(t),
-            )
-        except AllZeroMass:
-            return self.qchain.conditional(t).mass, True
-        return res.mass, False
 
     def modified(self, tau: int, t: tuple[int, ...], y: int) -> ModifiedChain:
         """The target chain of the iteration after leaf (tau, t) and extra token y."""
@@ -183,18 +160,18 @@ def _joints(chain, V: int, depth: int) -> tuple[list[np.ndarray], list[np.ndarra
 
 
 def _accept_subblocks(todo: list[tuple[_Instance, tuple[int, ...], PrefixJoint]]) -> None:
-    """Sub-block acceptance and surplus row of each (instance, block, joint),
-    instances of equal K, in one ``subblock_accept_prob`` call: its rows are
-    computed independently, so each is bit for bit the row alone."""
+    """Sub-block acceptance of each (instance, block, joint), instances of
+    equal K, in one ``subblock_accept_prob`` call: its rows are computed
+    independently, so each is bit for bit the row alone."""
     if not todo:
         return
     insts, blks, joints = zip(*todo)
-    hs, w = subblock_accept_prob(
+    hs, _surplus = subblock_accept_prob(
         list(joints), [inst.pchain.conditional(blk) for inst, blk in zip(insts, blks)],
         [inst.qchain.conditional(blk) for inst, blk in zip(insts, blks)], insts[0].K,
     )
-    for inst, blk, h, row in zip(insts, blks, hs, w):
-        inst.h_part[blk], inst.surplus[blk] = h, row
+    for inst, blk, h in zip(insts, blks, hs):
+        inst.h_part[blk] = h
 
 
 @functools.cache
@@ -318,53 +295,38 @@ def _output_law(inst: _Instance, leaves: list[np.ndarray], depth: int) -> tuple[
     """Exact law of the completed output prefix at ``depth`` >= L tokens, in
     ``levels`` order, by one forward pass over the trie levels.
 
-    Leaf (tau, t) is followed by its extra token y, then by branch (tau, t,
-    y)'s modified target chain. Write F_i for the mass at level i whose next
-    token comes from a chain row and E_i for the level-i leaves' extra-token
-    rows: F_{i+1} = F_i * rows_i + leaves_i * E_i, each ravelled, for i < L.
-    A full block's extra token is the chain's own row, so the level-L leaves
-    join F_L, and the law is F_depth. The chain row at a block
-    b = t + (y,) + c is the same for every branch: its override is live iff
-    tau + 1 + len(c) < L, that is iff len(b) < L, and is built from b's
-    joints, extended from the table's joint of t + (y,) by one ``math.log``
-    per factor as the table's own are. So one ``ModifiedTarget`` at the root
-    (horizon L, joints (0, 0)) gives every branch's overrides bit for bit in
-    one surplus block, and only the order of the sums changes. Rows at
-    levels L and deeper, which only a second iteration reaches, are the raw
-    target at ``inst.context``, the rule ``ModifiedChain.raw`` follows.
+    Leaf (tau, t) is followed by its extra token, then by its branch's
+    modified target chain. Every such row below level L is, bit for bit, a
+    row of one ``ModifiedTarget`` at the root (horizon L, joints (0, 0)): a
+    branch's override at block b is live iff len(b) < L and is built from
+    b's joints, extended by one ``math.log`` per factor as the table's are,
+    and the residual after a leaf at t normalizes the same surplus
+    q (1 - min(r p / q, 1))^K at t's ratio r, falling back to the target row
+    exactly where the record does. A full block's extra token is the chain's
+    own row. So each leaf joins the flow at its level, F_i += leaves_i for
+    i <= L, then F_{i+1} = F_i * rows_i ravelled, and the law is F_depth.
+    Rows at levels L and deeper, which only a second iteration reaches, are
+    the raw target at ``inst.context``, the rule ``ModifiedChain.raw`` follows.
 
     Returns the law, the expected number of raw-conditional fallback draws
-    per output and (E_i, fallback flags) for the leaf levels below L. The
-    count is not a mass: a path is charged its leaf's mass at an extra token
-    that falls back and F(b) at each block b whose override falls back,
-    which is 0 where b is unreachable.
+    per output and the rows, one (V^i, V) array per level i. The count is
+    not a mass: a block b whose row falls back is charged F(b), once per
+    path through b, be its draw a leaf's extra token or a completion.
     """
     V, L = inst.V, inst.L
-    blocks = _heads(V, depth)[1:]
-    live = sum(V**i for i in range(1, min(L, depth)))
+    blocks = _heads(V, depth)
+    live = sum(V**i for i in range(min(L, depth)))
     record = ModifiedTarget(L, inst.K, (), 0.0, 0.0)
     found = record.conditional(list(blocks[:live]), inst.qchain.conditionals, inst.pchain.conditionals)
     # a modified target chain's raw chain is the target at its origin, inst.context
     found += getattr(inst.qchain, "raw", inst.qchain).conditionals(blocks[live:])
     rows = np.array([d.mass for d in found]).reshape(-1, V)
-    rows = [None, *np.split(rows, np.cumsum([V**i for i in range(1, depth - 1)]))]
-    extras = []
-    for tau, ((level_blocks, *_rest), level) in enumerate(zip(inst.levels(L - 1), leaves)):
-        ydist, fell = np.zeros((len(level), V)), np.zeros(len(level), bool)
-        for j in np.flatnonzero(level > 0.0).tolist():
-            ydist[j], fell[j] = inst.extra_token(tau, level_blocks[j])
-        extras.append((ydist, fell))
-    flow, fallback_mass = [np.zeros(1)], 0.0
+    rows = np.split(rows, np.cumsum([V**i for i in range(depth - 1)]))
+    flow = [leaves[0]]
     for i in range(depth):
-        flow.append((flow[i][:, None] * rows[i]).ravel() if i else np.zeros(V))
-        if i < L:
-            ydist, fell = extras[i]
-            flow[-1] += (leaves[i][:, None] * ydist).ravel()
-            fallback_mass += float(leaves[i][fell].sum())
-        if i + 1 == L:
-            flow[-1] += leaves[L]
-    fallback_mass += sum(flow[len(b)].item(_index(b, V)) for b in record.fallbacks)
-    return flow[depth], fallback_mass, extras
+        flow.append((flow[i][:, None] * rows[i]).ravel() + (leaves[i + 1] if i < L else 0.0))
+    fallback_mass = sum((flow[len(b)].item(_index(b, V)) for b in record.fallbacks), 0.0)
+    return flow[depth], fallback_mass, rows
 
 
 @dataclass
@@ -372,9 +334,9 @@ class ExactReport:
     """Everything the exact enumeration learned about one instance.
 
     ``fallback_mass`` is the expected number of draws per output that fell
-    back to the raw target conditional (the extra token and each
-    modified-target position count apart), not the probability of a
-    fallback.
+    back to the raw target conditional, each counted once (an extra token
+    and each modified-target position count apart), not the probability of
+    a fallback.
     """
 
     vocab_size: int
@@ -479,11 +441,11 @@ def exact_output_distribution(
     table = inst.levels(L)
     claimed = [_accept_mass(p, q, K) for _blocks, p, q, _j in table[1:]]
     accepted = _accepted(leaves)
-    out, fallback_mass, extras = _output_law(inst, leaves, L)
+    out, fallback_mass, rows = _output_law(inst, leaves, L)
     max_dev, sums_err = _marginal_devs(inst, out, L)
     two_iter_dev = lemma_dev2 = None
     if iterations == 2:
-        two_iter_dev, fb2, lemma_dev2 = _two_iteration_dev(pair, inst, leaves, extras)
+        two_iter_dev, fb2, lemma_dev2 = _two_iteration_dev(pair, inst, leaves, rows)
         fallback_mass += fb2
     blocks = [level for level, *_rest in table]
     leaf_masses = {
@@ -510,7 +472,7 @@ def exact_output_distribution(
     )
 
 
-def _two_iteration_dev(pair: ModelPair, inst1: _Instance, leaves1: list, extras1: list) -> tuple[float, float, float]:
+def _two_iteration_dev(pair: ModelPair, inst1: _Instance, leaves1: list, rows1: list) -> tuple[float, float, float]:
     """Second decoding iteration after every first-iteration leaf.
 
     Returns the max deviation of the completed output from the target chain
@@ -522,33 +484,28 @@ def _two_iteration_dev(pair: ModelPair, inst1: _Instance, leaves1: list, extras1
     V, L, K = inst1.V, inst1.L, inst1.K
     depth = 2 * (L + 1)
     # every (leaf, extra token) instance is built first, then all are
-    # enumerated in one call; a leaf's fallback mass rides on its first one
+    # enumerated in one call; the first iteration's own pass counted its fallbacks
     seconds = []
     for tau1, ((blocks, *_rest), level) in enumerate(zip(inst1.levels(L), leaves1)):
         for j in np.flatnonzero(level > 0.0).tolist():
             m1, t1 = float(level[j]), blocks[j]
-            if tau1 < L:  # drawn once, by the first iteration's _output_law
-                ydist, fell = extras1[tau1][0][j], extras1[tau1][1][j]
-            else:
-                ydist, fell = inst1.extra_token(L, t1)
-            fb1 = m1 if fell else 0.0
+            ydist = rows1[tau1][j] if tau1 < L else inst1.qchain.conditional(t1).mass
             for y1, py1 in enumerate(ydist.tolist()):
                 if py1 > 0.0:
                     context2 = inst1.context + t1 + (y1,)
                     inst2 = _Instance(RawChain(pair.draft, pair.temperature, context2),
                                       inst1.modified(tau1, t1, y1), context2, V, L, K)
-                    seconds.append((fb1, tau1 + 1, j * V + y1, m1 * py1, inst2))
-                    fb1 = 0.0
+                    seconds.append((tau1 + 1, j * V + y1, m1 * py1, inst2))
     out = np.zeros(V**depth)
     fallback = lemma_dev = 0.0
-    for (fb1, n1, index1, w, inst2), leaves2 in zip(seconds, _enumerate_leaves([s[-1] for s in seconds])):
+    for (n1, index1, w, inst2), leaves2 in zip(seconds, _enumerate_leaves([s[-1] for s in seconds])):
         claimed = []
         for blocks, _p, q, _j in inst2.levels(L)[1:]:
             p2 = [_model_joint(pair.draft, pair.temperature, inst2.context, blk) for blk in blocks]
             claimed.append(_accept_mass(np.array(p2), q, K))
         lemma_dev = max(lemma_dev, _max_dev(_accepted(leaves2), claimed))
-        out2, fb2, _extras2 = _output_law(inst2, leaves2, depth - n1)
-        fallback += fb1 + w * fb2
+        out2, fb2, _rows2 = _output_law(inst2, leaves2, depth - n1)
+        fallback += w * fb2
         out[index1 * len(out2):(index1 + 1) * len(out2)] += w * out2
     max_dev = float(np.abs(out - inst1.levels(depth)[depth][2]).max())
     return max_dev, fallback, lemma_dev

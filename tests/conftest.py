@@ -20,6 +20,7 @@ from speclab.verifiers import (
     ModifiedTarget,
     NoRoot,
     VerifyOutcome,
+    block_residual,
     gbv_accept_prob,
     subblock_accept_prob,
 )
@@ -77,16 +78,37 @@ def bound_properties(pair: ModelPair, L: int, K_list) -> dict:
     }
 
 
+def reference_extra_token(inst, tau, t):
+    """Law of the token after leaf (tau, t), and whether it fell back to the
+    target row, by ``verify_spectr_gbv``'s path: past tau = 0,
+    ``block_residual`` normalizes the surplus row that the accepted test at
+    t formed (``subblock_accept_prob``), at tau = 0 it makes a fresh pass,
+    and an empty residual gives the target row. A full block's extra token
+    is the target row. The oracle reads the root modified target's row
+    instead; this is what it is checked against."""
+    q = inst.qchain.conditional(t)
+    if tau == inst.L:
+        return q.mass, False
+    joint, p = inst._joint(t), inst.pchain.conditional(t)
+    surplus = subblock_accept_prob([joint], [p], [q], inst.K)[1][0] if tau else None
+    try:
+        return block_residual(joint, p, q, inst.K, surplus=surplus).mass, False
+    except AllZeroMass:
+        return q.mass, True
+
+
 def reference_output_law(inst, leaves, depth):
     """The output law and fallback count of ``oracle._output_law`` by a walk
-    over every (leaf, extra token) branch: each branch builds its own
-    modified target chain with ``inst.modified`` and completes its output
-    with ``oracle._joints``, one chain call per branch. A fallback is charged
-    the branch's mass times the joint of its context under the branch's
-    chain. The reference the oracle's forward pass is checked against."""
+    over every (leaf, extra token) branch: each extra token is
+    ``reference_extra_token``'s, and each branch builds its own modified
+    target chain with ``inst.modified`` and completes its output with
+    ``oracle._joints``, one chain call per branch. A fallback is charged the
+    branch's mass times the joint of its context under the branch's chain.
+    Returns the law, the count and the part of the count charged at extra
+    tokens. The reference the oracle's forward pass is checked against."""
     V = inst.V
     out = np.zeros(V**depth)
-    fallback_mass = 0.0
+    fallback_mass = extra_fallback = 0.0
     for tau, ((blocks, *_rest), level) in enumerate(zip(inst.levels(inst.L), leaves)):
         if tau == depth:
             out += level
@@ -94,8 +116,8 @@ def reference_output_law(inst, leaves, depth):
         need = depth - tau - 1
         for j in np.flatnonzero(level > 0.0).tolist():
             mass, t = float(level[j]), blocks[j]
-            ydist, fell_back = inst.extra_token(tau, t)
-            fallback_mass += mass if fell_back else 0.0
+            ydist, fell_back = reference_extra_token(inst, tau, t)
+            extra_fallback += mass if fell_back else 0.0
             if need == 0:
                 out[j * V:(j + 1) * V] += mass * ydist
                 continue
@@ -108,7 +130,7 @@ def reference_output_law(inst, leaves, depth):
                 start = (j * V + y) * V**need
                 out[start:start + V**need] += m0 * joints[need]
                 fallback_mass += m0 * sum(joints[len(ctx)].item(oracle._index(ctx, V)) for ctx in mod.record.fallbacks)
-    return out, fallback_mass
+    return out, fallback_mass + extra_fallback, extra_fallback
 
 
 def residual_sd(p: Distribution, q: Distribution) -> Distribution:

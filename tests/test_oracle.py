@@ -5,7 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import batched, bound_properties, gbv_block_sum, override, reference_output_law
+from conftest import (
+    batched,
+    bound_properties,
+    gbv_block_sum,
+    override,
+    reference_extra_token,
+    reference_output_law,
+)
 from speclab import harness, oracle
 from speclab.models import MarkovModel, ModelPair, generate_pair
 from speclab.oracle import (
@@ -23,6 +30,7 @@ from speclab.oracle import (
 from speclab.probability import LOG_ZERO, PrefixJoint, RandomSource, extend_joint
 from speclab.verifiers import (
     Counters,
+    ModifiedTarget,
     _row_joints,
     draft_rows,
     full_block_accept_prob,
@@ -472,42 +480,66 @@ class TestOutputLawPass:
     surpluses, so fallbacks are charged at the extra token and at
     modified-target positions; concentration 0.05 leaves rows with zeros."""
 
-    def laws(self, monkeypatch, V, L, K, iterations, similarity, concentration, context):
-        """(instance, leaves, depth) of every ``_output_law`` call of one report."""
+    CELLS = [(3, 3, 3, 1), (2, 4, 3, 1), (4, 3, 1, 1), (2, 2, 2, 2), (3, 2, 3, 2), (2, 2, 3, 2)]
+
+    def laws(self, monkeypatch, V, L, K, iterations):
+        """(setting, instance, leaves, depth) of every ``_output_law`` call
+        of the reports over every setting."""
         calls = []
+        for setting in itertools.product((0.5, 1.0), (1.0, 0.05), ((), (1,))):
+            similarity, concentration, context = setting
+            seen = []
 
-        def recorded(inst, leaves, depth):
-            calls.append((inst, leaves, depth))
-            return _output_law(inst, leaves, depth)
+            def recorded(inst, leaves, depth):
+                seen.append((setting, inst, leaves, depth))
+                return _output_law(inst, leaves, depth)
 
-        with monkeypatch.context() as m:
-            m.setattr(oracle, "_output_law", recorded)
-            pair = generate_pair(V, 1, 7, concentration, similarity)
-            exact_output_distribution(pair, L, K, iterations=iterations, context=context)
-        assert {depth for _inst, _leaves, depth in calls[1:]} <= set(range(L + 1, 2 * L + 2))
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "_output_law", recorded)
+                pair = generate_pair(V, 1, 7, concentration, similarity)
+                exact_output_distribution(pair, L, K, iterations=iterations, context=context)
+            assert (len(seen) > 1) == (iterations == 2)
+            assert {depth for *_rest, depth in seen[1:]} <= set(range(L + 1, 2 * L + 2))
+            calls += seen
         return calls
 
-    @pytest.mark.parametrize("V, L, K, iterations", [
-        (3, 3, 3, 1), (2, 4, 3, 1), (4, 3, 1, 1), (2, 2, 2, 2), (3, 2, 3, 2), (2, 2, 3, 2),
-    ])
+    @pytest.mark.parametrize("V, L, K, iterations", CELLS)
     def test_pass_matches_branch_walk(self, monkeypatch, V, L, K, iterations):
         modified_fallback = 0.0
-        for setting in itertools.product((0.5, 1.0), (1.0, 0.05), ((), (1,))):
-            calls = self.laws(monkeypatch, V, L, K, iterations, *setting)
-            assert (len(calls) > 1) == (iterations == 2)
-            for inst, leaves, depth in calls:
-                got, got_fb, extras = _output_law(inst, leaves, depth)
-                want, want_fb = reference_output_law(inst, leaves, depth)
-                assert got.shape == want.shape == (V**depth,)
-                assert np.abs(got - want).max() <= 1e-12, (setting, depth)
-                assert abs(got_fb - want_fb) <= 1e-12, (setting, depth)
-                # the part of the count not charged at an extra token
-                extra_fb = sum(float(level[fell].sum()) for level, (_ydist, fell) in zip(leaves, extras))
-                modified_fallback = max(modified_fallback, got_fb - extra_fb)
+        for setting, inst, leaves, depth in self.laws(monkeypatch, V, L, K, iterations):
+            got, got_fb, _rows = _output_law(inst, leaves, depth)
+            want, want_fb, extra_fb = reference_output_law(inst, leaves, depth)
+            assert got.shape == want.shape == (V**depth,)
+            assert np.abs(got - want).max() <= 1e-12, (setting, depth)
+            assert abs(got_fb - want_fb) <= 1e-12, (setting, depth)
+            # the part of the count not charged at an extra token
+            modified_fallback = max(modified_fallback, got_fb - extra_fb)
         # at K >= 2 a matched pair's tau = 0 paths fall back at the modified
         # target's first position too; at K = 1 the full block always accepts
         if K > 1:
             assert modified_fallback > 1e-3
+
+    @pytest.mark.parametrize("V, L, K, iterations", CELLS)
+    def test_extra_token_is_the_record_row(self, monkeypatch, V, L, K, iterations):
+        """At every leaf (tau, t), tau < L, decoding's block residual is the
+        root modified target's row at t bit for bit, and it is empty exactly
+        where the record falls back."""
+        fell = 0
+        for setting, inst, leaves, depth in self.laws(monkeypatch, V, L, K, iterations):
+            _law, _fb, rows = _output_law(inst, leaves, depth)
+            record = ModifiedTarget(L, K, (), 0.0, 0.0)
+            for tau, ((blocks, *_rest), level) in enumerate(zip(inst.levels(L - 1), leaves)):
+                positive = np.flatnonzero(level > 0.0).tolist()
+                found = record.conditional(
+                    [blocks[j] for j in positive], inst.qchain.conditionals, inst.pchain.conditionals
+                )
+                for j, d in zip(positive, found):
+                    row, fell_back = reference_extra_token(inst, tau, blocks[j])
+                    assert np.array_equal(row, d.mass), (setting, blocks[j])
+                    assert np.array_equal(row, rows[tau][j]), (setting, blocks[j])
+                    assert fell_back == (blocks[j] in record.fallbacks), (setting, blocks[j])
+                    fell += fell_back
+        assert (fell > 0) == (K > 1)
 
 
 class TestDraftLaw:
@@ -613,6 +645,16 @@ class TestEmptyResidualFallback:
         assert abs(got - 0.2499) < 5e-5
         assert abs(report.fallback_mass - 3 * want) < 1e-12
         assert abs(report.fallback_mass - 0.7497) < 5e-5
+
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_two_iteration_counts_each_fallback_once(self, matched_pair, K):
+        # on a matched pair each iteration stops at tau = 0 with the same
+        # probability, and each such stop falls back at its extra token and
+        # at its modified target's first position: 2 + 2 draws per unit of
+        # tau = 0 mass, the first iteration's extra token counted once
+        report = exact_output_distribution(matched_pair, 2, K, iterations=2)
+        want = float(matched_tau0_mass((0.4, 0.3, 0.2, 0.1), 2, K))
+        assert abs(report.fallback_mass - 4 * want) < 1e-12
 
     @pytest.mark.parametrize("K", [1, 2])
     def test_verifier_warning_rate_matches_oracle(self, matched_pair, K):
