@@ -14,6 +14,7 @@ from conftest import (
     NuModifiedTarget,
     batched,
     override,
+    ratio_instances,
     reference_gbv,
     reference_kseq_rho,
     residual_sd,
@@ -483,32 +484,6 @@ class TestKseqRho:
             s = kseq_rho(p, q, K)
             assert abs(s.rho - want.rho) <= 1e-12
             assert s.iterations == want.iterations
-
-
-def ratio_instances(V: int, count: int = 40):
-    """Random (p, q) pairs at vocabulary V cycling through no zeros, a zero in
-    p, a zero in q, a zero in both at one index, all three at once (V >= 4),
-    and p = q, where every ratio is 1."""
-    gen = np.random.Generator(np.random.PCG64(V))
-    modes = ("none", "p", "q", "both", "all", "equal")
-    out = []
-    for n in range(count):
-        mode = modes[n % len(modes)]
-        if mode == "all" and V < 4:
-            continue
-        conc = (0.1, 1.0)[n // len(modes) % 2]
-        p, q = gen.dirichlet(np.full(V, conc)), gen.dirichlet(np.full(V, conc))
-        i, j, k = gen.permutation(V)[:3] if V >= 3 else (0, 1, 1)
-        if mode in ("p", "all"):
-            p[i] = 0.0
-        if mode in ("q", "all"):
-            q[j] = 0.0
-        if mode in ("both", "all"):
-            p[k] = q[k] = 0.0
-        if mode == "equal":
-            q = p
-        out.append((Distribution(p / p.sum()), Distribution(q / q.sum())))
-    return out
 
 
 class TestKseqMemo:
