@@ -16,7 +16,11 @@ recur, so ``verify_kseq`` solves each such triple once and keeps rho in a
 memo that holds both rows weakly and drops a target row's entries with it.
 A rho solve is still charged to ``vocab_scans`` wherever one is required,
 whether or not the memo answers it, so the counters of a decode do not
-depend on what ran before it.
+depend on what ran before it. A solve sorts the ratios q/p once; its
+bisection tries points in [1, K] only, so it reads just the slice of the
+table between #(ratios < 1) and #(ratios < K), and each step bisects only
+the ratios inside its current bracket. The sums it reads are those of the
+whole table, so rho is bit for bit what a full lookup gives.
 
 verify_kseq       per-position multi-draft acceptance with the rho scale; the
                   one token-level verifier
@@ -191,65 +195,76 @@ def score_rows(drafts: DraftSet, q_conds) -> TargetScores:
 
 
 def _beta_table(p: np.ndarray, q: np.ndarray):
-    """beta(rho) = sum_x min(p(x), q(x)/rho) as a lookup into one sorted pass.
+    """The sorted table that beta(rho) = sum_x min(p(x), q(x)/rho) is read from.
 
     Token x gives p(x) while rho <= c(x) = q(x)/p(x) and q(x)/rho above it,
     with c = inf where p = 0. With the ratios sorted, the tokens below rho
-    form a prefix, so beta(rho) = Q/rho + P from the q-mass of that prefix
-    and the p-mass of the rest. Building the table is the one vocabulary
-    scan; each evaluation is a bisect over the ratios.
+    form a prefix, so beta(rho) = below_q[i] / rho + above_p[i] at
+    i = bisect_left(ratios, rho): below_q[i] is the q-mass of the first i
+    tokens, summed in sorted order, and above_p[i] the p-mass of the rest,
+    summed from the last token down. Building the table is the one
+    vocabulary scan. The three columns are memoryviews over the arrays,
+    read as Python floats one entry at a time; nothing is copied into
+    lists.
     """
     c = np.divide(q, p, out=np.full_like(p, np.inf), where=p > 0.0)
     order = np.argsort(c)
-    ratios = c[order].tolist()
-    below_q = [0.0] + np.cumsum(q[order]).tolist()
-    above_p = np.cumsum(p[order[::-1]])[::-1].tolist() + [0.0]
-
-    def beta(rho: float) -> float:
-        i = bisect_left(ratios, rho)
-        return below_q[i] / rho + above_p[i]
-
-    return beta
+    # row 0: 0, q in sorted order; row 1: 0, p in reverse sorted order;
+    # each row summed left to right
+    sums = np.zeros((2, len(c) + 1))
+    np.take(q, order, out=sums[0, 1:])
+    np.take(p, order[::-1], out=sums[1, 1:])
+    np.cumsum(sums, axis=1, out=sums)
+    return memoryview(c[order]), memoryview(sums[0]), memoryview(sums[1, ::-1])
 
 
 def kseq_rho(p: Distribution, q: Distribution, K: int, tol: float = 1e-12) -> KseqScale:
     """Solve 1 - (1 - beta(rho))^K = rho * beta(rho) on [1, K] by bisection.
 
     beta(rho) = sum_x min(p(x), q(x)/rho) is read from a table built in one
-    vocabulary scan (``_beta_table``), so each bisection step is O(log V)
-    scalar work; the iteration count is recorded so callers can expose the
-    log(1/tol) cost profile.
+    vocabulary scan (``_beta_table``). Every point the bisection tries lies
+    in [lo, hi], so the table index it needs lies between ilo = #(ratios <
+    lo) and ihi = #(ratios < hi). Both are carried from step to step: a step
+    bisects only the ratios in [ilo, ihi), none once the bracket holds no
+    ratio, and the index it finds becomes the new ilo or ihi. The index is
+    the one a bisect over the whole table gives, and the sums are read from
+    the whole table, so every beta, every step and rho are bit for bit
+    those of a full lookup. The iteration count is recorded so callers can
+    expose the log(1/tol) cost profile.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    beta = _beta_table(p.mass, q.mass)
-
-    def g(rho: float) -> tuple[float, float]:
-        b = beta(rho)
-        return 1.0 - (1.0 - b) ** K - rho * b, b
-
+    ratios, below_q, above_p = _beta_table(p.mass, q.mass)
     lo, hi = 1.0, float(K)
-    glo, blo = g(lo)
+    ilo, ihi = bisect_left(ratios, lo), bisect_left(ratios, hi)
+    blo = below_q[ilo] / lo + above_p[ilo]
+    glo = 1.0 - (1.0 - blo) ** K - lo * blo
     if abs(glo) <= tol:
         return KseqScale(lo, blo, 0)
-    ghi, bhi = g(hi)
+    bhi = below_q[ihi] / hi + above_p[ihi]
+    ghi = 1.0 - (1.0 - bhi) ** K - hi * bhi
     if abs(ghi) <= tol:
         return KseqScale(hi, bhi, 0)
     if (glo > 0) == (ghi > 0):
         raise NoRoot(f"no sign change on [1, {K}]: g(1)={glo}, g(K)={ghi}")
+    # g keeps its sign at lo, so a step moves lo exactly when g(mid) has it
+    up = glo > 0
     iterations = 0
     while hi - lo > tol and iterations < 200:
         mid = 0.5 * (lo + hi)
-        gm, bmid = g(mid)
+        i = ilo if ilo == ihi else bisect_left(ratios, mid, ilo, ihi)
+        b = below_q[i] / mid + above_p[i]
+        gm = 1.0 - (1.0 - b) ** K - mid * b
         iterations += 1
         if abs(gm) <= tol:
-            return KseqScale(mid, bmid, iterations)
-        if (gm > 0) == (glo > 0):
-            lo, glo = mid, gm
+            return KseqScale(mid, b, iterations)
+        if (gm > 0) == up:
+            lo, ilo = mid, i
         else:
-            hi = mid
+            hi, ihi = mid, i
     mid = 0.5 * (lo + hi)
-    return KseqScale(mid, beta(mid), iterations)
+    i = bisect_left(ratios, mid, ilo, ihi)
+    return KseqScale(mid, below_q[i] / mid + above_p[i], iterations)
 
 
 # target row -> {(weak reference to the draft row, survivors): rho}. Both rows

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from speclab.verifiers import (
     ModifiedTarget,
     NoRoot,
     VerifyOutcome,
+    _beta_table,
     block_residual,
     gbv_accept_prob,
     subblock_accept_prob,
@@ -175,6 +177,19 @@ def reference_kseq_rho(p: Distribution, q: Distribution, K: int, tol: float = 1e
             hi = mid
     mid = 0.5 * (lo + hi)
     return KseqScale(mid, g(mid)[1], iterations)
+
+
+def beta_table(p: np.ndarray, q: np.ndarray):
+    """beta(rho) = sum_x min(p(x), q(x)/rho) for any rho > 0, by a bisect over
+    the whole of ``verifiers._beta_table``'s sorted ratios: the lookup
+    ``kseq_rho`` makes, without its bracket on [1, K]."""
+    ratios, below_q, above_p = _beta_table(p, q)
+
+    def beta(rho: float) -> float:
+        i = bisect_left(ratios, rho)
+        return below_q[i] / rho + above_p[i]
+
+    return beta
 
 
 def ratio_instances(V: int, count: int = 40):

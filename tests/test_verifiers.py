@@ -13,6 +13,7 @@ from conftest import (
     FixedUniforms,
     NuModifiedTarget,
     batched,
+    beta_table,
     override,
     ratio_instances,
     reference_gbv,
@@ -39,7 +40,6 @@ from speclab.verifiers import (
     DraftSet,
     ModifiedTarget,
     TargetScores,
-    _beta_table,
     _kseq_scale,
     _surplus,
     block_residual,
@@ -468,7 +468,7 @@ class TestKseqRho:
     def test_beta_table_matches_definition(self, V):
         # at every ratio q/p exactly, between neighbouring ratios, and past both ends
         for p, q in ratio_instances(V):
-            beta = _beta_table(p.mass, q.mass)
+            beta = beta_table(p.mass, q.mass)
             with np.errstate(divide="ignore", invalid="ignore"):
                 c = np.unique((q.mass / p.mass)[(p.mass > 0.0) & (q.mass > 0.0)])
             rhos = np.concatenate([c, 0.5 * (c[1:] + c[:-1]), [0.5 * c[0], 2.0 * c[-1], 1.0, 3.0]])
