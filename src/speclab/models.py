@@ -122,6 +122,8 @@ def random_model(vocab_size: int, order: int, seed: int, concentration: float) -
     """Rows drawn independently from a symmetric Dirichlet, deterministically in the seed."""
     if vocab_size < 2:
         raise ValueError("vocab_size must be >= 2")
+    if order < 0:
+        raise ValueError("order must be >= 0")
     if concentration <= 0:
         raise ValueError("concentration must be > 0")
     gen = np.random.Generator(np.random.PCG64(seed))
@@ -211,11 +213,13 @@ def load_model(path: str | os.PathLike) -> MarkovModel:
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: top level must be an object")
     try:
-        vocab_size = int(obj["vocab_size"])
-        order = int(obj["order"])
-        table = obj["table"]
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"{path}: missing or malformed field ({e})") from e
+        vocab_size, order, table = obj["vocab_size"], obj["order"], obj["table"]
+    except KeyError as e:
+        raise ParseError(f"{path}: missing field {e}") from e
+    for name, value, least in (("vocab_size", vocab_size, 2), ("order", order, 0)):
+        # a JSON integer; bool is a subclass of int, so it is excluded by type
+        if type(value) is not int or value < least:
+            raise ParseError(f"{path}: {name} must be an integer >= {least}, not {value!r}")
     if not isinstance(table, list):
         raise ParseError(f"{path}: table must be an array")
     try:

@@ -223,6 +223,28 @@ class TestOptions:
         assert "argument --gen" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "oracle-check", "verify-demo", "gen-model"])
+    def test_negative_order_is_a_usage_error(self, command, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [command, "--gen", "8,-1,0,1.0"] + (["--out", str(out)] if command != "verify-demo" else [])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "invalid arguments: order must be >= 0" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("header", [
+        {"vocab_size": 2, "order": 0.7},
+        {"vocab_size": 2, "order": -1},
+        {"vocab_size": 1, "order": 0},
+    ])
+    def test_malformed_model_header_is_a_file_error(self, header, tmp_path, capsys):
+        model, out = tmp_path / "m.json", tmp_path / "out.csv"
+        model.write_text(json.dumps({**header, "table": [[0.5, 0.5]]}))
+        argv = ["run", "--draft-model", str(model), "--target-model", str(model), "--out", str(out)]
+        assert main(argv) == 3
+        assert "model file error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOracleCheck:
     def test_single_draft_instance_passes(self, tmp_path, capsys):

@@ -40,6 +40,11 @@ class TestRandomModel:
         rows = np.stack([gen.dirichlet(alpha) for _ in range(V**order)])
         assert np.array_equal(random_model(V, order, seed, concentration).table, rows)
 
+    def test_negative_order_rejected(self):
+        # checked before V**order is formed, which would not be a row count
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            random_model(4, -1, 0, 1.0)
+
     def test_high_concentration_approaches_uniform(self):
         # Dirichlet(1e4) entry sd ~ sqrt(0.25*0.75/40001) ~ 0.0022; 0.02 is ~9 sigma
         m = random_model(4, 2, 3, 1e4)
@@ -163,6 +168,24 @@ class TestFileFormat:
     def test_wrong_shape_is_parse_error(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"vocab_size": 2, "order": 1, "table": [[0.5, 0.5]]}))
+        with pytest.raises(ParseError):
+            load_model(path)
+
+
+    @pytest.mark.parametrize("header", [
+        {"vocab_size": 2, "order": 0.7},  # int() read it as order 0
+        {"vocab_size": 2.5, "order": 0},
+        {"vocab_size": 2.0, "order": 0},
+        {"vocab_size": "2", "order": 0},
+        {"vocab_size": 2, "order": True},
+        {"vocab_size": True, "order": 0},
+        {"vocab_size": 2, "order": -1},
+        {"vocab_size": 1, "order": 0},
+        {"vocab_size": 2},
+    ])
+    def test_header_needs_integers_in_range(self, tmp_path, header):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({**header, "table": [[0.5, 0.5]]}))
         with pytest.raises(ParseError):
             load_model(path)
 
