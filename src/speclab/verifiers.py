@@ -203,9 +203,8 @@ def _beta_table(p: np.ndarray, q: np.ndarray):
     i = bisect_left(ratios, rho): below_q[i] is the q-mass of the first i
     tokens, summed in sorted order, and above_p[i] the p-mass of the rest,
     summed from the last token down. Building the table is the one
-    vocabulary scan. The three columns are memoryviews over the arrays,
-    read as Python floats one entry at a time; nothing is copied into
-    lists.
+    vocabulary scan; the columns are memoryviews, so no entry is converted
+    to a Python float until it is read.
     """
     c = np.divide(q, p, out=np.full_like(p, np.inf), where=p > 0.0)
     order = np.argsort(c)
@@ -222,15 +221,14 @@ def kseq_rho(p: Distribution, q: Distribution, K: int, tol: float = 1e-12) -> Ks
     """Solve 1 - (1 - beta(rho))^K = rho * beta(rho) on [1, K] by bisection.
 
     beta(rho) = sum_x min(p(x), q(x)/rho) is read from a table built in one
-    vocabulary scan (``_beta_table``). Every point the bisection tries lies
-    in [lo, hi], so the table index it needs lies between ilo = #(ratios <
-    lo) and ihi = #(ratios < hi). Both are carried from step to step: a step
-    bisects only the ratios in [ilo, ihi), none once the bracket holds no
-    ratio, and the index it finds becomes the new ilo or ihi. The index is
-    the one a bisect over the whole table gives, and the sums are read from
-    the whole table, so every beta, every step and rho are bit for bit
-    those of a full lookup. The iteration count is recorded so callers can
-    expose the log(1/tol) cost profile.
+    vocabulary scan (``_beta_table``). A step's point lies in the bracket
+    [lo, hi], so its table index lies between ilo = #(ratios < lo) and
+    ihi = #(ratios < hi); both are carried from step to step, and a step
+    bisects only the ratios in [ilo, ihi), none once that is empty. The
+    index is the one a bisect over the whole table gives and the sums are
+    the whole table's, so every beta, step and rho are bit for bit those of
+    a full lookup. The iteration count is recorded so callers can expose
+    the log(1/tol) cost profile.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -252,7 +250,7 @@ def kseq_rho(p: Distribution, q: Distribution, K: int, tol: float = 1e-12) -> Ks
     iterations = 0
     while hi - lo > tol and iterations < 200:
         mid = 0.5 * (lo + hi)
-        i = ilo if ilo == ihi else bisect_left(ratios, mid, ilo, ihi)
+        i = bisect_left(ratios, mid, ilo, ihi)
         b = below_q[i] / mid + above_p[i]
         gm = 1.0 - (1.0 - b) ** K - mid * b
         iterations += 1
