@@ -245,8 +245,6 @@ def kseq_rho(p: Distribution, q: Distribution, K: int, tol: float = 1e-12) -> Ks
         return KseqScale(hi, bhi, 0)
     if (glo > 0) == (ghi > 0):
         raise NoRoot(f"no sign change on [1, {K}]: g(1)={glo}, g(K)={ghi}")
-    # g keeps its sign at lo, so a step moves lo exactly when g(mid) has it
-    up = glo > 0
     iterations = 0
     while hi - lo > tol and iterations < 200:
         mid = 0.5 * (lo + hi)
@@ -256,8 +254,8 @@ def kseq_rho(p: Distribution, q: Distribution, K: int, tol: float = 1e-12) -> Ks
         iterations += 1
         if abs(gm) <= tol:
             return KseqScale(mid, b, iterations)
-        if (gm > 0) == up:
-            lo, ilo = mid, i
+        if (gm > 0) == (glo > 0):
+            lo, glo, ilo = mid, gm, i
         else:
             hi, ihi = mid, i
     mid = 0.5 * (lo + hi)

@@ -18,20 +18,14 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from conftest import ratio_instances
-from speclab.probability import Distribution
+from conftest import dist, ratio_instances
 from speclab.verifiers import kseq_rho
 
 GOLDEN = Path(__file__).parent / "data" / "golden_rho.json"
 VOCABS = (2, 5, 16, 1024)
 KS = (2, 3, 4, 8)
-
-
-def dist(*mass):
-    return Distribution(np.array(mass, dtype=float))
 
 
 # name -> (p, q, K, tol)
