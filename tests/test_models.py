@@ -171,9 +171,8 @@ class TestFileFormat:
         with pytest.raises(ParseError):
             load_model(path)
 
-
     @pytest.mark.parametrize("header", [
-        {"vocab_size": 2, "order": 0.7},  # int() read it as order 0
+        {"vocab_size": 2, "order": 0.7},
         {"vocab_size": 2.5, "order": 0},
         {"vocab_size": 2.0, "order": 0},
         {"vocab_size": "2", "order": 0},
