@@ -12,23 +12,29 @@ A duplicated row reads the same coins again. ``_enumerate_leaves`` sums
 this law over the row counts through each node, bottom up the trie, in
 exponential generating functions, for a batch of instances of equal
 (V, L, K) at once: a second iteration enumerates every (first-iteration
-leaf, extra token) instance in one call, with one acceptance call for all
-their sub-block tests. The output law then completes every leaf in one
-forward pass over the trie levels (``_output_law``), reading every extra
+leaf, extra token) instance in one call. The coins' h are read from the
+level arrays (``_acceptances``): every drafted proper prefix's sub-block
+test, over all levels and instances, in one ``subblock_accept_prob`` call,
+and every drafted full block's in one ``full_block_accept_probs`` call, the
+elementwise form of ``full_block_accept_prob``. The output law then
+completes every leaf in one forward pass over the trie levels
+(``_output_law``), reading every extra
 token and modified-target row below level L from one ``ModifiedTarget`` at
 the root: in block verification the residual after a block is the next
 iteration's modified target (Sun et al. 2024, arXiv 2403.10444). The whole
 law lives in one layout: one array per trie level, its blocks in
 lexicographic order, so block u's children are the V entries from
 V * index(u) on and its n-token extensions are one run of V^n. The joints
-(linear and log-space), the leaf masses, the output law and the masses it
-is checked against are all such arrays, and every check is a reshape and a
-sum. The acceptance rules (``subblock_accept_prob``,
-``full_block_accept_prob``), the modified target and the chains
-(``harness.RawChain``, ``harness.ModifiedChain``) are the ones decoding
-runs. The recursion over the scan and the closed forms the
-tree is checked against are written here, apart from the verifiers, so
-agreement between the two is evidence rather than tautology.
+(linear and log-space), the conditional rows after each block, the leaf
+masses, the output law and the masses it is checked against are all such
+arrays, and every check is a reshape and a sum. The log joints are the
+verifier's bit for bit and the elementwise full-block form is the scalar
+rule's, so each h is the one decoding computes. The acceptance rules, the
+modified target and the chains (``harness.RawChain``,
+``harness.ModifiedChain``) are the ones decoding runs. The recursion over
+the scan and the closed forms the tree is checked against are written
+here, apart from the verifiers, so agreement between the two is evidence
+rather than tautology.
 
 The reports check three closed forms against the enumerated tree:
 
@@ -47,13 +53,14 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from .harness import ModifiedChain, RawChain
 from .models import ModelPair
-from .probability import LOG_ZERO, PrefixJoint
-from .verifiers import Counters, ModifiedTarget, full_block_accept_prob, subblock_accept_prob
+from .probability import LOG_ZERO, PrefixJoint, joint_ratios
+from .verifiers import Counters, ModifiedTarget, full_block_accept_probs, subblock_accept_prob
 
 MAX_ENUM = 1_000_000
 CHECK_TOL = 1e-9
@@ -79,16 +86,30 @@ def _model_joint(model, temperature: float, context: tuple[int, ...], blk: tuple
     return p
 
 
+class _Level(NamedTuple):
+    """One trie level of an instance's table, its blocks in lexicographic
+    order: the blocks, their draft and target joints, their log joints (up
+    to level L, None deeper) and the draft and target conditional rows
+    after each block, (V^i, V) blocks (below level L, None from there)."""
+
+    blocks: list
+    p: np.ndarray
+    q: np.ndarray
+    log_p: np.ndarray | None = None
+    log_q: np.ndarray | None = None
+    p_rows: np.ndarray | None = None
+    q_rows: np.ndarray | None = None
+
+
 @dataclass
 class _Instance:
     """One (draft chain, target chain, L, K) at an absolute ``context``.
 
-    ``levels`` holds every block's joints, one array per trie level in
-    lexicographic order: the linear joints feed the recursion, the closed
-    forms and the target marginals the output is checked against, and the
-    log-space ``PrefixJoint``s, built as the verifier builds them, feed the
-    acceptance rules. One table serves every depth up to the one it was
-    built at.
+    ``levels`` holds every block's joints, one ``_Level`` per trie level:
+    the linear joints feed the recursion, the closed forms and the target
+    marginals the output is checked against, and the log joints, built as
+    the verifier builds them, and the conditional rows feed the acceptance
+    rules. One table serves every depth up to the one it was built at.
     """
 
     pchain: RawChain
@@ -98,31 +119,34 @@ class _Instance:
     L: int
     K: int
     table: list | None = None
-    h_part: dict = field(default_factory=dict)
 
-    def levels(self, depth: int) -> list[tuple[list, np.ndarray, np.ndarray, list]]:
-        """(blocks, draft joints, target joints, log joints) at each level
-        0 ... depth, from the instance's table, rebuilt at ``depth`` when it
-        is shallower. The joints are ``_joints``'. The log joints, given up
-        to level L, the deepest the rules read (None deeper), are each their
-        parent's plus one ``math.log`` per factor, -inf absorbing:
-        ``_row_joints``' arithmetic, so each equals the verifier's bit for
+    def levels(self, depth: int) -> list[_Level]:
+        """The levels 0 ... depth, from the instance's table, rebuilt at
+        ``depth`` when it is shallower. The joints and rows are
+        ``_joints``'. A level's log joints are its parent level repeated V
+        times plus the ``math.log`` of each factor, -inf absorbing:
+        ``_row_joints``' additions, so each equals the verifier's bit for
         bit."""
         if self.table is None or len(self.table) <= depth:
-            V = self.V
+            V, L = self.V, self.L
             (p, p_rows), (q, q_rows) = (_joints(chain, V, depth) for chain in (self.pchain, self.qchain))
-            logs = [[PrefixJoint.empty()]]
-            for pr, qr in zip(p_rows[:self.L], q_rows[:self.L]):
-                lp, lq = ([math.log(x) if x > 0.0 else LOG_ZERO for x in r.ravel().tolist()] for r in (pr, qr))
-                parents = [j for j in logs[-1] for _ in range(V)]
-                logs.append([PrefixJoint(j.log_p + x, j.log_q + z) for j, x, z in zip(parents, lp, lq)])
-            blocks = [list(itertools.product(range(V), repeat=i)) for i in range(depth + 1)]
-            self.table = list(itertools.zip_longest(blocks, p, q, logs))
+            rows = list(zip(p_rows, q_rows))[:L]
+            logs = [(np.zeros(1), np.zeros(1))]
+            for row in rows:
+                logs.append(tuple(
+                    np.repeat(parent, V) + np.array([math.log(x) if x > 0.0 else LOG_ZERO for x in r.ravel().tolist()])
+                    for parent, r in zip(logs[-1], row)
+                ))
+            self.table = [
+                _Level(list(itertools.product(range(V), repeat=i)), pi, qi, *log, *row)
+                for i, (pi, qi, log, row) in enumerate(itertools.zip_longest(p, q, logs, rows, fillvalue=()))
+            ]
         return self.table[:depth + 1]
 
     def _joint(self, blk: tuple[int, ...]) -> PrefixJoint:
         """The log joints of ``blk``, read from its level's table."""
-        return self.levels(len(blk))[-1][3][_index(blk, self.V)]
+        level, n = self.levels(len(blk))[-1], _index(blk, self.V)
+        return PrefixJoint(level.log_p.item(n), level.log_q.item(n))
 
     def modified(self, tau: int, t: tuple[int, ...], y: int) -> ModifiedChain:
         """The target chain of the iteration after leaf (tau, t) and extra token y."""
@@ -159,19 +183,30 @@ def _joints(chain, V: int, depth: int) -> tuple[list[np.ndarray], list[np.ndarra
     return joints, level_rows
 
 
-def _accept_subblocks(todo: list[tuple[_Instance, tuple[int, ...], PrefixJoint]]) -> None:
-    """Sub-block acceptance of each (instance, block, joint), instances of
-    equal K, in one ``subblock_accept_prob`` call: its rows are computed
-    independently, so each is bit for bit the row alone."""
-    if not todo:
-        return
-    insts, blks, joints = zip(*todo)
-    hs, _surplus = subblock_accept_prob(
-        list(joints), [inst.pchain.conditional(blk) for inst, blk in zip(insts, blks)],
-        [inst.qchain.conditional(blk) for inst, blk in zip(insts, blks)], insts[0].K,
-    )
-    for inst, blk, h in zip(insts, blks, hs):
-        inst.h_part[blk] = h
+def _acceptances(insts: list[_Instance]) -> list[np.ndarray | None]:
+    """h at every node of a batch of instances of equal (V, L, K), one array
+    per level 1 ... L, the instances' nodes end to end (None at the root,
+    which is never tested): every drafted proper prefix's sub-block rule in
+    one ``subblock_accept_prob`` call, every drafted full block's rule in one
+    ``full_block_accept_probs`` call, and 0 at undrafted nodes."""
+    V, L, K = insts[0].V, insts[0].L, insts[0].K
+    tables = [inst.levels(L) for inst in insts]
+    h = [None]
+    if L > 1:
+        p, lp, lq, p_rows, q_rows = (
+            np.concatenate([getattr(table[i], f) for i in range(1, L) for table in tables])
+            for f in ("p", "log_p", "log_q", "p_rows", "q_rows")
+        )
+        tested = np.flatnonzero(p > 0.0)
+        lp = lp[tested].tolist()
+        hs, _surplus = subblock_accept_prob(
+            joint_ratios(lp, lq[tested].tolist()), [math.exp(x) for x in lp], p_rows[tested], q_rows[tested], K
+        )
+        flat = np.zeros(len(p))
+        flat[tested] = hs
+        h += np.split(flat, np.cumsum([len(insts) * V**i for i in range(1, L - 1)]))
+    p, lp, lq = (np.concatenate([getattr(table[L], f) for table in tables]) for f in ("p", "log_p", "log_q"))
+    return h + [np.where(p > 0.0, full_block_accept_probs(lp, lq, K), 0.0)]
 
 
 @functools.cache
@@ -253,22 +288,9 @@ def _enumerate_leaves(insts: list[_Instance]) -> list[list[np.ndarray]]:
     work = V**L * math.comb(K + 3, 4)
     if work > MAX_ENUM:
         raise TooLarge(f"V^L * C(K + 3, 4) = {work} exceeds {MAX_ENUM}")
-    tables = [inst.levels(L) for inst in insts]
-    # every drafted proper prefix is tested: all instances' in one call
-    _accept_subblocks([
-        (inst, u, j)
-        for inst, table in zip(insts, tables) for level, w, _q, joints in table[1:L]
-        for u, pu, j in zip(level, w.tolist(), joints) if pu > 0.0 and u not in inst.h_part
-    ])
-    nodes = [level for level, *_rest in tables[0]]
-    h = [np.array([inst.h_part.get(u, 0.0) for inst in insts for u in level]) for level in nodes[:L]]
-    h.append(np.array([
-        full_block_accept_prob(j, K) if w > 0.0 else 0.0
-        for table in tables for w, j in zip(table[L][1].tolist(), table[L][3])
-    ]))
-    p_leaf = np.concatenate([table[L][1] for table in tables])
-
     n = len(insts)
+    h = _acceptances(insts)
+    p_leaf = np.concatenate([inst.levels(L)[L].p for inst in insts])
     fact = np.array([math.factorial(m) for m in range(K + 1)], float)
     one_var = _series(K + 1, 1)
     m = np.arange(K + 1)
@@ -392,7 +414,7 @@ def bound_K(pair: ModelPair, L: int, K: int) -> float:
     """Sum of claimed acceptance masses over all sub-blocks up to length L."""
     if pair.vocab_size**L > MAX_ENUM:
         raise TooLarge(f"V^L = {pair.vocab_size ** L} exceeds {MAX_ENUM}")
-    return sum(float(_accept_mass(p, q, K).sum()) for _blocks, p, q, _j in _instance(pair, L, K).levels(L)[1:])
+    return sum(float(_accept_mass(level.p, level.q, K).sum()) for level in _instance(pair, L, K).levels(L)[1:])
 
 
 def exact_expected_tau(pair: ModelPair, L: int, K: int) -> float:
@@ -417,7 +439,7 @@ def _max_dev(got: list[np.ndarray], want: list[np.ndarray]) -> float:
 def _marginal_devs(inst: _Instance, out: np.ndarray, depth: int) -> tuple[float, float]:
     """Prefix marginals of the output law against the target chain: the max
     deviation and the max error of a level's total."""
-    targets = [q for _blocks, _p, q, _j in inst.levels(depth)[1:]]
+    targets = [level.q for level in inst.levels(depth)[1:]]
     marg = [out.reshape(len(q), -1).sum(1) for q in targets]
     return _max_dev(marg, targets), max(abs(float(m.sum()) - 1.0) for m in marg)
 
@@ -439,7 +461,7 @@ def exact_output_distribution(
         inst.levels(2 * (L + 1))
     [leaves] = _enumerate_leaves([inst])
     table = inst.levels(L)
-    claimed = [_accept_mass(p, q, K) for _blocks, p, q, _j in table[1:]]
+    claimed = [_accept_mass(level.p, level.q, K) for level in table[1:]]
     accepted = _accepted(leaves)
     out, fallback_mass, rows = _output_law(inst, leaves, L)
     max_dev, sums_err = _marginal_devs(inst, out, L)
@@ -447,7 +469,7 @@ def exact_output_distribution(
     if iterations == 2:
         two_iter_dev, fb2, lemma_dev2 = _two_iteration_dev(pair, inst, leaves, rows)
         fallback_mass += fb2
-    blocks = [level for level, *_rest in table]
+    blocks = [level.blocks for level in table]
     leaf_masses = {
         (tau, u): m for tau, (level, row) in enumerate(zip(blocks, leaves))
         for u, m in zip(level, row.tolist()) if m > 0.0
@@ -460,7 +482,7 @@ def exact_output_distribution(
         max_marginal_dev_two_iter=two_iter_dev, lemma_max_dev_two_iter=lemma_dev2,
         marginal_sums_max_err=sums_err,
         leaf_states=len(leaf_masses),
-        tuples=int((table[L][1] > 0.0).sum()) ** K,
+        tuples=int((table[L].p > 0.0).sum()) ** K,
         max_leafsum_err=abs(sum(leaf_masses.values()) - 1.0),
         fallback_mass=fallback_mass,
         runtime_s=time.perf_counter() - t0,
@@ -500,14 +522,14 @@ def _two_iteration_dev(pair: ModelPair, inst1: _Instance, leaves1: list, rows1: 
     fallback = lemma_dev = 0.0
     for (n1, index1, w, inst2), leaves2 in zip(seconds, _enumerate_leaves([s[-1] for s in seconds])):
         claimed = []
-        for blocks, _p, q, _j in inst2.levels(L)[1:]:
-            p2 = [_model_joint(pair.draft, pair.temperature, inst2.context, blk) for blk in blocks]
-            claimed.append(_accept_mass(np.array(p2), q, K))
+        for level in inst2.levels(L)[1:]:
+            p2 = [_model_joint(pair.draft, pair.temperature, inst2.context, blk) for blk in level.blocks]
+            claimed.append(_accept_mass(np.array(p2), level.q, K))
         lemma_dev = max(lemma_dev, _max_dev(_accepted(leaves2), claimed))
         out2, fb2, _rows2 = _output_law(inst2, leaves2, depth - n1)
         fallback += w * fb2
         out[index1 * len(out2):(index1 + 1) * len(out2)] += w * out2
-    max_dev = float(np.abs(out - inst1.levels(depth)[depth][2]).max())
+    max_dev = float(np.abs(out - inst1.levels(depth)[depth].q).max())
     return max_dev, fallback, lemma_dev
 
 

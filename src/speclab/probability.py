@@ -212,6 +212,16 @@ class PrefixJoint:
         return math.exp(d)
 
 
+def joint_ratios(log_num: list[float], log_den: list[float]) -> list[float]:
+    """exp(log_num[n] - log_den[n]) for each n, with ``ratio_p_over_q``'s
+    conventions: a zero denominator or a log ratio above 700 gives inf, a
+    zero numerator 0. ``math.exp``, so each is bit for bit the method's."""
+    return [
+        math.inf if b == LOG_ZERO else 0.0 if a == LOG_ZERO else math.inf if a - b > 700.0 else math.exp(a - b)
+        for a, b in zip(log_num, log_den)
+    ]
+
+
 def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else LOG_ZERO
 

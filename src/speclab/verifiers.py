@@ -49,7 +49,17 @@ row's uniforms, and a block that stops after an accepted sub-block takes
 its residual from that test's surplus row. ``ModifiedTarget.conditional``
 answers a list of contexts with one surplus block, normalized and
 validated as one block (``Distribution.rows``). Scan counts stay per
-prefix.
+prefix. ``subblock_accept_prob`` takes the prefixes' joint ratios, draft
+joints and row blocks, so the exact oracle calls the same body for every
+node of a trie level at once.
+
+The full-block rule has a scalar form, ``full_block_accept_prob``, which
+the block verifier calls once per row, and an elementwise one,
+``full_block_accept_probs``, which the oracle calls once per batch of trie
+levels. They share ``_geometric_tail`` and give the same bits (a test holds
+them equal). Each is the faster for its caller: on one joint numpy's fixed
+cost per call outweighs the rule, and over a level a Python loop costs more
+than numpy does.
 """
 
 from __future__ import annotations
@@ -68,6 +78,7 @@ from .probability import (
     PrefixJoint,
     RandomSource,
     extend_joint,
+    joint_ratios,
     normalize,
     sample,
 )
@@ -416,40 +427,41 @@ def _surplus(p: np.ndarray, q: np.ndarray, r, K: int) -> np.ndarray:
 
 
 def subblock_accept_prob(
-    joints: list[PrefixJoint],
-    p_next: list[Distribution],
-    q_next: list[Distribution],
+    r: list[float],
+    p_joint: list[float],
+    p_next: np.ndarray,
+    q_next: np.ndarray,
     K: int,
     counters: Counters | None = None,
 ) -> tuple[list[float], np.ndarray]:
     """Acceptance probabilities for n proper sub-blocks under K drafts.
 
-    Sub-block n has prefix joint joints[n] and next-position conditionals
-    p_next[n] and q_next[n]. The rule's numerator and denominator are
-    divided through by the prefix's target joint q_j, so both depend on the
-    joints only through r = p_j / q_j and sum_{i<K} (1 - p_j)^i, and keep
-    their scale however small the joints get. One vocabulary scan per
-    sub-block, made for all n in one surplus block; the scan count does not
-    depend on K. The denominator vanishes only on conditioning events of
-    probability zero, where any return value is distributionally
-    irrelevant; 1 is returned when r < 1, the single-draft ratio rule's
-    convention, so the K = 1 reduction is pointwise exact. A zero target
-    joint (r = inf) gives 0.
+    Sub-block n has joint ratio r[n] = p_j / q_j (``ratio_p_over_q``'s
+    conventions), draft joint p_joint[n] = p_j and next-position
+    conditionals p_next[n] and q_next[n], rows of two (n, V) blocks. The
+    rule's numerator and denominator are divided through by the prefix's
+    target joint q_j, so both depend on the joints only through r and
+    sum_{i<K} (1 - p_j)^i, and keep their scale however small the joints
+    get. One vocabulary scan per sub-block, made for all n in one surplus
+    block; the scan count does not depend on K. The denominator vanishes
+    only on conditioning events of probability zero, where any return value
+    is distributionally irrelevant; 1 is returned when r < 1, the
+    single-draft ratio rule's convention, so the K = 1 reduction is
+    pointwise exact. A zero target joint (r = inf) gives 0.
 
     Returns the n probabilities and the (n, V) surplus block: row n,
     normalized, is the block residual at sub-block n.
     """
-    n = len(joints)
+    n = len(r)
     if counters is not None:
         counters.vocab_scans += n
         counters.h_partial_evals += n
-    r = [j.ratio_p_over_q() for j in joints]
-    w = _surplus(np.array([d.mass for d in p_next]), np.array([d.mass for d in q_next]), r, K)
+    w = _surplus(p_next, q_next, r, K)
     h = []
-    for rn, joint, S in zip(r, joints, w.sum(axis=1).tolist()):
+    for rn, pj, S in zip(r, p_joint, w.sum(axis=1).tolist()):
         num = S - (1.0 - min(rn, 1.0)) ** K
         # rn * G(p_j) - 1 with its 1s cancelled exactly, so p_j near 1 keeps precision
-        den = (rn - 1.0) + rn * _geometric_tail(joint.p, K) + S
+        den = (rn - 1.0) + rn * _geometric_tail(pj, K) + S
         if abs(den) < DENOM_EPS:
             h.append(1.0 if rn < 1.0 else 0.0)
         else:
@@ -461,7 +473,8 @@ def _geometric_tail(x: float, K: int) -> float:
     """G(x) - 1, where G(x) = sum_{i<K} (1 - x)^i, so that 1 - (1 - x)^K = x * G(x).
 
     Built without G's leading 1, so it keeps its precision as x nears 1; it
-    is 0 at K = 1, and 1 + G(x) - 1 is bit for bit the recurrence for G."""
+    is 0 at K = 1, and 1 + G(x) - 1 is bit for bit the recurrence for G. x
+    may be an array: each entry gets the scalar's operations, in its order."""
     t = 0.0
     for _ in range(K - 1):
         t = (1.0 - x) * (1.0 + t)
@@ -480,6 +493,19 @@ def full_block_accept_prob(joint: PrefixJoint, K: int) -> float:
     r = joint.ratio_p_over_q()
     a = 1.0 + _geometric_tail(r, K) if r <= 1.0 else joint.ratio_q_over_p()
     return min(1.0, a / (1.0 + _geometric_tail(joint.p, K)))
+
+
+def full_block_accept_probs(log_p: np.ndarray, log_q: np.ndarray, K: int) -> np.ndarray:
+    """``full_block_accept_prob`` of every block with log joints
+    (log_p[n], log_q[n]), bit for bit: the ratios and the draft joint come
+    from ``math.exp`` with ``PrefixJoint``'s conventions, and numpy does
+    only the rule's +, -, *, / and min, which round as Python's do. G is
+    read at min(r, 1), so the branch r > 1 discards forms no overflow."""
+    lp, lq = log_p.tolist(), log_q.tolist()
+    r = np.array(joint_ratios(lp, lq))
+    a = np.where(r <= 1.0, 1.0 + _geometric_tail(np.minimum(r, 1.0), K), joint_ratios(lq, lp))
+    p = np.array([math.exp(x) for x in lp])  # exp(-inf) is 0.0, PrefixJoint.p's value
+    return np.minimum(1.0, a / (1.0 + _geometric_tail(p, K)))
 
 
 def block_residual(
@@ -565,9 +591,11 @@ def verify_spectr_gbv(
         joints.append(_row_joints(row, drafts.cond[k], scores.cond[k]))
         # the row's tests are fixed when it starts: lengths tau+1 .. L-1 not in H
         tested = [i for i in range(tau + 1, L) if row[:i] not in H]
+        js = [joints[k][i] for i in tested]
         tests = iter(zip(*subblock_accept_prob(
-            [joints[k][i] for i in tested], [drafts.cond[k][i] for i in tested],
-            [scores.cond[k][i] for i in tested], K, counters,
+            [j.ratio_p_over_q() for j in js], [j.p for j in js],
+            np.array([drafts.cond[k][i].mass for i in tested]),
+            np.array([scores.cond[k][i].mass for i in tested]), K, counters,
         )) if tested else ())
         for i in range(tau + 1, L):
             sub = row[:i]

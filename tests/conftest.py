@@ -59,7 +59,7 @@ def tv_distance(a: Distribution, b: Distribution) -> float:
 
 def gbv_block_sum(pair: ModelPair, L: int) -> float:
     """Sum over sub-blocks of min(draft joint, target joint); the K = 1 bound."""
-    return sum(float(np.minimum(p, q).sum()) for _blocks, p, q, _j in oracle._instance(pair, L, 1).levels(L)[1:])
+    return sum(float(np.minimum(level.p, level.q).sum()) for level in oracle._instance(pair, L, 1).levels(L)[1:])
 
 
 def bound_properties(pair: ModelPair, L: int, K_list) -> dict:
@@ -92,7 +92,7 @@ def reference_extra_token(inst, tau, t):
     if tau == inst.L:
         return q.mass, False
     joint, p = inst._joint(t), inst.pchain.conditional(t)
-    surplus = subblock_accept_prob([joint], [p], [q], inst.K)[1][0] if tau else None
+    surplus = subblock_rule([joint], [p], [q], inst.K)[1][0] if tau else None
     try:
         return block_residual(joint, p, q, inst.K, surplus=surplus).mass, False
     except AllZeroMass:
@@ -228,9 +228,19 @@ def override(mod, ctx, q_cond, p_cond, counters=None):
     return mod.conditional([ctx], batched(q_cond), batched(p_cond), counters)[0]
 
 
+def subblock_rule(joints, p_next, q_next, K, counters=None):
+    """``subblock_accept_prob`` of sub-blocks given as ``PrefixJoint``s and
+    next-position ``Distribution``s, the inputs ``verify_spectr_gbv`` turns
+    into ratios, draft joints and row blocks."""
+    return subblock_accept_prob(
+        [j.ratio_p_over_q() for j in joints], [j.p for j in joints],
+        np.array([d.mass for d in p_next]), np.array([d.mass for d in q_next]), K, counters,
+    )
+
+
 def subblock_h(joint, p_next, q_next, K, counters=None):
     """The sub-block acceptance probability of one sub-block, asked as a batch of one."""
-    return subblock_accept_prob([joint], [p_next], [q_next], K, counters)[0][0]
+    return subblock_rule([joint], [p_next], [q_next], K, counters)[0][0]
 
 
 class NuModifiedTarget(ModifiedTarget):

@@ -12,12 +12,13 @@ from conftest import (
     override,
     reference_extra_token,
     reference_output_law,
+    subblock_h,
 )
 from speclab import harness, oracle
 from speclab.models import MarkovModel, ModelPair, generate_pair
 from speclab.oracle import (
     TooLarge,
-    _accept_subblocks,
+    _acceptances,
     _enumerate_leaves,
     _instance,
     _Instance,
@@ -40,6 +41,10 @@ from speclab.verifiers import (
 )
 
 
+# an array form whose unused branch computes inf * 0 or 0 / 0 fails here
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
 def frac_bound(p_row, q_row, L, K):
     """Independent exact-rational evaluation of the acceptance-length bound
     for an order-0 pair."""
@@ -55,6 +60,10 @@ def frac_bound(p_row, q_row, L, K):
             total += qj * (1 - (1 - s) ** K)
     return total
 
+
+def bitwise(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and equal bits, so -0.0 differs from 0.0."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def gbv_reference(pair, L):
@@ -140,9 +149,7 @@ def walk_tuple(inst, rows):
                 stack.append((k + 1, tau + 1, tau, f, H, pr))
             continue
         if i <= L - 1:
-            if sub not in inst.h_part:
-                _accept_subblocks([(inst, sub, inst._joint(sub))])
-            h = inst.h_part[sub]
+            h = subblock_h(inst._joint(sub), inst.pchain.conditional(sub), inst.qchain.conditional(sub), K)
         else:
             h = full_block_accept_prob(inst._joint(row), inst.K)
         if h in (0.0, 1.0):
@@ -165,11 +172,11 @@ def walk_tuple(inst, rows):
 def walk_reference(pair, L, K, context):
     """Leaf law of the scan by walking every positive-weight draft tuple."""
     inst = _instance(pair, L, K, context)
-    blocks, p, _q, _j = inst.levels(L)[L]
-    draft = dict(zip(blocks, p.tolist()))
+    level = inst.levels(L)[L]
+    draft = dict(zip(level.blocks, level.p.tolist()))
     leaves: dict = {}
     events = set()
-    for rows in itertools.product(blocks, repeat=K):
+    for rows in itertools.product(level.blocks, repeat=K):
         w = math.prod(draft[r] for r in rows)
         if w <= 0.0:
             continue
@@ -190,7 +197,7 @@ class TestLevels:
         pair = generate_pair(3, order, 5, 1.0, 0.5)
         levels = _instance(pair, 3, 2, context).levels(3)
         assert [len(blocks) for blocks, *_rest in levels] == [1, 3, 9, 27]
-        for i, (blocks, p, q, _joints) in enumerate(levels):
+        for i, (blocks, p, q, *_rest) in enumerate(levels):
             assert blocks == list(itertools.product(range(3), repeat=i))
             for blk, pb, qb in zip(blocks, p.tolist(), q.tolist()):
                 assert pb == _model_joint(pair.draft, 1.0, context, blk)
@@ -203,12 +210,14 @@ class TestLevels:
         inst = _instance(pair, 2, 2)
         deep = inst.levels(6)
         assert len(inst.levels(2)) == 3 and all(a is b for a, b in zip(inst.levels(2), deep))
-        assert [joints is None for *_rest, joints in deep] == [False] * 3 + [True] * 4
+        assert [level.log_p is None for level in deep] == [False] * 3 + [True] * 4
+        assert [level.p_rows is None for level in deep] == [False] * 2 + [True] * 5
         for got, want in zip(inst.levels(2), _instance(pair, 2, 2).levels(2)):
-            assert got[0] == want[0] and got[3] == want[3]
-            assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+            assert got.blocks == want.blocks
+            for a, b in zip(got[1:], want[1:]):
+                assert (a is None and b is None) or bitwise(a, b)
         # a deeper depth rebuilds the table
-        assert len(inst.levels(7)) == 8 and inst.levels(7)[7][2].sum() == pytest.approx(1.0)
+        assert len(inst.levels(7)) == 8 and inst.levels(7)[7].q.sum() == pytest.approx(1.0)
 
     ZEROS = ModelPair(
         MarkovModel(3, 1, np.array([[0.5, 0.5, 0.0], [0.0, 0.3, 0.7], [0.2, 0.0, 0.8]])),
@@ -218,9 +227,9 @@ class TestLevels:
     # V = 12 at order 2 reads 3,456 distinct conditionals: enough that a
     # vectorized np.log, which differs from math.log on about 0.35% of
     # doubles, differs on some of them
-    @pytest.mark.parametrize("pair", [
-        generate_pair(3, 1, 5, 1.0, 0.5), generate_pair(12, 2, 5, 1.0, 0.5), ZEROS,
-    ], ids=["order1", "order2", "zeros"])
+    PAIRS = [generate_pair(3, 1, 5, 1.0, 0.5), generate_pair(12, 2, 5, 1.0, 0.5), ZEROS]
+
+    @pytest.mark.parametrize("pair", PAIRS, ids=["order1", "order2", "zeros"])
     @pytest.mark.parametrize("context", [(), (1,)])
     def test_log_joints_equal_the_verifiers(self, pair, context):
         # the rules read the table's log joints; each must be the joint the
@@ -228,15 +237,35 @@ class TestLevels:
         # with zero conditionals a -inf joint stays -inf below it
         inst = _instance(pair, 3, 2, context)
         zero = set()
-        for blocks, _p, _q, joints in inst.levels(3):
-            for blk, joint in zip(blocks, joints):
+        for level in inst.levels(3):
+            for blk, lp, lq in zip(level.blocks, level.log_p.tolist(), level.log_q.tolist()):
                 heads = [blk[:j] for j in range(len(blk))]
-                want = _row_joints(blk, inst.pchain.conditionals(heads), inst.qchain.conditionals(heads))
-                assert joint == want[-1], blk
-                if joint.log_p == LOG_ZERO and joint.log_q == LOG_ZERO:
+                want = _row_joints(blk, inst.pchain.conditionals(heads), inst.qchain.conditionals(heads))[-1]
+                assert (lp.hex(), lq.hex()) == (want.log_p.hex(), want.log_q.hex()), blk
+                if lp == LOG_ZERO and lq == LOG_ZERO:
                     zero.add(blk)
         if pair is self.ZEROS:
             assert any(blk[:-1] in zero for blk in zero)
+
+    @pytest.mark.parametrize("pair", PAIRS, ids=["order1", "order2", "zeros"])
+    def test_rows_equal_the_chains(self, pair):
+        # the sub-block tests read each kept row as the chain's own
+        # conditional after its block, bit for bit, on a raw target chain
+        # and on a second iteration's modified one
+        first = _instance(pair, 3, 2, (1,))
+        context = (1, 2)
+        second = _Instance(
+            harness.RawChain(pair.draft, pair.temperature, context), first.modified(0, (), 2),
+            context, pair.vocab_size, 3, 2,
+        )
+        for inst in (first, second):
+            levels = inst.levels(3)
+            assert levels[3].p_rows is None and levels[3].q_rows is None
+            for level in levels[:3]:
+                assert level.p_rows.shape == level.q_rows.shape == (len(level.blocks), pair.vocab_size)
+                for blk, pr, qr in zip(level.blocks, level.p_rows, level.q_rows):
+                    assert bitwise(pr, inst.pchain.conditional(blk).mass), blk
+                    assert bitwise(qr, inst.qchain.conditional(blk).mass), blk
 
 
 class TestBound:
@@ -410,8 +439,7 @@ class TestCoinRecursion:
     def test_tuples_count_positive_weight_draft_tuples(self):
         pair = self.PAIRS[1]
         r = exact_output_distribution(pair, 2, 3)
-        _blocks, p, _q, _j = _instance(pair, 2, 3).levels(2)[2]
-        positive = int((p > 0.0).sum())
+        positive = int((_instance(pair, 2, 3).levels(2)[2].p > 0.0).sum())
         assert 0 < positive < 4
         assert r.tuples == positive**3
 
@@ -449,14 +477,19 @@ class TestBatchedEnumeration:
     def test_batch_matches_one_at_a_time(self, V, L, K):
         batch = self.batch(V, L, K)
         together = _enumerate_leaves(batch)
-        hs = {h for inst in batch for h in inst.h_part.values()}
+        # the tests the batch makes, one rule call per drafted node
+        hs = {
+            subblock_h(inst._joint(u), inst.pchain.conditional(u), inst.qchain.conditional(u), K)
+            for inst in batch for level in inst.levels(L)[1:L]
+            for u, w in zip(level.blocks, level.p.tolist()) if w > 0.0
+        }
         hs |= {
-            full_block_accept_prob(inst._joint(b), inst.K)
-            for inst in batch for b, w in zip(*inst.levels(L)[L][:2]) if w > 0.0
+            full_block_accept_prob(inst._joint(b), K)
+            for inst in batch for b, w in zip(inst.levels(L)[L].blocks, inst.levels(L)[L].p.tolist()) if w > 0.0
         }
         assert {0.0, 1.0} <= hs
         assert any(isinstance(inst.qchain, harness.ModifiedChain) for inst in batch)
-        assert any((inst.levels(L)[L][1] == 0.0).any() for inst in batch)
+        assert any((inst.levels(L)[L].p == 0.0).any() for inst in batch)
         alone = [_enumerate_leaves([inst])[0] for inst in self.batch(V, L, K)]
         assert len(together) == len(alone) == len(batch)
         for leaves, want in zip(together, alone):
@@ -468,6 +501,41 @@ class TestBatchedEnumeration:
                 assert (level >= 0.0).all() and (w >= 0.0).all(), i
                 assert np.array_equal(level > 0.0, w > 0.0), i
                 assert np.abs(level - w).max() <= 1e-12, i
+
+
+class TestLevelBatchedRules:
+    """The h that ``_enumerate_leaves`` reads, every level's rules evaluated
+    from the level arrays in two calls, against the shipped rules asked one
+    node at a time, bit for bit, on batches of the concentration-0.05 pairs of
+    ``TestCoinRecursion`` and ``TestLevels.ZEROS``. ZEROS drafts prefixes of
+    target joint 0 (r = inf), where at K = 1 the scalar sub-block rule
+    reaches h = 0 through max(0.0, nan) and an array maximum would give NaN."""
+
+    BATCHES = {2: [TestCoinRecursion.PAIRS[1]], 3: [TestCoinRecursion.PAIRS_V3[1], TestLevels.ZEROS]}
+
+    @pytest.mark.parametrize("V", [2, 3])
+    @pytest.mark.parametrize("L, K", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 3), (2, 5)])
+    def test_batched_h_equals_per_node_rules(self, V, L, K):
+        insts = [_instance(pair, L, K, context) for pair in self.BATCHES[V] for context in ((), (1,))]
+        h = _acceptances(insts)
+        assert h[0] is None and [len(level) for level in h[1:]] == [len(insts) * V**i for i in range(1, L + 1)]
+        want = [[] for _ in range(L + 1)]
+        infinite = 0
+        for inst in insts:
+            for i, level in enumerate(inst.levels(L)[1:], 1):
+                for u, w in zip(level.blocks, level.p.tolist()):
+                    j = inst._joint(u)
+                    if w <= 0.0:
+                        want[i].append(0.0)
+                    elif i < L:
+                        want[i].append(subblock_h(j, inst.pchain.conditional(u), inst.qchain.conditional(u), K))
+                        infinite += j.ratio_p_over_q() == math.inf
+                    else:
+                        want[i].append(full_block_accept_prob(j, K))
+        for got, exp in zip(h[1:], want[1:]):
+            assert [x.hex() for x in got.tolist()] == [x.hex() for x in exp]
+        if V == 3 and L > 1:
+            assert infinite > 0
 
 
 class TestOutputLawPass:

@@ -20,6 +20,7 @@ from conftest import (
     reference_kseq_rho,
     residual_sd,
     subblock_h,
+    subblock_rule,
 )
 from speclab import verifiers
 from speclab.harness import decode
@@ -45,14 +46,23 @@ from speclab.verifiers import (
     block_residual,
     draft_rows,
     full_block_accept_prob,
+    full_block_accept_probs,
     gbv_accept_prob,
     kseq_rho,
     score_rows,
-    subblock_accept_prob,
     verify_gbv,
     verify_kseq,
     verify_sd,
     verify_spectr_gbv,
+)
+
+
+# an array form whose unused branch computes inf * 0 or 0 / 0 fails here. At
+# r = e^700 the kernel's r * p / q overflows to inf on purpose
+# (``TestSurplusKernel``); a module mark outranks a class's, so that warning
+# is let through here rather than on the kernel classes
+pytestmark = pytest.mark.filterwarnings(
+    "error::RuntimeWarning", "ignore:overflow encountered in divide:RuntimeWarning"
 )
 
 
@@ -237,7 +247,6 @@ kernel_cases = given(
 )
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
 class TestSurplusKernel:
     """The shipped power-form rules against their reference forms, to 1e-12.
 
@@ -322,7 +331,6 @@ def one_row_surplus(p, q, r, K):
 BATCH_RATIOS = (0.0, 1e-300, 0.3, 1.0, 7.0, math.inf)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
 class TestBatchedKernel:
     """A block of contexts gives each context exactly its own numbers.
 
@@ -361,10 +369,10 @@ class TestBatchedKernel:
             ps, qs, ratios = self.block(V, self.KINDS, 100 * seed + V + 7)
             joints = [joint_with_ratio(r, -0.5 * n) for n, r in enumerate(ratios)]
             batch = Counters()
-            hs, w = subblock_accept_prob(joints, ps, qs, K, batch)
+            hs, w = subblock_rule(joints, ps, qs, K, batch)
             single = Counters()
             for n, j in enumerate(joints):
-                h, w1 = subblock_accept_prob([j], [ps[n]], [qs[n]], K, single)
+                h, w1 = subblock_rule([j], [ps[n]], [qs[n]], K, single)
                 assert hs[n] == h[0]
                 assert np.array_equal(w[n], w1[0])
             assert batch == single
@@ -377,7 +385,7 @@ class TestBatchedKernel:
         for seed in range(8):
             ps, qs, ratios = self.block(V, self.KINDS, 100 * seed + V + 11)
             joints = [joint_with_ratio(r, -0.5 * n) for n, r in enumerate(ratios)]
-            _, w = subblock_accept_prob(joints, ps, qs, K)
+            _, w = subblock_rule(joints, ps, qs, K)
             for n, j in enumerate(joints):
                 fresh, reused = Counters(), Counters()
                 try:
@@ -393,6 +401,36 @@ class TestBatchedKernel:
 
 
 # ---------------------------------------------------------------------------
+
+
+class TestFullBlockForms:
+    """The full-block rule's elementwise form, which the oracle evaluates a
+    trie level at a time, against the scalar rule decoding runs, bit for bit
+    (``==`` on the float bits, not approx): log joints of -inf on either
+    side, log ratios beyond +-700, r exactly 1, log_p = 0, K = 1 ... 8."""
+
+    LOGS = (LOG_ZERO, -1000.0, -750.0, -700.0, -40.0, -3.0, -0.5, -1e-9, 0.0)
+
+    @staticmethod
+    def check(log_p, log_q, K):
+        got = full_block_accept_probs(np.array(log_p), np.array(log_q), K).tolist()
+        want = [full_block_accept_prob(PrefixJoint(a, b), K) for a, b in zip(log_p, log_q)]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    @pytest.mark.parametrize("K", range(1, 9))
+    def test_edge_joints(self, K):
+        log_p, log_q = zip(*itertools.product(self.LOGS, repeat=2))
+        finite = {a - b for a, b in zip(log_p, log_q) if LOG_ZERO < min(a, b)}
+        assert {-1000.0, -700.0, 0.0, 700.0, 1000.0} <= finite
+        self.check(log_p, log_q, K)
+
+    @pytest.mark.parametrize("K", range(1, 9))
+    def test_random_joints(self, K):
+        rng = np.random.Generator(np.random.PCG64(K))
+        log_p = rng.uniform(-30.0, 0.0, 500)
+        # half the blocks within a few ulps of r = 1, from either side
+        log_q = np.where(np.arange(500) % 2 == 0, rng.uniform(-30.0, 0.0, 500), log_p + rng.normal(0.0, 1e-15, 500))
+        self.check(log_p.tolist(), log_q.tolist(), K)
 
 
 class TestVerifySd:
@@ -792,7 +830,8 @@ class TestVerifySpectrGbv:
     @pytest.mark.parametrize("shape", ["zero-target", "peaked"])
     def test_joints_equal_chained_extend_joint(self, monkeypatch, shape):
         # every joint the scan reads, held with == to extend_joint chained
-        # along its row; on "zero-target" drafted token 2 has target
+        # along its row (the sub-block rule reads a joint as its ratio and
+        # draft joint); on "zero-target" drafted token 2 has target
         # probability 0, so LOG_ZERO must absorb the rest of the row
         if shape == "zero-target":
             draft = np.array([[0.5, 0.2, 0.3], [0.3, 0.3, 0.4], [0.2, 0.5, 0.3]])
@@ -806,7 +845,7 @@ class TestVerifySpectrGbv:
             verifiers.block_residual,
         )
         monkeypatch.setattr(verifiers, "subblock_accept_prob",
-                            lambda joints, *a: seen["sub"].extend(joints) or real_sub(joints, *a))
+                            lambda r, pj, *a: seen["sub"].extend(zip(r, pj)) or real_sub(r, pj, *a))
         monkeypatch.setattr(verifiers, "full_block_accept_prob",
                             lambda joint, K: seen["full"].append(joint) or real_full(joint, K))
         monkeypatch.setattr(verifiers, "block_residual",
@@ -825,7 +864,10 @@ class TestVerifySpectrGbv:
                 chained.append(js)
             trace = []
             out, mod = verify_spectr_gbv(drafts, scores, rng, trace)
-            assert seen["sub"] == [chained[k][len(sub)] for kind, k, sub, *_ in trace if kind == "subblock"]
+            assert seen["sub"] == [
+                (chained[k][len(sub)].ratio_p_over_q(), chained[k][len(sub)].p)
+                for kind, k, sub, *_ in trace if kind == "subblock"
+            ]
             assert seen["full"] == [chained[k][4] for kind, k, *_ in trace if kind == "full"]
             if out.tau < 4:
                 assert seen["residual"] == [chained[out.f][out.tau]]
@@ -833,7 +875,8 @@ class TestVerifySpectrGbv:
                 f, tau = out.f, out.tau
                 j = extend_joint(chained[f][tau], out.y, drafts.cond[f][tau], scores.cond[f][tau])
                 assert (mod.log_p_prefix, mod.log_q_prefix) == (j.log_p, j.log_q)
-            zero_joints += sum(j.log_q == LOG_ZERO for j in seen["sub"] + seen["full"])
+            zero_joints += sum(r == math.inf for r, _pj in seen["sub"])
+            zero_joints += sum(j.log_q == LOG_ZERO for j in seen["full"])
         if shape == "zero-target":
             assert zero_joints > 0
 
