@@ -194,6 +194,9 @@ def main(argv: list[str] | None = None) -> int:
     # config file values act as defaults: inject before user flags
     flags = [n for n, tok in enumerate(argv) if tok == "--config" or tok.startswith("--config=")]
     if argv and argv[0] == "run" and flags:
+        if len(flags) > 1:
+            print("--config may be given once", file=sys.stderr)
+            return 1
         _flag, eq, path = argv[flags[0]].partition("=")
         try:
             tokens = _load_config_tokens(path if eq else argv[flags[0] + 1])

@@ -30,9 +30,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -192,8 +191,8 @@ class RunConfig:
             raise ValueError("K and L must be >= 1")
         if self.algo in SINGLE_DRAFT_ALGOS and self.K != 1:
             object.__setattr__(self, "K", 1)
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
+        if not 0 < self.temperature < np.inf:
+            raise ValueError("temperature must be finite and > 0")
         if self.prompts < 1 or self.trials < 1 or self.max_tokens < 1:
             raise ValueError("prompts, trials, and max_tokens must be >= 1")
         if bool(self.draft_path) != bool(self.target_path):
@@ -379,57 +378,3 @@ def run_experiment(
         fh.write(text)
     return rows
 
-
-def _mean_ci(diffs: np.ndarray) -> tuple[float, float, float]:
-    mean = float(diffs.mean())
-    if diffs.size < 2:
-        return mean, mean, mean
-    half = 1.96 * float(diffs.std(ddof=1)) / math.sqrt(diffs.size)
-    return mean, mean - half, mean + half
-
-
-def compare_algorithms(
-    base_config: RunConfig,
-    seeds: list[int],
-    algos: tuple[str, ...] = ("sd", "spectr", "gbv", "spectr-gbv"),
-) -> dict:
-    """Paired comparison across algorithms on shared (seed, prompt) cells.
-
-    Returns per-algorithm mean tau and block efficiency plus paired 95%
-    confidence intervals of the per-seed differences against each baseline,
-    and flags any violation of the expected mean-tau partial order.
-    """
-    per_algo_tau: dict[str, list[float]] = {a: [] for a in algos}
-    per_algo_be: dict[str, list[float]] = {a: [] for a in algos}
-    pair = base_config.build_pair()
-    for algo in algos:
-        cfg = replace(base_config, algo=algo)
-        for s in seeds:
-            taus, bes = [], []
-            for prompt_id in range(cfg.prompts):
-                rng = RandomSource(derive_seed(s, prompt_id))
-                prompt = generate_prompt(pair.vocab_size, rng)
-                _, m = decode(pair, algo, cfg.K, cfg.L, prompt, cfg.max_tokens, rng)
-                taus.append(m.mean_tau)
-                bes.append(m.block_efficiency)
-            per_algo_tau[algo].append(float(np.mean(taus)))
-            per_algo_be[algo].append(float(np.mean(bes)))
-
-    report: dict = {"algos": {}, "pairwise": {}, "order_violations": []}
-    for a in algos:
-        arr = np.array(per_algo_tau[a])
-        report["algos"][a] = {
-            "mean_tau": float(arr.mean()),
-            "block_efficiency": float(np.mean(per_algo_be[a])),
-        }
-    expected_geq = [("spectr-gbv", "spectr"), ("spectr-gbv", "gbv"),
-                    ("spectr-gbv", "sd"), ("spectr", "sd"), ("gbv", "sd")]
-    for hi, lo in expected_geq:
-        if hi not in algos or lo not in algos:
-            continue
-        d = np.array(per_algo_tau[hi]) - np.array(per_algo_tau[lo])
-        mean, lo_ci, hi_ci = _mean_ci(d)
-        report["pairwise"][f"{hi}-{lo}"] = {"mean": mean, "ci95": [lo_ci, hi_ci]}
-        if mean < 0:
-            report["order_violations"].append(f"{hi} < {lo}")
-    return report

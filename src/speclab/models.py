@@ -110,8 +110,8 @@ def temperature_scale(d: Distribution, temperature: float) -> Distribution:
     Computed as (d / max d)^(1/T): the largest entry stays exactly 1 before
     renormalizing, so no row underflows to 0/0 at a low temperature.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be > 0")
+    if not 0 < temperature < np.inf:
+        raise ValueError("temperature must be finite and > 0")
     if temperature == 1.0:
         return d
     powered = np.power(d.mass / d.mass.max(), 1.0 / temperature)
@@ -124,8 +124,8 @@ def random_model(vocab_size: int, order: int, seed: int, concentration: float) -
         raise ValueError("vocab_size must be >= 2")
     if order < 0:
         raise ValueError("order must be >= 0")
-    if concentration <= 0:
-        raise ValueError("concentration must be > 0")
+    if not 0 < concentration < np.inf:
+        raise ValueError("concentration must be finite and > 0")
     gen = np.random.Generator(np.random.PCG64(seed))
     alpha = np.full(vocab_size, float(concentration))
     # one draw of all rows: the same doubles as one draw per row, in row order
@@ -153,8 +153,8 @@ class ModelPair:
     def __post_init__(self):
         if self.draft.vocab_size != self.target.vocab_size:
             raise ValueError("draft and target must share a vocabulary")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
+        if not 0 < self.temperature < np.inf:
+            raise ValueError("temperature must be finite and > 0")
 
     @property
     def vocab_size(self) -> int:

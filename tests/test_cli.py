@@ -93,6 +93,23 @@ class TestRun:
         assert "cfg.txt:1: a config file cannot name another" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_config_is_a_usage_error(self, tmp_path, capsys):
+        a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
+        a.write_text("L = 2\nprompts = 1\ntrials = 1\n")
+        b.write_text("algo = sd\nK = 2\n")
+        out = tmp_path / "o.csv"
+        for argv in (["--config", str(a), "--config", str(b)], [f"--config={a}", f"--config={b}"]):
+            assert main(["run", *argv, "--out", str(out)]) == 1
+            assert "--config may be given once" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("temperature", ["inf", "nan", "0"])
+    def test_non_finite_or_non_positive_temperature_is_a_usage_error(self, temperature, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert main(["run", "--temperature", temperature, "--out", str(out)]) == 1
+        assert "invalid arguments: temperature must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_low_temperature_run_succeeds(self, tmp_path):
         # at T = 0.0005 every row's d^(1/T) underflows; (d / max d)^(1/T) keeps the argmax at 1
         out = tmp_path / "r.csv"
@@ -230,6 +247,14 @@ class TestOptions:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert "invalid arguments: order must be >= 0" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("concentration", ["nan", "inf"])
+    def test_non_finite_concentration_is_a_usage_error(self, concentration, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert main(["gen-model", "--gen", f"4,1,0,{concentration}", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "invalid arguments: concentration must be finite and > 0" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("header", [

@@ -14,14 +14,14 @@ from speclab.harness import (
     RunConfig,
     RunMetrics,
     block_efficiency,
-    compare_algorithms,
     decode,
+    generate_prompt,
     prune_spent,
     run_experiment,
     verify,
 )
 from speclab.models import ModelPair, generate_pair, random_model
-from speclab.probability import LOG_ZERO, PrefixJoint, RandomSource
+from speclab.probability import LOG_ZERO, PrefixJoint, RandomSource, derive_seed
 from speclab.verifiers import (
     Counters,
     ModifiedTarget,
@@ -447,26 +447,36 @@ class TestRunExperiment:
         assert rows[0]["wall_ms"] == 0.0
 
 
-class TestCompareAlgorithms:
+class TestPairedDecodes:
+    """Decodes of several algorithms on the same (seed, prompt) cells, each
+    cell drawing its prompt and then decoding from one shared stream."""
+
+    @staticmethod
+    def _decodes(cfg, seeds, algo):
+        pair = cfg.build_pair()
+        for s in seeds:
+            for prompt_id in range(cfg.prompts):
+                rng = RandomSource(derive_seed(s, prompt_id))
+                prompt = generate_prompt(pair.vocab_size, rng)
+                yield decode(pair, algo, cfg.K, cfg.L, prompt, cfg.max_tokens, rng)
+
     def test_matched_models_tie(self):
         # with p = q the per-position and single-draft block verifiers all
         # accept everything, so mean tau is exactly L for each
-        report = compare_algorithms(
-            RunConfig(algo="sd", K=1, L=3, vocab_size=4, order=0, model_seed=5,
-                      concentration=1.0, similarity=1.0, prompts=2, max_tokens=12),
-            seeds=[1, 2, 3],
-            algos=("sd", "spectr", "gbv"),
-        )
-        taus = [report["algos"][a]["mean_tau"] for a in ("sd", "spectr", "gbv")]
-        assert all(abs(t - 3.0) < 1e-12 for t in taus)
+        cfg = RunConfig(algo="sd", K=1, L=3, vocab_size=4, order=0, model_seed=5,
+                        concentration=1.0, similarity=1.0, prompts=2, max_tokens=12)
+        for algo in ("sd", "spectr", "gbv"):
+            taus = [m.mean_tau for _, m in self._decodes(cfg, [1, 2, 3], algo)]
+            assert abs(np.mean(taus) - 3.0) < 1e-12
 
     def test_single_draft_block_algos_identical(self):
-        # spectr-gbv at K = 1 consumes the same draw stream as gbv
-        report = compare_algorithms(
-            RunConfig(algo="gbv", K=1, L=4, vocab_size=5, order=1, model_seed=8,
-                      concentration=1.0, similarity=0.5, prompts=2, max_tokens=20),
-            seeds=[4, 5, 6],
-            algos=("gbv", "spectr-gbv"),
-        )
-        d = report["pairwise"]["spectr-gbv-gbv"]
-        assert abs(d["mean"]) < 1e-12
+        # spectr-gbv at K = 1 consumes the same draw stream as gbv, so every
+        # cell gives the same tokens and the same metrics but wall_ms
+        cfg = RunConfig(algo="gbv", K=1, L=4, vocab_size=5, order=1, model_seed=8,
+                        concentration=1.0, similarity=0.5, prompts=2, max_tokens=20)
+        gbv = list(self._decodes(cfg, [4, 5, 6], "gbv"))
+        sgbv = list(self._decodes(cfg, [4, 5, 6], "spectr-gbv"))
+        assert len(gbv) == len(sgbv) == 6
+        for (out_a, m_a), (out_b, m_b) in zip(gbv, sgbv):
+            assert out_a == out_b
+            assert replace(m_a, wall_ms=0.0) == replace(m_b, wall_ms=0.0)

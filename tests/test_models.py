@@ -45,6 +45,11 @@ class TestRandomModel:
         with pytest.raises(ValueError, match="order must be >= 0"):
             random_model(4, -1, 0, 1.0)
 
+    @pytest.mark.parametrize("concentration", [0.0, np.nan, np.inf])
+    def test_non_finite_or_non_positive_concentration_rejected(self, concentration):
+        with pytest.raises(ValueError, match="concentration must be finite and > 0"):
+            random_model(4, 1, 0, concentration)
+
     def test_high_concentration_approaches_uniform(self):
         # Dirichlet(1e4) entry sd ~ sqrt(0.25*0.75/40001) ~ 0.0022; 0.02 is ~9 sigma
         m = random_model(4, 2, 3, 1e4)
@@ -101,6 +106,11 @@ class TestTemperatureScale:
         out = temperature_scale(Distribution(np.array([0.9, 0.1])), 0.1)
         assert abs(out.mass[0] - expected) < 1e-12
         assert out.mass[0] >= 0.999999
+
+    @pytest.mark.parametrize("T", [0.0, np.nan, np.inf])
+    def test_non_finite_or_non_positive_temperature_rejected(self, T):
+        with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+            temperature_scale(Distribution(np.array([0.5, 0.5])), T)
 
     @given(st.integers(0, 10_000), st.floats(min_value=0.05, max_value=20.0))
     @settings(max_examples=100)
@@ -233,6 +243,12 @@ class TestPairs:
     def test_vocab_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ModelPair(random_model(2, 0, 1, 1.0), random_model(3, 0, 1, 1.0))
+
+    @pytest.mark.parametrize("T", [0.0, np.nan, np.inf])
+    def test_non_finite_or_non_positive_temperature_rejected(self, T):
+        m = random_model(3, 0, 1, 1.0)
+        with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+            ModelPair(m, m, T)
 
     def test_full_similarity_matches_draft(self):
         pair = generate_pair(4, 1, 11, 1.0, similarity=1.0)
