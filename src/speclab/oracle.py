@@ -59,7 +59,7 @@ import numpy as np
 
 from .harness import ModifiedChain, RawChain
 from .models import ModelPair
-from .probability import LOG_ZERO, PrefixJoint, joint_ratios
+from .probability import LOG_ZERO, PrefixJoint
 from .verifiers import Counters, ModifiedTarget, full_block_accept_probs, subblock_accept_prob
 
 MAX_ENUM = 1_000_000
@@ -125,7 +125,7 @@ class _Instance:
         ``depth`` when it is shallower. The joints and rows are
         ``_joints``'. A level's log joints are its parent level repeated V
         times plus the ``math.log`` of each factor, -inf absorbing:
-        ``_row_joints``' additions, so each equals the verifier's bit for
+        ``extend_joint``'s additions, so each equals the verifier's bit for
         bit."""
         if self.table is None or len(self.table) <= depth:
             V, L = self.V, self.L
@@ -198,10 +198,7 @@ def _acceptances(insts: list[_Instance]) -> list[np.ndarray | None]:
             for f in ("p", "log_p", "log_q", "p_rows", "q_rows")
         )
         tested = np.flatnonzero(p > 0.0)
-        lp = lp[tested].tolist()
-        hs, _surplus = subblock_accept_prob(
-            joint_ratios(lp, lq[tested].tolist()), [math.exp(x) for x in lp], p_rows[tested], q_rows[tested], K
-        )
+        hs, _surplus = subblock_accept_prob(lp[tested].tolist(), lq[tested].tolist(), p_rows[tested], q_rows[tested], K)
         flat = np.zeros(len(p))
         flat[tested] = hs
         h += np.split(flat, np.cumsum([len(insts) * V**i for i in range(1, L - 1)]))

@@ -183,51 +183,36 @@ class PrefixJoint:
 
     @property
     def p(self) -> float:
-        return math.exp(self.log_p) if self.log_p != LOG_ZERO else 0.0
+        return math.exp(self.log_p)
 
     @property
     def q(self) -> float:
-        return math.exp(self.log_q) if self.log_q != LOG_ZERO else 0.0
+        return math.exp(self.log_q)
 
     def ratio_p_over_q(self) -> float:
-        """p/q with the convention q = 0 => +inf (so min(ratio, 1) = 1)."""
-        if self.log_q == LOG_ZERO:
-            return float("inf")
-        if self.log_p == LOG_ZERO:
-            return 0.0
-        d = self.log_p - self.log_q
-        if d > 700.0:
-            return float("inf")
-        return math.exp(d)
+        """p/q by ``joint_ratio``: q = 0 => +inf (so min(ratio, 1) = 1)."""
+        return joint_ratio(self.log_p, self.log_q)
 
     def ratio_q_over_p(self) -> float:
-        """q/p likelihood ratio; p = 0 => +inf."""
-        if self.log_p == LOG_ZERO:
-            return float("inf")
-        if self.log_q == LOG_ZERO:
-            return 0.0
-        d = self.log_q - self.log_p
-        if d > 700.0:
-            return float("inf")
-        return math.exp(d)
+        """q/p likelihood ratio by ``joint_ratio``: p = 0 => +inf."""
+        return joint_ratio(self.log_q, self.log_p)
 
 
-def joint_ratios(log_num: list[float], log_den: list[float]) -> list[float]:
-    """exp(log_num[n] - log_den[n]) for each n, with ``ratio_p_over_q``'s
-    conventions: a zero denominator or a log ratio above 700 gives inf, a
-    zero numerator 0. ``math.exp``, so each is bit for bit the method's."""
-    return [
-        math.inf if b == LOG_ZERO else 0.0 if a == LOG_ZERO else math.inf if a - b > 700.0 else math.exp(a - b)
-        for a, b in zip(log_num, log_den)
-    ]
-
-
-def _log(x: float) -> float:
-    return math.log(x) if x > 0.0 else LOG_ZERO
+def joint_ratio(log_num: float, log_den: float) -> float:
+    """exp(log_num - log_den), the one ratio rule every block rule reads: a
+    zero denominator gives inf, a zero numerator 0 (exp(-inf)), and a log
+    ratio above 700 inf, since exp would overflow a little past it."""
+    if log_den == LOG_ZERO:
+        return math.inf
+    d = log_num - log_den
+    return math.inf if d > 700.0 else math.exp(d)
 
 
 def extend_joint(j: PrefixJoint, next_token: int, p_cond: Distribution, q_cond: Distribution) -> PrefixJoint:
-    """Multiply one more conditional into both chains; -inf absorbs."""
-    lp = j.log_p + _log(p_cond.mass.item(next_token)) if j.log_p != LOG_ZERO else LOG_ZERO
-    lq = j.log_q + _log(q_cond.mass.item(next_token)) if j.log_q != LOG_ZERO else LOG_ZERO
-    return PrefixJoint(lp, lq)
+    """Multiply one more conditional into both chains: one ``math.log`` per
+    factor, and -inf absorbs (-inf + log x is -inf)."""
+    x, z = p_cond.mass.item(next_token), q_cond.mass.item(next_token)
+    return PrefixJoint(
+        j.log_p + math.log(x) if x > 0.0 else LOG_ZERO,
+        j.log_q + math.log(z) if z > 0.0 else LOG_ZERO,
+    )

@@ -34,7 +34,8 @@ decoding iteration samples from, evaluated lazily.
 
 The power-form rules of ``verify_spectr_gbv`` share one kernel, ``_surplus``:
 the per-token surplus w(x) = q(x) * (1 - min(r * p(x) / q(x), 1))^K at a
-prefix with joint ratio r = p/q. Its sum over the vocabulary gives the
+prefix with joint ratio r = p/q, which every rule reads from the log joints
+by ``probability.joint_ratio``. Its sum over the vocabulary gives the
 sub-block acceptance, its normalization the block residual, and with r read
 from the running joints it is the next iteration's modified target. At
 K = 1 they are the single-draft rules of greedy block verification;
@@ -49,9 +50,9 @@ row's uniforms, and a block that stops after an accepted sub-block takes
 its residual from that test's surplus row. ``ModifiedTarget.conditional``
 answers a list of contexts with one surplus block, normalized and
 validated as one block (``Distribution.rows``). Scan counts stay per
-prefix. ``subblock_accept_prob`` takes the prefixes' joint ratios, draft
-joints and row blocks, so the exact oracle calls the same body for every
-node of a trie level at once.
+prefix. ``subblock_accept_prob`` takes the prefixes' log joints and row
+blocks and forms r and the draft joints itself, so the exact oracle calls
+the same body for every node of a trie level at once.
 
 The full-block rule has a scalar form, ``full_block_accept_prob``, which
 the block verifier calls once per row, and an elementwise one,
@@ -78,7 +79,7 @@ from .probability import (
     PrefixJoint,
     RandomSource,
     extend_joint,
-    joint_ratios,
+    joint_ratio,
     normalize,
     sample,
 )
@@ -427,8 +428,8 @@ def _surplus(p: np.ndarray, q: np.ndarray, r, K: int) -> np.ndarray:
 
 
 def subblock_accept_prob(
-    r: list[float],
-    p_joint: list[float],
+    log_p: list[float],
+    log_q: list[float],
     p_next: np.ndarray,
     q_next: np.ndarray,
     K: int,
@@ -436,32 +437,33 @@ def subblock_accept_prob(
 ) -> tuple[list[float], np.ndarray]:
     """Acceptance probabilities for n proper sub-blocks under K drafts.
 
-    Sub-block n has joint ratio r[n] = p_j / q_j (``ratio_p_over_q``'s
-    conventions), draft joint p_joint[n] = p_j and next-position
-    conditionals p_next[n] and q_next[n], rows of two (n, V) blocks. The
-    rule's numerator and denominator are divided through by the prefix's
-    target joint q_j, so both depend on the joints only through r and
-    sum_{i<K} (1 - p_j)^i, and keep their scale however small the joints
-    get. One vocabulary scan per sub-block, made for all n in one surplus
-    block; the scan count does not depend on K. The denominator vanishes
-    only on conditioning events of probability zero, where any return value
-    is distributionally irrelevant; 1 is returned when r < 1, the
-    single-draft ratio rule's convention, so the K = 1 reduction is
-    pointwise exact. A zero target joint (r = inf) gives 0.
+    Sub-block n has log joints log_p[n] and log_q[n], read as the joint
+    ratio r = p_j / q_j (``joint_ratio``) and the draft joint p_j, and
+    next-position conditionals p_next[n] and q_next[n], rows of two (n, V)
+    blocks. The rule's numerator and denominator are divided through by the
+    prefix's target joint q_j, so both depend on the joints only through r
+    and sum_{i<K} (1 - p_j)^i, and keep their scale however small the
+    joints get. One vocabulary scan per sub-block, made for all n in one
+    surplus block; the scan count does not depend on K. The denominator
+    vanishes only on conditioning events of probability zero, where any
+    return value is distributionally irrelevant; 1 is returned when r < 1,
+    the single-draft ratio rule's convention, so the K = 1 reduction is
+    pointwise exact. An infinite ratio gives 0.
 
     Returns the n probabilities and the (n, V) surplus block: row n,
     normalized, is the block residual at sub-block n.
     """
-    n = len(r)
+    n = len(log_p)
+    r = list(map(joint_ratio, log_p, log_q))
     if counters is not None:
         counters.vocab_scans += n
         counters.h_partial_evals += n
     w = _surplus(p_next, q_next, r, K)
     h = []
-    for rn, pj, S in zip(r, p_joint, w.sum(axis=1).tolist()):
+    for rn, lp, S in zip(r, log_p, w.sum(axis=1).tolist()):
         num = S - (1.0 - min(rn, 1.0)) ** K
         # rn * G(p_j) - 1 with its 1s cancelled exactly, so p_j near 1 keeps precision
-        den = (rn - 1.0) + rn * _geometric_tail(pj, K) + S
+        den = (rn - 1.0) + rn * _geometric_tail(math.exp(lp), K) + S
         if abs(den) < DENOM_EPS:
             h.append(1.0 if rn < 1.0 else 0.0)
         else:
@@ -497,14 +499,15 @@ def full_block_accept_prob(joint: PrefixJoint, K: int) -> float:
 
 def full_block_accept_probs(log_p: np.ndarray, log_q: np.ndarray, K: int) -> np.ndarray:
     """``full_block_accept_prob`` of every block with log joints
-    (log_p[n], log_q[n]), bit for bit: the ratios and the draft joint come
-    from ``math.exp`` with ``PrefixJoint``'s conventions, and numpy does
-    only the rule's +, -, *, / and min, which round as Python's do. G is
-    read at min(r, 1), so the branch r > 1 discards forms no overflow."""
+    (log_p[n], log_q[n]), bit for bit: the ratios come from ``joint_ratio``
+    and the draft joint from ``math.exp``, as ``PrefixJoint``'s do, and
+    numpy does only the rule's +, -, *, / and min, which round as Python's
+    do. G is read at min(r, 1), so the branch r > 1 discards forms no
+    overflow."""
     lp, lq = log_p.tolist(), log_q.tolist()
-    r = np.array(joint_ratios(lp, lq))
-    a = np.where(r <= 1.0, 1.0 + _geometric_tail(np.minimum(r, 1.0), K), joint_ratios(lq, lp))
-    p = np.array([math.exp(x) for x in lp])  # exp(-inf) is 0.0, PrefixJoint.p's value
+    r = np.array(list(map(joint_ratio, lp, lq)))
+    a = np.where(r <= 1.0, 1.0 + _geometric_tail(np.minimum(r, 1.0), K), list(map(joint_ratio, lq, lp)))
+    p = np.array([math.exp(x) for x in lp])  # PrefixJoint.p
     return np.minimum(1.0, a / (1.0 + _geometric_tail(p, K)))
 
 
@@ -519,12 +522,14 @@ def block_residual(
     """Replacement-token distribution after a block stops at the given prefix.
 
     Weight on x is proportional to q(prefix, x) * (1 - min(p/q over the
-    extended prefix, 1))^K. Raises AllZeroMass when no extension carries
-    surplus target mass; callers fall back to the raw target conditional and
-    record a warning. At K = 1 that has probability zero. At K >= 2 it does
-    not, because the full-block test can reject every row at a prefix where
-    the draft covers the target: on matched models the scan stops at tau = 0
-    with an empty residual about a quarter of the time at L = 2, K = 2.
+    extended prefix, 1))^K. Raises AllZeroMass at an infinite joint ratio,
+    which decoding never reaches (h = 0 there), and when no extension
+    carries surplus target mass; callers fall back to the raw target
+    conditional and record a warning. At K = 1 that has probability zero.
+    At K >= 2 it does not: the full-block test can reject every row at a
+    prefix where the draft covers the target, and on matched models the
+    scan stops at tau = 0 with an empty residual about a quarter of the
+    time at L = 2, K = 2.
 
     ``surplus`` is the row that the sub-block test at this prefix computed,
     when the block stopped after accepting that test. With positive mass
@@ -540,25 +545,16 @@ def block_residual(
         counters.vocab_scans += 1
         counters.residual_evals += 1
     if math.isinf(r):
-        raise AllZeroMass("prefix has zero target mass")
+        raise AllZeroMass("infinite joint ratio")
     return normalize(_surplus(p_next.mass[None], q_next.mass[None], [r], K)[0])
 
 
 def _row_joints(tokens, p_conds, q_conds) -> list[PrefixJoint]:
-    """Joints of every prefix of a drafted row, lengths 0 .. L, in one pass.
-
-    The arithmetic is that of ``extend_joint`` chained from
-    ``PrefixJoint.empty()``: one ``math.log`` per factor, added in prefix
-    order, and -inf absorbs (-inf + log x is -inf), so each joint is bit for
-    bit the chained one.
-    """
-    lp = lq = 0.0
-    out = [PrefixJoint(lp, lq)]
+    """Joints of every prefix of a drafted row, lengths 0 .. L: ``extend_joint``
+    chained from ``PrefixJoint.empty()``."""
+    out = [PrefixJoint.empty()]
     for tok, p, q in zip(tokens, p_conds, q_conds):
-        x, z = p.mass.item(tok), q.mass.item(tok)
-        lp = lp + math.log(x) if x > 0.0 else LOG_ZERO
-        lq = lq + math.log(z) if z > 0.0 else LOG_ZERO
-        out.append(PrefixJoint(lp, lq))
+        out.append(extend_joint(out[-1], tok, p, q))
     return out
 
 
@@ -593,7 +589,7 @@ def verify_spectr_gbv(
         tested = [i for i in range(tau + 1, L) if row[:i] not in H]
         js = [joints[k][i] for i in tested]
         tests = iter(zip(*subblock_accept_prob(
-            [j.ratio_p_over_q() for j in js], [j.p for j in js],
+            [j.log_p for j in js], [j.log_q for j in js],
             np.array([drafts.cond[k][i].mass for i in tested]),
             np.array([scores.cond[k][i].mass for i in tested]), K, counters,
         )) if tested else ())
@@ -710,31 +706,19 @@ class ModifiedTarget:
         p_keys = list(dict.fromkeys([*live, *parents]))
         q_rows = dict(zip(q_keys, q_base([self.prefix + c for c in q_keys])))
         p_rows = dict(zip(p_keys, p_base([self.prefix + c for c in p_keys])))
-        # shortest first, so each joint extends a known one: extend_joint's
-        # arithmetic, one math.log per factor and -inf absorbing
+        # shortest first, so each joint extends a known one
         for ctx in sorted(missing, key=len):
-            head, tok = ctx[:-1], ctx[-1]
-            j, x, z = joints[head], p_rows[head].mass.item(tok), q_rows[head].mass.item(tok)
-            joints[ctx] = PrefixJoint(
-                j.log_p + math.log(x) if x > 0.0 else LOG_ZERO,
-                j.log_q + math.log(z) if z > 0.0 else LOG_ZERO,
-            )
+            head = ctx[:-1]
+            joints[ctx] = extend_joint(joints[head], ctx[-1], p_rows[head], q_rows[head])
         out = [q_rows[ctx] for ctx in ctxs]
-        scan, r = [], []
-        for n, ctx in enumerate(ctxs):
-            if len(ctx) >= self.horizon:
-                continue
-            j = joints[ctx]
-            if j.log_q != LOG_ZERO:
-                scan.append(n)
-                r.append(0.0 if j.log_p == LOG_ZERO else math.exp(min(j.log_p - j.log_q, 700.0)))
+        scan = [n for n, ctx in enumerate(ctxs) if len(ctx) < self.horizon and joints[ctx].log_q != LOG_ZERO]
         if not scan:
             return out
         if counters is not None:
             counters.vocab_scans += len(scan)
         w = _surplus(
             np.array([p_rows[ctxs[n]].mass for n in scan]), np.array([out[n].mass for n in scan]),
-            r, self.K,
+            [joints[ctxs[n]].ratio_p_over_q() for n in scan], self.K,
         )
         s = w.sum(axis=1)
         if min(s.tolist()) <= 0.0:

@@ -231,9 +231,9 @@ def override(mod, ctx, q_cond, p_cond, counters=None):
 def subblock_rule(joints, p_next, q_next, K, counters=None):
     """``subblock_accept_prob`` of sub-blocks given as ``PrefixJoint``s and
     next-position ``Distribution``s, the inputs ``verify_spectr_gbv`` turns
-    into ratios, draft joints and row blocks."""
+    into log joints and row blocks."""
     return subblock_accept_prob(
-        [j.ratio_p_over_q() for j in joints], [j.p for j in joints],
+        [j.log_p for j in joints], [j.log_q for j in joints],
         np.array([d.mass for d in p_next]), np.array([d.mass for d in q_next]), K, counters,
     )
 

@@ -57,10 +57,10 @@ from speclab.verifiers import (
 )
 
 
-# an array form whose unused branch computes inf * 0 or 0 / 0 fails here. At
-# r = e^700 the kernel's r * p / q overflows to inf on purpose
-# (``TestSurplusKernel``); a module mark outranks a class's, so that warning
-# is let through here rather than on the kernel classes
+# RuntimeWarnings fail the suite (pyproject.toml), here too. At r = e^700 the
+# kernel's r * p / q overflows to inf on purpose (``TestSurplusKernel``); a
+# module mark outranks a class's, so that warning is let through here rather
+# than on the kernel classes
 pytestmark = pytest.mark.filterwarnings(
     "error::RuntimeWarning", "ignore:overflow encountered in divide:RuntimeWarning"
 )
@@ -168,7 +168,7 @@ def ref_subblock_accept_prob(joint, p_next, q_next, K):
 def ref_block_residual(joint, p_next, q_next, K):
     r = joint.ratio_p_over_q()
     if math.isinf(r):
-        raise AllZeroMass("prefix has zero target mass")
+        raise AllZeroMass("infinite joint ratio")
     qn, pn = q_next.mass, p_next.mass
     m_ext = np.where(qn > 0.0, np.minimum(r * pn / np.where(qn > 0.0, qn, 1.0), 1.0), 1.0)
     return normalize(qn * (1.0 - m_ext) ** K)
@@ -178,11 +178,14 @@ def ref_power_rule(lp, lq, p_next, q_next, K):
     qn = q_next
     if lq == LOG_ZERO:
         return qn
-    r = 0.0 if lp == LOG_ZERO else math.exp(min(lp - lq, 700.0))
-    m_ext = np.where(
-        qn.mass > 0.0, np.minimum(r * p_next.mass / np.where(qn.mass > 0.0, qn.mass, 1.0), 1.0), 1.0
-    )
-    w = qn.mass * (1.0 - m_ext) ** K
+    r = 0.0 if lp == LOG_ZERO else math.inf if lp - lq > 700.0 else math.exp(lp - lq)
+    if math.isinf(r):
+        w = qn.mass * (p_next.mass == 0.0)
+    else:
+        m_ext = np.where(
+            qn.mass > 0.0, np.minimum(r * p_next.mass / np.where(qn.mass > 0.0, qn.mass, 1.0), 1.0), 1.0
+        )
+        w = qn.mass * (1.0 - m_ext) ** K
     s = float(w.sum())
     if s <= 0.0:
         return qn
@@ -234,6 +237,24 @@ def joint_with_ratio(r, a):
     if r <= 1.0:
         return PrefixJoint(a + math.log(r) if r > 0.0 else LOG_ZERO, a)
     return PrefixJoint(a, a - math.log(r) if math.isfinite(r) else LOG_ZERO)
+
+
+def assert_override_is_surplus_row(joint, p, q, K):
+    """The modified target's override at a context with ``joint`` is the
+    normalized surplus row that the sub-block test at the same joint
+    returns, bit for bit, or the base row where that row is empty (a
+    fallback) or the target joint is zero (no override)."""
+    mod = ModifiedTarget(horizon=1, K=K, prefix=(), log_p_prefix=joint.log_p, log_q_prefix=joint.log_q)
+    got = override(mod, (), lambda ctx: q, lambda ctx: p)
+    if joint.log_q == LOG_ZERO:
+        assert got is q and not mod.fallbacks
+        return
+    w = subblock_rule([joint], [p], [q], K)[1][0]
+    s = float(w.sum())
+    if s > 0.0:
+        assert np.array_equal(got.mass, w / s)
+    else:
+        assert got is q and mod.fallbacks == {()}
 
 
 kernel_cases = given(
@@ -291,10 +312,35 @@ class TestSurplusKernel:
         want = ref_power_rule(joint.log_p, joint.log_q, p, q, K)
         assert np.max(np.abs(got.mass - want.mass)) <= 1e-12
 
+    @pytest.mark.parametrize("r", KERNEL_RATIOS)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 1024),
+        st.sampled_from(("flat", "sparse", "peaked")),
+        st.sampled_from(("flat", "sparse", "peaked")),
+        st.integers(1, 8),
+        st.floats(-5.0, 0.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_override_is_the_subblock_surplus_row(self, r, seed, V, p_kind, q_kind, K, a):
+        p, q = kernel_pair(seed, V, p_kind, q_kind)
+        assert_override_is_surplus_row(joint_with_ratio(r, a), p, q, K)
+
+    def test_override_past_the_ratio_cap_is_the_subblock_surplus_row(self):
+        # log ratio 705 reads as r = inf, so only token 0, where p = 0, keeps
+        # its mass; a ratio clamped to e^700 gave (0.33333423, 0.66666577, 0)
+        p, q = dist(0.0, 1e-310, 1.0 - 1e-310), dist(0.25, 0.5, 0.25)
+        joint = PrefixJoint(-1.0, -706.0)
+        assert joint.ratio_p_over_q() == math.inf
+        assert_override_is_surplus_row(joint, p, q, 2)
+        got = override(ModifiedTarget(1, 2, (), joint.log_p, joint.log_q), (), lambda ctx: q, lambda ctx: p)
+        assert got.mass.tolist() == [1.0, 0.0, 0.0]
+
     @given(st.integers(0, 2**32 - 1), st.integers(2, 1024), st.integers(1, 8))
     @settings(max_examples=100, deadline=None)
     def test_infinite_ratio_keeps_only_tokens_the_draft_never_emits(self, seed, V, K):
-        # no rule above reaches r = inf with positive q-joint at a visible scale
+        # with a positive q-joint the rules above reach r = inf only past the
+        # log-ratio cap of 700
         p, q = kernel_pair(seed, V, "sparse", "flat")
         w = _surplus(p.mass[None], q.mass[None], [math.inf], K)[0]
         assert np.array_equal(w, np.where(p.mass == 0.0, q.mass, 0.0))
@@ -830,8 +876,8 @@ class TestVerifySpectrGbv:
     @pytest.mark.parametrize("shape", ["zero-target", "peaked"])
     def test_joints_equal_chained_extend_joint(self, monkeypatch, shape):
         # every joint the scan reads, held with == to extend_joint chained
-        # along its row (the sub-block rule reads a joint as its ratio and
-        # draft joint); on "zero-target" drafted token 2 has target
+        # along its row (the sub-block rule reads a joint as its two log
+        # joints); on "zero-target" drafted token 2 has target
         # probability 0, so LOG_ZERO must absorb the rest of the row
         if shape == "zero-target":
             draft = np.array([[0.5, 0.2, 0.3], [0.3, 0.3, 0.4], [0.2, 0.5, 0.3]])
@@ -845,7 +891,7 @@ class TestVerifySpectrGbv:
             verifiers.block_residual,
         )
         monkeypatch.setattr(verifiers, "subblock_accept_prob",
-                            lambda r, pj, *a: seen["sub"].extend(zip(r, pj)) or real_sub(r, pj, *a))
+                            lambda lp, lq, *a: seen["sub"].extend(zip(lp, lq)) or real_sub(lp, lq, *a))
         monkeypatch.setattr(verifiers, "full_block_accept_prob",
                             lambda joint, K: seen["full"].append(joint) or real_full(joint, K))
         monkeypatch.setattr(verifiers, "block_residual",
@@ -865,7 +911,7 @@ class TestVerifySpectrGbv:
             trace = []
             out, mod = verify_spectr_gbv(drafts, scores, rng, trace)
             assert seen["sub"] == [
-                (chained[k][len(sub)].ratio_p_over_q(), chained[k][len(sub)].p)
+                (chained[k][len(sub)].log_p, chained[k][len(sub)].log_q)
                 for kind, k, sub, *_ in trace if kind == "subblock"
             ]
             assert seen["full"] == [chained[k][4] for kind, k, *_ in trace if kind == "full"]
@@ -875,7 +921,7 @@ class TestVerifySpectrGbv:
                 f, tau = out.f, out.tau
                 j = extend_joint(chained[f][tau], out.y, drafts.cond[f][tau], scores.cond[f][tau])
                 assert (mod.log_p_prefix, mod.log_q_prefix) == (j.log_p, j.log_q)
-            zero_joints += sum(r == math.inf for r, _pj in seen["sub"])
+            zero_joints += sum(lq == LOG_ZERO for _lp, lq in seen["sub"])
             zero_joints += sum(j.log_q == LOG_ZERO for j in seen["full"])
         if shape == "zero-target":
             assert zero_joints > 0
