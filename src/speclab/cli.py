@@ -37,6 +37,12 @@ def _parse_gen(spec: str) -> dict:
     return out
 
 
+def _names_config(tok: str) -> bool:
+    """Whether argparse reads ``tok`` as run's --config, alone or as FLAG=PATH:
+    no other run option starts with --c, so every prefix from --c on is it."""
+    return tok.partition("=")[0] in ("--c", "--co", "--con", "--conf", "--confi", "--config")
+
+
 def _load_config_tokens(path: str) -> list[str]:
     """Flat key=value config lines become CLI tokens; real flags override them."""
     tokens: list[str] = []
@@ -49,7 +55,7 @@ def _load_config_tokens(path: str) -> list[str]:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, value = (s.strip() for s in line.split("=", 1))
             key = key.replace("_", "-")
-            if key == "config":
+            if _names_config(f"--{key}"):
                 raise ValueError(f"{path}:{lineno}: a config file cannot name another")
             if key == "timings":
                 if value.lower() in ("1", "true", "yes", "on"):
@@ -192,7 +198,7 @@ def _cmd_verify_demo(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # config file values act as defaults: inject before user flags
-    flags = [n for n, tok in enumerate(argv) if tok == "--config" or tok.startswith("--config=")]
+    flags = [n for n, tok in enumerate(argv) if _names_config(tok)]
     if argv and argv[0] == "run" and flags:
         if len(flags) > 1:
             print("--config may be given once", file=sys.stderr)

@@ -83,22 +83,35 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--algo", "gbv", "--out", str(out2)]) == 0
         assert out2.read_text().splitlines()[1].startswith("gbv,1,2,")
 
+    @pytest.mark.parametrize("flag", ["--conf", "--conf=", "--c"])
+    def test_config_abbreviation_reads_the_file(self, flag, tmp_path):
+        # argparse takes any unambiguous prefix of --config as --config
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("algo = sd\nL = 2\ngen = 4,0,2,1.0,0.7\nprompts = 1\nmax-tokens = 8\ntrials = 1\n")
+        out = tmp_path / "o.csv"
+        argv = [flag + str(cfg)] if flag.endswith("=") else [flag, str(cfg)]
+        assert main(["run", *argv, "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].startswith("sd,1,2,")
+
     def test_config_file_naming_a_config_is_a_usage_error(self, tmp_path, capsys):
         inner = tmp_path / "inner.txt"
         inner.write_text("algo = sd\n")
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text(f"config = {inner}\nL = 2\n")
         out = tmp_path / "o.csv"
-        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
-        assert "cfg.txt:1: a config file cannot name another" in capsys.readouterr().err
-        assert not out.exists()
+        # "conf" would reach argparse as --conf, an abbreviation of --config
+        for key in ("config", "conf"):
+            cfg.write_text(f"{key} = {inner}\nL = 2\n")
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+            assert "cfg.txt:1: a config file cannot name another" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_repeated_config_is_a_usage_error(self, tmp_path, capsys):
         a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
         a.write_text("L = 2\nprompts = 1\ntrials = 1\n")
         b.write_text("algo = sd\nK = 2\n")
         out = tmp_path / "o.csv"
-        for argv in (["--config", str(a), "--config", str(b)], [f"--config={a}", f"--config={b}"]):
+        for argv in (["--config", str(a), "--config", str(b)], [f"--config={a}", f"--config={b}"],
+                     ["--conf", str(a), "--config", str(b)]):
             assert main(["run", *argv, "--out", str(out)]) == 1
             assert "--config may be given once" in capsys.readouterr().err
             assert not out.exists()
