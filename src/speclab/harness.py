@@ -4,8 +4,9 @@ A decode loop drafts K rows of L tokens from the draft model, scores every
 row prefix under the current target chain in one batched call, verifies with
 the configured algorithm, appends the accepted block plus the extra token,
 and (for the block verifiers) installs the modified target for the next
-iteration. Serial-call accounting charges one target call per iteration, so
-autoregressive decoding has block efficiency exactly 1.
+iteration. ``sd`` and ``spectr`` keep each rejection residual in one dict per
+decode, which goes with the decode. Serial-call accounting charges one target
+call per iteration, so autoregressive decoding has block efficiency 1.
 
 Chains answer a list of contexts in one ``conditionals`` call. Scoring asks
 for all K * (L + 1) row prefixes at once, so each ``ModifiedChain`` layer
@@ -238,7 +239,7 @@ def generate_prompt(vocab_size: int, rng: RandomSource) -> tuple[int, ...]:
     return tuple(sample(uniform, rng) for _ in range(PROMPT_LENGTH))
 
 
-def verify(algo: str, drafts, scores, rng: RandomSource, trace=None):
+def verify(algo: str, drafts, scores, rng: RandomSource, trace=None, residuals=None):
     """One verification step of ``algo``: the outcome and, for the block
     verifiers, the modified target for the next iteration (else None).
 
@@ -247,9 +248,9 @@ def verify(algo: str, drafts, scores, rng: RandomSource, trace=None):
     every call.
     """
     if algo == "sd":
-        return verify_sd(drafts, scores, rng, trace), None
+        return verify_sd(drafts, scores, rng, trace, residuals=residuals), None
     if algo == "spectr":
-        return verify_kseq(drafts, scores, rng, trace), None
+        return verify_kseq(drafts, scores, rng, trace, residuals=residuals), None
     if algo == "gbv":
         return verify_gbv(drafts, scores, rng, trace)
     if algo == "spectr-gbv":
@@ -272,10 +273,14 @@ def decode(
     tokens, except that the last one stops at the first EOS or at
     ``max_tokens``. ``mean_tau`` and ``accept_rate`` are properties of the
     verifier and average the untruncated tau; ``decoded_tokens``, and with it
-    ``block_efficiency``, count the tokens emitted.
+    ``block_efficiency``, count the tokens emitted. An argument below 1 is
+    refused before any draw (K and L only where the algo drafts).
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algo {algo!r}")
+    for name, value in [("max_tokens", max_tokens)] + ([("K", K), ("L", L)] if algo != "ar" else []):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value!r}")
     eos = pair.vocab_size - 1
     keep = max(pair.draft.order, pair.target.order)
     history = _tail(prompt, keep)
@@ -296,13 +301,14 @@ def decode(
     else:
         K_eff = 1 if algo in SINGLE_DRAFT_ALGOS else K
         q_chain = RawChain(pair.target, pair.temperature, history)
+        residuals: dict = {}  # the K-SEQ residual memo, for this decode only
         while len(out) < max_tokens:
             p_chain = RawChain(pair.draft, pair.temperature, history)
             drafts = draft_rows(p_chain.conditional, K_eff, L, rng)
             totals.draft_calls += K_eff * L
             scores = score_rows(drafts, q_chain.conditionals)
             totals.target_calls += 1
-            outcome, mod = verify(algo, drafts, scores, rng)
+            outcome, mod = verify(algo, drafts, scores, rng, residuals=residuals)
             totals.add(outcome.counters)
             taus.append(outcome.tau)
             block = outcome.t + (outcome.y,)

@@ -7,6 +7,7 @@ the oracles. Contexts shorter than the order are left-padded with token 0.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from collections import defaultdict
@@ -63,7 +64,7 @@ class MarkovModel:
     tokens left-padded with 0, to its conditional at temperature T, so a
     context and its zero-padded form share one entry, and the cache holds one
     entry per distinct row per temperature. A lookup slices the context and
-    probes the cache; ``row_index`` runs and the row is validated only on a
+    probes the cache; ``block_index`` runs and the row is validated only on a
     miss, and the same read-only ``Distribution`` is returned after that. At
     T = 1 it is a view of the table, which is read-only too.
     """
@@ -84,14 +85,6 @@ class MarkovModel:
             self, "table", _validate_table(self.vocab_size, self.order, np.asarray(self.table))
         )
 
-    def row_index(self, context: Sequence[int]) -> int:
-        idx = 0
-        V = self.vocab_size
-        for j in range(self.order):
-            tok = context[-1 - j] if j < len(context) else 0
-            idx += int(tok) * V**j
-        return idx
-
     def conditional(self, context: Sequence[int], temperature: float = 1.0) -> Distribution:
         n = len(context) - self.order
         tail = tuple(context[n:]) if n >= 0 else (0,) * -n + tuple(context)
@@ -99,9 +92,14 @@ class MarkovModel:
         d = rows.get(tail)
         if d is None:
             d = rows[tail] = temperature_scale(
-                Distribution(self.table[self.row_index(tail)]), temperature
+                Distribution(self.table[block_index(tail, self.vocab_size)]), temperature
             )
         return d
+
+
+def block_index(tokens: Sequence[int], vocab_size: int) -> int:
+    """A context tail's row in a Markov table, a block's place in its trie level."""
+    return functools.reduce(lambda n, x: n * vocab_size + x, tokens, 0)
 
 
 def temperature_scale(d: Distribution, temperature: float) -> Distribution:

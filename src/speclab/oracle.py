@@ -58,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .harness import ModifiedChain, RawChain
-from .models import ModelPair
+from .models import ModelPair, block_index
 from .probability import LOG_ZERO, PrefixJoint
 from .verifiers import Counters, ModifiedTarget, full_block_accept_probs, subblock_accept_prob
 
@@ -145,7 +145,7 @@ class _Instance:
 
     def _joint(self, blk: tuple[int, ...]) -> PrefixJoint:
         """The log joints of ``blk``, read from its level's table."""
-        level, n = self.levels(len(blk))[-1], _index(blk, self.V)
+        level, n = self.levels(len(blk))[-1], block_index(blk, self.V)
         return PrefixJoint(level.log_p.item(n), level.log_q.item(n))
 
     def modified(self, tau: int, t: tuple[int, ...], y: int) -> ModifiedChain:
@@ -155,11 +155,6 @@ class _Instance:
         j = self._joint(prefix) if horizon else PrefixJoint.empty()
         mod = ModifiedTarget(horizon, self.K, prefix, j.log_p, j.log_q)
         return ModifiedChain(self.qchain, self.pchain, mod, self.context + prefix, Counters())
-
-
-def _index(blk: tuple[int, ...], V: int) -> int:
-    """Position of ``blk`` in its level, in lexicographic order."""
-    return functools.reduce(lambda n, x: n * V + x, blk, 0)
 
 
 @functools.cache
@@ -344,7 +339,7 @@ def _output_law(inst: _Instance, leaves: list[np.ndarray], depth: int) -> tuple[
     flow = [leaves[0]]
     for i in range(depth):
         flow.append((flow[i][:, None] * rows[i]).ravel() + (leaves[i + 1] if i < L else 0.0))
-    fallback_mass = sum((flow[len(b)].item(_index(b, V)) for b in record.fallbacks), 0.0)
+    fallback_mass = sum((flow[len(b)].item(block_index(b, V)) for b in record.fallbacks), 0.0)
     return flow[depth], fallback_mass, rows
 
 

@@ -62,9 +62,6 @@ class RandomSource:
             u = next(self._block)
         return u
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"RandomSource(seed={self.seed})"
-
 
 @dataclass(frozen=True, eq=False)
 class Distribution:

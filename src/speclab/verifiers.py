@@ -10,17 +10,19 @@ acceptance evaluations, rho solves (one sorted ratio table each, however
 many bisection steps read it), residual passes and modification passes.
 Draws by ``sample`` and model lookups are not counted.
 
-The K-SEQ scale rho depends only on the draft row, the target row and the
-number of surviving rows, and model rows are cached ``Distribution``s that
-recur, so ``verify_kseq`` solves each such triple once and keeps rho in a
-memo that holds both rows weakly and drops a target row's entries with it.
-A rho solve is still charged to ``vocab_scans`` wherever one is required,
-whether or not the memo answers it, so the counters of a decode do not
-depend on what ran before it. A solve sorts the ratios q/p once; its
-bisection tries points in [1, K] only, so it reads just the slice of the
-table between #(ratios < 1) and #(ratios < K), and each step bisects only
-the ratios inside its current bracket. The sums it reads are those of the
-whole table, so rho is bit for bit what a full lookup gives.
+The K-SEQ scale rho and the rejection residual depend only on the draft row,
+the target row and the number of surviving rows, and model rows are cached
+``Distribution``s that recur, so ``verify_kseq`` builds each once per
+triple. Rho is kept in a global memo that holds both rows weakly; a
+residual, with the CDF its first draw builds, in the ``residuals`` dict that
+``harness.decode`` keeps for one decode, since a global memo would hold
+thousands of row-sized residuals at V = 1024. A rho solve or a residual pass
+is charged to ``vocab_scans`` wherever one is required, hit or miss, so the
+counters of a decode do not depend on what ran before it. A solve sorts the
+ratios q/p once; its bisection tries points in [1, K] only, so it reads just
+the slice of the table between #(ratios < 1) and #(ratios < K), and each
+step bisects only the ratios inside its current bracket. The sums it reads
+are the whole table's, so rho is bit for bit what a full lookup gives.
 
 verify_kseq       per-position multi-draft acceptance with the rho scale; the
                   one token-level verifier
@@ -289,9 +291,7 @@ def _kseq_scale(p: Distribution, q: Distribution, K: int) -> float:
     A miss calls ``kseq_rho`` through this module's global, so a wrapper
     rebound over it counts real solves.
     """
-    memo = _RHO.get(q)
-    if memo is None:
-        memo = _RHO[q] = {}
+    memo = _RHO.setdefault(q, {})
     key = (weakref.ref(p), K)
     rho = memo.get(key)
     if rho is None:
@@ -299,7 +299,9 @@ def _kseq_scale(p: Distribution, q: Distribution, K: int) -> float:
     return rho
 
 
-def verify_kseq(drafts: DraftSet, scores: TargetScores, rng: RandomSource, trace=None) -> VerifyOutcome:
+def verify_kseq(
+    drafts: DraftSet, scores: TargetScores, rng: RandomSource, trace=None, residuals=None
+) -> VerifyOutcome:
     """Position-by-position acceptance over the surviving draft rows.
 
     At each position the scale rho is solved for the number of rows still
@@ -308,7 +310,10 @@ def verify_kseq(drafts: DraftSet, scores: TargetScores, rng: RandomSource, trace
     survives rho = 1 and no scan is made: the position is a step of standard
     speculative sampling, accepting with min(1, q/p) and on rejection drawing
     from norm(max(q - p, 0)). Where more survive, rho comes from the memo of
-    ``_kseq_scale`` and one scan is charged, hit or miss.
+    ``_kseq_scale`` and one scan is charged, hit or miss. A rejection's
+    residual is kept in ``residuals``, if given, under the same triple: a hit
+    is the miss's very ``Distribution`` (the target row if empty), charged
+    the miss's pass and warning.
     """
     counters = Counters()
     L = drafts.L
@@ -334,16 +339,20 @@ def verify_kseq(drafts: DraftSet, scores: TargetScores, rng: RandomSource, trace
         if accepted is None:
             counters.vocab_scans += 1
             counters.residual_evals += 1
-            # q - min(rho p, q) >= 0 exactly, is q - p where positive at rho = 1,
-            # and sums to 1 - rho * beta(rho), the rejection probability
-            w = rho * p_i.mass
-            np.minimum(w, q_i.mass, out=w)
-            np.subtract(q_i.mass, w, out=w)
-            try:
-                res = normalize(w)
-            except AllZeroMass:
-                res = q_i
-                counters.warnings += 1
+            memo = {} if residuals is None else residuals
+            key = (q_i, p_i, len(survivors))
+            res = memo.get(key)
+            if res is None:
+                # q - min(rho p, q) >= 0 exactly, is q - p where positive at rho = 1,
+                # and sums to 1 - rho * beta(rho), the rejection probability
+                w = rho * p_i.mass
+                np.minimum(w, q_i.mass, out=w)
+                np.subtract(q_i.mass, w, out=w)
+                try:
+                    res = memo[key] = normalize(w)
+                except AllZeroMass:
+                    res = memo[key] = q_i
+            counters.warnings += res is q_i
             y = sample(res, rng)
             return VerifyOutcome(tau=i, f=s0, t=drafts.tokens[s0][:i], y=y, counters=counters)
         if len(survivors) > 1:
@@ -353,11 +362,13 @@ def verify_kseq(drafts: DraftSet, scores: TargetScores, rng: RandomSource, trace
     return VerifyOutcome(tau=L, f=f, t=drafts.tokens[f], y=y, counters=counters)
 
 
-def verify_sd(drafts: DraftSet, scores: TargetScores, rng: RandomSource, trace=None) -> VerifyOutcome:
+def verify_sd(
+    drafts: DraftSet, scores: TargetScores, rng: RandomSource, trace=None, residuals=None
+) -> VerifyOutcome:
     """Standard speculative sampling: ``verify_kseq`` over a single row."""
     if drafts.K != 1:
         raise ValueError("verify_sd is a single-draft verifier")
-    return verify_kseq(drafts, scores, rng, trace)
+    return verify_kseq(drafts, scores, rng, trace, residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +591,6 @@ def verify_spectr_gbv(
     joints: list[list[PrefixJoint]] = []
     tau, f, kept = 0, 0, None
     H: set[tuple[int, ...]] = set()
-    y = None
-    full_accept = False
     for k in range(K):
         row = drafts.tokens[k]
         joints.append(_row_joints(row, drafts.cond[k], scores.cond[k]))
@@ -618,10 +627,9 @@ def verify_spectr_gbv(
         if accepted:
             tau, f = L, k
             y = sample(scores.cond[k][L], rng)
-            full_accept = True
             break
         H.add(row)
-    if not full_accept:
+    else:
         try:
             res = block_residual(
                 joints[f][tau], drafts.cond[f][tau], scores.cond[f][tau], K, counters, kept

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from speclab import oracle
-from speclab.models import MarkovModel, ModelPair
+from speclab.models import MarkovModel, ModelPair, block_index
 from speclab.probability import (
     LOG_ZERO,
     AllZeroMass,
@@ -131,7 +131,7 @@ def reference_output_law(inst, leaves, depth):
                 joints, _rows = oracle._joints(mod, V, need)
                 start = (j * V + y) * V**need
                 out[start:start + V**need] += m0 * joints[need]
-                fallback_mass += m0 * sum(joints[len(ctx)].item(oracle._index(ctx, V)) for ctx in mod.record.fallbacks)
+                fallback_mass += m0 * sum(joints[len(ctx)].item(block_index(ctx, V)) for ctx in mod.record.fallbacks)
     return out, fallback_mass + extra_fallback, extra_fallback
 
 

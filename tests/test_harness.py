@@ -1,11 +1,13 @@
+import gc
 import itertools
+import weakref
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from conftest import eos_free
-from speclab import verifiers
+from speclab import harness, verifiers
 from speclab.harness import (
     CSV_HEADER,
     ALGORITHMS,
@@ -106,6 +108,65 @@ class TestDecode:
         assert warm[0] == cold[0]
         assert replace(warm[1], wall_ms=0.0) == replace(cold[1], wall_ms=0.0)
         assert cold[1].vocab_scans >= n
+
+    @pytest.mark.parametrize("algo", ["sd", "spectr"])
+    @pytest.mark.parametrize("shape", ["eos-free", "peaked"])
+    def test_residual_memo_changes_nothing(self, algo, shape, monkeypatch):
+        # a decode keeps each rejection residual while it runs: against a
+        # decode whose verify passes no memo it gives the same tokens and
+        # every metric but wall_ms, builds fewer residuals, and keeps none
+        # of them once it returns
+        if shape == "eos-free":
+            pair = ModelPair(eos_free(random_model(6, 1, 17, 1.0)), eos_free(random_model(6, 1, 18, 1.0)))
+        else:
+            # concentration 0.05: peaked rows, many tokens near zero mass
+            peaked = generate_pair(8, 1, 3, 0.05, 0.3)
+            pair = ModelPair(eos_free(peaked.draft), eos_free(peaked.target))
+        built = []
+        normalize = verifiers.normalize
+
+        def watched(w):
+            d = normalize(w)
+            built.append(weakref.ref(d))
+            return d
+
+        monkeypatch.setattr(verifiers, "normalize", watched)
+        kept = decode(pair, algo, 3, 4, (2, 0), 128, RandomSource(8))
+        n = len(built)
+        gc.collect()
+        assert n > 0 and all(r() is None for r in built)
+        verify = harness.verify
+        monkeypatch.setattr(harness, "verify", lambda *args, residuals=None: verify(*args))
+        fresh = decode(pair, algo, 3, 4, (2, 0), 128, RandomSource(8))
+        assert kept[0] == fresh[0]
+        assert replace(kept[1], wall_ms=0.0) == replace(fresh[1], wall_ms=0.0)
+        assert n < len(built) - n
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_max_tokens_below_one_is_refused_before_any_draw(self, algo):
+        rng = RandomSource(4)
+        with pytest.raises(ValueError, match="^max_tokens must be >= 1"):
+            decode(generate_pair(4, 0, 7, 1.0, 0.9), algo, 2, 3, (0,), 0, rng)
+        assert rng.uniform() == RandomSource(4).uniform()
+
+    @pytest.mark.parametrize("algo", ["sd", "spectr", "gbv", "spectr-gbv"])
+    def test_K_below_one_is_refused_before_any_draw(self, algo):
+        rng = RandomSource(4)
+        with pytest.raises(ValueError, match="^K must be >= 1"):
+            decode(generate_pair(4, 0, 7, 1.0, 0.9), algo, 0, 3, (0,), 8, rng)
+        assert rng.uniform() == RandomSource(4).uniform()
+
+    @pytest.mark.parametrize("algo", ["sd", "spectr", "gbv", "spectr-gbv"])
+    def test_L_below_one_is_refused_before_any_draw(self, algo):
+        rng = RandomSource(4)
+        with pytest.raises(ValueError, match="^L must be >= 1"):
+            decode(generate_pair(4, 0, 7, 1.0, 0.9), algo, 2, 0, (0,), 8, rng)
+        assert rng.uniform() == RandomSource(4).uniform()
+
+    def test_autoregressive_decoding_reads_neither_K_nor_L(self):
+        pair = generate_pair(4, 0, 7, 1.0, 0.9)
+        out, _ = decode(pair, "ar", 0, 0, (0,), 8, RandomSource(4))
+        assert out == decode(pair, "ar", 1, 4, (0,), 8, RandomSource(4))[0]
 
     def test_terminates_on_eos_or_cap(self):
         pair = generate_pair(4, 0, 7, 1.0, 0.9)

@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import weakref
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -573,7 +574,9 @@ class TestKseqRho:
 class TestKseqMemo:
     """``verify_kseq`` takes rho from a memo keyed by (target row, draft row,
     survivors): a hit is bit for bit the solve it stands for, and an entry
-    lives no longer than its rows."""
+    lives no longer than its rows. A rejection residual is kept under the
+    same key in the dict a caller passes: a hit is the miss's own residual,
+    charged as the miss was."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -633,6 +636,83 @@ class TestKseqMemo:
         del a, b, pairs
         gc.collect()
         assert all(r() is None for r in refs)
+
+    # the instance ``TestVerifyKseq.test_single_draft_matches_sd_exactly``
+    # calls dominated: p >= q everywhere within the sum tolerance, so a
+    # rejection leaves no residual mass and the target row is drawn from
+    @staticmethod
+    def _dominated():
+        return DraftSet(((0,),), ((dist(0.5 + 4e-10, 0.5),),)), TargetScores(((dist(0.5, 0.5),) * 2,))
+
+    @staticmethod
+    def _fields(out):
+        return out.tau, out.f, out.t, out.y, asdict(out.counters)
+
+    def test_residual_memo_changes_nothing(self, canonical_pair):
+        # one dict shared by every call, as a decode shares it, against no
+        # memo: the same outcomes and every counter, and the memo was hit
+        dominated = self._dominated()
+        for pair in (canonical_pair, generate_pair(8, 1, 3, 0.05, 0.3)):
+            for K in (1, 3):
+                memo, rejections = {}, 0
+                for seed in range(200):
+                    drafts, scores = order0_setup(pair, K, 4, RandomSource(seed))
+                    want = verify_kseq(drafts, scores, RandomSource(seed), residuals=None)
+                    got = verify_kseq(drafts, scores, RandomSource(seed), residuals=memo)
+                    assert self._fields(got) == self._fields(want)
+                    rejections += got.tau < 4
+                assert 0 < len(memo) < rejections
+        memo = {}
+        for seed in range(200):
+            want = verify_kseq(*dominated, RandomSource(seed))
+            got = verify_kseq(*dominated, RandomSource(seed), residuals=memo)
+            assert self._fields(got) == self._fields(want)
+
+    def test_a_hit_is_the_distribution_the_miss_built(self, canonical_pair, monkeypatch):
+        # token 1 has q/p = 0.4: a uniform of 0.9 rejects it, and the residual
+        # norm(q - p) is drawn from; the second rejection normalizes nothing
+        drawn, normalized = [], []
+        monkeypatch.setattr(verifiers, "sample", lambda d, rng: drawn.append(d) or sample(d, rng))
+        monkeypatch.setattr(verifiers, "normalize", lambda w: normalized.append(1) or normalize(w))
+        p = canonical_pair.draft_conditional(())
+        q = canonical_pair.target_conditional(())
+        drafts, scores = DraftSet(((1,),), ((p,),)), TargetScores(((q, q),))
+        memo = {}
+        for _ in range(3):
+            out = verify_kseq(drafts, scores, FixedUniforms([0.9, 0.5]), residuals=memo)
+            assert (out.tau, out.y, out.counters.vocab_scans, out.counters.residual_evals) == (0, 0, 1, 1)
+        assert list(memo) == [(q, p, 1)]
+        assert all(d is memo[q, p, 1] for d in drawn) and len(drawn) == 3
+        assert len(normalized) == 1
+
+    def test_each_hit_on_an_empty_residual_counts_a_warning(self):
+        drafts, scores = self._dominated()
+        memo = {}
+        for _ in range(3):
+            out = verify_kseq(drafts, scores, FixedUniforms([0.9999999999, 0.3]), residuals=memo)
+            assert (out.tau, out.counters.warnings, out.counters.vocab_scans) == (0, 1, 1)
+        [res] = memo.values()
+        assert res is scores.cond[0][0]
+
+    def test_survivor_count_keys_the_residual(self):
+        # one (draft row, target row) pair rejected with two survivors, where
+        # rho ~ 1.457 leaves (1, 0, 0), and with one, where rho = 1 leaves
+        # (0.75, 0.25, 0): a uniform of 0.9 draws token 0 from the first and
+        # token 1 from the second, so a memo that ignored the survivors would
+        # answer the second call with the first's residual
+        p, q = dist(0.2, 0.3, 0.5), dist(0.5, 0.4, 0.1)
+        two = (DraftSet(((2,), (2,)), ((p,), (p,))), TargetScores(((q, q), (q, q))), [0.99, 0.99, 0.9])
+        # row 0's token 0 is accepted (q/(rho p) > 1), row 1 drops out, and
+        # row 0's token 2 is rejected with one survivor
+        one = (DraftSet(((0, 2), (1, 2)), ((p, p), (p, p))), TargetScores(((q,) * 3, (q,) * 3)), [0.5, 0.99, 0.9])
+        for calls, want_y in (((two, one), (0, 1)), ((one, two), (1, 0))):
+            memo = {}
+            for (drafts, scores, us), y in zip(calls, want_y):
+                want = verify_kseq(drafts, scores, FixedUniforms(us))
+                got = verify_kseq(drafts, scores, FixedUniforms(us), residuals=memo)
+                assert want.y == y
+                assert self._fields(got) == self._fields(want)
+            assert len(memo) == 2
 
 
 class TestVerifyKseq:
