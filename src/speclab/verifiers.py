@@ -464,14 +464,16 @@ def subblock_accept_prob(
     Returns the n probabilities and the (n, V) surplus block: row n,
     normalized, is the block residual at sub-block n.
     """
-    n = len(log_p)
     r = list(map(joint_ratio, log_p, log_q))
     if counters is not None:
-        counters.vocab_scans += n
-        counters.h_partial_evals += n
+        counters.vocab_scans += len(r)
+        counters.h_partial_evals += len(r)
     w = _surplus(p_next, q_next, r, K)
     h = []
     for rn, lp, S in zip(r, log_p, w.sum(axis=1).tolist()):
+        if rn == math.inf:  # a zero target joint passes nothing; den would be inf * 0 = NaN
+            h.append(0.0)
+            continue
         num = S - (1.0 - min(rn, 1.0)) ** K
         # rn * G(p_j) - 1 with its 1s cancelled exactly, so p_j near 1 keeps precision
         den = (rn - 1.0) + rn * _geometric_tail(math.exp(lp), K) + S

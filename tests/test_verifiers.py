@@ -282,12 +282,27 @@ class TestSurplusKernel:
     # joints near 1: rn * G(p_j) - 1 in the denominator loses ~1e-12 unless G's 1 is taken out
     @example(seed=2, V=2, p_kind="flat", q_kind="peaked", K=2, r=1.0, a=-1e-5)
     @example(seed=2, V=2, p_kind="flat", q_kind="peaked", K=2, r=1.0, a=-1e-6)
+    # a zero target joint at p_j = 1: the formula's den would read inf * G(1) = inf * 0
+    @example(seed=3, V=4, p_kind="sparse", q_kind="flat", K=1, r=math.inf, a=0.0)
+    @example(seed=3, V=4, p_kind="sparse", q_kind="flat", K=2, r=math.inf, a=0.0)
+    @example(seed=3, V=4, p_kind="sparse", q_kind="flat", K=3, r=math.inf, a=0.0)
     @settings(max_examples=300, deadline=None)
     def test_subblock_accept_prob(self, seed, V, p_kind, q_kind, K, r, a):
         p, q = kernel_pair(seed, V, p_kind, q_kind)
         joint = joint_with_ratio(r, a)
         got = subblock_h(joint, p, q, K)
         assert abs(got - ref_subblock_accept_prob(joint, p, q, K)) <= 1e-12
+
+    @pytest.mark.parametrize("K", (1, 2, 3))
+    def test_zero_target_joint_keeps_its_surplus_row_and_scan(self, K):
+        # h = 0 is returned apart from the formula, and the row and the scan
+        # count stay what every other test gets, so decodes do not move
+        p, q = kernel_pair(3, 4, "sparse", "flat")
+        counters = Counters()
+        h, w = subblock_rule([PrefixJoint(0.0, LOG_ZERO)], [p], [q], K, counters)
+        assert h == [0.0]
+        assert np.array_equal(w[0], np.where(p.mass == 0.0, q.mass, 0.0))
+        assert (counters.vocab_scans, counters.h_partial_evals) == (1, 1)
 
     @kernel_cases
     @settings(max_examples=300, deadline=None)
