@@ -1,9 +1,11 @@
+import argparse
 import itertools
 import json
 
 import numpy as np
 import pytest
 
+from speclab import cli
 from speclab.cli import main
 from speclab.harness import RunConfig
 from speclab.models import ModelPair, blend_model, generate_pair, load_model, random_model, save_model
@@ -115,6 +117,14 @@ class TestRun:
             assert main(["run", *argv, "--out", str(out)]) == 1
             assert "--config may be given once" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_no_other_run_option_starts_with_c(self):
+        # ``cli._names_config`` reads every prefix from --c to --config as
+        # --config, which holds only while no other run option starts with --c
+        [sub] = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        options = [flag for action in sub.choices["run"]._actions for flag in action.option_strings]
+        assert "--config" in options
+        assert [flag for flag in options if flag.startswith("--c") and flag != "--config"] == []
 
     @pytest.mark.parametrize("temperature", ["inf", "nan", "0"])
     def test_non_finite_or_non_positive_temperature_is_a_usage_error(self, temperature, tmp_path, capsys):

@@ -315,6 +315,31 @@ class TestBoundProperties:
         assert rep["final_gap_to_L"] < 1e-12
 
 
+def top_k(model, k):
+    """``model`` with every row cut to its k largest entries and renormalized,
+    so that p = 0 or q = 0 holds on whole tokens."""
+    keep = np.argsort(model.table, axis=1)[:, -k:]
+    table = np.zeros_like(model.table)
+    np.put_along_axis(table, keep, np.take_along_axis(model.table, keep, axis=1), axis=1)
+    return MarkovModel(model.vocab_size, model.order, table / table.sum(axis=1, keepdims=True))
+
+
+def top_k_pair(pair, k):
+    return ModelPair(top_k(pair.draft, k), top_k(pair.target, k), pair.temperature)
+
+
+# K = 1 pairs away from generate_pair(V, 1, s, 1.0, 0.5): order 2, T != 1,
+# peaked rows and top-k truncated rows
+OFF_DEFAULT_PAIRS = {
+    "order-2": generate_pair(3, 2, 1, 1.0, 0.5),
+    "T=0.5": generate_pair(3, 1, 1, 1.0, 0.5, 0.5),
+    "T=2": generate_pair(3, 1, 1, 1.0, 0.5, 2.0),
+    "conc-0.05": generate_pair(4, 1, 2, 0.05, 0.5),
+    "top-2-of-4": top_k_pair(generate_pair(4, 1, 1, 1.0, 0.5), 2),
+    "top-3-of-5-sim-0": top_k_pair(generate_pair(5, 1, 1, 1.0, 0.0), 3),
+}
+
+
 class TestEventTree:
     def test_single_draft_expected_tau_equals_bound(self, canonical_pair):
         got = exact_expected_tau(canonical_pair, 2, 1)
@@ -362,6 +387,16 @@ class TestEventTree:
             assert r.max_marginal_dev < 1e-9
             assert r.lemma_max_dev < 1e-9
             assert abs(r.expected_tau - r.bound) < 1e-9
+
+    @pytest.mark.parametrize("name", OFF_DEFAULT_PAIRS)
+    @pytest.mark.parametrize("L, iterations", ((3, 1), (2, 2)))
+    def test_single_draft_exact_off_the_default_pair(self, name, L, iterations):
+        r = exact_output_distribution(OFF_DEFAULT_PAIRS[name], L, 1, iterations=iterations)
+        assert [(check, value) for check, value, tol in r.checks() if not value < tol] == []
+        assert r.max_marginal_dev < 1e-12
+        assert r.fallback_mass == 0.0
+        if iterations == 2:
+            assert r.max_marginal_dev_two_iter < 1e-12
 
     def test_two_iteration_single_draft_exact(self):
         for seed in range(3):
