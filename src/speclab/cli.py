@@ -37,13 +37,7 @@ def _parse_gen(spec: str) -> dict:
     return out
 
 
-def _names_config(tok: str) -> bool:
-    """Whether argparse reads ``tok`` as run's --config, alone or as FLAG=PATH:
-    no other run option starts with --c, so every prefix from --c on is it."""
-    return tok.partition("=")[0] in ("--c", "--co", "--con", "--conf", "--confi", "--config")
-
-
-def _load_config_tokens(path: str) -> list[str]:
+def _load_config_tokens(path: str, parser: argparse.ArgumentParser) -> list[str]:
     """Flat key=value config lines become CLI tokens; real flags override them."""
     tokens: list[str] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -55,7 +49,8 @@ def _load_config_tokens(path: str) -> list[str]:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, value = (s.strip() for s in line.split("=", 1))
             key = key.replace("_", "-")
-            if _names_config(f"--{key}"):
+            # ``parser`` resolves the key as it would the flag, prefixes too
+            if parser.parse_known_args(["run", f"--{key}", value])[0].config:
                 raise ValueError(f"{path}:{lineno}: a config file cannot name another")
             if key == "timings":
                 if value.lower() in ("1", "true", "yes", "on"):
@@ -89,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", parents=[pair], help="decoding experiments over a K/L/temperature grid")
-    run.add_argument("--config", default=None, help="flat key=value config file")
+    run.add_argument("--config", action="append", help="flat key=value config file")
     run.add_argument("--timings", action="store_true", help="report measured wall_ms")
     run.add_argument("--algo", default="spectr-gbv", choices=harness.ALGORITHMS)
     run.add_argument("--K", type=_ints, default=[3], help="comma list")
@@ -197,30 +192,23 @@ def _cmd_verify_demo(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # config file values act as defaults: inject before user flags
-    flags = [n for n, tok in enumerate(argv) if _names_config(tok)]
-    if argv and argv[0] == "run" and flags:
-        if len(flags) > 1:
-            print("--config may be given once", file=sys.stderr)
-            return 1
-        _flag, eq, path = argv[flags[0]].partition("=")
-        try:
-            tokens = _load_config_tokens(path if eq else argv[flags[0] + 1])
-        except IndexError:
-            print("--config needs a path", file=sys.stderr)
-            return 1
-        except OSError as e:
-            print(f"cannot read config: {e}", file=sys.stderr)
-            return 3
-        except ValueError as e:
-            print(str(e), file=sys.stderr)
-            return 1
-        argv = [argv[0]] + tokens + argv[1:]
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            if len(args.config) > 1:
+                print("--config may be given once", file=sys.stderr)
+                return 1
+            # config file values act as defaults: parse them before the user's flags
+            args = parser.parse_args([argv[0], *_load_config_tokens(args.config[0], parser), *argv[1:]])
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
+    except OSError as e:
+        print(f"cannot read config: {e}", file=sys.stderr)
+        return 3
+    except ValueError as e:
+        print(str(e), file=sys.stderr)
+        return 1
     handlers = {
         "run": _cmd_run,
         "oracle-check": _cmd_oracle_check,
