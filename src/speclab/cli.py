@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import fields
 
@@ -42,7 +43,8 @@ def _load_config_tokens(path: str, parser: argparse.ArgumentParser) -> list[str]
     tokens: list[str] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
+            # a comment starts at a "#" that opens the line or follows a space
+            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -50,11 +52,14 @@ def _load_config_tokens(path: str, parser: argparse.ArgumentParser) -> list[str]
             key, value = (s.strip() for s in line.split("=", 1))
             key = key.replace("_", "-")
             # ``parser`` resolves the key as it would the flag, prefixes too
-            if parser.parse_known_args(["run", f"--{key}", value])[0].config:
+            known = parser.parse_known_args(["run", f"--{key}", value])[0]
+            if known.config:
                 raise ValueError(f"{path}:{lineno}: a config file cannot name another")
-            if key == "timings":
-                if value.lower() in ("1", "true", "yes", "on"):
-                    tokens.append("--timings")
+            if known.timings:
+                on = value.lower() in ("1", "true", "yes", "on")
+                if not on and value.lower() not in ("0", "false", "no", "off"):
+                    raise ValueError(f"{path}:{lineno}: timings must be 1/true/yes/on or 0/false/no/off")
+                tokens += ["--timings"] if on else []
                 continue
             tokens.extend([f"--{key}", value])
     return tokens

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import json
 
@@ -37,6 +38,9 @@ class TestGenModel:
 
 
 class TestRun:
+    # a one-row run with no --algo, --L or --out, for config files to set
+    CELL = ["--gen", "4,0,2,1.0,0.7", "--prompts", "1", "--max-tokens", "8", "--trials", "1"]
+
     def test_run_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         code = main([
@@ -83,7 +87,8 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--algo", "gbv", "--out", str(out2)]) == 0
         assert out2.read_text().splitlines()[1].startswith("gbv,1,2,")
 
-    @pytest.mark.parametrize("flag", ["--conf", "--conf=", "--c"])
+    # every prefix of --config, in the FLAG PATH and FLAG=PATH forms
+    @pytest.mark.parametrize("flag", ["--config"[:n] + eq for n in range(3, 9) for eq in ("", "=")])
     def test_config_abbreviation_reads_the_file(self, flag, tmp_path):
         # argparse takes any unambiguous prefix of --config as --config
         cfg = tmp_path / "cfg.txt"
@@ -99,7 +104,7 @@ class TestRun:
         cfg = tmp_path / "cfg.txt"
         out = tmp_path / "o.csv"
         # "conf" would reach argparse as --conf, an abbreviation of --config
-        for key in ("config", "conf"):
+        for key in ("config", "conf", "c", "co", "con", "confi"):
             cfg.write_text(f"{key} = {inner}\nL = 2\n")
             assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
             assert "cfg.txt:1: a config file cannot name another" in capsys.readouterr().err
@@ -115,6 +120,50 @@ class TestRun:
             assert main(["run", *argv, "--out", str(out)]) == 1
             assert "--config may be given once" in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["bogus = 1", "t = 1"])
+    def test_config_key_that_names_no_option_is_a_usage_error(self, line, tmp_path, capsys):
+        # an unknown key, or a prefix of several options (--timings, --temperature, ...)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"L = 2\n{line}\n")
+        out = tmp_path / "o.csv"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_without_a_path_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main(["run", "--out", str(out), "--config"]) == 1
+        assert "argument --config: expected one argument" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, on", [("yes", True), ("ON", True), ("1", True),
+                                           ("no", False), ("off", False), ("0", False)])
+    def test_config_timings_switch(self, value, on, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"timings = {value}\n")
+        out = tmp_path / "o.csv"
+        assert main(["run", *self.CELL, "--config", str(cfg), "--out", str(out)]) == 0
+        [row] = csv.DictReader(out.open())
+        assert (float(row["wall_ms"]) > 0.0) == on
+
+    @pytest.mark.parametrize("value", ["ture", "2", ""])
+    def test_config_timings_other_value_is_a_usage_error(self, value, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"L = 2\ntimings = {value}\n")
+        out = tmp_path / "o.csv"
+        assert main(["run", *self.CELL, "--config", str(cfg), "--out", str(out)]) == 1
+        assert "cfg.txt:2: timings must be 1/true/yes/on or 0/false/no/off" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_hash_starts_a_comment_only_after_a_space(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        out = tmp_path / "o#2.csv"
+        cfg.write_text(f"# a comment line\n  # an indented one\nL = 2  # a trailing one\n"
+                       f"algo = sd\t# after a tab\nout = {out}\n")
+        assert main(["run", *self.CELL, "--config", str(cfg)]) == 0
+        assert out.read_text().splitlines()[1].startswith("sd,1,2,")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("temperature", ["inf", "nan", "0"])
     def test_non_finite_or_non_positive_temperature_is_a_usage_error(self, temperature, tmp_path, capsys):
