@@ -396,6 +396,9 @@ class ExactReport:
 
 
 def _instance(pair: ModelPair, L: int, K: int, context: tuple[int, ...] = ()) -> _Instance:
+    for name, value in (("L", L), ("K", K)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value!r}")
     context = tuple(context)
     p = RawChain(pair.draft, pair.temperature, context)
     q = RawChain(pair.target, pair.temperature, context)

@@ -775,3 +775,20 @@ class TestEmptyResidualFallback:
             assert warned == 0
         else:
             assert abs(warned / n - tau0) < 4 * math.sqrt(tau0 * (1 - tau0) / n)
+
+
+class TestArgumentGuard:
+    """Every entry point builds its instance through ``_instance``, which
+    refuses L < 1 or K < 1 by name before any enumeration."""
+
+    PAIR = generate_pair(2, 1, 1, 1.0, 0.5)
+
+    @pytest.mark.parametrize("entry", [bound_K, exact_expected_tau, exact_output_distribution])
+    @pytest.mark.parametrize("L, K, name", [(0, 1, "L"), (1, 0, "K"), (2, 0, "K"), (-1, 2, "L")])
+    def test_L_or_K_below_one_is_refused(self, entry, L, K, name):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            entry(self.PAIR, L, K)
+
+    def test_gbv_report_refuses_L_below_one(self):
+        with pytest.raises(ValueError, match="L must be >= 1"):
+            oracle.gbv_exact_report(self.PAIR, 0)
