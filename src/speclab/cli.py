@@ -4,7 +4,10 @@ Subcommands: run (experiments over a grid of K, L and temperature, each
 given as a comma list; one value is a grid of one cell), oracle-check
 (exact-enumeration checks), gen-model (emit a model file), verify-demo
 (single verbose verification trace). Each declares only the options it
-reads, so argparse refuses any other.
+reads, so argparse refuses any other, and resolves run's --config like the
+rest. A config file's lines are flags put before the command line's: "#"
+opens a comment at a line's start or after a space, and timings is one of
+1/true/yes/on or 0/false/no/off.
 
 Exit codes: 0 success, 1 usage error, 2 oracle-check failure, 3 IO error.
 """
