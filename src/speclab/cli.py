@@ -182,8 +182,8 @@ def _cmd_verify_demo(args) -> int:
     pair = cfg.build_pair()
     rng = RandomSource(derive_seed(cfg.seed, 0))
     prompt = harness.generate_prompt(pair.vocab_size, rng)
-    p_chain = harness.RawChain(pair.draft, pair.temperature, prompt)
-    q_chain = harness.RawChain(pair.target, pair.temperature, prompt)
+    p_chain = harness.RawChain(pair.draft, prompt)
+    q_chain = harness.RawChain(pair.target, prompt)
     drafts = draft_rows(p_chain.conditional, cfg.K, cfg.L, rng)
     scores = score_rows(drafts, q_chain.conditionals)
     print(f"algo={cfg.algo}  K={cfg.K}  L={cfg.L}  V={pair.vocab_size}  prompt={list(prompt)}")

@@ -60,7 +60,7 @@ def _tail(context: tuple[int, ...], order: int) -> tuple[int, ...]:
 
 
 class RawChain:
-    """Target or draft conditionals from a fixed absolute context.
+    """Target or draft conditionals from a fixed absolute context, at the model's temperature.
 
     Only the context's last ``model.order`` tokens are kept. A context shorter
     than the order is kept whole, so the model zero-pads it as before. When
@@ -70,12 +70,11 @@ class RawChain:
     A context gets the object the model returns for it.
     """
 
-    def __init__(self, model: MarkovModel, temperature: float, context: tuple[int, ...]):
+    def __init__(self, model: MarkovModel, context: tuple[int, ...]):
         self.model = model
-        self.temperature = temperature
         self.context = _tail(context, model.order)
         self._order = model.order
-        self._rows = model.cache[temperature]
+        self._rows = model.cache
 
     def conditional(self, ctx: tuple[int, ...]) -> Distribution:
         n = len(ctx) - self._order
@@ -83,7 +82,7 @@ class RawChain:
             d = self._rows.get(ctx[n:])
             if d is not None:
                 return d
-        return self.model.conditional(self.context + ctx, self.temperature)
+        return self.model.conditional(self.context + ctx)
 
     def conditionals(self, ctxs) -> list[Distribution]:
         return list(map(self.conditional, ctxs))
@@ -120,8 +119,7 @@ class ModifiedChain:
         self.record = record
         self.origin = origin
         self.counters = counters
-        bottom = getattr(base, "raw", base)
-        self.raw = RawChain(bottom.model, bottom.temperature, origin)
+        self.raw = RawChain(getattr(base, "raw", base).model, origin)
         self._memo: dict[tuple[int, ...], Distribution] = {}
 
     def conditionals(self, ctxs) -> list[Distribution]:
@@ -291,7 +289,7 @@ def decode(
 
     if algo == "ar":
         while len(out) < max_tokens:
-            d = pair.target_conditional(history)
+            d = pair.target.conditional(history)
             totals.target_calls += 1
             tok = sample(d, rng)
             out.append(tok)
@@ -300,10 +298,10 @@ def decode(
                 break
     else:
         K_eff = 1 if algo in SINGLE_DRAFT_ALGOS else K
-        q_chain = RawChain(pair.target, pair.temperature, history)
+        q_chain = RawChain(pair.target, history)
         residuals: dict = {}  # the K-SEQ residual memo, for this decode only
         while len(out) < max_tokens:
-            p_chain = RawChain(pair.draft, pair.temperature, history)
+            p_chain = RawChain(pair.draft, history)
             drafts = draft_rows(p_chain.conditional, K_eff, L, rng)
             totals.draft_calls += K_eff * L
             scores = score_rows(drafts, q_chain.conditionals)
@@ -321,7 +319,7 @@ def decode(
             if mod is not None:
                 q_chain = prune_spent(ModifiedChain(q_chain, p_chain, mod, history, totals))
             else:
-                q_chain = RawChain(pair.target, pair.temperature, history)
+                q_chain = RawChain(pair.target, history)
 
     wall_ms = (time.perf_counter() - t0) * 1e3
     metrics = RunMetrics(

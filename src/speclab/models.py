@@ -3,6 +3,7 @@
 Order-m Markov tables stand in for draft and target LLMs: every conditional
 is an O(1) row lookup, which keeps exact joint probabilities enumerable for
 the oracles. Contexts shorter than the order are left-padded with token 0.
+A model reads its rows at its own temperature, which ``ModelPair`` sets.
 """
 
 from __future__ import annotations
@@ -10,8 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import os
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -60,39 +60,39 @@ class MarkovModel:
     """Conditional next-token table over V^order contexts.
 
     Row index: context read as a base-V number, most recent token least
-    significant. ``cache[T]`` maps a row's tail, the context's last ``order``
-    tokens left-padded with 0, to its conditional at temperature T, so a
+    significant. ``cache`` maps a row's tail, the context's last ``order``
+    tokens left-padded with 0, to its conditional at ``temperature``, so a
     context and its zero-padded form share one entry, and the cache holds one
-    entry per distinct row per temperature. A lookup slices the context and
-    probes the cache; ``block_index`` runs and the row is validated only on a
-    miss, and the same read-only ``Distribution`` is returned after that. At
-    T = 1 it is a view of the table, which is read-only too.
+    entry per distinct row. A lookup slices the context and probes the cache;
+    ``block_index`` runs and the row is validated only on a miss, and the
+    same read-only ``Distribution`` is returned after that. At T = 1 it is a
+    view of the table, which is read-only too.
     """
 
     vocab_size: int
     order: int
     table: np.ndarray
-    cache: defaultdict = field(
-        default_factory=lambda: defaultdict(dict), init=False, repr=False, compare=False
-    )
+    temperature: float = 1.0
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.vocab_size < 2:
             raise ValueError("vocab_size must be >= 2")
         if self.order < 0:
             raise ValueError("order must be >= 0")
+        if not 0 < self.temperature < np.inf:
+            raise ValueError("temperature must be finite and > 0")
         object.__setattr__(
             self, "table", _validate_table(self.vocab_size, self.order, np.asarray(self.table))
         )
 
-    def conditional(self, context: Sequence[int], temperature: float = 1.0) -> Distribution:
+    def conditional(self, context: Sequence[int]) -> Distribution:
         n = len(context) - self.order
         tail = tuple(context[n:]) if n >= 0 else (0,) * -n + tuple(context)
-        rows = self.cache[temperature]
-        d = rows.get(tail)
+        d = self.cache.get(tail)
         if d is None:
-            d = rows[tail] = temperature_scale(
-                Distribution(self.table[block_index(tail, self.vocab_size)]), temperature
+            d = self.cache[tail] = temperature_scale(
+                Distribution(self.table[block_index(tail, self.vocab_size)]), self.temperature
             )
         return d
 
@@ -142,7 +142,8 @@ def blend_model(base: MarkovModel, other: MarkovModel, weight: float) -> MarkovM
 
 @dataclass(frozen=True)
 class ModelPair:
-    """Draft/target pair with one sampling temperature applied to both at query time."""
+    """Draft/target pair at one temperature. A model at another temperature
+    is replaced by a copy at the pair's, so no row is tempered twice."""
 
     draft: MarkovModel
     target: MarkovModel
@@ -151,18 +152,14 @@ class ModelPair:
     def __post_init__(self):
         if self.draft.vocab_size != self.target.vocab_size:
             raise ValueError("draft and target must share a vocabulary")
-        if not 0 < self.temperature < np.inf:
-            raise ValueError("temperature must be finite and > 0")
+        for name in ("draft", "target"):
+            model = getattr(self, name)
+            if model.temperature != self.temperature:
+                object.__setattr__(self, name, replace(model, temperature=self.temperature))
 
     @property
     def vocab_size(self) -> int:
         return self.draft.vocab_size
-
-    def draft_conditional(self, context: Sequence[int]) -> Distribution:
-        return self.draft.conditional(context, self.temperature)
-
-    def target_conditional(self, context: Sequence[int]) -> Distribution:
-        return self.target.conditional(context, self.temperature)
 
 
 def generate_pair(

@@ -77,12 +77,12 @@ def _accept_mass(p: np.ndarray, q: np.ndarray, K: int) -> np.ndarray:
     return np.where(q > 0.0, q * (1.0 - (1.0 - s) ** K), 0.0)
 
 
-def _model_joint(model, temperature: float, context: tuple[int, ...], blk: tuple[int, ...]) -> float:
+def _model_joint(model, context: tuple[int, ...], blk: tuple[int, ...]) -> float:
     """Joint of ``blk`` after the absolute ``context``, read from the model
     itself rather than through a chain."""
     p = 1.0
     for j, tok in enumerate(blk):
-        p *= model.conditional(context + blk[:j], temperature).mass.item(tok)
+        p *= model.conditional(context + blk[:j]).mass.item(tok)
     return p
 
 
@@ -400,9 +400,7 @@ def _instance(pair: ModelPair, L: int, K: int, context: tuple[int, ...] = ()) ->
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value!r}")
     context = tuple(context)
-    p = RawChain(pair.draft, pair.temperature, context)
-    q = RawChain(pair.target, pair.temperature, context)
-    return _Instance(p, q, context, pair.vocab_size, L, K)
+    return _Instance(RawChain(pair.draft, context), RawChain(pair.target, context), context, pair.vocab_size, L, K)
 
 
 def bound_K(pair: ModelPair, L: int, K: int) -> float:
@@ -510,15 +508,14 @@ def _two_iteration_dev(pair: ModelPair, inst1: _Instance, leaves1: list, rows1: 
             for y1, py1 in enumerate(ydist.tolist()):
                 if py1 > 0.0:
                     context2 = inst1.context + t1 + (y1,)
-                    inst2 = _Instance(RawChain(pair.draft, pair.temperature, context2),
-                                      inst1.modified(tau1, t1, y1), context2, V, L, K)
+                    inst2 = _Instance(RawChain(pair.draft, context2), inst1.modified(tau1, t1, y1), context2, V, L, K)
                     seconds.append((tau1 + 1, j * V + y1, m1 * py1, inst2))
     out = np.zeros(V**depth)
     fallback = lemma_dev = 0.0
     for (n1, index1, w, inst2), leaves2 in zip(seconds, _enumerate_leaves([s[-1] for s in seconds])):
         claimed = []
         for level in inst2.levels(L)[1:]:
-            p2 = [_model_joint(pair.draft, pair.temperature, inst2.context, blk) for blk in level.blocks]
+            p2 = [_model_joint(pair.draft, inst2.context, blk) for blk in level.blocks]
             claimed.append(_accept_mass(np.array(p2), level.q, K))
         lemma_dev = max(lemma_dev, _max_dev(_accepted(leaves2), claimed))
         out2, fb2, _rows2 = _output_law(inst2, leaves2, depth - n1)

@@ -212,8 +212,8 @@ def test_criterion_05_single_draft_consistency(canonical):
 
     # paired Monte Carlo: same drafts, independent draw streams
     n = 100_000
-    p_cond = canonical.draft_conditional
-    q_cond = canonical.target_conditional
+    p_cond = canonical.draft.conditional
+    q_cond = canonical.target.conditional
     rng_draft = RandomSource(5150)
     rng_a = RandomSource(88)
     rng_b = RandomSource(99)
@@ -237,8 +237,8 @@ def test_criterion_05_single_draft_consistency(canonical):
 def test_criterion_06_monte_carlo_fidelity(canonical):
     n = 200_000
     L, K = 2, 2
-    p_cond = canonical.draft_conditional
-    q_cond = canonical.target_conditional
+    p_cond = canonical.draft.conditional
+    q_cond = canonical.target.conditional
     rng = RandomSource(2718)
     counts = np.zeros((2,) * L)
     taus = np.empty(n)
@@ -270,8 +270,8 @@ def test_criterion_07_baselines(canonical):
     rng = RandomSource(31337)
     n = 100_000
     accepted = 0
-    p_cond = canonical.draft_conditional
-    q_cond = canonical.target_conditional
+    p_cond = canonical.draft.conditional
+    q_cond = canonical.target.conditional
     for _ in range(n):
         drafts = draft_rows(p_cond, 1, 1, rng)
         scores = score_rows(drafts, batched(q_cond))
@@ -370,8 +370,8 @@ def test_criterion_09_complexity_counters(canonical):
     scans_per_eval = {}
     for K in (1, 8):
         rng = RandomSource(13)
-        drafts = draft_rows(canonical.draft_conditional, K, 3, rng)
-        scores = score_rows(drafts, batched(canonical.target_conditional))
+        drafts = draft_rows(canonical.draft.conditional, K, 3, rng)
+        scores = score_rows(drafts, batched(canonical.target.conditional))
         out, _ = verify_spectr_gbv(drafts, scores, rng)
         c = out.counters
         evals = c.h_partial_evals + c.residual_evals

@@ -181,7 +181,7 @@ class TestRun:
         pair = RunConfig(temperature=0.0005).build_pair()  # the run's default model pair
         for model in (pair.draft, pair.target):
             for row in range(model.table.shape[0]):
-                cold = model.conditional([row], 0.0005).mass
+                cold = model.conditional([row]).mass
                 assert cold[int(model.table[row].argmax())] > 1.0 - 1e-9
 
     def test_usage_error_exit_code(self, capsys):

@@ -187,8 +187,8 @@ class TestChains:
         from speclab.verifiers import draft_rows, score_rows, verify_spectr_gbv
 
         prompt = (0, 1)
-        q0 = RawChain(pair.target, pair.temperature, prompt)
-        p0 = RawChain(pair.draft, pair.temperature, prompt)
+        q0 = RawChain(pair.target, prompt)
+        p0 = RawChain(pair.draft, prompt)
         drafts = draft_rows(p0.conditional, 2, 3, rng)
         scores = score_rows(drafts, q0.conditionals)
         out, mod = verify_spectr_gbv(drafts, scores, rng)
@@ -197,32 +197,32 @@ class TestChains:
         # past the horizon the chain must agree with the raw model
         deep_ctx = tuple(0 for _ in range(mod.horizon + 1))
         got = chain.conditional(deep_ctx)
-        raw = pair.target_conditional(prompt + block + deep_ctx)
+        raw = pair.target.conditional(prompt + block + deep_ctx)
         assert np.array_equal(got.mass, raw.mass)
 
     def test_raw_chain_memoizes(self):
-        pair = generate_pair(4, 1, 13, 1.0, 0.5)
-        model = random_model(4, 2, 3, 1.0)
         for T in (1.0, 0.7):
-            chain = RawChain(pair.target, T, (1,))
+            pair = generate_pair(4, 1, 13, 1.0, 0.5, T)
+            model = replace(random_model(4, 2, 3, 1.0), temperature=T)
+            chain = RawChain(pair.target, (1,))
             assert chain.conditional((0,)) is chain.conditional((0,))
             # a zero-padded context is the same cache entry as its short form
-            assert model.conditional((2,), T) is model.conditional((0, 2), T)
-            assert model.conditional((), T) is model.conditional((0, 0), T)
-            assert RawChain(model, T, ()).conditional((2,)) is model.conditional((0, 2), T)
+            assert model.conditional((2,)) is model.conditional((0, 2))
+            assert model.conditional(()) is model.conditional((0, 0))
+            assert RawChain(model, ()).conditional((2,)) is model.conditional((0, 2))
 
     def test_raw_chain_keeps_only_the_tail_its_model_reads(self):
         for order, T in itertools.product((0, 1, 2), (1.0, 0.7)):
-            model = random_model(4, order, 3, 1.0)
-            assert RawChain(model, T, (1, 2, 3, 0)).context == (1, 2, 3, 0)[4 - order:]
+            model = replace(random_model(4, order, 3, 1.0), temperature=T)
+            assert RawChain(model, (1, 2, 3, 0)).context == (1, 2, 3, 0)[4 - order:]
             # a context shorter than the order is kept whole and zero-padded as before
             for context in [(2,), (1, 2, 3, 0)]:
-                chain = RawChain(model, T, context)
+                chain = RawChain(model, context)
                 if len(context) < order:
                     assert chain.context == context
                 for n in range(order + 2):
                     ctx = (3, 1, 2)[:n]
-                    assert chain.conditional(ctx) is model.conditional(context + ctx, T)
+                    assert chain.conditional(ctx) is model.conditional(context + ctx)
 
 
 class _Memo:
@@ -251,7 +251,7 @@ def _unpruned_decode(pair, algo, K, L, prompt, max_tokens, rng):
     totals = Counters()
 
     def raw(model, context):
-        return _Memo(lambda ctx: model.conditional(context + ctx, pair.temperature))
+        return _Memo(lambda ctx: model.conditional(context + ctx))
 
     def modified(mod, q, p):
         return _Memo(lambda ctx: mod.conditional([ctx], q.conditionals, p.conditionals, totals)[0])
@@ -295,9 +295,9 @@ def _three_layer_chain(pair, K, L, seed):
     rng = RandomSource(seed)
     history = (0, 1)
     totals = Counters()
-    q_chain = RawChain(pair.target, pair.temperature, history)
+    q_chain = RawChain(pair.target, history)
     for _ in range(500):
-        p_chain = RawChain(pair.draft, pair.temperature, history)
+        p_chain = RawChain(pair.draft, history)
         drafts = draft_rows(p_chain.conditional, K, L, rng)
         scores = score_rows(drafts, q_chain.conditionals)
         outcome, mod = verify(algo, drafts, scores, rng)
@@ -307,7 +307,7 @@ def _three_layer_chain(pair, K, L, seed):
         while isinstance(layer, ModifiedChain):
             depth, layer = depth + 1, layer.base
         if depth >= 3 and q_chain.record.horizon >= 2:
-            return q_chain, RawChain(pair.draft, pair.temperature, history), totals
+            return q_chain, RawChain(pair.draft, history), totals
     raise AssertionError("no three-layer stack")
 
 
@@ -369,7 +369,7 @@ class TestPastHorizon:
         while isinstance(chain, ModifiedChain):
             horizon = chain.record.horizon
             for ctx in [(5,) * horizon, (2, 7) * L, (0,) * (horizon + 1)]:
-                want = pair.target.conditional(chain.origin + ctx, pair.temperature)
+                want = pair.target.conditional(chain.origin + ctx)
                 assert chain.conditional(ctx) is want
                 assert chain.conditionals([(), ctx])[1] is want
             chain = chain.base
@@ -391,11 +391,11 @@ class TestPruning:
     def _stack(self, layers):
         """Hand-built chain; layers are (horizon, prefix length) pairs, newest first."""
         pair = generate_pair(4, 1, 13, 1.0, 0.5)
-        bottom = RawChain(pair.target, 1.0, (0,))
+        bottom = RawChain(pair.target, (0,))
         chain = bottom
         for i, (horizon, plen) in enumerate(reversed(layers)):
             record = ModifiedTarget(horizon, 3, (1,) * plen, 0.0, 0.0)
-            chain = ModifiedChain(chain, RawChain(pair.draft, 1.0, (0,)), record, (i + 1,))
+            chain = ModifiedChain(chain, RawChain(pair.draft, (0,)), record, (i + 1,))
         return pair.target, bottom, chain
 
     def _layers(self, chain):

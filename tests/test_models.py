@@ -1,10 +1,13 @@
+import itertools
 import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from speclab.harness import ALGORITHMS, decode
 from speclab.models import (
     InvalidRow,
     MarkovModel,
@@ -17,7 +20,8 @@ from speclab.models import (
     save_model,
     temperature_scale,
 )
-from speclab.probability import Distribution
+from speclab.oracle import exact_output_distribution
+from speclab.probability import Distribution, RandomSource
 
 
 class TestRandomModel:
@@ -63,7 +67,7 @@ class TestConditional:
 
     def test_unit_temperature_is_identity(self):
         m = random_model(3, 1, 5, 1.0)
-        row = m.conditional((2,), temperature=1.0)
+        row = m.conditional((2,))
         assert np.array_equal(row.mass, m.table[2])
 
     def test_markov_suffix_property(self):
@@ -79,16 +83,16 @@ class TestConditional:
 
     @pytest.mark.parametrize("T", [1.0, 0.7])
     def test_rows_cached_and_read_only(self, T):
-        m = random_model(3, 1, 5, 1.0)
-        row = m.conditional((2,), T)
-        assert m.conditional((1, 2), T) is row
-        assert m.conditional((2,), 0.5) is not row
+        m = replace(random_model(3, 1, 5, 1.0), temperature=T)
+        row = m.conditional((2,))
+        assert m.conditional((1, 2)) is row
+        assert replace(m, temperature=0.5).conditional((2,)) is not row
         before = row.mass.copy()
         with pytest.raises(ValueError):
             row.mass[0] = 0.0
         with pytest.raises(ValueError):
             m.table[2, 0] = 0.0
-        assert np.array_equal(m.conditional((2,), T).mass, before)
+        assert np.array_equal(m.conditional((2,)).mass, before)
 
 
 class TestTemperatureScale:
@@ -262,7 +266,47 @@ class TestPairs:
 
     def test_temperature_applied_to_both(self):
         pair = generate_pair(4, 0, 5, 1.0, similarity=0.3, temperature=0.5)
-        raw_p = pair.draft.conditional((), 1.0).mass
-        cooled = pair.draft_conditional(())
+        raw_p = pair.draft.table[0]
+        cooled = pair.draft.conditional(())
         assert not np.allclose(raw_p, cooled.mass)
         assert int(np.argmax(raw_p)) == int(np.argmax(cooled.mass))
+
+
+def _tempered_at_one(pair: ModelPair, T: float) -> ModelPair:
+    """``pair``'s tables with each row tempered by ``temperature_scale``, used at T = 1."""
+
+    def temper(m):
+        rows = [temperature_scale(Distribution(row), T).mass for row in m.table]
+        return MarkovModel(m.vocab_size, m.order, np.array(rows))
+
+    return ModelPair(temper(pair.draft), temper(pair.target))
+
+
+@pytest.mark.parametrize("T", [0.5, 2.0])
+@pytest.mark.parametrize("V, order", [(6, 2), (16, 1)])
+class TestTemperatureAppliedOnce:
+    """A pair built at T samples exactly as its rows tempered once and read at T = 1."""
+
+    def test_decodes_match(self, V, order, T):
+        pair = generate_pair(V, order, 3, 0.5, 0.5, T)
+        plain = _tempered_at_one(pair, T)
+        for algo, seed in itertools.product(ALGORITHMS, range(3)):
+            (got, gm), (want, wm) = (decode(p, algo, 2, 3, (1, 2), 24, RandomSource(seed)) for p in (pair, plain))
+            assert got == want
+            gm, wm = asdict(gm), asdict(wm)
+            del gm["wall_ms"], wm["wall_ms"]
+            assert gm == wm
+
+    def test_oracle_report_matches(self, V, order, T):
+        pair = generate_pair(V, order, 3, 0.5, 0.5, T)
+        got, want = (exact_output_distribution(p, 2, 2).to_jsonable() for p in (pair, _tempered_at_one(pair, T)))
+        del got["runtime_s"], want["runtime_s"]
+        assert got == want
+
+    def test_rebuilt_pair_keeps_its_rows(self, V, order, T):
+        pair = generate_pair(V, order, 3, 0.5, 0.5, T)
+        rebuilt, plain = ModelPair(pair.draft, pair.target, pair.temperature), _tempered_at_one(pair, T)
+        assert rebuilt.draft is pair.draft and rebuilt.target is pair.target
+        for ctx in itertools.product(range(V), repeat=order):
+            for model, once in ((rebuilt.draft, plain.draft), (rebuilt.target, plain.target)):
+                assert np.array_equal(model.conditional(ctx).mass, once.conditional(ctx).mass)

@@ -76,7 +76,7 @@ def gbv_reference(pair, L):
         for blk in itertools.product(range(V), repeat=n):
             ctx = blk[:-1]
             joints[blk] = extend_joint(
-                joints[ctx], blk[-1], pair.draft_conditional(ctx), pair.target_conditional(ctx)
+                joints[ctx], blk[-1], pair.draft.conditional(ctx), pair.target.conditional(ctx)
             )
     leaves = {}
     for row in itertools.product(range(V), repeat=L):
@@ -89,8 +89,8 @@ def gbv_reference(pair, L):
             j = joints[row[:i]]
             a = gbv_accept_prob(
                 j.ratio_q_over_p(),
-                None if at_end else pair.draft_conditional(row[:i]),
-                None if at_end else pair.target_conditional(row[:i]),
+                None if at_end else pair.draft.conditional(row[:i]),
+                None if at_end else pair.target.conditional(row[:i]),
                 at_end,
             )
             new = {}
@@ -196,8 +196,8 @@ class TestLevels:
         for i, (blocks, p, q, *_rest) in enumerate(levels):
             assert blocks == list(itertools.product(range(3), repeat=i))
             for blk, pb, qb in zip(blocks, p.tolist(), q.tolist()):
-                assert pb == _model_joint(pair.draft, 1.0, context, blk)
-                assert qb == _model_joint(pair.target, 1.0, context, blk)
+                assert pb == _model_joint(pair.draft, context, blk)
+                assert qb == _model_joint(pair.target, context, blk)
 
     def test_one_table_serves_every_shallower_depth(self):
         # a two-iteration report builds depth 2(L + 1) first; the first
@@ -251,7 +251,7 @@ class TestLevels:
         first = _instance(pair, 3, 2, (1,))
         context = (1, 2)
         second = _Instance(
-            harness.RawChain(pair.draft, pair.temperature, context), first.modified(0, (), 2),
+            harness.RawChain(pair.draft, context), first.modified(0, (), 2),
             context, pair.vocab_size, 3, 2,
         )
         for inst in (first, second):
@@ -499,7 +499,7 @@ class TestBatchedEnumeration:
                 ]
                 for tau, t in positive[:3]:
                     prefix = t + (V - 1,)
-                    draft = harness.RawChain(pair.draft, pair.temperature, context + prefix)
+                    draft = harness.RawChain(pair.draft, context + prefix)
                     target = first.modified(tau, t, V - 1)
                     insts.append(_Instance(draft, target, context + prefix, V, L, K))
         return insts
@@ -658,7 +658,7 @@ class TestDraftLaw:
     def test_second_iteration_drafted_from_context_alone_fails(self, monkeypatch):
         n = len(self.CONTEXT)
         monkeypatch.setattr(
-            oracle, "RawChain", lambda model, T, ctx: harness.RawChain(model, T, ctx[:n])
+            oracle, "RawChain", lambda model, ctx: harness.RawChain(model, ctx[:n])
         )
         assert max(self.report(seed).lemma_max_dev_two_iter for seed in range(30, 33)) > 1e-3
 
@@ -678,8 +678,8 @@ class TestOracleMatchesVerifier:
         n = 50_000
         counts: dict = {}
         for _ in range(n):
-            drafts = draft_rows(canonical_pair.draft_conditional, 2, 2, rng)
-            scores = score_rows(drafts, batched(canonical_pair.target_conditional))
+            drafts = draft_rows(canonical_pair.draft.conditional, 2, 2, rng)
+            scores = score_rows(drafts, batched(canonical_pair.target.conditional))
             out, _ = verify_spectr_gbv(drafts, scores, rng)
             key = (out.tau, out.t)
             counts[key] = counts.get(key, 0) + 1
@@ -758,7 +758,7 @@ class TestEmptyResidualFallback:
     @pytest.mark.parametrize("K", [1, 2])
     def test_verifier_warning_rate_matches_oracle(self, matched_pair, K):
         tau0 = float(matched_tau0_mass((0.4, 0.3, 0.2, 0.1), 2, K))
-        q_cond, p_cond = matched_pair.target_conditional, matched_pair.draft_conditional
+        q_cond, p_cond = matched_pair.target.conditional, matched_pair.draft.conditional
         rng = RandomSource(2718)
         n, warned = 2000, 0
         for _ in range(n):

@@ -1,9 +1,11 @@
 import importlib
+import inspect
 import pkgutil
 import types
 from pathlib import Path
 
 import speclab
+from speclab import harness, models, oracle
 
 # ROADMAP item 11: the package shrinks, and evidence makes room by deleting first
 LINE_BUDGET = 2400
@@ -23,3 +25,16 @@ def test_package_fits_its_line_budget():
     files = Path(speclab.__file__).parent.glob("*.py")
     lines = sum(path.read_text(encoding="utf-8").count("\n") for path in files)
     assert lines <= LINE_BUDGET, f"src/speclab has {lines} lines, over the budget of {LINE_BUDGET}"
+
+
+def test_no_lookup_takes_a_temperature():
+    # a model reads its rows at its own temperature, which ModelPair sets; no
+    # chain, lookup or wrapper passes one down
+    for fn, params in [
+        (models.MarkovModel.conditional, ["self", "context"]),
+        (harness.RawChain, ["model", "context"]),
+        (oracle._model_joint, ["model", "context", "blk"]),
+    ]:
+        assert list(inspect.signature(fn).parameters) == params, fn
+    assert not hasattr(models.ModelPair, "draft_conditional")
+    assert not hasattr(models.ModelPair, "target_conditional")

@@ -72,9 +72,9 @@ def dist(*mass):
 
 
 def order0_setup(pair, K, L, rng):
-    p_cond = pair.draft_conditional
+    p_cond = pair.draft.conditional
     drafts = draft_rows(p_cond, K, L, rng)
-    scores = score_rows(drafts, batched(pair.target_conditional))
+    scores = score_rows(drafts, batched(pair.target.conditional))
     return drafts, scores
 
 
@@ -632,7 +632,7 @@ class TestKseqMemo:
         rows = []
         for pair in pairs:
             decode(pair, "spectr", 3, 4, (0, 1), 48, RandomSource(3))
-            rows += [*pair.draft.cache[1.0].values(), *pair.target.cache[1.0].values()]
+            rows += [*pair.draft.cache.values(), *pair.target.cache.values()]
         assert any(d in verifiers._RHO for d in rows)
         return [weakref.ref(d) for d in rows]
 
@@ -689,8 +689,8 @@ class TestKseqMemo:
         drawn, normalized = [], []
         monkeypatch.setattr(verifiers, "sample", lambda d, rng: drawn.append(d) or sample(d, rng))
         monkeypatch.setattr(verifiers, "normalize", lambda w: normalized.append(1) or normalize(w))
-        p = canonical_pair.draft_conditional(())
-        q = canonical_pair.target_conditional(())
+        p = canonical_pair.draft.conditional(())
+        q = canonical_pair.target.conditional(())
         drafts, scores = DraftSet(((1,),), ((p,),)), TargetScores(((q, q),))
         memo = {}
         for _ in range(3):
@@ -949,7 +949,7 @@ class TestVerifySpectrGbv:
                 # the next iteration's overrides: at the empty context, at
                 # every one-token context on small vocabularies, and along a
                 # row drafted after the verified block
-                nxt = draft_rows(lambda ctx: pair.draft_conditional(mod_a.prefix + ctx), 1, L,
+                nxt = draft_rows(lambda ctx: pair.draft.conditional(mod_a.prefix + ctx), 1, L,
                                  RandomSource(seed + 1000)).tokens[0]
                 ctxs = {nxt[:n] for n in range(L)}
                 if pair.vocab_size <= 32:
@@ -958,8 +958,8 @@ class TestVerifySpectrGbv:
                 for ctx in sorted(ctxs):
                     if len(ctx) + 1 > mod_a.horizon:
                         continue
-                    ga = override(mod_a, ctx, pair.target_conditional, pair.draft_conditional, ca)
-                    gb = override(mod_b, ctx, pair.target_conditional, pair.draft_conditional, cb)
+                    ga = override(mod_a, ctx, pair.target.conditional, pair.draft.conditional, ca)
+                    gb = override(mod_b, ctx, pair.target.conditional, pair.draft.conditional, cb)
                     assert np.max(np.abs(ga.mass - gb.mass)) < 1e-12
                 assert (ca.vocab_scans, ca.warnings) == (cb.vocab_scans, cb.warnings)
                 mod_warnings += ca.warnings
@@ -1032,7 +1032,7 @@ class TestVerifySpectrGbv:
             pair = ModelPair(MarkovModel(3, 1, draft), MarkovModel(3, 1, target))
         else:
             pair = generate_pair(16, 1, 4, 0.05, 0.0)
-        q_base, p_base = batched(pair.target_conditional), batched(pair.draft_conditional)
+        q_base, p_base = batched(pair.target.conditional), batched(pair.draft.conditional)
         checked = zero = 0
         for seed in range(40):
             rng = RandomSource(seed)
@@ -1044,7 +1044,7 @@ class TestVerifySpectrGbv:
                 j = PrefixJoint(mod.log_p_prefix, mod.log_q_prefix)
                 for n, tok in enumerate(ctx):
                     head = mod.prefix + ctx[:n]
-                    j = extend_joint(j, tok, pair.draft_conditional(head), pair.target_conditional(head))
+                    j = extend_joint(j, tok, pair.draft.conditional(head), pair.target.conditional(head))
                 assert mod._joints[ctx] == j
                 checked += len(ctx) > 1
                 zero += j.log_q == LOG_ZERO
@@ -1104,7 +1104,7 @@ class TestVerifySpectrGbv:
 class TestModification:
     def _record(self, pair, K, L, seed):
         rng = RandomSource(seed)
-        p_cond, q_cond = pair.draft_conditional, pair.target_conditional
+        p_cond, q_cond = pair.draft.conditional, pair.target.conditional
         drafts = draft_rows(p_cond, K, L, rng)
         scores = score_rows(drafts, batched(q_cond))
         out, mod = verify_spectr_gbv(drafts, scores, rng)
@@ -1112,7 +1112,7 @@ class TestModification:
 
     def test_positions_past_horizon_fall_through(self, canonical_pair):
         out, mod = self._record(canonical_pair, 2, 2, seed=4)
-        q_cond, p_cond = canonical_pair.target_conditional, canonical_pair.draft_conditional
+        q_cond, p_cond = canonical_pair.target.conditional, canonical_pair.draft.conditional
         ctx = tuple(0 for _ in range(mod.horizon))  # position horizon+1
         got = override(mod, ctx, q_cond, p_cond)
         raw = q_cond(mod.prefix + ctx)
@@ -1120,8 +1120,8 @@ class TestModification:
 
     def test_full_acceptance_has_zero_horizon(self, matched_pair):
         rng = RandomSource(2)
-        drafts = draft_rows(matched_pair.draft_conditional, 1, 2, rng)
-        scores = score_rows(drafts, batched(matched_pair.target_conditional))
+        drafts = draft_rows(matched_pair.draft.conditional, 1, 2, rng)
+        scores = score_rows(drafts, batched(matched_pair.target.conditional))
         out, mod = verify_gbv(drafts, scores, rng)
         assert out.tau == 2 and mod.horizon == 0
 
@@ -1178,6 +1178,6 @@ class TestModification:
         out, mod = self._record(pair, 3, 4, seed=9)
         if mod.horizon == 0:
             return
-        got = override(mod, (), pair.target_conditional, pair.draft_conditional)
+        got = override(mod, (), pair.target.conditional, pair.draft.conditional)
         assert abs(got.mass.sum() - 1.0) < 1e-9
         assert np.all(got.mass >= 0)
