@@ -15,6 +15,8 @@ Exit codes: 0 success, 1 usage error, 2 oracle-check failure, 3 IO error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import re
 import sys
@@ -54,8 +56,11 @@ def _load_config_tokens(path: str, parser: argparse.ArgumentParser) -> list[str]
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             key, value = (s.strip() for s in line.split("=", 1))
             key = key.replace("_", "-")
-            # ``parser`` resolves the key as it would the flag, prefixes too
-            known = parser.parse_known_args(["run", f"--{key}", value])[0]
+            try:  # ``parser`` resolves the key as it would the flag, prefixes too
+                with contextlib.redirect_stdout(io.StringIO()):
+                    known = parser.parse_known_args(["run", f"--{key}", value])[0]
+            except SystemExit as e:  # only --help exits 0, and no file may ask for it
+                raise e if e.code else ValueError(f"{path}:{lineno}: a config file cannot ask for help")
             if known.config:
                 raise ValueError(f"{path}:{lineno}: a config file cannot name another")
             if known.timings:
@@ -128,6 +133,8 @@ _CONFIG_FIELDS = {f.name for f in fields(harness.RunConfig)}
 def _config(args, **cell) -> harness.RunConfig:
     """The run config of the parsed options, with ``cell`` over them."""
     given = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS}
+    if args.gen and (args.draft_path or args.target_path):
+        raise ValueError("--gen and model files each name the pair; give one")
     return harness.RunConfig(**{**given, **args.gen, **cell})
 
 

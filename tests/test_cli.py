@@ -137,6 +137,18 @@ class TestRun:
         assert "argument --config: expected one argument" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["help", "h", "he"])
+    def test_config_asking_for_help_is_a_usage_error(self, key, tmp_path, capsys):
+        # argparse's help action prints and exits 0, which would skip the run
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"L = 2\n{key} = 1\n")
+        out = tmp_path / "o.csv"
+        assert main(["run", *self.CELL, "--config", str(cfg), "--out", str(out)]) == 1
+        printed = capsys.readouterr()
+        assert "cfg.txt:2: a config file cannot ask for help" in printed.err
+        assert printed.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("value, on", [("yes", True), ("ON", True), ("1", True),
                                            ("no", False), ("off", False), ("0", False)])
     def test_config_timings_switch(self, value, on, tmp_path):
@@ -288,6 +300,22 @@ class TestOptions:
         argv = [command, flag, str(model), "--K", "1", "--L", "2"]
         assert main(argv + (["--out", str(out)] if command != "verify-demo" else [])) == 1
         assert "model path" in capsys.readouterr().err
+        assert not out.exists()
+
+    # only run reads a config file
+    @pytest.mark.parametrize("command, in_config", [
+        ("run", False), ("oracle-check", False), ("verify-demo", False), ("run", True),
+    ])
+    def test_gen_beside_model_files_is_a_usage_error(self, command, in_config, tmp_path, capsys):
+        model, cfg, out = tmp_path / "m.json", tmp_path / "cfg.txt", tmp_path / "out"
+        save_model(random_model(4, 1, 5, 1.0), model)
+        cfg.write_text("gen = 16,1,0,1.0\n")
+        gen = ["--config", str(cfg)] if in_config else ["--gen", "16,1,0,1.0"]
+        argv = [command, "--draft-model", str(model), "--target-model", str(model), *gen, "--K", "1", "--L", "2"]
+        assert main(argv + (["--out", str(out)] if command != "verify-demo" else [])) == 1
+        printed = capsys.readouterr()
+        assert "invalid arguments: --gen and model files each name the pair; give one" in printed.err
+        assert printed.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
