@@ -311,7 +311,7 @@ class TestOptions:
         save_model(random_model(4, 1, 5, 1.0), model)
         cfg.write_text("gen = 16,1,0,1.0\n")
         gen = ["--config", str(cfg)] if in_config else ["--gen", "16,1,0,1.0"]
-        argv = [command, "--draft-model", str(model), "--target-model", str(model), *gen, "--K", "1", "--L", "2"]
+        argv = [command, "--draft-model", str(model), "--target-model", str(model), *gen, "--L", "2"]
         assert main(argv + (["--out", str(out)] if command != "verify-demo" else [])) == 1
         printed = capsys.readouterr()
         assert "invalid arguments: --gen and model files each name the pair; give one" in printed.err

@@ -291,7 +291,8 @@ class TestTemperatureAppliedOnce:
         pair = generate_pair(V, order, 3, 0.5, 0.5, T)
         plain = _tempered_at_one(pair, T)
         for algo, seed in itertools.product(ALGORITHMS, range(3)):
-            (got, gm), (want, wm) = (decode(p, algo, 2, 3, (1, 2), 24, RandomSource(seed)) for p in (pair, plain))
+            got, gm = decode(pair, algo, 2, 3, (1, 2), 24, RandomSource(seed))
+            want, wm = decode(plain, algo, 2, 3, (1, 2), 24, RandomSource(seed))
             assert got == want
             gm, wm = asdict(gm), asdict(wm)
             del gm["wall_ms"], wm["wall_ms"]
@@ -299,7 +300,8 @@ class TestTemperatureAppliedOnce:
 
     def test_oracle_report_matches(self, V, order, T):
         pair = generate_pair(V, order, 3, 0.5, 0.5, T)
-        got, want = (exact_output_distribution(p, 2, 2).to_jsonable() for p in (pair, _tempered_at_one(pair, T)))
+        got = exact_output_distribution(pair, 2, 2).to_jsonable()
+        want = exact_output_distribution(_tempered_at_one(pair, T), 2, 2).to_jsonable()
         del got["runtime_s"], want["runtime_s"]
         assert got == want
 
