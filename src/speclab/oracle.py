@@ -152,8 +152,7 @@ class _Instance:
         """The target chain of the iteration after leaf (tau, t) and extra token y."""
         prefix = t + (y,)
         horizon = max(self.L - tau - 1, 0)
-        j = self._joint(prefix) if horizon else PrefixJoint.empty()
-        mod = ModifiedTarget(horizon, self.K, prefix, j.log_p, j.log_q)
+        mod = ModifiedTarget(horizon, self.K, prefix, self._joint(prefix) if horizon else PrefixJoint())
         return ModifiedChain(self.qchain, self.pchain, mod, self.context + prefix, Counters())
 
 
@@ -311,7 +310,7 @@ def _output_law(inst: _Instance, leaves: list[np.ndarray], depth: int) -> tuple[
 
     Leaf (tau, t) is followed by its extra token, then by its branch's
     modified target chain. Every such row below level L is, bit for bit, a
-    row of one ``ModifiedTarget`` at the root (horizon L, joints (0, 0)): a
+    row of one ``ModifiedTarget`` at the root (horizon L, ``PrefixJoint()``): a
     branch's override at block b is live iff len(b) < L and is built from
     b's joints, extended by one ``math.log`` per factor as the table's are,
     and the residual after a leaf at t normalizes the same surplus
@@ -330,7 +329,7 @@ def _output_law(inst: _Instance, leaves: list[np.ndarray], depth: int) -> tuple[
     V, L = inst.V, inst.L
     blocks = _heads(V, depth)
     live = sum(V**i for i in range(min(L, depth)))
-    record = ModifiedTarget(L, inst.K, (), 0.0, 0.0)
+    record = ModifiedTarget(L, inst.K, (), PrefixJoint())
     found = record.conditional(list(blocks[:live]), inst.qchain.conditionals, inst.pchain.conditionals)
     # a modified target chain's raw chain is the target at its origin, inst.context
     found += getattr(inst.qchain, "raw", inst.qchain).conditionals(blocks[live:])

@@ -8,9 +8,10 @@ cumulative mass is built on the first draw and kept, with a read-only
 pays for one vocabulary pass and each later draw is one binary search.
 ``RandomSource`` serves its doubles from blocks drawn from the generator,
 which is the same stream as one call per double. Joint probabilities of
-token prefixes are carried in log space with an absorbing -inf marker for
-exact zeros, because products of conditionals over a block underflow in
-linear space for peaked models.
+token prefixes are carried in log space, as ``PrefixJoint`` pairs, with an
+absorbing -inf marker for exact zeros, because products of conditionals
+over a block underflow in linear space for peaked models; ``joint_ratio``
+is the one rule that turns two log joints into a ratio.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -163,36 +165,14 @@ def sample(d: Distribution, rng: RandomSource) -> int:
     return int(np.flatnonzero(d.mass)[-1])
 
 
-@dataclass(frozen=True)
-class PrefixJoint:
-    """Joint probability of a token prefix under draft (p) and target (q) chains.
+class PrefixJoint(NamedTuple):
+    """Natural-log joints of a token prefix under the draft (p) and target (q)
+    chains; the defaults are the empty prefix. An exact zero is the absorbing
+    -inf, a state rather than an error. Rules read the ratio p/q or q/p
+    through ``joint_ratio`` and a linear joint through ``math.exp``."""
 
-    log_p and log_q are natural logs; exact zero probability is the absorbing
-    marker -inf, which is a representable state rather than an error.
-    """
-
-    log_p: float
-    log_q: float
-
-    @classmethod
-    def empty(cls) -> "PrefixJoint":
-        return cls(0.0, 0.0)
-
-    @property
-    def p(self) -> float:
-        return math.exp(self.log_p)
-
-    @property
-    def q(self) -> float:
-        return math.exp(self.log_q)
-
-    def ratio_p_over_q(self) -> float:
-        """p/q by ``joint_ratio``: q = 0 => +inf (so min(ratio, 1) = 1)."""
-        return joint_ratio(self.log_p, self.log_q)
-
-    def ratio_q_over_p(self) -> float:
-        """q/p likelihood ratio by ``joint_ratio``: p = 0 => +inf."""
-        return joint_ratio(self.log_q, self.log_p)
+    log_p: float = 0.0
+    log_q: float = 0.0
 
 
 def joint_ratio(log_num: float, log_den: float) -> float:

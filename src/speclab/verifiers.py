@@ -505,22 +505,22 @@ def full_block_accept_prob(joint: PrefixJoint, K: int) -> float:
     r <= 1 and (q_j / p_j) / G(p_j) above. No joint is compared with a
     threshold, and K = 1 gives min(1, q_j / p_j) exactly.
     """
-    r = joint.ratio_p_over_q()
-    a = 1.0 + _geometric_tail(r, K) if r <= 1.0 else joint.ratio_q_over_p()
-    return min(1.0, a / (1.0 + _geometric_tail(joint.p, K)))
+    r = joint_ratio(joint.log_p, joint.log_q)
+    a = 1.0 + _geometric_tail(r, K) if r <= 1.0 else joint_ratio(joint.log_q, joint.log_p)
+    return min(1.0, a / (1.0 + _geometric_tail(math.exp(joint.log_p), K)))
 
 
 def full_block_accept_probs(log_p: np.ndarray, log_q: np.ndarray, K: int) -> np.ndarray:
     """``full_block_accept_prob`` of every block with log joints
     (log_p[n], log_q[n]), bit for bit: the ratios come from ``joint_ratio``
-    and the draft joint from ``math.exp``, as ``PrefixJoint``'s do, and
+    and the draft joint from ``math.exp``, as the scalar rule's do, and
     numpy does only the rule's +, -, *, / and min, which round as Python's
     do. G is read at min(r, 1), so the branch r > 1 discards forms no
     overflow."""
     lp, lq = log_p.tolist(), log_q.tolist()
     r = np.array(list(map(joint_ratio, lp, lq)))
     a = np.where(r <= 1.0, 1.0 + _geometric_tail(np.minimum(r, 1.0), K), list(map(joint_ratio, lq, lp)))
-    p = np.array([math.exp(x) for x in lp])  # PrefixJoint.p
+    p = np.array([math.exp(x) for x in lp])
     return np.minimum(1.0, a / (1.0 + _geometric_tail(p, K)))
 
 
@@ -549,7 +549,7 @@ def block_residual(
     and a finite ratio it is normalized as it is, bit for bit the fresh
     result, and no pass is charged; otherwise the pass is made.
     """
-    r = joint.ratio_p_over_q()
+    r = joint_ratio(joint.log_p, joint.log_q)
     if surplus is not None and not math.isinf(r):
         s = float(surplus.sum())
         if s > 0.0:
@@ -564,8 +564,8 @@ def block_residual(
 
 def _row_joints(tokens, p_conds, q_conds) -> list[PrefixJoint]:
     """Joints of every prefix of a drafted row, lengths 0 .. L: ``extend_joint``
-    chained from ``PrefixJoint.empty()``."""
-    out = [PrefixJoint.empty()]
+    chained from the empty prefix's ``PrefixJoint()``."""
+    out = [PrefixJoint()]
     for tok, p, q in zip(tokens, p_conds, q_conds):
         out.append(extend_joint(out[-1], tok, p, q))
     return out
@@ -642,11 +642,11 @@ def verify_spectr_gbv(
         y = sample(res, rng)
     t = drafts.tokens[f][:tau]
     horizon = max(L - tau - 1, 0)
-    j = PrefixJoint.empty()
+    j = PrefixJoint()
     if horizon:
         j = extend_joint(joints[f][tau], y, drafts.cond[f][tau], scores.cond[f][tau])
     outcome = VerifyOutcome(tau=tau, f=f, t=t, y=y, counters=counters)
-    return outcome, ModifiedTarget(horizon, K, t + (y,), j.log_p, j.log_q)
+    return outcome, ModifiedTarget(horizon, K, t + (y,), j)
 
 
 def verify_gbv(
@@ -668,10 +668,11 @@ class ModifiedTarget:
     the next iteration, represented lazily.
 
     After a block step that accepted t (tau tokens of L) and drew y, the
-    horizon is max(L - tau - 1, 0) and ``prefix`` is t + (y,). Conditionals
-    are computed on demand from the running joint probabilities of (prefix,
+    horizon is max(L - tau - 1, 0), ``prefix`` is t + (y,) and ``joint`` is
+    the prefix's ``PrefixJoint``, read only inside a positive horizon.
+    Conditionals are computed on demand from the running joints of (prefix,
     new context) under both models relative to the previous iteration's
-    context; the prefix's joints are read only inside a positive horizon.
+    context, through ``joint_ratio``.
     Positions past the horizon fall through to the base target conditional
     unchanged. ``fallbacks`` holds the contexts whose surplus was empty,
     where the base conditional is returned and a warning counted.
@@ -680,13 +681,12 @@ class ModifiedTarget:
     horizon: int
     K: int
     prefix: tuple[int, ...]
-    log_p_prefix: float
-    log_q_prefix: float
+    joint: PrefixJoint
     _joints: dict = field(default_factory=dict, repr=False, compare=False)
     fallbacks: set = field(default_factory=set, repr=False, compare=False)
 
     def __post_init__(self):
-        self._joints[()] = PrefixJoint(self.log_p_prefix, self.log_q_prefix)
+        self._joints[()] = self.joint
 
     def conditional(
         self, ctxs: list[tuple[int, ...]], q_base, p_base, counters: Counters | None = None
@@ -728,7 +728,7 @@ class ModifiedTarget:
             counters.vocab_scans += len(scan)
         w = _surplus(
             np.array([p_rows[ctxs[n]].mass for n in scan]), np.array([out[n].mass for n in scan]),
-            [joints[ctxs[n]].ratio_p_over_q() for n in scan], self.K,
+            [joint_ratio(*joints[ctxs[n]]) for n in scan], self.K,
         )
         s = w.sum(axis=1)
         if min(s.tolist()) <= 0.0:

@@ -12,6 +12,7 @@ from speclab.probability import (
     Distribution,
     PrefixJoint,
     extend_joint,
+    joint_ratio,
     normalize,
     sample,
 )
@@ -260,7 +261,7 @@ class NuModifiedTarget(ModifiedTarget):
         qn = q_rows[ctx]
         if len(ctx) + 1 > self.horizon:
             return qn
-        j = PrefixJoint(self.log_p_prefix, self.log_q_prefix)
+        j = self.joint
         for n, tok in enumerate(ctx):
             j = extend_joint(j, tok, p_rows[ctx[:n]], q_rows[ctx[:n]])
         lp, lq = j.log_p, j.log_q
@@ -294,14 +295,14 @@ def reference_gbv(drafts, scores, rng):
     counters = Counters()
     row = drafts.tokens[0]
     L = drafts.L
-    joints = [PrefixJoint.empty()]
+    joints = [PrefixJoint()]
     for i in range(L):
         joints.append(extend_joint(joints[i], row[i], drafts.cond[0][i], scores.cond[0][i]))
     tau = 0
     for i in range(1, L + 1):
         at_end = i == L
         a = gbv_accept_prob(
-            joints[i].ratio_q_over_p(),
+            joint_ratio(joints[i].log_q, joints[i].log_p),
             None if at_end else drafts.cond[0][i],
             None if at_end else scores.cond[0][i],
             at_end,
@@ -313,7 +314,7 @@ def reference_gbv(drafts, scores, rng):
     if tau == L:
         y = sample(scores.cond[0][L], rng)
     else:
-        nu_tau = joints[tau].ratio_q_over_p()
+        nu_tau = joint_ratio(joints[tau].log_q, joints[tau].log_p)
         w = np.maximum(nu_tau * scores.cond[0][tau].mass - drafts.cond[0][tau].mass, 0.0)
         try:
             res = normalize(w)
@@ -329,11 +330,11 @@ def reference_gbv(drafts, scores, rng):
             counters.residual_evals += 1
         y = sample(res, rng)
     horizon = max(L - tau - 1, 0)
-    j = PrefixJoint.empty()
+    j = PrefixJoint()
     if horizon:
         j = extend_joint(joints[tau], y, drafts.cond[0][tau], scores.cond[0][tau])
     outcome = VerifyOutcome(tau=tau, f=0, t=t, y=y, counters=counters)
-    return outcome, NuModifiedTarget(horizon, 1, t + (y,), j.log_p, j.log_q)
+    return outcome, NuModifiedTarget(horizon, 1, t + (y,), j)
 
 
 class FixedUniforms:

@@ -35,6 +35,7 @@ from speclab.probability import (
     PrefixJoint,
     RandomSource,
     extend_joint,
+    joint_ratio,
     normalize,
 )
 from speclab.verifiers import (
@@ -182,10 +183,10 @@ def test_criterion_05_single_draft_consistency(canonical):
         q_vec = Distribution(gen.dirichlet(np.ones(3)))
         plen = int(gen.integers(0, 3))
         toks = tuple(int(x) for x in gen.integers(0, 3, size=plen))
-        j = PrefixJoint.empty()
+        j = PrefixJoint()
         for tok in toks:
             j = extend_joint(j, tok, p_vec, q_vec)
-        nu = j.ratio_q_over_p()
+        nu = joint_ratio(j.log_q, j.log_p)
         a = subblock_h(j, p_vec, q_vec, 1)
         b = gbv_accept_prob(nu, p_vec, q_vec, at_end=False)
         worst_h = max(worst_h, abs(a - b))
@@ -197,7 +198,7 @@ def test_criterion_05_single_draft_consistency(canonical):
             pass
         y = int(gen.integers(0, 3))
         jy = extend_joint(j, y, p_vec, q_vec)
-        args = (max(4 - plen - 1, 0), 1, toks + (y,), jy.log_p, jy.log_q)
+        args = (max(4 - plen - 1, 0), 1, toks + (y,), jy)
         power = ModifiedTarget(*args)
         surplus = NuModifiedTarget(*args)
         q_cond = lambda ctx: q_vec

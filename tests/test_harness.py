@@ -337,7 +337,7 @@ class TestChainBatch:
             assert batch_totals == single_totals
             assert batch.record.fallbacks == single.record.fallbacks
             seen_fallback |= batch_totals.warnings > before
-            seen_zero_joint |= batch.record._joints.get((V - 1,), PrefixJoint.empty()).log_q == LOG_ZERO
+            seen_zero_joint |= batch.record._joints.get((V - 1,), PrefixJoint()).log_q == LOG_ZERO
         if make_pair is _eos_free_v16:
             assert seen_zero_joint
         else:
@@ -394,7 +394,7 @@ class TestPruning:
         bottom = RawChain(pair.target, (0,))
         chain = bottom
         for i, (horizon, plen) in enumerate(reversed(layers)):
-            record = ModifiedTarget(horizon, 3, (1,) * plen, 0.0, 0.0)
+            record = ModifiedTarget(horizon, 3, (1,) * plen, PrefixJoint())
             chain = ModifiedChain(chain, RawChain(pair.draft, (0,)), record, (i + 1,))
         return pair.target, bottom, chain
 

@@ -28,7 +28,7 @@ from speclab.oracle import (
     exact_expected_tau,
     exact_output_distribution,
 )
-from speclab.probability import LOG_ZERO, PrefixJoint, RandomSource, extend_joint
+from speclab.probability import LOG_ZERO, PrefixJoint, RandomSource, extend_joint, joint_ratio
 from speclab.verifiers import (
     Counters,
     ModifiedTarget,
@@ -71,7 +71,7 @@ def gbv_reference(pair, L):
     per sub-block, (accepted-prefix mass, min of the two joints).
     """
     V = pair.vocab_size
-    joints = {(): PrefixJoint.empty()}
+    joints = {(): PrefixJoint()}
     for n in range(1, L + 1):
         for blk in itertools.product(range(V), repeat=n):
             ctx = blk[:-1]
@@ -80,7 +80,7 @@ def gbv_reference(pair, L):
             )
     leaves = {}
     for row in itertools.product(range(V), repeat=L):
-        w = joints[row].p
+        w = math.exp(joints[row].log_p)
         if w <= 0.0:
             continue
         states = {0: 1.0}
@@ -88,7 +88,7 @@ def gbv_reference(pair, L):
             at_end = i == L
             j = joints[row[:i]]
             a = gbv_accept_prob(
-                j.ratio_q_over_p(),
+                joint_ratio(j.log_q, j.log_p),
                 None if at_end else pair.draft.conditional(row[:i]),
                 None if at_end else pair.target.conditional(row[:i]),
                 at_end,
@@ -108,7 +108,8 @@ def gbv_reference(pair, L):
         for i in range(1, tau + 1):
             accepted[t[:i]] = accepted.get(t[:i], 0.0) + m
     lemma = {
-        blk: (accepted.get(blk, 0.0), min(j.p, j.q)) for blk, j in joints.items() if blk
+        blk: (accepted.get(blk, 0.0), min(math.exp(j.log_p), math.exp(j.log_q)))
+        for blk, j in joints.items() if blk
     }
     return leaves, lemma
 
@@ -560,7 +561,7 @@ class TestLevelBatchedRules:
                         want[i].append(0.0)
                     elif i < L:
                         want[i].append(subblock_h(j, inst.pchain.conditional(u), inst.qchain.conditional(u), K))
-                        infinite += j.ratio_p_over_q() == math.inf
+                        infinite += joint_ratio(j.log_p, j.log_q) == math.inf
                     else:
                         want[i].append(full_block_accept_prob(j, K))
         for got, exp in zip(h[1:], want[1:]):
@@ -626,7 +627,7 @@ class TestOutputLawPass:
         fell = 0
         for setting, inst, leaves, depth in self.laws(monkeypatch, V, L, K, iterations):
             _law, _fb, rows = _output_law(inst, leaves, depth)
-            record = ModifiedTarget(L, K, (), 0.0, 0.0)
+            record = ModifiedTarget(L, K, (), PrefixJoint())
             for tau, ((blocks, *_rest), level) in enumerate(zip(inst.levels(L - 1), leaves)):
                 positive = np.flatnonzero(level > 0.0).tolist()
                 found = record.conditional(

@@ -13,6 +13,7 @@ from speclab.probability import (
     RandomSource,
     derive_seed,
     extend_joint,
+    joint_ratio,
     normalize,
     sample,
 )
@@ -246,37 +247,37 @@ class TestResidual:
 
 class TestPrefixJoint:
     def test_single_step_product(self):
-        j = extend_joint(PrefixJoint.empty(), 0, dist(0.5, 0.5), dist(0.8, 0.2))
-        assert math.isclose(j.p, 0.5)
-        assert math.isclose(j.q, 0.8)
+        j = extend_joint(PrefixJoint(), 0, dist(0.5, 0.5), dist(0.8, 0.2))
+        assert math.isclose(math.exp(j.log_p), 0.5)
+        assert math.isclose(math.exp(j.log_q), 0.8)
 
     def test_product_rule(self):
-        j = PrefixJoint.empty()
+        j = PrefixJoint()
         for _ in range(2):
             j = extend_joint(j, 0, dist(0.5, 0.5), dist(0.8, 0.2))
-        assert math.isclose(j.p, 0.25)
-        assert math.isclose(j.q, 0.64, rel_tol=1e-12)
+        assert math.isclose(math.exp(j.log_p), 0.25)
+        assert math.isclose(math.exp(j.log_q), 0.64, rel_tol=1e-12)
 
     def test_absorbing_zero(self):
-        j = extend_joint(PrefixJoint.empty(), 0, dist(0.5, 0.5), dist(0.0, 1.0))
-        assert j.q == 0.0
+        j = extend_joint(PrefixJoint(), 0, dist(0.5, 0.5), dist(0.0, 1.0))
+        assert math.exp(j.log_q) == 0.0
         j2 = extend_joint(j, 1, dist(0.5, 0.5), dist(0.3, 0.7))
-        assert j2.q == 0.0 and j2.p == 0.25
-        assert j2.ratio_p_over_q() == float("inf")
+        assert math.exp(j2.log_q) == 0.0 and math.exp(j2.log_p) == 0.25
+        assert joint_ratio(j2.log_p, j2.log_q) == float("inf")
 
     @given(st.lists(st.integers(0, 2), min_size=1, max_size=8), st.integers(0, 10_000))
     @settings(max_examples=60)
     def test_log_chain_matches_direct_product(self, tokens, seed):
         gen = np.random.Generator(np.random.PCG64(seed))
         conds = [Distribution(gen.dirichlet(np.ones(3))) for _ in tokens]
-        j = PrefixJoint.empty()
+        j = PrefixJoint()
         direct_p = direct_q = 1.0
         for tok, c in zip(tokens, conds):
             j = extend_joint(j, tok, c, c)
             direct_p *= float(c.mass[tok])
             direct_q *= float(c.mass[tok])
-        assert math.isclose(j.p, direct_p, rel_tol=1e-12)
-        assert math.isclose(j.q, direct_q, rel_tol=1e-12)
+        assert math.isclose(math.exp(j.log_p), direct_p, rel_tol=1e-12)
+        assert math.isclose(math.exp(j.log_q), direct_q, rel_tol=1e-12)
 
 
 class TestSample:

@@ -33,6 +33,7 @@ from speclab.probability import (
     PrefixJoint,
     RandomSource,
     extend_joint,
+    joint_ratio,
     normalize,
     sample,
 )
@@ -103,7 +104,7 @@ def sd_fields(out):
 
 
 def joint_of(tokens, p_vec, q_vec):
-    j = PrefixJoint.empty()
+    j = PrefixJoint()
     for tok in tokens:
         j = extend_joint(j, tok, p_vec, q_vec)
     return j
@@ -147,7 +148,7 @@ def ref_subblock_accept_prob(joint, p_next, q_next, K):
     The shipped conventions hold where q_j = 0 (0) and where the
     denominator in units of q_j is below DENOM_EPS (1 if p_j < q_j, else 0).
     """
-    pj, qj = Fraction(joint.p), Fraction(joint.q)
+    pj, qj = Fraction(math.exp(joint.log_p)), Fraction(math.exp(joint.log_q))
     if qj == 0:
         return 0.0
     # q_e (1 - min(p_e / q_e, 1))^K = (q_e - p_e)^K / q_e^(K-1) where p_e < q_e
@@ -167,7 +168,7 @@ def ref_subblock_accept_prob(joint, p_next, q_next, K):
 
 
 def ref_block_residual(joint, p_next, q_next, K):
-    r = joint.ratio_p_over_q()
+    r = joint_ratio(joint.log_p, joint.log_q)
     if math.isinf(r):
         raise AllZeroMass("infinite joint ratio")
     qn, pn = q_next.mass, p_next.mass
@@ -245,7 +246,7 @@ def assert_override_is_surplus_row(joint, p, q, K):
     normalized surplus row that the sub-block test at the same joint
     returns, bit for bit, or the base row where that row is empty (a
     fallback) or the target joint is zero (no override)."""
-    mod = ModifiedTarget(horizon=1, K=K, prefix=(), log_p_prefix=joint.log_p, log_q_prefix=joint.log_q)
+    mod = ModifiedTarget(horizon=1, K=K, prefix=(), joint=joint)
     got = override(mod, (), lambda ctx: q, lambda ctx: p)
     if joint.log_q == LOG_ZERO:
         assert got is q and not mod.fallbacks
@@ -323,7 +324,7 @@ class TestSurplusKernel:
     def test_power_rule(self, seed, V, p_kind, q_kind, K, r, a):
         p, q = kernel_pair(seed, V, p_kind, q_kind)
         joint = joint_with_ratio(r, a)
-        mod = ModifiedTarget(horizon=1, K=K, prefix=(), log_p_prefix=joint.log_p, log_q_prefix=joint.log_q)
+        mod = ModifiedTarget(horizon=1, K=K, prefix=(), joint=joint)
         got = override(mod, (), lambda ctx: q, lambda ctx: p)
         want = ref_power_rule(joint.log_p, joint.log_q, p, q, K)
         assert np.max(np.abs(got.mass - want.mass)) <= 1e-12
@@ -347,9 +348,9 @@ class TestSurplusKernel:
         # its mass; a ratio clamped to e^700 gave (0.33333423, 0.66666577, 0)
         p, q = dist(0.0, 1e-310, 1.0 - 1e-310), dist(0.25, 0.5, 0.25)
         joint = PrefixJoint(-1.0, -706.0)
-        assert joint.ratio_p_over_q() == math.inf
+        assert joint_ratio(joint.log_p, joint.log_q) == math.inf
         assert_override_is_surplus_row(joint, p, q, 2)
-        got = override(ModifiedTarget(1, 2, (), joint.log_p, joint.log_q), (), lambda ctx: q, lambda ctx: p)
+        got = override(ModifiedTarget(1, 2, (), joint), (), lambda ctx: q, lambda ctx: p)
         assert got.mass.tolist() == [1.0, 0.0, 0.0]
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 1024), st.integers(1, 8))
@@ -801,7 +802,7 @@ class TestGbvAcceptProb:
         # block (0,0): nu = 0.64 / 0.25 = 2.56, clamped to 1
         p, q = dist(0.5, 0.5), dist(0.8, 0.2)
         j = joint_of((0, 0), p, q)
-        nu = j.ratio_q_over_p()
+        nu = joint_ratio(j.log_q, j.log_p)
         assert abs(nu - 2.56) < 1e-12
         assert gbv_accept_prob(nu, None, None, at_end=True) == 1.0
 
@@ -860,12 +861,12 @@ class TestAcceptanceFormulas:
         for blk in [(0,), (1,), (0, 1), (1, 1)]:
             j = joint_of(blk, p, q)
             got = full_block_accept_prob(j, 1)
-            assert abs(got - min(1.0, j.ratio_q_over_p())) < 1e-12
+            assert abs(got - min(1.0, joint_ratio(j.log_q, j.log_p))) < 1e-12
 
     def test_full_block_prob_matched_models(self):
         p = q = dist(0.25, 0.75)
         j = joint_of((1, 1), p, q)
-        expected = j.q / (1.0 - (1.0 - j.q) ** 2)
+        expected = math.exp(j.log_q) / (1.0 - (1.0 - math.exp(j.log_q)) ** 2)
         assert abs(full_block_accept_prob(j, 2) - expected) < 1e-12
         assert full_block_accept_prob(joint_of((1,), p, q), 1) == 1.0
 
@@ -896,7 +897,7 @@ class TestAcceptanceFormulas:
         p, q = kernel_pair(seed, V, "flat", "flat")
         j = joint_with_ratio(r, a)
         assert abs(subblock_h(j, p, q, K) - ref_subblock_accept_prob(j, p, q, K)) <= 1e-12
-        pj, qj = Fraction(j.p), Fraction(j.q)
+        pj, qj = Fraction(math.exp(j.log_p)), Fraction(math.exp(j.log_q))
         want = qj * (1 - (1 - min(pj / qj, Fraction(1))) ** K) / (1 - (1 - pj) ** K)
         assert abs(full_block_accept_prob(j, K) - float(min(want, Fraction(1)))) <= 1e-12
 
@@ -905,13 +906,13 @@ class TestAcceptanceFormulas:
         j = joint_of((0,), p, q)
         res = block_residual(j, p, q, 1)
         # same normalized vector as max(nu*q - p, 0) with nu = q(0)/p(0)
-        nu = j.ratio_q_over_p()
+        nu = joint_ratio(j.log_q, j.log_p)
         w = np.maximum(nu * q.mass - p.mass, 0.0)
         assert np.max(np.abs(res.mass - w / w.sum())) < 1e-12
 
     def test_residual_zero_where_draft_dominates(self):
         p, q = dist(0.5, 0.5), dist(0.8, 0.2)
-        res = block_residual(PrefixJoint.empty(), p, q, 2)
+        res = block_residual(PrefixJoint(), p, q, 2)
         assert res.mass[1] == 0.0  # p >= q at token 1
 
     def test_residual_degenerate_prefix_raises(self):
@@ -999,7 +1000,7 @@ class TestVerifySpectrGbv:
             drafts, scores = order0_setup(pair, 3, 4, rng)
             chained = []
             for k, row in enumerate(drafts.tokens):
-                js = [PrefixJoint.empty()]
+                js = [PrefixJoint()]
                 for i, tok in enumerate(row):
                     js.append(extend_joint(js[-1], tok, drafts.cond[k][i], scores.cond[k][i]))
                 chained.append(js)
@@ -1015,7 +1016,7 @@ class TestVerifySpectrGbv:
             if mod.horizon:
                 f, tau = out.f, out.tau
                 j = extend_joint(chained[f][tau], out.y, drafts.cond[f][tau], scores.cond[f][tau])
-                assert (mod.log_p_prefix, mod.log_q_prefix) == (j.log_p, j.log_q)
+                assert mod.joint == j
             zero_joints += sum(lq == LOG_ZERO for _lp, lq in seen["sub"])
             zero_joints += sum(j.log_q == LOG_ZERO for j in seen["full"])
         if shape == "zero-target":
@@ -1041,7 +1042,7 @@ class TestVerifySpectrGbv:
             np.random.default_rng(seed).shuffle(ctxs)
             mod.conditional(ctxs, q_base, p_base)
             for ctx in ctxs:
-                j = PrefixJoint(mod.log_p_prefix, mod.log_q_prefix)
+                j = mod.joint
                 for n, tok in enumerate(ctx):
                     head = mod.prefix + ctx[:n]
                     j = extend_joint(j, tok, pair.draft.conditional(head), pair.target.conditional(head))
@@ -1135,10 +1136,10 @@ class TestModification:
             L = 3
             t = tuple(int(x) for x in gen.integers(0, 3, size=tau))
             y = int(gen.integers(0, 3))
-            j = PrefixJoint.empty()
+            j = PrefixJoint()
             for tok in t + (y,):
                 j = extend_joint(j, tok, p_vec, q_vec)
-            args = (max(L - tau - 1, 0), 1, t + (y,), j.log_p, j.log_q)
+            args = (max(L - tau - 1, 0), 1, t + (y,), j)
             power = ModifiedTarget(*args)
             surplus = NuModifiedTarget(*args)
             q_cond = lambda ctx: q_vec
@@ -1154,7 +1155,7 @@ class TestModification:
         # q gives token 1 no mass, so ctx (1,) has a zero target joint: nothing
         # is overridden there, and nothing has fallen back
         p_vec, q_vec = dist(0.5, 0.5), dist(1.0, 0.0)
-        mod = ModifiedTarget(horizon=2, K=2, prefix=(0,), log_p_prefix=math.log(0.5), log_q_prefix=0.0)
+        mod = ModifiedTarget(horizon=2, K=2, prefix=(0,), joint=PrefixJoint(math.log(0.5), 0.0))
         counters = Counters()
         got = override(mod, (1,), lambda ctx: q_vec, lambda ctx: p_vec, counters)
         assert got is q_vec
@@ -1165,7 +1166,7 @@ class TestModification:
         # ctx (1,) has a zero target joint and returns the base row untouched;
         # ctx (0,) builds the override with one pass over the vocabulary
         p_vec, q_vec = dist(0.5, 0.5), dist(1.0, 0.0)
-        mod = build(horizon=2, K=2, prefix=(0,), log_p_prefix=math.log(0.5), log_q_prefix=0.0)
+        mod = build(horizon=2, K=2, prefix=(0,), joint=PrefixJoint(math.log(0.5), 0.0))
         assert (mod.horizon, mod.K, mod.prefix) == (2, 2, (0,))
         counters = Counters()
         override(mod, (1,), lambda ctx: q_vec, lambda ctx: p_vec, counters)
