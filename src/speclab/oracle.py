@@ -318,8 +318,8 @@ def _output_law(inst: _Instance, leaves: list[np.ndarray], depth: int) -> tuple[
     exactly where the record does. A full block's extra token is the chain's
     own row. So each leaf joins the flow at its level, F_i += leaves_i for
     i <= L, then F_{i+1} = F_i * rows_i ravelled, and the law is F_depth.
-    Rows at levels L and deeper, which only a second iteration reaches, are
-    the raw target at ``inst.context``, the rule ``ModifiedChain.raw`` follows.
+    One ``ModifiedChain`` over that record at ``inst.context`` gives every
+    row, the raw target there at levels L and deeper, as in decoding.
 
     Returns the law, the expected number of raw-conditional fallback draws
     per output and the rows, one (V^i, V) array per level i. The count is
@@ -327,12 +327,8 @@ def _output_law(inst: _Instance, leaves: list[np.ndarray], depth: int) -> tuple[
     path through b, be its draw a leaf's extra token or a completion.
     """
     V, L = inst.V, inst.L
-    blocks = _heads(V, depth)
-    live = sum(V**i for i in range(min(L, depth)))
     record = ModifiedTarget(L, inst.K, (), PrefixJoint())
-    found = record.conditional(list(blocks[:live]), inst.qchain.conditionals, inst.pchain.conditionals)
-    # a modified target chain's raw chain is the target at its origin, inst.context
-    found += getattr(inst.qchain, "raw", inst.qchain).conditionals(blocks[live:])
+    found = ModifiedChain(inst.qchain, inst.pchain, record, inst.context).conditionals(_heads(V, depth))
     rows = np.array([d.mass for d in found]).reshape(-1, V)
     rows = np.split(rows, np.cumsum([V**i for i in range(depth - 1)]))
     flow = [leaves[0]]
