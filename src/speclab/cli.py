@@ -30,17 +30,13 @@ from .verifiers import draft_rows, score_rows
 
 def _parse_gen(spec: str) -> dict:
     parts = spec.split(",")
-    if len(parts) not in (4, 5):
-        raise argparse.ArgumentTypeError("expected V,ORDER,SEED,CONC[,LAMBDA]")
-    out = {
-        "vocab_size": int(parts[0]),
-        "order": int(parts[1]),
-        "model_seed": int(parts[2]),
-        "concentration": float(parts[3]),
-    }
-    if len(parts) == 5:
-        out["similarity"] = float(parts[4])
-    return out
+    keys = ("vocab_size", "order", "model_seed", "concentration", "similarity")
+    try:
+        if len(parts) not in (4, 5):
+            raise ValueError
+        return {k: (int if n < 3 else float)(x) for n, (k, x) in enumerate(zip(keys, parts))}
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected V,ORDER,SEED,CONC[,LAMBDA], the first three integers, got {spec!r}")
 
 
 def _load_config_tokens(path: str, parser: argparse.ArgumentParser) -> list[str]:
@@ -57,10 +53,13 @@ def _load_config_tokens(path: str, parser: argparse.ArgumentParser) -> list[str]
             key, value = (s.strip() for s in line.split("=", 1))
             key = key.replace("_", "-")
             try:  # ``parser`` resolves the key as it would the flag, prefixes too
-                with contextlib.redirect_stdout(io.StringIO()):
-                    known = parser.parse_known_args(["run", f"--{key}", value])[0]
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+                    known, unknown = parser.parse_known_args(["run", f"--{key}", value])
             except SystemExit as e:  # only --help exits 0, and no file may ask for it
-                raise e if e.code else ValueError(f"{path}:{lineno}: a config file cannot ask for help")
+                reason = "a config file cannot ask for help"
+                if e.code:  # argparse printed its usage, then "PROG: error: REASON"
+                    reason = err.getvalue().rstrip().rpartition(": error: ")[2]
+                raise ValueError(f"{path}:{lineno}: {reason}")
             if known.config:
                 raise ValueError(f"{path}:{lineno}: a config file cannot name another")
             if known.timings:
@@ -69,16 +68,24 @@ def _load_config_tokens(path: str, parser: argparse.ArgumentParser) -> list[str]
                     raise ValueError(f"{path}:{lineno}: timings must be 1/true/yes/on or 0/false/no/off")
                 tokens += ["--timings"] if on else []
                 continue
+            if unknown:  # left over by a key that names no run option (timings' value is read above)
+                raise ValueError(f"{path}:{lineno}: no run option --{key}")
             tokens.extend([f"--{key}", value])
     return tokens
 
 
 def _ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",")]
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a comma list of integers, got {text!r}")
 
 
 def _floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",")]
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a comma list of numbers, got {text!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -121,14 +121,17 @@ class TestRun:
             assert "--config may be given once" in capsys.readouterr().err
             assert not out.exists()
 
-    @pytest.mark.parametrize("line", ["bogus = 1", "t = 1"])
+    @pytest.mark.parametrize("line", ["bogus = 1", "t = 1", "foo = 1", "L = x", "seed = 1.5"])
     def test_config_key_that_names_no_option_is_a_usage_error(self, line, tmp_path, capsys):
-        # an unknown key, or a prefix of several options (--timings, --temperature, ...)
+        # an unknown key, a prefix of several options (--timings, --temperature,
+        # ...), or a value the option's type refuses: each names its line,
+        # without argparse's usage text
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(f"L = 2\n{line}\n")
         out = tmp_path / "o.csv"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "cfg.txt:2: " in err and "usage:" not in err
         assert not out.exists()
 
     def test_config_without_a_path_is_a_usage_error(self, tmp_path, capsys):
@@ -328,6 +331,21 @@ class TestOptions:
         assert main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "argument --gen" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, form", [
+        (["run", "--L", "x"], "expected a comma list of integers, got 'x'"),
+        (["run", "--K", "2,,3"], "expected a comma list of integers, got '2,,3'"),
+        (["run", "--temperature", "1,b"], "expected a comma list of numbers, got '1,b'"),
+        (["run", "--gen", "4,x,7,1.0"], "expected V,ORDER,SEED,CONC[,LAMBDA], the first three integers"),
+        (["gen-model", "--gen", "4,1,7"], "expected V,ORDER,SEED,CONC[,LAMBDA], the first three integers"),
+    ], ids=["L", "K", "temperature", "run-gen", "gen-model-gen"])
+    def test_malformed_value_names_the_expected_form(self, argv, form, tmp_path, capsys):
+        # no message names a private converter (_ints, _floats, _parse_gen)
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert form in err and "invalid _" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "oracle-check", "verify-demo", "gen-model"])
