@@ -180,6 +180,20 @@ class TestDecode:
             decode(matched_pair, "beam", 1, 2, (), 8, RandomSource(0))
 
 
+class TestVerify:
+    @pytest.mark.parametrize("algo", ["ar", "beam"])
+    def test_algo_without_a_draft_verifier_is_refused(self, algo):
+        # ``ar`` drafts nothing, so no verifier reads its rows
+        pair = generate_pair(4, 1, 13, 1.0, 0.5)
+        q0, p0 = RawChain(pair.target, (0,)), RawChain(pair.draft, (0,))
+        drafts = draft_rows(p0.conditional, 1, 2, RandomSource(0))
+        scores = score_rows(drafts, q0.conditionals)
+        rng = RandomSource(1)
+        with pytest.raises(ValueError, match=f"^'{algo}' has no draft verifier$"):
+            verify(algo, drafts, scores, rng)
+        assert rng.uniform() == RandomSource(1).uniform()
+
+
 class TestChains:
     def test_modified_chain_bridges_prefixes(self):
         pair = generate_pair(4, 1, 13, 1.0, 0.5)

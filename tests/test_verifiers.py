@@ -497,6 +497,14 @@ class TestFullBlockForms:
 
 
 class TestVerifySd:
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_more_than_one_row_is_refused_before_any_draw(self, canonical_pair, K):
+        drafts, scores = order0_setup(canonical_pair, K, 2, RandomSource(0))
+        rng = RandomSource(1)
+        with pytest.raises(ValueError, match="^verify_sd is a single-draft verifier$"):
+            verify_sd(drafts, scores, rng)
+        assert rng.uniform() == RandomSource(1).uniform()
+
     def test_matched_models_accept_everything(self, matched_pair):
         rng = RandomSource(1)
         for _ in range(50):
@@ -808,6 +816,14 @@ class TestGbvAcceptProb:
 
 
 class TestVerifyGbv:
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_more_than_one_row_is_refused_before_any_draw(self, canonical_pair, K):
+        drafts, scores = order0_setup(canonical_pair, K, 2, RandomSource(0))
+        rng = RandomSource(1)
+        with pytest.raises(ValueError, match="^verify_gbv is a single-draft verifier$"):
+            verify_gbv(drafts, scores, rng)
+        assert rng.uniform() == RandomSource(1).uniform()
+
     def test_matched_models_accept_full_block(self, matched_pair):
         rng = RandomSource(3)
         for _ in range(50):
