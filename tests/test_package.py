@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -5,7 +6,7 @@ import types
 from pathlib import Path
 
 import speclab
-from speclab import harness, models, oracle
+from speclab import harness, models, oracle, probability, verifiers
 
 # ROADMAP item 11: the package shrinks, and evidence makes room by deleting first
 LINE_BUDGET = 2400
@@ -38,3 +39,15 @@ def test_no_lookup_takes_a_temperature():
         assert list(inspect.signature(fn).parameters) == params, fn
     assert not hasattr(models.ModelPair, "draft_conditional")
     assert not hasattr(models.ModelPair, "target_conditional")
+
+
+def test_a_prefix_joint_has_one_spelling():
+    # a joint is two log floats, read through joint_ratio and math.exp by
+    # every rule; no method or loose pair of floats spells it a second way
+    PrefixJoint = probability.PrefixJoint
+    assert PrefixJoint._fields == ("log_p", "log_q")
+    assert PrefixJoint() == (0.0, 0.0)
+    for name in ("empty", "p", "q", "ratio_p_over_q", "ratio_q_over_p"):
+        assert not hasattr(PrefixJoint, name), name
+    names = {f.name for f in dataclasses.fields(verifiers.ModifiedTarget)}
+    assert "joint" in names and not names & {"log_p_prefix", "log_q_prefix"}
