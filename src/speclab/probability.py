@@ -7,11 +7,10 @@ cumulative mass is built on the first draw and kept, with a read-only
 ``memoryview`` that ``sample`` bisects, so a model row sampled many times
 pays for one vocabulary pass and each later draw is one binary search.
 ``RandomSource`` serves its doubles from blocks drawn from the generator,
-which is the same stream as one call per double. Joint probabilities of
-token prefixes are carried in log space, as ``PrefixJoint`` pairs, with an
-absorbing -inf marker for exact zeros, because products of conditionals
-over a block underflow in linear space for peaked models; ``joint_ratio``
-is the one rule that turns two log joints into a ratio.
+which is the same stream as one call per double. Token-prefix joints are
+``PrefixJoint`` pairs of logs, -inf marking an exact zero, since products
+of conditionals over a block underflow in linear space for peaked models;
+``joint_ratio`` is the one rule that reads a ratio off two of them.
 """
 
 from __future__ import annotations
@@ -167,9 +166,8 @@ def sample(d: Distribution, rng: RandomSource) -> int:
 
 class PrefixJoint(NamedTuple):
     """Natural-log joints of a token prefix under the draft (p) and target (q)
-    chains; the defaults are the empty prefix. An exact zero is the absorbing
-    -inf, a state rather than an error. Rules read the ratio p/q or q/p
-    through ``joint_ratio`` and a linear joint through ``math.exp``."""
+    chains, the empty prefix's by default; -inf, an exact zero, absorbs. Rules
+    read p/q or q/p through ``joint_ratio`` and a linear joint by ``math.exp``."""
 
     log_p: float = 0.0
     log_q: float = 0.0

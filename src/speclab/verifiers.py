@@ -668,11 +668,10 @@ class ModifiedTarget:
     the next iteration, represented lazily.
 
     After a block step that accepted t (tau tokens of L) and drew y, the
-    horizon is max(L - tau - 1, 0), ``prefix`` is t + (y,) and ``joint`` is
-    the prefix's ``PrefixJoint``, read only inside a positive horizon.
-    Conditionals are computed on demand from the running joints of (prefix,
-    new context) under both models relative to the previous iteration's
-    context, through ``joint_ratio``.
+    horizon is max(L - tau - 1, 0), ``prefix`` is t + (y,) and ``joint`` its
+    ``PrefixJoint``, read only inside a positive horizon. Conditionals are
+    computed on demand from the running joints of (prefix, new context)
+    under both models relative to the previous iteration's context.
     Positions past the horizon fall through to the base target conditional
     unchanged. ``fallbacks`` holds the contexts whose surplus was empty,
     where the base conditional is returned and a warning counted.
