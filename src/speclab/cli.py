@@ -30,11 +30,11 @@ from .verifiers import draft_rows, score_rows
 
 def _parse_gen(spec: str) -> dict:
     parts = spec.split(",")
-    keys = ("vocab_size", "order", "model_seed", "concentration", "similarity")
+    layout = (("vocab_size", int), ("order", int), ("model_seed", int), ("concentration", float), ("similarity", float))
     try:
         if len(parts) not in (4, 5):
             raise ValueError
-        return {k: (int if n < 3 else float)(x) for n, (k, x) in enumerate(zip(keys, parts))}
+        return {key: kind(x) for (key, kind), x in zip(layout, parts)}
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected V,ORDER,SEED,CONC[,LAMBDA], the first three integers, got {spec!r}")
 
