@@ -62,13 +62,13 @@ def _load_config_tokens(path: str, parser: argparse.ArgumentParser) -> list[str]
                 raise ValueError(f"{path}:{lineno}: {reason}")
             if known.config:
                 raise ValueError(f"{path}:{lineno}: a config file cannot name another")
-            if known.timings:
+            if known.timings and unknown == [value]:  # the switch leaves its value unparsed
                 on = value.lower() in ("1", "true", "yes", "on")
                 if not on and value.lower() not in ("0", "false", "no", "off"):
                     raise ValueError(f"{path}:{lineno}: timings must be 1/true/yes/on or 0/false/no/off")
                 tokens += ["--timings"] if on else []
                 continue
-            if unknown:  # left over by a key that names no run option (timings' value is read above)
+            if unknown:  # left over by a key that names no run option
                 raise ValueError(f"{path}:{lineno}: no run option --{key}")
             tokens.extend([f"--{key}", value])
     return tokens

@@ -121,7 +121,7 @@ class TestRun:
             assert "--config may be given once" in capsys.readouterr().err
             assert not out.exists()
 
-    @pytest.mark.parametrize("line", ["bogus = 1", "t = 1", "foo = 1", "L = x", "seed = 1.5"])
+    @pytest.mark.parametrize("line", ["bogus = 1", "t = 1", "foo = 1", "foo = --timings", "L = x", "seed = 1.5"])
     def test_config_key_that_names_no_option_is_a_usage_error(self, line, tmp_path, capsys):
         # an unknown key, a prefix of several options (--timings, --temperature,
         # ...), or a value the option's type refuses: each names its line,
