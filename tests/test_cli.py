@@ -465,6 +465,77 @@ DEMO_COUNTERS = (
 )
 
 
+# verify-demo output of the token-level verifiers, at L = 4 and seed 5, for
+# the same three pair sources: sd (K forced to 1) and spectr at K = 3
+KSEQ_DEMO_ARGS = {"sd": ["--algo", "sd"], "spectr": ["--algo", "spectr", "--K", "3"]}
+KSEQ_DEMO_OUTPUT = {
+    ("sd", "default"): """\
+algo=sd  K=1  L=4  V=8  prompt=[2, 6, 7, 2, 5, 0, 7, 3]
+  draft row 0: [0, 5, 4, 4]
+  ('candidate', 1, 0, 0, 0.6650520157614, True)
+  ('candidate', 2, 0, 5, 0.7917309751987737, True)
+  ('candidate', 3, 0, 4, 1.0, True)
+  ('candidate', 4, 0, 4, 0.6980850733612999, True)
+outcome: tau=4 f=0 t=[0, 5, 4, 4] y=7
+counters: Counters(target_calls=0, draft_calls=0, vocab_scans=0, h_partial_evals=0, residual_evals=0, warnings=0)
+""",
+    ("sd", "gen"): """\
+algo=sd  K=1  L=4  V=4  prompt=[1, 3, 3, 1, 2, 0, 3, 1]
+  draft row 0: [1, 1, 1, 1]
+  ('candidate', 1, 0, 1, 0.4668830895113458, True)
+  ('candidate', 2, 0, 1, 0.4668830895113458, True)
+  ('candidate', 3, 0, 1, 0.4668830895113458, False)
+outcome: tau=2 f=0 t=[1, 1] y=0
+counters: Counters(target_calls=0, draft_calls=0, vocab_scans=1, h_partial_evals=0, residual_evals=1, warnings=0)
+""",
+    ("sd", "files"): """\
+algo=sd  K=1  L=4  V=3  prompt=[0, 2, 2, 0, 1, 0, 2, 1]
+  draft row 0: [0, 1, 1, 1]
+  ('candidate', 1, 0, 0, 1.0, True)
+  ('candidate', 2, 0, 1, 1.0, True)
+  ('candidate', 3, 0, 1, 0.34182005284145467, False)
+outcome: tau=2 f=0 t=[0, 1] y=2
+counters: Counters(target_calls=0, draft_calls=0, vocab_scans=1, h_partial_evals=0, residual_evals=1, warnings=0)
+""",
+    ("spectr", "default"): """\
+algo=spectr  K=3  L=4  V=8  prompt=[2, 6, 7, 2, 5, 0, 7, 3]
+  draft row 0: [0, 5, 4, 4]
+  draft row 1: [0, 0, 5, 0]
+  draft row 2: [7, 2, 3, 3]
+  ('candidate', 1, 0, 0, 0.41838350997225227, True)
+  ('candidate', 2, 0, 5, 0.5176597440937969, True)
+  ('candidate', 3, 0, 4, 1.0, True)
+  ('candidate', 4, 0, 4, 0.6980850733612999, True)
+outcome: tau=4 f=0 t=[0, 5, 4, 4] y=4
+counters: Counters(target_calls=0, draft_calls=0, vocab_scans=2, h_partial_evals=0, residual_evals=0, warnings=0)
+""",
+    ("spectr", "gen"): """\
+algo=spectr  K=3  L=4  V=4  prompt=[1, 3, 3, 1, 2, 0, 3, 1]
+  draft row 0: [1, 1, 1, 1]
+  draft row 1: [1, 1, 1, 1]
+  draft row 2: [3, 0, 2, 2]
+  ('candidate', 1, 0, 1, 0.18711282213802408, False)
+  ('candidate', 1, 1, 1, 0.18711282213802408, True)
+  ('candidate', 2, 0, 1, 0.26689900715542314, False)
+  ('candidate', 2, 1, 1, 0.26689900715542314, False)
+outcome: tau=1 f=0 t=[1] y=0
+counters: Counters(target_calls=0, draft_calls=0, vocab_scans=3, h_partial_evals=0, residual_evals=1, warnings=0)
+""",
+    ("spectr", "files"): """\
+algo=spectr  K=3  L=4  V=3  prompt=[0, 2, 2, 0, 1, 0, 2, 1]
+  draft row 0: [0, 1, 1, 1]
+  draft row 1: [0, 0, 0, 0]
+  draft row 2: [2, 0, 1, 0]
+  ('candidate', 1, 0, 0, 0.5459206664803467, True)
+  ('candidate', 2, 0, 1, 1.0, True)
+  ('candidate', 3, 0, 1, 0.34182005284145467, True)
+  ('candidate', 4, 0, 1, 0.34182005284145467, False)
+outcome: tau=3 f=0 t=[0, 1, 1] y=2
+counters: Counters(target_calls=0, draft_calls=0, vocab_scans=3, h_partial_evals=0, residual_evals=1, warnings=0)
+""",
+}
+
+
 class TestPairSources:
     """oracle-check and verify-demo build their model pair from the run config:
     the CLI default pair, ``--gen`` with a similarity, or two model files."""
@@ -485,6 +556,12 @@ class TestPairSources:
         name, args, _pair = source
         assert main(["verify-demo", "--K", "2", "--L", "2", "--seed", "5"] + args) == 0
         assert capsys.readouterr().out == DEMO_OUTPUT[name] + DEMO_COUNTERS
+
+    @pytest.mark.parametrize("algo", ["sd", "spectr"])
+    def test_kseq_verify_demo_output_unchanged(self, algo, source, capsys):
+        name, args, _pair = source
+        assert main(["verify-demo", *KSEQ_DEMO_ARGS[algo], "--L", "4", "--seed", "5"] + args) == 0
+        assert capsys.readouterr().out == KSEQ_DEMO_OUTPUT[algo, name]
 
     def test_oracle_check_runs_on_that_pair(self, source, capsys):
         _name, args, pair = source
