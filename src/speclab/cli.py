@@ -25,7 +25,7 @@ from dataclasses import fields
 from . import harness, oracle
 from .models import InvalidRow, ParseError, generate_pair, save_model
 from .probability import RandomSource, derive_seed
-from .verifiers import draft_rows, score_rows
+from .verifiers import draft_rows
 
 
 def _parse_gen(spec: str) -> dict:
@@ -199,12 +199,11 @@ def _cmd_verify_demo(args) -> int:
     p_chain = harness.RawChain(pair.draft, prompt)
     q_chain = harness.RawChain(pair.target, prompt)
     drafts = draft_rows(p_chain.conditional, cfg.K, cfg.L, rng)
-    scores = score_rows(drafts, q_chain.conditionals)
     print(f"algo={cfg.algo}  K={cfg.K}  L={cfg.L}  V={pair.vocab_size}  prompt={list(prompt)}")
     for k, row in enumerate(drafts.tokens):
         print(f"  draft row {k}: {list(row)}")
     trace: list = []
-    outcome, _ = harness.verify(cfg.algo, drafts, scores, rng, trace)
+    outcome, _ = harness.verify(cfg.algo, drafts, q_chain, rng, trace)
     for step in trace:
         print(f"  {step}")
     print(f"outcome: tau={outcome.tau} f={outcome.f} t={list(outcome.t)} y={outcome.y}")

@@ -1,21 +1,21 @@
 """End-to-end decoding driver and experiment runner.
 
-A decode loop drafts K rows of L tokens from the draft model, scores every
-row prefix under the current target chain in one batched call, verifies with
-the configured algorithm, appends the accepted block plus the extra token,
-and (for the block verifiers) installs the modified target for the next
-iteration. ``sd`` and ``spectr`` keep each rejection residual in one dict per
-decode, which goes with the decode. Serial-call accounting charges one target
-call per iteration, so autoregressive decoding has block efficiency 1.
+A decode loop drafts K rows of L tokens from the draft model, verifies them
+with the configured algorithm against the current target chain, appends the
+accepted block plus the extra token, and (for the block verifiers) installs
+the modified target for the next iteration. ``sd`` and ``spectr`` keep each
+rejection residual in one dict per decode. Serial-call accounting charges
+one target call per iteration, the simulated batched pass, however many
+prefixes are read, so autoregressive decoding has block efficiency 1.
 
-Chains answer a list of contexts in one ``conditionals`` call. Scoring asks
-for all K * (L + 1) row prefixes at once, so each ``ModifiedChain`` layer
-builds its overrides for an iteration in one block and asks the layer
+Chains answer a list of contexts in one ``conditionals`` call. The block
+verifiers score all K * (L + 1) row prefixes at once, so a ``ModifiedChain``
+layer builds an iteration's overrides in one block and asks the layer
 beneath once; its ``conditional`` answers from the memo or makes that call
 with one context; a context past its horizon goes to a ``RawChain`` at its
-origin, not down the stack. A ``RawChain`` lookup is one slice of the
-context's tail and one probe of the model's row cache, with no vocabulary
-pass, so its batch is the lookup repeated.
+origin, not down the stack. ``sd`` and ``spectr`` ask a ``RawChain`` one
+context per position they reach: a slice of the context's tail and one
+probe of the model's row cache, with no vocabulary pass.
 
 Each block-verifier iteration stacks one ``ModifiedChain`` on the last. After
 every iteration ``prune_spent`` collapses the layers that can no longer
@@ -237,22 +237,22 @@ def generate_prompt(vocab_size: int, rng: RandomSource) -> tuple[int, ...]:
     return tuple(sample(uniform, rng) for _ in range(PROMPT_LENGTH))
 
 
-def verify(algo: str, drafts, scores, rng: RandomSource, trace=None, residuals=None):
-    """One verification step of ``algo``: the outcome and, for the block
-    verifiers, the modified target for the next iteration (else None).
+def verify(algo: str, drafts, q_chain, rng: RandomSource, trace=None, residuals=None):
+    """One verification step of ``algo`` against the target chain ``q_chain``:
+    the outcome and, for the block verifiers, the modified target for the next
+    iteration (else None). ``sd`` and ``spectr`` ask ``q_chain.conditional``
+    where they reach; the block verifiers read ``score_rows``' one batch.
 
     The verifiers are read from this module's globals at each call, so a
     wrapper rebound over one of them, as ``bench/tracer.py`` installs, sees
     every call.
     """
-    if algo == "sd":
-        return verify_sd(drafts, scores, rng, trace, residuals=residuals), None
-    if algo == "spectr":
-        return verify_kseq(drafts, scores, rng, trace, residuals=residuals), None
-    if algo == "gbv":
-        return verify_gbv(drafts, scores, rng, trace)
-    if algo == "spectr-gbv":
-        return verify_spectr_gbv(drafts, scores, rng, trace)
+    if algo in ("sd", "spectr"):
+        kseq = verify_sd if algo == "sd" else verify_kseq
+        return kseq(drafts, q_chain.conditional, rng, trace, residuals=residuals), None
+    if algo in ("gbv", "spectr-gbv"):
+        block = verify_gbv if algo == "gbv" else verify_spectr_gbv
+        return block(drafts, score_rows(drafts, q_chain.conditionals), rng, trace)
     raise ValueError(f"{algo!r} has no draft verifier")
 
 
@@ -304,9 +304,8 @@ def decode(
             p_chain = RawChain(pair.draft, history)
             drafts = draft_rows(p_chain.conditional, K_eff, L, rng)
             totals.draft_calls += K_eff * L
-            scores = score_rows(drafts, q_chain.conditionals)
-            totals.target_calls += 1
-            outcome, mod = verify(algo, drafts, scores, rng, residuals=residuals)
+            totals.target_calls += 1  # one simulated batched target pass per iteration
+            outcome, mod = verify(algo, drafts, q_chain, rng, residuals=residuals)
             totals.add(outcome.counters)
             taus.append(outcome.tau)
             block = outcome.t + (outcome.y,)

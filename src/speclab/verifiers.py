@@ -1,14 +1,14 @@
 """Draft-verification algorithms over explicit token-probability models.
 
-Two verifier cores share the same inputs: a ``DraftSet`` holding K drafted
-rows with the conditionals used at drafting time, and ``TargetScores``
-holding the target conditionals for every row prefix (one extra conditional
-past the draft length). All randomness flows through a single
-``RandomSource`` so outcomes are bit-reproducible. ``Counters.vocab_scans``
-counts the vocabulary-sized passes the verifiers make themselves: block
-acceptance evaluations, rho solves (one sorted ratio table each, however
-many bisection steps read it), residual passes and modification passes.
-Draws by ``sample`` and model lookups are not counted.
+Both verifier cores take a ``DraftSet``, K drafted rows with their drafting
+conditionals. The block verifier reads ``TargetScores``, the target
+conditional at every row prefix and one past the row; the token-level one
+asks ``q_cond``, prefix -> conditional, only where it reaches. All
+randomness flows through one ``RandomSource`` so outcomes are
+bit-reproducible. ``Counters.vocab_scans`` counts the vocabulary passes the
+verifiers make themselves: block acceptance evaluations, rho solves (one
+sorted ratio table each, however many bisection steps read it), residual
+and modification passes. Draws by ``sample`` and model lookups are not counted.
 
 The K-SEQ scale rho and the rejection residual depend only on the draft row,
 the target row and the number of surviving rows, and model rows are cached
@@ -160,7 +160,7 @@ class DraftSet:
 
 @dataclass(frozen=True)
 class TargetScores:
-    """Target conditionals per row prefix: cond[k][i] = q(.|first i tokens), i = 0..L."""
+    """The block verifier's input: cond[k][i] = q(.|first i tokens of row k), i = 0..L."""
 
     cond: tuple[tuple[Distribution, ...], ...]
 
@@ -195,8 +195,8 @@ def draft_rows(p_cond, K: int, L: int, rng: RandomSource) -> DraftSet:
 def score_rows(drafts: DraftSet, q_conds) -> TargetScores:
     """Target conditionals for every prefix of every row, plus the bonus position.
 
-    q_conds maps a list of token prefixes to their target Distributions; all
-    K * (L + 1) prefixes are asked for in one call.
+    q_conds maps a list of token prefixes to their target Distributions; the
+    block verifier's K * (L + 1) prefixes are asked for in one call.
     """
     width = drafts.L + 1
     flat = iter(q_conds([row[:i] for row in drafts.tokens for i in range(width)]))
@@ -300,20 +300,22 @@ def _kseq_scale(p: Distribution, q: Distribution, K: int) -> float:
 
 
 def verify_kseq(
-    drafts: DraftSet, scores: TargetScores, rng: RandomSource, trace=None, residuals=None
+    drafts: DraftSet, q_cond, rng: RandomSource, trace=None, residuals=None
 ) -> VerifyOutcome:
     """Position-by-position acceptance over the surviving draft rows.
 
     At each position the scale rho is solved for the number of rows still
     alive; surviving rows are those whose tokens match every accepted token
-    so far, so their conditionals at the position coincide. Where one row
-    survives rho = 1 and no scan is made: the position is a step of standard
-    speculative sampling, accepting with min(1, q/p) and on rejection drawing
-    from norm(max(q - p, 0)). Where more survive, rho comes from the memo of
-    ``_kseq_scale`` and one scan is charged, hit or miss. A rejection's
-    residual is kept in ``residuals``, if given, under the same triple: a hit
-    is the miss's very ``Distribution`` (the target row if empty), charged
-    the miss's pass and warning.
+    so far, so they share the prefix, and ``q_cond`` (prefix -> target
+    conditional) is asked for it alone, and for the bonus row after a full
+    accept. Where one row survives rho = 1 and no scan is made: the position
+    is a step of standard speculative sampling, accepting with min(1, q/p)
+    and on rejection drawing from norm(max(q - p, 0)). Where more survive,
+    rho comes from the memo of ``_kseq_scale`` and one scan is charged, hit
+    or miss. A rejection's residual is kept in ``residuals``, if given, under
+    the same triple: a hit is the miss's very ``Distribution`` (the target
+    row if empty), charged the miss's pass and warning. Both memos key on
+    row identity: a ``harness.RawChain`` returns one cached row per prefix.
     """
     counters = Counters()
     L = drafts.L
@@ -321,7 +323,7 @@ def verify_kseq(
     for i in range(L):
         s0 = survivors[0]
         p_i = drafts.cond[s0][i]
-        q_i = scores.cond[s0][i]
+        q_i = q_cond(drafts.tokens[s0][:i])
         rho = 1.0
         if len(survivors) > 1:
             rho = _kseq_scale(p_i, q_i, len(survivors))
@@ -358,17 +360,17 @@ def verify_kseq(
         if len(survivors) > 1:
             survivors = [k for k in survivors if drafts.tokens[k][i] == accepted]
     f = survivors[0]
-    y = sample(scores.cond[f][L], rng)
+    y = sample(q_cond(drafts.tokens[f]), rng)
     return VerifyOutcome(tau=L, f=f, t=drafts.tokens[f], y=y, counters=counters)
 
 
 def verify_sd(
-    drafts: DraftSet, scores: TargetScores, rng: RandomSource, trace=None, residuals=None
+    drafts: DraftSet, q_cond, rng: RandomSource, trace=None, residuals=None
 ) -> VerifyOutcome:
     """Standard speculative sampling: ``verify_kseq`` over a single row."""
     if drafts.K != 1:
         raise ValueError("verify_sd is a single-draft verifier")
-    return verify_kseq(drafts, scores, rng, trace, residuals)
+    return verify_kseq(drafts, q_cond, rng, trace, residuals)
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,19 @@ def batched(cond):
     return lambda ctxs: [cond(ctx) for ctx in ctxs]
 
 
+def prefix_table(drafts, cond):
+    """A hand-built target table as the prefix -> conditional map that
+    ``verify_kseq`` asks: cond[k][i] answers row k's first i tokens. A prefix
+    given two different rows is refused, since the verifier asks each prefix
+    once and its memos key on the row it gets."""
+    table = {}
+    for row, conds in zip(drafts.tokens, cond):
+        for i, d in enumerate(conds):
+            if table.setdefault(row[:i], d) is not d:
+                raise ValueError(f"prefix {row[:i]} is given two different rows")
+    return table.__getitem__
+
+
 def override(mod, ctx, q_cond, p_cond, counters=None):
     """``mod``'s conditional at one context, asked as a batch of one."""
     return mod.conditional([ctx], batched(q_cond), batched(p_cond), counters)[0]

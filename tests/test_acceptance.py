@@ -275,8 +275,7 @@ def test_criterion_07_baselines(canonical):
     q_cond = canonical.target.conditional
     for _ in range(n):
         drafts = draft_rows(p_cond, 1, 1, rng)
-        scores = score_rows(drafts, batched(q_cond))
-        accepted += verify_sd(drafts, scores, rng).tau
+        accepted += verify_sd(drafts, q_cond, rng).tau
     sd_rate = accepted / n
     sd_ok = abs(sd_rate - 0.7) < 0.01
 

@@ -187,10 +187,9 @@ class TestVerify:
         pair = generate_pair(4, 1, 13, 1.0, 0.5)
         q0, p0 = RawChain(pair.target, (0,)), RawChain(pair.draft, (0,))
         drafts = draft_rows(p0.conditional, 1, 2, RandomSource(0))
-        scores = score_rows(drafts, q0.conditionals)
         rng = RandomSource(1)
         with pytest.raises(ValueError, match=f"^'{algo}' has no draft verifier$"):
-            verify(algo, drafts, scores, rng)
+            verify(algo, drafts, q0, rng)
         assert rng.uniform() == RandomSource(1).uniform()
 
 
@@ -313,8 +312,7 @@ def _three_layer_chain(pair, K, L, seed):
     for _ in range(500):
         p_chain = RawChain(pair.draft, history)
         drafts = draft_rows(p_chain.conditional, K, L, rng)
-        scores = score_rows(drafts, q_chain.conditionals)
-        outcome, mod = verify(algo, drafts, scores, rng)
+        outcome, mod = verify(algo, drafts, q_chain, rng)
         history = history + outcome.t + (outcome.y,)
         q_chain = prune_spent(ModifiedChain(q_chain, p_chain, mod, history, totals))
         depth, layer = 0, q_chain

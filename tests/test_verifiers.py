@@ -16,6 +16,7 @@ from conftest import (
     batched,
     beta_table,
     override,
+    prefix_table,
     ratio_instances,
     reference_gbv,
     reference_kseq_rho,
@@ -42,7 +43,6 @@ from speclab.verifiers import (
     Counters,
     DraftSet,
     ModifiedTarget,
-    TargetScores,
     _kseq_scale,
     _surplus,
     block_residual,
@@ -72,14 +72,17 @@ def dist(*mass):
     return Distribution(np.array(mass, dtype=float))
 
 
+def order0_kseq(pair, K, L, rng):
+    """K drafted rows of length L and the target's prefix -> conditional map."""
+    return draft_rows(pair.draft.conditional, K, L, rng), pair.target.conditional
+
+
 def order0_setup(pair, K, L, rng):
-    p_cond = pair.draft.conditional
-    drafts = draft_rows(p_cond, K, L, rng)
-    scores = score_rows(drafts, batched(pair.target.conditional))
-    return drafts, scores
+    drafts, q_cond = order0_kseq(pair, K, L, rng)
+    return drafts, score_rows(drafts, batched(q_cond))
 
 
-def reference_sd(drafts, scores, rng):
+def reference_sd(drafts, q_cond, rng):
     """Standard speculative sampling as its own loop over the single row.
 
     Accept left to right with min(1, q/p); on the first rejection draw from
@@ -89,14 +92,14 @@ def reference_sd(drafts, scores, rng):
     """
     row = drafts.tokens[0]
     for i in range(drafts.L):
-        p_i, q_i = drafts.cond[0][i], scores.cond[0][i]
+        p_i, q_i = drafts.cond[0][i], q_cond(row[:i])
         if not rng.uniform() < min(1.0, float(q_i.mass[row[i]]) / float(p_i.mass[row[i]])):
             try:
                 res, warnings = residual_sd(p_i, q_i), 0
             except AllZeroMass:
                 res, warnings = q_i, 1
             return i, row[:i], sample(res, rng), 0, 1, warnings
-    return drafts.L, row, sample(scores.cond[0][drafts.L], rng), 0, 0, 0
+    return drafts.L, row, sample(q_cond(row), rng), 0, 0, 0
 
 
 def sd_fields(out):
@@ -499,25 +502,25 @@ class TestFullBlockForms:
 class TestVerifySd:
     @pytest.mark.parametrize("K", [2, 3])
     def test_more_than_one_row_is_refused_before_any_draw(self, canonical_pair, K):
-        drafts, scores = order0_setup(canonical_pair, K, 2, RandomSource(0))
+        drafts, q_cond = order0_kseq(canonical_pair, K, 2, RandomSource(0))
         rng = RandomSource(1)
         with pytest.raises(ValueError, match="^verify_sd is a single-draft verifier$"):
-            verify_sd(drafts, scores, rng)
+            verify_sd(drafts, q_cond, rng)
         assert rng.uniform() == RandomSource(1).uniform()
 
     def test_matched_models_accept_everything(self, matched_pair):
         rng = RandomSource(1)
         for _ in range(50):
-            drafts, scores = order0_setup(matched_pair, 1, 4, rng)
-            out = verify_sd(drafts, scores, rng)
+            drafts, q_cond = order0_kseq(matched_pair, 1, 4, rng)
+            out = verify_sd(drafts, q_cond, rng)
             assert out.tau == 4 and out.t == drafts.tokens[0]
 
     def test_disjoint_supports_reject_first_token(self):
         drafts = DraftSet(((0,),), ((dist(1, 0),),))
-        scores = TargetScores(((dist(0, 1), dist(0.5, 0.5)),))
+        q_cond = prefix_table(drafts, ((dist(0, 1), dist(0.5, 0.5)),))
         rng = RandomSource(0)
         for _ in range(20):
-            out = verify_sd(drafts, scores, rng)
+            out = verify_sd(drafts, q_cond, rng)
             assert out.tau == 0 and out.y == 1
 
     def test_first_token_acceptance_rate(self, canonical_pair):
@@ -526,16 +529,16 @@ class TestVerifySd:
         n = 20_000
         accepted = 0
         for _ in range(n):
-            drafts, scores = order0_setup(canonical_pair, 1, 1, rng)
-            out = verify_sd(drafts, scores, rng)
+            drafts, q_cond = order0_kseq(canonical_pair, 1, 1, rng)
+            out = verify_sd(drafts, q_cond, rng)
             accepted += out.tau
         assert abs(accepted / n - 0.7) < 0.01
 
     def test_deterministic_given_seed(self, canonical_pair):
         def run(seed):
             rng = RandomSource(seed)
-            drafts, scores = order0_setup(canonical_pair, 1, 3, rng)
-            return verify_sd(drafts, scores, rng)
+            drafts, q_cond = order0_kseq(canonical_pair, 1, 3, rng)
+            return verify_sd(drafts, q_cond, rng)
 
         assert run(5) == run(5)
 
@@ -666,7 +669,8 @@ class TestKseqMemo:
     # rejection leaves no residual mass and the target row is drawn from
     @staticmethod
     def _dominated():
-        return DraftSet(((0,),), ((dist(0.5 + 4e-10, 0.5),),)), TargetScores(((dist(0.5, 0.5),) * 2,))
+        drafts = DraftSet(((0,),), ((dist(0.5 + 4e-10, 0.5),),))
+        return drafts, prefix_table(drafts, ((dist(0.5, 0.5),) * 2,))
 
     @staticmethod
     def _fields(out):
@@ -680,9 +684,9 @@ class TestKseqMemo:
             for K in (1, 3):
                 memo, rejections = {}, 0
                 for seed in range(200):
-                    drafts, scores = order0_setup(pair, K, 4, RandomSource(seed))
-                    want = verify_kseq(drafts, scores, RandomSource(seed), residuals=None)
-                    got = verify_kseq(drafts, scores, RandomSource(seed), residuals=memo)
+                    drafts, q_cond = order0_kseq(pair, K, 4, RandomSource(seed))
+                    want = verify_kseq(drafts, q_cond, RandomSource(seed), residuals=None)
+                    got = verify_kseq(drafts, q_cond, RandomSource(seed), residuals=memo)
                     assert self._fields(got) == self._fields(want)
                     rejections += got.tau < 4
                 assert 0 < len(memo) < rejections
@@ -700,23 +704,24 @@ class TestKseqMemo:
         monkeypatch.setattr(verifiers, "normalize", lambda w: normalized.append(1) or normalize(w))
         p = canonical_pair.draft.conditional(())
         q = canonical_pair.target.conditional(())
-        drafts, scores = DraftSet(((1,),), ((p,),)), TargetScores(((q, q),))
+        drafts = DraftSet(((1,),), ((p,),))
+        q_cond = prefix_table(drafts, ((q, q),))
         memo = {}
         for _ in range(3):
-            out = verify_kseq(drafts, scores, FixedUniforms([0.9, 0.5]), residuals=memo)
+            out = verify_kseq(drafts, q_cond, FixedUniforms([0.9, 0.5]), residuals=memo)
             assert (out.tau, out.y, out.counters.vocab_scans, out.counters.residual_evals) == (0, 0, 1, 1)
         assert list(memo) == [(q, p, 1)]
         assert all(d is memo[q, p, 1] for d in drawn) and len(drawn) == 3
         assert len(normalized) == 1
 
     def test_each_hit_on_an_empty_residual_counts_a_warning(self):
-        drafts, scores = self._dominated()
+        drafts, q_cond = self._dominated()
         memo = {}
         for _ in range(3):
-            out = verify_kseq(drafts, scores, FixedUniforms([0.9999999999, 0.3]), residuals=memo)
+            out = verify_kseq(drafts, q_cond, FixedUniforms([0.9999999999, 0.3]), residuals=memo)
             assert (out.tau, out.counters.warnings, out.counters.vocab_scans) == (0, 1, 1)
         [res] = memo.values()
-        assert res is scores.cond[0][0]
+        assert res is q_cond(())
 
     def test_survivor_count_keys_the_residual(self):
         # one (draft row, target row) pair rejected with two survivors, where
@@ -725,15 +730,17 @@ class TestKseqMemo:
         # token 1 from the second, so a memo that ignored the survivors would
         # answer the second call with the first's residual
         p, q = dist(0.2, 0.3, 0.5), dist(0.5, 0.4, 0.1)
-        two = (DraftSet(((2,), (2,)), ((p,), (p,))), TargetScores(((q, q), (q, q))), [0.99, 0.99, 0.9])
+        drafts = DraftSet(((2,), (2,)), ((p,), (p,)))
+        two = (drafts, prefix_table(drafts, ((q, q), (q, q))), [0.99, 0.99, 0.9])
         # row 0's token 0 is accepted (q/(rho p) > 1), row 1 drops out, and
         # row 0's token 2 is rejected with one survivor
-        one = (DraftSet(((0, 2), (1, 2)), ((p, p), (p, p))), TargetScores(((q,) * 3, (q,) * 3)), [0.5, 0.99, 0.9])
+        drafts = DraftSet(((0, 2), (1, 2)), ((p, p), (p, p)))
+        one = (drafts, prefix_table(drafts, ((q,) * 3, (q,) * 3)), [0.5, 0.99, 0.9])
         for calls, want_y in (((two, one), (0, 1)), ((one, two), (1, 0))):
             memo = {}
-            for (drafts, scores, us), y in zip(calls, want_y):
-                want = verify_kseq(drafts, scores, FixedUniforms(us))
-                got = verify_kseq(drafts, scores, FixedUniforms(us), residuals=memo)
+            for (drafts, q_cond, us), y in zip(calls, want_y):
+                want = verify_kseq(drafts, q_cond, FixedUniforms(us))
+                got = verify_kseq(drafts, q_cond, FixedUniforms(us), residuals=memo)
                 assert want.y == y
                 assert self._fields(got) == self._fields(want)
             assert len(memo) == 2
@@ -744,15 +751,16 @@ class TestVerifyKseq:
         # one surviving row is standard speculative sampling: the same draws,
         # residual, fallback and scan count as the reference loop
         sparse = generate_pair(8, 1, 3, 0.05, 0.3)
-        disjoint = (DraftSet(((0,),), ((dist(1, 0),),)), TargetScores(((dist(0, 1), dist(0.5, 0.5)),)))
+        drafts = DraftSet(((0,),), ((dist(1, 0),),))
+        disjoint = (drafts, prefix_table(drafts, ((dist(0, 1), dist(0.5, 0.5)),)))
         # p >= q everywhere within the sum tolerance: a rejection leaves no residual mass
-        dominated = (DraftSet(((0,),), ((dist(0.5 + 4e-10, 0.5),),)), TargetScores(((dist(0.5, 0.5),) * 2,)))
+        dominated = TestKseqMemo._dominated()
         for verify in (verify_kseq, verify_sd):
             for pair in (canonical_pair, sparse):
                 for seed in range(300):
-                    drafts, scores = order0_setup(pair, 1, 4, RandomSource(seed))
-                    want = reference_sd(drafts, scores, RandomSource(seed))
-                    assert sd_fields(verify(drafts, scores, RandomSource(seed))) == want
+                    drafts, q_cond = order0_kseq(pair, 1, 4, RandomSource(seed))
+                    want = reference_sd(drafts, q_cond, RandomSource(seed))
+                    assert sd_fields(verify(drafts, q_cond, RandomSource(seed))) == want
             for seed in range(50):
                 want = reference_sd(*disjoint, RandomSource(seed))
                 assert sd_fields(verify(*disjoint, RandomSource(seed))) == want
@@ -764,15 +772,15 @@ class TestVerifyKseq:
         # rho = 1 needs no beta pass, so the residual is the only scan left
         for seed in range(200):
             rng = RandomSource(seed)
-            drafts, scores = order0_setup(canonical_pair, 1, 3, rng)
-            out = verify_kseq(drafts, scores, rng)
+            drafts, q_cond = order0_kseq(canonical_pair, 1, 3, rng)
+            out = verify_kseq(drafts, q_cond, rng)
             assert out.counters.vocab_scans == (out.tau < 3)
 
     def test_matched_models_accept_everything(self, matched_pair):
         rng = RandomSource(9)
         for _ in range(50):
-            drafts, scores = order0_setup(matched_pair, 3, 4, rng)
-            out = verify_kseq(drafts, scores, rng)
+            drafts, q_cond = order0_kseq(matched_pair, 3, 4, rng)
+            out = verify_kseq(drafts, q_cond, rng)
             assert out.tau == 4
 
     def test_position_acceptance_rate_canonical(self, canonical_pair):
@@ -783,17 +791,57 @@ class TestVerifyKseq:
         n = 20_000
         acc = 0
         for _ in range(n):
-            drafts, scores = order0_setup(canonical_pair, 2, 1, rng)
-            out = verify_kseq(drafts, scores, rng)
+            drafts, q_cond = order0_kseq(canonical_pair, 2, 1, rng)
+            out = verify_kseq(drafts, q_cond, rng)
             acc += out.tau
         assert abs(acc / n - expected) < 0.01
 
     def test_t_matches_winning_row_prefix(self, canonical_pair):
         rng = RandomSource(31)
         for _ in range(200):
-            drafts, scores = order0_setup(canonical_pair, 3, 3, rng)
-            out = verify_kseq(drafts, scores, rng)
+            drafts, q_cond = order0_kseq(canonical_pair, 3, 3, rng)
+            out = verify_kseq(drafts, q_cond, rng)
             assert out.t == drafts.tokens[out.f][: out.tau]
+
+    @staticmethod
+    def _asked(drafts, q_cond, make_rng):
+        """The outcome and the prefixes it asked ``q_cond`` for, after checking
+        that the outcome is what the eagerly scored table gives."""
+        asked = []
+        out = verify_kseq(drafts, lambda prefix: asked.append(prefix) or q_cond(prefix), make_rng())
+        eager = prefix_table(drafts, score_rows(drafts, batched(q_cond)).cond)
+        assert TestKseqMemo._fields(out) == TestKseqMemo._fields(verify_kseq(drafts, eager, make_rng()))
+        return out, asked
+
+    def test_reads_the_target_only_where_it_reaches(self, canonical_pair):
+        # a rejection at tau asks for the surviving row's prefixes of length
+        # 0 .. tau, a full accept for lengths 0 .. L, the last for the bonus
+        # token; no other row's prefix is asked for
+        p = canonical_pair.draft.conditional(())
+        one = DraftSet(((1, 1, 0),), ((p,) * 3,))
+        three = DraftSet(((1, 1, 1), (1, 0, 1), (0, 0, 1)), ((p,) * 3,) * 3)
+        scripted = [
+            (one, [0.9, 0.5], 0, 0),
+            (one, [0.1, 0.9, 0.5], 1, 0),
+            (one, [0.1, 0.1, 0.5, 0.3], 3, 0),
+            (three, [0.9, 0.9, 0.9, 0.5, 0.9, 0.5], 2, 2),
+            (three, [0.1, 0.9, 0.9, 0.9, 0.5], 2, 1),
+            (three, [0.1, 0.1, 0.1, 0.3], 3, 0),
+            (three, [0.9, 0.9, 0.1, 0.1, 0.1, 0.3], 3, 2),
+        ]
+        for drafts, us, tau, f in scripted:
+            out, asked = self._asked(drafts, canonical_pair.target.conditional, lambda: FixedUniforms(us))
+            assert (out.tau, out.f) == (tau, f)
+            assert asked == [drafts.tokens[f][:i] for i in range(tau + 1)]
+        pair = generate_pair(8, 1, 3, 1.0, 0.5)
+        for K in (1, 3):
+            taus = set()
+            for seed in range(100):
+                drafts, q_cond = order0_kseq(pair, K, 4, RandomSource(seed))
+                out, asked = self._asked(drafts, q_cond, lambda: RandomSource(seed))
+                assert asked == [drafts.tokens[out.f][:i] for i in range(out.tau + 1)]
+                taus.add(out.tau)
+            assert 0 in taus and 4 in taus and len(taus) > 2
 
 
 class TestGbvAcceptProb:
@@ -834,9 +882,9 @@ class TestVerifyGbv:
     def test_length_one_matches_sd_exactly(self, canonical_pair):
         for seed in range(40):
             r1, r2 = RandomSource(seed), RandomSource(seed)
-            d1, s1 = order0_setup(canonical_pair, 1, 1, r1)
+            d1, q1 = order0_kseq(canonical_pair, 1, 1, r1)
             d2, s2 = order0_setup(canonical_pair, 1, 1, r2)
-            a = verify_sd(d1, s1, r1)
+            a = verify_sd(d1, q1, r1)
             b, _ = verify_gbv(d2, s2, r2)
             assert (a.tau, a.t, a.y) == (b.tau, b.t, b.y)
 
