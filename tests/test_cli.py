@@ -536,6 +536,105 @@ counters: Counters(target_calls=0, draft_calls=0, vocab_scans=3, h_partial_evals
 }
 
 
+# verify-demo output of the block verifiers, for the same three pair sources:
+# gbv at L = 4, seed 3 (a rejected sub-block and a residual at tau < L on the
+# default pair) and spectr-gbv at K = 3, L = 4, seed 6 (a skip, rejected rows,
+# a later row winning, and tau = 0 on the file pair)
+BLOCK_DEMO_ARGS = {
+    "gbv": ["--algo", "gbv", "--L", "4", "--seed", "3"],
+    "spectr-gbv": ["--algo", "spectr-gbv", "--K", "3", "--L", "4", "--seed", "6"],
+}
+BLOCK_DEMO_OUTPUT = {
+    ("gbv", "default"): """\
+algo=gbv  K=1  L=4  V=8  prompt=[2, 7, 5, 4, 5, 1, 7, 5]
+  draft row 0: [7, 7, 5, 7]
+  ('subblock', 0, (7,), 0.8342775067283362, False)
+  ('subblock', 0, (7, 7), 0.4020770590935899, True)
+  ('subblock', 0, (7, 7, 5), 0.0856248191140308, False)
+  ('full', 0, (7, 7, 5, 7), 0.5721829643095039, False)
+outcome: tau=2 f=0 t=[7, 7] y=6
+counters: Counters(target_calls=0, draft_calls=0, vocab_scans=3, h_partial_evals=3, residual_evals=0, warnings=0)
+""",
+    ("gbv", "gen"): """\
+algo=gbv  K=1  L=4  V=4  prompt=[1, 3, 2, 2, 2, 0, 3, 2]
+  draft row 0: [3, 3, 3, 3]
+  ('subblock', 0, (3,), 1.0, True)
+  ('subblock', 0, (3, 3), 1.0, True)
+  ('subblock', 0, (3, 3, 3), 1.0, True)
+  ('full', 0, (3, 3, 3, 3), 1.0, True)
+outcome: tau=4 f=0 t=[3, 3, 3, 3] y=3
+counters: Counters(target_calls=0, draft_calls=0, vocab_scans=3, h_partial_evals=3, residual_evals=0, warnings=0)
+""",
+    ("gbv", "files"): """\
+algo=gbv  K=1  L=4  V=3  prompt=[0, 2, 2, 1, 1, 0, 2, 1]
+  draft row 0: [1, 2, 1, 1]
+  ('subblock', 0, (1,), 0.06217102921028664, False)
+  ('subblock', 0, (1, 2), 1.0, True)
+  ('subblock', 0, (1, 2, 1), 0.36128091215004743, True)
+  ('full', 0, (1, 2, 1, 1), 0.23529042348083534, False)
+outcome: tau=3 f=0 t=[1, 2, 1] y=2
+counters: Counters(target_calls=0, draft_calls=0, vocab_scans=3, h_partial_evals=3, residual_evals=0, warnings=0)
+""",
+    ("spectr-gbv", "default"): """\
+algo=spectr-gbv  K=3  L=4  V=8  prompt=[5, 3, 0, 1, 0, 0, 5, 5]
+  draft row 0: [0, 5, 4, 3]
+  draft row 1: [7, 2, 0, 4]
+  draft row 2: [7, 5, 0, 7]
+  ('subblock', 0, (0,), 0.11409012705027566, False)
+  ('subblock', 0, (0, 5), 0.007049788196103832, False)
+  ('subblock', 0, (0, 5, 4), 0.01025798215732881, False)
+  ('full', 0, (0, 5, 4, 3), 0.29718436519124497, False)
+  ('subblock', 1, (7,), 0.056331833255356366, False)
+  ('subblock', 1, (7, 2), 0.006477904190548775, False)
+  ('subblock', 1, (7, 2, 0), 0.028962662873182977, False)
+  ('full', 1, (7, 2, 0, 4), 0.057177746780510116, False)
+  ('skip', 2, (7,))
+  ('subblock', 2, (7, 5), 0.013592668086479843, False)
+  ('subblock', 2, (7, 5, 0), 0.05591744450941646, True)
+  ('full', 2, (7, 5, 0, 7), 0.12553691313049012, False)
+outcome: tau=3 f=2 t=[7, 5, 0] y=3
+counters: Counters(target_calls=0, draft_calls=0, vocab_scans=8, h_partial_evals=8, residual_evals=0, warnings=0)
+""",
+    ("spectr-gbv", "gen"): """\
+algo=spectr-gbv  K=3  L=4  V=4  prompt=[2, 1, 0, 0, 0, 0, 2, 2]
+  draft row 0: [1, 1, 1, 1]
+  draft row 1: [2, 1, 1, 1]
+  draft row 2: [2, 2, 0, 3]
+  ('subblock', 0, (1,), 0.31982766756217623, True)
+  ('subblock', 0, (1, 1), 0.12189813369973361, False)
+  ('subblock', 0, (1, 1, 1), 0.047369759578350136, False)
+  ('full', 0, (1, 1, 1, 1), 0.04352351033932455, False)
+  ('subblock', 1, (2, 1), 0.1530418041811224, False)
+  ('subblock', 1, (2, 1, 1), 0.06003297488038387, False)
+  ('full', 1, (2, 1, 1, 1), 0.05284885481312787, False)
+  ('subblock', 2, (2, 2), 0.0, False)
+  ('subblock', 2, (2, 2, 0), 0.0, False)
+  ('full', 2, (2, 2, 0, 3), 0.03279771910204543, False)
+outcome: tau=1 f=0 t=[1] y=0
+counters: Counters(target_calls=0, draft_calls=0, vocab_scans=7, h_partial_evals=7, residual_evals=0, warnings=0)
+""",
+    ("spectr-gbv", "files"): """\
+algo=spectr-gbv  K=3  L=4  V=3  prompt=[2, 1, 0, 0, 0, 0, 2, 2]
+  draft row 0: [0, 1, 1, 0]
+  draft row 1: [1, 0, 0, 0]
+  draft row 2: [1, 1, 0, 2]
+  ('subblock', 0, (0,), 0.051615684884042674, False)
+  ('subblock', 0, (0, 1), 0.25137392154836435, False)
+  ('subblock', 0, (0, 1, 1), 0.023954878587736723, False)
+  ('full', 0, (0, 1, 1, 0), 0.2183555809647479, False)
+  ('subblock', 1, (1,), 0.015567997719039668, False)
+  ('subblock', 1, (1, 0), 0.0, False)
+  ('subblock', 1, (1, 0, 0), 0.0, False)
+  ('full', 1, (1, 0, 0, 0), 0.24149175456622546, False)
+  ('skip', 2, (1,))
+  ('subblock', 2, (1, 1), 0.0, False)
+  ('subblock', 2, (1, 1, 0), 0.0, False)
+  ('full', 2, (1, 1, 0, 2), 0.019011847844759046, False)
+outcome: tau=0 f=0 t=[] y=2
+counters: Counters(target_calls=0, draft_calls=0, vocab_scans=9, h_partial_evals=8, residual_evals=1, warnings=0)
+""",
+}
+
 class TestPairSources:
     """oracle-check and verify-demo build their model pair from the run config:
     the CLI default pair, ``--gen`` with a similarity, or two model files."""
@@ -562,6 +661,12 @@ class TestPairSources:
         name, args, _pair = source
         assert main(["verify-demo", *KSEQ_DEMO_ARGS[algo], "--L", "4", "--seed", "5"] + args) == 0
         assert capsys.readouterr().out == KSEQ_DEMO_OUTPUT[algo, name]
+
+    @pytest.mark.parametrize("algo", ["gbv", "spectr-gbv"])
+    def test_block_verify_demo_output_unchanged(self, algo, source, capsys):
+        name, args, _pair = source
+        assert main(["verify-demo", *BLOCK_DEMO_ARGS[algo]] + args) == 0
+        assert capsys.readouterr().out == BLOCK_DEMO_OUTPUT[algo, name]
 
     def test_oracle_check_runs_on_that_pair(self, source, capsys):
         _name, args, pair = source
