@@ -8,10 +8,10 @@ rejection residual in one dict per decode. Serial-call accounting charges
 one target call per iteration, the simulated batched pass, however many
 prefixes are read, so autoregressive decoding has block efficiency 1.
 
-Chains answer a list of contexts in one ``conditionals`` call. The block
-verifiers score all K * (L + 1) row prefixes at once, so a ``ModifiedChain``
-layer builds an iteration's overrides in one block and asks the layer
-beneath once; its ``conditional`` answers from the memo or makes that call
+Chains answer a list of contexts in one ``conditionals`` call. A block
+verifier asks the chain itself, once, for all K * (L + 1) row prefixes, so
+a ``ModifiedChain`` layer builds an iteration's overrides in one block and
+asks the layer beneath once; its ``conditional`` answers from the memo or makes that call
 with one context; a context past its horizon goes to a ``RawChain`` at its
 origin, not down the stack. ``sd`` and ``spectr`` ask a ``RawChain`` one
 context per position they reach: a slice of the context's tail and one
@@ -42,7 +42,6 @@ from .verifiers import (
     Counters,
     ModifiedTarget,
     draft_rows,
-    score_rows,
     verify_gbv,
     verify_kseq,
     verify_sd,
@@ -240,8 +239,9 @@ def generate_prompt(vocab_size: int, rng: RandomSource) -> tuple[int, ...]:
 def verify(algo: str, drafts, q_chain, rng: RandomSource, trace=None, residuals=None):
     """One verification step of ``algo`` against the target chain ``q_chain``:
     the outcome and, for the block verifiers, the modified target for the next
-    iteration (else None). ``sd`` and ``spectr`` ask ``q_chain.conditional``
-    where they reach; the block verifiers read ``score_rows``' one batch.
+    iteration (else None). ``sd`` and ``spectr`` are handed
+    ``q_chain.conditional`` and ask it where they reach; ``gbv`` and
+    ``spectr-gbv`` are handed ``q_chain.conditionals`` and ask it once.
 
     The verifiers are read from this module's globals at each call, so a
     wrapper rebound over one of them, as ``bench/tracer.py`` installs, sees
@@ -252,7 +252,7 @@ def verify(algo: str, drafts, q_chain, rng: RandomSource, trace=None, residuals=
         return kseq(drafts, q_chain.conditional, rng, trace, residuals=residuals), None
     if algo in ("gbv", "spectr-gbv"):
         block = verify_gbv if algo == "gbv" else verify_spectr_gbv
-        return block(drafts, score_rows(drafts, q_chain.conditionals), rng, trace)
+        return block(drafts, q_chain.conditionals, rng, trace)
     raise ValueError(f"{algo!r} has no draft verifier")
 
 

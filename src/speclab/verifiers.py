@@ -1,14 +1,15 @@
 """Draft-verification algorithms over explicit token-probability models.
 
 Both verifier cores take a ``DraftSet``, K drafted rows with their drafting
-conditionals. The block verifier reads ``TargetScores``, the target
-conditional at every row prefix and one past the row; the token-level one
-asks ``q_cond``, prefix -> conditional, only where it reaches. All
-randomness flows through one ``RandomSource`` so outcomes are
-bit-reproducible. ``Counters.vocab_scans`` counts the vocabulary passes the
-verifiers make themselves: block acceptance evaluations, rho solves (one
-sorted ratio table each, however many bisection steps read it), residual
-and modification passes. Draws by ``sample`` and model lookups are not counted.
+conditionals, and read the target chain themselves. The block verifier asks
+``q_conds``, prefixes -> conditionals, once for every row prefix and one
+past the row (``score_rows``); the token-level one asks ``q_cond``, prefix
+-> conditional, only where it reaches. All randomness flows through one
+``RandomSource`` so outcomes are bit-reproducible. ``Counters.vocab_scans``
+counts the vocabulary passes the verifiers make themselves: block acceptance
+evaluations, rho solves (one sorted ratio table each, however many bisection
+steps read it), residual and modification passes. Draws by ``sample`` and
+model lookups are not counted.
 
 The K-SEQ scale rho and the rejection residual depend only on the draft row,
 the target row and the number of surviving rows, and model rows are cached
@@ -158,20 +159,6 @@ class DraftSet:
         return len(self.tokens[0])
 
 
-@dataclass(frozen=True)
-class TargetScores:
-    """The block verifier's input: cond[k][i] = q(.|first i tokens of row k), i = 0..L."""
-
-    cond: tuple[tuple[Distribution, ...], ...]
-
-    def __post_init__(self):
-        if len(self.cond) == 0 or len(self.cond[0]) < 2:
-            raise ValueError("need one conditional per prefix plus the bonus position")
-        width = len(self.cond[0])
-        if any(len(row) != width for row in self.cond):
-            raise ValueError("ragged score rows")
-
-
 def draft_rows(p_cond, K: int, L: int, rng: RandomSource) -> DraftSet:
     """Sample K i.i.d. rows of length L from a conditional provider.
 
@@ -192,16 +179,16 @@ def draft_rows(p_cond, K: int, L: int, rng: RandomSource) -> DraftSet:
     return DraftSet(tuple(tokens), tuple(conds))
 
 
-def score_rows(drafts: DraftSet, q_conds) -> TargetScores:
-    """Target conditionals for every prefix of every row, plus the bonus position.
-
-    q_conds maps a list of token prefixes to their target Distributions; the
-    block verifier's K * (L + 1) prefixes are asked for in one call.
+def score_rows(drafts: DraftSet, q_conds) -> tuple[tuple[Distribution, ...], ...]:
+    """The block verifier's one target read: rows[k][i] = q(.|first i tokens
+    of row k) for i = 0..L, ``drafts.cond[k][i]``'s shape plus the bonus
+    position. q_conds maps a list of token prefixes to their target
+    Distributions; the K * (L + 1) prefixes are asked for in one call.
     """
     width = drafts.L + 1
     flat = iter(q_conds([row[:i] for row in drafts.tokens for i in range(width)]))
     # one iterator zipped with itself width times yields its items width at a time
-    return TargetScores(tuple(zip(*[flat] * width)))
+    return tuple(zip(*[flat] * width))
 
 
 # ---------------------------------------------------------------------------
@@ -574,11 +561,13 @@ def _row_joints(tokens, p_conds, q_conds) -> list[PrefixJoint]:
 
 
 def verify_spectr_gbv(
-    drafts: DraftSet, scores: TargetScores, rng: RandomSource, trace=None
+    drafts: DraftSet, q_conds, rng: RandomSource, trace=None
 ) -> tuple[VerifyOutcome, "ModifiedTarget"]:
     """Multi-draft block verification with a shared rejected-content set.
 
-    Rows are scanned in index order. Row k is examined from sub-block length
+    Before any draw, ``q_conds`` (prefixes -> target conditionals) is asked
+    once, by ``score_rows``, for every prefix of every row and one past it.
+    Rows are then scanned in index order. Row k is examined from sub-block length
     tau+1 upward; a sub-block already in the rejected set H is skipped with
     no uniform drawn, otherwise it is accepted with the sub-block probability
     (advancing tau and the winning index) or inserted into H. Each row ends
@@ -589,6 +578,7 @@ def verify_spectr_gbv(
     the residual is the normalized surplus row of the test that accepted
     (f, tau), so it costs no second pass.
     """
+    q_rows = score_rows(drafts, q_conds)
     counters = Counters()
     K, L = drafts.K, drafts.L
     # joints[k][i]: the joint of row k's first i tokens, built when row k starts
@@ -597,14 +587,14 @@ def verify_spectr_gbv(
     H: set[tuple[int, ...]] = set()
     for k in range(K):
         row = drafts.tokens[k]
-        joints.append(_row_joints(row, drafts.cond[k], scores.cond[k]))
+        joints.append(_row_joints(row, drafts.cond[k], q_rows[k]))
         # the row's tests are fixed when it starts: lengths tau+1 .. L-1 not in H
         tested = [i for i in range(tau + 1, L) if row[:i] not in H]
         js = [joints[k][i] for i in tested]
         tests = iter(zip(*subblock_accept_prob(
             [j.log_p for j in js], [j.log_q for j in js],
             np.array([drafts.cond[k][i].mass for i in tested]),
-            np.array([scores.cond[k][i].mass for i in tested]), K, counters,
+            np.array([q_rows[k][i].mass for i in tested]), K, counters,
         )) if tested else ())
         for i in range(tau + 1, L):
             sub = row[:i]
@@ -630,34 +620,34 @@ def verify_spectr_gbv(
             trace.append(("full", k, row, h, accepted))
         if accepted:
             tau, f = L, k
-            y = sample(scores.cond[k][L], rng)
+            y = sample(q_rows[k][L], rng)
             break
         H.add(row)
     else:
         try:
             res = block_residual(
-                joints[f][tau], drafts.cond[f][tau], scores.cond[f][tau], K, counters, kept
+                joints[f][tau], drafts.cond[f][tau], q_rows[f][tau], K, counters, kept
             )
         except AllZeroMass:
-            res = scores.cond[f][tau]
+            res = q_rows[f][tau]
             counters.warnings += 1
         y = sample(res, rng)
     t = drafts.tokens[f][:tau]
     horizon = max(L - tau - 1, 0)
     j = PrefixJoint()
     if horizon:
-        j = extend_joint(joints[f][tau], y, drafts.cond[f][tau], scores.cond[f][tau])
+        j = extend_joint(joints[f][tau], y, drafts.cond[f][tau], q_rows[f][tau])
     outcome = VerifyOutcome(tau=tau, f=f, t=t, y=y, counters=counters)
     return outcome, ModifiedTarget(horizon, K, t + (y,), j)
 
 
 def verify_gbv(
-    drafts: DraftSet, scores: TargetScores, rng: RandomSource, trace=None
+    drafts: DraftSet, q_conds, rng: RandomSource, trace=None
 ) -> tuple[VerifyOutcome, "ModifiedTarget"]:
     """Greedy block verification: ``verify_spectr_gbv`` over a single row."""
     if drafts.K != 1:
         raise ValueError("verify_gbv is a single-draft verifier")
-    return verify_spectr_gbv(drafts, scores, rng, trace)
+    return verify_spectr_gbv(drafts, q_conds, rng, trace)
 
 
 # ---------------------------------------------------------------------------

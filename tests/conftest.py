@@ -25,6 +25,7 @@ from speclab.verifiers import (
     _beta_table,
     block_residual,
     gbv_accept_prob,
+    score_rows,
     subblock_accept_prob,
 )
 
@@ -295,7 +296,7 @@ class NuModifiedTarget(ModifiedTarget):
         return Distribution(w / s)
 
 
-def reference_gbv(drafts, scores, rng):
+def reference_gbv(drafts, q_conds, rng):
     """Greedy block verification as its own loop over the single row.
 
     Every sub-block gets one accept draw with the nu-form rule
@@ -303,21 +304,23 @@ def reference_gbv(drafts, scores, rng):
     token comes from norm(max(nu_tau * q - p, 0)), or from q with a warning
     when that has no mass. Past tau = 0 a residual with mass is charged no
     scan, since the test at tau made its pass. Returns the outcome and the
-    nu-form modified target, as ``verify_gbv`` returns its own.
+    nu-form modified target, as ``verify_gbv`` returns its own. The target
+    rows come from one ``score_rows`` read of ``q_conds``, as the verifier's do.
     """
     counters = Counters()
     row = drafts.tokens[0]
+    q_row = score_rows(drafts, q_conds)[0]
     L = drafts.L
     joints = [PrefixJoint()]
     for i in range(L):
-        joints.append(extend_joint(joints[i], row[i], drafts.cond[0][i], scores.cond[0][i]))
+        joints.append(extend_joint(joints[i], row[i], drafts.cond[0][i], q_row[i]))
     tau = 0
     for i in range(1, L + 1):
         at_end = i == L
         a = gbv_accept_prob(
             joint_ratio(joints[i].log_q, joints[i].log_p),
             None if at_end else drafts.cond[0][i],
-            None if at_end else scores.cond[0][i],
+            None if at_end else q_row[i],
             at_end,
             counters,
         )
@@ -325,17 +328,17 @@ def reference_gbv(drafts, scores, rng):
             tau = i
     t = row[:tau]
     if tau == L:
-        y = sample(scores.cond[0][L], rng)
+        y = sample(q_row[L], rng)
     else:
         nu_tau = joint_ratio(joints[tau].log_q, joints[tau].log_p)
-        w = np.maximum(nu_tau * scores.cond[0][tau].mass - drafts.cond[0][tau].mass, 0.0)
+        w = np.maximum(nu_tau * q_row[tau].mass - drafts.cond[0][tau].mass, 0.0)
         try:
             res = normalize(w)
             # at tau >= 1, w is the positive part of the d = nu * q - p that
             # the accepted test at tau already formed: no pass of its own
             fresh = tau == 0
         except AllZeroMass:
-            res = scores.cond[0][tau]
+            res = q_row[tau]
             counters.warnings += 1
             fresh = True
         if fresh:
@@ -345,7 +348,7 @@ def reference_gbv(drafts, scores, rng):
     horizon = max(L - tau - 1, 0)
     j = PrefixJoint()
     if horizon:
-        j = extend_joint(joints[tau], y, drafts.cond[0][tau], scores.cond[0][tau])
+        j = extend_joint(joints[tau], y, drafts.cond[0][tau], q_row[tau])
     outcome = VerifyOutcome(tau=tau, f=0, t=t, y=y, counters=counters)
     return outcome, NuModifiedTarget(horizon, 1, t + (y,), j)
 

@@ -44,7 +44,6 @@ from speclab.verifiers import (
     draft_rows,
     gbv_accept_prob,
     kseq_rho,
-    score_rows,
     verify_sd,
     verify_spectr_gbv,
 )
@@ -221,9 +220,8 @@ def test_criterion_05_single_draft_consistency(canonical):
     diffs = np.empty(n)
     for i in range(n):
         drafts = draft_rows(p_cond, 1, 2, rng_draft)
-        scores = score_rows(drafts, batched(q_cond))
-        out_a, _ = verify_spectr_gbv(drafts, scores, rng_a)
-        out_b, _ = reference_gbv(drafts, scores, rng_b)
+        out_a, _ = verify_spectr_gbv(drafts, batched(q_cond), rng_a)
+        out_b, _ = reference_gbv(drafts, batched(q_cond), rng_b)
         diffs[i] = out_a.tau - out_b.tau
     mean = float(diffs.mean())
     half = 1.96 * float(diffs.std(ddof=1)) / math.sqrt(n)
@@ -247,8 +245,7 @@ def test_criterion_06_monte_carlo_fidelity(canonical):
 
     for i in range(n):
         drafts = draft_rows(p_cond, K, L, rng)
-        scores = score_rows(drafts, batched(q_cond))
-        out, mod = verify_spectr_gbv(drafts, scores, rng)
+        out, mod = verify_spectr_gbv(drafts, batched(q_cond), rng)
         taus[i] = out.tau
         seq = out.t + (out.y,)
         while len(seq) < L:
@@ -371,8 +368,7 @@ def test_criterion_09_complexity_counters(canonical):
     for K in (1, 8):
         rng = RandomSource(13)
         drafts = draft_rows(canonical.draft.conditional, K, 3, rng)
-        scores = score_rows(drafts, batched(canonical.target.conditional))
-        out, _ = verify_spectr_gbv(drafts, scores, rng)
+        out, _ = verify_spectr_gbv(drafts, batched(canonical.target.conditional), rng)
         c = out.counters
         evals = c.h_partial_evals + c.residual_evals
         scans_per_eval[K] = c.vocab_scans / evals if evals else 0.0

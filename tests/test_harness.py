@@ -28,7 +28,6 @@ from speclab.verifiers import (
     Counters,
     ModifiedTarget,
     draft_rows,
-    score_rows,
     verify_gbv,
     verify_spectr_gbv,
 )
@@ -197,14 +196,13 @@ class TestChains:
     def test_modified_chain_bridges_prefixes(self):
         pair = generate_pair(4, 1, 13, 1.0, 0.5)
         rng = RandomSource(3)
-        from speclab.verifiers import draft_rows, score_rows, verify_spectr_gbv
+        from speclab.verifiers import draft_rows, verify_spectr_gbv
 
         prompt = (0, 1)
         q0 = RawChain(pair.target, prompt)
         p0 = RawChain(pair.draft, prompt)
         drafts = draft_rows(p0.conditional, 2, 3, rng)
-        scores = score_rows(drafts, q0.conditionals)
-        out, mod = verify_spectr_gbv(drafts, scores, rng)
+        out, mod = verify_spectr_gbv(drafts, q0.conditionals, rng)
         block = out.t + (out.y,)
         chain = ModifiedChain(q0, p0, mod, prompt + block)
         # past the horizon the chain must agree with the raw model
@@ -275,9 +273,8 @@ def _unpruned_decode(pair, algo, K, L, prompt, max_tokens, rng):
         p = raw(pair.draft, prompt + tuple(out))
         drafts = draft_rows(p.conditional, K, L, rng)
         totals.draft_calls += K * L
-        scores = score_rows(drafts, q.conditionals)
         totals.target_calls += 1
-        outcome, mod = verify(drafts, scores, rng)
+        outcome, mod = verify(drafts, q.conditionals, rng)
         totals.add(outcome.counters)
         out.extend((outcome.t + (outcome.y,))[: max_tokens - len(out)])
         taus.append(outcome.tau)

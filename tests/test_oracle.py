@@ -36,7 +36,6 @@ from speclab.verifiers import (
     draft_rows,
     full_block_accept_prob,
     gbv_accept_prob,
-    score_rows,
     verify_spectr_gbv,
 )
 
@@ -680,8 +679,7 @@ class TestOracleMatchesVerifier:
         counts: dict = {}
         for _ in range(n):
             drafts = draft_rows(canonical_pair.draft.conditional, 2, 2, rng)
-            scores = score_rows(drafts, batched(canonical_pair.target.conditional))
-            out, _ = verify_spectr_gbv(drafts, scores, rng)
+            out, _ = verify_spectr_gbv(drafts, batched(canonical_pair.target.conditional), rng)
             key = (out.tau, out.t)
             counts[key] = counts.get(key, 0) + 1
         for key, mass in report.leaves.items():
@@ -764,7 +762,7 @@ class TestEmptyResidualFallback:
         n, warned = 2000, 0
         for _ in range(n):
             drafts = draft_rows(p_cond, K, 2, rng)
-            out, mod = verify_spectr_gbv(drafts, score_rows(drafts, batched(q_cond)), rng)
+            out, mod = verify_spectr_gbv(drafts, batched(q_cond), rng)
             assert out.counters.warnings == (out.tau == 0)
             if out.tau == 0:
                 warned += 1

@@ -41,6 +41,15 @@ def test_no_lookup_takes_a_temperature():
     assert not hasattr(models.ModelPair, "target_conditional")
 
 
+def test_every_verifier_reads_the_target_through_the_chain():
+    # the block verifiers take the chain's list-in, list-out lookup and make
+    # their one read themselves; no pre-scored table is handed in
+    assert not hasattr(verifiers, "TargetScores")
+    assert not hasattr(harness, "score_rows")
+    for fn in (verifiers.verify_spectr_gbv, verifiers.verify_gbv):
+        assert list(inspect.signature(fn).parameters) == ["drafts", "q_conds", "rng", "trace"], fn
+
+
 def test_a_prefix_joint_has_one_spelling():
     # a joint is two log floats, read through joint_ratio and math.exp by
     # every rule; no method or loose pair of floats spells it a second way

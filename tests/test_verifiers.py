@@ -78,8 +78,9 @@ def order0_kseq(pair, K, L, rng):
 
 
 def order0_setup(pair, K, L, rng):
+    """K drafted rows of length L and the target's list-in, list-out lookup."""
     drafts, q_cond = order0_kseq(pair, K, L, rng)
-    return drafts, score_rows(drafts, batched(q_cond))
+    return drafts, batched(q_cond)
 
 
 def reference_sd(drafts, q_cond, rng):
@@ -809,7 +810,7 @@ class TestVerifyKseq:
         that the outcome is what the eagerly scored table gives."""
         asked = []
         out = verify_kseq(drafts, lambda prefix: asked.append(prefix) or q_cond(prefix), make_rng())
-        eager = prefix_table(drafts, score_rows(drafts, batched(q_cond)).cond)
+        eager = prefix_table(drafts, score_rows(drafts, batched(q_cond)))
         assert TestKseqMemo._fields(out) == TestKseqMemo._fields(verify_kseq(drafts, eager, make_rng()))
         return out, asked
 
@@ -866,26 +867,26 @@ class TestGbvAcceptProb:
 class TestVerifyGbv:
     @pytest.mark.parametrize("K", [2, 3])
     def test_more_than_one_row_is_refused_before_any_draw(self, canonical_pair, K):
-        drafts, scores = order0_setup(canonical_pair, K, 2, RandomSource(0))
+        drafts, q_conds = order0_setup(canonical_pair, K, 2, RandomSource(0))
         rng = RandomSource(1)
         with pytest.raises(ValueError, match="^verify_gbv is a single-draft verifier$"):
-            verify_gbv(drafts, scores, rng)
+            verify_gbv(drafts, q_conds, rng)
         assert rng.uniform() == RandomSource(1).uniform()
 
     def test_matched_models_accept_full_block(self, matched_pair):
         rng = RandomSource(3)
         for _ in range(50):
-            drafts, scores = order0_setup(matched_pair, 1, 3, rng)
-            out, _ = verify_gbv(drafts, scores, rng)
+            drafts, q_conds = order0_setup(matched_pair, 1, 3, rng)
+            out, _ = verify_gbv(drafts, q_conds, rng)
             assert out.tau == 3
 
     def test_length_one_matches_sd_exactly(self, canonical_pair):
         for seed in range(40):
             r1, r2 = RandomSource(seed), RandomSource(seed)
             d1, q1 = order0_kseq(canonical_pair, 1, 1, r1)
-            d2, s2 = order0_setup(canonical_pair, 1, 1, r2)
+            d2, q2 = order0_setup(canonical_pair, 1, 1, r2)
             a = verify_sd(d1, q1, r1)
-            b, _ = verify_gbv(d2, s2, r2)
+            b, _ = verify_gbv(d2, q2, r2)
             assert (a.tau, a.t, a.y) == (b.tau, b.t, b.y)
 
     def test_expected_tau_canonical(self, canonical_pair):
@@ -894,8 +895,8 @@ class TestVerifyGbv:
         n = 40_000
         total = 0
         for _ in range(n):
-            drafts, scores = order0_setup(canonical_pair, 1, 2, rng)
-            out, _ = verify_gbv(drafts, scores, rng)
+            drafts, q_conds = order0_setup(canonical_pair, 1, 2, rng)
+            out, _ = verify_gbv(drafts, q_conds, rng)
             total += out.tau
         se = math.sqrt(0.7 / n)  # generous bound on the sd of the mean
         assert abs(total / n - 1.31) < 0.015
@@ -1004,10 +1005,10 @@ class TestVerifySpectrGbv:
             mod_warnings = 0
             for seed in range(60):
                 r1, r2 = RandomSource(seed), RandomSource(seed)
-                d1, s1 = order0_setup(pair, 1, L, r1)
-                d2, s2 = order0_setup(pair, 1, L, r2)
-                a, mod_a = verify_gbv(d1, s1, r1)
-                b, mod_b = reference_gbv(d2, s2, r2)
+                d1, q1 = order0_setup(pair, 1, L, r1)
+                d2, q2 = order0_setup(pair, 1, L, r2)
+                a, mod_a = verify_gbv(d1, q1, r1)
+                b, mod_b = reference_gbv(d2, q2, r2)
                 assert sd_fields(a) == sd_fields(b)
                 assert mod_a.horizon == mod_b.horizon and mod_a.prefix == mod_b.prefix
                 taus.add(a.tau)
@@ -1061,15 +1062,16 @@ class TestVerifySpectrGbv:
             for key in seen:
                 seen[key].clear()
             rng = RandomSource(seed)
-            drafts, scores = order0_setup(pair, 3, 4, rng)
+            drafts, q_conds = order0_setup(pair, 3, 4, rng)
+            q_rows = score_rows(drafts, q_conds)
             chained = []
             for k, row in enumerate(drafts.tokens):
                 js = [PrefixJoint()]
                 for i, tok in enumerate(row):
-                    js.append(extend_joint(js[-1], tok, drafts.cond[k][i], scores.cond[k][i]))
+                    js.append(extend_joint(js[-1], tok, drafts.cond[k][i], q_rows[k][i]))
                 chained.append(js)
             trace = []
-            out, mod = verify_spectr_gbv(drafts, scores, rng, trace)
+            out, mod = verify_spectr_gbv(drafts, q_conds, rng, trace)
             assert seen["sub"] == [
                 (chained[k][len(sub)].log_p, chained[k][len(sub)].log_q)
                 for kind, k, sub, *_ in trace if kind == "subblock"
@@ -1079,7 +1081,7 @@ class TestVerifySpectrGbv:
                 assert seen["residual"] == [chained[out.f][out.tau]]
             if mod.horizon:
                 f, tau = out.f, out.tau
-                j = extend_joint(chained[f][tau], out.y, drafts.cond[f][tau], scores.cond[f][tau])
+                j = extend_joint(chained[f][tau], out.y, drafts.cond[f][tau], q_rows[f][tau])
                 assert mod.joint == j
             zero_joints += sum(lq == LOG_ZERO for _lp, lq in seen["sub"])
             zero_joints += sum(j.log_q == LOG_ZERO for j in seen["full"])
@@ -1117,11 +1119,26 @@ class TestVerifySpectrGbv:
         if V == 3:
             assert zero > 0
 
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_reads_the_target_once_at_every_row_prefix(self, K):
+        # one call, for every prefix of every row and one past it, however
+        # early the scan stops
+        pair = generate_pair(8, 1, 3, 1.0, 0.5)
+        verify = verify_gbv if K == 1 else verify_spectr_gbv
+        taus = set()
+        for seed in range(60):
+            drafts, q_conds = order0_setup(pair, K, 4, RandomSource(seed))
+            asked = []
+            out, _ = verify(drafts, lambda ctxs: asked.append(list(ctxs)) or q_conds(ctxs), RandomSource(seed))
+            assert asked == [[row[:i] for row in drafts.tokens for i in range(5)]]
+            taus.add(out.tau)
+        assert 0 in taus and 4 in taus and len(taus) > 2
+
     def test_deterministic_including_counters(self, canonical_pair):
         def run():
             rng = RandomSource(17)
-            drafts, scores = order0_setup(canonical_pair, 3, 3, rng)
-            return verify_spectr_gbv(drafts, scores, rng)[0]
+            drafts, q_conds = order0_setup(canonical_pair, 3, 3, rng)
+            return verify_spectr_gbv(drafts, q_conds, rng)[0]
 
         a, b = run(), run()
         assert a == b
@@ -1129,8 +1146,8 @@ class TestVerifySpectrGbv:
     def test_accepted_block_is_prefix_of_winning_row(self, canonical_pair):
         rng = RandomSource(23)
         for _ in range(300):
-            drafts, scores = order0_setup(canonical_pair, 3, 3, rng)
-            out, _ = verify_spectr_gbv(drafts, scores, rng)
+            drafts, q_conds = order0_setup(canonical_pair, 3, 3, rng)
+            out, _ = verify_spectr_gbv(drafts, q_conds, rng)
             assert out.t == drafts.tokens[out.f][: out.tau]
             assert 0 <= out.tau <= 3
 
@@ -1138,9 +1155,9 @@ class TestVerifySpectrGbv:
         # rejected contents are never accepted later; tau never decreases
         rng = RandomSource(5)
         for _ in range(200):
-            drafts, scores = order0_setup(canonical_pair, 3, 3, rng)
+            drafts, q_conds = order0_setup(canonical_pair, 3, 3, rng)
             trace = []
-            verify_spectr_gbv(drafts, scores, rng, trace=trace)
+            verify_spectr_gbv(drafts, q_conds, rng, trace=trace)
             rejected = set()
             tau = 0
             for step in trace:
@@ -1160,8 +1177,8 @@ class TestVerifySpectrGbv:
     def test_scan_count_per_step_independent_of_K(self, canonical_pair):
         for K in (1, 8):
             rng = RandomSource(11)
-            drafts, scores = order0_setup(canonical_pair, K, 3, rng)
-            out, _ = verify_spectr_gbv(drafts, scores, rng)
+            drafts, q_conds = order0_setup(canonical_pair, K, 3, rng)
+            out, _ = verify_spectr_gbv(drafts, q_conds, rng)
             c = out.counters
             assert c.vocab_scans == c.h_partial_evals + c.residual_evals
 
@@ -1171,8 +1188,7 @@ class TestModification:
         rng = RandomSource(seed)
         p_cond, q_cond = pair.draft.conditional, pair.target.conditional
         drafts = draft_rows(p_cond, K, L, rng)
-        scores = score_rows(drafts, batched(q_cond))
-        out, mod = verify_spectr_gbv(drafts, scores, rng)
+        out, mod = verify_spectr_gbv(drafts, batched(q_cond), rng)
         return out, mod
 
     def test_positions_past_horizon_fall_through(self, canonical_pair):
@@ -1186,8 +1202,7 @@ class TestModification:
     def test_full_acceptance_has_zero_horizon(self, matched_pair):
         rng = RandomSource(2)
         drafts = draft_rows(matched_pair.draft.conditional, 1, 2, rng)
-        scores = score_rows(drafts, batched(matched_pair.target.conditional))
-        out, mod = verify_gbv(drafts, scores, rng)
+        out, mod = verify_gbv(drafts, batched(matched_pair.target.conditional), rng)
         assert out.tau == 2 and mod.horizon == 0
 
     def test_single_draft_power_rule_matches_surplus_rule(self):
