@@ -73,7 +73,7 @@ class TooLarge(ValueError):
 def _accept_mass(p: np.ndarray, q: np.ndarray, K: int) -> np.ndarray:
     """q * (1 - (1 - min(p/q, 1))^K): the claimed acceptance masses of blocks
     with draft joints p and target joints q, 0 where q is."""
-    s = np.minimum(np.divide(p, q, out=np.ones_like(q), where=q > 0.0), 1.0)
+    s = np.divide(np.minimum(p, q), q, out=np.ones_like(q), where=q > 0.0)
     return np.where(q > 0.0, q * (1.0 - (1.0 - s) ** K), 0.0)
 
 

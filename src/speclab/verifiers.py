@@ -207,7 +207,8 @@ def _beta_table(p: np.ndarray, q: np.ndarray):
     vocabulary scan; the columns are memoryviews, so no entry is converted
     to a Python float until it is read.
     """
-    c = np.divide(q, p, out=np.full_like(p, np.inf), where=p > 0.0)
+    with np.errstate(over="ignore"):  # q/p past every rho in [1, K] reads as inf, as intended
+        c = np.divide(q, p, out=np.full_like(p, np.inf), where=p > 0.0)
     order = np.argsort(c)
     # row 0: 0, q in sorted order; row 1: 0, p in reverse sorted order;
     # each row summed left to right
@@ -416,8 +417,9 @@ def _surplus(p: np.ndarray, q: np.ndarray, r, K: int) -> np.ndarray:
     if inf:
         t[inf] = 0.0
     t = t * p
+    # min(r p, q) / q is min(r p / q, 1) bit for bit, and cannot overflow
+    np.minimum(t, q, out=t)
     np.divide(t, q, out=t, where=q > 0.0)
-    np.minimum(t, 1.0, out=t)
     np.subtract(1.0, t, out=t)
     w = q * t
     for _ in range(K - 1):

@@ -285,6 +285,13 @@ class TestBound:
         with pytest.raises(TooLarge):
             bound_K(pair, 8, 2)
 
+    def test_accept_mass_does_not_overflow_at_a_subnormal_target_joint(self):
+        # min(p, q) / q: the quotient p / q, 0.5 / 1e-313 here, is never formed
+        p, q = np.array([0.5, 0.5]), np.array([1.0 - 1e-313, 1e-313])
+        with np.errstate(over="raise", invalid="raise"):
+            got = oracle._accept_mass(p, q, 2)
+        assert got.tolist() == [0.75, 1e-313]
+
     def test_random_instances_match_rational_oracle(self):
         gen = np.random.Generator(np.random.PCG64(44))
         for _ in range(5):

@@ -60,9 +60,10 @@ from speclab.verifiers import (
 
 
 # RuntimeWarnings fail the suite (pyproject.toml), here too. At r = e^700 the
-# kernel's r * p / q overflows to inf on purpose (``TestSurplusKernel``); a
-# module mark outranks a class's, so that warning is let through here rather
-# than on the kernel classes
+# reference forms' r * p / q overflows to inf on purpose (``ref_power_rule``,
+# ``ref_block_residual``, ``one_row_surplus``); a module mark outranks a
+# class's, so that warning is let through here rather than on the kernel
+# classes
 pytestmark = pytest.mark.filterwarnings(
     "error::RuntimeWarning", "ignore:overflow encountered in divide:RuntimeWarning"
 )
@@ -277,8 +278,9 @@ kernel_cases = given(
 class TestSurplusKernel:
     """The shipped power-form rules against their reference forms, to 1e-12.
 
-    At r = e^700, r * p / q overflows to inf on peaked q in both forms; the
-    clamp min(., 1) makes that exact. Ratios between about 1e-9 and 1e-3 are
+    At r = e^700, the reference forms' r * p / q overflows to inf on peaked
+    q, and the clamp min(., 1) makes that exact; the kernel takes min(r p, q)
+    before dividing, so it forms no such quotient. Ratios between about 1e-9 and 1e-3 are
     left out: there the sub-block rule's num and den both cancel to rounding
     residue, in either form, so the two differ by up to a few 1e-3.
     """
@@ -356,6 +358,15 @@ class TestSurplusKernel:
         assert_override_is_surplus_row(joint, p, q, 2)
         got = override(ModifiedTarget(1, 2, (), joint), (), lambda ctx: q, lambda ctx: p)
         assert got.mass.tolist() == [1.0, 0.0, 0.0]
+
+    def test_no_overflow_at_a_subnormal_target_entry(self):
+        # min(r p, q) / q: the quotient r p / q, 0.5 / 1e-313 here, is never
+        # formed, and the row is the clamped form's bit for bit
+        p, q = dist(0.5, 0.5), dist(1.0 - 1e-313, 1e-313)
+        with np.errstate(over="raise", invalid="raise"):
+            w = _surplus(p.mass[None], q.mass[None], [1.0], 2)[0]
+        assert w.tolist() == [0.25, 0.0]
+        assert np.array_equal(w, one_row_surplus(p.mass, q.mass, 1.0, 2))
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 1024), st.integers(1, 8))
     @settings(max_examples=100, deadline=None)
@@ -552,6 +563,14 @@ class TestKseqRho:
     def test_matched_distributions(self):
         s = kseq_rho(dist(0.3, 0.7), dist(0.3, 0.7), 4)
         assert abs(s.rho - 1.0) < 1e-9
+
+    def test_no_overflow_at_a_subnormal_draft_entry(self):
+        # q/p = 0.5 / 1e-313 lies past every rho in [1, K] and reads as inf
+        # without a warning; beta(rho) = 0.5 / rho + 1e-313 turns the fixed
+        # point into rho^2 - 2 rho + 0.5 = 0
+        with np.errstate(over="raise", invalid="raise"):
+            s = kseq_rho(dist(1.0 - 1e-313, 1e-313), dist(0.5, 0.5), 2)
+        assert abs(s.rho - (1.0 + math.sqrt(0.5))) < 1e-9
 
     def test_canonical_closed_form(self):
         # piecewise-linear beta turns the fixed point into rho^2 - 1.5 rho + 0.2 = 0
