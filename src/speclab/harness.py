@@ -11,11 +11,11 @@ prefixes are read, so autoregressive decoding has block efficiency 1.
 Chains answer a list of contexts in one ``conditionals`` call. A block
 verifier asks the chain itself, once, for all K * (L + 1) row prefixes, so
 a ``ModifiedChain`` layer builds an iteration's overrides in one block and
-asks the layer beneath once; its ``conditional`` answers from the memo or makes that call
-with one context; a context past its horizon goes to a ``RawChain`` at its
-origin, not down the stack. ``sd`` and ``spectr`` ask a ``RawChain`` one
-context per position they reach: a slice of the context's tail and one
-probe of the model's row cache, with no vocabulary pass.
+asks the layer beneath once; its ``conditional`` answers from the memo or
+makes that call with one context; a context past its horizon goes to a
+``RawChain`` at its origin, not down the stack. ``sd`` and ``spectr`` ask a
+``RawChain`` one context per position they reach: a slice of the context's
+tail and one probe of the model's row cache, with no vocabulary pass.
 
 Each block-verifier iteration stacks one ``ModifiedChain`` on the last. After
 every iteration ``prune_spent`` collapses the layers that can no longer

@@ -569,16 +569,16 @@ def verify_spectr_gbv(
 
     Before any draw, ``q_conds`` (prefixes -> target conditionals) is asked
     once, by ``score_rows``, for every prefix of every row and one past it.
-    Rows are then scanned in index order. Row k is examined from sub-block length
-    tau+1 upward; a sub-block already in the rejected set H is skipped with
-    no uniform drawn, otherwise it is accepted with the sub-block probability
-    (advancing tau and the winning index) or inserted into H. Each row ends
-    with its full-block test, whose acceptance finishes the call. If no full
-    block is accepted, the extra token comes from the block residual at the
-    final accepted prefix. The sub-blocks a row tests are known when the row
-    starts, so their probabilities come from one batched call. At tau >= 1
-    the residual is the normalized surplus row of the test that accepted
-    (f, tau), so it costs no second pass.
+    Rows are then scanned in index order. Row k is examined from sub-block
+    length tau+1 upward; a sub-block already in the rejected set H is skipped
+    with no uniform drawn, otherwise it is accepted with the sub-block
+    probability (advancing tau and the winning index) or inserted into H.
+    Each row ends with its full-block test, whose acceptance finishes the
+    call. If no full block is accepted, the extra token comes from the block
+    residual at the final accepted prefix. The sub-blocks a row tests are
+    known when the row starts, so their probabilities come from one batched
+    call. At tau >= 1 the residual is the normalized surplus row of the test
+    that accepted (f, tau), so it costs no second pass.
     """
     q_rows = score_rows(drafts, q_conds)
     counters = Counters()

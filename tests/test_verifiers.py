@@ -280,9 +280,10 @@ class TestSurplusKernel:
 
     At r = e^700, the reference forms' r * p / q overflows to inf on peaked
     q, and the clamp min(., 1) makes that exact; the kernel takes min(r p, q)
-    before dividing, so it forms no such quotient. Ratios between about 1e-9 and 1e-3 are
-    left out: there the sub-block rule's num and den both cancel to rounding
-    residue, in either form, so the two differ by up to a few 1e-3.
+    before dividing, so it forms no such quotient. Ratios between about 1e-9
+    and 1e-3 are left out: there the sub-block rule's num and den both cancel
+    to rounding residue, in either form, so the two differ by up to a few
+    1e-3.
     """
 
     @kernel_cases
