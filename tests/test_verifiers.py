@@ -52,6 +52,7 @@ from speclab.verifiers import (
     gbv_accept_prob,
     kseq_rho,
     score_rows,
+    subblock_accept_prob,
     verify_gbv,
     verify_kseq,
     verify_sd,
@@ -1193,6 +1194,35 @@ class TestVerifySpectrGbv:
                         tau = len(sub)
                     else:
                         rejected.add(sub)
+
+    def test_length_one_rows_test_only_their_full_block(self):
+        # at L = 1 a row has no sub-block, so its one test is the full block;
+        # row 0's rejected (a,) makes row 1's identical row a skip, with no
+        # uniform drawn, and row 2's accepted (b,) draws y from the bonus row
+        p, q = dist(0.5, 0.3, 0.2), dist(0.2, 0.3, 0.5)
+        drafts = DraftSet(((0,), (0,), (2,)), ((p,), (p,), (p,)))
+        rng = FixedUniforms([0.999, 0.0, 0.5, 0.7])
+        trace = []
+        out, _ = verify_spectr_gbv(drafts, batched(lambda ctx: q), rng, trace)
+        h = [full_block_accept_prob(extend_joint(PrefixJoint(), tok, p, q), 3) for tok in (0, 2)]
+        assert trace == [("full", 0, (0,), h[0], False), ("skip", 1, (0,)), ("full", 2, (2,), h[1], True)]
+        assert (out.tau, out.f, out.t, out.y) == (1, 2, (2,), 2)
+        assert rng.values == [0.7]
+
+    def test_full_block_accept_ends_the_scan(self):
+        # row 0 rejects its sub-block and accepts its full block: no later row
+        # gets a trace entry, and exactly one more uniform is drawn, for y
+        p, q = dist(0.5, 0.3, 0.2), dist(0.2, 0.3, 0.5)
+        drafts = DraftSet(((2, 2), (2, 2), (0, 1)), ((p, p),) * 3)
+        rng = FixedUniforms([0.999, 0.0, 0.5, 0.7])
+        trace = []
+        out, _ = verify_spectr_gbv(drafts, batched(lambda ctx: q), rng, trace)
+        j1 = extend_joint(PrefixJoint(), 2, p, q)
+        [h_sub], _ = subblock_accept_prob([j1.log_p], [j1.log_q], p.mass[None], q.mass[None], 3)
+        h_full = full_block_accept_prob(extend_joint(j1, 2, p, q), 3)
+        assert trace == [("subblock", 0, (2,), h_sub, False), ("full", 0, (2, 2), h_full, True)]
+        assert (out.tau, out.f, out.t, out.y) == (2, 0, (2, 2), 2)
+        assert rng.values == [0.7]
 
     def test_scan_count_per_step_independent_of_K(self, canonical_pair):
         for K in (1, 8):
