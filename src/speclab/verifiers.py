@@ -590,7 +590,7 @@ def verify_spectr_gbv(
     for k in range(K):
         row = drafts.tokens[k]
         joints.append(_row_joints(row, drafts.cond[k], q_rows[k]))
-        # the row's tests are fixed when it starts: lengths tau+1 .. L-1 not in H
+        # its sub-block tests, lengths tau+1 .. L-1 not in H, are fixed when it starts
         tested = [i for i in range(tau + 1, L) if row[:i] not in H]
         js = [joints[k][i] for i in tested]
         tests = iter(zip(*subblock_accept_prob(
@@ -598,33 +598,23 @@ def verify_spectr_gbv(
             np.array([drafts.cond[k][i].mass for i in tested]),
             np.array([q_rows[k][i].mass for i in tested]), K, counters,
         )) if tested else ())
-        for i in range(tau + 1, L):
+        for i in range(tau + 1, L + 1):
             sub = row[:i]
             if sub in H:
                 if trace is not None:
                     trace.append(("skip", k, sub))
                 continue
-            h, surplus = next(tests)
+            h, surplus = next(tests) if i < L else (full_block_accept_prob(joints[k][L], K), None)
             accepted = rng.uniform() < h
             if trace is not None:
-                trace.append(("subblock", k, sub, h, accepted))
+                trace.append(("subblock" if i < L else "full", k, sub, h, accepted))
             if accepted:
                 tau, f, kept = i, k, surplus
             else:
                 H.add(sub)
-        if row in H:
-            if trace is not None:
-                trace.append(("skip", k, row))
-            continue
-        h = full_block_accept_prob(joints[k][L], K)
-        accepted = rng.uniform() < h
-        if trace is not None:
-            trace.append(("full", k, row, h, accepted))
-        if accepted:
-            tau, f = L, k
-            y = sample(q_rows[k][L], rng)
+        if tau == L:
+            y = sample(q_rows[f][L], rng)
             break
-        H.add(row)
     else:
         try:
             res = block_residual(
