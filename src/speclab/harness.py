@@ -287,24 +287,20 @@ def decode(
     totals = Counters()
     t0 = time.perf_counter()
 
+    K_eff = 1 if algo in SINGLE_DRAFT_ALGOS else K
     if algo == "ar":
         while len(out) < max_tokens:
-            d = pair.target.conditional(history)
-            totals.target_calls += 1
-            tok = sample(d, rng)
+            tok = sample(pair.target.conditional(history), rng)
             out.append(tok)
             history = _tail(history + (tok,), keep)
             if tok == eos:
                 break
     else:
-        K_eff = 1 if algo in SINGLE_DRAFT_ALGOS else K
         q_chain = RawChain(pair.target, history)
         residuals: dict = {}  # the K-SEQ residual memo, for this decode only
         while len(out) < max_tokens:
             p_chain = RawChain(pair.draft, history)
             drafts = draft_rows(p_chain.conditional, K_eff, L, rng)
-            totals.draft_calls += K_eff * L
-            totals.target_calls += 1  # one simulated batched target pass per iteration
             outcome, mod = verify(algo, drafts, q_chain, rng, residuals=residuals)
             totals.add(outcome.counters)
             taus.append(outcome.tau)
@@ -323,8 +319,9 @@ def decode(
     wall_ms = (time.perf_counter() - t0) * 1e3
     metrics = RunMetrics(
         decoded_tokens=len(out),
-        target_calls=totals.target_calls,
-        draft_calls=totals.draft_calls,
+        # one simulated batched target pass per iteration
+        target_calls=len(out) if algo == "ar" else len(taus),
+        draft_calls=K_eff * L * len(taus),
         mean_tau=float(np.mean(taus)) if taus else 0.0,
         accept_rate=float(np.mean([t / L for t in taus])) if taus else 0.0,
         vocab_scans=totals.vocab_scans,

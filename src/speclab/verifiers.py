@@ -98,8 +98,6 @@ class NoRoot(ValueError):
 class Counters:
     """Work and event counters carried through a verification call."""
 
-    target_calls: int = 0
-    draft_calls: int = 0
     vocab_scans: int = 0
     h_partial_evals: int = 0
     residual_evals: int = 0

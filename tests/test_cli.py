@@ -460,7 +460,7 @@ outcome: tau=2 f=0 t=[0, 1] y=1
 """,
 }
 DEMO_COUNTERS = (
-    "counters: Counters(target_calls=0, draft_calls=0, vocab_scans=1, h_partial_evals=1, "
+    "counters: Counters(vocab_scans=1, h_partial_evals=1, "
     "residual_evals=0, warnings=0)\n"
 )
 
@@ -477,7 +477,7 @@ algo=sd  K=1  L=4  V=8  prompt=[2, 6, 7, 2, 5, 0, 7, 3]
   ('candidate', 3, 0, 4, 1.0, True)
   ('candidate', 4, 0, 4, 0.6980850733612999, True)
 outcome: tau=4 f=0 t=[0, 5, 4, 4] y=7
-counters: Counters(target_calls=0, draft_calls=0, vocab_scans=0, h_partial_evals=0, residual_evals=0, warnings=0)
+counters: Counters(vocab_scans=0, h_partial_evals=0, residual_evals=0, warnings=0)
 """,
     ("sd", "gen"): """\
 algo=sd  K=1  L=4  V=4  prompt=[1, 3, 3, 1, 2, 0, 3, 1]
@@ -486,7 +486,7 @@ algo=sd  K=1  L=4  V=4  prompt=[1, 3, 3, 1, 2, 0, 3, 1]
   ('candidate', 2, 0, 1, 0.4668830895113458, True)
   ('candidate', 3, 0, 1, 0.4668830895113458, False)
 outcome: tau=2 f=0 t=[1, 1] y=0
-counters: Counters(target_calls=0, draft_calls=0, vocab_scans=1, h_partial_evals=0, residual_evals=1, warnings=0)
+counters: Counters(vocab_scans=1, h_partial_evals=0, residual_evals=1, warnings=0)
 """,
     ("sd", "files"): """\
 algo=sd  K=1  L=4  V=3  prompt=[0, 2, 2, 0, 1, 0, 2, 1]
@@ -495,7 +495,7 @@ algo=sd  K=1  L=4  V=3  prompt=[0, 2, 2, 0, 1, 0, 2, 1]
   ('candidate', 2, 0, 1, 1.0, True)
   ('candidate', 3, 0, 1, 0.34182005284145467, False)
 outcome: tau=2 f=0 t=[0, 1] y=2
-counters: Counters(target_calls=0, draft_calls=0, vocab_scans=1, h_partial_evals=0, residual_evals=1, warnings=0)
+counters: Counters(vocab_scans=1, h_partial_evals=0, residual_evals=1, warnings=0)
 """,
     ("spectr", "default"): """\
 algo=spectr  K=3  L=4  V=8  prompt=[2, 6, 7, 2, 5, 0, 7, 3]
@@ -507,7 +507,7 @@ algo=spectr  K=3  L=4  V=8  prompt=[2, 6, 7, 2, 5, 0, 7, 3]
   ('candidate', 3, 0, 4, 1.0, True)
   ('candidate', 4, 0, 4, 0.6980850733612999, True)
 outcome: tau=4 f=0 t=[0, 5, 4, 4] y=4
-counters: Counters(target_calls=0, draft_calls=0, vocab_scans=2, h_partial_evals=0, residual_evals=0, warnings=0)
+counters: Counters(vocab_scans=2, h_partial_evals=0, residual_evals=0, warnings=0)
 """,
     ("spectr", "gen"): """\
 algo=spectr  K=3  L=4  V=4  prompt=[1, 3, 3, 1, 2, 0, 3, 1]
@@ -519,7 +519,7 @@ algo=spectr  K=3  L=4  V=4  prompt=[1, 3, 3, 1, 2, 0, 3, 1]
   ('candidate', 2, 0, 1, 0.26689900715542314, False)
   ('candidate', 2, 1, 1, 0.26689900715542314, False)
 outcome: tau=1 f=0 t=[1] y=0
-counters: Counters(target_calls=0, draft_calls=0, vocab_scans=3, h_partial_evals=0, residual_evals=1, warnings=0)
+counters: Counters(vocab_scans=3, h_partial_evals=0, residual_evals=1, warnings=0)
 """,
     ("spectr", "files"): """\
 algo=spectr  K=3  L=4  V=3  prompt=[0, 2, 2, 0, 1, 0, 2, 1]
@@ -531,7 +531,7 @@ algo=spectr  K=3  L=4  V=3  prompt=[0, 2, 2, 0, 1, 0, 2, 1]
   ('candidate', 3, 0, 1, 0.34182005284145467, True)
   ('candidate', 4, 0, 1, 0.34182005284145467, False)
 outcome: tau=3 f=0 t=[0, 1, 1] y=2
-counters: Counters(target_calls=0, draft_calls=0, vocab_scans=3, h_partial_evals=0, residual_evals=1, warnings=0)
+counters: Counters(vocab_scans=3, h_partial_evals=0, residual_evals=1, warnings=0)
 """,
 }
 
@@ -553,7 +553,7 @@ algo=gbv  K=1  L=4  V=8  prompt=[2, 7, 5, 4, 5, 1, 7, 5]
   ('subblock', 0, (7, 7, 5), 0.0856248191140308, False)
   ('full', 0, (7, 7, 5, 7), 0.5721829643095039, False)
 outcome: tau=2 f=0 t=[7, 7] y=6
-counters: Counters(target_calls=0, draft_calls=0, vocab_scans=3, h_partial_evals=3, residual_evals=0, warnings=0)
+counters: Counters(vocab_scans=3, h_partial_evals=3, residual_evals=0, warnings=0)
 """,
     ("gbv", "gen"): """\
 algo=gbv  K=1  L=4  V=4  prompt=[1, 3, 2, 2, 2, 0, 3, 2]
@@ -563,7 +563,7 @@ algo=gbv  K=1  L=4  V=4  prompt=[1, 3, 2, 2, 2, 0, 3, 2]
   ('subblock', 0, (3, 3, 3), 1.0, True)
   ('full', 0, (3, 3, 3, 3), 1.0, True)
 outcome: tau=4 f=0 t=[3, 3, 3, 3] y=3
-counters: Counters(target_calls=0, draft_calls=0, vocab_scans=3, h_partial_evals=3, residual_evals=0, warnings=0)
+counters: Counters(vocab_scans=3, h_partial_evals=3, residual_evals=0, warnings=0)
 """,
     ("gbv", "files"): """\
 algo=gbv  K=1  L=4  V=3  prompt=[0, 2, 2, 1, 1, 0, 2, 1]
@@ -573,7 +573,7 @@ algo=gbv  K=1  L=4  V=3  prompt=[0, 2, 2, 1, 1, 0, 2, 1]
   ('subblock', 0, (1, 2, 1), 0.36128091215004743, True)
   ('full', 0, (1, 2, 1, 1), 0.23529042348083534, False)
 outcome: tau=3 f=0 t=[1, 2, 1] y=2
-counters: Counters(target_calls=0, draft_calls=0, vocab_scans=3, h_partial_evals=3, residual_evals=0, warnings=0)
+counters: Counters(vocab_scans=3, h_partial_evals=3, residual_evals=0, warnings=0)
 """,
     ("spectr-gbv", "default"): """\
 algo=spectr-gbv  K=3  L=4  V=8  prompt=[5, 3, 0, 1, 0, 0, 5, 5]
@@ -593,7 +593,7 @@ algo=spectr-gbv  K=3  L=4  V=8  prompt=[5, 3, 0, 1, 0, 0, 5, 5]
   ('subblock', 2, (7, 5, 0), 0.05591744450941646, True)
   ('full', 2, (7, 5, 0, 7), 0.12553691313049012, False)
 outcome: tau=3 f=2 t=[7, 5, 0] y=3
-counters: Counters(target_calls=0, draft_calls=0, vocab_scans=8, h_partial_evals=8, residual_evals=0, warnings=0)
+counters: Counters(vocab_scans=8, h_partial_evals=8, residual_evals=0, warnings=0)
 """,
     ("spectr-gbv", "gen"): """\
 algo=spectr-gbv  K=3  L=4  V=4  prompt=[2, 1, 0, 0, 0, 0, 2, 2]
@@ -611,7 +611,7 @@ algo=spectr-gbv  K=3  L=4  V=4  prompt=[2, 1, 0, 0, 0, 0, 2, 2]
   ('subblock', 2, (2, 2, 0), 0.0, False)
   ('full', 2, (2, 2, 0, 3), 0.03279771910204543, False)
 outcome: tau=1 f=0 t=[1] y=0
-counters: Counters(target_calls=0, draft_calls=0, vocab_scans=7, h_partial_evals=7, residual_evals=0, warnings=0)
+counters: Counters(vocab_scans=7, h_partial_evals=7, residual_evals=0, warnings=0)
 """,
     ("spectr-gbv", "files"): """\
 algo=spectr-gbv  K=3  L=4  V=3  prompt=[2, 1, 0, 0, 0, 0, 2, 2]
@@ -631,7 +631,7 @@ algo=spectr-gbv  K=3  L=4  V=3  prompt=[2, 1, 0, 0, 0, 0, 2, 2]
   ('subblock', 2, (1, 1, 0), 0.0, False)
   ('full', 2, (1, 1, 0, 2), 0.019011847844759046, False)
 outcome: tau=0 f=0 t=[] y=2
-counters: Counters(target_calls=0, draft_calls=0, vocab_scans=9, h_partial_evals=8, residual_evals=1, warnings=0)
+counters: Counters(vocab_scans=9, h_partial_evals=8, residual_evals=1, warnings=0)
 """,
 }
 

@@ -272,8 +272,6 @@ def _unpruned_decode(pair, algo, K, L, prompt, max_tokens, rng):
     while len(out) < max_tokens:
         p = raw(pair.draft, prompt + tuple(out))
         drafts = draft_rows(p.conditional, K, L, rng)
-        totals.draft_calls += K * L
-        totals.target_calls += 1
         outcome, mod = verify(drafts, q.conditionals, rng)
         totals.add(outcome.counters)
         out.extend((outcome.t + (outcome.y,))[: max_tokens - len(out)])
@@ -281,8 +279,8 @@ def _unpruned_decode(pair, algo, K, L, prompt, max_tokens, rng):
         q = modified(mod, q, p)
     m = RunMetrics(
         decoded_tokens=len(out),
-        target_calls=totals.target_calls,
-        draft_calls=totals.draft_calls,
+        target_calls=len(taus),
+        draft_calls=K * L * len(taus),
         mean_tau=float(np.mean(taus)),
         accept_rate=float(np.mean([t / L for t in taus])),
         vocab_scans=totals.vocab_scans,

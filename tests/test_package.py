@@ -60,3 +60,10 @@ def test_a_prefix_joint_has_one_spelling():
         assert not hasattr(PrefixJoint, name), name
     names = {f.name for f in dataclasses.fields(verifiers.ModifiedTarget)}
     assert "joint" in names and not names & {"log_p_prefix", "log_q_prefix"}
+
+
+def test_counters_hold_only_verifier_work():
+    # serial call counts are decode's to derive, one target call per
+    # iteration and K * L draft calls; a verifier counts only its own passes
+    names = [f.name for f in dataclasses.fields(verifiers.Counters)]
+    assert names == ["vocab_scans", "h_partial_evals", "residual_evals", "warnings"]
