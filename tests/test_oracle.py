@@ -783,6 +783,43 @@ class TestEmptyResidualFallback:
             assert abs(warned / n - tau0) < 4 * math.sqrt(tau0 * (1 - tau0) / n)
 
 
+class TestExtremeRegimes:
+    """Peaked, sparse and sharpened pairs, whose rows hold subnormal entries
+    beside entries that round to 1.0. RuntimeWarnings fail the suite
+    (pyproject.toml), so an overflowing quotient in a kernel fails here."""
+
+    # (V, L, concentration, T, seed) -> fallback_mass: rows whose large entry
+    # rounds to exactly 1.0 lose the surplus max(q - p, 0) the unrounded rows
+    # leave on it, so a residual is empty where the exact law's is not
+    ROUND_OFF_FALLBACKS = {
+        (4, 2, 0.003, 0.05, 0): 3.07e-42,
+        (3, 3, 0.003, 1, 2): 5.96e-51,
+        (3, 3, 0.003, 0.2, 2): 5.80e-255,
+    }
+
+    def test_single_draft_reports_stay_exact(self):
+        fallbacks = {}
+        for (V, L), conc, T, seed in itertools.product(
+            ((3, 3), (4, 2), (5, 2)), (0.003, 0.01, 0.03), (0.05, 0.2, 1), range(6)
+        ):
+            r = exact_output_distribution(generate_pair(V, 1, seed, conc, 0, T), L, 1)
+            assert r.max_marginal_dev < 1e-12
+            assert r.lemma_max_dev < 1e-12
+            assert abs(r.expected_tau - r.bound) < 1e-12
+            if r.fallback_mass > 0.0:
+                fallbacks[V, L, conc, T, seed] = r.fallback_mass
+        assert fallbacks.keys() == self.ROUND_OFF_FALLBACKS.keys()
+        for cell, mass in fallbacks.items():
+            assert mass == pytest.approx(self.ROUND_OFF_FALLBACKS[cell], rel=1e-2)
+
+    def test_every_decode_finishes(self):
+        for V, T, conc in itertools.product((8, 64), (0.05, 5), (0.01, 1)):
+            pair = generate_pair(V, 1, 11, conc, 0, T)
+            for algo in harness.ALGORITHMS:
+                out, _ = harness.decode(pair, algo, 4, 6, (0,) * 8, 64, RandomSource(0))
+                assert out[-1] == V - 1 or len(out) == 64
+
+
 class TestArgumentGuard:
     """Every entry point builds its instance through ``_instance``, which
     refuses L < 1 or K < 1 by name before any enumeration."""
