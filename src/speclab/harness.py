@@ -4,9 +4,10 @@ A decode loop drafts K rows of L tokens from the draft model, verifies them
 with the configured algorithm against the current target chain, appends the
 accepted block plus the extra token, and (for the block verifiers) installs
 the modified target for the next iteration. ``sd`` and ``spectr`` keep each
-rejection residual in one dict per decode. Serial-call accounting charges
-one target call per iteration, the simulated batched pass, however many
-prefixes are read, so autoregressive decoding has block efficiency 1.
+rejection residual in one dict per decode. ``decode`` derives serial-call
+accounting from its iterations: one target call per iteration, the
+simulated batched pass, however many prefixes are read, and K * L draft
+calls, so autoregressive decoding has block efficiency 1.
 
 Chains answer a list of contexts in one ``conditionals`` call. A block
 verifier asks the chain itself, once, for all K * (L + 1) row prefixes, so

@@ -9,7 +9,8 @@ past the row (``score_rows``); the token-level one asks ``q_cond``, prefix
 counts the vocabulary passes the verifiers make themselves: block acceptance
 evaluations, rho solves (one sorted ratio table each, however many bisection
 steps read it), residual and modification passes. Draws by ``sample`` and
-model lookups are not counted.
+model lookups are not counted, nor are serial target and draft calls:
+``harness.decode`` derives those from its iterations.
 
 The K-SEQ scale rho and the rejection residual depend only on the draft row,
 the target row and the number of surviving rows, and model rows are cached
@@ -58,7 +59,7 @@ blocks and forms r and the draft joints itself, so the exact oracle calls
 the same body for every node of a trie level at once.
 
 The full-block rule has a scalar form, ``full_block_accept_prob``, which
-the block verifier calls once per row, and an elementwise one,
+the block verifier calls as the last test of a row, and an elementwise one,
 ``full_block_accept_probs``, which the oracle calls once per batch of trie
 levels. They share ``_geometric_tail`` and give the same bits (a test holds
 them equal). Each is the faster for its caller: on one joint numpy's fixed
@@ -96,7 +97,8 @@ class NoRoot(ValueError):
 
 @dataclass
 class Counters:
-    """Work and event counters carried through a verification call."""
+    """What a verification call counts of its own work: vocabulary passes,
+    sub-block evaluations, residual passes and fallbacks (``warnings``)."""
 
     vocab_scans: int = 0
     h_partial_evals: int = 0
@@ -567,16 +569,18 @@ def verify_spectr_gbv(
 
     Before any draw, ``q_conds`` (prefixes -> target conditionals) is asked
     once, by ``score_rows``, for every prefix of every row and one past it.
-    Rows are then scanned in index order. Row k is examined from sub-block
-    length tau+1 upward; a sub-block already in the rejected set H is skipped
-    with no uniform drawn, otherwise it is accepted with the sub-block
-    probability (advancing tau and the winning index) or inserted into H.
-    Each row ends with its full-block test, whose acceptance finishes the
-    call. If no full block is accepted, the extra token comes from the block
-    residual at the final accepted prefix. The sub-blocks a row tests are
-    known when the row starts, so their probabilities come from one batched
-    call. At tau >= 1 the residual is the normalized surplus row of the test
-    that accepted (f, tau), so it costs no second pass.
+    Rows are then scanned in index order, and row k tests its prefixes in
+    one ascending loop over lengths tau+1 .. L, the full block last. A
+    prefix already in the rejected set H is skipped with no uniform drawn;
+    otherwise it is accepted with its probability, the sub-block rule below
+    L and the full-block rule at L, advancing tau and the winning index, or
+    inserted into H. An accepted full block finishes the call, with the
+    extra token drawn from the target row past it. If no full block is
+    accepted, the extra token comes from the block residual at the final
+    accepted prefix. The sub-blocks a row tests are known when the row
+    starts, so their probabilities come from one batched call. At tau >= 1
+    the residual is the normalized surplus row of the test that accepted
+    (f, tau), so it costs no second pass.
     """
     q_rows = score_rows(drafts, q_conds)
     counters = Counters()
