@@ -74,18 +74,14 @@ def _load_config_tokens(path: str, parser: argparse.ArgumentParser) -> list[str]
     return tokens
 
 
-def _ints(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma list of integers, got {text!r}")
-
-
-def _floats(text: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma list of numbers, got {text!r}")
+def _comma_list(kind: type, noun: str):
+    """The argparse type of a comma list of ``kind`` values, named ``noun`` in errors."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(x) for x in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a comma list of {noun}, got {text!r}")
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,9 +103,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", action="append", help="flat key=value config file")
     run.add_argument("--timings", action="store_true", help="report measured wall_ms")
     run.add_argument("--algo", default="spectr-gbv", choices=harness.ALGORITHMS)
-    run.add_argument("--K", type=_ints, default=[3], help="comma list")
-    run.add_argument("--L", type=_ints, default=[8], help="comma list")
-    run.add_argument("--temperature", type=_floats, default=[1.0], help="comma list")
+    ints = _comma_list(int, "integers")
+    run.add_argument("--K", type=ints, default=[3], help="comma list")
+    run.add_argument("--L", type=ints, default=[8], help="comma list")
+    run.add_argument("--temperature", type=_comma_list(float, "numbers"), default=[1.0], help="comma list")
     run.add_argument("--prompts", type=int, default=4)
     run.add_argument("--max-tokens", dest="max_tokens", type=int, default=64)
     run.add_argument("--seed", type=int, default=0)
