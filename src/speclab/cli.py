@@ -2,14 +2,16 @@
 
 Subcommands: run (experiments over a grid of K, L and temperature, each
 given as a comma list; one value is a grid of one cell), oracle-check
-(exact-enumeration checks), gen-model (emit a model file), verify-demo
-(single verbose verification trace). Each declares only the options it
-reads, so argparse refuses any other, and resolves run's --config like the
-rest. A config file's lines are flags put before the command line's: "#"
-opens a comment at a line's start or after a space, and timings is one of
-1/true/yes/on or 0/false/no/off.
+(exact-enumeration checks on one instance), battery (the same checks over
+the fixed grid ``oracle.BATTERY_CELLS``, one JSON row per cell), gen-model
+(emit a model file), verify-demo (single verbose verification trace). Each
+declares only the options it reads, so argparse refuses any other, and
+resolves run's --config like the rest. A config file's lines are flags put
+before the command line's: "#" opens a comment at a line's start or after a
+space, and timings is one of 1/true/yes/on or 0/false/no/off.
 
-Exit codes: 0 success, 1 usage error, 2 oracle-check failure, 3 IO error.
+Exit codes: 0 success, 1 usage error, 2 oracle-check or battery failure,
+3 IO error.
 """
 
 from __future__ import annotations
@@ -120,6 +122,9 @@ def _build_parser() -> argparse.ArgumentParser:
     oc.add_argument("--iterations", type=int, default=1, choices=(1, 2))
     oc.add_argument("--out")
 
+    battery = sub.add_parser("battery", help="exact-enumeration checks over the fixed grid of small instances")
+    battery.add_argument("--out", default="oracle_battery.json")
+
     gm = sub.add_parser("gen-model", help="emit a model file")
     gm.add_argument("--gen", type=_parse_gen, required=True, help="V,ORDER,SEED,CONC[,LAMBDA]")
     gm.add_argument("--out", required=True)
@@ -180,6 +185,24 @@ def _cmd_oracle_check(args) -> int:
     return 0 if ok else 2
 
 
+def _cmd_battery(args) -> int:
+    rows = []
+    for i, (V, L, K, iterations) in enumerate(oracle.BATTERY_CELLS):
+        pair = generate_pair(V, 1, oracle.BATTERY_SEED + i, 1.0, oracle.BATTERY_SIMILARITY)
+        r = oracle.exact_output_distribution(pair, L, K, iterations=iterations)
+        ok = all(value < tol for _name, value, tol in r.checks())
+        rows.append({"V": V, "L": L, "K": K, "passed": ok, **r.to_jsonable()})
+        print(
+            f"V={V} L={L} K={K}: marginal_dev={r.max_marginal_dev:.3e} "
+            f"|E[tau]-bound|={abs(r.expected_tau - r.bound):.3e} "
+            f"lemma_dev={r.lemma_max_dev:.3e} -> {'ok' if ok else 'MISS'}"
+        )
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(rows, fh, indent=2, sort_keys=True)
+    print(f"wrote {args.out}")
+    return 0 if all(row["passed"] for row in rows) else 2
+
+
 def _cmd_gen_model(args) -> int:
     # --gen's fields, in order, are generate_pair's leading parameters
     pair = generate_pair(*args.gen.values())
@@ -230,6 +253,7 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {
         "run": _cmd_run,
         "oracle-check": _cmd_oracle_check,
+        "battery": _cmd_battery,
         "gen-model": _cmd_gen_model,
         "verify-demo": _cmd_verify_demo,
     }

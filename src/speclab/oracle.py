@@ -65,6 +65,14 @@ from .verifiers import Counters, ModifiedTarget, full_block_accept_probs, subblo
 MAX_ENUM = 1_000_000
 CHECK_TOL = 1e-9
 
+# the battery grid, (V, L, K, iterations): cell i runs on
+# generate_pair(V, 1, BATTERY_SEED + i, 1.0, BATTERY_SIMILARITY)
+BATTERY_CELLS = tuple(
+    (V, L, K, 2 if (V, L, K) == (2, 2, 2) else 1) for V in (2, 3) for L in (1, 2, 3) for K in (1, 2, 3)
+)
+BATTERY_SEED = 1000
+BATTERY_SIMILARITY = 0.5
+
 
 class TooLarge(ValueError):
     """Instance exceeds the exhaustive-enumeration guard."""

@@ -8,7 +8,7 @@ import pytest
 from speclab.cli import main
 from speclab.harness import RunConfig
 from speclab.models import ModelPair, blend_model, generate_pair, load_model, random_model, save_model
-from speclab.oracle import exact_output_distribution
+from speclab.oracle import BATTERY_CELLS, BATTERY_SEED, BATTERY_SIMILARITY, exact_output_distribution
 
 
 class TestGenModel:
@@ -412,6 +412,61 @@ class TestOracleCheck:
 
     def test_too_large_is_usage_error(self, capsys):
         assert main(["oracle-check", "--gen", "8,1,5,1.0,0.5", "--K", "3", "--L", "8"]) == 1
+
+
+class TestBattery:
+    """battery runs oracle-check's checks over every cell of oracle.BATTERY_CELLS."""
+
+    def test_oracle_battery_writes_its_grid(self, tmp_path, capsys):
+        out = tmp_path / "battery.json"
+        # the K >= 2 cells miss their exactness checks, so the battery exits 2
+        assert main(["battery", "--out", str(out)]) == 2
+        rows = json.loads(out.read_text(encoding="utf-8"))
+        assert len(rows) == 18
+        assert all(row["passed"] for row in rows if row["K"] == 1)
+        [two_iter] = [row for row in rows if (row["V"], row["L"], row["K"]) == (2, 2, 2)]
+        assert two_iter["iterations"] == 2
+
+    def test_prints_one_line_per_cell(self, tmp_path, capsys):
+        out = tmp_path / "battery.json"
+        assert main(["battery", "--out", str(out)]) == 2
+        *lines, last = capsys.readouterr().out.splitlines()
+        assert last == f"wrote {out}"
+        rows = json.loads(out.read_text(encoding="utf-8"))
+        assert len(lines) == len(rows) == len(BATTERY_CELLS)
+        for line, row, (V, L, K, iterations) in zip(lines, rows, BATTERY_CELLS):
+            assert (row["V"], row["L"], row["K"], row["iterations"]) == (V, L, K, iterations)
+            assert line.startswith(f"V={V} L={L} K={K}: marginal_dev=")
+            assert line.endswith(" -> ok" if row["passed"] else " -> MISS")
+
+    def test_two_iteration_cell_is_oracle_check_on_its_pair(self, tmp_path, capsys):
+        # cell 4 is (2, 2, 2), on seed BATTERY_SEED + 4
+        battery, check = tmp_path / "battery.json", tmp_path / "check.json"
+        assert (BATTERY_CELLS[4], BATTERY_SEED, BATTERY_SIMILARITY) == ((2, 2, 2, 2), 1000, 0.5)
+        assert main(["battery", "--out", str(battery)]) == 2
+        argv = ["oracle-check", "--gen", "2,1,1004,1.0,0.5", "--K", "2", "--L", "2", "--iterations", "2"]
+        assert main(argv + ["--out", str(check)]) == 2
+        row = json.loads(battery.read_text(encoding="utf-8"))[4]
+        report = json.loads(check.read_text(encoding="utf-8"))["report"]
+        # the report names L and K itself; V and the verdict are the row's own
+        assert (row.pop("V"), row.pop("passed")) == (2, False)
+        for r in (row, report):
+            r.pop("runtime_s")
+        assert row == report
+
+    @pytest.mark.parametrize("option", [["--seed", "3"], ["--similarity", "0.5"]])
+    def test_grid_options_are_usage_errors(self, option, tmp_path, capsys):
+        out = tmp_path / "battery.json"
+        assert main(["battery", *option, "--out", str(out)]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_out_is_io_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "battery.json"
+        assert main(["battery", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "io error" in err and "Traceback" not in err
+        assert not out.parent.exists()
 
 
 class TestVerifyDemo:
