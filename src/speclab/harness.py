@@ -12,8 +12,8 @@ calls, so autoregressive decoding has block efficiency 1.
 Chains answer a list of contexts in one ``conditionals`` call. A block
 verifier asks the chain itself, once, for all K * (L + 1) row prefixes, so
 a ``ModifiedChain`` layer builds an iteration's overrides in one block and
-asks the layer beneath once; its ``conditional`` answers from the memo or
-makes that call with one context; a context past its horizon goes to a
+asks the layer beneath once; its ``conditional`` is that call with one
+context. Only the chain tests the horizon: a context past it goes to a
 ``RawChain`` at its origin, not down the stack. ``sd`` and ``spectr`` ask a
 ``RawChain`` one context per position they reach: a slice of the context's
 tail and one probe of the model's row cache, with no vocabulary pass.
@@ -102,8 +102,9 @@ class ModifiedChain:
     least L long, so a context at or past the horizon would reach every layer
     beneath with L tokens or more, past any horizon, and come back as the raw
     target at ``origin``: ``raw``, a ``RawChain`` there, answers it, and only
-    live contexts go down. Once no context that short can reach a layer it
-    is spent, and ``prune_spent`` replaces it and all beneath with its ``raw``.
+    live contexts go down; no other code tests the horizon. Once no context
+    that short can reach a layer it is spent, and ``prune_spent`` replaces
+    it and all beneath with its ``raw``.
     """
 
     def __init__(
@@ -135,8 +136,7 @@ class ModifiedChain:
         return [memo[ctx] if len(ctx) < horizon else raw(ctx) for ctx in ctxs]
 
     def conditional(self, ctx: tuple[int, ...]) -> Distribution:
-        hit = self._memo.get(ctx)
-        return hit if hit is not None else self.conditionals((ctx,))[0]
+        return self.conditionals((ctx,))[0]
 
 
 def prune_spent(chain):

@@ -53,10 +53,11 @@ drafted row, for all of the row's tested sub-blocks, before it draws that
 row's uniforms, and a block that stops after an accepted sub-block takes
 its residual from that test's surplus row. ``ModifiedTarget.conditional``
 answers a list of contexts with one surplus block, normalized and
-validated as one block (``Distribution.rows``). Scan counts stay per
-prefix. ``subblock_accept_prob`` takes the prefixes' log joints and row
-blocks and forms r and the draft joints itself, so the exact oracle calls
-the same body for every node of a trie level at once.
+validated as one block (``Distribution.rows``), for distinct contexts
+inside its horizon: ``harness.ModifiedChain`` alone tests the horizon.
+Scan counts stay per prefix. ``subblock_accept_prob`` takes the prefixes'
+log joints and row blocks and forms r and the draft joints itself, so the
+exact oracle calls the same body for every node of a trie level at once.
 
 The full-block rule has a scalar form, ``full_block_accept_prob``, which
 the block verifier calls as the last test of a row, and an elementwise one,
@@ -658,9 +659,9 @@ class ModifiedTarget:
     ``PrefixJoint``, read only inside a positive horizon. Conditionals are
     computed on demand from the running joints of (prefix, new context)
     under both models relative to the previous iteration's context.
-    Positions past the horizon fall through to the base target conditional
-    unchanged. ``fallbacks`` holds the contexts whose surplus was empty,
-    where the base conditional is returned and a warning counted.
+    ``harness.ModifiedChain`` routes the positions past the horizon.
+    ``fallbacks`` holds the contexts whose surplus was empty, where the
+    base conditional is returned and a warning counted.
     """
 
     horizon: int
@@ -677,36 +678,31 @@ class ModifiedTarget:
         self, ctxs: list[tuple[int, ...]], q_base, p_base, counters: Counters | None = None
     ) -> list[Distribution]:
         """Override conditionals at the (len(ctx)+1)-th position of the new
-        window, for each of the distinct contexts ``ctxs``.
+        window, for ``ctxs``: distinct contexts, each shorter than the horizon.
 
         q_base and p_base map a list of absolute contexts to their base
-        target and draft conditionals. Each is asked once: for every context
-        and, inside the horizon, for the parents whose joints are not yet
+        target and draft conditionals. Each is asked once, for the same
+        list: every context and the parents whose joints are not yet
         known. The overrides are one surplus block, normalized and validated
         as one block. A zero target joint has no override, so the base
         conditional is the answer and no pass is charged.
         """
-        live = [ctx for ctx in ctxs if len(ctx) < self.horizon]
-        if not live:
-            return q_base([self.prefix + c for c in ctxs])
-        # every head of a live context whose joint is not yet known
+        # every head of a context whose joint is not yet known
         joints, missing = self._joints, {}
-        for ctx in live:
+        for ctx in ctxs:
             n = len(ctx)
             while ctx[:n] not in joints and ctx[:n] not in missing:
                 missing[ctx[:n]] = None
                 n -= 1
-        parents = [ctx[:-1] for ctx in missing]
-        q_keys = list(dict.fromkeys([*ctxs, *parents]))
-        p_keys = list(dict.fromkeys([*live, *parents]))
-        q_rows = dict(zip(q_keys, q_base([self.prefix + c for c in q_keys])))
-        p_rows = dict(zip(p_keys, p_base([self.prefix + c for c in p_keys])))
+        keys = list(dict.fromkeys([*ctxs, *(ctx[:-1] for ctx in missing)]))
+        q_rows = dict(zip(keys, q_base([self.prefix + c for c in keys])))
+        p_rows = dict(zip(keys, p_base([self.prefix + c for c in keys])))
         # shortest first, so each joint extends a known one
         for ctx in sorted(missing, key=len):
             head = ctx[:-1]
             joints[ctx] = extend_joint(joints[head], ctx[-1], p_rows[head], q_rows[head])
         out = [q_rows[ctx] for ctx in ctxs]
-        scan = [n for n, ctx in enumerate(ctxs) if len(ctx) < self.horizon and joints[ctx].log_q != LOG_ZERO]
+        scan = [n for n, ctx in enumerate(ctxs) if joints[ctx].log_q != LOG_ZERO]
         if not scan:
             return out
         if counters is not None:

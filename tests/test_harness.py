@@ -23,6 +23,7 @@ from speclab.harness import (
     verify,
 )
 from speclab.models import ModelPair, generate_pair, random_model
+from speclab.oracle import exact_output_distribution
 from speclab.probability import LOG_ZERO, PrefixJoint, RandomSource, derive_seed
 from speclab.verifiers import (
     Counters,
@@ -255,7 +256,9 @@ class _Memo:
 def _unpruned_decode(pair, algo, K, L, prompt, max_tokens, rng):
     """Block-verifier decode loop that stacks a layer per iteration and never drops one.
 
-    For EOS-free pairs: the last block is cut at the cap.
+    A layer answers a context at or past its record's horizon with the
+    layer beneath's row at the prefixed context, so every such lookup walks
+    the whole stack. For EOS-free pairs: the last block is cut at the cap.
     """
     verify = verify_gbv if algo == "gbv" else verify_spectr_gbv
     K = 1 if algo == "gbv" else K
@@ -265,7 +268,12 @@ def _unpruned_decode(pair, algo, K, L, prompt, max_tokens, rng):
         return _Memo(lambda ctx: model.conditional(context + ctx))
 
     def modified(mod, q, p):
-        return _Memo(lambda ctx: mod.conditional([ctx], q.conditionals, p.conditionals, totals)[0])
+        def lookup(ctx):
+            if len(ctx) >= mod.horizon:
+                return q.conditional(mod.prefix + ctx)
+            return mod.conditional([ctx], q.conditionals, p.conditionals, totals)[0]
+
+        return _Memo(lookup)
 
     out, taus = [], []
     q = raw(pair.target, prompt)
@@ -350,6 +358,17 @@ class TestChainBatch:
         else:
             assert seen_fallback
 
+    def test_repeated_lookup_is_a_memo_hit(self):
+        chain, _, totals = _three_layer_chain(_eos_free_v16(), 3, 8, 0)
+        for ctx in [(), (4,), (4, 2)]:
+            assert len(ctx) < chain.record.horizon
+            before = replace(totals)
+            first = chain.conditional(ctx)
+            assert totals != before
+            after = replace(totals)
+            assert chain.conditional(ctx) is first
+            assert totals == after
+
 
 class TestPastHorizon:
     @pytest.mark.parametrize("algo", ["gbv", "spectr-gbv"])
@@ -369,17 +388,45 @@ class TestPastHorizon:
         decode(_eos_free_v16(), algo, 3, L, (3, 1, 4, 1, 5, 9, 2, 6), 256, RandomSource(1))
         assert asked and max(asked) < L
 
+    @pytest.mark.parametrize("V, L, K", [(2, 2, 2), (3, 2, 3)])
+    def test_record_is_asked_for_distinct_live_contexts(self, V, L, K, monkeypatch):
+        # the chain alone tests the horizon, and the record relies on it
+        calls = []
+        shipped = ModifiedTarget.conditional
+
+        def spy(self, ctxs, q_base, p_base, counters=None):
+            calls.append((self.horizon, list(ctxs)))
+            return shipped(self, ctxs, q_base, p_base, counters)
+
+        monkeypatch.setattr(ModifiedTarget, "conditional", spy)
+        pair = generate_pair(V, 1, 1000, 1.0, 0.5)
+        for algo, seed in itertools.product(("gbv", "spectr-gbv"), range(8)):
+            decode(pair, algo, K, L, (0, 1), 64, RandomSource(seed))
+        decoded = len(calls)
+        exact_output_distribution(pair, L, K, iterations=2)
+        assert 0 < decoded < len(calls)
+        for horizon, ctxs in calls:
+            assert len(set(ctxs)) == len(ctxs), ctxs
+            assert all(len(ctx) < horizon for ctx in ctxs), (horizon, ctxs)
+
     @pytest.mark.parametrize("K", [1, 3])
-    def test_past_horizon_answers_are_the_models_rows(self, K):
+    def test_past_horizon_answers_are_the_models_rows(self, K, canonical_pair):
         pair, L = _eos_free_v16(), 8
         chain, _, _ = _three_layer_chain(pair, K, L, 0)
+        cases = []
         while isinstance(chain, ModifiedChain):
-            horizon = chain.record.horizon
-            for ctx in [(5,) * horizon, (2, 7) * L, (0,) * (horizon + 1)]:
-                want = pair.target.conditional(chain.origin + ctx)
-                assert chain.conditional(ctx) is want
-                assert chain.conditionals([(), ctx])[1] is want
+            h = chain.record.horizon
+            cases += [(pair.target, chain, ctx) for ctx in [(5,) * h, (2, 7) * L, (0,) * (h + 1)]]
             chain = chain.base
+        # one layer over the canonical pair's record, asked at its horizon
+        rng = RandomSource(4)
+        q, p = RawChain(canonical_pair.target, ()), RawChain(canonical_pair.draft, ())
+        _, mod = verify_spectr_gbv(draft_rows(p.conditional, 2, 2, rng), q.conditionals, rng)
+        cases.append((canonical_pair.target, ModifiedChain(q, p, mod, mod.prefix), (0,) * mod.horizon))
+        for target, chain, ctx in cases:
+            want = target.conditional(chain.origin + ctx)
+            assert chain.conditional(ctx) is want
+            assert chain.conditionals([(), ctx])[1] is want
 
 
 class TestPruning:

@@ -1241,14 +1241,6 @@ class TestModification:
         out, mod = verify_spectr_gbv(drafts, batched(q_cond), rng)
         return out, mod
 
-    def test_positions_past_horizon_fall_through(self, canonical_pair):
-        out, mod = self._record(canonical_pair, 2, 2, seed=4)
-        q_cond, p_cond = canonical_pair.target.conditional, canonical_pair.draft.conditional
-        ctx = tuple(0 for _ in range(mod.horizon))  # position horizon+1
-        got = override(mod, ctx, q_cond, p_cond)
-        raw = q_cond(mod.prefix + ctx)
-        assert np.array_equal(got.mass, raw.mass)
-
     def test_full_acceptance_has_zero_horizon(self, matched_pair):
         rng = RandomSource(2)
         drafts = draft_rows(matched_pair.draft.conditional, 1, 2, rng)
