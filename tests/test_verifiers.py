@@ -25,7 +25,7 @@ from conftest import (
     subblock_rule,
 )
 from speclab import verifiers
-from speclab.harness import decode
+from speclab.harness import ModifiedChain, RawChain, decode
 from speclab.models import MarkovModel, ModelPair, generate_pair, random_model
 from speclab.probability import (
     LOG_ZERO,
@@ -1240,6 +1240,13 @@ class TestModification:
         drafts = draft_rows(p_cond, K, L, rng)
         out, mod = verify_spectr_gbv(drafts, batched(q_cond), rng)
         return out, mod
+
+    def test_positions_past_horizon_fall_through(self, canonical_pair):
+        _, mod = self._record(canonical_pair, 2, 2, seed=4)
+        q, p = RawChain(canonical_pair.target, ()), RawChain(canonical_pair.draft, ())
+        chain = ModifiedChain(q, p, mod, mod.prefix)  # the chain routes past the horizon
+        ctx = tuple(0 for _ in range(mod.horizon))  # position horizon+1
+        assert chain.conditional(ctx) is canonical_pair.target.conditional(mod.prefix + ctx)
 
     def test_full_acceptance_has_zero_horizon(self, matched_pair):
         rng = RandomSource(2)
