@@ -13,18 +13,21 @@ Chains answer a list of contexts in one ``conditionals`` call. A block
 verifier asks the chain itself, once, for all K * (L + 1) row prefixes, so
 a ``ModifiedChain`` layer builds an iteration's overrides in one block and
 asks the layer beneath once; its ``conditional`` is that call with one
-context. Only the chain tests the horizon: a context past it goes to a
-``RawChain`` at its origin, not down the stack. ``sd`` and ``spectr`` ask a
+context. Only the chain tests the horizon: a context past it goes to the
+layer's ``RawChain``, not down the stack. ``sd`` and ``spectr`` ask a
 ``RawChain`` one context per position they reach: a slice of the context's
 tail and one probe of the model's row cache, with no vocabulary pass.
 
-Each block-verifier iteration stacks one ``ModifiedChain`` on the last. After
-every iteration ``prune_spent`` collapses the layers that can no longer
-override into one ``RawChain``, and every chain keeps only the context tail
+Each block-verifier iteration with a positive horizon stacks one
+``ModifiedChain`` on the last; one with horizon 0 leaves a ``RawChain`` at
+the history. A layer drops its base for the base's ``RawChain`` when it is
+built, if the base is spent, and every chain keeps only the context tail
 its Markov model reads, so memory and per-iteration work do not grow with
-decode length. The pruning is exact: a spent layer only passes its base's
-conditional through, and so does every layer beneath it, which is what the
-raw target at that layer's absolute context returns.
+decode length. One comparison at construction is exact: whether a layer
+can still override depends only on the prefix length of the layer directly
+above it, which is fixed once that layer is built, and a spent layer only
+passes its base's conditional through, as does every layer beneath it,
+which is what the raw target at that layer's absolute context returns.
 """
 
 from __future__ import annotations
@@ -91,9 +94,9 @@ class RawChain:
 class ModifiedChain:
     """Target chain for the iteration after a block-verification step.
 
-    Contexts are relative to ``origin``, the absolute context right after the
-    verified block; the wrapped record bridges back to the previous
-    iteration's coordinates through ``base``.
+    Contexts are relative to the absolute context right after the verified
+    block, the base's context plus ``record.prefix``; the wrapped record
+    bridges back to the previous iteration's coordinates through ``base``.
 
     A layer overrides only when asked for a context shorter than its record's
     horizon, and any such query walks every parent of that context, so it asks
@@ -101,26 +104,23 @@ class ModifiedChain:
     plus the prefix length is L, or the horizon is 0 and the prefix is at
     least L long, so a context at or past the horizon would reach every layer
     beneath with L tokens or more, past any horizon, and come back as the raw
-    target at ``origin``: ``raw``, a ``RawChain`` there, answers it, and only
-    live contexts go down; no other code tests the horizon. Once no context
-    that short can reach a layer it is spent, and ``prune_spent`` replaces
-    it and all beneath with its ``raw``.
+    target after the block: ``raw``, a ``RawChain`` there, answers it, and
+    only live contexts go down; no other code tests the horizon. The base is
+    asked for nothing shorter than ``len(record.prefix)`` tokens, whatever is
+    stacked on this layer later, so one comparison decides it: a base whose
+    horizon is at most that is spent, and its ``raw`` replaces it and all
+    beneath it here.
     """
 
-    def __init__(
-        self,
-        base,
-        draft: RawChain,
-        record: ModifiedTarget,
-        origin: tuple[int, ...],
-        counters: Counters | None = None,
-    ):
+    def __init__(self, base, draft: RawChain, record: ModifiedTarget, counters: Counters | None = None):
+        raw = getattr(base, "raw", base)
+        if isinstance(base, ModifiedChain) and base.record.horizon <= len(record.prefix):
+            base = raw
         self.base = base
         self.draft = draft
         self.record = record
-        self.origin = origin
         self.counters = counters
-        self.raw = RawChain(getattr(base, "raw", base).model, origin)
+        self.raw = RawChain(raw.model, raw.context + record.prefix)
         self._memo: dict[tuple[int, ...], Distribution] = {}
 
     def conditionals(self, ctxs) -> list[Distribution]:
@@ -137,29 +137,6 @@ class ModifiedChain:
 
     def conditional(self, ctx: tuple[int, ...]) -> Distribution:
         return self.conditionals((ctx,))[0]
-
-
-def prune_spent(chain):
-    """Collapse the first spent layer of ``chain`` and all beneath it into its raw chain.
-
-    The walk starts at the top, which the next iteration asks for contexts
-    from length 0. A layer asked for contexts from length d is live iff
-    d < its horizon, and then asks the layer beneath from d = len(prefix).
-    A spent layer is asked for d >= horizon tokens and asks its base for
-    d + len(prefix) >= horizon + tau + 1 >= L, past any horizon, so every
-    layer beneath it is spent too. A layer stacked on top later only
-    lengthens these shortest contexts, so a spent layer stays spent.
-    """
-    depth, above, layer = 0, None, chain
-    while isinstance(layer, ModifiedChain):
-        if depth >= layer.record.horizon:
-            if above is None:
-                return layer.raw
-            above.base = layer.raw
-            break
-        depth = len(layer.record.prefix)
-        above, layer = layer, layer.base
-    return chain
 
 
 @dataclass(frozen=True)
@@ -312,8 +289,8 @@ def decode(
             if out[-1] == eos or len(out) == max_tokens:
                 break
             history = _tail(history + block, keep)
-            if mod is not None:
-                q_chain = prune_spent(ModifiedChain(q_chain, p_chain, mod, history, totals))
+            if mod is not None and mod.horizon > 0:
+                q_chain = ModifiedChain(q_chain, p_chain, mod, totals)
             else:
                 q_chain = RawChain(pair.target, history)
 

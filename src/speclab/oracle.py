@@ -156,12 +156,12 @@ class _Instance:
         level, n = self.levels(len(blk))[-1], block_index(blk, self.V)
         return PrefixJoint(level.log_p.item(n), level.log_q.item(n))
 
-    def modified(self, tau: int, t: tuple[int, ...], y: int) -> ModifiedChain:
-        """The target chain of the iteration after leaf (tau, t) and extra token y."""
+    def modified(self, t: tuple[int, ...], y: int) -> ModifiedChain:
+        """The target chain of the iteration after leaf (len(t), t) and extra token y."""
         prefix = t + (y,)
-        horizon = max(self.L - tau - 1, 0)
+        horizon = max(self.L - len(t) - 1, 0)
         mod = ModifiedTarget(horizon, self.K, prefix, self._joint(prefix) if horizon else PrefixJoint())
-        return ModifiedChain(self.qchain, self.pchain, mod, self.context + prefix)
+        return ModifiedChain(self.qchain, self.pchain, mod)
 
 
 @functools.cache
@@ -336,7 +336,7 @@ def _output_law(inst: _Instance, leaves: list[np.ndarray], depth: int) -> tuple[
     """
     V, L = inst.V, inst.L
     record = ModifiedTarget(L, inst.K, (), PrefixJoint())
-    found = ModifiedChain(inst.qchain, inst.pchain, record, inst.context).conditionals(_heads(V, depth))
+    found = ModifiedChain(inst.qchain, inst.pchain, record).conditionals(_heads(V, depth))
     rows = np.array([d.mass for d in found]).reshape(-1, V)
     rows = np.split(rows, np.cumsum([V**i for i in range(depth - 1)]))
     flow = [leaves[0]]
@@ -511,7 +511,7 @@ def _two_iteration_dev(pair: ModelPair, inst1: _Instance, leaves1: list, rows1: 
             for y1, py1 in enumerate(ydist.tolist()):
                 if py1 > 0.0:
                     context2 = inst1.context + t1 + (y1,)
-                    inst2 = _Instance(RawChain(pair.draft, context2), inst1.modified(tau1, t1, y1), context2, V, L, K)
+                    inst2 = _Instance(RawChain(pair.draft, context2), inst1.modified(t1, y1), context2, V, L, K)
                     seconds.append((tau1 + 1, j * V + y1, m1 * py1, inst2))
     out = np.zeros(V**depth)
     fallback = lemma_dev = 0.0

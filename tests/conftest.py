@@ -129,7 +129,7 @@ def reference_output_law(inst, leaves, depth):
                 if py <= 0.0:
                     continue
                 m0 = mass * py
-                mod = inst.modified(tau, t, y)
+                mod = inst.modified(t, y)
                 joints, _rows = oracle._joints(mod, V, need)
                 start = (j * V + y) * V**need
                 out[start:start + V**need] += m0 * joints[need]

@@ -134,6 +134,22 @@ class TestRun:
         assert "cfg.txt:2: " in err and "usage:" not in err
         assert not out.exists()
 
+    def test_config_line_without_equals_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("L = 2\nalgo sd\n")
+        out = tmp_path / "o.csv"
+        assert main(["run", *self.CELL, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"{cfg}:2: expected key = value\n"
+        assert not out.exists()
+
+    def test_unreadable_config_is_an_io_error(self, tmp_path, capsys):
+        cfg = tmp_path / "missing.txt"
+        out = tmp_path / "o.csv"
+        assert main(["run", *self.CELL, "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("cannot read config: ") and str(cfg) in err
+        assert not out.exists()
+
     def test_config_without_a_path_is_a_usage_error(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
         assert main(["run", "--out", str(out), "--config"]) == 1

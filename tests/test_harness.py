@@ -18,7 +18,6 @@ from speclab.harness import (
     block_efficiency,
     decode,
     generate_prompt,
-    prune_spent,
     run_experiment,
     verify,
 )
@@ -205,7 +204,7 @@ class TestChains:
         drafts = draft_rows(p0.conditional, 2, 3, rng)
         out, mod = verify_spectr_gbv(drafts, q0.conditionals, rng)
         block = out.t + (out.y,)
-        chain = ModifiedChain(q0, p0, mod, prompt + block)
+        chain = ModifiedChain(q0, p0, mod)
         # past the horizon the chain must agree with the raw model
         deep_ctx = tuple(0 for _ in range(mod.horizon + 1))
         got = chain.conditional(deep_ctx)
@@ -317,13 +316,31 @@ def _three_layer_chain(pair, K, L, seed):
         drafts = draft_rows(p_chain.conditional, K, L, rng)
         outcome, mod = verify(algo, drafts, q_chain, rng)
         history = history + outcome.t + (outcome.y,)
-        q_chain = prune_spent(ModifiedChain(q_chain, p_chain, mod, history, totals))
+        if mod.horizon > 0:
+            q_chain = ModifiedChain(q_chain, p_chain, mod, totals)
+        else:
+            q_chain = RawChain(pair.target, history)
         depth, layer = 0, q_chain
         while isinstance(layer, ModifiedChain):
             depth, layer = depth + 1, layer.base
         if depth >= 3 and q_chain.record.horizon >= 2:
             return q_chain, RawChain(pair.draft, history), totals
     raise AssertionError("no three-layer stack")
+
+
+def _verify_calls(monkeypatch, pair, algo, K, L, prompt, max_tokens, seed):
+    """Every (target chain, outcome, record) ``harness.verify`` saw in one decode."""
+    calls = []
+    shipped = harness.verify
+
+    def spy(algo, drafts, q_chain, rng, trace=None, residuals=None):
+        outcome, mod = shipped(algo, drafts, q_chain, rng, trace, residuals)
+        calls.append((q_chain, outcome, mod))
+        return outcome, mod
+
+    monkeypatch.setattr(harness, "verify", spy)
+    decode(pair, algo, K, L, prompt, max_tokens, RandomSource(seed))
+    return calls
 
 
 class TestChainBatch:
@@ -413,13 +430,20 @@ class TestPastHorizon:
     def test_past_horizon_answers_are_the_models_rows(self, K):
         pair, L = _eos_free_v16(), 8
         chain, _, _ = _three_layer_chain(pair, K, L, 0)
+        layers = []
         while isinstance(chain, ModifiedChain):
-            horizon = chain.record.horizon
-            for ctx in [(5,) * horizon, (2, 7) * L, (0,) * (horizon + 1)]:
-                want = pair.target.conditional(chain.origin + ctx)
-                assert chain.conditional(ctx) is want
-                assert chain.conditionals([(), ctx])[1] is want
+            layers.append(chain)
             chain = chain.base
+        # a layer's absolute context is the raw chain's beneath the stack
+        # plus every prefix from there up to and including its own
+        context = chain.context
+        for layer in reversed(layers):
+            context += layer.record.prefix
+            horizon = layer.record.horizon
+            for ctx in [(5,) * horizon, (2, 7) * L, (0,) * (horizon + 1)]:
+                want = pair.target.conditional(context + ctx)
+                assert layer.conditional(ctx) is want
+                assert layer.conditionals([(), ctx])[1] is want
 
 
 class TestPruning:
@@ -435,14 +459,32 @@ class TestPruning:
         del gm["wall_ms"], wm["wall_ms"]
         assert gm == wm
 
+    @pytest.mark.parametrize("algo", ["gbv", "spectr-gbv"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_no_layer_is_left_spent(self, algo, seed, monkeypatch):
+        # after every iteration no layer sits on a base it can no longer
+        # reach, so a walk down the stack would find nothing to drop
+        calls = _verify_calls(monkeypatch, _eos_free_v16(), algo, 3, 8, (3, 1, 4, 1, 5, 9, 2, 6), 384, seed)
+        deepest = 0
+        for q_chain, _, _ in calls[1:]:
+            if isinstance(q_chain, ModifiedChain):
+                assert q_chain.record.horizon > 0
+            layers, _ = self._layers(q_chain)
+            for layer in layers:
+                if isinstance(layer.base, ModifiedChain):
+                    assert len(layer.record.prefix) < layer.base.record.horizon
+            deepest = max(deepest, len(layers))
+        assert deepest >= 3
+
     def _stack(self, layers):
-        """Hand-built chain; layers are (horizon, prefix length) pairs, newest first."""
+        """Chain built as decode stacks it; layers are (horizon, prefix length)
+        pairs, newest first, layer i from the bottom repeating token i % 3 + 1."""
         pair = generate_pair(4, 1, 13, 1.0, 0.5)
         bottom = RawChain(pair.target, (0,))
         chain = bottom
         for i, (horizon, plen) in enumerate(reversed(layers)):
-            record = ModifiedTarget(horizon, 3, (1,) * plen, PrefixJoint())
-            chain = ModifiedChain(chain, RawChain(pair.draft, (0,)), record, (i + 1,))
+            record = ModifiedTarget(horizon, 3, (i % 3 + 1,) * plen, PrefixJoint())
+            chain = ModifiedChain(chain, RawChain(pair.draft, (0,)), record)
         return pair.target, bottom, chain
 
     def _layers(self, chain):
@@ -457,25 +499,42 @@ class TestPruning:
         # one, by walking every parent, asks the third from 1 token (< 7); a rule
         # keeping only the L - 1 newest positions would drop the third
         target, bottom, chain = self._stack([(2, 6), (7, 1), (7, 1)])
-        assert prune_spent(chain) is chain
         layers, base = self._layers(chain)
         assert len(layers) == 3 and base is bottom
+        assert [layer.raw.context for layer in layers] == [(3,), (2,), (1,)]
         # so a run of tau = 0 iterations keeps arbitrarily many layers live
         target, bottom, chain = self._stack([(2, 6)] + [(7, 1)] * 10)
-        assert prune_spent(chain) is chain
         assert len(self._layers(chain)[0]) == 11
 
     def test_first_spent_layer_and_below_collapse_to_raw(self):
         target, _, chain = self._stack([(2, 6), (6, 1), (7, 1)])
-        assert prune_spent(chain) is chain
         layers, base = self._layers(chain)
         assert len(layers) == 1
+        # the spent layer's raw chain: (0,) plus the prefixes (1,) and (2,)
         assert type(base) is RawChain and base.model is target and base.context == (2,)
 
-    def test_spent_top_becomes_raw(self):
-        target, _, chain = self._stack([(0, 8), (7, 1)])
-        pruned = prune_spent(chain)
-        assert type(pruned) is RawChain and pruned.context == (2,)
+    def test_layer_on_a_zero_horizon_layer_drops_it(self):
+        # a fully accepted block leaves horizon 0, spent for any layer above
+        target, _, chain = self._stack([(6, 1), (0, 8)])
+        layers, base = self._layers(chain)
+        assert len(layers) == 1
+        assert type(base) is RawChain and base.model is target and base.context == (1,)
+        assert chain.raw.context == (2,)
+
+    @pytest.mark.parametrize("algo, K", [("gbv", 1), ("spectr-gbv", 3)])
+    def test_decode_takes_a_raw_chain_after_a_zero_horizon_record(self, algo, K, monkeypatch):
+        pair, prompt = _eos_free_v16(), (3, 1, 4, 1, 5, 9, 2, 6)
+        calls = _verify_calls(monkeypatch, pair, algo, K, 2, prompt, 128, 1)
+        history, seen = prompt, 0
+        for (_, outcome, mod), (q_chain, _, _) in zip(calls, calls[1:]):
+            history += outcome.t + (outcome.y,)
+            if mod.horizon == 0:
+                seen += 1
+                assert type(q_chain) is RawChain and q_chain.model is pair.target
+                assert q_chain.context == history[-pair.target.order:]
+            else:
+                assert type(q_chain) is ModifiedChain and q_chain.record is mod
+        assert seen
 
     def test_4096_token_decode_completes(self):
         out, m = decode(_eos_free_v16(), "spectr-gbv", 3, 8, (0,) * 8, 4096, RandomSource(7))
@@ -507,6 +566,11 @@ class TestRunConfig:
             RunConfig(**paths)
         assert RunConfig(draft_path="d.json", target_path="t.json").draft_path == "d.json"
 
+    @pytest.mark.parametrize("field", ["prompts", "trials", "max_tokens"])
+    def test_counts_below_one_are_refused(self, field):
+        with pytest.raises(ValueError, match="^prompts, trials, and max_tokens must be >= 1$"):
+            RunConfig(**{field: 0})
+
 
 class TestRunExperiment:
     def _cfg(self, **kw):
@@ -527,6 +591,12 @@ class TestRunExperiment:
         header = text1.decode().splitlines()[0]
         assert header == ",".join(CSV_HEADER)
         assert len(text1.decode().splitlines()) == 1 + 2 * 2
+
+    def test_unknown_format_is_refused_before_writing(self, tmp_path):
+        out = tmp_path / "r.xml"
+        with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+            run_experiment([self._cfg(prompts=1, trials=1)], str(out), fmt="xml")
+        assert not out.exists()
 
     def test_paired_seed_columns_across_algos(self, tmp_path):
         out = tmp_path / "c.csv"

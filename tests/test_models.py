@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -48,6 +49,22 @@ class TestRandomModel:
         # checked before V**order is formed, which would not be a row count
         with pytest.raises(ValueError, match="order must be >= 0"):
             random_model(4, -1, 0, 1.0)
+
+    def test_one_token_vocabulary_rejected(self):
+        with pytest.raises(ValueError, match="^vocab_size must be >= 2$"):
+            random_model(1, 0, 0, 1.0)
+
+    @pytest.mark.parametrize("V, order, message", [
+        (1, 0, "vocab_size must be >= 2"), (2, -1, "order must be >= 0"),
+    ])
+    def test_model_shape_is_checked_before_its_table(self, V, order, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MarkovModel(V, order, np.array([[1.0]]))
+
+    @pytest.mark.parametrize("other", [random_model(3, 1, 0, 1.0), random_model(2, 2, 0, 1.0)], ids=["vocab", "order"])
+    def test_blend_of_different_shapes_rejected(self, other):
+        with pytest.raises(ValueError, match="^blend requires models of identical shape$"):
+            blend_model(random_model(2, 1, 0, 1.0), other, 0.5)
 
     @pytest.mark.parametrize("concentration", [0.0, np.nan, np.inf])
     def test_non_finite_or_non_positive_concentration_rejected(self, concentration):
@@ -183,6 +200,19 @@ class TestFileFormat:
         path = tmp_path / "m.json"
         path.write_text(json.dumps({"vocab_size": 2, "order": 1, "table": [[0.5, 0.5]]}))
         with pytest.raises(ParseError):
+            load_model(path)
+
+    @pytest.mark.parametrize("body, message", [
+        ([2, 0, [[0.5, 0.5]]], "top level must be an object"),
+        ({"vocab_size": 2, "order": 0, "table": "0.5 0.5"}, "table must be an array"),
+        ({"vocab_size": 2, "order": 1, "table": [[0.5, 0.5], [1.0]]}, "ragged or non-numeric table ("),
+        ({"vocab_size": 2, "order": 0, "table": [["a", "b"]]}, "ragged or non-numeric table ("),
+        ({"vocab_size": 2, "order": 0, "table": [0.5, 0.5]}, "table must be two-dimensional"),
+    ], ids=["not-an-object", "not-an-array", "ragged", "non-numeric", "one-dimensional"])
+    def test_malformed_body_is_parse_error(self, tmp_path, body, message):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(body))
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}"):
             load_model(path)
 
     @pytest.mark.parametrize("header", [

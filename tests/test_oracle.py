@@ -251,7 +251,7 @@ class TestLevels:
         first = _instance(pair, 3, 2, (1,))
         context = (1, 2)
         second = _Instance(
-            harness.RawChain(pair.draft, context), first.modified(0, (), 2),
+            harness.RawChain(pair.draft, context), first.modified((), 2),
             context, pair.vocab_size, 3, 2,
         )
         for inst in (first, second):
@@ -507,7 +507,7 @@ class TestBatchedEnumeration:
                 for tau, t in positive[:3]:
                     prefix = t + (V - 1,)
                     draft = harness.RawChain(pair.draft, context + prefix)
-                    target = first.modified(tau, t, V - 1)
+                    target = first.modified(t, V - 1)
                     insts.append(_Instance(draft, target, context + prefix, V, L, K))
         return insts
 
@@ -831,6 +831,17 @@ class TestArgumentGuard:
     def test_L_or_K_below_one_is_refused(self, entry, L, K, name):
         with pytest.raises(ValueError, match=f"{name} must be >= 1"):
             entry(self.PAIR, L, K)
+
+    @pytest.mark.parametrize("iterations", [0, 3])
+    def test_iterations_other_than_one_or_two_are_refused(self, iterations):
+        with pytest.raises(ValueError, match="^iterations must be 1 or 2$"):
+            exact_output_distribution(self.PAIR, 2, 1, iterations)
+
+    def test_two_iterations_past_the_guard_are_refused(self):
+        # V^(2(L + 1)) = 2^20 leaves past MAX_ENUM, refused before any table is built
+        assert 2 ** 20 > oracle.MAX_ENUM
+        with pytest.raises(oracle.TooLarge, match="^two-iteration enumeration exceeds the guard$"):
+            exact_output_distribution(self.PAIR, 9, 1, iterations=2)
 
     def test_gbv_report_refuses_L_below_one(self):
         with pytest.raises(ValueError, match="L must be >= 1"):

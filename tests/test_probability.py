@@ -78,6 +78,11 @@ def _reference_sample(d, rng):
 
 
 class TestDistribution:
+    @pytest.mark.parametrize("mass", [np.array([]), np.array(1.0), np.array([[0.5, 0.5]])], ids=["empty", "0-d", "2-d"])
+    def test_mass_must_be_a_non_empty_vector(self, mass):
+        with pytest.raises(ValueError, match="^mass must be a non-empty 1-d vector$"):
+            Distribution(mass)
+
     @pytest.mark.parametrize("mass", [[math.nan, math.nan], [math.inf, 0.0]])
     def test_non_finite_mass_rejected(self, mass):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import re
 import weakref
 from dataclasses import asdict
 from fractions import Fraction
@@ -513,6 +514,18 @@ class TestFullBlockForms:
         self.check(log_p.tolist(), log_q.tolist(), K)
 
 
+class TestDraftSet:
+    @pytest.mark.parametrize("tokens, cond, message", [
+        ((), (), "need at least one draft row"),
+        (((0, 1), (0,)), ((dist(0.5, 0.5),) * 2, (dist(0.5, 0.5),)), "ragged draft rows"),
+        (((0, 1),), ((dist(0.5, 0.5),),), "cond[k] must hold one conditional per position"),
+        (((0, 1),), ((dist(0.5, 0.5), dist(1, 0)),), "row 0 token 1 has zero draft probability"),
+    ], ids=["no-rows", "ragged", "short-cond", "zero-probability"])
+    def test_malformed_rows_are_refused(self, tokens, cond, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DraftSet(tokens, cond)
+
+
 class TestVerifySd:
     @pytest.mark.parametrize("K", [2, 3])
     def test_more_than_one_row_is_refused_before_any_draw(self, canonical_pair, K):
@@ -558,6 +571,23 @@ class TestVerifySd:
 
 
 class TestKseqRho:
+    @pytest.mark.parametrize("K", [0, -1])
+    def test_K_below_one_is_refused(self, K):
+        with pytest.raises(ValueError, match="^K must be >= 1$"):
+            kseq_rho(dist(0.5, 0.5), dist(0.8, 0.2), K)
+
+    def test_zero_tolerance_stops_at_the_step_cap(self):
+        # beta(rho) = 1/16 + 1/(2 rho) on [1, 2], so the root solves
+        # rho^2 - (31/16) rho + 1/2 = 0; with tol = 0 the bracket shrinks to
+        # neighbouring doubles whose midpoint never has g = 0 exactly, and the
+        # solve returns the bracket's midpoint after the last step
+        p, q = dist(1 / 16, 15 / 16), dist(0.5, 0.5)
+        s = kseq_rho(p, q, 2, tol=0.0)
+        assert s.iterations == 200
+        assert abs(s.rho - (31 / 16 + math.sqrt((31 / 16) ** 2 - 2)) / 2) < 1e-12
+        assert abs(s.rho - kseq_rho(p, q, 2).rho) < 1e-12
+        assert abs(s.beta - (1 / 16 + 0.5 / s.rho)) < 1e-15
+
     def test_single_draft_scale_is_one(self):
         s = kseq_rho(dist(0.5, 0.5), dist(0.8, 0.2), 1)
         assert s.rho == 1.0 and s.iterations == 0
@@ -1244,7 +1274,7 @@ class TestModification:
     def test_positions_past_horizon_fall_through(self, canonical_pair):
         _, mod = self._record(canonical_pair, 2, 2, seed=4)
         q, p = RawChain(canonical_pair.target, ()), RawChain(canonical_pair.draft, ())
-        chain = ModifiedChain(q, p, mod, mod.prefix)  # the chain routes past the horizon
+        chain = ModifiedChain(q, p, mod)  # the chain routes past the horizon
         ctx = tuple(0 for _ in range(mod.horizon))  # position horizon+1
         assert chain.conditional(ctx) is canonical_pair.target.conditional(mod.prefix + ctx)
 
