@@ -18,10 +18,11 @@ test, over all levels and instances, in one ``subblock_accept_prob`` call,
 and every drafted full block's in one ``full_block_accept_probs`` call, the
 elementwise form of ``full_block_accept_prob``. The output law then
 completes every leaf in one forward pass over the trie levels
-(``_output_law``), reading every extra
-token and modified-target row below level L from one ``ModifiedTarget`` at
-the root: in block verification the residual after a block is the next
-iteration's modified target (Sun et al. 2024, arXiv 2403.10444). The whole
+(``_output_law``). In block verification the residual after a block is the
+next iteration's modified target (Sun et al. 2024, arXiv 2403.10444), so
+every extra-token and modified-target row below level L is the normalized
+surplus at its block's joint ratio: ``_target_rows`` forms them all from
+the level arrays in one ``subblock_accept_prob`` surplus block. The whole
 law lives in one layout: one array per trie level, its blocks in
 lexicographic order, so block u's children are the V entries from
 V * index(u) on and its n-token extensions are one run of V^n. The joints
@@ -29,9 +30,11 @@ V * index(u) on and its n-token extensions are one run of V^n. The joints
 masses, the output law and the masses it is checked against are all such
 arrays, and every check is a reshape and a sum. The log joints are the
 verifier's bit for bit and the elementwise full-block form is the scalar
-rule's, so each h is the one decoding computes. The acceptance rules, the
-modified target and the chains (``harness.RawChain``,
-``harness.ModifiedChain``) are the ones decoding runs. The recursion over
+rule's, so each h is the one decoding computes. The acceptance rules and
+the chains (``harness.RawChain``, ``harness.ModifiedChain``) are the ones
+decoding runs; the output law's rows come from the same surplus kernel as
+``ModifiedTarget``'s, and ``test_extra_token_is_the_record_row`` pins each
+row and fallback to that record bit for bit. The recursion over
 the scan and the closed forms the tree is checked against are written
 here, apart from the verifiers, so agreement between the two is evidence
 rather than tautology.
@@ -98,7 +101,8 @@ class _Level(NamedTuple):
     """One trie level of an instance's table, its blocks in lexicographic
     order: the blocks, their draft and target joints, their log joints (up
     to level L, None deeper) and the draft and target conditional rows
-    after each block, (V^i, V) blocks (below level L, None from there)."""
+    after each block, (V^i, V) blocks (at every level below the depth the
+    table is built to, None at that depth)."""
 
     blocks: list
     p: np.ndarray
@@ -117,7 +121,8 @@ class _Instance:
     the linear joints feed the recursion, the closed forms and the target
     marginals the output is checked against, and the log joints, built as
     the verifier builds them, and the conditional rows feed the acceptance
-    rules. One table serves every depth up to the one it was built at.
+    rules and the output law. One table serves every depth up to the one
+    it was built at.
     """
 
     pchain: RawChain
@@ -131,23 +136,25 @@ class _Instance:
     def levels(self, depth: int) -> list[_Level]:
         """The levels 0 ... depth, from the instance's table, rebuilt at
         ``depth`` when it is shallower. The joints and rows are
-        ``_joints``'. A level's log joints are its parent level repeated V
-        times plus the ``math.log`` of each factor, -inf absorbing:
-        ``extend_joint``'s additions, so each equals the verifier's bit for
-        bit."""
+        ``_joints``', rows at every level below the built depth; the log
+        joints stop at level L. A level's log joints are its parent level
+        repeated V times plus the ``math.log`` of each factor, -inf
+        absorbing: ``extend_joint``'s additions, so each equals the
+        verifier's bit for bit."""
         if self.table is None or len(self.table) <= depth:
             V, L = self.V, self.L
             (p, p_rows), (q, q_rows) = (_joints(chain, V, depth) for chain in (self.pchain, self.qchain))
-            rows = list(zip(p_rows, q_rows))[:L]
+            rows = list(zip(p_rows, q_rows))
             logs = [(np.zeros(1), np.zeros(1))]
-            for row in rows:
+            for row in rows[:L]:
                 logs.append(tuple(
                     np.repeat(parent, V) + np.array([math.log(x) if x > 0.0 else LOG_ZERO for x in r.ravel().tolist()])
                     for parent, r in zip(logs[-1], row)
                 ))
             self.table = [
-                _Level(list(itertools.product(range(V), repeat=i)), pi, qi, *log, *row)
-                for i, (pi, qi, log, row) in enumerate(itertools.zip_longest(p, q, logs, rows, fillvalue=()))
+                _Level(list(itertools.product(range(V), repeat=i)), pi, qi, log_p=lp, log_q=lq, p_rows=pr, q_rows=qr)
+                for i, (pi, qi, (lp, lq), (pr, qr))
+                in enumerate(itertools.zip_longest(p, q, logs, rows, fillvalue=(None, None)))
             ]
         return self.table[:depth + 1]
 
@@ -312,37 +319,56 @@ def _enumerate_leaves(insts: list[_Instance]) -> list[list[np.ndarray]]:
     return [list(levels) for levels in zip(*masses)]
 
 
+def _target_rows(inst: _Instance, depth: int) -> tuple[list[np.ndarray], list[tuple[int, ...]]]:
+    """The output law's row after every block the table at ``depth`` holds
+    rows for, one (V^i, V) array per level i, and the blocks that fall back.
+    Below level L a row is the surplus q (1 - min(r p / q, 1))^K at the
+    block's joint ratio r, one ``subblock_accept_prob`` block over the
+    levels, normalized as ``ModifiedTarget.conditional`` does; a zero
+    target joint or an empty surplus (a fallback) keeps the target row,
+    which is the row at levels L and deeper."""
+    V, L = inst.V, inst.L
+    table = inst.levels(depth)
+    lp, lq, p_rows, q_rows = (
+        np.concatenate([getattr(level, f) for level in table[:L]]) for f in ("log_p", "log_q", "p_rows", "q_rows")
+    )
+    scan = np.flatnonzero(lq != LOG_ZERO)
+    _h, w = subblock_accept_prob(lp[scan].tolist(), lq[scan].tolist(), p_rows[scan], q_rows[scan], inst.K)
+    s = w.sum(axis=1)
+    full = s > 0.0
+    rows = q_rows.copy()
+    rows[scan[full]] = w[full] / s[full, None]
+    fallbacks = [_heads(V, L)[n] for n in scan[~full].tolist()]
+    rows = np.split(rows, np.cumsum([V**i for i in range(L - 1)]))
+    return rows + [level.q_rows for level in table[L:] if level.q_rows is not None], fallbacks
+
+
 def _output_law(inst: _Instance, leaves: list[np.ndarray], depth: int) -> tuple[np.ndarray, float, list]:
     """Exact law of the completed output prefix at ``depth`` >= L tokens, in
     ``levels`` order, by one forward pass over the trie levels.
 
     Leaf (tau, t) is followed by its extra token, then by its branch's
-    modified target chain. Every such row below level L is, bit for bit, a
-    row of one ``ModifiedTarget`` at the root (horizon L, ``PrefixJoint()``): a
+    modified target chain. Every such row below level L is a row of one
+    ``ModifiedTarget`` at the root (horizon L, ``PrefixJoint()``): a
     branch's override at block b is live iff len(b) < L and is built from
-    b's joints, extended by one ``math.log`` per factor as the table's are,
-    and the residual after a leaf at t normalizes the same surplus
-    q (1 - min(r p / q, 1))^K at t's ratio r, falling back to the target row
-    exactly where the record does. A full block's extra token is the chain's
-    own row. So each leaf joins the flow at its level, F_i += leaves_i for
-    i <= L, then F_{i+1} = F_i * rows_i ravelled, and the law is F_depth.
-    One ``ModifiedChain`` over that record at ``inst.context`` gives every
-    row, the raw target there at levels L and deeper, as in decoding.
+    b's joints, and the residual after a leaf at t normalizes the same
+    surplus at t's ratio, falling back exactly where the record does; a
+    full block's extra token is the target row. ``_target_rows`` reads them
+    all from the table. So each leaf joins the flow at its level,
+    F_i += leaves_i for i <= L, then F_{i+1} = F_i * rows_i ravelled, and
+    the law is F_depth.
 
     Returns the law, the expected number of raw-conditional fallback draws
-    per output and the rows, one (V^i, V) array per level i. The count is
-    not a mass: a block b whose row falls back is charged F(b), once per
-    path through b, be its draw a leaf's extra token or a completion.
+    per output and ``_target_rows``' rows. The count is not a mass: a block
+    b whose row falls back is charged F(b), once per path through b, be its
+    draw a leaf's extra token or a completion.
     """
     V, L = inst.V, inst.L
-    record = ModifiedTarget(L, inst.K, (), PrefixJoint())
-    found = ModifiedChain(inst.qchain, inst.pchain, record).conditionals(_heads(V, depth))
-    rows = np.array([d.mass for d in found]).reshape(-1, V)
-    rows = np.split(rows, np.cumsum([V**i for i in range(depth - 1)]))
+    rows, fallbacks = _target_rows(inst, depth)
     flow = [leaves[0]]
     for i in range(depth):
         flow.append((flow[i][:, None] * rows[i]).ravel() + (leaves[i + 1] if i < L else 0.0))
-    fallback_mass = sum((flow[len(b)].item(block_index(b, V)) for b in record.fallbacks), 0.0)
+    fallback_mass = sum((flow[len(b)].item(block_index(b, V)) for b in fallbacks), 0.0)
     return flow[depth], fallback_mass, rows
 
 
@@ -507,11 +533,12 @@ def _two_iteration_dev(pair: ModelPair, inst1: _Instance, leaves1: list, rows1: 
     for tau1, ((blocks, *_rest), level) in enumerate(zip(inst1.levels(L), leaves1)):
         for j in np.flatnonzero(level > 0.0).tolist():
             m1, t1 = float(level[j]), blocks[j]
-            ydist = rows1[tau1][j] if tau1 < L else inst1.qchain.conditional(t1).mass
-            for y1, py1 in enumerate(ydist.tolist()):
+            for y1, py1 in enumerate(rows1[tau1][j].tolist()):
                 if py1 > 0.0:
                     context2 = inst1.context + t1 + (y1,)
                     inst2 = _Instance(RawChain(pair.draft, context2), inst1.modified(t1, y1), context2, V, L, K)
+                    # one table per instance, at its output law's depth
+                    inst2.levels(depth - tau1 - 1)
                     seconds.append((tau1 + 1, j * V + y1, m1 * py1, inst2))
     out = np.zeros(V**depth)
     fallback = lemma_dev = 0.0

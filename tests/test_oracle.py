@@ -15,7 +15,7 @@ from conftest import (
     subblock_h,
 )
 from speclab import harness, oracle
-from speclab.models import MarkovModel, ModelPair, generate_pair
+from speclab.models import MarkovModel, ModelPair, block_index, generate_pair
 from speclab.oracle import (
     TooLarge,
     _acceptances,
@@ -24,6 +24,7 @@ from speclab.oracle import (
     _Instance,
     _model_joint,
     _output_law,
+    _target_rows,
     bound_K,
     exact_expected_tau,
     exact_output_distribution,
@@ -202,16 +203,23 @@ class TestLevels:
     def test_one_table_serves_every_shallower_depth(self):
         # a two-iteration report builds depth 2(L + 1) first; the first
         # iteration's levels are that table's, equal to a table built at L
+        # wherever that one has an entry. Rows are kept at every level below
+        # the built depth, for the output law; log joints through level L only
         pair = generate_pair(3, 1, 5, 1.0, 0.5)
         inst = _instance(pair, 2, 2)
         deep = inst.levels(6)
         assert len(inst.levels(2)) == 3 and all(a is b for a, b in zip(inst.levels(2), deep))
         assert [level.log_p is None for level in deep] == [False] * 3 + [True] * 4
-        assert [level.p_rows is None for level in deep] == [False] * 2 + [True] * 5
+        assert [level.p_rows is None for level in deep] == [False] * 6 + [True]
+        assert [level.q_rows is None for level in deep] == [False] * 6 + [True]
         for got, want in zip(inst.levels(2), _instance(pair, 2, 2).levels(2)):
             assert got.blocks == want.blocks
             for a, b in zip(got[1:], want[1:]):
-                assert (a is None and b is None) or bitwise(a, b)
+                assert b is None or bitwise(a, b)
+        # the rows at level L, which a table built at L lacks, are a table's
+        # built one level deeper
+        shallow = _instance(pair, 2, 2).levels(3)[2]
+        assert bitwise(deep[2].p_rows, shallow.p_rows) and bitwise(deep[2].q_rows, shallow.q_rows)
         # a deeper depth rebuilds the table
         assert len(inst.levels(7)) == 8 and inst.levels(7)[7].q.sum() == pytest.approx(1.0)
 
@@ -627,21 +635,27 @@ class TestOutputLawPass:
 
     @pytest.mark.parametrize("V, L, K, iterations", CELLS)
     def test_extra_token_is_the_record_row(self, monkeypatch, V, L, K, iterations):
-        """At every leaf (tau, t), tau < L, decoding's block residual is the
-        root modified target's row at t bit for bit, and it is empty exactly
-        where the record falls back."""
+        """Every row ``_output_law`` returns below level L is the root
+        modified target's row at its block bit for bit, and the rows fall
+        back at exactly the record's fallbacks: the oracle reads them from
+        its tables, so this pins them to the record decoding builds. At
+        every leaf (tau, t), tau < L, that row is decoding's block residual,
+        empty exactly where the record falls back."""
         fell = 0
         for setting, inst, leaves, depth in self.laws(monkeypatch, V, L, K, iterations):
             _law, _fb, rows = _output_law(inst, leaves, depth)
+            _rows, fallbacks = _target_rows(inst, depth)
             record = ModifiedTarget(L, K, (), PrefixJoint())
-            for tau, ((blocks, *_rest), level) in enumerate(zip(inst.levels(L - 1), leaves)):
-                positive = np.flatnonzero(level > 0.0).tolist()
-                found = record.conditional(
-                    [blocks[j] for j in positive], inst.qchain.conditionals, inst.pchain.conditionals
-                )
-                for j, d in zip(positive, found):
+            levels = inst.levels(L - 1)
+            heads = [blk for level in levels for blk in level.blocks]
+            found = record.conditional(heads, inst.qchain.conditionals, inst.pchain.conditionals)
+            assert len(found) == sum(len(r) for r in rows[:L])
+            for blk, d in zip(heads, found):
+                assert bitwise(rows[len(blk)][block_index(blk, V)], d.mass), (setting, blk)
+            assert len(fallbacks) == len(set(fallbacks)) and set(fallbacks) == record.fallbacks, setting
+            for tau, ((blocks, *_rest), level) in enumerate(zip(levels, leaves)):
+                for j in np.flatnonzero(level > 0.0).tolist():
                     row, fell_back = reference_extra_token(inst, tau, blocks[j])
-                    assert np.array_equal(row, d.mass), (setting, blocks[j])
                     assert np.array_equal(row, rows[tau][j]), (setting, blocks[j])
                     assert fell_back == (blocks[j] in record.fallbacks), (setting, blocks[j])
                     fell += fell_back
