@@ -219,8 +219,13 @@ def load_model(path: str | os.PathLike) -> MarkovModel:
         raise ParseError(f"{path}: table must be an array")
     try:
         arr = np.array(table, dtype=np.float64)
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise ParseError(f"{path}: ragged or non-numeric table ({e})") from e
     if arr.ndim != 2:
         raise ParseError(f"{path}: table must be two-dimensional")
+    # numpy reads a bool, a numeric string or null as a float; a JSON number
+    # is an int or a float, and a bool, an int subclass, is excluded by type
+    bad = [x for row in table for x in row if type(x) not in (int, float)]
+    if bad:
+        raise ParseError(f"{path}: table entry {bad[0]!r} is not a number")
     return MarkovModel(vocab_size, order, arr)

@@ -13,31 +13,31 @@ this law over the row counts through each node, bottom up the trie, in
 exponential generating functions, for a batch of instances of equal
 (V, L, K) at once: a second iteration enumerates every (first-iteration
 leaf, extra token) instance in one call. The coins' h are read from the
-level arrays (``_acceptances``): every drafted proper prefix's sub-block
-test, over all levels and instances, in one ``subblock_accept_prob`` call,
-and every drafted full block's in one ``full_block_accept_probs`` call, the
-elementwise form of ``full_block_accept_prob``. The output law then
+level arrays (``_acceptances``): one ``subblock_accept_prob`` call per batch
+covers every block below level L that a sub-block test or the output law
+reads, and one ``full_block_accept_probs`` call, the elementwise form of
+``full_block_accept_prob``, every drafted full block. The output law then
 completes every leaf in one forward pass over the trie levels
 (``_output_law``). In block verification the residual after a block is the
 next iteration's modified target (Sun et al. 2024, arXiv 2403.10444), so
 every extra-token and modified-target row below level L is the normalized
-surplus at its block's joint ratio: ``_target_rows`` forms them all from
-the level arrays in one ``subblock_accept_prob`` surplus block. The whole
-law lives in one layout: one array per trie level, its blocks in
-lexicographic order, so block u's children are the V entries from
-V * index(u) on and its n-token extensions are one run of V^n. The joints
-(linear and log-space), the conditional rows after each block, the leaf
-masses, the output law and the masses it is checked against are all such
-arrays, and every check is a reshape and a sum. The log joints are the
-verifier's bit for bit and the elementwise full-block form is the scalar
-rule's, so each h is the one decoding computes. The acceptance rules and
-the chains (``harness.RawChain``, ``harness.ModifiedChain``) are the ones
-decoding runs; the output law's rows come from the same surplus kernel as
-``ModifiedTarget``'s, and ``test_extra_token_is_the_record_row`` pins each
-row and fallback to that record bit for bit. The recursion over
-the scan and the closed forms the tree is checked against are written
-here, apart from the verifiers, so agreement between the two is evidence
-rather than tautology.
+surplus at its block's joint ratio: ``_target_rows`` normalizes the rows
+that same call left the instance. The whole law lives in one layout: one
+array per trie level, its blocks in lexicographic order, so block u's
+children are the V entries from V * index(u) on and its n-token extensions
+are one run of V^n. The joints (linear and log-space), the conditional rows
+after each block, the leaf masses, the output law and the masses it is
+checked against are all such arrays, and every check is a reshape and a
+sum; a report builds its block-keyed tables from them on first access. The
+log joints are the verifier's bit for bit and the elementwise full-block
+form is the scalar rule's, so each h is the one decoding computes. The
+acceptance rules and the chains (``harness.RawChain``,
+``harness.ModifiedChain``) are the ones decoding runs; the output law's rows
+come from the same surplus kernel as ``ModifiedTarget``'s, and
+``test_extra_token_is_the_record_row`` pins each row and fallback to that
+record bit for bit. The recursion over the scan and the closed forms the
+tree is checked against are written here, apart from the verifiers, so
+agreement between the two is evidence rather than tautology.
 
 The reports check three closed forms against the enumerated tree:
 
@@ -99,12 +99,12 @@ def _model_joint(model, context: tuple[int, ...], blk: tuple[int, ...]) -> float
 
 class _Level(NamedTuple):
     """One trie level of an instance's table, its blocks in lexicographic
-    order: the blocks, their draft and target joints, their log joints (up
-    to level L, None deeper) and the draft and target conditional rows
-    after each block, (V^i, V) blocks (at every level below the depth the
-    table is built to, None at that depth)."""
+    order: the blocks, their draft and target joints, their log joints (the
+    blocks and log joints up to level L, None deeper) and the draft and
+    target conditional rows after each block, (V^i, V) blocks (at every
+    level below the depth the table is built to, None at that depth)."""
 
-    blocks: list
+    blocks: tuple | None
     p: np.ndarray
     q: np.ndarray
     log_p: np.ndarray | None = None
@@ -122,7 +122,8 @@ class _Instance:
     marginals the output is checked against, and the log joints, built as
     the verifier builds them, and the conditional rows feed the acceptance
     rules and the output law. One table serves every depth up to the one
-    it was built at.
+    it was built at. ``surplus`` holds the output law's surplus rows from
+    the batch pass that forms them until ``_target_rows`` reads them.
     """
 
     pchain: RawChain
@@ -132,6 +133,7 @@ class _Instance:
     L: int
     K: int
     table: list | None = None
+    surplus: tuple | None = field(default=None, repr=False)
 
     def levels(self, depth: int) -> list[_Level]:
         """The levels 0 ... depth, from the instance's table, rebuilt at
@@ -152,7 +154,7 @@ class _Instance:
                     for parent, r in zip(logs[-1], row)
                 ))
             self.table = [
-                _Level(list(itertools.product(range(V), repeat=i)), pi, qi, log_p=lp, log_q=lq, p_rows=pr, q_rows=qr)
+                _Level(_blocks(V, i) if i <= L else None, pi, qi, log_p=lp, log_q=lq, p_rows=pr, q_rows=qr)
                 for i, (pi, qi, (lp, lq), (pr, qr))
                 in enumerate(itertools.zip_longest(p, q, logs, rows, fillvalue=(None, None)))
             ]
@@ -172,10 +174,16 @@ class _Instance:
 
 
 @functools.cache
+def _blocks(V: int, i: int) -> tuple:
+    """Every block of length i, in lexicographic order."""
+    return tuple(itertools.product(range(V), repeat=i))
+
+
+@functools.cache
 def _heads(V: int, depth: int) -> tuple:
     """Every block shorter than ``depth``, level by level, each level in
     lexicographic order."""
-    return tuple(u for i in range(depth) for u in itertools.product(range(V), repeat=i))
+    return tuple(u for i in range(depth) for u in _blocks(V, i))
 
 
 def _joints(chain, V: int, depth: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -192,27 +200,43 @@ def _joints(chain, V: int, depth: int) -> tuple[list[np.ndarray], list[np.ndarra
     return joints, level_rows
 
 
+def _surplus_pass(insts: list[_Instance]) -> np.ndarray:
+    """One ``subblock_accept_prob`` call over the blocks below level L of a
+    batch of instances of equal (V, L, K) that the coins (p > 0) or the
+    output law (log q > -inf) read. Returns h, 0 where p = 0, one row per
+    instance in ``levels`` order, and leaves each instance the indices and
+    surplus rows of its log q > -inf blocks for ``_target_rows``. Each row
+    is computed as for its block alone (``_surplus``), so batching moves no
+    bit."""
+    L, K = insts[0].L, insts[0].K
+    p, lp, lq, p_rows, q_rows = (
+        np.concatenate([getattr(level, f) for inst in insts for level in inst.levels(L)[:L]])
+        for f in ("p", "log_p", "log_q", "p_rows", "q_rows")
+    )
+    drafted, scan = p > 0.0, lq != LOG_ZERO
+    tested = np.flatnonzero(drafted | scan)
+    hs, w = subblock_accept_prob(lp[tested].tolist(), lq[tested].tolist(), p_rows[tested], q_rows[tested], K)
+    h = np.zeros(len(p))
+    h[tested] = hs
+    n = len(p) // len(insts)
+    runs = np.split(np.arange(len(tested)), np.searchsorted(tested, np.arange(n, len(p), n)))
+    for k, (inst, run) in enumerate(zip(insts, runs)):
+        kept = run[scan[tested[run]]]
+        inst.surplus = tested[kept] - k * n, w[kept]
+    return np.where(drafted, h, 0.0).reshape(len(insts), n)
+
+
 def _acceptances(insts: list[_Instance]) -> list[np.ndarray | None]:
     """h at every node of a batch of instances of equal (V, L, K), one array
     per level 1 ... L, the instances' nodes end to end (None at the root,
-    which is never tested): every drafted proper prefix's sub-block rule in
-    one ``subblock_accept_prob`` call, every drafted full block's rule in one
-    ``full_block_accept_probs`` call, and 0 at undrafted nodes."""
+    which is never tested): every drafted proper prefix's sub-block rule
+    from the batch's one surplus pass (``_surplus_pass``), which also leaves
+    each instance its output law's surplus rows, every drafted full block's
+    rule in one ``full_block_accept_probs`` call, and 0 at undrafted nodes."""
     V, L, K = insts[0].V, insts[0].L, insts[0].K
-    tables = [inst.levels(L) for inst in insts]
-    h = [None]
-    if L > 1:
-        p, lp, lq, p_rows, q_rows = (
-            np.concatenate([getattr(table[i], f) for i in range(1, L) for table in tables])
-            for f in ("p", "log_p", "log_q", "p_rows", "q_rows")
-        )
-        tested = np.flatnonzero(p > 0.0)
-        hs, _surplus = subblock_accept_prob(lp[tested].tolist(), lq[tested].tolist(), p_rows[tested], q_rows[tested], K)
-        flat = np.zeros(len(p))
-        flat[tested] = hs
-        h += np.split(flat, np.cumsum([len(insts) * V**i for i in range(1, L - 1)]))
-    p, lp, lq = (np.concatenate([getattr(table[L], f) for table in tables]) for f in ("p", "log_p", "log_q"))
-    return h + [np.where(p > 0.0, full_block_accept_probs(lp, lq, K), 0.0)]
+    levels = np.split(_surplus_pass(insts), np.cumsum([V**i for i in range(L - 1)]), axis=1)
+    p, lp, lq = (np.concatenate([getattr(inst.levels(L)[L], f) for inst in insts]) for f in ("p", "log_p", "log_q"))
+    return [None] + [h.ravel() for h in levels[1:]] + [np.where(p > 0.0, full_block_accept_probs(lp, lq, K), 0.0)]
 
 
 @functools.cache
@@ -323,20 +347,19 @@ def _target_rows(inst: _Instance, depth: int) -> tuple[list[np.ndarray], list[tu
     """The output law's row after every block the table at ``depth`` holds
     rows for, one (V^i, V) array per level i, and the blocks that fall back.
     Below level L a row is the surplus q (1 - min(r p / q, 1))^K at the
-    block's joint ratio r, one ``subblock_accept_prob`` block over the
-    levels, normalized as ``ModifiedTarget.conditional`` does; a zero
-    target joint or an empty surplus (a fallback) keeps the target row,
-    which is the row at levels L and deeper."""
+    block's joint ratio r, normalized as ``ModifiedTarget.conditional``
+    does; a zero target joint or an empty surplus (a fallback) keeps the
+    target row, which is the row at levels L and deeper. The surplus rows
+    are those ``_surplus_pass`` left the instance, dropped once read; an
+    instance no batch filled gets that pass alone."""
     V, L = inst.V, inst.L
     table = inst.levels(depth)
-    lp, lq, p_rows, q_rows = (
-        np.concatenate([getattr(level, f) for level in table[:L]]) for f in ("log_p", "log_q", "p_rows", "q_rows")
-    )
-    scan = np.flatnonzero(lq != LOG_ZERO)
-    _h, w = subblock_accept_prob(lp[scan].tolist(), lq[scan].tolist(), p_rows[scan], q_rows[scan], inst.K)
+    if inst.surplus is None:
+        _surplus_pass([inst])
+    (scan, w), inst.surplus = inst.surplus, None
     s = w.sum(axis=1)
     full = s > 0.0
-    rows = q_rows.copy()
+    rows = np.concatenate([level.q_rows for level in table[:L]])
     rows[scan[full]] = w[full] / s[full, None]
     fallbacks = [_heads(V, L)[n] for n in scan[~full].tolist()]
     rows = np.split(rows, np.cumsum([V**i for i in range(L - 1)]))
@@ -379,7 +402,9 @@ class ExactReport:
     ``fallback_mass`` is the expected number of draws per output that fell
     back to the raw target conditional, each counted once (an extra token
     and each modified-target position count apart), not the probability of
-    a fallback.
+    a fallback. The first iteration's level arrays are kept (leaf masses at
+    levels 0 ... L, accepted and claimed masses at 1 ... L), and the tables
+    keyed by block, ``leaves`` and ``lemma_masses``, built on first access.
     """
 
     vocab_size: int
@@ -398,8 +423,25 @@ class ExactReport:
     max_leafsum_err: float
     fallback_mass: float
     runtime_s: float
-    lemma_masses: dict = field(repr=False, default_factory=dict)
-    leaves: dict = field(repr=False, default_factory=dict)
+    leaf_levels: list = field(repr=False, compare=False)
+    accepted: list = field(repr=False, compare=False)
+    claimed: list = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def leaves(self) -> dict:
+        """Leaf (tau, t) to its mass, positive ones only, in ``levels`` order."""
+        return {
+            (tau, u): m for tau, level in enumerate(self.leaf_levels)
+            for u, m in zip(_blocks(self.vocab_size, tau), level.tolist()) if m > 0.0
+        }
+
+    @functools.cached_property
+    def lemma_masses(self) -> dict:
+        """Sub-block u to its (accepted, claimed) acceptance masses."""
+        return {
+            u: masses for i, (got, want) in enumerate(zip(self.accepted, self.claimed), 1)
+            for u, masses in zip(_blocks(self.vocab_size, i), zip(got.tolist(), want.tolist()))
+        }
 
     def to_jsonable(self) -> dict:
         """The scalar fields, in declaration order; the tables are left out."""
@@ -491,28 +533,21 @@ def exact_output_distribution(
     if iterations == 2:
         two_iter_dev, fb2, lemma_dev2 = _two_iteration_dev(pair, inst, leaves, rows)
         fallback_mass += fb2
-    blocks = [level.blocks for level in table]
-    leaf_masses = {
-        (tau, u): m for tau, (level, row) in enumerate(zip(blocks, leaves))
-        for u, m in zip(level, row.tolist()) if m > 0.0
-    }
+    # the positive leaf masses in the order of the report's ``leaves`` table
+    positive = [level[level > 0.0].tolist() for level in leaves]
     return ExactReport(
         vocab_size=pair.vocab_size, L=L, K=K, iterations=iterations,
-        expected_tau=sum(tau * m for (tau, _t), m in leaf_masses.items()),
+        expected_tau=sum(tau * m for tau, masses in enumerate(positive) for m in masses),
         bound=sum(float(c.sum()) for c in claimed),
         max_marginal_dev=max_dev, lemma_max_dev=_max_dev(accepted, claimed),
         max_marginal_dev_two_iter=two_iter_dev, lemma_max_dev_two_iter=lemma_dev2,
         marginal_sums_max_err=sums_err,
-        leaf_states=len(leaf_masses),
+        leaf_states=sum(map(len, positive)),
         tuples=int((table[L].p > 0.0).sum()) ** K,
-        max_leafsum_err=abs(sum(leaf_masses.values()) - 1.0),
+        max_leafsum_err=abs(sum(itertools.chain.from_iterable(positive)) - 1.0),
         fallback_mass=fallback_mass,
         runtime_s=time.perf_counter() - t0,
-        lemma_masses={
-            u: masses for level, got, want in zip(blocks[1:], accepted, claimed)
-            for u, masses in zip(level, zip(got.tolist(), want.tolist()))
-        },
-        leaves=leaf_masses,
+        leaf_levels=leaves, accepted=accepted, claimed=claimed,
     )
 
 

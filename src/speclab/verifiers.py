@@ -507,11 +507,14 @@ def full_block_accept_probs(log_p: np.ndarray, log_q: np.ndarray, K: int) -> np.
     (log_p[n], log_q[n]), bit for bit: the ratios come from ``joint_ratio``
     and the draft joint from ``math.exp``, as the scalar rule's do, and
     numpy does only the rule's +, -, *, / and min, which round as Python's
-    do. G is read at min(r, 1), so the branch r > 1 discards forms no
-    overflow."""
+    do. G is read at min(r, 1), so no overflow is formed at the blocks with
+    r > 1, which take q_j / p_j instead, and q_j / p_j is formed at those
+    blocks only."""
     lp, lq = log_p.tolist(), log_q.tolist()
     r = np.array(list(map(joint_ratio, lp, lq)))
-    a = np.where(r <= 1.0, 1.0 + _geometric_tail(np.minimum(r, 1.0), K), list(map(joint_ratio, lq, lp)))
+    a = np.full(len(r), 1.0 + _geometric_tail(np.minimum(r, 1.0), K))  # the tail is a scalar at K = 1
+    over = np.flatnonzero(r > 1.0).tolist()
+    a[over] = [joint_ratio(lq[n], lp[n]) for n in over]
     p = np.array([math.exp(x) for x in lp])
     return np.minimum(1.0, a / (1.0 + _geometric_tail(p, K)))
 

@@ -208,7 +208,12 @@ class TestFileFormat:
         ({"vocab_size": 2, "order": 1, "table": [[0.5, 0.5], [1.0]]}, "ragged or non-numeric table ("),
         ({"vocab_size": 2, "order": 0, "table": [["a", "b"]]}, "ragged or non-numeric table ("),
         ({"vocab_size": 2, "order": 0, "table": [0.5, 0.5]}, "table must be two-dimensional"),
-    ], ids=["not-an-object", "not-an-array", "ragged", "non-numeric", "one-dimensional"])
+        ({"vocab_size": 2, "order": 1, "table": [[True, False], [0.5, 0.5]]}, "table entry True is not a number"),
+        ({"vocab_size": 2, "order": 0, "table": [["0.5", 0.5]]}, "table entry '0.5' is not a number"),
+        ({"vocab_size": 2, "order": 0, "table": [[None, 1.0]]}, "table entry None is not a number"),
+        ({"vocab_size": 2, "order": 0, "table": [[{}, 1.0]]}, "ragged or non-numeric table ("),
+    ], ids=["not-an-object", "not-an-array", "ragged", "non-numeric", "one-dimensional", "bool", "numeric-string",
+            "null", "object"])
     def test_malformed_body_is_parse_error(self, tmp_path, body, message):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(body))

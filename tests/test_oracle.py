@@ -14,6 +14,8 @@ from conftest import (
     reference_output_law,
     subblock_h,
 )
+from test_golden_oracle import CELLS
+
 from speclab import harness, oracle
 from speclab.models import MarkovModel, ModelPair, block_index, generate_pair
 from speclab.oracle import (
@@ -195,7 +197,9 @@ class TestLevels:
         levels = _instance(pair, 3, 2, context).levels(3)
         assert [len(blocks) for blocks, *_rest in levels] == [1, 3, 9, 27]
         for i, (blocks, p, q, *_rest) in enumerate(levels):
-            assert blocks == list(itertools.product(range(3), repeat=i))
+            assert blocks == tuple(itertools.product(range(3), repeat=i))
+            # one cached tuple per (V, level), shared by every instance
+            assert blocks is _instance(pair, 3, 1).levels(i)[i].blocks
             for blk, pb, qb in zip(blocks, p.tolist(), q.tolist()):
                 assert pb == _model_joint(pair.draft, context, blk)
                 assert qb == _model_joint(pair.target, context, blk)
@@ -204,12 +208,14 @@ class TestLevels:
         # a two-iteration report builds depth 2(L + 1) first; the first
         # iteration's levels are that table's, equal to a table built at L
         # wherever that one has an entry. Rows are kept at every level below
-        # the built depth, for the output law; log joints through level L only
+        # the built depth, for the output law; blocks and log joints through
+        # level L only
         pair = generate_pair(3, 1, 5, 1.0, 0.5)
         inst = _instance(pair, 2, 2)
         deep = inst.levels(6)
         assert len(inst.levels(2)) == 3 and all(a is b for a, b in zip(inst.levels(2), deep))
         assert [level.log_p is None for level in deep] == [False] * 3 + [True] * 4
+        assert [level.blocks is None for level in deep] == [False] * 3 + [True] * 4
         assert [level.p_rows is None for level in deep] == [False] * 6 + [True]
         assert [level.q_rows is None for level in deep] == [False] * 6 + [True]
         for got, want in zip(inst.levels(2), _instance(pair, 2, 2).levels(2)):
@@ -660,6 +666,91 @@ class TestOutputLawPass:
                     assert fell_back == (blocks[j] in record.fallbacks), (setting, blocks[j])
                     fell += fell_back
         assert (fell > 0) == (K > 1)
+
+
+class TestSurplusPass:
+    """``_target_rows`` normalizes the surplus rows that its batch's one
+    ``subblock_accept_prob`` pass left the instance; the same instance with
+    no rows left gets that pass as a batch of one. Both must give the same
+    rows and fallbacks, bit for bit. ZEROS drafts blocks of target joint 0,
+    which the pass tests for the coins only, and leaves undrafted blocks of
+    nonzero target joint, which it covers for the output law only."""
+
+    @staticmethod
+    def same_as_alone(inst, depth, batched_rows):
+        rows, fallbacks = batched_rows
+        assert inst.surplus is None
+        alone, alone_fallbacks = _target_rows(inst, depth)
+        assert len(rows) == len(alone) and all(bitwise(a, b) for a, b in zip(rows, alone))
+        assert fallbacks == alone_fallbacks
+        return len(fallbacks)
+
+    @pytest.mark.parametrize("L, K", [(1, 1), (2, 1), (2, 2), (3, 3), (3, 1)])
+    def test_zeros_batch(self, L, K):
+        insts = [_instance(TestLevels.ZEROS, L, K, context) for context in ((), (1,), (2,))]
+        _acceptances(insts)
+        kinds = set()
+        for inst in insts:
+            for level in inst.levels(L)[:L]:
+                kinds |= {(p > 0.0, lq != LOG_ZERO) for p, lq in zip(level.p.tolist(), level.log_q.tolist())}
+            assert inst.surplus is not None
+            self.same_as_alone(inst, L, _target_rows(inst, L))
+        if L > 1:
+            assert {(True, False), (False, True)} <= kinds
+
+    @pytest.mark.parametrize("V, L, K", [(2, 2, 2), (3, 2, 3), (2, 2, 3)])
+    def test_second_iteration_batch(self, monkeypatch, V, L, K):
+        # each recorded output law reads the rows its batch left it; the
+        # real call then gets the instance alone
+        seen = []
+
+        def recorded(inst, leaves, depth):
+            assert inst.surplus is not None
+            seen.append((inst, depth, _target_rows(inst, depth)))
+            return _output_law(inst, leaves, depth)
+
+        monkeypatch.setattr(oracle, "_output_law", recorded)
+        for similarity in (0.5, 1.0):
+            exact_output_distribution(generate_pair(V, 1, 7, 0.05, similarity), L, K, iterations=2, context=(1,))
+        assert len(seen) > 4
+        fell = sum(self.same_as_alone(inst, depth, rows) for inst, depth, rows in seen)
+        assert fell > 0
+
+
+class TestReportTables:
+    """``ExactReport.leaves`` and ``lemma_masses``, built on first access
+    from the level arrays the report keeps, against the tables built from
+    the enumeration directly, and the report's leaf scalars against the sums
+    over those tables in their order, bit for bit, on the golden cells."""
+
+    @pytest.mark.parametrize("cell", CELLS, ids=[str(cell) for cell in CELLS])
+    def test_tables_and_sums_equal_the_reference(self, cell):
+        kind, V, L, K, iterations, seed, similarity = (*cell, 0.5)[:7]
+        pair = generate_pair(V, 1, seed, 1.0, similarity)
+        if kind == "gbv":
+            report = oracle.gbv_exact_report(pair, L)
+        else:
+            report = exact_output_distribution(pair, L, K, iterations=iterations)
+        inst = _instance(pair, L, K)
+        [leaves] = _enumerate_leaves([inst])
+        blocks = [list(itertools.product(range(V), repeat=i)) for i in range(L + 1)]
+        want_leaves = {
+            (tau, u): m for tau, level in enumerate(leaves)
+            for u, m in zip(blocks[tau], level.tolist()) if m > 0.0
+        }
+        claimed = [oracle._accept_mass(level.p, level.q, K) for level in inst.levels(L)[1:]]
+        want_lemma = {
+            u: masses for level, got, want in zip(blocks[1:], oracle._accepted(leaves), claimed)
+            for u, masses in zip(level, zip(got.tolist(), want.tolist()))
+        }
+        for got, want in ((report.leaves, want_leaves), (report.lemma_masses, want_lemma)):
+            assert [(k, np.array(v).tobytes()) for k, v in got.items()] == [
+                (k, np.array(v).tobytes()) for k, v in want.items()
+            ]
+        assert report.leaves is report.leaves and report.lemma_masses is report.lemma_masses
+        assert report.leaf_states == len(want_leaves)
+        assert report.expected_tau.hex() == sum(tau * m for (tau, _t), m in want_leaves.items()).hex()
+        assert report.max_leafsum_err.hex() == abs(sum(want_leaves.values()) - 1.0).hex()
 
 
 class TestDraftLaw:

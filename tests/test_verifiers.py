@@ -498,6 +498,24 @@ class TestFullBlockForms:
         want = [full_block_accept_prob(PrefixJoint(a, b), K) for a, b in zip(log_p, log_q)]
         assert [x.hex() for x in got] == [x.hex() for x in want]
 
+    # q_j / p_j is formed only at blocks with r > 1, and at K = 1 the tail
+    # G - 1 is a scalar broadcast over the level: levels where every block,
+    # none and the one block takes that branch, as (log_p, log_q, r > 1)
+    LEVELS = {
+        "all-r-above-1": ((-1.0, -3.0, -0.5, 0.0, -2.0), (-2.0, -40.0, -750.0, LOG_ZERO, -2.0 - 1e-15), True),
+        "no-r-above-1": ((-2.0, LOG_ZERO, -3.0, -1000.0, 0.0), (-1.0, -3.0, -3.0, -0.5, 0.0), False),
+        "one-block-r-above-1": ((-0.5,), (-1.0,), True),
+        "one-block-r-below-1": ((-1.0,), (-0.5,), False),
+    }
+
+    @pytest.mark.parametrize("K", [1, 2, 5])
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_uniform_levels(self, level, K):
+        log_p, log_q, over = self.LEVELS[level]
+        assert {joint_ratio(a, b) > 1.0 for a, b in zip(log_p, log_q)} == {over}
+        assert full_block_accept_probs(np.array(log_p), np.array(log_q), K).shape == (len(log_p),)
+        self.check(log_p, log_q, K)
+
     @pytest.mark.parametrize("K", range(1, 9))
     def test_edge_joints(self, K):
         log_p, log_q = zip(*itertools.product(self.LOGS, repeat=2))
