@@ -21,23 +21,24 @@ completes every leaf in one forward pass over the trie levels
 (``_output_law``). In block verification the residual after a block is the
 next iteration's modified target (Sun et al. 2024, arXiv 2403.10444), so
 every extra-token and modified-target row below level L is the normalized
-surplus at its block's joint ratio: ``_target_rows`` normalizes the rows
-that same call left the instance. The whole law lives in one layout: one
-array per trie level, its blocks in lexicographic order, so block u's
-children are the V entries from V * index(u) on and its n-token extensions
-are one run of V^n. The joints (linear and log-space), the conditional rows
-after each block, the leaf masses, the output law and the masses it is
-checked against are all such arrays, and every check is a reshape and a
-sum; a report builds its block-keyed tables from them on first access. The
-log joints are the verifier's bit for bit and the elementwise full-block
-form is the scalar rule's, so each h is the one decoding computes. The
-acceptance rules and the chains (``harness.RawChain``,
-``harness.ModifiedChain``) are the ones decoding runs; the output law's rows
-come from the same surplus kernel as ``ModifiedTarget``'s, and
-``test_extra_token_is_the_record_row`` pins each row and fallback to that
-record bit for bit. The recursion over the scan and the closed forms the
-tree is checked against are written here, apart from the verifiers, so
-agreement between the two is evidence rather than tautology.
+surplus at its block's joint ratio, normalized from the rows that same call
+returns with the h. Each instance's table is built once, at the depth its
+deepest reader needs. The whole law lives in one layout: one array per trie
+level, its blocks in lexicographic order, so block u's children are the V
+entries from V * index(u) on and its n-token extensions are one run of V^n.
+The joints (linear and log-space), the conditional rows after each block,
+the leaf masses, the output law and the masses it is checked against are
+all such arrays, and every check is a reshape and a sum; a report builds its
+block-keyed tables from them on first access. The log joints are the
+verifier's bit for bit and the elementwise full-block form is the scalar
+rule's, so each h is the one decoding computes. The acceptance rules and the
+chains (``harness.RawChain``, ``harness.ModifiedChain``) are the ones
+decoding runs; the output law's rows come from the same surplus kernel as
+``ModifiedTarget``'s, and ``test_extra_token_is_the_record_row`` pins each
+row and fallback to that record bit for bit. The recursion over the scan
+and the closed forms the tree is checked against are written here, apart
+from the verifiers, so agreement between the two is evidence rather than
+tautology.
 
 The reports check three closed forms against the enumerated tree:
 
@@ -115,15 +116,17 @@ class _Level(NamedTuple):
 
 @dataclass
 class _Instance:
-    """One (draft chain, target chain, L, K) at an absolute ``context``.
+    """One (draft chain, target chain, L, K) at an absolute ``context``,
+    with its table built to ``depth`` >= L.
 
-    ``levels`` holds every block's joints, one ``_Level`` per trie level:
-    the linear joints feed the recursion, the closed forms and the target
-    marginals the output is checked against, and the log joints, built as
-    the verifier builds them, and the conditional rows feed the acceptance
-    rules and the output law. One table serves every depth up to the one
-    it was built at. ``surplus`` holds the output law's surplus rows from
-    the batch pass that forms them until ``_target_rows`` reads them.
+    ``levels`` holds every block's joints, one ``_Level`` per trie level
+    0 ... depth: the linear joints feed the recursion, the closed forms and
+    the target marginals the output is checked against, and the log joints
+    and the conditional rows feed the acceptance rules and the output law.
+    The joints and rows are ``_joints``'; the log joints stop at level L. A
+    level's log joints are its parent level repeated V times plus the
+    ``math.log`` of each factor, -inf absorbing: ``extend_joint``'s
+    additions, so each equals the verifier's bit for bit.
     """
 
     pchain: RawChain
@@ -132,37 +135,28 @@ class _Instance:
     V: int
     L: int
     K: int
-    table: list | None = None
-    surplus: tuple | None = field(default=None, repr=False)
+    depth: int
+    levels: list[_Level] = field(init=False, repr=False)
 
-    def levels(self, depth: int) -> list[_Level]:
-        """The levels 0 ... depth, from the instance's table, rebuilt at
-        ``depth`` when it is shallower. The joints and rows are
-        ``_joints``', rows at every level below the built depth; the log
-        joints stop at level L. A level's log joints are its parent level
-        repeated V times plus the ``math.log`` of each factor, -inf
-        absorbing: ``extend_joint``'s additions, so each equals the
-        verifier's bit for bit."""
-        if self.table is None or len(self.table) <= depth:
-            V, L = self.V, self.L
-            (p, p_rows), (q, q_rows) = (_joints(chain, V, depth) for chain in (self.pchain, self.qchain))
-            rows = list(zip(p_rows, q_rows))
-            logs = [(np.zeros(1), np.zeros(1))]
-            for row in rows[:L]:
-                logs.append(tuple(
-                    np.repeat(parent, V) + np.array([math.log(x) if x > 0.0 else LOG_ZERO for x in r.ravel().tolist()])
-                    for parent, r in zip(logs[-1], row)
-                ))
-            self.table = [
-                _Level(_blocks(V, i) if i <= L else None, pi, qi, log_p=lp, log_q=lq, p_rows=pr, q_rows=qr)
-                for i, (pi, qi, (lp, lq), (pr, qr))
-                in enumerate(itertools.zip_longest(p, q, logs, rows, fillvalue=(None, None)))
-            ]
-        return self.table[:depth + 1]
+    def __post_init__(self):
+        V, L = self.V, self.L
+        (p, p_rows), (q, q_rows) = (_joints(chain, V, self.depth) for chain in (self.pchain, self.qchain))
+        rows = list(zip(p_rows, q_rows))
+        logs = [(np.zeros(1), np.zeros(1))]
+        for row in rows[:L]:
+            logs.append(tuple(
+                np.repeat(parent, V) + np.array([math.log(x) if x > 0.0 else LOG_ZERO for x in r.ravel().tolist()])
+                for parent, r in zip(logs[-1], row)
+            ))
+        self.levels = [
+            _Level(_blocks(V, i) if i <= L else None, pi, qi, log_p=lp, log_q=lq, p_rows=pr, q_rows=qr)
+            for i, (pi, qi, (lp, lq), (pr, qr))
+            in enumerate(itertools.zip_longest(p, q, logs, rows, fillvalue=(None, None)))
+        ]
 
     def _joint(self, blk: tuple[int, ...]) -> PrefixJoint:
         """The log joints of ``blk``, read from its level's table."""
-        level, n = self.levels(len(blk))[-1], block_index(blk, self.V)
+        level, n = self.levels[len(blk)], block_index(blk, self.V)
         return PrefixJoint(level.log_p.item(n), level.log_q.item(n))
 
     def modified(self, t: tuple[int, ...], y: int) -> ModifiedChain:
@@ -200,43 +194,39 @@ def _joints(chain, V: int, depth: int) -> tuple[list[np.ndarray], list[np.ndarra
     return joints, level_rows
 
 
-def _surplus_pass(insts: list[_Instance]) -> np.ndarray:
-    """One ``subblock_accept_prob`` call over the blocks below level L of a
-    batch of instances of equal (V, L, K) that the coins (p > 0) or the
-    output law (log q > -inf) read. Returns h, 0 where p = 0, one row per
-    instance in ``levels`` order, and leaves each instance the indices and
-    surplus rows of its log q > -inf blocks for ``_target_rows``. Each row
-    is computed as for its block alone (``_surplus``), so batching moves no
-    bit."""
-    L, K = insts[0].L, insts[0].K
-    p, lp, lq, p_rows, q_rows = (
-        np.concatenate([getattr(level, f) for inst in insts for level in inst.levels(L)[:L]])
+def _acceptances(insts: list[_Instance]) -> tuple[list[np.ndarray | None], list[tuple]]:
+    """h at every node of a batch of instances of equal (V, L, K), and each
+    instance's output-law rows below level L with their fallback mask.
+
+    h is one array per level 1 ... L, the instances' nodes end to end (None
+    at the root, which is never tested), 0 at undrafted nodes: one
+    ``subblock_accept_prob`` call covers every block below level L that a
+    drafted proper prefix's test (p > 0) or the output law (log q > -inf)
+    reads, and one ``full_block_accept_probs`` call every drafted full block.
+    A row, in ``levels`` order, is the surplus q (1 - min(r p / q, 1))^K at
+    the block's joint ratio r, normalized as ``ModifiedTarget.conditional``
+    does, or the target row where the target joint is 0 or the surplus is
+    empty; the mask marks the latter, the fallbacks. Every row is computed
+    as for its block alone (``_surplus``), so batching moves no bit."""
+    V, L, K = insts[0].V, insts[0].L, insts[0].K
+    p, lp, lq, p_rows, rows = (
+        np.concatenate([getattr(level, f) for inst in insts for level in inst.levels[:L]])
         for f in ("p", "log_p", "log_q", "p_rows", "q_rows")
     )
     drafted, scan = p > 0.0, lq != LOG_ZERO
     tested = np.flatnonzero(drafted | scan)
-    hs, w = subblock_accept_prob(lp[tested].tolist(), lq[tested].tolist(), p_rows[tested], q_rows[tested], K)
+    hs, w = subblock_accept_prob(lp[tested].tolist(), lq[tested].tolist(), p_rows[tested], rows[tested], K)
     h = np.zeros(len(p))
     h[tested] = hs
-    n = len(p) // len(insts)
-    runs = np.split(np.arange(len(tested)), np.searchsorted(tested, np.arange(n, len(p), n)))
-    for k, (inst, run) in enumerate(zip(insts, runs)):
-        kept = run[scan[tested[run]]]
-        inst.surplus = tested[kept] - k * n, w[kept]
-    return np.where(drafted, h, 0.0).reshape(len(insts), n)
-
-
-def _acceptances(insts: list[_Instance]) -> list[np.ndarray | None]:
-    """h at every node of a batch of instances of equal (V, L, K), one array
-    per level 1 ... L, the instances' nodes end to end (None at the root,
-    which is never tested): every drafted proper prefix's sub-block rule
-    from the batch's one surplus pass (``_surplus_pass``), which also leaves
-    each instance its output law's surplus rows, every drafted full block's
-    rule in one ``full_block_accept_probs`` call, and 0 at undrafted nodes."""
-    V, L, K = insts[0].V, insts[0].L, insts[0].K
-    levels = np.split(_surplus_pass(insts), np.cumsum([V**i for i in range(L - 1)]), axis=1)
-    p, lp, lq = (np.concatenate([getattr(inst.levels(L)[L], f) for inst in insts]) for f in ("p", "log_p", "log_q"))
-    return [None] + [h.ravel() for h in levels[1:]] + [np.where(p > 0.0, full_block_accept_probs(lp, lq, K), 0.0)]
+    s = w.sum(axis=1)
+    full = scan[tested] & (s > 0.0)
+    rows[tested[full]] = w[full] / s[full, None]
+    fallback = scan  # the nonzero-joint blocks left with the target row
+    fallback[tested[full]] = False
+    h = np.split(np.where(drafted, h, 0.0).reshape(len(insts), -1), np.cumsum([V**i for i in range(L - 1)]), axis=1)
+    p, lp, lq = (np.concatenate([getattr(inst.levels[L], f) for inst in insts]) for f in ("p", "log_p", "log_q"))
+    h = [None] + [level.ravel() for level in h[1:]] + [np.where(p > 0.0, full_block_accept_probs(lp, lq, K), 0.0)]
+    return h, list(zip(np.split(rows, len(insts)), np.split(fallback, len(insts))))
 
 
 @functools.cache
@@ -283,10 +273,11 @@ def _others(x: np.ndarray, series: tuple) -> np.ndarray:
     return _mul(prefix(x), prefix(x[:, ::-1])[:, ::-1], series)
 
 
-def _enumerate_leaves(insts: list[_Instance]) -> list[list[np.ndarray]]:
+def _enumerate_leaves(insts: list[_Instance]) -> list[tuple[list[np.ndarray], tuple]]:
     """Leaf masses of the scan, from its frozen coins (module docstring), for
     each of a batch of instances of equal (V, L, K): one array per level
-    0 ... L in ``levels`` order, entry u of level i the mass of leaf (i, u).
+    0 ... L in ``levels`` order, entry u of level i the mass of leaf (i, u),
+    paired with the instance's output-law rows from ``_acceptances``.
 
     Write p for the draft joint of a node, h for its test's acceptance and
     g_u(m) = p(u)^m G_u(m) / m!, where G_u(m) is the probability that every
@@ -319,8 +310,8 @@ def _enumerate_leaves(insts: list[_Instance]) -> list[list[np.ndarray]]:
     if work > MAX_ENUM:
         raise TooLarge(f"V^L * C(K + 3, 4) = {work} exceeds {MAX_ENUM}")
     n = len(insts)
-    h = _acceptances(insts)
-    p_leaf = np.concatenate([inst.levels(L)[L].p for inst in insts])
+    h, rows = _acceptances(insts)
+    p_leaf = np.concatenate([inst.levels[L].p for inst in insts])
     fact = np.array([math.factorial(m) for m in range(K + 1)], float)
     one_var = _series(K + 1, 1)
     m = np.arange(K + 1)
@@ -340,33 +331,10 @@ def _enumerate_leaves(insts: list[_Instance]) -> list[list[np.ndarray]]:
         phi = (np.where(lead, 1.0, 1.0 - h[i][:, None]) * (binom * g[i][:, deg])).reshape(n, V**i, -1)
         win = np.where(lead, (c + 1) * g[i][:, c + 1], 0.0).reshape(n, V**i, -1)
         masses.append(h[i].reshape(n, -1) * (_mul(_others(phi, two_var), win, two_var) @ ends))
-    return [list(levels) for levels in zip(*masses)]
+    return [(list(levels), r) for levels, r in zip(zip(*masses), rows)]
 
 
-def _target_rows(inst: _Instance, depth: int) -> tuple[list[np.ndarray], list[tuple[int, ...]]]:
-    """The output law's row after every block the table at ``depth`` holds
-    rows for, one (V^i, V) array per level i, and the blocks that fall back.
-    Below level L a row is the surplus q (1 - min(r p / q, 1))^K at the
-    block's joint ratio r, normalized as ``ModifiedTarget.conditional``
-    does; a zero target joint or an empty surplus (a fallback) keeps the
-    target row, which is the row at levels L and deeper. The surplus rows
-    are those ``_surplus_pass`` left the instance, dropped once read; an
-    instance no batch filled gets that pass alone."""
-    V, L = inst.V, inst.L
-    table = inst.levels(depth)
-    if inst.surplus is None:
-        _surplus_pass([inst])
-    (scan, w), inst.surplus = inst.surplus, None
-    s = w.sum(axis=1)
-    full = s > 0.0
-    rows = np.concatenate([level.q_rows for level in table[:L]])
-    rows[scan[full]] = w[full] / s[full, None]
-    fallbacks = [_heads(V, L)[n] for n in scan[~full].tolist()]
-    rows = np.split(rows, np.cumsum([V**i for i in range(L - 1)]))
-    return rows + [level.q_rows for level in table[L:] if level.q_rows is not None], fallbacks
-
-
-def _output_law(inst: _Instance, leaves: list[np.ndarray], depth: int) -> tuple[np.ndarray, float, list]:
+def _output_law(inst: _Instance, leaves: list[np.ndarray], rows: tuple, depth: int) -> tuple[np.ndarray, float, list]:
     """Exact law of the completed output prefix at ``depth`` >= L tokens, in
     ``levels`` order, by one forward pass over the trie levels.
 
@@ -376,22 +344,25 @@ def _output_law(inst: _Instance, leaves: list[np.ndarray], depth: int) -> tuple[
     branch's override at block b is live iff len(b) < L and is built from
     b's joints, and the residual after a leaf at t normalizes the same
     surplus at t's ratio, falling back exactly where the record does; a
-    full block's extra token is the target row. ``_target_rows`` reads them
-    all from the table. So each leaf joins the flow at its level,
-    F_i += leaves_i for i <= L, then F_{i+1} = F_i * rows_i ravelled, and
-    the law is F_depth.
+    full block's extra token is the target row. ``rows`` are the rows below
+    level L and their fallback mask, as ``_acceptances`` returns them, and
+    the table's target rows follow from level L on. So each leaf joins the
+    flow at its level, F_i += leaves_i for i <= L, then
+    F_{i+1} = F_i * rows_i ravelled, and the law is F_depth.
 
     Returns the law, the expected number of raw-conditional fallback draws
-    per output and ``_target_rows``' rows. The count is not a mass: a block
-    b whose row falls back is charged F(b), once per path through b, be its
-    draw a leaf's extra token or a completion.
+    per output and the rows, one (V^i, V) array per level the table holds
+    rows for. The count is not a mass: a block b whose row falls back is
+    charged F(b), once per path through b, be its draw a leaf's extra token
+    or a completion.
     """
     V, L = inst.V, inst.L
-    rows, fallbacks = _target_rows(inst, depth)
+    below, fallback = rows
+    rows = np.split(below, np.cumsum([V**i for i in range(L - 1)])) + [level.q_rows for level in inst.levels[L:-1]]
     flow = [leaves[0]]
     for i in range(depth):
         flow.append((flow[i][:, None] * rows[i]).ravel() + (leaves[i + 1] if i < L else 0.0))
-    fallback_mass = sum((flow[len(b)].item(block_index(b, V)) for b in fallbacks), 0.0)
+    fallback_mass = sum(np.concatenate(flow[:L])[fallback].tolist(), 0.0)
     return flow[depth], fallback_mass, rows
 
 
@@ -466,24 +437,30 @@ class ExactReport:
         return out
 
 
-def _instance(pair: ModelPair, L: int, K: int, context: tuple[int, ...] = ()) -> _Instance:
+def _instance(pair: ModelPair, L: int, K: int, context: tuple[int, ...] = (), depth: int | None = None) -> _Instance:
+    """The instance at ``context`` with its table built to ``depth`` (L by
+    default), refused before any table is built when its deepest level
+    would hold more than ``MAX_ENUM`` blocks."""
     for name, value in (("L", L), ("K", K)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value!r}")
+    depth = L if depth is None else depth
+    if pair.vocab_size**depth > MAX_ENUM:
+        raise TooLarge(f"V^{depth} = {pair.vocab_size ** depth} exceeds {MAX_ENUM}")
     context = tuple(context)
-    return _Instance(RawChain(pair.draft, context), RawChain(pair.target, context), context, pair.vocab_size, L, K)
+    return _Instance(
+        RawChain(pair.draft, context), RawChain(pair.target, context), context, pair.vocab_size, L, K, depth
+    )
 
 
 def bound_K(pair: ModelPair, L: int, K: int) -> float:
     """Sum of claimed acceptance masses over all sub-blocks up to length L."""
-    if pair.vocab_size**L > MAX_ENUM:
-        raise TooLarge(f"V^L = {pair.vocab_size ** L} exceeds {MAX_ENUM}")
-    return sum(float(_accept_mass(level.p, level.q, K).sum()) for level in _instance(pair, L, K).levels(L)[1:])
+    return sum(float(_accept_mass(level.p, level.q, K).sum()) for level in _instance(pair, L, K).levels[1:])
 
 
 def exact_expected_tau(pair: ModelPair, L: int, K: int) -> float:
     """E[tau] integrated exactly over draft tuples and uniform draws."""
-    [leaves] = _enumerate_leaves([_instance(pair, L, K)])
+    [(leaves, _rows)] = _enumerate_leaves([_instance(pair, L, K)])
     return sum(tau * float(level.sum()) for tau, level in enumerate(leaves))
 
 
@@ -503,7 +480,7 @@ def _max_dev(got: list[np.ndarray], want: list[np.ndarray]) -> float:
 def _marginal_devs(inst: _Instance, out: np.ndarray, depth: int) -> tuple[float, float]:
     """Prefix marginals of the output law against the target chain: the max
     deviation and the max error of a level's total."""
-    targets = [level.q for level in inst.levels(depth)[1:]]
+    targets = [level.q for level in inst.levels[1:depth + 1]]
     marg = [out.reshape(len(q), -1).sum(1) for q in targets]
     return _max_dev(marg, targets), max(abs(float(m.sum()) - 1.0) for m in marg)
 
@@ -516,18 +493,15 @@ def exact_output_distribution(
     if iterations not in (1, 2):
         raise ValueError("iterations must be 1 or 2")
     t0 = time.perf_counter()
-    inst = _instance(pair, L, K, context)
-    if iterations == 2:
-        # the second iteration's check reads depth 2(L + 1): build that
-        # table first, and the first iteration reads its levels from it
-        if pair.vocab_size ** (2 * (L + 1)) > MAX_ENUM:
-            raise TooLarge("two-iteration enumeration exceeds the guard")
-        inst.levels(2 * (L + 1))
-    [leaves] = _enumerate_leaves([inst])
-    table = inst.levels(L)
-    claimed = [_accept_mass(level.p, level.q, K) for level in table[1:]]
+    # the second iteration's check reads depth 2(L + 1)
+    depth = 2 * (L + 1) if iterations == 2 else L
+    if iterations == 2 and pair.vocab_size**depth > MAX_ENUM:
+        raise TooLarge("two-iteration enumeration exceeds the guard")
+    inst = _instance(pair, L, K, context, depth)
+    [(leaves, rows)] = _enumerate_leaves([inst])
+    claimed = [_accept_mass(level.p, level.q, K) for level in inst.levels[1:L + 1]]
     accepted = _accepted(leaves)
-    out, fallback_mass, rows = _output_law(inst, leaves, L)
+    out, fallback_mass, rows = _output_law(inst, leaves, rows, L)
     max_dev, sums_err = _marginal_devs(inst, out, L)
     two_iter_dev = lemma_dev2 = None
     if iterations == 2:
@@ -543,7 +517,7 @@ def exact_output_distribution(
         max_marginal_dev_two_iter=two_iter_dev, lemma_max_dev_two_iter=lemma_dev2,
         marginal_sums_max_err=sums_err,
         leaf_states=sum(map(len, positive)),
-        tuples=int((table[L].p > 0.0).sum()) ** K,
+        tuples=int((inst.levels[L].p > 0.0).sum()) ** K,
         max_leafsum_err=abs(sum(itertools.chain.from_iterable(positive)) - 1.0),
         fallback_mass=fallback_mass,
         runtime_s=time.perf_counter() - t0,
@@ -565,28 +539,29 @@ def _two_iteration_dev(pair: ModelPair, inst1: _Instance, leaves1: list, rows1: 
     # every (leaf, extra token) instance is built first, then all are
     # enumerated in one call; the first iteration's own pass counted its fallbacks
     seconds = []
-    for tau1, ((blocks, *_rest), level) in enumerate(zip(inst1.levels(L), leaves1)):
+    for tau1, ((blocks, *_rest), level) in enumerate(zip(inst1.levels, leaves1)):
         for j in np.flatnonzero(level > 0.0).tolist():
             m1, t1 = float(level[j]), blocks[j]
             for y1, py1 in enumerate(rows1[tau1][j].tolist()):
                 if py1 > 0.0:
                     context2 = inst1.context + t1 + (y1,)
-                    inst2 = _Instance(RawChain(pair.draft, context2), inst1.modified(t1, y1), context2, V, L, K)
                     # one table per instance, at its output law's depth
-                    inst2.levels(depth - tau1 - 1)
-                    seconds.append((tau1 + 1, j * V + y1, m1 * py1, inst2))
+                    inst2 = _Instance(
+                        RawChain(pair.draft, context2), inst1.modified(t1, y1), context2, V, L, K, depth - tau1 - 1
+                    )
+                    seconds.append((j * V + y1, m1 * py1, inst2))
     out = np.zeros(V**depth)
     fallback = lemma_dev = 0.0
-    for (n1, index1, w, inst2), leaves2 in zip(seconds, _enumerate_leaves([s[-1] for s in seconds])):
+    for (index1, w, inst2), (leaves2, rows2) in zip(seconds, _enumerate_leaves([s[-1] for s in seconds])):
         claimed = []
-        for level in inst2.levels(L)[1:]:
+        for level in inst2.levels[1:L + 1]:
             p2 = [_model_joint(pair.draft, inst2.context, blk) for blk in level.blocks]
             claimed.append(_accept_mass(np.array(p2), level.q, K))
         lemma_dev = max(lemma_dev, _max_dev(_accepted(leaves2), claimed))
-        out2, fb2, _rows2 = _output_law(inst2, leaves2, depth - n1)
+        out2, fb2, _rows2 = _output_law(inst2, leaves2, rows2, inst2.depth)
         fallback += w * fb2
         out[index1 * len(out2):(index1 + 1) * len(out2)] += w * out2
-    max_dev = float(np.abs(out - inst1.levels(depth)[depth].q).max())
+    max_dev = float(np.abs(out - inst1.levels[depth].q).max())
     return max_dev, fallback, lemma_dev
 
 

@@ -515,7 +515,7 @@ def full_block_accept_probs(log_p: np.ndarray, log_q: np.ndarray, K: int) -> np.
     a = np.full(len(r), 1.0 + _geometric_tail(np.minimum(r, 1.0), K))  # the tail is a scalar at K = 1
     over = np.flatnonzero(r > 1.0).tolist()
     a[over] = [joint_ratio(lq[n], lp[n]) for n in over]
-    p = np.array([math.exp(x) for x in lp])
+    p = np.array([math.exp(x) for x in lp]) if K > 1 else None  # the tail reads no p at K = 1
     return np.minimum(1.0, a / (1.0 + _geometric_tail(p, K)))
 
 

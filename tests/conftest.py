@@ -61,7 +61,7 @@ def tv_distance(a: Distribution, b: Distribution) -> float:
 
 def gbv_block_sum(pair: ModelPair, L: int) -> float:
     """Sum over sub-blocks of min(draft joint, target joint); the K = 1 bound."""
-    return sum(float(np.minimum(level.p, level.q).sum()) for level in oracle._instance(pair, L, 1).levels(L)[1:])
+    return sum(float(np.minimum(level.p, level.q).sum()) for level in oracle._instance(pair, L, 1).levels[1:])
 
 
 def bound_properties(pair: ModelPair, L: int, K_list) -> dict:
@@ -113,7 +113,7 @@ def reference_output_law(inst, leaves, depth):
     V = inst.V
     out = np.zeros(V**depth)
     fallback_mass = extra_fallback = 0.0
-    for tau, ((blocks, *_rest), level) in enumerate(zip(inst.levels(inst.L), leaves)):
+    for tau, ((blocks, *_rest), level) in enumerate(zip(inst.levels, leaves)):
         if tau == depth:
             out += level
             continue

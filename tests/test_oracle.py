@@ -17,6 +17,7 @@ from conftest import (
 from test_golden_oracle import CELLS
 
 from speclab import harness, oracle
+from speclab.cli import main
 from speclab.models import MarkovModel, ModelPair, block_index, generate_pair
 from speclab.oracle import (
     TooLarge,
@@ -26,7 +27,6 @@ from speclab.oracle import (
     _Instance,
     _model_joint,
     _output_law,
-    _target_rows,
     bound_K,
     exact_expected_tau,
     exact_output_distribution,
@@ -171,7 +171,7 @@ def walk_tuple(inst, rows):
 def walk_reference(pair, L, K, context):
     """Leaf law of the scan by walking every positive-weight draft tuple."""
     inst = _instance(pair, L, K, context)
-    level = inst.levels(L)[L]
+    level = inst.levels[L]
     draft = dict(zip(level.blocks, level.p.tolist()))
     leaves: dict = {}
     events = set()
@@ -194,40 +194,37 @@ class TestLevels:
         # each entry is the parent's joint times one conditional, the same
         # float products _model_joint forms walking the block from the model
         pair = generate_pair(3, order, 5, 1.0, 0.5)
-        levels = _instance(pair, 3, 2, context).levels(3)
+        levels = _instance(pair, 3, 2, context).levels
         assert [len(blocks) for blocks, *_rest in levels] == [1, 3, 9, 27]
         for i, (blocks, p, q, *_rest) in enumerate(levels):
             assert blocks == tuple(itertools.product(range(3), repeat=i))
             # one cached tuple per (V, level), shared by every instance
-            assert blocks is _instance(pair, 3, 1).levels(i)[i].blocks
+            assert blocks is _instance(pair, 3, 1).levels[i].blocks
             for blk, pb, qb in zip(blocks, p.tolist(), q.tolist()):
                 assert pb == _model_joint(pair.draft, context, blk)
                 assert qb == _model_joint(pair.target, context, blk)
 
-    def test_one_table_serves_every_shallower_depth(self):
-        # a two-iteration report builds depth 2(L + 1) first; the first
-        # iteration's levels are that table's, equal to a table built at L
-        # wherever that one has an entry. Rows are kept at every level below
-        # the built depth, for the output law; blocks and log joints through
-        # level L only
+    def test_tables_at_every_depth_agree(self):
+        # a two-iteration report builds its first table at 2(L + 1) and each
+        # second-iteration table at a depth between L + 1 and that; tables
+        # built at any two depths agree bit for bit on every level they
+        # share. Rows are kept at every level below the built depth, for the
+        # output law; blocks and log joints through level L only
         pair = generate_pair(3, 1, 5, 1.0, 0.5)
-        inst = _instance(pair, 2, 2)
-        deep = inst.levels(6)
-        assert len(inst.levels(2)) == 3 and all(a is b for a, b in zip(inst.levels(2), deep))
-        assert [level.log_p is None for level in deep] == [False] * 3 + [True] * 4
-        assert [level.blocks is None for level in deep] == [False] * 3 + [True] * 4
-        assert [level.p_rows is None for level in deep] == [False] * 6 + [True]
-        assert [level.q_rows is None for level in deep] == [False] * 6 + [True]
-        for got, want in zip(inst.levels(2), _instance(pair, 2, 2).levels(2)):
-            assert got.blocks == want.blocks
-            for a, b in zip(got[1:], want[1:]):
-                assert b is None or bitwise(a, b)
-        # the rows at level L, which a table built at L lacks, are a table's
-        # built one level deeper
-        shallow = _instance(pair, 2, 2).levels(3)[2]
-        assert bitwise(deep[2].p_rows, shallow.p_rows) and bitwise(deep[2].q_rows, shallow.q_rows)
-        # a deeper depth rebuilds the table
-        assert len(inst.levels(7)) == 8 and inst.levels(7)[7].q.sum() == pytest.approx(1.0)
+        L = 2
+        tables = [_instance(pair, L, 2, depth=depth).levels for depth in range(L, 2 * (L + 1) + 1)]
+        for depth, levels in enumerate(tables, L):
+            assert len(levels) == depth + 1
+            assert [level.log_p is None for level in levels] == [False] * (L + 1) + [True] * (depth - L)
+            assert [level.blocks is None for level in levels] == [False] * (L + 1) + [True] * (depth - L)
+            assert [level.p_rows is None for level in levels] == [False] * depth + [True]
+            assert [level.q_rows is None for level in levels] == [False] * depth + [True]
+            for other in tables:
+                for got, want in zip(levels, other):
+                    assert got.blocks == want.blocks
+                    for a, b in zip(got[1:], want[1:]):
+                        assert a is None or b is None or bitwise(a, b)
+        assert tables[-1][-1].q.sum() == pytest.approx(1.0)
 
     ZEROS = ModelPair(
         MarkovModel(3, 1, np.array([[0.5, 0.5, 0.0], [0.0, 0.3, 0.7], [0.2, 0.0, 0.8]])),
@@ -247,7 +244,7 @@ class TestLevels:
         # with zero conditionals a -inf joint stays -inf below it
         inst = _instance(pair, 3, 2, context)
         zero = set()
-        for level in inst.levels(3):
+        for level in inst.levels:
             for blk, lp, lq in zip(level.blocks, level.log_p.tolist(), level.log_q.tolist()):
                 heads = [blk[:j] for j in range(len(blk))]
                 want = _row_joints(blk, inst.pchain.conditionals(heads), inst.qchain.conditionals(heads))[-1]
@@ -266,10 +263,10 @@ class TestLevels:
         context = (1, 2)
         second = _Instance(
             harness.RawChain(pair.draft, context), first.modified((), 2),
-            context, pair.vocab_size, 3, 2,
+            context, pair.vocab_size, 3, 2, 3,
         )
         for inst in (first, second):
-            levels = inst.levels(3)
+            levels = inst.levels
             assert levels[3].p_rows is None and levels[3].q_rows is None
             for level in levels[:3]:
                 assert level.p_rows.shape == level.q_rows.shape == (len(level.blocks), pair.vocab_size)
@@ -491,7 +488,7 @@ class TestCoinRecursion:
     def test_tuples_count_positive_weight_draft_tuples(self):
         pair = self.PAIRS[1]
         r = exact_output_distribution(pair, 2, 3)
-        positive = int((_instance(pair, 2, 3).levels(2)[2].p > 0.0).sum())
+        positive = int((_instance(pair, 2, 3).levels[2].p > 0.0).sum())
         assert 0 < positive < 4
         assert r.tuples == positive**3
 
@@ -512,37 +509,37 @@ class TestBatchedEnumeration:
             for context in ((), (1,)):
                 first = _instance(pair, L, K, context)
                 insts.append(first)
-                [leaves] = _enumerate_leaves([_instance(pair, L, K, context)])
+                [(leaves, _rows)] = _enumerate_leaves([_instance(pair, L, K, context)])
                 # the first three positive-mass leaves, in level order
                 positive = [
-                    (tau, blocks[j]) for tau, ((blocks, *_rest), level) in enumerate(zip(first.levels(L), leaves))
+                    (tau, blocks[j]) for tau, ((blocks, *_rest), level) in enumerate(zip(first.levels, leaves))
                     for j in np.flatnonzero(level > 0.0).tolist()
                 ]
                 for tau, t in positive[:3]:
                     prefix = t + (V - 1,)
                     draft = harness.RawChain(pair.draft, context + prefix)
                     target = first.modified(t, V - 1)
-                    insts.append(_Instance(draft, target, context + prefix, V, L, K))
+                    insts.append(_Instance(draft, target, context + prefix, V, L, K, L))
         return insts
 
     @pytest.mark.parametrize("V, L, K", [(2, 2, 3), (2, 3, 2), (3, 2, 2), (3, 2, 4), (3, 3, 3)])
     def test_batch_matches_one_at_a_time(self, V, L, K):
         batch = self.batch(V, L, K)
-        together = _enumerate_leaves(batch)
+        together = [leaves for leaves, _rows in _enumerate_leaves(batch)]
         # the tests the batch makes, one rule call per drafted node
         hs = {
             subblock_h(inst._joint(u), inst.pchain.conditional(u), inst.qchain.conditional(u), K)
-            for inst in batch for level in inst.levels(L)[1:L]
+            for inst in batch for level in inst.levels[1:L]
             for u, w in zip(level.blocks, level.p.tolist()) if w > 0.0
         }
         hs |= {
             full_block_accept_prob(inst._joint(b), K)
-            for inst in batch for b, w in zip(inst.levels(L)[L].blocks, inst.levels(L)[L].p.tolist()) if w > 0.0
+            for inst in batch for b, w in zip(inst.levels[L].blocks, inst.levels[L].p.tolist()) if w > 0.0
         }
         assert {0.0, 1.0} <= hs
         assert any(isinstance(inst.qchain, harness.ModifiedChain) for inst in batch)
-        assert any((inst.levels(L)[L].p == 0.0).any() for inst in batch)
-        alone = [_enumerate_leaves([inst])[0] for inst in self.batch(V, L, K)]
+        assert any((inst.levels[L].p == 0.0).any() for inst in batch)
+        alone = [_enumerate_leaves([inst])[0][0] for inst in self.batch(V, L, K)]
         assert len(together) == len(alone) == len(batch)
         for leaves, want in zip(together, alone):
             assert [level.shape for level in leaves] == [level.shape for level in want] == [
@@ -569,12 +566,12 @@ class TestLevelBatchedRules:
     @pytest.mark.parametrize("L, K", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 3), (2, 5)])
     def test_batched_h_equals_per_node_rules(self, V, L, K):
         insts = [_instance(pair, L, K, context) for pair in self.BATCHES[V] for context in ((), (1,))]
-        h = _acceptances(insts)
+        h, _rows = _acceptances(insts)
         assert h[0] is None and [len(level) for level in h[1:]] == [len(insts) * V**i for i in range(1, L + 1)]
         want = [[] for _ in range(L + 1)]
         infinite = 0
         for inst in insts:
-            for i, level in enumerate(inst.levels(L)[1:], 1):
+            for i, level in enumerate(inst.levels[1:], 1):
                 for u, w in zip(level.blocks, level.p.tolist()):
                     j = inst._joint(u)
                     if w <= 0.0:
@@ -603,16 +600,16 @@ class TestOutputLawPass:
     CELLS = [(3, 3, 3, 1), (2, 4, 3, 1), (4, 3, 1, 1), (2, 2, 2, 2), (3, 2, 3, 2), (2, 2, 3, 2)]
 
     def laws(self, monkeypatch, V, L, K, iterations):
-        """(setting, instance, leaves, depth) of every ``_output_law`` call
-        of the reports over every setting."""
+        """(setting, instance, leaves, rows, depth) of every ``_output_law``
+        call of the reports over every setting."""
         calls = []
         for setting in itertools.product((0.5, 1.0), (1.0, 0.05), ((), (1,))):
             similarity, concentration, context = setting
             seen = []
 
-            def recorded(inst, leaves, depth):
-                seen.append((setting, inst, leaves, depth))
-                return _output_law(inst, leaves, depth)
+            def recorded(inst, leaves, rows, depth):
+                seen.append((setting, inst, leaves, rows, depth))
+                return _output_law(inst, leaves, rows, depth)
 
             with monkeypatch.context() as m:
                 m.setattr(oracle, "_output_law", recorded)
@@ -626,8 +623,8 @@ class TestOutputLawPass:
     @pytest.mark.parametrize("V, L, K, iterations", CELLS)
     def test_pass_matches_branch_walk(self, monkeypatch, V, L, K, iterations):
         modified_fallback = 0.0
-        for setting, inst, leaves, depth in self.laws(monkeypatch, V, L, K, iterations):
-            got, got_fb, _rows = _output_law(inst, leaves, depth)
+        for setting, inst, leaves, rows, depth in self.laws(monkeypatch, V, L, K, iterations):
+            got, got_fb, _rows = _output_law(inst, leaves, rows, depth)
             want, want_fb, extra_fb = reference_output_law(inst, leaves, depth)
             assert got.shape == want.shape == (V**depth,)
             assert np.abs(got - want).max() <= 1e-12, (setting, depth)
@@ -648,12 +645,13 @@ class TestOutputLawPass:
         every leaf (tau, t), tau < L, that row is decoding's block residual,
         empty exactly where the record falls back."""
         fell = 0
-        for setting, inst, leaves, depth in self.laws(monkeypatch, V, L, K, iterations):
-            _law, _fb, rows = _output_law(inst, leaves, depth)
-            _rows, fallbacks = _target_rows(inst, depth)
+        for setting, inst, leaves, pass_rows, depth in self.laws(monkeypatch, V, L, K, iterations):
+            _law, _fb, rows = _output_law(inst, leaves, pass_rows, depth)
             record = ModifiedTarget(L, K, (), PrefixJoint())
-            levels = inst.levels(L - 1)
+            levels = inst.levels[:L]
             heads = [blk for level in levels for blk in level.blocks]
+            _below, mask = pass_rows
+            fallbacks = [blk for blk, fallback in zip(heads, mask.tolist()) if fallback]
             found = record.conditional(heads, inst.qchain.conditionals, inst.pchain.conditionals)
             assert len(found) == sum(len(r) for r in rows[:L])
             for blk, d in zip(heads, found):
@@ -669,51 +667,54 @@ class TestOutputLawPass:
 
 
 class TestSurplusPass:
-    """``_target_rows`` normalizes the surplus rows that its batch's one
-    ``subblock_accept_prob`` pass left the instance; the same instance with
-    no rows left gets that pass as a batch of one. Both must give the same
-    rows and fallbacks, bit for bit. ZEROS drafts blocks of target joint 0,
-    which the pass tests for the coins only, and leaves undrafted blocks of
-    nonzero target joint, which it covers for the output law only."""
+    """``_acceptances`` returns each instance's output-law rows and fallback
+    mask from its batch's one ``subblock_accept_prob`` pass; the same
+    instance passed alone must get the same rows and mask, bit for bit.
+    ZEROS drafts blocks of target joint 0, which the pass tests for the coins
+    only, and leaves undrafted blocks of nonzero target joint, which it
+    covers for the output law only; it never falls back, and the matched
+    pair in its batch falls back at every block, so a mask handed to the
+    wrong instance shows."""
+
+    MATCHED = generate_pair(3, 1, 7, 0.05, 1.0)
 
     @staticmethod
-    def same_as_alone(inst, depth, batched_rows):
-        rows, fallbacks = batched_rows
-        assert inst.surplus is None
-        alone, alone_fallbacks = _target_rows(inst, depth)
-        assert len(rows) == len(alone) and all(bitwise(a, b) for a, b in zip(rows, alone))
-        assert fallbacks == alone_fallbacks
-        return len(fallbacks)
+    def same_as_alone(inst, rows):
+        below, fallback = rows
+        [(alone, alone_fallback)] = _acceptances([inst])[1]
+        assert bitwise(below, alone) and bitwise(fallback, alone_fallback)
+        assert fallback.dtype == bool and fallback.shape == (len(below),)
+        return int(fallback.sum())
 
     @pytest.mark.parametrize("L, K", [(1, 1), (2, 1), (2, 2), (3, 3), (3, 1)])
     def test_zeros_batch(self, L, K):
         insts = [_instance(TestLevels.ZEROS, L, K, context) for context in ((), (1,), (2,))]
-        _acceptances(insts)
+        insts.insert(1, _instance(self.MATCHED, L, K, (1,)))
+        _h, rows = _acceptances(insts)
+        assert len(rows) == len(insts)
         kinds = set()
-        for inst in insts:
-            for level in inst.levels(L)[:L]:
+        for k, (inst, r) in enumerate(zip(insts, rows)):
+            for level in inst.levels[:L]:
                 kinds |= {(p > 0.0, lq != LOG_ZERO) for p, lq in zip(level.p.tolist(), level.log_q.tolist())}
-            assert inst.surplus is not None
-            self.same_as_alone(inst, L, _target_rows(inst, L))
+            assert self.same_as_alone(inst, r) == (len(r[0]) if k == 1 else 0)
         if L > 1:
             assert {(True, False), (False, True)} <= kinds
 
     @pytest.mark.parametrize("V, L, K", [(2, 2, 2), (3, 2, 3), (2, 2, 3)])
     def test_second_iteration_batch(self, monkeypatch, V, L, K):
-        # each recorded output law reads the rows its batch left it; the
-        # real call then gets the instance alone
+        # every second-iteration output law reads the rows its batch returned
         seen = []
 
-        def recorded(inst, leaves, depth):
-            assert inst.surplus is not None
-            seen.append((inst, depth, _target_rows(inst, depth)))
-            return _output_law(inst, leaves, depth)
+        def recorded(inst, leaves, rows, depth):
+            seen.append((inst, rows))
+            return _output_law(inst, leaves, rows, depth)
 
         monkeypatch.setattr(oracle, "_output_law", recorded)
         for similarity in (0.5, 1.0):
             exact_output_distribution(generate_pair(V, 1, 7, 0.05, similarity), L, K, iterations=2, context=(1,))
-        assert len(seen) > 4
-        fell = sum(self.same_as_alone(inst, depth, rows) for inst, depth, rows in seen)
+        seconds = [(inst, rows) for inst, rows in seen if isinstance(inst.qchain, harness.ModifiedChain)]
+        assert len(seconds) > 4
+        fell = sum(self.same_as_alone(inst, rows) for inst, rows in seconds)
         assert fell > 0
 
 
@@ -732,13 +733,13 @@ class TestReportTables:
         else:
             report = exact_output_distribution(pair, L, K, iterations=iterations)
         inst = _instance(pair, L, K)
-        [leaves] = _enumerate_leaves([inst])
+        [(leaves, _rows)] = _enumerate_leaves([inst])
         blocks = [list(itertools.product(range(V), repeat=i)) for i in range(L + 1)]
         want_leaves = {
             (tau, u): m for tau, level in enumerate(leaves)
             for u, m in zip(blocks[tau], level.tolist()) if m > 0.0
         }
-        claimed = [oracle._accept_mass(level.p, level.q, K) for level in inst.levels(L)[1:]]
+        claimed = [oracle._accept_mass(level.p, level.q, K) for level in inst.levels[1:]]
         want_lemma = {
             u: masses for level, got, want in zip(blocks[1:], oracle._accepted(leaves), claimed)
             for u, masses in zip(level, zip(got.tolist(), want.tolist()))
@@ -947,6 +948,19 @@ class TestArgumentGuard:
         assert 2 ** 20 > oracle.MAX_ENUM
         with pytest.raises(oracle.TooLarge, match="^two-iteration enumeration exceeds the guard$"):
             exact_output_distribution(self.PAIR, 9, 1, iterations=2)
+
+    def test_no_table_past_the_guard_is_built(self, monkeypatch, capsys):
+        # V^L = 10^9 blocks at V = 1000, L = 3: refused before any table is
+        # built, so a guard that lets one through fails here at once instead
+        # of allocating it
+        def build(*_args):
+            raise AssertionError("a table past the guard was built")
+
+        monkeypatch.setattr(oracle, "_joints", build)
+        with pytest.raises(TooLarge):
+            exact_output_distribution(generate_pair(1000, 1, 0, 1.0), 3, 1)
+        assert main(["oracle-check", "--gen", "1000,1,0,1.0", "--L", "3"]) == 1
+        assert "instance too large" in capsys.readouterr().err
 
     def test_gbv_report_refuses_L_below_one(self):
         with pytest.raises(ValueError, match="L must be >= 1"):
