@@ -22,18 +22,20 @@ completes every leaf in one forward pass over the trie levels
 next iteration's modified target (Sun et al. 2024, arXiv 2403.10444), so
 every extra-token and modified-target row below level L is the normalized
 surplus at its block's joint ratio, normalized from the rows that same call
-returns with the h. Each instance's table is built once, at the depth its
-deepest reader needs. The whole law lives in one layout: one array per trie
-level, its blocks in lexicographic order, so block u's children are the V
-entries from V * index(u) on and its n-token extensions are one run of V^n.
-The joints (linear and log-space), the conditional rows after each block,
-the leaf masses, the output law and the masses it is checked against are
-all such arrays, and every check is a reshape and a sum; a report builds its
-block-keyed tables from them on first access. The log joints are the
-verifier's bit for bit and the elementwise full-block form is the scalar
-rule's, so each h is the one decoding computes. The acceptance rules and the
-chains (``harness.RawChain``, ``harness.ModifiedChain``) are the ones
-decoding runs; the output law's rows come from the same surplus kernel as
+returns with the h. Each instance's tables are built once, each only as
+deep as its last reader: the draft's to level L, the target's to the depth
+of the output law that reads it. The whole law lives in one layout: a list
+of one array per trie level, its blocks in lexicographic order, so block
+u's children are the V entries from V * index(u) on and its n-token
+extensions are one run of V^n. The joints (linear and log-space), the
+conditional rows after each block, the leaf masses, the output law and the
+masses it is checked against are all such arrays, and every check is a
+reshape and a sum; a report builds its block-keyed tables from them on
+first access. The log joints are the verifier's bit for bit and the
+elementwise full-block form is the scalar rule's, so each h is the one
+decoding computes. The acceptance rules and the chains
+(``harness.RawChain``, ``harness.ModifiedChain``) are the ones decoding
+runs; the output law's rows come from the same surplus kernel as
 ``ModifiedTarget``'s, and ``test_extra_token_is_the_record_row`` pins each
 row and fallback to that record bit for bit. The recursion over the scan
 and the closed forms the tree is checked against are written here, apart
@@ -57,7 +59,6 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple
 
 import numpy as np
 
@@ -98,35 +99,21 @@ def _model_joint(model, context: tuple[int, ...], blk: tuple[int, ...]) -> float
     return p
 
 
-class _Level(NamedTuple):
-    """One trie level of an instance's table, its blocks in lexicographic
-    order: the blocks, their draft and target joints, their log joints (the
-    blocks and log joints up to level L, None deeper) and the draft and
-    target conditional rows after each block, (V^i, V) blocks (at every
-    level below the depth the table is built to, None at that depth)."""
-
-    blocks: tuple | None
-    p: np.ndarray
-    q: np.ndarray
-    log_p: np.ndarray | None = None
-    log_q: np.ndarray | None = None
-    p_rows: np.ndarray | None = None
-    q_rows: np.ndarray | None = None
-
-
 @dataclass
 class _Instance:
     """One (draft chain, target chain, L, K) at an absolute ``context``,
-    with its table built to ``depth`` >= L.
+    with its target table built to ``depth`` >= L.
 
-    ``levels`` holds every block's joints, one ``_Level`` per trie level
-    0 ... depth: the linear joints feed the recursion, the closed forms and
-    the target marginals the output is checked against, and the log joints
-    and the conditional rows feed the acceptance rules and the output law.
-    The joints and rows are ``_joints``'; the log joints stop at level L. A
-    level's log joints are its parent level repeated V times plus the
-    ``math.log`` of each factor, -inf absorbing: ``extend_joint``'s
-    additions, so each equals the verifier's bit for bit.
+    Its tables are lists of one array per trie level i, in the order of
+    ``_blocks(V, i)``: the joints ``p`` at levels 0 ... L and ``q`` at
+    0 ... depth feed the recursion, the closed forms and the target
+    marginals; the log joints ``log_p``, ``log_q`` at 0 ... L and the
+    conditional rows after each block, ``p_rows`` at 0 ... L - 1 and
+    ``q_rows`` at 0 ... depth - 1, feed the acceptance rules and the output
+    law. The joints and rows are ``_joints``'. A level's log joints are its
+    parent level repeated V times plus the ``math.log`` of each factor, -inf
+    absorbing: ``extend_joint``'s additions, so each equals the verifier's
+    bit for bit.
     """
 
     pchain: RawChain
@@ -136,28 +123,21 @@ class _Instance:
     L: int
     K: int
     depth: int
-    levels: list[_Level] = field(init=False, repr=False)
 
     def __post_init__(self):
         V, L = self.V, self.L
-        (p, p_rows), (q, q_rows) = (_joints(chain, V, self.depth) for chain in (self.pchain, self.qchain))
-        rows = list(zip(p_rows, q_rows))
-        logs = [(np.zeros(1), np.zeros(1))]
-        for row in rows[:L]:
-            logs.append(tuple(
-                np.repeat(parent, V) + np.array([math.log(x) if x > 0.0 else LOG_ZERO for x in r.ravel().tolist()])
-                for parent, r in zip(logs[-1], row)
-            ))
-        self.levels = [
-            _Level(_blocks(V, i) if i <= L else None, pi, qi, log_p=lp, log_q=lq, p_rows=pr, q_rows=qr)
-            for i, (pi, qi, (lp, lq), (pr, qr))
-            in enumerate(itertools.zip_longest(p, q, logs, rows, fillvalue=(None, None)))
-        ]
+        self.p, self.p_rows = _joints(self.pchain, V, L)
+        self.q, self.q_rows = _joints(self.qchain, V, self.depth)
+        self.log_p, self.log_q = [np.zeros(1)], [np.zeros(1)]
+        for logs, rows in ((self.log_p, self.p_rows), (self.log_q, self.q_rows[:L])):
+            for r in rows:
+                factors = np.array([math.log(x) if x > 0.0 else LOG_ZERO for x in r.ravel().tolist()])
+                logs.append(np.repeat(logs[-1], V) + factors)
 
     def _joint(self, blk: tuple[int, ...]) -> PrefixJoint:
         """The log joints of ``blk``, read from its level's table."""
-        level, n = self.levels[len(blk)], block_index(blk, self.V)
-        return PrefixJoint(level.log_p.item(n), level.log_q.item(n))
+        i, n = len(blk), block_index(blk, self.V)
+        return PrefixJoint(self.log_p[i].item(n), self.log_q[i].item(n))
 
     def modified(self, t: tuple[int, ...], y: int) -> ModifiedChain:
         """The target chain of the iteration after leaf (len(t), t) and extra token y."""
@@ -203,14 +183,14 @@ def _acceptances(insts: list[_Instance]) -> tuple[list[np.ndarray | None], list[
     ``subblock_accept_prob`` call covers every block below level L that a
     drafted proper prefix's test (p > 0) or the output law (log q > -inf)
     reads, and one ``full_block_accept_probs`` call every drafted full block.
-    A row, in ``levels`` order, is the surplus q (1 - min(r p / q, 1))^K at
+    A row, in level-array order, is the surplus q (1 - min(r p / q, 1))^K at
     the block's joint ratio r, normalized as ``ModifiedTarget.conditional``
     does, or the target row where the target joint is 0 or the surplus is
     empty; the mask marks the latter, the fallbacks. Every row is computed
     as for its block alone (``_surplus``), so batching moves no bit."""
     V, L, K = insts[0].V, insts[0].L, insts[0].K
     p, lp, lq, p_rows, rows = (
-        np.concatenate([getattr(level, f) for inst in insts for level in inst.levels[:L]])
+        np.concatenate([a for inst in insts for a in getattr(inst, f)[:L]])
         for f in ("p", "log_p", "log_q", "p_rows", "q_rows")
     )
     drafted, scan = p > 0.0, lq != LOG_ZERO
@@ -224,7 +204,7 @@ def _acceptances(insts: list[_Instance]) -> tuple[list[np.ndarray | None], list[
     fallback = scan  # the nonzero-joint blocks left with the target row
     fallback[tested[full]] = False
     h = np.split(np.where(drafted, h, 0.0).reshape(len(insts), -1), np.cumsum([V**i for i in range(L - 1)]), axis=1)
-    p, lp, lq = (np.concatenate([getattr(inst.levels[L], f) for inst in insts]) for f in ("p", "log_p", "log_q"))
+    p, lp, lq = (np.concatenate([getattr(inst, f)[L] for inst in insts]) for f in ("p", "log_p", "log_q"))
     h = [None] + [level.ravel() for level in h[1:]] + [np.where(p > 0.0, full_block_accept_probs(lp, lq, K), 0.0)]
     return h, list(zip(np.split(rows, len(insts)), np.split(fallback, len(insts))))
 
@@ -276,7 +256,7 @@ def _others(x: np.ndarray, series: tuple) -> np.ndarray:
 def _enumerate_leaves(insts: list[_Instance]) -> list[tuple[list[np.ndarray], tuple]]:
     """Leaf masses of the scan, from its frozen coins (module docstring), for
     each of a batch of instances of equal (V, L, K): one array per level
-    0 ... L in ``levels`` order, entry u of level i the mass of leaf (i, u),
+    0 ... L in lexicographic order, entry u of level i the mass of leaf (i, u),
     paired with the instance's output-law rows from ``_acceptances``.
 
     Write p for the draft joint of a node, h for its test's acceptance and
@@ -311,7 +291,7 @@ def _enumerate_leaves(insts: list[_Instance]) -> list[tuple[list[np.ndarray], tu
         raise TooLarge(f"V^L * C(K + 3, 4) = {work} exceeds {MAX_ENUM}")
     n = len(insts)
     h, rows = _acceptances(insts)
-    p_leaf = np.concatenate([inst.levels[L].p for inst in insts])
+    p_leaf = np.concatenate([inst.p[L] for inst in insts])
     fact = np.array([math.factorial(m) for m in range(K + 1)], float)
     one_var = _series(K + 1, 1)
     m = np.arange(K + 1)
@@ -336,7 +316,7 @@ def _enumerate_leaves(insts: list[_Instance]) -> list[tuple[list[np.ndarray], tu
 
 def _output_law(inst: _Instance, leaves: list[np.ndarray], rows: tuple, depth: int) -> tuple[np.ndarray, float, list]:
     """Exact law of the completed output prefix at ``depth`` >= L tokens, in
-    ``levels`` order, by one forward pass over the trie levels.
+    lexicographic order, by one forward pass over the trie levels.
 
     Leaf (tau, t) is followed by its extra token, then by its branch's
     modified target chain. Every such row below level L is a row of one
@@ -358,7 +338,7 @@ def _output_law(inst: _Instance, leaves: list[np.ndarray], rows: tuple, depth: i
     """
     V, L = inst.V, inst.L
     below, fallback = rows
-    rows = np.split(below, np.cumsum([V**i for i in range(L - 1)])) + [level.q_rows for level in inst.levels[L:-1]]
+    rows = np.split(below, np.cumsum([V**i for i in range(L - 1)])) + inst.q_rows[L:]
     flow = [leaves[0]]
     for i in range(depth):
         flow.append((flow[i][:, None] * rows[i]).ravel() + (leaves[i + 1] if i < L else 0.0))
@@ -400,7 +380,7 @@ class ExactReport:
 
     @functools.cached_property
     def leaves(self) -> dict:
-        """Leaf (tau, t) to its mass, positive ones only, in ``levels`` order."""
+        """Leaf (tau, t) to its mass, positive ones only, in level-array order."""
         return {
             (tau, u): m for tau, level in enumerate(self.leaf_levels)
             for u, m in zip(_blocks(self.vocab_size, tau), level.tolist()) if m > 0.0
@@ -455,7 +435,8 @@ def _instance(pair: ModelPair, L: int, K: int, context: tuple[int, ...] = (), de
 
 def bound_K(pair: ModelPair, L: int, K: int) -> float:
     """Sum of claimed acceptance masses over all sub-blocks up to length L."""
-    return sum(float(_accept_mass(level.p, level.q, K).sum()) for level in _instance(pair, L, K).levels[1:])
+    inst = _instance(pair, L, K)
+    return sum(float(_accept_mass(p, q, K).sum()) for p, q in zip(inst.p[1:], inst.q[1:]))
 
 
 def exact_expected_tau(pair: ModelPair, L: int, K: int) -> float:
@@ -480,7 +461,7 @@ def _max_dev(got: list[np.ndarray], want: list[np.ndarray]) -> float:
 def _marginal_devs(inst: _Instance, out: np.ndarray, depth: int) -> tuple[float, float]:
     """Prefix marginals of the output law against the target chain: the max
     deviation and the max error of a level's total."""
-    targets = [level.q for level in inst.levels[1:depth + 1]]
+    targets = inst.q[1:depth + 1]
     marg = [out.reshape(len(q), -1).sum(1) for q in targets]
     return _max_dev(marg, targets), max(abs(float(m.sum()) - 1.0) for m in marg)
 
@@ -499,7 +480,7 @@ def exact_output_distribution(
         raise TooLarge("two-iteration enumeration exceeds the guard")
     inst = _instance(pair, L, K, context, depth)
     [(leaves, rows)] = _enumerate_leaves([inst])
-    claimed = [_accept_mass(level.p, level.q, K) for level in inst.levels[1:L + 1]]
+    claimed = [_accept_mass(p, q, K) for p, q in zip(inst.p[1:], inst.q[1:L + 1])]
     accepted = _accepted(leaves)
     out, fallback_mass, rows = _output_law(inst, leaves, rows, L)
     max_dev, sums_err = _marginal_devs(inst, out, L)
@@ -517,7 +498,7 @@ def exact_output_distribution(
         max_marginal_dev_two_iter=two_iter_dev, lemma_max_dev_two_iter=lemma_dev2,
         marginal_sums_max_err=sums_err,
         leaf_states=sum(map(len, positive)),
-        tuples=int((inst.levels[L].p > 0.0).sum()) ** K,
+        tuples=int((inst.p[L] > 0.0).sum()) ** K,
         max_leafsum_err=abs(sum(itertools.chain.from_iterable(positive)) - 1.0),
         fallback_mass=fallback_mass,
         runtime_s=time.perf_counter() - t0,
@@ -539,9 +520,9 @@ def _two_iteration_dev(pair: ModelPair, inst1: _Instance, leaves1: list, rows1: 
     # every (leaf, extra token) instance is built first, then all are
     # enumerated in one call; the first iteration's own pass counted its fallbacks
     seconds = []
-    for tau1, ((blocks, *_rest), level) in enumerate(zip(inst1.levels, leaves1)):
+    for tau1, level in enumerate(leaves1):
         for j in np.flatnonzero(level > 0.0).tolist():
-            m1, t1 = float(level[j]), blocks[j]
+            m1, t1 = float(level[j]), _blocks(V, tau1)[j]
             for y1, py1 in enumerate(rows1[tau1][j].tolist()):
                 if py1 > 0.0:
                     context2 = inst1.context + t1 + (y1,)
@@ -554,14 +535,14 @@ def _two_iteration_dev(pair: ModelPair, inst1: _Instance, leaves1: list, rows1: 
     fallback = lemma_dev = 0.0
     for (index1, w, inst2), (leaves2, rows2) in zip(seconds, _enumerate_leaves([s[-1] for s in seconds])):
         claimed = []
-        for level in inst2.levels[1:L + 1]:
-            p2 = [_model_joint(pair.draft, inst2.context, blk) for blk in level.blocks]
-            claimed.append(_accept_mass(np.array(p2), level.q, K))
+        for i in range(1, L + 1):
+            p2 = [_model_joint(pair.draft, inst2.context, blk) for blk in _blocks(V, i)]
+            claimed.append(_accept_mass(np.array(p2), inst2.q[i], K))
         lemma_dev = max(lemma_dev, _max_dev(_accepted(leaves2), claimed))
         out2, fb2, _rows2 = _output_law(inst2, leaves2, rows2, inst2.depth)
         fallback += w * fb2
         out[index1 * len(out2):(index1 + 1) * len(out2)] += w * out2
-    max_dev = float(np.abs(out - inst1.levels[depth].q).max())
+    max_dev = float(np.abs(out - inst1.q[depth]).max())
     return max_dev, fallback, lemma_dev
 
 

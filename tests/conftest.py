@@ -61,7 +61,8 @@ def tv_distance(a: Distribution, b: Distribution) -> float:
 
 def gbv_block_sum(pair: ModelPair, L: int) -> float:
     """Sum over sub-blocks of min(draft joint, target joint); the K = 1 bound."""
-    return sum(float(np.minimum(level.p, level.q).sum()) for level in oracle._instance(pair, L, 1).levels[1:])
+    inst = oracle._instance(pair, L, 1)
+    return sum(float(np.minimum(p, q).sum()) for p, q in zip(inst.p[1:], inst.q[1:]))
 
 
 def bound_properties(pair: ModelPair, L: int, K_list) -> dict:
@@ -113,13 +114,13 @@ def reference_output_law(inst, leaves, depth):
     V = inst.V
     out = np.zeros(V**depth)
     fallback_mass = extra_fallback = 0.0
-    for tau, ((blocks, *_rest), level) in enumerate(zip(inst.levels, leaves)):
+    for tau, level in enumerate(leaves):
         if tau == depth:
             out += level
             continue
         need = depth - tau - 1
         for j in np.flatnonzero(level > 0.0).tolist():
-            mass, t = float(level[j]), blocks[j]
+            mass, t = float(level[j]), oracle._blocks(V, tau)[j]
             ydist, fell_back = reference_extra_token(inst, tau, t)
             extra_fallback += mass if fell_back else 0.0
             if need == 0:

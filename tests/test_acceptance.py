@@ -8,6 +8,7 @@ tolerance the test fails with the measured gap rather than a loosened bound.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
@@ -394,6 +395,9 @@ def test_criterion_10_run_determinism(tmp_path):
         "algo = spectr-gbv\nK = 2\nL = 3\ngen = 5,1,12,1.0,0.6\n"
         "prompts = 2\nmax-tokens = 16\nseed = 7\ntrials = 2\n"
     )
+    # the subprocess gets the package from the source tree, as the suite does
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     outs = []
     for name in ("r1.csv", "r2.csv"):
         out = tmp_path / name
@@ -401,6 +405,7 @@ def test_criterion_10_run_determinism(tmp_path):
             [sys.executable, "-m", "speclab", "run", "--config", str(cfg), "--out", str(out)],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert res.returncode == 0, res.stderr
         outs.append(out.read_bytes())

@@ -22,7 +22,9 @@ from speclab.models import MarkovModel, ModelPair, block_index, generate_pair
 from speclab.oracle import (
     TooLarge,
     _acceptances,
+    _blocks,
     _enumerate_leaves,
+    _heads,
     _instance,
     _Instance,
     _model_joint,
@@ -171,11 +173,11 @@ def walk_tuple(inst, rows):
 def walk_reference(pair, L, K, context):
     """Leaf law of the scan by walking every positive-weight draft tuple."""
     inst = _instance(pair, L, K, context)
-    level = inst.levels[L]
-    draft = dict(zip(level.blocks, level.p.tolist()))
+    blocks = _blocks(pair.vocab_size, L)
+    draft = dict(zip(blocks, inst.p[L].tolist()))
     leaves: dict = {}
     events = set()
-    for rows in itertools.product(level.blocks, repeat=K):
+    for rows in itertools.product(blocks, repeat=K):
         w = math.prod(draft[r] for r in rows)
         if w <= 0.0:
             continue
@@ -194,37 +196,58 @@ class TestLevels:
         # each entry is the parent's joint times one conditional, the same
         # float products _model_joint forms walking the block from the model
         pair = generate_pair(3, order, 5, 1.0, 0.5)
-        levels = _instance(pair, 3, 2, context).levels
-        assert [len(blocks) for blocks, *_rest in levels] == [1, 3, 9, 27]
-        for i, (blocks, p, q, *_rest) in enumerate(levels):
+        inst = _instance(pair, 3, 2, context)
+        assert [len(p) for p in inst.p] == [len(q) for q in inst.q] == [1, 3, 9, 27]
+        for i, (p, q) in enumerate(zip(inst.p, inst.q)):
+            blocks = _blocks(3, i)
             assert blocks == tuple(itertools.product(range(3), repeat=i))
-            # one cached tuple per (V, level), shared by every instance
-            assert blocks is _instance(pair, 3, 1).levels[i].blocks
             for blk, pb, qb in zip(blocks, p.tolist(), q.tolist()):
                 assert pb == _model_joint(pair.draft, context, blk)
                 assert qb == _model_joint(pair.target, context, blk)
 
     def test_tables_at_every_depth_agree(self):
-        # a two-iteration report builds its first table at 2(L + 1) and each
-        # second-iteration table at a depth between L + 1 and that; tables
-        # built at any two depths agree bit for bit on every level they
-        # share. Rows are kept at every level below the built depth, for the
-        # output law; blocks and log joints through level L only
+        # a two-iteration report builds its first target table at 2(L + 1)
+        # and each second-iteration one at a depth between L + 1 and that,
+        # for the output law; the draft joints and rows and the log joints
+        # stop at level L whatever the depth. Tables built at any two depths
+        # agree bit for bit on every entry they share
         pair = generate_pair(3, 1, 5, 1.0, 0.5)
         L = 2
-        tables = [_instance(pair, L, 2, depth=depth).levels for depth in range(L, 2 * (L + 1) + 1)]
-        for depth, levels in enumerate(tables, L):
-            assert len(levels) == depth + 1
-            assert [level.log_p is None for level in levels] == [False] * (L + 1) + [True] * (depth - L)
-            assert [level.blocks is None for level in levels] == [False] * (L + 1) + [True] * (depth - L)
-            assert [level.p_rows is None for level in levels] == [False] * depth + [True]
-            assert [level.q_rows is None for level in levels] == [False] * depth + [True]
+        names = ("p", "p_rows", "log_p", "log_q", "q", "q_rows")
+        tables = [_instance(pair, L, 2, depth=depth) for depth in range(L, 2 * (L + 1) + 1)]
+        for depth, inst in enumerate(tables, L):
+            assert [len(getattr(inst, f)) for f in names] == [L + 1, L, L + 1, L + 1, depth + 1, depth]
             for other in tables:
-                for got, want in zip(levels, other):
-                    assert got.blocks == want.blocks
-                    for a, b in zip(got[1:], want[1:]):
-                        assert a is None or b is None or bitwise(a, b)
-        assert tables[-1][-1].q.sum() == pytest.approx(1.0)
+                for f in names:
+                    for a, b in zip(getattr(inst, f), getattr(other, f)):
+                        assert bitwise(a, b), (depth, other.depth, f)
+        assert tables[-1].q[-1].sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("V, L, K", [(2, 2, 2), (3, 2, 3)])
+    def test_each_table_is_built_to_its_last_reader(self, monkeypatch, V, L, K):
+        # no reader needs a draft joint or row past level L, so every
+        # instance of a two-iteration report, the first built to 2(L + 1)
+        # and each second one deeper than L, asks its draft chain for a table
+        # to level L and its target chain for one to its own depth
+        calls, insts = [], []
+        joints, post_init = oracle._joints, _Instance.__post_init__
+
+        def recorded_joints(chain, V, depth):
+            calls.append((chain, depth))
+            return joints(chain, V, depth)
+
+        def recorded_post_init(inst):
+            insts.append(inst)
+            post_init(inst)
+
+        monkeypatch.setattr(oracle, "_joints", recorded_joints)
+        monkeypatch.setattr(_Instance, "__post_init__", recorded_post_init)
+        exact_output_distribution(generate_pair(V, 1, 7, 1.0, 0.5), L, K, iterations=2)
+        assert len(insts) > 2 and len(calls) == 2 * len(insts)
+        assert min(inst.depth for inst in insts) > L
+        for inst in insts:
+            assert [depth for chain, depth in calls if chain is inst.pchain] == [L]
+            assert [depth for chain, depth in calls if chain is inst.qchain] == [inst.depth]
 
     ZEROS = ModelPair(
         MarkovModel(3, 1, np.array([[0.5, 0.5, 0.0], [0.0, 0.3, 0.7], [0.2, 0.0, 0.8]])),
@@ -244,8 +267,8 @@ class TestLevels:
         # with zero conditionals a -inf joint stays -inf below it
         inst = _instance(pair, 3, 2, context)
         zero = set()
-        for level in inst.levels:
-            for blk, lp, lq in zip(level.blocks, level.log_p.tolist(), level.log_q.tolist()):
+        for i, (log_p, log_q) in enumerate(zip(inst.log_p, inst.log_q)):
+            for blk, lp, lq in zip(_blocks(inst.V, i), log_p.tolist(), log_q.tolist()):
                 heads = [blk[:j] for j in range(len(blk))]
                 want = _row_joints(blk, inst.pchain.conditionals(heads), inst.qchain.conditionals(heads))[-1]
                 assert (lp.hex(), lq.hex()) == (want.log_p.hex(), want.log_q.hex()), blk
@@ -266,11 +289,11 @@ class TestLevels:
             context, pair.vocab_size, 3, 2, 3,
         )
         for inst in (first, second):
-            levels = inst.levels
-            assert levels[3].p_rows is None and levels[3].q_rows is None
-            for level in levels[:3]:
-                assert level.p_rows.shape == level.q_rows.shape == (len(level.blocks), pair.vocab_size)
-                for blk, pr, qr in zip(level.blocks, level.p_rows, level.q_rows):
+            assert len(inst.p_rows) == len(inst.q_rows) == 3
+            for i, (p_rows, q_rows) in enumerate(zip(inst.p_rows, inst.q_rows)):
+                blocks = _blocks(pair.vocab_size, i)
+                assert p_rows.shape == q_rows.shape == (len(blocks), pair.vocab_size)
+                for blk, pr, qr in zip(blocks, p_rows, q_rows):
                     assert bitwise(pr, inst.pchain.conditional(blk).mass), blk
                     assert bitwise(qr, inst.qchain.conditional(blk).mass), blk
 
@@ -488,7 +511,7 @@ class TestCoinRecursion:
     def test_tuples_count_positive_weight_draft_tuples(self):
         pair = self.PAIRS[1]
         r = exact_output_distribution(pair, 2, 3)
-        positive = int((_instance(pair, 2, 3).levels[2].p > 0.0).sum())
+        positive = int((_instance(pair, 2, 3).p[2] > 0.0).sum())
         assert 0 < positive < 4
         assert r.tuples == positive**3
 
@@ -512,7 +535,7 @@ class TestBatchedEnumeration:
                 [(leaves, _rows)] = _enumerate_leaves([_instance(pair, L, K, context)])
                 # the first three positive-mass leaves, in level order
                 positive = [
-                    (tau, blocks[j]) for tau, ((blocks, *_rest), level) in enumerate(zip(first.levels, leaves))
+                    (tau, _blocks(V, tau)[j]) for tau, level in enumerate(leaves)
                     for j in np.flatnonzero(level > 0.0).tolist()
                 ]
                 for tau, t in positive[:3]:
@@ -529,16 +552,16 @@ class TestBatchedEnumeration:
         # the tests the batch makes, one rule call per drafted node
         hs = {
             subblock_h(inst._joint(u), inst.pchain.conditional(u), inst.qchain.conditional(u), K)
-            for inst in batch for level in inst.levels[1:L]
-            for u, w in zip(level.blocks, level.p.tolist()) if w > 0.0
+            for inst in batch for i in range(1, L)
+            for u, w in zip(_blocks(V, i), inst.p[i].tolist()) if w > 0.0
         }
         hs |= {
             full_block_accept_prob(inst._joint(b), K)
-            for inst in batch for b, w in zip(inst.levels[L].blocks, inst.levels[L].p.tolist()) if w > 0.0
+            for inst in batch for b, w in zip(_blocks(V, L), inst.p[L].tolist()) if w > 0.0
         }
         assert {0.0, 1.0} <= hs
         assert any(isinstance(inst.qchain, harness.ModifiedChain) for inst in batch)
-        assert any((inst.levels[L].p == 0.0).any() for inst in batch)
+        assert any((inst.p[L] == 0.0).any() for inst in batch)
         alone = [_enumerate_leaves([inst])[0][0] for inst in self.batch(V, L, K)]
         assert len(together) == len(alone) == len(batch)
         for leaves, want in zip(together, alone):
@@ -571,8 +594,8 @@ class TestLevelBatchedRules:
         want = [[] for _ in range(L + 1)]
         infinite = 0
         for inst in insts:
-            for i, level in enumerate(inst.levels[1:], 1):
-                for u, w in zip(level.blocks, level.p.tolist()):
+            for i, p in enumerate(inst.p[1:], 1):
+                for u, w in zip(_blocks(V, i), p.tolist()):
                     j = inst._joint(u)
                     if w <= 0.0:
                         want[i].append(0.0)
@@ -648,8 +671,7 @@ class TestOutputLawPass:
         for setting, inst, leaves, pass_rows, depth in self.laws(monkeypatch, V, L, K, iterations):
             _law, _fb, rows = _output_law(inst, leaves, pass_rows, depth)
             record = ModifiedTarget(L, K, (), PrefixJoint())
-            levels = inst.levels[:L]
-            heads = [blk for level in levels for blk in level.blocks]
+            heads = list(_heads(V, L))
             _below, mask = pass_rows
             fallbacks = [blk for blk, fallback in zip(heads, mask.tolist()) if fallback]
             found = record.conditional(heads, inst.qchain.conditionals, inst.pchain.conditionals)
@@ -657,7 +679,8 @@ class TestOutputLawPass:
             for blk, d in zip(heads, found):
                 assert bitwise(rows[len(blk)][block_index(blk, V)], d.mass), (setting, blk)
             assert len(fallbacks) == len(set(fallbacks)) and set(fallbacks) == record.fallbacks, setting
-            for tau, ((blocks, *_rest), level) in enumerate(zip(levels, leaves)):
+            for tau, level in enumerate(leaves[:L]):
+                blocks = _blocks(V, tau)
                 for j in np.flatnonzero(level > 0.0).tolist():
                     row, fell_back = reference_extra_token(inst, tau, blocks[j])
                     assert np.array_equal(row, rows[tau][j]), (setting, blocks[j])
@@ -694,8 +717,8 @@ class TestSurplusPass:
         assert len(rows) == len(insts)
         kinds = set()
         for k, (inst, r) in enumerate(zip(insts, rows)):
-            for level in inst.levels[:L]:
-                kinds |= {(p > 0.0, lq != LOG_ZERO) for p, lq in zip(level.p.tolist(), level.log_q.tolist())}
+            for p, log_q in zip(inst.p[:L], inst.log_q[:L]):
+                kinds |= {(w > 0.0, lq != LOG_ZERO) for w, lq in zip(p.tolist(), log_q.tolist())}
             assert self.same_as_alone(inst, r) == (len(r[0]) if k == 1 else 0)
         if L > 1:
             assert {(True, False), (False, True)} <= kinds
@@ -739,7 +762,7 @@ class TestReportTables:
             (tau, u): m for tau, level in enumerate(leaves)
             for u, m in zip(blocks[tau], level.tolist()) if m > 0.0
         }
-        claimed = [oracle._accept_mass(level.p, level.q, K) for level in inst.levels[1:]]
+        claimed = [oracle._accept_mass(p, q, K) for p, q in zip(inst.p[1:], inst.q[1:])]
         want_lemma = {
             u: masses for level, got, want in zip(blocks[1:], oracle._accepted(leaves), claimed)
             for u, masses in zip(level, zip(got.tolist(), want.tolist()))
