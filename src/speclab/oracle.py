@@ -24,8 +24,10 @@ every extra-token and modified-target row below level L is the normalized
 surplus at its block's joint ratio, normalized from the rows that same call
 returns with the h. Each instance's tables are built once, each only as
 deep as its last reader: the draft's to level L, the target's to the depth
-of the output law that reads it. The whole law lives in one layout: a list
-of one array per trie level, its blocks in lexicographic order, so block
+of the output law that reads it, from one chain call for every head; each
+distinct row object the call returns is stacked and logged once and
+gathered back to its heads. The whole law lives in one layout: a list of
+one array per trie level, its blocks in lexicographic order, so block
 u's children are the V entries from V * index(u) on and its n-token
 extensions are one run of V^n. The joints (linear and log-space), the
 conditional rows after each block, the leaf masses, the output law and the
@@ -110,10 +112,10 @@ class _Instance:
     marginals; the log joints ``log_p``, ``log_q`` at 0 ... L and the
     conditional rows after each block, ``p_rows`` at 0 ... L - 1 and
     ``q_rows`` at 0 ... depth - 1, feed the acceptance rules and the output
-    law. The joints and rows are ``_joints``'. A level's log joints are its
-    parent level repeated V times plus the ``math.log`` of each factor, -inf
-    absorbing: ``extend_joint``'s additions, so each equals the verifier's
-    bit for bit.
+    law. The joints, rows and log factors are ``_joints``'. A level's log
+    joints are its parent level's, each broadcast over its V children, plus
+    the gathered ``math.log`` factors, -inf absorbing: ``extend_joint``'s
+    additions, so each equals the verifier's bit for bit.
     """
 
     pchain: RawChain
@@ -126,13 +128,12 @@ class _Instance:
 
     def __post_init__(self):
         V, L = self.V, self.L
-        self.p, self.p_rows = _joints(self.pchain, V, L)
-        self.q, self.q_rows = _joints(self.qchain, V, self.depth)
+        self.p, self.p_rows, p_factors = _joints(self.pchain, V, L)
+        self.q, self.q_rows, q_factors = _joints(self.qchain, V, self.depth)
         self.log_p, self.log_q = [np.zeros(1)], [np.zeros(1)]
-        for logs, rows in ((self.log_p, self.p_rows), (self.log_q, self.q_rows[:L])):
-            for r in rows:
-                factors = np.array([math.log(x) if x > 0.0 else LOG_ZERO for x in r.ravel().tolist()])
-                logs.append(np.repeat(logs[-1], V) + factors)
+        for logs, factors in ((self.log_p, p_factors), (self.log_q, q_factors[:L])):
+            for f in factors:
+                logs.append((logs[-1][:, None] + f).ravel())
 
     def _joint(self, blk: tuple[int, ...]) -> PrefixJoint:
         """The log joints of ``blk``, read from its level's table."""
@@ -160,18 +161,27 @@ def _heads(V: int, depth: int) -> tuple:
     return tuple(u for i in range(depth) for u in _blocks(V, i))
 
 
-def _joints(chain, V: int, depth: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _joints(chain, V: int, depth: int) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
     """Joints under ``chain`` of every block at levels 0 ... depth, and its
-    conditional rows at each level 0 ... depth - 1, in lexicographic order.
-    A joint is its parent's times the chain's conditional; the chain answers
-    every context shorter than ``depth`` in one call."""
-    rows = np.array([d.mass for d in chain.conditionals(_heads(V, depth))]).reshape(-1, V)
-    joints, level_rows, start = [np.ones(1)], [], 0
-    for _ in range(depth):
-        level_rows.append(rows[start:start + len(joints[-1])])
-        start += len(joints[-1])
+    conditional rows and their log factors (``math.log``, -inf at 0) at each
+    level 0 ... depth - 1, in lexicographic order. A joint is its parent's
+    times the chain's conditional; the chain answers every context shorter
+    than ``depth`` in one call. Each distinct row object it returns (at most
+    V + 1 from an order-1 ``RawChain``) is stacked and logged once, keyed by
+    identity as a ``Distribution`` hashes, and gathered back to its heads by
+    index, so each entry is the float a per-head pass would give."""
+    index = {}
+    at = [index.setdefault(d, len(index)) for d in chain.conditionals(_heads(V, depth))]
+    rows = np.array([d.mass for d in index])
+    logs = np.array([math.log(x) if x > 0.0 else LOG_ZERO for x in rows.ravel().tolist()]).reshape(-1, V)
+    rows, logs = rows.take(at, axis=0), logs.take(at, axis=0)
+    joints, level_rows, level_logs, start = [np.ones(1)], [], [], 0
+    for i in range(depth):
+        level_rows.append(rows[start:start + V**i])
+        level_logs.append(logs[start:start + V**i])
+        start += V**i
         joints.append((joints[-1][:, None] * level_rows[-1]).ravel())
-    return joints, level_rows
+    return joints, level_rows, level_logs
 
 
 def _acceptances(insts: list[_Instance]) -> tuple[list[np.ndarray | None], list[tuple]]:

@@ -468,7 +468,7 @@ def subblock_accept_prob(
             continue
         num = S - (1.0 - min(rn, 1.0)) ** K
         # rn * G(p_j) - 1 with its 1s cancelled exactly, so p_j near 1 keeps precision
-        den = (rn - 1.0) + rn * _geometric_tail(math.exp(lp), K) + S
+        den = (rn - 1.0) + rn * _geometric_tail(math.exp(lp) if K > 1 else None, K) + S
         if abs(den) < DENOM_EPS:
             h.append(1.0 if rn < 1.0 else 0.0)
         else:
@@ -480,8 +480,9 @@ def _geometric_tail(x: float, K: int) -> float:
     """G(x) - 1, where G(x) = sum_{i<K} (1 - x)^i, so that 1 - (1 - x)^K = x * G(x).
 
     Built without G's leading 1, so it keeps its precision as x nears 1; it
-    is 0 at K = 1, and 1 + G(x) - 1 is bit for bit the recurrence for G. x
-    may be an array: each entry gets the scalar's operations, in its order."""
+    is 0 at K = 1 and reads no x there (the rules pass None, forming no exp),
+    and 1 + G(x) - 1 is bit for bit the recurrence for G. x may be an array:
+    each entry gets the scalar's operations, in its order."""
     t = 0.0
     for _ in range(K - 1):
         t = (1.0 - x) * (1.0 + t)
@@ -499,7 +500,7 @@ def full_block_accept_prob(joint: PrefixJoint, K: int) -> float:
     """
     r = joint_ratio(joint.log_p, joint.log_q)
     a = 1.0 + _geometric_tail(r, K) if r <= 1.0 else joint_ratio(joint.log_q, joint.log_p)
-    return min(1.0, a / (1.0 + _geometric_tail(math.exp(joint.log_p), K)))
+    return min(1.0, a / (1.0 + _geometric_tail(math.exp(joint.log_p) if K > 1 else None, K)))
 
 
 def full_block_accept_probs(log_p: np.ndarray, log_q: np.ndarray, K: int) -> np.ndarray:

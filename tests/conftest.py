@@ -131,7 +131,7 @@ def reference_output_law(inst, leaves, depth):
                     continue
                 m0 = mass * py
                 mod = inst.modified(t, y)
-                joints, _rows = oracle._joints(mod, V, need)
+                joints, _rows, _factors = oracle._joints(mod, V, need)
                 start = (j * V + y) * V**need
                 out[start:start + V**need] += m0 * joints[need]
                 fallback_mass += m0 * sum(joints[len(ctx)].item(block_index(ctx, V)) for ctx in mod.record.fallbacks)

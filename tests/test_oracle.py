@@ -297,6 +297,42 @@ class TestLevels:
                     assert bitwise(pr, inst.pchain.conditional(blk).mass), blk
                     assert bitwise(qr, inst.qchain.conditional(blk).mass), blk
 
+    @pytest.mark.parametrize("pair", [PAIRS[0], ZEROS], ids=["order1", "zeros"])
+    @pytest.mark.parametrize("second", [False, True], ids=["raw", "modified"])
+    def test_tables_gather_each_distinct_row(self, pair, second):
+        # a table stacks and logs each distinct row object its chain returns
+        # once, then gathers them back to the heads: a raw chain shares one
+        # object per tail, a second iteration's chain returns its overrides
+        # and raw rows. Every row and log factor must be the per-head stack
+        # and the per-entry math.log, bit for bit, from one chain call
+        V, L, depth = pair.vocab_size, 2, 5
+        first = _instance(pair, L, 1, (1,))
+        chain = first.modified((), 1) if second else first.qchain
+        calls = []
+
+        class Recorded:
+            def conditionals(self, ctxs):
+                calls.append(ctxs)
+                return chain.conditionals(ctxs)
+
+        joints, rows, factors = oracle._joints(Recorded(), V, depth)
+        assert calls == [_heads(V, depth)]
+        dists = chain.conditionals(_heads(V, depth))
+        raw = {id(d) for d in first.qchain.conditionals(_heads(V, depth))}
+        assert len({id(d) for d in dists}) < len(dists)
+        assert any(id(d) not in raw for d in dists) == second
+        want = np.array([d.mass for d in dists])
+        logs = np.array([[math.log(x) if x > 0.0 else LOG_ZERO for x in d.mass.tolist()] for d in dists])
+        assert len(joints) == depth + 1 and len(rows) == len(factors) == depth
+        start = 0
+        for i, (r, f) in enumerate(zip(rows, factors)):
+            assert bitwise(r, want[start:start + V**i]) and bitwise(f, logs[start:start + V**i]), i
+            assert bitwise(joints[i + 1], (joints[i][:, None] * want[start:start + V**i]).ravel()), i
+            start += V**i
+        assert start == len(dists)
+        if pair is self.ZEROS:
+            assert (np.concatenate(factors) == LOG_ZERO).any()
+
 
 class TestBound:
     def test_matched_models_bound_is_L(self, matched_pair):
