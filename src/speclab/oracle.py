@@ -363,9 +363,8 @@ class ExactReport:
     ``fallback_mass`` is the expected number of draws per output that fell
     back to the raw target conditional, each counted once (an extra token
     and each modified-target position count apart), not the probability of
-    a fallback. The first iteration's level arrays are kept (leaf masses at
-    levels 0 ... L, accepted and claimed masses at 1 ... L), and the tables
-    keyed by block, ``leaves`` and ``lemma_masses``, built on first access.
+    a fallback. The first iteration's level arrays are kept: leaf masses at
+    levels 0 ... L, accepted and claimed masses at 1 ... L.
     """
 
     vocab_size: int
@@ -387,22 +386,6 @@ class ExactReport:
     leaf_levels: list = field(repr=False, compare=False)
     accepted: list = field(repr=False, compare=False)
     claimed: list = field(repr=False, compare=False)
-
-    @functools.cached_property
-    def leaves(self) -> dict:
-        """Leaf (tau, t) to its mass, positive ones only, in level-array order."""
-        return {
-            (tau, u): m for tau, level in enumerate(self.leaf_levels)
-            for u, m in zip(_blocks(self.vocab_size, tau), level.tolist()) if m > 0.0
-        }
-
-    @functools.cached_property
-    def lemma_masses(self) -> dict:
-        """Sub-block u to its (accepted, claimed) acceptance masses."""
-        return {
-            u: masses for i, (got, want) in enumerate(zip(self.accepted, self.claimed), 1)
-            for u, masses in zip(_blocks(self.vocab_size, i), zip(got.tolist(), want.tolist()))
-        }
 
     def to_jsonable(self) -> dict:
         """The scalar fields, in declaration order; the tables are left out."""

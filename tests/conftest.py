@@ -138,6 +138,24 @@ def reference_output_law(inst, leaves, depth):
     return out, fallback_mass + extra_fallback, extra_fallback
 
 
+def report_leaves(report) -> dict:
+    """An ``ExactReport``'s leaf (tau, t) to its mass, positive ones only, in
+    level-array order, from its ``leaf_levels``."""
+    return {
+        (tau, u): m for tau, level in enumerate(report.leaf_levels)
+        for u, m in zip(oracle._blocks(report.vocab_size, tau), level.tolist()) if m > 0.0
+    }
+
+
+def report_lemma_masses(report) -> dict:
+    """An ``ExactReport``'s sub-block u to its (accepted, claimed) acceptance
+    masses, from its ``accepted`` and ``claimed`` level arrays."""
+    return {
+        u: masses for i, (got, want) in enumerate(zip(report.accepted, report.claimed), 1)
+        for u, masses in zip(oracle._blocks(report.vocab_size, i), zip(got.tolist(), want.tolist()))
+    }
+
+
 def residual_sd(p: Distribution, q: Distribution) -> Distribution:
     """Single-draft rejection residual norm(max(q - p, 0)): the reference the
     token-level verifier's residual is checked against.

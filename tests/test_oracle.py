@@ -12,6 +12,8 @@ from conftest import (
     override,
     reference_extra_token,
     reference_output_law,
+    report_leaves,
+    report_lemma_masses,
     subblock_h,
 )
 from test_golden_oracle import CELLS
@@ -429,7 +431,7 @@ class TestEventTree:
         report = exact_output_distribution(matched_pair, 3, 1)
         assert abs(report.expected_tau - 3.0) < 1e-12
         assert report.max_marginal_dev < 1e-12
-        assert all(tau == 3 for (tau, _t) in report.leaves)
+        assert all(tau == 3 for (tau, _t) in report_leaves(report))
 
     def test_single_draft_tree_matches_gbv_tree(self):
         # at V = 4, L = 3 the K = 1 recursion runs over a 64-leaf trie
@@ -437,16 +439,17 @@ class TestEventTree:
         cases += [(generate_pair(4, 1, seed + 20, 1.0, 0.5), 3) for seed in range(2)]
         for pair, L in cases:
             a = exact_output_distribution(pair, L, 1)
+            a_leaves = report_leaves(a)
             b_leaves, b_lemma = gbv_reference(pair, L)
             b_tau = sum(tau * m for (tau, _t), m in b_leaves.items())
             assert abs(a.expected_tau - b_tau) < 1e-12
-            assert {k for k, m in a.leaves.items() if m > 0.0} == {
+            assert {k for k, m in a_leaves.items() if m > 0.0} == {
                 k for k, m in b_leaves.items() if m > 0.0
             }
-            keys = set(a.leaves) | set(b_leaves)
+            keys = set(a_leaves) | set(b_leaves)
             for key in keys:
-                assert abs(a.leaves.get(key, 0.0) - b_leaves.get(key, 0.0)) < 1e-12
-            for blk, (got, claimed) in a.lemma_masses.items():
+                assert abs(a_leaves.get(key, 0.0) - b_leaves.get(key, 0.0)) < 1e-12
+            for blk, (got, claimed) in report_lemma_masses(a).items():
                 got_b, claimed_b = b_lemma[blk]
                 assert abs(got - got_b) < 1e-12
                 assert abs(claimed - claimed_b) < 1e-12
@@ -527,20 +530,21 @@ class TestCoinRecursion:
         events = set()
         for (pair, L, K), context in itertools.product(cells, ((), (1,))):
             r = exact_output_distribution(pair, L, K, context=context)
+            r_leaves = report_leaves(r)
             ref, seen = walk_reference(pair, L, K, context)
             events |= seen
             assert r.max_leafsum_err < 1e-12
             positive = {key for key, m in ref.items() if m > 0.0}
-            assert {key for key, m in r.leaves.items() if m > 0.0} == positive, (L, K)
-            for key in set(r.leaves) | set(ref):
-                assert abs(r.leaves.get(key, 0.0) - ref.get(key, 0.0)) < 1e-12, (L, K, key)
+            assert {key for key, m in r_leaves.items() if m > 0.0} == positive, (L, K)
+            for key in set(r_leaves) | set(ref):
+                assert abs(r_leaves.get(key, 0.0) - ref.get(key, 0.0)) < 1e-12, (L, K, key)
             ref_tau = sum(tau * m for (tau, _t), m in ref.items())
             assert abs(r.expected_tau - ref_tau) < 1e-12
             accepted: dict = {}
             for (tau, t), m in ref.items():
                 for i in range(1, tau + 1):
                     accepted[t[:i]] = accepted.get(t[:i], 0.0) + m
-            for blk, (got, _claimed) in r.lemma_masses.items():
+            for blk, (got, _claimed) in report_lemma_masses(r).items():
                 assert abs(got - accepted.get(blk, 0.0)) < 1e-12, (L, K, blk)
         assert events == {"skip", "h0", "h1"}
 
@@ -778,10 +782,11 @@ class TestSurplusPass:
 
 
 class TestReportTables:
-    """``ExactReport.leaves`` and ``lemma_masses``, built on first access
-    from the level arrays the report keeps, against the tables built from
-    the enumeration directly, and the report's leaf scalars against the sums
-    over those tables in their order, bit for bit, on the golden cells."""
+    """The block-keyed tables built from the level arrays an ``ExactReport``
+    keeps (``report_leaves`` and ``report_lemma_masses``), against the tables
+    built from the enumeration directly, and the report's leaf scalars
+    against the sums over those tables in their order, bit for bit, on the
+    golden cells."""
 
     @pytest.mark.parametrize("cell", CELLS, ids=[str(cell) for cell in CELLS])
     def test_tables_and_sums_equal_the_reference(self, cell):
@@ -803,11 +808,10 @@ class TestReportTables:
             u: masses for level, got, want in zip(blocks[1:], oracle._accepted(leaves), claimed)
             for u, masses in zip(level, zip(got.tolist(), want.tolist()))
         }
-        for got, want in ((report.leaves, want_leaves), (report.lemma_masses, want_lemma)):
+        for got, want in ((report_leaves(report), want_leaves), (report_lemma_masses(report), want_lemma)):
             assert [(k, np.array(v).tobytes()) for k, v in got.items()] == [
                 (k, np.array(v).tobytes()) for k, v in want.items()
             ]
-        assert report.leaves is report.leaves and report.lemma_masses is report.lemma_masses
         assert report.leaf_states == len(want_leaves)
         assert report.expected_tau.hex() == sum(tau * m for (tau, _t), m in want_leaves.items()).hex()
         assert report.max_leafsum_err.hex() == abs(sum(want_leaves.values()) - 1.0).hex()
@@ -854,7 +858,7 @@ class TestOracleMatchesVerifier:
             out, _ = verify_spectr_gbv(drafts, batched(canonical_pair.target.conditional), rng)
             key = (out.tau, out.t)
             counts[key] = counts.get(key, 0) + 1
-        for key, mass in report.leaves.items():
+        for key, mass in report_leaves(report).items():
             emp = counts.get(key, 0) / n
             se = math.sqrt(max(mass * (1 - mass), 1e-6) / n)
             assert abs(emp - mass) < 5 * se, (key, emp, mass)
@@ -896,7 +900,7 @@ class TestEmptyResidualFallback:
     ])
     def test_oracle_fallback_mass(self, matched_pair, K, tau0, fallback):
         report = exact_output_distribution(matched_pair, 2, K)
-        got = sum(m for (tau, _t), m in report.leaves.items() if tau == 0)
+        got = sum(m for (tau, _t), m in report_leaves(report).items() if tau == 0)
         want = float(matched_tau0_mass((0.4, 0.3, 0.2, 0.1), 2, K))
         assert abs(got - want) < 1e-12
         assert abs(got - tau0) < 5e-5
@@ -909,7 +913,7 @@ class TestEmptyResidualFallback:
         # positions of the modified target's horizon, so the report counts
         # three draws per such path: an expected count, not a mass
         report = exact_output_distribution(matched_pair, 3, 2)
-        got = sum(m for (tau, _t), m in report.leaves.items() if tau == 0)
+        got = sum(m for (tau, _t), m in report_leaves(report).items() if tau == 0)
         want = float(matched_tau0_mass((0.4, 0.3, 0.2, 0.1), 3, 2))
         assert abs(got - want) < 1e-12
         assert abs(got - 0.2499) < 5e-5
