@@ -7,7 +7,8 @@ the modified target for the next iteration. ``sd`` and ``spectr`` keep each
 rejection residual in one dict per decode. ``decode`` derives serial-call
 accounting from its iterations: one target call per iteration, the
 simulated batched pass, however many prefixes are read, and K * L draft
-calls, so autoregressive decoding has block efficiency 1.
+calls however few drafted tokens the verifier reads, and so draws: the
+drafter's cost is simulated. Autoregressive decoding has block efficiency 1.
 
 Chains answer a list of contexts in one ``conditionals`` call. A block
 verifier asks the chain itself, once, for all K * (L + 1) row prefixes, so

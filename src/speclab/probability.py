@@ -7,7 +7,8 @@ cumulative mass is built on the first draw and kept, with a read-only
 ``memoryview`` that ``sample`` bisects, so a model row sampled many times
 pays for one vocabulary pass and each later draw is one binary search.
 ``RandomSource`` serves its doubles from blocks drawn from the generator,
-which is the same stream as one call per double. Token-prefix joints are
+which is the same stream as one call per double, and ``reserve`` sets the
+next n of them aside for a draw made later. Token-prefix joints are
 ``PrefixJoint`` pairs of logs, -inf marking an exact zero, since products
 of conditionals over a block underflow in linear space for peaked models;
 ``joint_ratio`` is the one rule that reads a ratio off two of them.
@@ -20,6 +21,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -49,6 +51,8 @@ class RandomSource:
 
     Doubles are drawn UNIFORM_BLOCK at a time with ``Generator.random(n)``,
     which yields the same PCG64 doubles as n single ``random()`` calls.
+    ``reserve(n)`` takes the next n doubles at once for a source of their
+    own, which serves them as n ``uniform()`` calls here would have.
     """
 
     def __init__(self, seed: int):
@@ -62,6 +66,17 @@ class RandomSource:
             self._block = iter(self._gen.random(UNIFORM_BLOCK).tolist())
             u = next(self._block)
         return u
+
+    def reserve(self, n: int) -> "RandomSource":
+        got = list(islice(self._block, n))
+        while len(got) < n:
+            self._block = iter(self._gen.random(UNIFORM_BLOCK).tolist())
+            got += islice(self._block, n - len(got))
+        # a RandomSource with no generator behind its n doubles: one source type
+        # keeps ``sample``'s call of ``uniform`` monomorphic, so no draw slows
+        source = RandomSource.__new__(RandomSource)
+        source.seed, source._gen, source._block = self.seed, None, iter(got)
+        return source
 
 
 @dataclass(frozen=True, eq=False)

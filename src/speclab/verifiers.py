@@ -1,16 +1,18 @@
 """Draft-verification algorithms over explicit token-probability models.
 
 Both verifier cores take a ``DraftSet``, K drafted rows with their drafting
-conditionals, and read the target chain themselves. The block verifier asks
-``q_conds``, prefixes -> conditionals, once for every row prefix and one
-past the row (``score_rows``); the token-level one asks ``q_cond``, prefix
--> conditional, only where it reaches. All randomness flows through one
-``RandomSource`` so outcomes are bit-reproducible. ``Counters.vocab_scans``
-counts the vocabulary passes the verifiers make themselves: block acceptance
-evaluations, rho solves (one sorted ratio table each, however many bisection
-steps read it), residual and modification passes. Draws by ``sample`` and
-model lookups are not counted, nor are serial target and draft calls:
-``harness.decode`` derives those from its iterations.
+conditionals, drawn when first read, and read the target chain themselves.
+The block verifier reads every row and asks ``q_conds``, prefixes ->
+conditionals, once for every row prefix and one past the row
+(``score_rows``); the token-level one reads its surviving rows' tokens and
+asks ``q_cond``, prefix -> conditional, only where it reaches. All
+randomness flows through one ``RandomSource`` so outcomes are
+bit-reproducible. ``Counters.vocab_scans`` counts the vocabulary passes the
+verifiers make themselves: block acceptance evaluations, rho solves (one
+sorted ratio table each, however many bisection steps read it), residual and
+modification passes. Draws by ``sample`` and model lookups are not counted,
+nor are serial target and draft calls: ``harness.decode`` derives those from
+its iterations.
 
 The K-SEQ scale rho and the rejection residual depend only on the draft row,
 the target row and the number of surviving rows, and model rows are cached
@@ -127,57 +129,90 @@ class KseqScale:
     iterations: int
 
 
-@dataclass(frozen=True)
+class _AllRows:
+    """``DraftSet.tokens`` and ``cond`` until the first read of either draws
+    every row and keeps both as plain attributes, read ahead of this."""
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, drafts: "DraftSet", owner=None):
+        if drafts is None:
+            return self
+        for k in range(drafts.K):
+            drafts._draw(k, drafts.L)
+        drafts.tokens, drafts.cond = tuple(drafts._rows), tuple(drafts._conds)
+        return vars(drafts)[self.name]
+
+
 class DraftSet:
     """K drafted rows of length L plus the draft conditionals used to sample them.
 
     cond[k][i] is the draft conditional given the first i tokens of row k,
-    for i = 0..L-1.
+    for i = 0..L-1. A set that ``draft_rows`` makes holds each row's L
+    reserved uniforms and draws the row's tokens in order, one ``sample``
+    each, when something first reads them: ``draw(k, i)`` draws row k
+    through position i, and ``tokens`` and ``cond`` draw every row. A set
+    built from given tokens and conditionals is checked when it is built.
+    Drawn or given, every token has positive probability under its
+    conditional.
     """
 
-    tokens: tuple[tuple[int, ...], ...]
-    cond: tuple[tuple[Distribution, ...], ...]
+    tokens: tuple[tuple[int, ...], ...] = _AllRows()
+    cond: tuple[tuple[Distribution, ...], ...] = _AllRows()
 
-    def __post_init__(self):
-        if len(self.tokens) == 0:
+    def __init__(self, tokens, cond):
+        if len(tokens) == 0:
             raise ValueError("need at least one draft row")
-        L = len(self.tokens[0])
-        for k, row in enumerate(self.tokens):
-            if len(row) != L:
+        self.K, self.L = len(tokens), len(tokens[0])
+        for k, row in enumerate(tokens):
+            if len(row) != self.L:
                 raise ValueError("ragged draft rows")
-            if len(self.cond[k]) != L:
+            if len(cond[k]) != self.L:
                 raise ValueError("cond[k] must hold one conditional per position")
             for i, tok in enumerate(row):
-                if self.cond[k][i].mass.item(tok) <= 0.0:
+                if cond[k][i].mass.item(tok) <= 0.0:
                     raise ValueError(f"row {k} token {i} has zero draft probability")
+        self._rows, self._conds = [tuple(row) for row in tokens], [tuple(c) for c in cond]
+        self.tokens, self.cond = tuple(self._rows), tuple(self._conds)
 
-    @property
-    def K(self) -> int:
-        return len(self.tokens)
+    def _draw(self, k: int, n: int) -> tuple[int, ...]:
+        """Row k, drawn through its first n tokens from its reserved uniforms."""
+        row, conds, source, p_cond = self._rows[k], self._conds[k], self._sources[k], self._p_cond
+        for i in range(len(row), n):
+            d = p_cond(row)
+            tok = sample(d, source)
+            if d.mass.item(tok) <= 0.0:
+                raise ValueError(f"row {k} token {i} has zero draft probability")
+            conds += (d,)
+            row += (tok,)
+        self._rows[k], self._conds[k] = row, conds
+        return row
 
-    @property
-    def L(self) -> int:
-        return len(self.tokens[0])
+    def draw(self, k: int, i: int) -> tuple[int, Distribution]:
+        """Row k's token at position i and the conditional it was drawn from."""
+        row = self._rows[k]
+        if i >= len(row):
+            row = self._draw(k, i + 1)
+        return row[i], self._conds[k][i]
 
 
 def draft_rows(p_cond, K: int, L: int, rng: RandomSource) -> DraftSet:
-    """Sample K i.i.d. rows of length L from a conditional provider.
+    """K i.i.d. rows of length L from a conditional provider, drawn when read.
 
     p_cond maps a token prefix (tuple) to the draft Distribution at that
-    context.
+    context. Each row's L uniforms are reserved here, row after row, so
+    every token is the one a row-by-row loop of ``sample`` calls gives, in
+    whatever order the rows are read, and ``rng`` goes on from where K * L
+    such draws leave it.
     """
-    tokens = []
-    conds = []
-    for _ in range(K):
-        row: tuple[int, ...] = ()
-        row_cond = []
-        for _ in range(L):
-            d = p_cond(row)
-            row_cond.append(d)
-            row = row + (sample(d, rng),)
-        tokens.append(row)
-        conds.append(tuple(row_cond))
-    return DraftSet(tuple(tokens), tuple(conds))
+    if K < 1:
+        raise ValueError("need at least one draft row")
+    drafts = DraftSet.__new__(DraftSet)
+    drafts.K, drafts.L, drafts._p_cond = K, L, p_cond
+    drafts._rows, drafts._conds = [()] * K, [()] * K
+    drafts._sources = [rng.reserve(L) for _ in range(K)]
+    return drafts
 
 
 def score_rows(drafts: DraftSet, q_conds) -> tuple[tuple[Distribution, ...], ...]:
@@ -305,21 +340,25 @@ def verify_kseq(
     the same triple: a hit is the miss's very ``Distribution`` (the target
     row if empty), charged the miss's pass and warning. Both memos key on
     row identity: a ``harness.RawChain`` returns one cached row per prefix.
+    It reads only the survivors' tokens, through ``drafts.draw``, so no row
+    is drawn past the position where it drops out, and it keeps the accepted
+    prefix itself.
     """
     counters = Counters()
     L = drafts.L
     survivors = list(range(drafts.K))
+    prefix: tuple[int, ...] = ()
     for i in range(L):
         s0 = survivors[0]
-        p_i = drafts.cond[s0][i]
-        q_i = q_cond(drafts.tokens[s0][:i])
+        p_i = drafts.draw(s0, i)[1]
+        q_i = q_cond(prefix)
         rho = 1.0
         if len(survivors) > 1:
             rho = _kseq_scale(p_i, q_i, len(survivors))
             counters.vocab_scans += 1
         accepted = None
         for k in survivors:
-            tok = drafts.tokens[k][i]
+            tok = drafts.draw(k, i)[0]
             a = min(1.0, q_i.mass.item(tok) / (rho * p_i.mass.item(tok)))
             ok = rng.uniform() < a
             if trace is not None:
@@ -345,12 +384,12 @@ def verify_kseq(
                     res = memo[key] = q_i
             counters.warnings += res is q_i
             y = sample(res, rng)
-            return VerifyOutcome(tau=i, f=s0, t=drafts.tokens[s0][:i], y=y, counters=counters)
+            return VerifyOutcome(tau=i, f=s0, t=prefix, y=y, counters=counters)
         if len(survivors) > 1:
-            survivors = [k for k in survivors if drafts.tokens[k][i] == accepted]
-    f = survivors[0]
-    y = sample(q_cond(drafts.tokens[f]), rng)
-    return VerifyOutcome(tau=L, f=f, t=drafts.tokens[f], y=y, counters=counters)
+            survivors = [k for k in survivors if drafts.draw(k, i)[0] == accepted]
+        prefix += (accepted,)
+    y = sample(q_cond(prefix), rng)
+    return VerifyOutcome(tau=L, f=survivors[0], t=prefix, y=y, counters=counters)
 
 
 def verify_sd(
@@ -589,20 +628,20 @@ def verify_spectr_gbv(
     """
     q_rows = score_rows(drafts, q_conds)
     counters = Counters()
-    K, L = drafts.K, drafts.L
+    K, L, tokens, cond = drafts.K, drafts.L, drafts.tokens, drafts.cond
     # joints[k][i]: the joint of row k's first i tokens, built when row k starts
     joints: list[list[PrefixJoint]] = []
     tau, f, kept = 0, 0, None
     H: set[tuple[int, ...]] = set()
     for k in range(K):
-        row = drafts.tokens[k]
-        joints.append(_row_joints(row, drafts.cond[k], q_rows[k]))
+        row = tokens[k]
+        joints.append(_row_joints(row, cond[k], q_rows[k]))
         # its sub-block tests, lengths tau+1 .. L-1 not in H, are fixed when it starts
         tested = [i for i in range(tau + 1, L) if row[:i] not in H]
         js = [joints[k][i] for i in tested]
         tests = iter(zip(*subblock_accept_prob(
             [j.log_p for j in js], [j.log_q for j in js],
-            np.array([drafts.cond[k][i].mass for i in tested]),
+            np.array([cond[k][i].mass for i in tested]),
             np.array([q_rows[k][i].mass for i in tested]), K, counters,
         )) if tested else ())
         for i in range(tau + 1, L + 1):
@@ -625,17 +664,17 @@ def verify_spectr_gbv(
     else:
         try:
             res = block_residual(
-                joints[f][tau], drafts.cond[f][tau], q_rows[f][tau], K, counters, kept
+                joints[f][tau], cond[f][tau], q_rows[f][tau], K, counters, kept
             )
         except AllZeroMass:
             res = q_rows[f][tau]
             counters.warnings += 1
         y = sample(res, rng)
-    t = drafts.tokens[f][:tau]
+    t = tokens[f][:tau]
     horizon = max(L - tau - 1, 0)
     j = PrefixJoint()
     if horizon:
-        j = extend_joint(joints[f][tau], y, drafts.cond[f][tau], q_rows[f][tau])
+        j = extend_joint(joints[f][tau], y, cond[f][tau], q_rows[f][tau])
     outcome = VerifyOutcome(tau=tau, f=f, t=t, y=y, counters=counters)
     return outcome, ModifiedTarget(horizon, K, t + (y,), j)
 

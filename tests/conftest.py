@@ -18,6 +18,7 @@ from speclab.probability import (
 )
 from speclab.verifiers import (
     Counters,
+    DraftSet,
     KseqScale,
     ModifiedTarget,
     NoRoot,
@@ -370,6 +371,23 @@ def reference_gbv(drafts, q_conds, rng):
         j = extend_joint(joints[tau], y, drafts.cond[0][tau], q_row[tau])
     outcome = VerifyOutcome(tau=tau, f=0, t=t, y=y, counters=counters)
     return outcome, NuModifiedTarget(horizon, 1, t + (y,), j)
+
+
+def reference_draft_rows(p_cond, K: int, L: int, rng) -> DraftSet:
+    """K rows of length L drawn eagerly, row after row, one ``sample`` per
+    token from ``rng`` itself: the draw ``draft_rows`` makes when its rows
+    are read, from the uniforms it reserved."""
+    tokens, conds = [], []
+    for _ in range(K):
+        row: tuple[int, ...] = ()
+        row_cond = []
+        for _ in range(L):
+            d = p_cond(row)
+            row_cond.append(d)
+            row = row + (sample(d, rng),)
+        tokens.append(row)
+        conds.append(tuple(row_cond))
+    return DraftSet(tuple(tokens), tuple(conds))
 
 
 class FixedUniforms:

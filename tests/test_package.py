@@ -67,3 +67,13 @@ def test_counters_hold_only_verifier_work():
     # iteration and K * L draft calls; a verifier counts only its own passes
     names = [f.name for f in dataclasses.fields(verifiers.Counters)]
     assert names == ["vocab_scans", "h_partial_evals", "residual_evals", "warnings"]
+
+
+def test_a_token_has_one_inverse_cdf_draw():
+    # every token, drafted, accepted or residual, is drawn by probability.sample,
+    # the one bisect over a CDF; drafting hands it a reserved source, not a wrapper
+    files = sorted(Path(speclab.__file__).parent.glob("*.py"))
+    found = [path.name for path in files for _ in range(path.read_text(encoding="utf-8").count("bisect_right"))]
+    assert found == ["probability.py"]
+    assert "bisect_right" in inspect.getsource(probability.sample)
+    assert list(inspect.signature(probability.sample).parameters) == ["d", "rng"]

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import operator
 import re
 import weakref
 from dataclasses import asdict
@@ -19,6 +20,7 @@ from conftest import (
     override,
     prefix_table,
     ratio_instances,
+    reference_draft_rows,
     reference_gbv,
     reference_kseq_rho,
     residual_sd,
@@ -542,6 +544,73 @@ class TestDraftSet:
     def test_malformed_rows_are_refused(self, tokens, cond, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             DraftSet(tokens, cond)
+
+    # K * L runs to 300, and a stream 250 doubles in puts even K * L = 8 across
+    # the 256-double block, so reservations span a refill
+    @pytest.mark.parametrize("offset", [0, 250])
+    @pytest.mark.parametrize("L", [1, 8, 60])
+    @pytest.mark.parametrize("K", [1, 3, 5])
+    def test_scrambled_reads_give_the_row_by_row_draw(self, K, L, offset):
+        p_cond = generate_pair(5, 1, 11, 1.0, 0.5).draft.conditional
+        rng, ref_rng = RandomSource(offset + K), RandomSource(offset + K)
+        for _ in range(offset):
+            rng.uniform(), ref_rng.uniform()
+        drafts = draft_rows(p_cond, K, L, rng)
+        ref = reference_draft_rows(p_cond, K, L, ref_rng)
+        positions = list(itertools.product(range(K), range(L)))
+        np.random.default_rng(K * L + offset).shuffle(positions)
+        positions.remove((K - 1, L - 1))
+        for k, i in [(K - 1, L - 1), *positions]:
+            tok, d = drafts.draw(k, i)
+            assert tok == ref.tokens[k][i] and d is ref.cond[k][i], (k, i)
+        assert drafts.tokens == ref.tokens
+        assert all(map(operator.is_, itertools.chain(*drafts.cond), itertools.chain(*ref.cond)))
+        assert rng.uniform() == ref_rng.uniform()
+
+    @pytest.mark.parametrize("L", [1, 8, 60])
+    @pytest.mark.parametrize("K", [1, 3, 5])
+    def test_stream_after_drafting_is_where_K_L_draws_leave_it(self, K, L):
+        # before any row is read: the uniforms are reserved when the set is made
+        p_cond = generate_pair(5, 1, 11, 1.0, 0.5).draft.conditional
+        rng, ref_rng = RandomSource(7), RandomSource(7)
+        draft_rows(p_cond, K, L, rng)
+        reference_draft_rows(p_cond, K, L, ref_rng)
+        assert [rng.uniform() for _ in range(300)] == [ref_rng.uniform() for _ in range(300)]
+
+    def test_a_drawn_token_gets_the_given_tokens_check(self, monkeypatch):
+        # sample never picks a zero-mass token; one that did would be refused
+        # on the read, as a given one is when the set is built
+        monkeypatch.setattr(verifiers, "sample", lambda d, rng: 1)
+        drafts = draft_rows(lambda row: dist(1, 0), 1, 2, RandomSource(0))
+        with pytest.raises(ValueError, match="^row 0 token 0 has zero draft probability$"):
+            drafts.draw(0, 1)
+
+    @pytest.mark.parametrize("K", [1, 3], ids=["sd", "spectr"])
+    def test_kseq_draws_each_row_only_while_it_survives(self, K):
+        pair, L = generate_pair(4, 1, 5, 1.0, 0.5), 4
+        drawn = 0
+        for seed in range(50):
+            calls = []
+
+            def p_cond(ctx):
+                calls.append(ctx)
+                return pair.draft.conditional(ctx)
+
+            rng, full_rng = RandomSource(seed), RandomSource(seed)
+            fresh = draft_rows(p_cond, K, L, rng)
+            full = draft_rows(pair.draft.conditional, K, L, full_rng)
+            full = DraftSet(full.tokens, full.cond)
+            got = verify_kseq(fresh, pair.target.conditional, rng)
+            want = verify_kseq(full, pair.target.conditional, full_rng)
+            assert got == want and rng.uniform() == full_rng.uniform()
+            # a row survives while it matches the accepted prefix t, and every
+            # survivor is read at each position up to tau, so row k is drawn
+            # through position min(m_k, L - 1), m_k its common prefix with t
+            common = [len(list(itertools.takewhile(bool, map(operator.eq, row, want.t))))
+                      for row in full.tokens]
+            assert len(calls) == sum(min(m, L - 1) + 1 for m in common), seed
+            drawn += len(calls)
+        assert drawn < 0.8 * 50 * K * L
 
 
 class TestVerifySd:
