@@ -536,6 +536,39 @@ class TestPruning:
                 assert type(q_chain) is ModifiedChain and q_chain.record is mod
         assert seen
 
+    @pytest.mark.parametrize("algo, K", [("gbv", 1), ("spectr-gbv", 2)])
+    def test_no_layer_L_below_the_top_is_read(self, algo, K, monkeypatch):
+        # a tripwire for a stack cap of L layers (ROADMAP item 23): after each
+        # build the layer L below the top is swapped for one that raises on any
+        # read; similarity-0 pairs at V = 8 stack layers well past L
+        shipped = ModifiedChain.__init__
+        cuts = 0
+
+        class Tripwire:
+            def __getattr__(self, name):
+                raise AssertionError(f"{algo} read .{name} of a layer {L} below the top")
+
+        def init(self, base, draft, record, counters=None):
+            nonlocal cuts
+            shipped(self, base, draft, record, counters)
+            layer = self
+            for _ in range(L - 1):
+                layer = layer.base
+                if not isinstance(layer, ModifiedChain):
+                    return
+            if isinstance(layer.base, ModifiedChain):
+                layer.base = Tripwire()
+                cuts += 1
+
+        monkeypatch.setattr(ModifiedChain, "__init__", init)
+        pair = generate_pair(8, 1, 3, 1.0, 0.0)
+        pair = ModelPair(eos_free(pair.draft), eos_free(pair.target))
+        for L in (2, 3, 4, 8, 12):
+            before = cuts
+            decode(pair, algo, K, L, (3, 1, 4, 1, 5, 9, 2, 6), 600, RandomSource(L))
+            # at L = 2 every base is spent (horizon <= 1 <= prefix), so none is cut
+            assert (cuts > before) == (L > 2), L
+
     def test_4096_token_decode_completes(self):
         out, m = decode(_eos_free_v16(), "spectr-gbv", 3, 8, (0,) * 8, 4096, RandomSource(7))
         assert len(out) >= 4096 and m.decoded_tokens == len(out)
