@@ -87,7 +87,7 @@ class Distribution:
     mass array is made read-only here, so callers pass an array of their
     own, and the cached ``cdf`` can never disagree with it. Distributions
     compare and hash by identity, so a model's cached row can key a memo
-    (the K-SEQ scale in ``verifiers``); two rows of equal mass are unequal.
+    (the K-SEQ scale in ``memo``); two rows of equal mass are unequal.
     """
 
     mass: np.ndarray
@@ -143,6 +143,11 @@ class Distribution:
     def _cdf_view(self) -> memoryview:
         """Read-only view of ``cdf`` that ``bisect`` indexes as Python floats."""
         return memoryview(self.cdf)
+
+    @cached_property
+    def memo(self) -> dict:
+        """The K-SEQ scales solved with this as the target row, by (draft row, K)."""
+        return {}
 
 
 def normalize(raw) -> Distribution:

@@ -17,10 +17,10 @@ its iterations.
 The K-SEQ scale rho and the rejection residual depend only on the draft row,
 the target row and the number of surviving rows, and model rows are cached
 ``Distribution``s that recur, so ``verify_kseq`` builds each once per
-triple. Rho is kept in a global memo that holds both rows weakly; a
-residual, with the CDF its first draw builds, in the ``residuals`` dict that
-``harness.decode`` keeps for one decode, since a global memo would hold
-thousands of row-sized residuals at V = 1024. A rho solve or a residual pass
+triple. Rho is kept in the target row's ``memo``, keyed by (draft row, K),
+and goes with that row; a residual, with the CDF its first draw builds, in
+the ``residuals`` dict that ``harness.decode`` keeps for one decode, since a
+memo on the rows would hold thousands of row-sized residuals at V = 1024. A rho solve or a residual pass
 is charged to ``vocab_scans`` wherever one is required, hit or miss, so the
 counters of a decode do not depend on what ran before it. A solve sorts the
 ratios q/p once; its bisection tries points in [1, K] only, so it reads just
@@ -73,9 +73,9 @@ than numpy does.
 from __future__ import annotations
 
 import math
-import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -129,22 +129,6 @@ class KseqScale:
     iterations: int
 
 
-class _AllRows:
-    """``DraftSet.tokens`` and ``cond`` until the first read of either draws
-    every row and keeps both as plain attributes, read ahead of this."""
-
-    def __set_name__(self, owner, name: str):
-        self.name = name
-
-    def __get__(self, drafts: "DraftSet", owner=None):
-        if drafts is None:
-            return self
-        for k in range(drafts.K):
-            drafts._draw(k, drafts.L)
-        drafts.tokens, drafts.cond = tuple(drafts._rows), tuple(drafts._conds)
-        return vars(drafts)[self.name]
-
-
 class DraftSet:
     """K drafted rows of length L plus the draft conditionals used to sample them.
 
@@ -157,9 +141,6 @@ class DraftSet:
     Drawn or given, every token has positive probability under its
     conditional.
     """
-
-    tokens: tuple[tuple[int, ...], ...] = _AllRows()
-    cond: tuple[tuple[Distribution, ...], ...] = _AllRows()
 
     def __init__(self, tokens, cond):
         if len(tokens) == 0:
@@ -176,25 +157,35 @@ class DraftSet:
         self._rows, self._conds = [tuple(row) for row in tokens], [tuple(c) for c in cond]
         self.tokens, self.cond = tuple(self._rows), tuple(self._conds)
 
-    def _draw(self, k: int, n: int) -> tuple[int, ...]:
-        """Row k, drawn through its first n tokens from its reserved uniforms."""
-        row, conds, source, p_cond = self._rows[k], self._conds[k], self._sources[k], self._p_cond
-        for i in range(len(row), n):
-            d = p_cond(row)
-            tok = sample(d, source)
-            if d.mass.item(tok) <= 0.0:
-                raise ValueError(f"row {k} token {i} has zero draft probability")
-            conds += (d,)
-            row += (tok,)
-        self._rows[k], self._conds[k] = row, conds
-        return row
+    @cached_property
+    def tokens(self) -> tuple[tuple[int, ...], ...]:
+        """Every row, drawn on the first read of this or ``cond``; it stores
+        ``cond`` too, so a full read takes one ``cached_property`` lock."""
+        for k in range(self.K):
+            self.draw(k, self.L - 1)
+        self.cond = tuple(self._conds)
+        return tuple(self._rows)
+
+    @cached_property
+    def cond(self) -> tuple[tuple[Distribution, ...], ...]:
+        """Every row's conditionals, stored by the read of ``tokens`` this makes."""
+        self.tokens
+        return vars(self)["cond"]
 
     def draw(self, k: int, i: int) -> tuple[int, Distribution]:
-        """Row k's token at position i and the conditional it was drawn from."""
-        row = self._rows[k]
+        """Row k's token at position i and its conditional, drawn through i first."""
+        row, conds = self._rows[k], self._conds[k]
         if i >= len(row):
-            row = self._draw(k, i + 1)
-        return row[i], self._conds[k][i]
+            source, p_cond = self._sources[k], self._p_cond
+            for n in range(len(row), i + 1):
+                d = p_cond(row)
+                tok = sample(d, source)
+                if d.mass.item(tok) <= 0.0:
+                    raise ValueError(f"row {k} token {n} has zero draft probability")
+                conds += (d,)
+                row += (tok,)
+            self._rows[k], self._conds[k] = row, conds
+        return row[i], conds[i]
 
 
 def draft_rows(p_cond, K: int, L: int, rng: RandomSource) -> DraftSet:
@@ -301,25 +292,16 @@ def kseq_rho(p: Distribution, q: Distribution, K: int, tol: float = 1e-12) -> Ks
     return KseqScale(mid, below_q[i] / mid + above_p[i], iterations)
 
 
-# target row -> {(weak reference to the draft row, survivors): rho}. Both rows
-# are held weakly, so the memo keeps no row alive, even one that is its own
-# draft row, and a target row's entries go with it. An entry whose draft row
-# goes first stays until its target row goes; its dead reference equals no
-# live row's.
-_RHO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _kseq_scale(p: Distribution, q: Distribution, K: int) -> float:
-    """``kseq_rho(p, q, K).rho``, solved once per (target row, draft row, K).
+    """``kseq_rho(p, q, K).rho``, solved once and kept in the target row's ``memo``.
 
     A miss calls ``kseq_rho`` through this module's global, so a wrapper
     rebound over it counts real solves.
     """
-    memo = _RHO.setdefault(q, {})
-    key = (weakref.ref(p), K)
-    rho = memo.get(key)
+    memo = q.memo
+    rho = memo.get((p, K))
     if rho is None:
-        rho = memo[key] = kseq_rho(p, q, K).rho
+        rho = memo[p, K] = kseq_rho(p, q, K).rho
     return rho
 
 

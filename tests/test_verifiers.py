@@ -784,7 +784,7 @@ class TestKseqMemo:
         for pair in pairs:
             decode(pair, "spectr", 3, 4, (0, 1), 48, RandomSource(3))
             rows += [*pair.draft.cache.values(), *pair.target.cache.values()]
-        assert any(d in verifiers._RHO for d in rows)
+        assert any(d.memo for d in rows)
         return [weakref.ref(d) for d in rows]
 
     @pytest.mark.parametrize("shape", ["pair", "matched", "swapped"])
