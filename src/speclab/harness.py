@@ -67,7 +67,7 @@ class RawChain:
     """Target or draft conditionals from a fixed absolute context, at the model's temperature.
 
     Only the context's last ``model.order`` tokens are kept. A context shorter
-    than the order is kept whole, so the model zero-pads it as before. When
+    than the order is kept whole, so the model zero-pads it. When
     ``ctx`` alone is at least ``order`` long, its tail is the row's key, and
     a lookup probes ``model.cache`` with it directly; a shorter ``ctx`` or a
     miss goes through ``model.conditional``, which pads and fills the cache.

@@ -145,7 +145,11 @@ class DraftSet:
     def __init__(self, tokens, cond):
         if len(tokens) == 0:
             raise ValueError("need at least one draft row")
+        if len(cond) != len(tokens):
+            raise ValueError("cond must hold one row of conditionals per draft row")
         self.K, self.L = len(tokens), len(tokens[0])
+        if self.L < 1:
+            raise ValueError("need at least one token per draft row")
         for k, row in enumerate(tokens):
             if len(row) != self.L:
                 raise ValueError("ragged draft rows")
@@ -199,6 +203,8 @@ def draft_rows(p_cond, K: int, L: int, rng: RandomSource) -> DraftSet:
     """
     if K < 1:
         raise ValueError("need at least one draft row")
+    if L < 1:
+        raise ValueError("need at least one token per draft row")
     drafts = DraftSet.__new__(DraftSet)
     drafts.K, drafts.L, drafts._p_cond = K, L, p_cond
     drafts._rows, drafts._conds = [()] * K, [()] * K
@@ -401,9 +407,9 @@ def gbv_accept_prob(
     surplus draft mass at the next position; for the full block it is nu
     clamped to a probability. No verifier calls it: ``verify_gbv`` runs the
     power-form rules at K = 1. It is kept as the nu-form reference written
-    apart from ``_surplus``: the test suite's ``gbv_reference`` oracle walk
-    and the single-draft consistency criterion hold the power-form rules to
-    it, and ``bench/tracer.py`` wraps it by name.
+    apart from ``_surplus``: ``tests/conftest.py::reference_gbv`` and the
+    single-draft consistency criterion hold the power-form rules to it, and
+    ``bench/tracer.py`` wraps it by name.
     """
     if at_end:
         return min(1.0, nu)

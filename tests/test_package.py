@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import functools
 import importlib
 import inspect
 import pkgutil
@@ -77,3 +79,22 @@ def test_a_token_has_one_inverse_cdf_draw():
     assert found == ["probability.py"]
     assert "bisect_right" in inspect.getsource(probability.sample)
     assert list(inspect.signature(probability.sample).parameters) == ["d", "rng"]
+
+
+def test_derived_state_lives_on_its_owner():
+    # a cache is a cached property or a dict on the object it derives from:
+    # no weak-key table beside the rows and no hand-written descriptor
+    for path in sorted(Path(speclab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                assert "weakref" not in [a.name for a in node.names], path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "weakref", path.name
+            elif isinstance(node, ast.ClassDef):
+                methods = [f.name for f in node.body if isinstance(f, ast.FunctionDef)]
+                assert "__get__" not in methods, (path.name, node.name)
+    for name in ("_RHO", "_AllRows", "_draw"):
+        assert not hasattr(verifiers, name) and not hasattr(verifiers.DraftSet, name), name
+    for owner, name in [(verifiers.DraftSet, "tokens"), (verifiers.DraftSet, "cond"),
+                        (probability.Distribution, "memo")]:
+        assert isinstance(vars(owner)[name], functools.cached_property), name

@@ -540,10 +540,47 @@ class TestDraftSet:
         (((0, 1), (0,)), ((dist(0.5, 0.5),) * 2, (dist(0.5, 0.5),)), "ragged draft rows"),
         (((0, 1),), ((dist(0.5, 0.5),),), "cond[k] must hold one conditional per position"),
         (((0, 1),), ((dist(0.5, 0.5), dist(1, 0)),), "row 0 token 1 has zero draft probability"),
-    ], ids=["no-rows", "ragged", "short-cond", "zero-probability"])
+        (((0,), (0,)), ((dist(1, 0),),), "cond must hold one row of conditionals per draft row"),
+        (((0,),), ((dist(1, 0),),) * 2, "cond must hold one row of conditionals per draft row"),
+        (((),), ((),), "need at least one token per draft row"),
+    ], ids=["no-rows", "ragged", "short-cond", "zero-probability", "few-cond-rows", "many-cond-rows",
+            "empty-rows"])
     def test_malformed_rows_are_refused(self, tokens, cond, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             DraftSet(tokens, cond)
+
+    @pytest.mark.parametrize("K, L, message", [
+        (0, 2, "need at least one draft row"),
+        (2, 0, "need at least one token per draft row"),
+        (2, -1, "need at least one token per draft row"),
+    ])
+    def test_an_empty_draft_is_refused_before_any_reservation(self, K, L, message):
+        rng = RandomSource(0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            draft_rows(lambda row: dist(1, 0), K, L, rng)
+        assert rng.uniform() == RandomSource(0).uniform()
+
+    @pytest.mark.parametrize("L", [1, 8])
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_cond_read_first_draws_every_row(self, K, L):
+        # ``cond`` read before ``tokens`` reads ``tokens`` itself, which keeps both
+        p_cond = generate_pair(5, 1, 11, 1.0, 0.5).draft.conditional
+        rng, ref_rng = RandomSource(K * L), RandomSource(K * L)
+        drafts = draft_rows(p_cond, K, L, rng)
+        ref = reference_draft_rows(p_cond, K, L, ref_rng)
+        cond = drafts.cond
+        assert {"tokens", "cond"} <= vars(drafts).keys()
+        assert [len(c) for c in cond] == [L] * K
+        assert all(map(operator.is_, itertools.chain(*cond), itertools.chain(*ref.cond)))
+        assert drafts.tokens == ref.tokens and drafts.cond is cond
+        assert rng.uniform() == ref_rng.uniform()
+
+    def test_a_full_read_stores_both_rows_at_once(self):
+        # ``tokens`` stores ``cond`` as well, so the block verifiers' full read
+        # takes one cached_property's lock, not two
+        drafts = draft_rows(generate_pair(5, 1, 11, 1.0, 0.5).draft.conditional, 3, 4, RandomSource(0))
+        tokens = drafts.tokens
+        assert vars(drafts)["tokens"] is tokens and [len(c) for c in vars(drafts)["cond"]] == [4] * 3
 
     # K * L runs to 300, and a stream 250 doubles in puts even K * L = 8 across
     # the 256-double block, so reservations span a refill
