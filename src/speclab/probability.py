@@ -87,7 +87,7 @@ class Distribution:
     mass array is made read-only here, so callers pass an array of their
     own, and the cached ``cdf`` can never disagree with it. Distributions
     compare and hash by identity, so a model's cached row can key a memo
-    (the K-SEQ scale in ``memo``); two rows of equal mass are unequal.
+    (a target row's ``memo`` of K-SEQ scales); two rows of equal mass are unequal.
     """
 
     mass: np.ndarray

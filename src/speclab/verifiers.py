@@ -17,10 +17,10 @@ its iterations.
 The K-SEQ scale rho and the rejection residual depend only on the draft row,
 the target row and the number of surviving rows, and model rows are cached
 ``Distribution``s that recur, so ``verify_kseq`` builds each once per
-triple. Rho is kept in the target row's ``memo``, keyed by (draft row, K),
-and goes with that row; a residual, with the CDF its first draw builds, in
-the ``residuals`` dict that ``harness.decode`` keeps for one decode, since a
-memo on the rows would hold thousands of row-sized residuals at V = 1024. A rho solve or a residual pass
+triple. Rho is kept in the target row's ``memo``, and goes with that row; a
+residual, with the CDF its first draw builds, in the ``residuals`` dict that
+``harness.decode`` keeps for one decode, since a memo on the rows would hold
+thousands of row-sized residuals at V = 1024. A rho solve or a residual pass
 is charged to ``vocab_scans`` wherever one is required, hit or miss, so the
 counters of a decode do not depend on what ran before it. A solve sorts the
 ratios q/p once; its bisection tries points in [1, K] only, so it reads just

@@ -560,27 +560,22 @@ class TestDraftSet:
             draft_rows(lambda row: dist(1, 0), K, L, rng)
         assert rng.uniform() == RandomSource(0).uniform()
 
+    @pytest.mark.parametrize("first", ["tokens", "cond"])
     @pytest.mark.parametrize("L", [1, 8])
     @pytest.mark.parametrize("K", [1, 3])
-    def test_cond_read_first_draws_every_row(self, K, L):
-        # ``cond`` read before ``tokens`` reads ``tokens`` itself, which keeps both
+    def test_a_first_full_read_draws_every_row_and_stores_both(self, K, L, first):
+        # ``cond`` read first reads ``tokens``, which stores both, so a block
+        # verifier's full read takes one cached_property's lock, not two
         p_cond = generate_pair(5, 1, 11, 1.0, 0.5).draft.conditional
         rng, ref_rng = RandomSource(K * L), RandomSource(K * L)
         drafts = draft_rows(p_cond, K, L, rng)
         ref = reference_draft_rows(p_cond, K, L, ref_rng)
-        cond = drafts.cond
-        assert {"tokens", "cond"} <= vars(drafts).keys()
-        assert [len(c) for c in cond] == [L] * K
+        getattr(drafts, first)
+        tokens, cond = vars(drafts)["tokens"], vars(drafts)["cond"]
+        assert tokens == ref.tokens and [len(c) for c in cond] == [L] * K
         assert all(map(operator.is_, itertools.chain(*cond), itertools.chain(*ref.cond)))
-        assert drafts.tokens == ref.tokens and drafts.cond is cond
+        assert drafts.tokens is tokens and drafts.cond is cond
         assert rng.uniform() == ref_rng.uniform()
-
-    def test_a_full_read_stores_both_rows_at_once(self):
-        # ``tokens`` stores ``cond`` as well, so the block verifiers' full read
-        # takes one cached_property's lock, not two
-        drafts = draft_rows(generate_pair(5, 1, 11, 1.0, 0.5).draft.conditional, 3, 4, RandomSource(0))
-        tokens = drafts.tokens
-        assert vars(drafts)["tokens"] is tokens and [len(c) for c in vars(drafts)["cond"]] == [4] * 3
 
     # K * L runs to 300, and a stream 250 doubles in puts even K * L = 8 across
     # the 256-double block, so reservations span a refill
@@ -777,7 +772,7 @@ class TestKseqRho:
 class TestKseqMemo:
     """``verify_kseq`` takes rho from a memo keyed by (target row, draft row,
     survivors): a hit is bit for bit the solve it stands for, and an entry
-    lives no longer than its rows. A rejection residual is kept under the
+    goes with its target row. A rejection residual is kept under the
     same key in the dict a caller passes: a hit is the miss's own residual,
     charged as the miss was."""
 
@@ -805,8 +800,9 @@ class TestKseqMemo:
                     assert len(solves) == n
 
     def test_a_collected_draft_row_answers_for_no_other(self):
-        # each draft row is freed before the next is built, which CPython
-        # tends to place at the same address: a key by id() would hit
+        # each draft row is dropped before the next is built; were it freed,
+        # CPython would tend to place the next at its address, where a key by
+        # id() would hit. The memo holds its draft rows, so none is freed here
         q = dist(0.7, 0.2, 0.1)
         for n in range(20):
             p = normalize([1.0 + n, 1.0, 1.0])
@@ -816,7 +812,7 @@ class TestKseqMemo:
     @staticmethod
     def _decode_and_watch(pairs):
         """Decode ``spectr`` on each pair; weak references to every row the
-        decodes looked up, after checking that the memo holds some of them."""
+        decodes looked up, after checking that some of their memos hold entries."""
         rows = []
         for pair in pairs:
             decode(pair, "spectr", 3, 4, (0, 1), 48, RandomSource(3))
@@ -827,8 +823,8 @@ class TestKseqMemo:
     @pytest.mark.parametrize("shape", ["pair", "matched", "swapped"])
     def test_entries_go_with_their_rows(self, shape):
         # a matched pair makes one row both the draft and the target row of a
-        # key, and swapped pairs make each row the other's draft row: a memo
-        # holding its draft rows strongly would keep these rows alive
+        # key, and swapped pairs make each row the other's draft row: the rows
+        # and their memos form cycles, which the collector frees
         a, b = random_model(5, 1, 11, 1.0), random_model(5, 1, 12, 1.0)
         pairs = {
             "pair": [ModelPair(a, b)],
