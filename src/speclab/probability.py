@@ -6,9 +6,9 @@ which validates them once, when it is built, and makes them read-only;
 cumulative mass is built on the first draw and kept, with a read-only
 ``memoryview`` that ``sample`` bisects, so a model row sampled many times
 pays for one vocabulary pass and each later draw is one binary search.
-``RandomSource`` serves its doubles from blocks drawn from the generator,
-which is the same stream as one call per double, and ``reserve`` sets the
-next n of them aside for a draw made later. Token-prefix joints are
+``RandomSource`` serves its doubles from one iterator over blocks drawn
+from the generator, the same stream as one call per double, and ``reserve``
+takes the next n off it as a source of their own, for a draw made later. Token-prefix joints are
 ``PrefixJoint`` pairs of logs, -inf marking an exact zero, since products
 of conditionals over a block underflow in linear space for peaked models;
 ``joint_ratio`` is the one rule that reads a ratio off two of them.
@@ -21,14 +21,14 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
 
 SUM_TOL = 1e-9
 LOG_ZERO = float("-inf")
-# doubles drawn from the generator per refill of a RandomSource
+# doubles drawn from the generator at a time for a RandomSource's stream
 UNIFORM_BLOCK = 256
 
 
@@ -49,33 +49,25 @@ def derive_seed(master: int, *indices: int) -> int:
 class RandomSource:
     """Seeded uniform stream. Identical seed, identical draw sequence.
 
-    Doubles are drawn UNIFORM_BLOCK at a time with ``Generator.random(n)``,
-    which yields the same PCG64 doubles as n single ``random()`` calls.
-    ``reserve(n)`` takes the next n doubles at once for a source of their
-    own, which serves them as n ``uniform()`` calls here would have.
+    One endless iterator serves every double: it chains blocks of
+    UNIFORM_BLOCK drawn with ``Generator.random(n)``, which yields the same
+    PCG64 doubles as n single ``random()`` calls. ``reserve(n)`` takes the
+    next n for a source of their own, which serves them as n ``uniform()``
+    calls here would have and raises StopIteration past them. One source type
+    keeps ``sample``'s call of ``uniform`` monomorphic, so no draw slows.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
-        self._block = iter(())
+        gen = np.random.Generator(np.random.PCG64(self.seed))
+        self._stream = chain.from_iterable(iter(lambda: gen.random(UNIFORM_BLOCK).tolist(), None))
 
     def uniform(self) -> float:
-        u = next(self._block, None)
-        if u is None:
-            self._block = iter(self._gen.random(UNIFORM_BLOCK).tolist())
-            u = next(self._block)
-        return u
+        return next(self._stream)
 
     def reserve(self, n: int) -> "RandomSource":
-        got = list(islice(self._block, n))
-        while len(got) < n:
-            self._block = iter(self._gen.random(UNIFORM_BLOCK).tolist())
-            got += islice(self._block, n - len(got))
-        # a RandomSource with no generator behind its n doubles: one source type
-        # keeps ``sample``'s call of ``uniform`` monomorphic, so no draw slows
         source = RandomSource.__new__(RandomSource)
-        source.seed, source._gen, source._block = self.seed, None, iter(got)
+        source.seed, source._stream = self.seed, iter(list(islice(self._stream, n)))
         return source
 
 

@@ -81,6 +81,18 @@ def test_a_token_has_one_inverse_cdf_draw():
     assert list(inspect.signature(probability.sample).parameters) == ["d", "rng"]
 
 
+def test_the_uniform_stream_is_one_iterator():
+    # every double, drawn or reserved, comes off one chained iterator over the
+    # generator's blocks: one refill in the module, and no generator or block
+    # kept beside the stream
+    rng = probability.RandomSource(0)
+    for source in (rng, rng.reserve(3)):
+        assert type(source) is probability.RandomSource
+        assert sorted(vars(source)) == ["_stream", "seed"]
+        assert not hasattr(source, "_gen") and not hasattr(source, "_block")
+    assert inspect.getsource(probability).count(".random(UNIFORM_BLOCK)") == 1
+
+
 def test_derived_state_lives_on_its_owner():
     # a cache is a cached property or a dict on the object it derives from:
     # no weak-key table beside the rows and no hand-written descriptor

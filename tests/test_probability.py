@@ -191,6 +191,39 @@ class TestRandomSource:
         assert got == want
         assert all(type(u) is float for u in got)
 
+    @pytest.mark.parametrize("offset", [0, 1, 255])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    def test_a_reservation_is_the_next_n_single_draws(self, n, offset):
+        # ``offset`` doubles into a block, n reserved across as many blocks as
+        # they span, then the reserved source and this one read in turn: each
+        # serves its own run of the single-draw stream
+        gen = np.random.Generator(np.random.PCG64(11))
+        want = [float(gen.random()) for _ in range(offset + n + 300)]
+        rng = RandomSource(11)
+        before = [rng.uniform() for _ in range(offset)]
+        reserved = rng.reserve(n)
+        assert type(reserved) is RandomSource
+        mine, theirs = [], []
+        for _ in range(max(n, 300)):
+            if len(theirs) < n:
+                theirs.append(reserved.uniform())
+            if len(mine) < 300:
+                mine.append(rng.uniform())
+        assert before == want[:offset]
+        assert theirs == want[offset:offset + n]
+        assert mine == want[offset + n:]
+
+    def test_a_reservation_ends_after_its_n_doubles(self):
+        gen = np.random.Generator(np.random.PCG64(3))
+        want = [float(gen.random()) for _ in range(10)]
+        rng = RandomSource(3)
+        reserved = rng.reserve(5)
+        assert [reserved.uniform() for _ in range(5)] == want[:5]
+        with pytest.raises(StopIteration):
+            reserved.uniform()
+        # reading past the reservation takes nothing from the stream it came from
+        assert [rng.uniform() for _ in range(5)] == want[5:]
+
 
 class TestNormalize:
     def test_already_normalized(self):
