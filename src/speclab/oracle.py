@@ -469,8 +469,6 @@ def exact_output_distribution(
     t0 = time.perf_counter()
     # the second iteration's check reads depth 2(L + 1)
     depth = 2 * (L + 1) if iterations == 2 else L
-    if iterations == 2 and pair.vocab_size**depth > MAX_ENUM:
-        raise TooLarge("two-iteration enumeration exceeds the guard")
     inst = _instance(pair, L, K, context, depth)
     [(leaves, rows)] = _enumerate_leaves([inst])
     claimed = [_accept_mass(p, q, K) for p, q in zip(inst.p[1:], inst.q[1:L + 1])]

@@ -159,7 +159,6 @@ class DraftSet:
                 if cond[k][i].mass.item(tok) <= 0.0:
                     raise ValueError(f"row {k} token {i} has zero draft probability")
         self._rows, self._conds = [tuple(row) for row in tokens], [tuple(c) for c in cond]
-        self.tokens, self.cond = tuple(self._rows), tuple(self._conds)
 
     @cached_property
     def tokens(self) -> tuple[tuple[int, ...], ...]:

@@ -1009,7 +1009,7 @@ class TestArgumentGuard:
     def test_two_iterations_past_the_guard_are_refused(self):
         # V^(2(L + 1)) = 2^20 leaves past MAX_ENUM, refused before any table is built
         assert 2 ** 20 > oracle.MAX_ENUM
-        with pytest.raises(oracle.TooLarge, match="^two-iteration enumeration exceeds the guard$"):
+        with pytest.raises(oracle.TooLarge, match="^V\\^20 = 1048576 exceeds 1000000$"):
             exact_output_distribution(self.PAIR, 9, 1, iterations=2)
 
     def test_no_table_past_the_guard_is_built(self, monkeypatch, capsys):
