@@ -10,25 +10,12 @@ simulated batched pass, however many prefixes are read, and K * L draft
 calls however few drafted tokens the verifier reads, and so draws: the
 drafter's cost is simulated. Autoregressive decoding has block efficiency 1.
 
-Chains answer a list of contexts in one ``conditionals`` call. A block
-verifier asks the chain itself, once, for all K * (L + 1) row prefixes, so
-a ``ModifiedChain`` layer builds an iteration's overrides in one block and
+Chains answer a list of contexts in one ``conditionals`` call, so a
+``ModifiedChain`` layer builds an iteration's overrides in one block and
 asks the layer beneath once; its ``conditional`` is that call with one
-context. Only the chain tests the horizon: a context past it goes to the
-layer's ``RawChain``, not down the stack. ``sd`` and ``spectr`` ask a
-``RawChain`` one context per position they reach: a slice of the context's
-tail and one probe of the model's row cache, with no vocabulary pass.
-
-Each block-verifier iteration with a positive horizon stacks one
+context. Each block-verifier iteration with a positive horizon stacks one
 ``ModifiedChain`` on the last; one with horizon 0 leaves a ``RawChain`` at
-the history. A layer drops its base for the base's ``RawChain`` when it is
-built, if the base is spent, and every chain keeps only the context tail
-its Markov model reads, so memory and per-iteration work do not grow with
-decode length. One comparison at construction is exact: whether a layer
-can still override depends only on the prefix length of the layer directly
-above it, which is fixed once that layer is built, and a spent layer only
-passes its base's conditional through, as does every layer beneath it,
-which is what the raw target at that layer's absolute context returns.
+the history.
 """
 
 from __future__ import annotations
@@ -66,12 +53,13 @@ def _tail(context: tuple[int, ...], order: int) -> tuple[int, ...]:
 class RawChain:
     """Target or draft conditionals from a fixed absolute context, at the model's temperature.
 
-    Only the context's last ``model.order`` tokens are kept. A context shorter
-    than the order is kept whole, so the model zero-pads it. When
-    ``ctx`` alone is at least ``order`` long, its tail is the row's key, and
-    a lookup probes ``model.cache`` with it directly; a shorter ``ctx`` or a
-    miss goes through ``model.conditional``, which pads and fills the cache.
-    A context gets the object the model returns for it.
+    Only the context's last ``model.order`` tokens are kept, so a chain does
+    not grow with decode length. A context shorter than the order is kept
+    whole, so the model zero-pads it. When ``ctx`` alone is at least ``order``
+    long, its tail is the row's key, and a lookup probes ``model.cache`` with
+    it directly; a shorter ``ctx`` or a miss goes through
+    ``model.conditional``, which pads and fills the cache. A context gets the
+    object the model returns for it.
     """
 
     def __init__(self, model: MarkovModel, context: tuple[int, ...]):

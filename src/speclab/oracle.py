@@ -5,35 +5,24 @@ row's tests are fixed when it starts, each test's acceptance depends only
 on its own sub-block, and the rejected set H only grows, so each trie node
 is tested at most once: a rejected node is skipped after that, and an
 accepted one lifts tau past its level. The scan's law is therefore that of
-one frozen coin per node, C_u ~ Bernoulli(h(u)), drawn independently of
-the i.i.d. draft rows: tau is the deepest level holding a drafted node with
-C = 1 (0 if none), and t is that node, from the earliest row reaching it.
-A duplicated row reads the same coins again. ``_enumerate_leaves`` sums
-this law over the row counts through each node, bottom up the trie, in
+one frozen coin per node, C_u ~ Bernoulli(h(u)), drawn independently of the
+i.i.d. draft rows: tau is the deepest level holding a drafted node with
+C = 1 (0 if none), and t is that node, from the earliest row reaching it. A
+duplicated row reads the same coins again. ``_enumerate_leaves`` sums this
+law over the row counts through each node, bottom up the trie, in
 exponential generating functions, for a batch of instances of equal
 (V, L, K) at once: a second iteration enumerates every (first-iteration
-leaf, extra token) instance in one call. The coins' h are read from the
-level arrays (``_acceptances``): one ``subblock_accept_prob`` call per batch
-covers every block below level L that a sub-block test or the output law
-reads, and one ``full_block_accept_probs`` call, the elementwise form of
-``full_block_accept_prob``, every drafted full block. The output law then
-completes every leaf in one forward pass over the trie levels
-(``_output_law``). In block verification the residual after a block is the
-next iteration's modified target (Sun et al. 2024, arXiv 2403.10444), so
-every extra-token and modified-target row below level L is the normalized
-surplus at its block's joint ratio, normalized from the rows that same call
-returns with the h. Each instance's tables are built once, each only as
-deep as its last reader: the draft's to level L, the target's to the depth
-of the output law that reads it, from one chain call for every head; each
-distinct row object the call returns is stacked and logged once and
-gathered back to its heads. The whole law lives in one layout: a list of
-one array per trie level, its blocks in lexicographic order, so block
-u's children are the V entries from V * index(u) on and its n-token
-extensions are one run of V^n. The joints (linear and log-space), the
-conditional rows after each block, the leaf masses, the output law and the
-masses it is checked against are all such arrays, and every check is a
-reshape and a sum; a report builds its block-keyed tables from them on
-first access. The log joints are the verifier's bit for bit and the
+leaf, extra token) instance in one call. In block verification the residual
+after a block is the next iteration's modified target (Sun et al. 2024,
+arXiv 2403.10444), so every extra-token and modified-target row below level
+L is the normalized surplus at its block's joint ratio, taken from the rows
+that ``_acceptances`` returns with the coins' h. The whole law lives in one
+layout: a list of one array per trie level, its blocks in lexicographic
+order, so block u's children are the V entries from V * index(u) on and its
+n-token extensions are one run of V^n. The joints (linear and log-space),
+the conditional rows after each block, the leaf masses, the output law and
+the masses it is checked against are all such arrays, and every check is a
+reshape and a sum. The log joints are the verifier's bit for bit and the
 elementwise full-block form is the scalar rule's, so each h is the one
 decoding computes. The acceptance rules and the chains
 (``harness.RawChain``, ``harness.ModifiedChain``) are the ones decoding

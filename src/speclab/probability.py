@@ -8,7 +8,7 @@ cumulative mass is built on the first draw and kept, with a read-only
 pays for one vocabulary pass and each later draw is one binary search.
 ``RandomSource`` serves its doubles from one iterator over blocks drawn
 from the generator, the same stream as one call per double, and ``reserve``
-takes the next n off it as a source of their own, for a draw made later. Token-prefix joints are
+takes the next n off it for a draw made later. Token-prefix joints are
 ``PrefixJoint`` pairs of logs, -inf marking an exact zero, since products
 of conditionals over a block underflow in linear space for peaked models;
 ``joint_ratio`` is the one rule that reads a ratio off two of them.

@@ -14,29 +14,12 @@ modification passes. Draws by ``sample`` and model lookups are not counted,
 nor are serial target and draft calls: ``harness.decode`` derives those from
 its iterations.
 
-The K-SEQ scale rho and the rejection residual depend only on the draft row,
-the target row and the number of surviving rows, and model rows are cached
-``Distribution``s that recur, so ``verify_kseq`` builds each once per
-triple. Rho is kept in the target row's ``memo``, and goes with that row; a
-residual, with the CDF its first draw builds, in the ``residuals`` dict that
-``harness.decode`` keeps for one decode, since a memo on the rows would hold
-thousands of row-sized residuals at V = 1024. A rho solve or a residual pass
-is charged to ``vocab_scans`` wherever one is required, hit or miss, so the
-counters of a decode do not depend on what ran before it. A solve sorts the
-ratios q/p once; its bisection tries points in [1, K] only, so it reads just
-the slice of the table between #(ratios < 1) and #(ratios < K), and each
-step bisects only the ratios inside its current bracket. The sums it reads
-are the whole table's, so rho is bit for bit what a full lookup gives.
-
 verify_kseq       per-position multi-draft acceptance with the rho scale; the
                   one token-level verifier
 verify_sd         verify_kseq with one row: standard speculative sampling
 verify_spectr_gbv multi-draft block acceptance over sub-blocks with a shared
                   rejected-content set; the one block verifier
 verify_gbv        verify_spectr_gbv with one row: greedy block verification
-
-The block verifier also returns the ``ModifiedTarget`` that the next
-decoding iteration samples from, evaluated lazily.
 
 The power-form rules of ``verify_spectr_gbv`` share one kernel, ``_surplus``:
 the per-token surplus w(x) = q(x) * (1 - min(r * p(x) / q(x), 1))^K at a
@@ -47,27 +30,6 @@ from the running joints it is the next iteration's modified target. At
 K = 1 they are the single-draft rules of greedy block verification;
 ``gbv_accept_prob`` writes that acceptance apart, over the likelihood ratio
 nu = q/p, as a reference.
-
-The kernel works on an (n, V) block of prefixes at once, and every row is
-bit for bit what that prefix alone would give, so batching changes no
-outcome. The block verifier makes one ``subblock_accept_prob`` call per
-drafted row, for all of the row's tested sub-blocks, before it draws that
-row's uniforms, and a block that stops after an accepted sub-block takes
-its residual from that test's surplus row. ``ModifiedTarget.conditional``
-answers a list of contexts with one surplus block, normalized and
-validated as one block (``Distribution.rows``), for distinct contexts
-inside its horizon: ``harness.ModifiedChain`` alone tests the horizon.
-Scan counts stay per prefix. ``subblock_accept_prob`` takes the prefixes'
-log joints and row blocks and forms r and the draft joints itself, so the
-exact oracle calls the same body for every node of a trie level at once.
-
-The full-block rule has a scalar form, ``full_block_accept_prob``, which
-the block verifier calls as the last test of a row, and an elementwise one,
-``full_block_accept_probs``, which the oracle calls once per batch of trie
-levels. They share ``_geometric_tail`` and give the same bits (a test holds
-them equal). Each is the faster for its caller: on one joint numpy's fixed
-cost per call outweighs the rule, and over a level a Python loop costs more
-than numpy does.
 """
 
 from __future__ import annotations
@@ -323,10 +285,14 @@ def verify_kseq(
     is a step of standard speculative sampling, accepting with min(1, q/p)
     and on rejection drawing from norm(max(q - p, 0)). Where more survive,
     rho comes from the memo of ``_kseq_scale`` and one scan is charged, hit
-    or miss. A rejection's residual is kept in ``residuals``, if given, under
-    the same triple: a hit is the miss's very ``Distribution`` (the target
-    row if empty), charged the miss's pass and warning. Both memos key on
-    row identity: a ``harness.RawChain`` returns one cached row per prefix.
+    or miss, so a decode's counters do not depend on what ran before it. A
+    rejection's residual is kept in ``residuals``, if given, under the same
+    (target row, draft row, survivors) triple: a hit is the miss's very
+    ``Distribution`` (the target row if empty), charged the miss's pass and
+    warning. ``harness.decode`` keeps that dict for one decode, since a memo
+    on the rows would hold thousands of row-sized residuals at V = 1024.
+    Both memos key on row identity: a ``harness.RawChain`` returns one
+    cached row per prefix.
     It reads only the survivors' tokens, through ``drafts.draw``, so no row
     is drawn past the position where it drops out, and it keeps the accepted
     prefix itself.
@@ -477,7 +443,8 @@ def subblock_accept_prob(
     vanishes only on conditioning events of probability zero, where any
     return value is distributionally irrelevant; 1 is returned when r < 1,
     the single-draft ratio rule's convention, so the K = 1 reduction is
-    pointwise exact. An infinite ratio gives 0.
+    pointwise exact. An infinite ratio gives 0. Taking joints and row
+    blocks, it serves the exact oracle a whole trie level in one call.
 
     Returns the n probabilities and the (n, V) surplus block: row n,
     normalized, is the block residual at sub-block n.
@@ -536,7 +503,10 @@ def full_block_accept_probs(log_p: np.ndarray, log_q: np.ndarray, K: int) -> np.
     numpy does only the rule's +, -, *, / and min, which round as Python's
     do. G is read at min(r, 1), so no overflow is formed at the blocks with
     r > 1, which take q_j / p_j instead, and q_j / p_j is formed at those
-    blocks only."""
+    blocks only. The oracle calls it once per batch of trie levels, and the
+    block verifier the scalar form as a row's last test: each is the faster
+    for its caller, since on one joint numpy's fixed cost per call outweighs
+    the rule, and over a level a Python loop costs more than numpy does."""
     lp, lq = log_p.tolist(), log_q.tolist()
     r = np.array(list(map(joint_ratio, lp, lq)))
     a = np.full(len(r), 1.0 + _geometric_tail(np.minimum(r, 1.0), K))  # the tail is a scalar at K = 1
