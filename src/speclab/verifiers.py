@@ -9,7 +9,8 @@ asks ``q_cond``, prefix -> conditional, only where it reaches. All
 randomness flows through one ``RandomSource`` so outcomes are
 bit-reproducible. ``Counters.vocab_scans`` counts the vocabulary passes the
 verifiers make themselves: block acceptance evaluations, rho solves (one
-sorted ratio table each, however many bisection steps read it), residual and
+sorted ratio table each, however many bisection steps read it, charged
+wherever rows compete whether or not rho is read), residual and
 modification passes. Draws by ``sample`` and model lookups are not counted,
 nor are serial target and draft calls: ``harness.decode`` derives those from
 its iterations.
@@ -262,8 +263,10 @@ def kseq_rho(p: Distribution, q: Distribution, K: int, tol: float = 1e-12) -> Ks
 def _kseq_scale(p: Distribution, q: Distribution, K: int) -> float:
     """``kseq_rho(p, q, K).rho``, solved once and kept in the target row's ``memo``.
 
-    A miss calls ``kseq_rho`` through this module's global, so a wrapper
-    rebound over it counts real solves.
+    The one solve path: ``verify_kseq`` calls it where its rule needs a rho
+    that the memo lacks, and a traced call at every position where rows
+    compete. A miss calls ``kseq_rho`` through this module's global, so a
+    wrapper rebound over it counts real solves.
     """
     memo = q.memo
     rho = memo.get((p, K))
@@ -277,53 +280,72 @@ def verify_kseq(
 ) -> VerifyOutcome:
     """Position-by-position acceptance over the surviving draft rows.
 
-    At each position the scale rho is solved for the number of rows still
-    alive; surviving rows are those whose tokens match every accepted token
-    so far, so they share the prefix, and ``q_cond`` (prefix -> target
+    Surviving rows are those whose tokens match every accepted token so
+    far, so they share the prefix, and ``q_cond`` (prefix -> target
     conditional) is asked for it alone, and for the bonus row after a full
-    accept. Where one row survives rho = 1 and no scan is made: the position
-    is a step of standard speculative sampling, accepting with min(1, q/p)
-    and on rejection drawing from norm(max(q - p, 0)). Where more survive,
-    rho comes from the memo of ``_kseq_scale`` and one scan is charged, hit
-    or miss, so a decode's counters do not depend on what ran before it. A
-    rejection's residual is kept in ``residuals``, if given, under the same
+    accept. With m rows alive, a row's token x is accepted when its uniform
+    u < a = min(1, q(x) / (rho p(x))), rho the scale for m; as u < 1, that
+    is u < q(x) / (rho p(x)), and a itself is formed only for a trace. Where
+    one row survives rho = 1, and the position is a step of standard
+    speculative sampling, accepting with min(1, q/p) and on rejection
+    drawing from norm(max(q - p, 0)). Where more survive, rho is read from
+    the target row's memo if it is there. If not, the bracket decides:
+    ``kseq_rho`` returns rho in [1, m], and rounded products and quotients
+    are monotone, so q(x) / (rho p(x)) lies, bit for bit, between its values
+    at rho = m and at rho = 1. A u below the first accepts and one at or
+    above the second rejects, whatever rho is, so ``_kseq_scale`` solves rho
+    only for a u between the two, or for the residual once every survivor
+    rejects, and ``NoRoot`` is raised only by a solve the rule needs. A
+    traced call solves first, so each candidate records its a. One scan is
+    charged at every position where more than one row survives, solved or
+    not, so a decode's counters do not depend on what ran before it. A
+    rejection's residual is kept in ``residuals``, if given, under the
     (target row, draft row, survivors) triple: a hit is the miss's very
     ``Distribution`` (the target row if empty), charged the miss's pass and
     warning. ``harness.decode`` keeps that dict for one decode, since a memo
     on the rows would hold thousands of row-sized residuals at V = 1024.
     Both memos key on row identity: a ``harness.RawChain`` returns one
-    cached row per prefix.
-    It reads only the survivors' tokens, through ``drafts.draw``, so no row
-    is drawn past the position where it drops out, and it keeps the accepted
-    prefix itself.
+    cached row per prefix. It reads only the survivors' tokens, through
+    ``drafts.draw``, so no row is drawn past the position where it drops
+    out, and it keeps the accepted prefix itself.
     """
     counters = Counters()
     L = drafts.L
     survivors = list(range(drafts.K))
     prefix: tuple[int, ...] = ()
     for i in range(L):
-        s0 = survivors[0]
+        s0, m = survivors[0], len(survivors)
         p_i = drafts.draw(s0, i)[1]
         q_i = q_cond(prefix)
         rho = 1.0
-        if len(survivors) > 1:
-            rho = _kseq_scale(p_i, q_i, len(survivors))
+        if m > 1:
+            rho = q_i.memo.get((p_i, m)) if trace is None else _kseq_scale(p_i, q_i, m)
             counters.vocab_scans += 1
         accepted = None
         for k in survivors:
             tok = drafts.draw(k, i)[0]
-            a = min(1.0, q_i.mass.item(tok) / (rho * p_i.mass.item(tok)))
-            ok = rng.uniform() < a
+            q, p = q_i.mass.item(tok), p_i.mass.item(tok)
+            u = rng.uniform()
+            if rho is None:
+                if u < q / (m * p):  # at rho = m
+                    accepted = tok
+                    break
+                if u >= q / p:  # at rho = 1
+                    continue
+                rho = _kseq_scale(p_i, q_i, m)
+            ok = u < q / (rho * p)
             if trace is not None:
-                trace.append(("candidate", i + 1, k, tok, a, ok))
+                trace.append(("candidate", i + 1, k, tok, min(1.0, q / (rho * p)), ok))
             if ok:
                 accepted = tok
                 break
         if accepted is None:
+            if rho is None:
+                rho = _kseq_scale(p_i, q_i, m)
             counters.vocab_scans += 1
             counters.residual_evals += 1
             memo = {} if residuals is None else residuals
-            key = (q_i, p_i, len(survivors))
+            key = (q_i, p_i, m)
             res = memo.get(key)
             if res is None:
                 # q - min(rho p, q) >= 0 exactly, is q - p where positive at rho = 1,
@@ -338,7 +360,7 @@ def verify_kseq(
             counters.warnings += res is q_i
             y = sample(res, rng)
             return VerifyOutcome(tau=i, f=s0, t=prefix, y=y, counters=counters)
-        if len(survivors) > 1:
+        if m > 1:
             survivors = [k for k in survivors if drafts.draw(k, i)[0] == accepted]
         prefix += (accepted,)
     y = sample(q_cond(prefix), rng)

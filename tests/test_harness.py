@@ -108,6 +108,32 @@ class TestDecode:
         assert replace(warm[1], wall_ms=0.0) == replace(cold[1], wall_ms=0.0)
         assert cold[1].vocab_scans >= n
 
+    def test_a_cold_decode_solves_only_where_its_rule_reads_rho(self, monkeypatch):
+        # a traced verify solves at every position where rows compete; an
+        # untraced one only where a uniform lands between the tests at
+        # rho = m and at rho = 1, or every survivor rejects. On fresh rows
+        # both decodes give the same tokens and every metric but wall_ms,
+        # and the untraced one solves less often
+        solves, reads = [], []
+        solve, scale, kseq = verifiers.kseq_rho, verifiers._kseq_scale, verifiers.verify_kseq
+        monkeypatch.setattr(verifiers, "kseq_rho", lambda p, q, K: solves.append(K) or solve(p, q, K))
+        monkeypatch.setattr(verifiers, "_kseq_scale", lambda p, q, K: reads.append(K) or scale(p, q, K))
+
+        def cold():
+            pair = ModelPair(eos_free(random_model(16, 1, 17, 1.0)), eos_free(random_model(16, 1, 18, 1.0)))
+            return decode(pair, "spectr", 3, 4, (2, 0), 64, RandomSource(8))
+
+        lazy = cold()
+        n = len(solves)
+        solves.clear()
+        reads.clear()
+        monkeypatch.setattr(harness, "verify_kseq", lambda d, q, rng, trace, residuals: kseq(d, q, rng, [], residuals))
+        traced = cold()
+        assert traced[0] == lazy[0]
+        assert replace(traced[1], wall_ms=0.0) == replace(lazy[1], wall_ms=0.0)
+        # reads: one per position where rows compete, in the traced decode
+        assert 0 < n < len(solves) <= len(reads)
+
     @pytest.mark.parametrize("algo", ["sd", "spectr"])
     @pytest.mark.parametrize("shape", ["eos-free", "peaked"])
     def test_residual_memo_changes_nothing(self, algo, shape, monkeypatch):

@@ -81,6 +81,21 @@ def test_a_token_has_one_inverse_cdf_draw():
     assert list(inspect.signature(probability.sample).parameters) == ["d", "rng"]
 
 
+def test_rho_has_one_solve_path():
+    # every K-SEQ solve goes through _kseq_scale, so its memo and a wrapper
+    # rebound over verifiers.kseq_rho see each one
+    callers = []
+    for path in sorted(Path(speclab.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef):
+                callers += [
+                    (path.name, fn.name) for node in ast.walk(fn)
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "kseq_rho"
+                ]
+    assert callers == [("verifiers.py", "_kseq_scale")]
+
+
 def test_the_uniform_stream_is_one_iterator():
     # every double, drawn or reserved, comes off one chained iterator over the
     # generator's blocks: one refill in the module, and no generator or block

@@ -27,6 +27,7 @@ from conftest import (
     subblock_h,
     subblock_rule,
 )
+from test_golden_rho import EDGES
 from speclab import verifiers
 from speclab.harness import ModifiedChain, RawChain, decode
 from speclab.models import MarkovModel, ModelPair, generate_pair, random_model
@@ -916,6 +917,105 @@ class TestKseqMemo:
                 assert want.y == y
                 assert self._fields(got) == self._fields(want)
             assert len(memo) == 2
+
+
+class TestKseqGate:
+    """``verify_kseq`` decides a candidate from rho's bracket [1, m]: a
+    uniform below a at rho = m accepts and one at or above a at rho = 1
+    rejects, and rho is read only for a uniform between the two or for the
+    residual once every survivor rejects. Outcomes and counters are those of
+    a traced call, which solves at every position where rows compete."""
+
+    solves = TestKseqMemo.solves
+
+    def test_every_solve_lies_in_its_bracket(self):
+        # the gate's premise, bit for bit, with both ends reached exactly
+        where = set()
+        for V in (2, 5, 16, 1024):
+            for p, q in ratio_instances(V):
+                for K in (2, 3, 4, 8):
+                    rho = kseq_rho(p, q, K).rho
+                    assert 1.0 <= rho <= float(K), (V, K)
+                    where.add("1" if rho == 1.0 else "K" if rho == float(K) else "inside")
+        assert where == {"1", "K", "inside"}
+        # ratios at exactly 1 and K, yet the root lies inside the bracket
+        p, q, K, tol = EDGES["ratios at 1 and K"]
+        assert 1.0 < kseq_rho(p, q, K, tol).rho < float(K)
+
+    # nearly disjoint rows: beta(2) = 1.5e-7 puts g(2) within the solve's
+    # tolerance, so rho = 2 exactly and token 0's a is its value at rho = m
+    E = 1e-7
+
+    def _two_rows(self):
+        p, q = dist(1 - self.E, self.E), dist(self.E, 1 - self.E)
+        assert kseq_rho(p, q, 2).rho == 2.0
+        drafts = DraftSet(((0,), (0,)), ((p,), (p,)))
+        return drafts, prefix_table(drafts, ((q, q), (q, q)))
+
+    @staticmethod
+    def _served(*values):
+        """A ``RandomSource`` serving the given doubles."""
+        rng = RandomSource.__new__(RandomSource)
+        rng._stream = iter(values)
+        return rng
+
+    def test_a_uniform_at_the_lower_end_solves(self, solves):
+        # u = a at rho = m is not below a = a(rho) at rho = m: row 0 rejects,
+        # row 1 too, and the residual norm(q - min(2p, q)) = (0, 1) is drawn
+        drafts, q_cond = self._two_rows()
+        lower = min(1.0, self.E / (2 * (1 - self.E)))
+        out = verify_kseq(drafts, q_cond, self._served(lower, 0.5, 0.5))
+        assert (out.tau, out.y, out.counters.vocab_scans) == (0, 1, 2)
+        assert solves == [2]
+
+    def test_a_uniform_at_the_upper_end_rejects_without_a_solve(self, solves):
+        # row 0 rejects at a at rho = 1 and row 1 accepts below a at rho = 2;
+        # the traced call, on fresh rows, solves for the same outcome
+        upper = min(1.0, self.E / (1 - self.E))
+        outs = []
+        for trace in (None, []):
+            drafts, q_cond = self._two_rows()
+            outs.append(verify_kseq(drafts, q_cond, self._served(upper, 0.0, 0.5), trace))
+        assert (outs[0].tau, outs[0].t, outs[0].y, outs[0].counters.vocab_scans) == (1, (0,), 1, 1)
+        assert outs[1] == outs[0]
+        assert solves == [2]
+
+    @staticmethod
+    def _ratio_cases():
+        """200 seeded calls over ``ratio_instances`` pairs as order-0 models."""
+        pairs = {V: ratio_instances(V) for V in (2, 5, 16, 1024)}
+        for seed in range(200):
+            V, K = (2, 5, 16, 1024)[seed % 4], (2, 3, 4, 8)[seed // 4 % 4]
+            p, q = pairs[V][seed % len(pairs[V])]
+            yield draft_rows(lambda _: p, K, 3, RandomSource(seed)), lambda _: q, seed, [q]
+
+    @staticmethod
+    def _extreme_cases():
+        """200 seeded K = 3 calls over ``TestExtremeRegimes``' decode pairs."""
+        pairs = [generate_pair(V, 1, 11, conc, 0, T)
+                 for V, T, conc in itertools.product((8, 64), (0.05, 5), (0.01, 1))]
+        for seed in range(200):
+            pair = pairs[seed % len(pairs)]
+            drafts = draft_rows(pair.draft.conditional, 3, 4, RandomSource(seed))
+            yield drafts, pair.target.conditional, seed, pair.target.cache.values()
+
+    @pytest.mark.parametrize("cases", ["_ratio_cases", "_extreme_cases"])
+    def test_a_lazy_call_is_the_traced_call(self, cases, solves):
+        # each call on cold target rows, traced then not: the same outcome and
+        # counters, and never more solves untraced, fewer over the 200 seeds
+        traced = lazy = 0
+        for drafts, q_cond, seed, rows in getattr(self, cases)():
+            outs, counts = [], []
+            for trace in ([], None):
+                for row in list(rows):
+                    vars(row).pop("memo", None)
+                n = len(solves)
+                outs.append(verify_kseq(drafts, q_cond, RandomSource(seed), trace))
+                counts.append(len(solves) - n)
+            assert outs[1] == outs[0], seed
+            assert counts[1] <= counts[0], seed
+            traced, lazy = traced + counts[0], lazy + counts[1]
+        assert lazy < traced
 
 
 class TestVerifyKseq:
