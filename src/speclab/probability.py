@@ -58,8 +58,7 @@ class RandomSource:
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
-        gen = np.random.Generator(np.random.PCG64(self.seed))
+        gen = np.random.Generator(np.random.PCG64(int(seed)))
         self._stream = chain.from_iterable(iter(lambda: gen.random(UNIFORM_BLOCK).tolist(), None))
 
     def uniform(self) -> float:
@@ -67,7 +66,7 @@ class RandomSource:
 
     def reserve(self, n: int) -> "RandomSource":
         source = RandomSource.__new__(RandomSource)
-        source.seed, source._stream = self.seed, iter(list(islice(self._stream, n)))
+        source._stream = iter(list(islice(self._stream, n)))
         return source
 
 
