@@ -8,12 +8,12 @@ conditionals, once for every row prefix and one past the row
 asks ``q_cond``, prefix -> conditional, only where it reaches. All
 randomness flows through one ``RandomSource`` so outcomes are
 bit-reproducible. ``Counters.vocab_scans`` counts the vocabulary passes the
-verifiers make themselves: block acceptance evaluations, rho solves (one
-sorted ratio table each, however many bisection steps read it, charged
-wherever rows compete whether or not rho is read), residual and
-modification passes. Draws by ``sample`` and model lookups are not counted,
-nor are serial target and draft calls: ``harness.decode`` derives those from
-its iterations.
+verifiers make themselves: block acceptance evaluations (one per sub-block
+test, decided by its band or computed), rho solves (one sorted ratio table
+each, however many bisection steps read it, charged wherever rows compete
+whether or not rho is read), residual and modification passes. Draws by
+``sample`` and model lookups are not counted, nor are serial target and
+draft calls: ``harness.decode`` derives those from its iterations.
 
 verify_kseq       per-position multi-draft acceptance with the rho scale; the
                   one token-level verifier
@@ -481,14 +481,47 @@ def subblock_accept_prob(
         if rn == math.inf:  # a zero target joint passes nothing; den would be inf * 0 = NaN
             h.append(0.0)
             continue
-        num = S - (1.0 - min(rn, 1.0)) ** K
-        # rn * G(p_j) - 1 with its 1s cancelled exactly, so p_j near 1 keeps precision
-        den = (rn - 1.0) + rn * _geometric_tail(math.exp(lp) if K > 1 else None, K) + S
+        a, b = _subblock_terms(rn, lp, K)
+        num, den = S - a, b + S
         if abs(den) < DENOM_EPS:
             h.append(1.0 if rn < 1.0 else 0.0)
         else:
             h.append(min(1.0, max(0.0, num / den)))
     return h, w
+
+
+def _subblock_terms(r: float, log_p: float, K: int) -> tuple[float, float]:
+    """The sub-block rule's a = (1 - min(r, 1))^K and b = r G(p_j) - 1 at a
+    finite r and p_j = exp(log_p), G's 1 cancelled so p_j near 1 keeps
+    precision: h = (S - a) / (S + b), clamped, S the surplus row's sum."""
+    return (1.0 - min(r, 1.0)) ** K, (r - 1.0) + r * _geometric_tail(math.exp(log_p) if K > 1 else None, K)
+
+
+def subblock_band(log_p: float, log_q: float, K: int) -> tuple[float, float]:
+    """[lo, hi] holding the h that ``subblock_accept_prob`` returns at these
+    log joints, whatever the next-position rows; (0, 1) where none is known.
+
+    r = inf gives (0, 0), the rule's 0; K = 1 with r < 1 gives (1, 1), as
+    b = fl(r - 1) = -fl(1 - r) = -a makes num and den one float. Elsewhere,
+    with the rule's a and b: each surplus entry q t^K, t in [0, 1], rounds
+    to at most q, so S < S_max = 1 + 1e-8 (1 + SUM_TOL plus V ulps). Jensen
+    gives S >= a up to O(K SUM_TOL), and a + b = r (G(p_j) - G(r)) >= 0 for
+    r <= 1 (p_j <= r) and (1 - (1 - p_j)^K - q_j) / q_j >= 0 above. So where
+    the floats give a + b >= 1e-6, S + b is far above DENOM_EPS, h rises
+    with S (slope (a + b) / (S + b)^2), and hi = (S_max - a) / (S_max + b)
+    sits at least 8e-15 relative above h, ten times the quotients' rounding.
+    Below 1e-6 (r near 0, p_j near r at K >= 2, and r = 1 at K = 1, where S
+    can round to 0 and the DENOM_EPS branch gives 0) there is no band.
+    """
+    r = joint_ratio(log_p, log_q)
+    if r == math.inf:
+        return 0.0, 0.0
+    if K == 1 and r < 1.0:
+        return 1.0, 1.0
+    a, b = _subblock_terms(r, log_p, K)
+    if not a + b >= 1e-6:
+        return 0.0, 1.0
+    return 0.0, (1.0 + 1e-8 - a) / (1.0 + 1e-8 + b)
 
 
 def _geometric_tail(x: float, K: int) -> float:
@@ -600,10 +633,14 @@ def verify_spectr_gbv(
     inserted into H. An accepted full block finishes the call, with the
     extra token drawn from the target row past it. If no full block is
     accepted, the extra token comes from the block residual at the final
-    accepted prefix. The sub-blocks a row tests are known when the row
-    starts, so their probabilities come from one batched call. At tau >= 1
-    the residual is the normalized surplus row of the test that accepted
-    (f, tau), so it costs no second pass.
+    accepted prefix. A row's sub-block tests are known when it starts and
+    each draws the next uniform, so their uniforms are drawn first; one
+    outside its test's ``subblock_band`` decides the test with no surplus
+    row, and the rest come from one batched ``subblock_accept_prob`` call (a
+    traced call computes every h). Each test is charged one scan and one
+    evaluation, decided or computed. At tau >= 1 the residual is the
+    normalized surplus row of the test that accepted (f, tau), built then
+    if the band decided it, so it costs no second pass.
     """
     q_rows = score_rows(drafts, q_conds)
     counters = Counters()
@@ -615,22 +652,31 @@ def verify_spectr_gbv(
     for k in range(K):
         row = tokens[k]
         joints.append(_row_joints(row, cond[k], q_rows[k]))
-        # its sub-block tests, lengths tau+1 .. L-1 not in H, are fixed when it starts
+        # its sub-block tests, lengths tau+1 .. L-1 not in H, are fixed when it
+        # starts; tests[i] = (u, h, surplus row), h = lo or hi where u is outside the band
         tested = [i for i in range(tau + 1, L) if row[:i] not in H]
-        js = [joints[k][i] for i in tested]
-        tests = iter(zip(*subblock_accept_prob(
-            [j.log_p for j in js], [j.log_q for j in js],
-            np.array([cond[k][i].mass for i in tested]),
-            np.array([q_rows[k][i].mass for i in tested]), K, counters,
-        )) if tested else ())
+        counters.vocab_scans += len(tested)
+        counters.h_partial_evals += len(tested)
+        tests = {}
+        for i in tested:
+            u, (lo, hi) = rng.uniform(), subblock_band(*joints[k][i], K)
+            tests[i] = (u, None if trace is not None or lo <= u < hi else lo if u < lo else hi, None)
+        need = [i for i in tested if tests[i][1] is None]
+        if need:
+            js = [joints[k][i] for i in need]
+            for i, h, surplus in zip(need, *subblock_accept_prob(
+                [j.log_p for j in js], [j.log_q for j in js],
+                np.array([cond[k][i].mass for i in need]), np.array([q_rows[k][i].mass for i in need]), K,
+            )):
+                tests[i] = (tests[i][0], h, surplus)
         for i in range(tau + 1, L + 1):
             sub = row[:i]
             if sub in H:
                 if trace is not None:
                     trace.append(("skip", k, sub))
                 continue
-            h, surplus = next(tests) if i < L else (full_block_accept_prob(joints[k][L], K), None)
-            accepted = rng.uniform() < h
+            u, h, surplus = tests[i] if i < L else (rng.uniform(), full_block_accept_prob(joints[k][L], K), None)
+            accepted = u < h
             if trace is not None:
                 trace.append(("subblock" if i < L else "full", k, sub, h, accepted))
             if accepted:
@@ -641,6 +687,8 @@ def verify_spectr_gbv(
             y = sample(q_rows[f][L], rng)
             break
     else:
+        if tau and kept is None:  # (f, tau) was accepted by its band, without its surplus row
+            kept = _surplus(cond[f][tau].mass[None], q_rows[f][tau].mass[None], [joint_ratio(*joints[f][tau])], K)[0]
         try:
             res = block_residual(
                 joints[f][tau], cond[f][tau], q_rows[f][tau], K, counters, kept

@@ -134,6 +134,46 @@ class TestDecode:
         # reads: one per position where rows compete, in the traced decode
         assert 0 < n < len(solves) <= len(reads)
 
+    @staticmethod
+    def _traced_and_untraced(monkeypatch, run):
+        """``run()`` untraced and then with every block verify traced: both
+        results and the sub-block surplus rows each side computed."""
+        rows, sub = [], verifiers.subblock_accept_prob
+        monkeypatch.setattr(verifiers, "subblock_accept_prob", lambda lp, *a: rows.append(len(lp)) or sub(lp, *a))
+        out, n = run(), len(rows)
+        for name in ("verify_gbv", "verify_spectr_gbv"):
+            real = getattr(verifiers, name)
+            monkeypatch.setattr(harness, name, lambda d, q, rng, trace, real=real: real(d, q, rng, []))
+        traced = run()
+        return out, traced, sum(rows[:n]), sum(rows[n:])
+
+    @pytest.mark.parametrize("algo", ["gbv", "spectr-gbv"])
+    def test_a_cold_decode_computes_only_the_sub_blocks_its_bands_leave(self, algo, monkeypatch):
+        # an untraced block verify decides most sub-block tests from their
+        # bands; the decode gives the same tokens and every metric but wall_ms
+        # as one whose verifies all compute every h, with fewer surplus rows
+        def cold():
+            pair = ModelPair(eos_free(random_model(16, 1, 17, 1.0)), eos_free(random_model(16, 1, 18, 1.0)))
+            return decode(pair, algo, 1 if algo == "gbv" else 3, 4, (2, 0), 64, RandomSource(8))
+
+        lazy, traced, lazy_rows, traced_rows = self._traced_and_untraced(monkeypatch, cold)
+        assert traced[0] == lazy[0]
+        assert replace(traced[1], wall_ms=0.0) == replace(lazy[1], wall_ms=0.0)
+        assert lazy_rows < traced_rows <= lazy[1].vocab_scans
+
+    @pytest.mark.parametrize("T", [0.2, 1])
+    def test_the_unit_ratio_edge_is_computed(self, T, monkeypatch):
+        # on this pair the sub-block (1,) has r = 1 and a surplus that rounds
+        # to 0, so h = 0 (the DENOM_EPS branch) where the exact rule gives 1:
+        # the band leaves it to the rule, and gbv decodes match traced ones
+        bands, band = [], verifiers.subblock_band
+        monkeypatch.setattr(verifiers, "subblock_band", lambda *a: bands.append((a, band(*a))) or bands[-1][1])
+        pair = generate_pair(3, 1, 2, 0.003, 0, T)
+        runs = [lambda s=s: decode(pair, "gbv", 1, 3, (1,), 24, RandomSource(s)) for s in range(8)]
+        lazy, traced, _, _ = self._traced_and_untraced(monkeypatch, lambda: [r() for r in runs])
+        assert [(o, replace(m, wall_ms=0.0)) for o, m in lazy] == [(o, replace(m, wall_ms=0.0)) for o, m in traced]
+        assert ((0.0, 0.0, 1), (0.0, 1.0)) in bands
+
     @pytest.mark.parametrize("algo", ["sd", "spectr"])
     @pytest.mark.parametrize("shape", ["eos-free", "peaked"])
     def test_residual_memo_changes_nothing(self, algo, shape, monkeypatch):

@@ -57,6 +57,7 @@ from speclab.verifiers import (
     kseq_rho,
     score_rows,
     subblock_accept_prob,
+    subblock_band,
     verify_gbv,
     verify_kseq,
     verify_sd,
@@ -482,6 +483,83 @@ class TestBatchedKernel:
                 got = block_residual(j, ps[n], qs[n], K, reused, w[n])
                 assert np.array_equal(got.mass, want.mass)
                 assert (fresh.vocab_scans, reused.vocab_scans) == (1, 0)
+
+
+def assert_in_band(joint, p, q, K):
+    """h at ``joint`` lies in its band, and at K = 1 with r < 1 it is exactly
+    1.0 in a band of (1, 1); returns the band."""
+    lo, hi = subblock_band(joint.log_p, joint.log_q, K)
+    h = subblock_h(joint, p, q, K)
+    assert lo <= h <= hi, (h, lo, hi)
+    if K == 1 and joint_ratio(*joint) < 1.0:
+        assert h == 1.0 and (lo, hi) == (1.0, 1.0)
+    return lo, hi
+
+
+class TestSubblockBand:
+    """``subblock_band`` holds the sub-block rule's h from the rule's scalars
+    alone: r = inf gives (0, 0), K = 1 with r < 1 gives (1, 1), and elsewhere
+    [0, hi] or, where a + b is near 0, no band, (0, 1)."""
+
+    KINDS = list(itertools.product(("flat", "sparse", "peaked"), repeat=2))
+
+    @kernel_cases
+    @example(seed=2, V=2, p_kind="flat", q_kind="peaked", K=2, r=1.0, a=-1e-6)
+    @example(seed=3, V=4, p_kind="sparse", q_kind="flat", K=1, r=math.inf, a=0.0)
+    @example(seed=5, V=16, p_kind="flat", q_kind="flat", K=1, r=TINY, a=0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_h_lies_in_its_band(self, seed, V, p_kind, q_kind, K, r, a):
+        p, q = kernel_pair(seed, V, p_kind, q_kind)
+        assert_in_band(joint_with_ratio(r, a), p, q, K)
+
+    @pytest.mark.parametrize("r", [1e-9, 1e-7, 1e-5, 1e-3])
+    def test_the_cancellation_range(self, r):
+        # num and den are rounding residues here, so most of these tests get
+        # no band; those whose a + b clears the threshold do
+        bands = set()
+        for seed, V, (pk, qk) in itertools.product(range(6), (2, 16, 1024), self.KINDS):
+            p, q = kernel_pair(seed, V, pk, qk)
+            for K, a in itertools.product((2, 3, 4), (0.0, -1e-6, -0.5, -3.0)):
+                bands.add(assert_in_band(joint_with_ratio(r, a), p, q, K)[1] < 1.0)
+        assert False in bands
+
+    def test_edge_ratios_and_joints_near_one(self):
+        # r at 0, TINY, 1 and an ulp either side, e^700 and inf; a = 0 puts
+        # p_j at 1 (r >= 1) or at r (r <= 1)
+        ratios = (0.0, TINY, 1.0 - 2.0**-53, 1.0, 1.0 + 2.0**-52, math.exp(700.0), math.inf)
+        kinds = set()
+        for seed, V, (pk, qk) in itertools.product(range(4), (2, 3, 16, 257), self.KINDS):
+            p, q = kernel_pair(seed, V, pk, qk)
+            for r, a, K in itertools.product(ratios, (0.0, -1e-12, -1e-6, -0.5), (1, 2, 3, 5, 8)):
+                lo, hi = assert_in_band(joint_with_ratio(r, a), p, q, K)
+                kinds.add("pinned" if lo == hi else "none" if hi == 1.0 else "band")
+        assert kinds == {"pinned", "none", "band"}
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("r", [0.5, 2.0, 1e3])
+    def test_a_surplus_at_the_top_of_the_sum_tolerance(self, r, K):
+        # q sums to 1 + 9e-10 off p's support, so S = sum q > 1: h exceeds the
+        # bound at S = 1, and the band's slack above it still holds h
+        p, q = dist(0.0, 0.0, 1.0), dist(0.6, 0.4 + 9e-10, 0.0)
+        joint = joint_with_ratio(r, -0.5)
+        if K == 1 and r < 1.0:
+            assert assert_in_band(joint, p, q, K) == (1.0, 1.0)
+            return
+        a, b = verifiers._subblock_terms(joint_ratio(*joint), joint.log_p, K)
+        assert subblock_h(joint, p, q, K) > (1.0 - a) / (1.0 + b)
+        assert_in_band(joint, p, q, K)
+
+    @pytest.mark.parametrize("T", [0.2, 1])
+    def test_a_unit_ratio_at_one_draft_has_no_band(self, T):
+        # on this pair the row (1, 1) has r = 1 exactly and a surplus that
+        # rounds to 0, so the rule's DENOM_EPS branch gives h = 0 where S/S
+        # would be 1; a band pinned at r = 1 would read 1
+        pair = generate_pair(3, 1, 2, 0.003, 0, T)
+        p, q = pair.draft.conditional((1,)), pair.target.conditional((1,))
+        joint = joint_of((1,), p, q)
+        assert joint == PrefixJoint(0.0, 0.0)
+        assert subblock_h(joint, p, q, 1) == 0.0
+        assert assert_in_band(joint, p, q, 1) == (0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1481,6 +1559,94 @@ class TestVerifySpectrGbv:
             out, _ = verify_spectr_gbv(drafts, q_conds, rng)
             c = out.counters
             assert c.vocab_scans == c.h_partial_evals + c.residual_evals
+
+
+class TestBlockGate:
+    """``verify_spectr_gbv`` draws a row's sub-block uniforms first and
+    decides a test from its band: u < lo accepts and u >= hi rejects
+    without the test's surplus row, and the rest are computed in one batch.
+    Outcomes, modified targets, counters and the stream are those of a
+    traced call, which computes every h."""
+
+    @pytest.fixture
+    def rows(self, monkeypatch):
+        """The surplus rows computed, one entry per ``_surplus`` call."""
+        calls, real = [], verifiers._surplus
+        monkeypatch.setattr(verifiers, "_surplus", lambda p, q, r, K: calls.append(len(r)) or real(p, q, r, K))
+        return calls
+
+    @staticmethod
+    def _ratio_cases():
+        """200 seeded calls over ``ratio_instances`` pairs as order-0 models."""
+        pairs = {V: ratio_instances(V) for V in (2, 5, 16, 1024)}
+        for seed in range(200):
+            V, K = (2, 5, 16, 1024)[seed % 4], (1, 2, 3, 4, 8)[seed // 4 % 5]
+            p, q = pairs[V][seed % len(pairs[V])]
+            yield draft_rows(lambda _: p, K, 4, RandomSource(seed)), batched(lambda _: q), seed
+
+    @staticmethod
+    def _extreme_cases():
+        """200 seeded K = 1 and K = 3 calls over ``TestExtremeRegimes``' decode pairs."""
+        pairs = [generate_pair(V, 1, 11, conc, 0, T)
+                 for V, T, conc in itertools.product((8, 64), (0.05, 5), (0.01, 1))]
+        for seed in range(200):
+            pair = pairs[seed % len(pairs)]
+            drafts = draft_rows(pair.draft.conditional, (1, 3)[seed // 8 % 2], 4, RandomSource(seed))
+            yield drafts, batched(pair.target.conditional), seed
+
+    @pytest.mark.parametrize("cases", ["_ratio_cases", "_extreme_cases"])
+    def test_an_untraced_call_is_the_traced_call(self, cases, rows):
+        # the same outcome with its counters, modified target and next
+        # uniform, never more surplus rows untraced, and fewer over the 200
+        traced = lazy = 0
+        for drafts, q_conds, seed in getattr(self, cases)():
+            outs, counts = [], []
+            for trace in ([], None):
+                n, rng = sum(rows), RandomSource(seed)
+                outs.append((*verify_spectr_gbv(drafts, q_conds, rng, trace), rng.uniform()))
+                counts.append(sum(rows) - n)
+            assert outs[1] == outs[0], seed
+            assert counts[1] <= counts[0], seed
+            traced, lazy = traced + counts[0], lazy + counts[1]
+        assert lazy < traced
+
+    # order-0 rows where token 2 has r = 1/6 and token 0 has r = 7
+    P, Q = (0.7, 0.2, 0.1), (0.1, 0.3, 0.6)
+
+    def _served_call(self, rows_, K, values, trace):
+        p, q = dist(*self.P), dist(*self.Q)
+        drafts = DraftSet(rows_, ((p,) * 3,) * K)
+        rng = TestKseqGate._served(*values, 0.125)
+        out, _ = verify_spectr_gbv(drafts, batched(lambda ctx: q), rng, trace)
+        return out, rng.uniform()
+
+    def test_the_stream_moves_as_in_the_traced_call(self, rows):
+        # K = 2: row 0 computes (2,) and accepts it, rejects (2, 0) from its
+        # band and rejects its full block; row 1 skips (2, 0), rejects its
+        # full block, and y is drawn: five uniforms, then the next one
+        rows_, values = ((2, 0, 0), (2, 0, 1)), (0.5, 0.5, 0.5, 0.9, 0.3)
+        p, q = dist(*self.P), dist(*self.Q)
+        j = joint_of((2, 0), p, q)
+        assert subblock_band(*j, 2)[1] <= 0.5
+        outs = []
+        for trace in ([], None):
+            n = len(rows)
+            outs.append((*self._served_call(rows_, 2, values, trace), rows[n:]))
+        assert outs[0][:2] == outs[1][:2]
+        assert (outs[1][0].tau, outs[1][0].f, outs[1][1]) == (1, 0, 0.125)
+        # traced: one batch of two rows for row 0; untraced: (2,) alone
+        assert (outs[0][2], outs[1][2]) == ([2], [1])
+
+    def test_a_lazily_built_residual_row_is_the_batched_row(self, monkeypatch):
+        # K = 1: (2,) has r < 1, so its band (1, 1) accepts it without a row;
+        # (2, 0) and the full block reject, and the residual at (2,) needs the
+        # row, built then: the one the traced call's batch computed, bit for bit
+        kept, real = [], verifiers.block_residual
+        monkeypatch.setattr(verifiers, "block_residual", lambda *a: kept.append(a[-1]) or real(*a))
+        outs = [self._served_call(((2, 0, 0),), 1, (0.5, 0.9, 0.9, 0.3), trace) for trace in ([], None)]
+        assert outs[1] == outs[0]
+        assert outs[0][0].tau == 1 and len(kept) == 2
+        assert kept[0].tobytes() == kept[1].tobytes() and kept[1].shape == (3,)
 
 
 class TestModification:
