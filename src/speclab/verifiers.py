@@ -264,9 +264,8 @@ def _kseq_scale(p: Distribution, q: Distribution, K: int) -> float:
     """``kseq_rho(p, q, K).rho``, solved once and kept in the target row's ``memo``.
 
     The one solve path: ``verify_kseq`` calls it where its rule needs a rho
-    that the memo lacks, and a traced call at every position where rows
-    compete. A miss calls ``kseq_rho`` through this module's global, so a
-    wrapper rebound over it counts real solves.
+    that the memo lacks. A miss calls ``kseq_rho`` through this module's
+    global, so a wrapper rebound over it counts real solves.
     """
     memo = q.memo
     rho = memo.get((p, K))
@@ -284,22 +283,21 @@ def verify_kseq(
     far, so they share the prefix, and ``q_cond`` (prefix -> target
     conditional) is asked for it alone, and for the bonus row after a full
     accept. With m rows alive, a row's token x is accepted when its uniform
-    u < a = min(1, q(x) / (rho p(x))), rho the scale for m; as u < 1, that
-    is u < q(x) / (rho p(x)), and a itself is formed only for a trace. Where
-    one row survives rho = 1, and the position is a step of standard
-    speculative sampling, accepting with min(1, q/p) and on rejection
-    drawing from norm(max(q - p, 0)). Where more survive, rho is read from
-    the target row's memo if it is there. If not, the bracket decides:
+    u < a = min(1, q(x) / (rho p(x))), that is u < q(x) / (rho p(x)), rho
+    the scale for m. One row gives rho = 1, a step of standard speculative
+    sampling with residual norm(max(q - p, 0)). With more, rho is read from
+    the target row's memo if it is there; if not, the bracket decides:
     ``kseq_rho`` returns rho in [1, m], and rounded products and quotients
-    are monotone, so q(x) / (rho p(x)) lies, bit for bit, between its values
-    at rho = m and at rho = 1. A u below the first accepts and one at or
-    above the second rejects, whatever rho is, so ``_kseq_scale`` solves rho
-    only for a u between the two, or for the residual once every survivor
-    rejects, and ``NoRoot`` is raised only by a solve the rule needs. A
-    traced call solves first, so each candidate records its a. One scan is
-    charged at every position where more than one row survives, solved or
-    not, so a decode's counters do not depend on what ran before it. A
-    rejection's residual is kept in ``residuals``, if given, under the
+    are monotone, so the test at rho = m gives the same answer unless u
+    lies between the ratio's values at rho = m and at rho = 1. Only then,
+    or for the residual once every survivor rejects, does ``_kseq_scale``
+    solve rho, so ``NoRoot`` is raised only by a solve the rule needs. A
+    ``trace`` list gets ("candidate", position, row, token, a, accepted)
+    per candidate, a float where rho is known, else the pair of a's values
+    at rho = m and rho = 1 that u was compared with (one float if equal).
+    One scan is charged at every position where more than one row survives,
+    solved or not, so a decode's counters do not depend on what ran before
+    it. A rejection's residual is kept in ``residuals``, if given, under the
     (target row, draft row, survivors) triple: a hit is the miss's very
     ``Distribution`` (the target row if empty), charged the miss's pass and
     warning. ``harness.decode`` keeps that dict for one decode, since a memo
@@ -313,29 +311,26 @@ def verify_kseq(
     L = drafts.L
     survivors = list(range(drafts.K))
     prefix: tuple[int, ...] = ()
+    x = rho = 1.0  # rho, and the multiplier u is tested with, where one row survives
     for i in range(L):
         s0, m = survivors[0], len(survivors)
         p_i = drafts.draw(s0, i)[1]
         q_i = q_cond(prefix)
-        rho = 1.0
         if m > 1:
-            rho = q_i.memo.get((p_i, m)) if trace is None else _kseq_scale(p_i, q_i, m)
+            rho = q_i.memo.get((p_i, m))
+            x = m if rho is None else rho
             counters.vocab_scans += 1
         accepted = None
         for k in survivors:
             tok = drafts.draw(k, i)[0]
             q, p = q_i.mass.item(tok), p_i.mass.item(tok)
             u = rng.uniform()
-            if rho is None:
-                if u < q / (m * p):  # at rho = m
-                    accepted = tok
-                    break
-                if u >= q / p:  # at rho = 1
-                    continue
-                rho = _kseq_scale(p_i, q_i, m)
-            ok = u < q / (rho * p)
+            if rho is None and q / (m * p) <= u < q / p:  # inside the bracket: the rule reads rho
+                x = rho = _kseq_scale(p_i, q_i, m)
+            ok = u < q / (x * p)
             if trace is not None:
-                trace.append(("candidate", i + 1, k, tok, min(1.0, q / (rho * p)), ok))
+                a, a1 = min(1.0, q / (x * p)), min(1.0, q / p)
+                trace.append(("candidate", i + 1, k, tok, a if rho is not None or a == a1 else (a, a1), ok))
             if ok:
                 accepted = tok
                 break
@@ -362,6 +357,7 @@ def verify_kseq(
             return VerifyOutcome(tau=i, f=s0, t=prefix, y=y, counters=counters)
         if m > 1:
             survivors = [k for k in survivors if drafts.draw(k, i)[0] == accepted]
+            x = rho = 1.0  # for a lone survivor; more set their own at the next position
         prefix += (accepted,)
     y = sample(q_cond(prefix), rng)
     return VerifyOutcome(tau=L, f=survivors[0], t=prefix, y=y, counters=counters)
@@ -450,7 +446,6 @@ def subblock_accept_prob(
     p_next: np.ndarray,
     q_next: np.ndarray,
     K: int,
-    counters: Counters | None = None,
 ) -> tuple[list[float], np.ndarray]:
     """Acceptance probabilities for n proper sub-blocks under K drafts.
 
@@ -472,9 +467,6 @@ def subblock_accept_prob(
     normalized, is the block residual at sub-block n.
     """
     r = list(map(joint_ratio, log_p, log_q))
-    if counters is not None:
-        counters.vocab_scans += len(r)
-        counters.h_partial_evals += len(r)
     w = _surplus(p_next, q_next, r, K)
     h = []
     for rn, lp, S in zip(r, log_p, w.sum(axis=1).tolist()):
@@ -636,11 +628,13 @@ def verify_spectr_gbv(
     accepted prefix. A row's sub-block tests are known when it starts and
     each draws the next uniform, so their uniforms are drawn first; one
     outside its test's ``subblock_band`` decides the test with no surplus
-    row, and the rest come from one batched ``subblock_accept_prob`` call (a
-    traced call computes every h). Each test is charged one scan and one
-    evaluation, decided or computed. At tau >= 1 the residual is the
-    normalized surplus row of the test that accepted (f, tau), built then
-    if the band decided it, so it costs no second pass.
+    row, and the rest come from one batched ``subblock_accept_prob`` call.
+    Each test is charged one scan and one evaluation, decided or computed.
+    At tau >= 1 the residual is the normalized surplus row of the test that
+    accepted (f, tau), built then if the band decided it, so it costs no
+    second pass. A ``trace`` list gets ("skip", k, prefix) or ("subblock" |
+    "full", k, prefix, h, accepted) per prefix: h a float where computed or
+    pinned by the band (lo == hi), else the (lo, min(hi, 1)) u was tested on.
     """
     q_rows = score_rows(drafts, q_conds)
     counters = Counters()
@@ -652,33 +646,35 @@ def verify_spectr_gbv(
     for k in range(K):
         row = tokens[k]
         joints.append(_row_joints(row, cond[k], q_rows[k]))
-        # its sub-block tests, lengths tau+1 .. L-1 not in H, are fixed when it
-        # starts; tests[i] = (u, h, surplus row), h = lo or hi where u is outside the band
+        # its sub-block tests, lengths tau+1 .. L-1 not in H, are fixed when it starts;
+        # tests[i] = (u, lo, hi, surplus row), the band or lo = hi = h: u < hi decides
         tested = [i for i in range(tau + 1, L) if row[:i] not in H]
         counters.vocab_scans += len(tested)
         counters.h_partial_evals += len(tested)
-        tests = {}
+        tests, need = {}, []
         for i in tested:
             u, (lo, hi) = rng.uniform(), subblock_band(*joints[k][i], K)
-            tests[i] = (u, None if trace is not None or lo <= u < hi else lo if u < lo else hi, None)
-        need = [i for i in tested if tests[i][1] is None]
+            tests[i] = (u, lo, hi, None)
+            if lo <= u < hi:
+                need.append(i)
         if need:
             js = [joints[k][i] for i in need]
             for i, h, surplus in zip(need, *subblock_accept_prob(
                 [j.log_p for j in js], [j.log_q for j in js],
                 np.array([cond[k][i].mass for i in need]), np.array([q_rows[k][i].mass for i in need]), K,
             )):
-                tests[i] = (tests[i][0], h, surplus)
+                tests[i] = (tests[i][0], h, h, surplus)
         for i in range(tau + 1, L + 1):
             sub = row[:i]
             if sub in H:
                 if trace is not None:
                     trace.append(("skip", k, sub))
                 continue
-            u, h, surplus = tests[i] if i < L else (rng.uniform(), full_block_accept_prob(joints[k][L], K), None)
-            accepted = u < h
+            u, lo, hi, surplus = tests[i] if i < L else (
+                rng.uniform(), h := full_block_accept_prob(joints[k][L], K), h, None)
+            accepted = u < hi
             if trace is not None:
-                trace.append(("subblock" if i < L else "full", k, sub, h, accepted))
+                trace.append(("subblock" if i < L else "full", k, sub, hi if lo == hi else (lo, min(1.0, hi)), accepted))
             if accepted:
                 tau, f, kept = i, k, surplus
             else:

@@ -1,10 +1,11 @@
+import contextlib
 import math
 from bisect import bisect_left
 
 import numpy as np
 import pytest
 
-from speclab import oracle
+from speclab import oracle, verifiers
 from speclab.models import MarkovModel, ModelPair, block_index
 from speclab.probability import (
     LOG_ZERO,
@@ -263,19 +264,51 @@ def override(mod, ctx, q_cond, p_cond, counters=None):
     return mod.conditional([ctx], batched(q_cond), batched(p_cond), counters)[0]
 
 
-def subblock_rule(joints, p_next, q_next, K, counters=None):
+def subblock_rule(joints, p_next, q_next, K):
     """``subblock_accept_prob`` of sub-blocks given as ``PrefixJoint``s and
     next-position ``Distribution``s, the inputs ``verify_spectr_gbv`` turns
     into log joints and row blocks."""
     return subblock_accept_prob(
         [j.log_p for j in joints], [j.log_q for j in joints],
-        np.array([d.mass for d in p_next]), np.array([d.mass for d in q_next]), K, counters,
+        np.array([d.mass for d in p_next]), np.array([d.mass for d in q_next]), K,
     )
 
 
-def subblock_h(joint, p_next, q_next, K, counters=None):
+def subblock_h(joint, p_next, q_next, K):
     """The sub-block acceptance probability of one sub-block, asked as a batch of one."""
-    return subblock_rule([joint], [p_next], [q_next], K, counters)[0][0]
+    return subblock_rule([joint], [p_next], [q_next], K)[0][0]
+
+
+def presolve(drafts, q_cond) -> None:
+    """Solve rho into the target rows' memos for every (draft row, target
+    row, m), 2 <= m <= K, that ``verify_kseq`` can reach on these rows: each
+    row's conditional at each position against the target row at that row's
+    prefix. A call on them then reads every rho from the memo and decides no
+    candidate from its bracket, so its trace holds every candidate's exact
+    a: the reference that a bracket-decided call is checked against. The
+    solves go through ``verifiers._kseq_scale``, so a wrapper over
+    ``verifiers.kseq_rho`` counts them."""
+    for row, conds in zip(drafts.tokens, drafts.cond):
+        for i, p in enumerate(conds):
+            q = q_cond(row[:i])
+            for m in range(2, drafts.K + 1):
+                verifiers._kseq_scale(p, q, m)
+
+
+@pytest.fixture
+def no_band(monkeypatch):
+    """A context manager under which ``verifiers.subblock_band`` is (0.0, 1.0)
+    at every sub-block, so ``verify_spectr_gbv`` decides no test from a band
+    and computes every h: the reference that a band-decided call is checked
+    against. Leaving it restores whatever ``subblock_band`` was before."""
+
+    @contextlib.contextmanager
+    def reference():
+        with monkeypatch.context() as patch:
+            patch.setattr(verifiers, "subblock_band", lambda log_p, log_q, K: (0.0, 1.0))
+            yield
+
+    return reference
 
 
 class NuModifiedTarget(ModifiedTarget):

@@ -537,7 +537,10 @@ DEMO_COUNTERS = (
 
 
 # verify-demo output of the token-level verifiers, at L = 4 and seed 5, for
-# the same three pair sources: sd (K forced to 1) and spectr at K = 3
+# the same three pair sources: sd (K forced to 1) and spectr at K = 3. A
+# candidate that rho's bracket decided shows the pair of its acceptance
+# probabilities at rho = m, m the surviving rows, and at rho = 1, that its
+# uniform was compared with
 KSEQ_DEMO_ARGS = {"sd": ["--algo", "sd"], "spectr": ["--algo", "spectr", "--K", "3"]}
 KSEQ_DEMO_OUTPUT = {
     ("sd", "default"): """\
@@ -573,8 +576,8 @@ algo=spectr  K=3  L=4  V=8  prompt=[2, 6, 7, 2, 5, 0, 7, 3]
   draft row 0: [0, 5, 4, 4]
   draft row 1: [0, 0, 5, 0]
   draft row 2: [7, 2, 3, 3]
-  ('candidate', 1, 0, 0, 0.41838350997225227, True)
-  ('candidate', 2, 0, 5, 0.5176597440937969, True)
+  ('candidate', 1, 0, 0, (0.22168400525380003, 0.6650520157614), True)
+  ('candidate', 2, 0, 5, (0.39586548759938683, 0.7917309751987737), True)
   ('candidate', 3, 0, 4, 1.0, True)
   ('candidate', 4, 0, 4, 0.6980850733612999, True)
 outcome: tau=4 f=0 t=[0, 5, 4, 4] y=4
@@ -597,8 +600,8 @@ algo=spectr  K=3  L=4  V=3  prompt=[0, 2, 2, 0, 1, 0, 2, 1]
   draft row 0: [0, 1, 1, 1]
   draft row 1: [0, 0, 0, 0]
   draft row 2: [2, 0, 1, 0]
-  ('candidate', 1, 0, 0, 0.5459206664803467, True)
-  ('candidate', 2, 0, 1, 1.0, True)
+  ('candidate', 1, 0, 0, (0.3553592387820252, 1.0), True)
+  ('candidate', 2, 0, 1, (0.7962304737928044, 1.0), True)
   ('candidate', 3, 0, 1, 0.34182005284145467, True)
   ('candidate', 4, 0, 1, 0.34182005284145467, False)
 outcome: tau=3 f=0 t=[0, 1, 1] y=2
@@ -610,7 +613,8 @@ counters: Counters(vocab_scans=3, h_partial_evals=0, residual_evals=1, warnings=
 # verify-demo output of the block verifiers, for the same three pair sources:
 # gbv at L = 4, seed 3 (a rejected sub-block and a residual at tau < L on the
 # default pair) and spectr-gbv at K = 3, L = 4, seed 6 (a skip, rejected rows,
-# a later row winning, and tau = 0 on the file pair)
+# a later row winning, and tau = 0 on the file pair). A sub-block test that
+# its band decided shows the band (lo, hi) its uniform was compared with
 BLOCK_DEMO_ARGS = {
     "gbv": ["--algo", "gbv", "--L", "4", "--seed", "3"],
     "spectr-gbv": ["--algo", "spectr-gbv", "--K", "3", "--L", "4", "--seed", "6"],
@@ -619,7 +623,7 @@ BLOCK_DEMO_OUTPUT = {
     ("gbv", "default"): """\
 algo=gbv  K=1  L=4  V=8  prompt=[2, 7, 5, 4, 5, 1, 7, 5]
   draft row 0: [7, 7, 5, 7]
-  ('subblock', 0, (7,), 0.8342775067283362, False)
+  ('subblock', 0, (7,), (0.0, 0.9474345145008107), False)
   ('subblock', 0, (7, 7), 0.4020770590935899, True)
   ('subblock', 0, (7, 7, 5), 0.0856248191140308, False)
   ('full', 0, (7, 7, 5, 7), 0.5721829643095039, False)
@@ -639,7 +643,7 @@ counters: Counters(vocab_scans=3, h_partial_evals=3, residual_evals=0, warnings=
     ("gbv", "files"): """\
 algo=gbv  K=1  L=4  V=3  prompt=[0, 2, 2, 1, 1, 0, 2, 1]
   draft row 0: [1, 2, 1, 1]
-  ('subblock', 0, (1,), 0.06217102921028664, False)
+  ('subblock', 0, (1,), (0.0, 0.34182005509124574), False)
   ('subblock', 0, (1, 2), 1.0, True)
   ('subblock', 0, (1, 2, 1), 0.36128091215004743, True)
   ('full', 0, (1, 2, 1, 1), 0.23529042348083534, False)
@@ -652,15 +656,15 @@ algo=spectr-gbv  K=3  L=4  V=8  prompt=[5, 3, 0, 1, 0, 0, 5, 5]
   draft row 1: [7, 2, 0, 4]
   draft row 2: [7, 5, 0, 7]
   ('subblock', 0, (0,), 0.11409012705027566, False)
-  ('subblock', 0, (0, 5), 0.007049788196103832, False)
+  ('subblock', 0, (0, 5), (0.0, 0.20666203563222413), False)
   ('subblock', 0, (0, 5, 4), 0.01025798215732881, False)
   ('full', 0, (0, 5, 4, 3), 0.29718436519124497, False)
-  ('subblock', 1, (7,), 0.056331833255356366, False)
-  ('subblock', 1, (7, 2), 0.006477904190548775, False)
-  ('subblock', 1, (7, 2, 0), 0.028962662873182977, False)
+  ('subblock', 1, (7,), (0.0, 0.4104067691356873), False)
+  ('subblock', 1, (7, 2), (0.0, 0.19278853055740128), False)
+  ('subblock', 1, (7, 2, 0), (0.0, 0.10730158080858611), False)
   ('full', 1, (7, 2, 0, 4), 0.057177746780510116, False)
   ('skip', 2, (7,))
-  ('subblock', 2, (7, 5), 0.013592668086479843, False)
+  ('subblock', 2, (7, 5), (0.0, 0.26332902868850994), False)
   ('subblock', 2, (7, 5, 0), 0.05591744450941646, True)
   ('full', 2, (7, 5, 0, 7), 0.12553691313049012, False)
 outcome: tau=3 f=2 t=[7, 5, 0] y=3
@@ -672,14 +676,14 @@ algo=spectr-gbv  K=3  L=4  V=4  prompt=[2, 1, 0, 0, 0, 0, 2, 2]
   draft row 1: [2, 1, 1, 1]
   draft row 2: [2, 2, 0, 3]
   ('subblock', 0, (1,), 0.31982766756217623, True)
-  ('subblock', 0, (1, 1), 0.12189813369973361, False)
-  ('subblock', 0, (1, 1, 1), 0.047369759578350136, False)
+  ('subblock', 0, (1, 1), (0.0, 0.2082234098572234), False)
+  ('subblock', 0, (1, 1, 1), (0.0, 0.09478413598678027), False)
   ('full', 0, (1, 1, 1, 1), 0.04352351033932455, False)
-  ('subblock', 1, (2, 1), 0.1530418041811224, False)
-  ('subblock', 1, (2, 1, 1), 0.06003297488038387, False)
+  ('subblock', 1, (2, 1), (0.0, 0.2518448897104186), False)
+  ('subblock', 1, (2, 1, 1), (0.0, 0.11491400362991683), False)
   ('full', 1, (2, 1, 1, 1), 0.05284885481312787, False)
-  ('subblock', 2, (2, 2), 0.0, False)
-  ('subblock', 2, (2, 2, 0), 0.0, False)
+  ('subblock', 2, (2, 2), (0.0, 0.15768014480450215), False)
+  ('subblock', 2, (2, 2, 0), (0.0, 0.0820928438906668), False)
   ('full', 2, (2, 2, 0, 3), 0.03279771910204543, False)
 outcome: tau=1 f=0 t=[1] y=0
 counters: Counters(vocab_scans=7, h_partial_evals=7, residual_evals=0, warnings=0)
@@ -693,12 +697,12 @@ algo=spectr-gbv  K=3  L=4  V=3  prompt=[2, 1, 0, 0, 0, 0, 2, 2]
   ('subblock', 0, (0, 1), 0.25137392154836435, False)
   ('subblock', 0, (0, 1, 1), 0.023954878587736723, False)
   ('full', 0, (0, 1, 1, 0), 0.2183555809647479, False)
-  ('subblock', 1, (1,), 0.015567997719039668, False)
-  ('subblock', 1, (1, 0), 0.0, False)
-  ('subblock', 1, (1, 0, 0), 0.0, False)
+  ('subblock', 1, (1,), (0.0, 0.24460446907089797), False)
+  ('subblock', 1, (1, 0), (0.0, 0.19728842158150903), False)
+  ('subblock', 1, (1, 0, 0), (0.0, 0.21434264953455137), False)
   ('full', 1, (1, 0, 0, 0), 0.24149175456622546, False)
   ('skip', 2, (1,))
-  ('subblock', 2, (1, 1), 0.0, False)
+  ('subblock', 2, (1, 1), (0.0, 0.06536334198468385), False)
   ('subblock', 2, (1, 1, 0), 0.0, False)
   ('full', 2, (1, 1, 0, 2), 0.019011847844759046, False)
 outcome: tau=0 f=0 t=[] y=2

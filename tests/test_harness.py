@@ -6,7 +6,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from conftest import eos_free
+from conftest import eos_free, presolve
 from speclab import harness, verifiers
 from speclab.harness import (
     CSV_HEADER,
@@ -109,11 +109,11 @@ class TestDecode:
         assert cold[1].vocab_scans >= n
 
     def test_a_cold_decode_solves_only_where_its_rule_reads_rho(self, monkeypatch):
-        # a traced verify solves at every position where rows compete; an
-        # untraced one only where a uniform lands between the tests at
-        # rho = m and at rho = 1, or every survivor rejects. On fresh rows
-        # both decodes give the same tokens and every metric but wall_ms,
-        # and the untraced one solves less often
+        # a verify solves only where a uniform lands between the tests at
+        # rho = m and at rho = 1, or every survivor rejects. The reference
+        # decode's traced verifies solve every rho their rows can reach
+        # first (``presolve``). On fresh pairs both decodes give the same
+        # tokens and every metric but wall_ms, and the reference solves more
         solves, reads = [], []
         solve, scale, kseq = verifiers.kseq_rho, verifiers._kseq_scale, verifiers.verify_kseq
         monkeypatch.setattr(verifiers, "kseq_rho", lambda p, q, K: solves.append(K) or solve(p, q, K))
@@ -127,51 +127,55 @@ class TestDecode:
         n = len(solves)
         solves.clear()
         reads.clear()
-        monkeypatch.setattr(harness, "verify_kseq", lambda d, q, rng, trace, residuals: kseq(d, q, rng, [], residuals))
-        traced = cold()
-        assert traced[0] == lazy[0]
-        assert replace(traced[1], wall_ms=0.0) == replace(lazy[1], wall_ms=0.0)
-        # reads: one per position where rows compete, in the traced decode
+        monkeypatch.setattr(harness, "verify_kseq",
+                            lambda d, q, rng, trace, residuals: presolve(d, q) or kseq(d, q, rng, [], residuals))
+        reference = cold()
+        assert reference[0] == lazy[0]
+        assert replace(reference[1], wall_ms=0.0) == replace(lazy[1], wall_ms=0.0)
+        # reads: one per (row, position, survivor count) pre-solved, and one
+        # per position where rows compete, in the reference decode
         assert 0 < n < len(solves) <= len(reads)
 
     @staticmethod
-    def _traced_and_untraced(monkeypatch, run):
-        """``run()`` untraced and then with every block verify traced: both
-        results and the sub-block surplus rows each side computed."""
+    def _gated_and_reference(monkeypatch, no_band, run):
+        """``run()`` as it is, then as the reference, every block verify traced
+        and computing every h (``no_band``): both results and the sub-block
+        surplus rows each side computed."""
         rows, sub = [], verifiers.subblock_accept_prob
         monkeypatch.setattr(verifiers, "subblock_accept_prob", lambda lp, *a: rows.append(len(lp)) or sub(lp, *a))
         out, n = run(), len(rows)
         for name in ("verify_gbv", "verify_spectr_gbv"):
             real = getattr(verifiers, name)
             monkeypatch.setattr(harness, name, lambda d, q, rng, trace, real=real: real(d, q, rng, []))
-        traced = run()
-        return out, traced, sum(rows[:n]), sum(rows[n:])
+        with no_band():
+            reference = run()
+        return out, reference, sum(rows[:n]), sum(rows[n:])
 
     @pytest.mark.parametrize("algo", ["gbv", "spectr-gbv"])
-    def test_a_cold_decode_computes_only_the_sub_blocks_its_bands_leave(self, algo, monkeypatch):
-        # an untraced block verify decides most sub-block tests from their
-        # bands; the decode gives the same tokens and every metric but wall_ms
-        # as one whose verifies all compute every h, with fewer surplus rows
+    def test_a_cold_decode_computes_only_the_sub_blocks_its_bands_leave(self, algo, monkeypatch, no_band):
+        # a block verify decides most sub-block tests from their bands; the
+        # decode gives the same tokens and every metric but wall_ms as the
+        # reference, whose verifies compute every h, with fewer surplus rows
         def cold():
             pair = ModelPair(eos_free(random_model(16, 1, 17, 1.0)), eos_free(random_model(16, 1, 18, 1.0)))
             return decode(pair, algo, 1 if algo == "gbv" else 3, 4, (2, 0), 64, RandomSource(8))
 
-        lazy, traced, lazy_rows, traced_rows = self._traced_and_untraced(monkeypatch, cold)
-        assert traced[0] == lazy[0]
-        assert replace(traced[1], wall_ms=0.0) == replace(lazy[1], wall_ms=0.0)
-        assert lazy_rows < traced_rows <= lazy[1].vocab_scans
+        lazy, reference, lazy_rows, reference_rows = self._gated_and_reference(monkeypatch, no_band, cold)
+        assert reference[0] == lazy[0]
+        assert replace(reference[1], wall_ms=0.0) == replace(lazy[1], wall_ms=0.0)
+        assert lazy_rows < reference_rows <= lazy[1].vocab_scans
 
     @pytest.mark.parametrize("T", [0.2, 1])
-    def test_the_unit_ratio_edge_is_computed(self, T, monkeypatch):
+    def test_the_unit_ratio_edge_is_computed(self, T, monkeypatch, no_band):
         # on this pair the sub-block (1,) has r = 1 and a surplus that rounds
         # to 0, so h = 0 (the DENOM_EPS branch) where the exact rule gives 1:
-        # the band leaves it to the rule, and gbv decodes match traced ones
+        # the band leaves it to the rule, and gbv decodes match the reference's
         bands, band = [], verifiers.subblock_band
         monkeypatch.setattr(verifiers, "subblock_band", lambda *a: bands.append((a, band(*a))) or bands[-1][1])
         pair = generate_pair(3, 1, 2, 0.003, 0, T)
         runs = [lambda s=s: decode(pair, "gbv", 1, 3, (1,), 24, RandomSource(s)) for s in range(8)]
-        lazy, traced, _, _ = self._traced_and_untraced(monkeypatch, lambda: [r() for r in runs])
-        assert [(o, replace(m, wall_ms=0.0)) for o, m in lazy] == [(o, replace(m, wall_ms=0.0)) for o, m in traced]
+        lazy, reference, _, _ = self._gated_and_reference(monkeypatch, no_band, lambda: [r() for r in runs])
+        assert [(o, replace(m, wall_ms=0.0)) for o, m in lazy] == [(o, replace(m, wall_ms=0.0)) for o, m in reference]
         assert ((0.0, 0.0, 1), (0.0, 1.0)) in bands
 
     @pytest.mark.parametrize("algo", ["sd", "spectr"])

@@ -1,3 +1,5 @@
+import contextlib
+import functools
 import gc
 import itertools
 import math
@@ -19,6 +21,7 @@ from conftest import (
     beta_table,
     override,
     prefix_table,
+    presolve,
     ratio_instances,
     reference_draft_rows,
     reference_gbv,
@@ -309,14 +312,13 @@ class TestSurplusKernel:
 
     @pytest.mark.parametrize("K", (1, 2, 3))
     def test_zero_target_joint_keeps_its_surplus_row_and_scan(self, K):
-        # h = 0 is returned apart from the formula, and the row and the scan
-        # count stay what every other test gets, so decodes do not move
+        # h = 0 is returned apart from the formula, and the row stays what
+        # every other test gets; the scan that charges the test is the
+        # verifier's (criterion 9 and the golden CSV pin it)
         p, q = kernel_pair(3, 4, "sparse", "flat")
-        counters = Counters()
-        h, w = subblock_rule([PrefixJoint(0.0, LOG_ZERO)], [p], [q], K, counters)
+        h, w = subblock_rule([PrefixJoint(0.0, LOG_ZERO)], [p], [q], K)
         assert h == [0.0]
         assert np.array_equal(w[0], np.where(p.mass == 0.0, q.mass, 0.0))
-        assert (counters.vocab_scans, counters.h_partial_evals) == (1, 1)
 
     @kernel_cases
     @settings(max_examples=300, deadline=None)
@@ -453,14 +455,11 @@ class TestBatchedKernel:
         for seed in range(8):
             ps, qs, ratios = self.block(V, self.KINDS, 100 * seed + V + 7)
             joints = [joint_with_ratio(r, -0.5 * n) for n, r in enumerate(ratios)]
-            batch = Counters()
-            hs, w = subblock_rule(joints, ps, qs, K, batch)
-            single = Counters()
+            hs, w = subblock_rule(joints, ps, qs, K)
             for n, j in enumerate(joints):
-                h, w1 = subblock_rule([j], [ps[n]], [qs[n]], K, single)
+                h, w1 = subblock_rule([j], [ps[n]], [qs[n]], K)
                 assert hs[n] == h[0]
                 assert np.array_equal(w[n], w1[0])
-            assert batch == single
 
     @pytest.mark.parametrize("V", [2, 16, 1024])
     @pytest.mark.parametrize("K", [1, 2, 3, 4])
@@ -1002,7 +1001,8 @@ class TestKseqGate:
     uniform below a at rho = m accepts and one at or above a at rho = 1
     rejects, and rho is read only for a uniform between the two or for the
     residual once every survivor rejects. Outcomes and counters are those of
-    a traced call, which solves at every position where rows compete."""
+    the traced reference call, on rows whose every reachable rho is solved
+    into the memo first (``presolve``), so that no bracket decides."""
 
     solves = TestKseqMemo.solves
 
@@ -1048,52 +1048,65 @@ class TestKseqGate:
 
     def test_a_uniform_at_the_upper_end_rejects_without_a_solve(self, solves):
         # row 0 rejects at a at rho = 1 and row 1 accepts below a at rho = 2;
-        # the traced call, on fresh rows, solves for the same outcome
+        # the reference, on fresh rows with rho pre-solved, gives the same outcome
         upper = min(1.0, self.E / (1 - self.E))
         outs = []
-        for trace in (None, []):
+        for reference in (False, True):
             drafts, q_cond = self._two_rows()
-            outs.append(verify_kseq(drafts, q_cond, self._served(upper, 0.0, 0.5), trace))
+            if reference:
+                presolve(drafts, q_cond)
+            outs.append(verify_kseq(drafts, q_cond, self._served(upper, 0.0, 0.5), [] if reference else None))
         assert (outs[0].tau, outs[0].t, outs[0].y, outs[0].counters.vocab_scans) == (1, (0,), 1, 1)
         assert outs[1] == outs[0]
         assert solves == [2]
 
     @staticmethod
+    def _cold(p_cond, q_cond, rows, K, L, seed):
+        """Fresh draft rows and the target lookup, every given target row's
+        rho memo emptied first."""
+        for row in list(rows):
+            vars(row).pop("memo", None)
+        return draft_rows(p_cond, K, L, RandomSource(seed)), q_cond
+
+    @staticmethod
     def _ratio_cases():
-        """200 seeded calls over ``ratio_instances`` pairs as order-0 models."""
+        """200 seeded calls over ``ratio_instances`` pairs as order-0 models:
+        (seed, make), make() giving the call's inputs on cold rows."""
         pairs = {V: ratio_instances(V) for V in (2, 5, 16, 1024)}
         for seed in range(200):
             V, K = (2, 5, 16, 1024)[seed % 4], (2, 3, 4, 8)[seed // 4 % 4]
             p, q = pairs[V][seed % len(pairs[V])]
-            yield draft_rows(lambda _: p, K, 3, RandomSource(seed)), lambda _: q, seed, [q]
+            yield seed, functools.partial(TestKseqGate._cold, lambda _, p=p: p, lambda _, q=q: q, [q], K, 3, seed)
 
     @staticmethod
     def _extreme_cases():
-        """200 seeded K = 3 calls over ``TestExtremeRegimes``' decode pairs."""
+        """200 seeded K = 3 calls over ``TestExtremeRegimes``' decode pairs,
+        as ``_ratio_cases`` gives them."""
         pairs = [generate_pair(V, 1, 11, conc, 0, T)
                  for V, T, conc in itertools.product((8, 64), (0.05, 5), (0.01, 1))]
         for seed in range(200):
             pair = pairs[seed % len(pairs)]
-            drafts = draft_rows(pair.draft.conditional, 3, 4, RandomSource(seed))
-            yield drafts, pair.target.conditional, seed, pair.target.cache.values()
+            yield seed, functools.partial(TestKseqGate._cold, pair.draft.conditional, pair.target.conditional,
+                                          pair.target.cache.values(), 3, 4, seed)
 
     @pytest.mark.parametrize("cases", ["_ratio_cases", "_extreme_cases"])
     def test_a_lazy_call_is_the_traced_call(self, cases, solves):
-        # each call on cold target rows, traced then not: the same outcome and
-        # counters, and never more solves untraced, fewer over the 200 seeds
-        traced = lazy = 0
-        for drafts, q_cond, seed, rows in getattr(self, cases)():
+        # each call on cold target rows against the traced reference on cold
+        # rows, pre-solves counted: the same outcome and counters, and never
+        # more solves than the reference, fewer over the 200 seeds
+        reference = lazy = 0
+        for seed, make in getattr(self, cases)():
             outs, counts = [], []
-            for trace in ([], None):
-                for row in list(rows):
-                    vars(row).pop("memo", None)
-                n = len(solves)
-                outs.append(verify_kseq(drafts, q_cond, RandomSource(seed), trace))
+            for presolved in (True, False):
+                n, (drafts, q_cond) = len(solves), make()
+                if presolved:
+                    presolve(drafts, q_cond)
+                outs.append(verify_kseq(drafts, q_cond, RandomSource(seed), [] if presolved else None))
                 counts.append(len(solves) - n)
             assert outs[1] == outs[0], seed
             assert counts[1] <= counts[0], seed
-            traced, lazy = traced + counts[0], lazy + counts[1]
-        assert lazy < traced
+            reference, lazy = reference + counts[0], lazy + counts[1]
+        assert lazy < reference
 
 
 class TestVerifyKseq:
@@ -1384,22 +1397,26 @@ class TestVerifySpectrGbv:
                 assert {0, L} <= taus
 
     @pytest.mark.parametrize("shape", ["zero-target", "peaked"])
-    def test_joints_equal_chained_extend_joint(self, monkeypatch, shape):
+    def test_joints_equal_chained_extend_joint(self, monkeypatch, no_band, shape):
         # every joint the scan reads, held with == to extend_joint chained
-        # along its row (the sub-block rule reads a joint as its two log
-        # joints); on "zero-target" drafted token 2 has target
-        # probability 0, so LOG_ZERO must absorb the rest of the row
+        # along its row: the band reads every sub-block's joint, and the rule,
+        # as its two log joints, those of the tests it computes, which in the
+        # reference (``no_band``) are all of them; on "zero-target" drafted
+        # token 2 has target probability 0, so LOG_ZERO must absorb the rest
+        # of the row
         if shape == "zero-target":
             draft = np.array([[0.5, 0.2, 0.3], [0.3, 0.3, 0.4], [0.2, 0.5, 0.3]])
             target = np.array([[0.7, 0.3, 0.0], [0.4, 0.6, 0.0], [0.5, 0.5, 0.0]])
             pair = ModelPair(MarkovModel(3, 1, draft), MarkovModel(3, 1, target))
         else:
             pair = generate_pair(16, 1, 4, 0.05, 0.0)
-        seen = {"sub": [], "full": [], "residual": []}
-        real_sub, real_full, real_residual = (
-            verifiers.subblock_accept_prob, verifiers.full_block_accept_prob,
+        seen = {"band": [], "sub": [], "full": [], "residual": []}
+        real_band, real_sub, real_full, real_residual = (
+            verifiers.subblock_band, verifiers.subblock_accept_prob, verifiers.full_block_accept_prob,
             verifiers.block_residual,
         )
+        monkeypatch.setattr(verifiers, "subblock_band",
+                            lambda lp, lq, K: seen["band"].append((lp, lq)) or real_band(lp, lq, K))
         monkeypatch.setattr(verifiers, "subblock_accept_prob",
                             lambda lp, lq, *a: seen["sub"].extend(zip(lp, lq)) or real_sub(lp, lq, *a))
         monkeypatch.setattr(verifiers, "full_block_accept_prob",
@@ -1407,7 +1424,7 @@ class TestVerifySpectrGbv:
         monkeypatch.setattr(verifiers, "block_residual",
                             lambda joint, *a: seen["residual"].append(joint) or real_residual(joint, *a))
         zero_joints = 0
-        for seed in range(40):
+        for seed, reference in itertools.product(range(40), (True, False)):
             for key in seen:
                 seen[key].clear()
             rng = RandomSource(seed)
@@ -1420,11 +1437,18 @@ class TestVerifySpectrGbv:
                     js.append(extend_joint(js[-1], tok, drafts.cond[k][i], q_rows[k][i]))
                 chained.append(js)
             trace = []
-            out, mod = verify_spectr_gbv(drafts, q_conds, rng, trace)
-            assert seen["sub"] == [
+            with no_band() if reference else contextlib.nullcontext():
+                out, mod = verify_spectr_gbv(drafts, q_conds, rng, trace)
+            subs = [
                 (chained[k][len(sub)].log_p, chained[k][len(sub)].log_q)
                 for kind, k, sub, *_ in trace if kind == "subblock"
             ]
+            assert seen["band"] == ([] if reference else subs)
+            if reference:
+                assert seen["sub"] == subs
+            else:
+                rest = iter(subs)
+                assert all(j in rest for j in seen["sub"])  # in order, each computed test's own
             assert seen["full"] == [chained[k][4] for kind, k, *_ in trace if kind == "full"]
             if out.tau < 4:
                 assert seen["residual"] == [chained[out.f][out.tau]]
@@ -1500,28 +1524,40 @@ class TestVerifySpectrGbv:
             assert out.t == drafts.tokens[out.f][: out.tau]
             assert 0 <= out.tau <= 3
 
-    def test_trace_invariants(self, canonical_pair):
-        # rejected contents are never accepted later; tau never decreases
-        rng = RandomSource(5)
+    def test_trace_invariants(self, canonical_pair, no_band):
+        # rejected contents are never accepted later; tau never decreases; an
+        # h is a probability, or a band of two inside [0, 1]. The reference
+        # (``no_band``), on the same stream, records the same steps, each h
+        # a probability
+        rngs = RandomSource(5), RandomSource(5)
         for _ in range(200):
-            drafts, q_conds = order0_setup(canonical_pair, 3, 3, rng)
-            trace = []
-            verify_spectr_gbv(drafts, q_conds, rng, trace=trace)
-            rejected = set()
-            tau = 0
-            for step in trace:
-                kind = step[0]
-                if kind == "skip":
-                    assert step[2] in rejected
-                elif kind in ("subblock", "full"):
-                    _, _k, sub, h, accepted = step
-                    assert 0.0 <= h <= 1.0
-                    assert sub not in rejected
-                    if accepted:
-                        assert len(sub) > tau
-                        tau = len(sub)
-                    else:
-                        rejected.add(sub)
+            traces = []
+            for rng, reference in zip(rngs, (False, True)):
+                drafts, q_conds = order0_setup(canonical_pair, 3, 3, rng)
+                traces.append([])
+                with no_band() if reference else contextlib.nullcontext():
+                    verify_spectr_gbv(drafts, q_conds, rng, trace=traces[-1])
+            for trace, reference in zip(traces, (False, True)):
+                rejected = set()
+                tau = 0
+                for step in trace:
+                    kind = step[0]
+                    if kind == "skip":
+                        assert step[2] in rejected
+                    elif kind in ("subblock", "full"):
+                        _, _k, sub, h, accepted = step
+                        if isinstance(h, tuple):
+                            assert kind == "subblock" and not reference
+                            assert 0.0 <= h[0] < h[1] <= 1.0
+                        else:
+                            assert 0.0 <= h <= 1.0
+                        assert sub not in rejected
+                        if accepted:
+                            assert len(sub) > tau
+                            tau = len(sub)
+                        else:
+                            rejected.add(sub)
+            assert [step[:3] + step[4:] for step in traces[0]] == [step[:3] + step[4:] for step in traces[1]]
 
     def test_length_one_rows_test_only_their_full_block(self):
         # at L = 1 a row has no sub-block, so its one test is the full block;
@@ -1537,20 +1573,26 @@ class TestVerifySpectrGbv:
         assert (out.tau, out.f, out.t, out.y) == (1, 2, (2,), 2)
         assert rng.values == [0.7]
 
-    def test_full_block_accept_ends_the_scan(self):
+    def test_full_block_accept_ends_the_scan(self, no_band):
         # row 0 rejects its sub-block and accepts its full block: no later row
-        # gets a trace entry, and exactly one more uniform is drawn, for y
+        # gets a trace entry, and exactly one more uniform is drawn, for y.
+        # The band rejects (2,), so its entry is the band; the reference
+        # (``no_band``) computes its h
         p, q = dist(0.5, 0.3, 0.2), dist(0.2, 0.3, 0.5)
         drafts = DraftSet(((2, 2), (2, 2), (0, 1)), ((p, p),) * 3)
-        rng = FixedUniforms([0.999, 0.0, 0.5, 0.7])
-        trace = []
-        out, _ = verify_spectr_gbv(drafts, batched(lambda ctx: q), rng, trace)
         j1 = extend_joint(PrefixJoint(), 2, p, q)
         [h_sub], _ = subblock_accept_prob([j1.log_p], [j1.log_q], p.mass[None], q.mass[None], 3)
         h_full = full_block_accept_prob(extend_joint(j1, 2, p, q), 3)
-        assert trace == [("subblock", 0, (2,), h_sub, False), ("full", 0, (2, 2), h_full, True)]
-        assert (out.tau, out.f, out.t, out.y) == (2, 0, (2, 2), 2)
-        assert rng.values == [0.7]
+        lo, hi = subblock_band(*j1, 3)
+        assert lo <= h_sub <= hi <= 0.999
+        for reference, entry in ((False, (lo, min(1.0, hi))), (True, h_sub)):
+            rng = FixedUniforms([0.999, 0.0, 0.5, 0.7])
+            trace = []
+            with no_band() if reference else contextlib.nullcontext():
+                out, _ = verify_spectr_gbv(drafts, batched(lambda ctx: q), rng, trace)
+            assert trace == [("subblock", 0, (2,), entry, False), ("full", 0, (2, 2), h_full, True)]
+            assert (out.tau, out.f, out.t, out.y) == (2, 0, (2, 2), 2)
+            assert rng.values == [0.7]
 
     def test_scan_count_per_step_independent_of_K(self, canonical_pair):
         for K in (1, 8):
@@ -1565,8 +1607,8 @@ class TestBlockGate:
     """``verify_spectr_gbv`` draws a row's sub-block uniforms first and
     decides a test from its band: u < lo accepts and u >= hi rejects
     without the test's surplus row, and the rest are computed in one batch.
-    Outcomes, modified targets, counters and the stream are those of a
-    traced call, which computes every h."""
+    Outcomes, modified targets, counters and the stream are those of the
+    traced reference call, which computes every h (``no_band``)."""
 
     @pytest.fixture
     def rows(self, monkeypatch):
@@ -1576,39 +1618,48 @@ class TestBlockGate:
         return calls
 
     @staticmethod
+    def _fresh(p_cond, q_cond, K, seed):
+        """Fresh draft rows and the target lookup, as a block verifier asks it."""
+        return draft_rows(p_cond, K, 4, RandomSource(seed)), batched(q_cond)
+
+    @staticmethod
     def _ratio_cases():
-        """200 seeded calls over ``ratio_instances`` pairs as order-0 models."""
+        """200 seeded calls over ``ratio_instances`` pairs as order-0 models:
+        (seed, make), make() giving the call's inputs afresh."""
         pairs = {V: ratio_instances(V) for V in (2, 5, 16, 1024)}
         for seed in range(200):
             V, K = (2, 5, 16, 1024)[seed % 4], (1, 2, 3, 4, 8)[seed // 4 % 5]
             p, q = pairs[V][seed % len(pairs[V])]
-            yield draft_rows(lambda _: p, K, 4, RandomSource(seed)), batched(lambda _: q), seed
+            yield seed, functools.partial(TestBlockGate._fresh, lambda _, p=p: p, lambda _, q=q: q, K, seed)
 
     @staticmethod
     def _extreme_cases():
-        """200 seeded K = 1 and K = 3 calls over ``TestExtremeRegimes``' decode pairs."""
+        """200 seeded K = 1 and K = 3 calls over ``TestExtremeRegimes``' decode
+        pairs, as ``_ratio_cases`` gives them."""
         pairs = [generate_pair(V, 1, 11, conc, 0, T)
                  for V, T, conc in itertools.product((8, 64), (0.05, 5), (0.01, 1))]
         for seed in range(200):
             pair = pairs[seed % len(pairs)]
-            drafts = draft_rows(pair.draft.conditional, (1, 3)[seed // 8 % 2], 4, RandomSource(seed))
-            yield drafts, batched(pair.target.conditional), seed
+            yield seed, functools.partial(TestBlockGate._fresh, pair.draft.conditional, pair.target.conditional,
+                                          (1, 3)[seed // 8 % 2], seed)
 
     @pytest.mark.parametrize("cases", ["_ratio_cases", "_extreme_cases"])
-    def test_an_untraced_call_is_the_traced_call(self, cases, rows):
-        # the same outcome with its counters, modified target and next
-        # uniform, never more surplus rows untraced, and fewer over the 200
-        traced = lazy = 0
-        for drafts, q_conds, seed in getattr(self, cases)():
+    def test_an_untraced_call_is_the_traced_call(self, cases, rows, no_band):
+        # against the traced reference on the same inputs: the same outcome
+        # with its counters, modified target and next uniform, never more
+        # surplus rows than the reference, and fewer over the 200
+        reference = lazy = 0
+        for seed, make in getattr(self, cases)():
             outs, counts = [], []
-            for trace in ([], None):
+            for computed in (True, False):
                 n, rng = sum(rows), RandomSource(seed)
-                outs.append((*verify_spectr_gbv(drafts, q_conds, rng, trace), rng.uniform()))
+                with no_band() if computed else contextlib.nullcontext():
+                    outs.append((*verify_spectr_gbv(*make(), rng, [] if computed else None), rng.uniform()))
                 counts.append(sum(rows) - n)
             assert outs[1] == outs[0], seed
             assert counts[1] <= counts[0], seed
-            traced, lazy = traced + counts[0], lazy + counts[1]
-        assert lazy < traced
+            reference, lazy = reference + counts[0], lazy + counts[1]
+        assert lazy < reference
 
     # order-0 rows where token 2 has r = 1/6 and token 0 has r = 7
     P, Q = (0.7, 0.2, 0.1), (0.1, 0.3, 0.6)
@@ -1620,7 +1671,7 @@ class TestBlockGate:
         out, _ = verify_spectr_gbv(drafts, batched(lambda ctx: q), rng, trace)
         return out, rng.uniform()
 
-    def test_the_stream_moves_as_in_the_traced_call(self, rows):
+    def test_the_stream_moves_as_in_the_traced_call(self, rows, no_band):
         # K = 2: row 0 computes (2,) and accepts it, rejects (2, 0) from its
         # band and rejects its full block; row 1 skips (2, 0), rejects its
         # full block, and y is drawn: five uniforms, then the next one
@@ -1629,24 +1680,111 @@ class TestBlockGate:
         j = joint_of((2, 0), p, q)
         assert subblock_band(*j, 2)[1] <= 0.5
         outs = []
-        for trace in ([], None):
+        for computed in (True, False):
             n = len(rows)
-            outs.append((*self._served_call(rows_, 2, values, trace), rows[n:]))
+            with no_band() if computed else contextlib.nullcontext():
+                outs.append((*self._served_call(rows_, 2, values, [] if computed else None), rows[n:]))
         assert outs[0][:2] == outs[1][:2]
         assert (outs[1][0].tau, outs[1][0].f, outs[1][1]) == (1, 0, 0.125)
-        # traced: one batch of two rows for row 0; untraced: (2,) alone
+        # the reference: one batch of two rows for row 0; the gated call: (2,) alone
         assert (outs[0][2], outs[1][2]) == ([2], [1])
 
-    def test_a_lazily_built_residual_row_is_the_batched_row(self, monkeypatch):
+    def test_a_lazily_built_residual_row_is_the_batched_row(self, monkeypatch, no_band):
         # K = 1: (2,) has r < 1, so its band (1, 1) accepts it without a row;
         # (2, 0) and the full block reject, and the residual at (2,) needs the
-        # row, built then: the one the traced call's batch computed, bit for bit
+        # row, built then: the one the reference's batch computed, bit for bit
         kept, real = [], verifiers.block_residual
         monkeypatch.setattr(verifiers, "block_residual", lambda *a: kept.append(a[-1]) or real(*a))
-        outs = [self._served_call(((2, 0, 0),), 1, (0.5, 0.9, 0.9, 0.3), trace) for trace in ([], None)]
+        outs = []
+        for computed in (True, False):
+            with no_band() if computed else contextlib.nullcontext():
+                outs.append(self._served_call(((2, 0, 0),), 1, (0.5, 0.9, 0.9, 0.3), [] if computed else None))
         assert outs[1] == outs[0]
         assert outs[0][0].tau == 1 and len(kept) == 2
         assert kept[0].tobytes() == kept[1].tobytes() and kept[1].shape == (3,)
+
+
+def assert_entries(trace, reference, rng):
+    """A call's trace against the exact reference's, made on the same inputs.
+
+    Both record the same steps in order. Where the call knew a value its
+    entry is that float, the reference's bit for bit. Where a bracket or
+    band decided, the entry is the pair (lo, hi) it compared the test's
+    uniform with: it holds the reference's value, and the uniform, read
+    from ``rng`` in entry order as the call drew it, lies below lo where
+    the test accepted and at or above hi where it rejected. Returns the
+    counts of float and pair entries."""
+    def step(e):
+        return e if e[0] == "skip" else e[:-2] + e[-1:]
+
+    assert list(map(step, trace)) == list(map(step, reference))
+    counts = [0, 0]
+    for got, want in zip(trace, reference):
+        if got[0] == "skip":
+            continue
+        u, value, exact, accepted = rng.uniform(), got[-2], want[-2], got[-1]
+        assert type(exact) is float
+        if isinstance(value, tuple):
+            lo, hi = value
+            assert 0.0 <= lo <= exact <= hi <= 1.0 and lo < hi, (value, exact)
+            assert u < lo if accepted else u >= hi, (u, value, accepted)
+        else:
+            assert value.hex() == exact.hex(), (value, exact)
+        counts[isinstance(value, tuple)] += 1
+    return counts
+
+
+class TestTracingChangesNoWork:
+    """A ``trace`` list only records: a traced call on fresh inputs makes the
+    untraced call's rho solves and surplus rows and gives its outcome,
+    counters and next uniform, and each entry is checked against the exact
+    reference (``assert_entries``): every rho pre-solved for ``verify_kseq``
+    (``presolve``), every h computed for ``verify_spectr_gbv`` (``no_band``)."""
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        """() -> (rho solves, surplus rows) made so far, counted through wrappers."""
+        solves, rows = [], []
+        solve, surplus = verifiers.kseq_rho, verifiers._surplus
+        monkeypatch.setattr(verifiers, "kseq_rho", lambda p, q, K: solves.append(K) or solve(p, q, K))
+        monkeypatch.setattr(verifiers, "_surplus", lambda p, q, r, K: rows.append(len(r)) or surplus(p, q, r, K))
+        return lambda: (len(solves), sum(rows))
+
+    @staticmethod
+    def _calls(verify, make, seed, work):
+        """The call traced and untraced, each on fresh inputs: (result, next
+        uniform, work done) for each, and the trace."""
+        runs, trace = [], []
+        for t in (trace, None):
+            n, rng = work(), RandomSource(seed)
+            out = verify(*make(), rng, t)
+            runs.append((out, rng.uniform(), tuple(b - a for a, b in zip(n, work()))))
+        return runs, trace
+
+    @pytest.mark.parametrize("cases", ["_ratio_cases", "_extreme_cases"])
+    def test_kseq(self, cases, work):
+        counts = np.zeros(2, dtype=int)
+        for seed, make in getattr(TestKseqGate, cases)():
+            (traced, untraced), trace = self._calls(verify_kseq, make, seed, work)
+            assert traced == untraced, seed
+            drafts, q_cond = make()
+            presolve(drafts, q_cond)
+            reference = []
+            verify_kseq(drafts, q_cond, RandomSource(seed), reference)
+            counts += assert_entries(trace, reference, RandomSource(seed))
+        assert counts.min() > 0, counts
+
+    @pytest.mark.parametrize("cases", ["_ratio_cases", "_extreme_cases"])
+    def test_spectr_gbv(self, cases, work, no_band):
+        counts = np.zeros(2, dtype=int)
+        for seed, make in getattr(TestBlockGate, cases)():
+            (traced, untraced), trace = self._calls(verify_spectr_gbv, make, seed, work)
+            assert traced == untraced, seed
+            reference = []
+            with no_band():
+                verify_spectr_gbv(*make(), RandomSource(seed), reference)
+            counts += assert_entries(trace, reference, RandomSource(seed))
+        assert counts.min() > 0, counts
 
 
 class TestModification:
