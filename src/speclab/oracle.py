@@ -56,7 +56,7 @@ import numpy as np
 from .harness import ModifiedChain, RawChain
 from .models import ModelPair, block_index
 from .probability import LOG_ZERO, PrefixJoint
-from .verifiers import ModifiedTarget, full_block_accept_probs, subblock_accept_prob
+from .verifiers import ModifiedTarget, full_block_accept_probs, subblock_accept_prob, subblock_terms
 
 MAX_ENUM = 1_000_000
 CHECK_TOL = 1e-9
@@ -179,9 +179,10 @@ def _acceptances(insts: list[_Instance]) -> tuple[list[np.ndarray | None], list[
 
     h is one array per level 1 ... L, the instances' nodes end to end (None
     at the root, which is never tested), 0 at undrafted nodes: one
-    ``subblock_accept_prob`` call covers every block below level L that a
-    drafted proper prefix's test (p > 0) or the output law (log q > -inf)
-    reads, and one ``full_block_accept_probs`` call every drafted full block.
+    ``subblock_accept_prob`` call, on one ``subblock_terms`` triple a block,
+    covers every block below level L that a drafted proper prefix's test
+    (p > 0) or the output law (log q > -inf) reads, and one
+    ``full_block_accept_probs`` call every drafted full block.
     A row, in level-array order, is the surplus q (1 - min(r p / q, 1))^K at
     the block's joint ratio r, normalized as ``ModifiedTarget.conditional``
     does, or the target row where the target joint is 0 or the surplus is
@@ -194,7 +195,8 @@ def _acceptances(insts: list[_Instance]) -> tuple[list[np.ndarray | None], list[
     )
     drafted, scan = p > 0.0, lq != LOG_ZERO
     tested = np.flatnonzero(drafted | scan)
-    hs, w = subblock_accept_prob(lp[tested].tolist(), lq[tested].tolist(), p_rows[tested], rows[tested], K)
+    terms = [subblock_terms(a, b, K) for a, b in zip(lp[tested].tolist(), lq[tested].tolist())]
+    hs, w = subblock_accept_prob(terms, p_rows[tested], rows[tested], K)
     h = np.zeros(len(p))
     h[tested] = hs
     s = w.sum(axis=1)

@@ -25,12 +25,12 @@ verify_gbv        verify_spectr_gbv with one row: greedy block verification
 The power-form rules of ``verify_spectr_gbv`` share one kernel, ``_surplus``:
 the per-token surplus w(x) = q(x) * (1 - min(r * p(x) / q(x), 1))^K at a
 prefix with joint ratio r = p/q, which every rule reads from the log joints
-by ``probability.joint_ratio``. Its sum over the vocabulary gives the
-sub-block acceptance, its normalization the block residual, and with r read
-from the running joints it is the next iteration's modified target. At
-K = 1 they are the single-draft rules of greedy block verification;
-``gbv_accept_prob`` writes that acceptance apart, over the likelihood ratio
-nu = q/p, as a reference.
+by ``probability.joint_ratio``. Its sum with ``subblock_terms``' scalars
+gives the sub-block acceptance, its normalization the block residual, and
+with r read from the running joints it is the next iteration's modified
+target. At K = 1 they are the single-draft rules of greedy block
+verification; ``gbv_accept_prob`` writes that acceptance apart, over the
+likelihood ratio nu = q/p, as a reference.
 """
 
 from __future__ import annotations
@@ -440,77 +440,74 @@ def _surplus(p: np.ndarray, q: np.ndarray, r, K: int) -> np.ndarray:
     return w
 
 
+def subblock_terms(log_p: float, log_q: float, K: int) -> tuple[float, float, float]:
+    """The sub-block rule's scalars (r, a, b) at log joints (log_p, log_q):
+    r = p_j / q_j (``joint_ratio``), a = (1 - min(r, 1))^K and
+    b = r G(p_j) - 1, G's 1 cancelled so p_j = exp(log_p) near 1 keeps
+    precision. A zero target joint or a log ratio above 700 gives
+    (inf, 0, inf): b = inf makes the rule's h and the band's hi 0."""
+    r = joint_ratio(log_p, log_q)
+    if r == math.inf:
+        return r, 0.0, r
+    return r, (1.0 - min(r, 1.0)) ** K, (r - 1.0) + r * _geometric_tail(math.exp(log_p) if K > 1 else None, K)
+
+
 def subblock_accept_prob(
-    log_p: list[float],
-    log_q: list[float],
+    terms: list[tuple[float, float, float]],
     p_next: np.ndarray,
     q_next: np.ndarray,
     K: int,
 ) -> tuple[list[float], np.ndarray]:
     """Acceptance probabilities for n proper sub-blocks under K drafts.
 
-    Sub-block n has log joints log_p[n] and log_q[n], read as the joint
-    ratio r = p_j / q_j (``joint_ratio``) and the draft joint p_j, and
-    next-position conditionals p_next[n] and q_next[n], rows of two (n, V)
-    blocks. The rule's numerator and denominator are divided through by the
-    prefix's target joint q_j, so both depend on the joints only through r
-    and sum_{i<K} (1 - p_j)^i, and keep their scale however small the
-    joints get. One vocabulary scan per sub-block, made for all n in one
+    Sub-block n has the scalars terms[n] = (r, a, b) of ``subblock_terms``
+    and next-position conditionals p_next[n] and q_next[n], rows of two
+    (n, V) blocks: h = (S - a) / (S + b), clamped, S the sum of the surplus
+    row at ratio r. The rule's numerator and denominator are divided through
+    by the prefix's target joint q_j, so both depend on the joints only
+    through r and sum_{i<K} (1 - p_j)^i, and keep their scale however small
+    the joints get. One vocabulary scan per sub-block, made for all n in one
     surplus block; the scan count does not depend on K. The denominator
     vanishes only on conditioning events of probability zero, where any
     return value is distributionally irrelevant; 1 is returned when r < 1,
     the single-draft ratio rule's convention, so the K = 1 reduction is
-    pointwise exact. An infinite ratio gives 0. Taking joints and row
-    blocks, it serves the exact oracle a whole trie level in one call.
+    pointwise exact. Taking scalars and row blocks, it serves the exact
+    oracle a whole trie level in one call.
 
     Returns the n probabilities and the (n, V) surplus block: row n,
     normalized, is the block residual at sub-block n.
     """
-    r = list(map(joint_ratio, log_p, log_q))
-    w = _surplus(p_next, q_next, r, K)
+    w = _surplus(p_next, q_next, [r for r, _, _ in terms], K)
     h = []
-    for rn, lp, S in zip(r, log_p, w.sum(axis=1).tolist()):
-        if rn == math.inf:  # a zero target joint passes nothing; den would be inf * 0 = NaN
-            h.append(0.0)
-            continue
-        a, b = _subblock_terms(rn, lp, K)
+    for (r, a, b), S in zip(terms, w.sum(axis=1).tolist()):
         num, den = S - a, b + S
         if abs(den) < DENOM_EPS:
-            h.append(1.0 if rn < 1.0 else 0.0)
+            h.append(1.0 if r < 1.0 else 0.0)
         else:
             h.append(min(1.0, max(0.0, num / den)))
     return h, w
 
 
-def _subblock_terms(r: float, log_p: float, K: int) -> tuple[float, float]:
-    """The sub-block rule's a = (1 - min(r, 1))^K and b = r G(p_j) - 1 at a
-    finite r and p_j = exp(log_p), G's 1 cancelled so p_j near 1 keeps
-    precision: h = (S - a) / (S + b), clamped, S the surplus row's sum."""
-    return (1.0 - min(r, 1.0)) ** K, (r - 1.0) + r * _geometric_tail(math.exp(log_p) if K > 1 else None, K)
+def subblock_band(terms: tuple[float, float, float], K: int) -> tuple[float, float]:
+    """[lo, hi] holding the h that ``subblock_accept_prob`` returns for these
+    scalars (r, a, b), whatever the next-position rows; (0, 1) where none is
+    known.
 
-
-def subblock_band(log_p: float, log_q: float, K: int) -> tuple[float, float]:
-    """[lo, hi] holding the h that ``subblock_accept_prob`` returns at these
-    log joints, whatever the next-position rows; (0, 1) where none is known.
-
-    r = inf gives (0, 0), the rule's 0; K = 1 with r < 1 gives (1, 1), as
-    b = fl(r - 1) = -fl(1 - r) = -a makes num and den one float. Elsewhere,
-    with the rule's a and b: each surplus entry q t^K, t in [0, 1], rounds
-    to at most q, so S < S_max = 1 + 1e-8 (1 + SUM_TOL plus V ulps). Jensen
-    gives S >= a up to O(K SUM_TOL), and a + b = r (G(p_j) - G(r)) >= 0 for
-    r <= 1 (p_j <= r) and (1 - (1 - p_j)^K - q_j) / q_j >= 0 above. So where
-    the floats give a + b >= 1e-6, S + b is far above DENOM_EPS, h rises
-    with S (slope (a + b) / (S + b)^2), and hi = (S_max - a) / (S_max + b)
-    sits at least 8e-15 relative above h, ten times the quotients' rounding.
+    K = 1 with r < 1 gives (1, 1), as b = fl(r - 1) = -fl(1 - r) = -a makes
+    num and den one float. Elsewhere: each surplus entry q t^K, t in [0, 1],
+    rounds to at most q, so S < S_max = 1 + 1e-8 (1 + SUM_TOL plus V ulps).
+    Jensen gives S >= a up to O(K SUM_TOL), and a + b = r (G(p_j) - G(r)) >= 0
+    for r <= 1 (p_j <= r) and (1 - (1 - p_j)^K - q_j) / q_j >= 0 above. So
+    where the floats give a + b >= 1e-6, S + b is far above DENOM_EPS, h
+    rises with S (slope (a + b) / (S + b)^2), and hi = (S_max - a) /
+    (S_max + b) sits at least 8e-15 relative above h, ten times the
+    quotients' rounding; r = inf has b = inf, so hi = 0, the rule's 0.
     Below 1e-6 (r near 0, p_j near r at K >= 2, and r = 1 at K = 1, where S
     can round to 0 and the DENOM_EPS branch gives 0) there is no band.
     """
-    r = joint_ratio(log_p, log_q)
-    if r == math.inf:
-        return 0.0, 0.0
+    r, a, b = terms
     if K == 1 and r < 1.0:
         return 1.0, 1.0
-    a, b = _subblock_terms(r, log_p, K)
     if not a + b >= 1e-6:
         return 0.0, 1.0
     return 0.0, (1.0 + 1e-8 - a) / (1.0 + 1e-8 + b)
@@ -626,9 +623,10 @@ def verify_spectr_gbv(
     extra token drawn from the target row past it. If no full block is
     accepted, the extra token comes from the block residual at the final
     accepted prefix. A row's sub-block tests are known when it starts and
-    each draws the next uniform, so their uniforms are drawn first; one
-    outside its test's ``subblock_band`` decides the test with no surplus
-    row, and the rest come from one batched ``subblock_accept_prob`` call.
+    each draws the next uniform, so their uniforms are drawn first. Each
+    test's scalars are formed once, by ``subblock_terms``: a uniform outside
+    their ``subblock_band`` decides the test with no surplus row, and the
+    rest hand the same scalars to one batched ``subblock_accept_prob`` call.
     Each test is charged one scan and one evaluation, decided or computed.
     At tau >= 1 the residual is the normalized surplus row of the test that
     accepted (f, tau), built then if the band decided it, so it costs no
@@ -651,17 +649,17 @@ def verify_spectr_gbv(
         tested = [i for i in range(tau + 1, L) if row[:i] not in H]
         counters.vocab_scans += len(tested)
         counters.h_partial_evals += len(tested)
-        tests, need = {}, []
+        tests, need, terms = {}, [], []
         for i in tested:
-            u, (lo, hi) = rng.uniform(), subblock_band(*joints[k][i], K)
+            u, t = rng.uniform(), subblock_terms(*joints[k][i], K)
+            lo, hi = subblock_band(t, K)
             tests[i] = (u, lo, hi, None)
             if lo <= u < hi:
                 need.append(i)
+                terms.append(t)
         if need:
-            js = [joints[k][i] for i in need]
             for i, h, surplus in zip(need, *subblock_accept_prob(
-                [j.log_p for j in js], [j.log_q for j in js],
-                np.array([cond[k][i].mass for i in need]), np.array([q_rows[k][i].mass for i in need]), K,
+                terms, np.array([cond[k][i].mass for i in need]), np.array([q_rows[k][i].mass for i in need]), K,
             )):
                 tests[i] = (tests[i][0], h, h, surplus)
         for i in range(tau + 1, L + 1):

@@ -29,6 +29,7 @@ from speclab.verifiers import (
     gbv_accept_prob,
     score_rows,
     subblock_accept_prob,
+    subblock_terms,
 )
 
 
@@ -267,9 +268,9 @@ def override(mod, ctx, q_cond, p_cond, counters=None):
 def subblock_rule(joints, p_next, q_next, K):
     """``subblock_accept_prob`` of sub-blocks given as ``PrefixJoint``s and
     next-position ``Distribution``s, the inputs ``verify_spectr_gbv`` turns
-    into log joints and row blocks."""
+    into ``subblock_terms`` triples and row blocks."""
     return subblock_accept_prob(
-        [j.log_p for j in joints], [j.log_q for j in joints],
+        [subblock_terms(*j, K) for j in joints],
         np.array([d.mass for d in p_next]), np.array([d.mass for d in q_next]), K,
     )
 
@@ -305,7 +306,7 @@ def no_band(monkeypatch):
     @contextlib.contextmanager
     def reference():
         with monkeypatch.context() as patch:
-            patch.setattr(verifiers, "subblock_band", lambda log_p, log_q, K: (0.0, 1.0))
+            patch.setattr(verifiers, "subblock_band", lambda terms, K: (0.0, 1.0))
             yield
 
     return reference

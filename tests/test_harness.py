@@ -176,7 +176,7 @@ class TestDecode:
         runs = [lambda s=s: decode(pair, "gbv", 1, 3, (1,), 24, RandomSource(s)) for s in range(8)]
         lazy, reference, _, _ = self._gated_and_reference(monkeypatch, no_band, lambda: [r() for r in runs])
         assert [(o, replace(m, wall_ms=0.0)) for o, m in lazy] == [(o, replace(m, wall_ms=0.0)) for o, m in reference]
-        assert ((0.0, 0.0, 1), (0.0, 1.0)) in bands
+        assert (((1.0, 0.0, 0.0), 1), (0.0, 1.0)) in bands
 
     @pytest.mark.parametrize("algo", ["sd", "spectr"])
     @pytest.mark.parametrize("shape", ["eos-free", "peaked"])

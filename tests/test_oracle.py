@@ -620,8 +620,8 @@ class TestLevelBatchedRules:
     from the level arrays in two calls, against the shipped rules asked one
     node at a time, bit for bit, on batches of the concentration-0.05 pairs of
     ``TestCoinRecursion`` and ``TestLevels.ZEROS``. ZEROS drafts prefixes of
-    target joint 0 (r = inf), where at K = 1 the scalar sub-block rule
-    reaches h = 0 through max(0.0, nan) and an array maximum would give NaN."""
+    target joint 0 (r = inf), where ``subblock_terms`` gives b = inf and the
+    sub-block rule h = S / inf = 0."""
 
     BATCHES = {2: [TestCoinRecursion.PAIRS[1]], 3: [TestCoinRecursion.PAIRS_V3[1], TestLevels.ZEROS]}
 
@@ -648,6 +648,20 @@ class TestLevelBatchedRules:
             assert [x.hex() for x in got.tolist()] == [x.hex() for x in exp]
         if V == 3 and L > 1:
             assert infinite > 0
+
+    @pytest.mark.parametrize("L, K", [(2, 1), (3, 1), (3, 2), (3, 3)])
+    def test_h_is_zero_at_drafted_blocks_of_zero_target_joint(self, L, K):
+        # the blocks ZEROS drafts into a zero target joint, proper prefixes
+        # (the sub-block rule at r = inf) and full blocks, all get h = 0.0
+        insts = [_instance(TestLevels.ZEROS, L, K, context) for context in ((), (1,), (2,))]
+        h, _rows = _acceptances(insts)
+        zero = []
+        for i in range(1, L + 1):
+            p, lq = (np.concatenate([getattr(inst, f)[i] for inst in insts]) for f in ("p", "log_q"))
+            at = (p > 0.0) & (lq == LOG_ZERO)
+            assert [x.hex() for x in h[i][at].tolist()] == [(0.0).hex()] * int(at.sum())
+            zero.append(int(at.sum()))
+        assert min(zero[1:]) > 0
 
 
 class TestOutputLawPass:

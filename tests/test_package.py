@@ -96,6 +96,31 @@ def test_rho_has_one_solve_path():
     assert callers == [("verifiers.py", "_kseq_scale")]
 
 
+def test_subblock_scalars_have_one_source():
+    # the sub-block rule's (r, a, b) and its r = inf case are formed by
+    # subblock_terms alone: the band and the rule read no joint ratio and
+    # test no r against inf, and only the block verifier and the oracle form
+    # triples
+    functions = {
+        (path.name, fn.name): fn
+        for path in sorted(Path(speclab.__file__).parent.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(fn, ast.FunctionDef)
+    }
+
+    def called(fn):
+        return {getattr(node.func, "id", getattr(node.func, "attr", None))
+                for node in ast.walk(fn) if isinstance(node, ast.Call)}
+
+    for name in ("subblock_band", "subblock_accept_prob"):
+        fn = functions["verifiers.py", name]
+        assert not called(fn) & {"joint_ratio", "subblock_terms", "isinf"}, name
+        operands = [x for node in ast.walk(fn) if isinstance(node, ast.Compare) for x in (node.left, *node.comparators)]
+        assert not [x for x in operands if isinstance(x, ast.Attribute) and x.attr == "inf"], name
+    callers = sorted(key for key, fn in functions.items() if "subblock_terms" in called(fn))
+    assert callers == [("oracle.py", "_acceptances"), ("verifiers.py", "verify_spectr_gbv")]
+
+
 def test_the_uniform_stream_is_one_iterator():
     # every double, drawn or reserved, comes off one chained iterator over the
     # generator's blocks: one refill in the module, and no generator or block

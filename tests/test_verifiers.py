@@ -61,6 +61,7 @@ from speclab.verifiers import (
     score_rows,
     subblock_accept_prob,
     subblock_band,
+    subblock_terms,
     verify_gbv,
     verify_kseq,
     verify_sd,
@@ -487,7 +488,7 @@ class TestBatchedKernel:
 def assert_in_band(joint, p, q, K):
     """h at ``joint`` lies in its band, and at K = 1 with r < 1 it is exactly
     1.0 in a band of (1, 1); returns the band."""
-    lo, hi = subblock_band(joint.log_p, joint.log_q, K)
+    lo, hi = subblock_band(subblock_terms(*joint, K), K)
     h = subblock_h(joint, p, q, K)
     assert lo <= h <= hi, (h, lo, hi)
     if K == 1 and joint_ratio(*joint) < 1.0:
@@ -544,7 +545,7 @@ class TestSubblockBand:
         if K == 1 and r < 1.0:
             assert assert_in_band(joint, p, q, K) == (1.0, 1.0)
             return
-        a, b = verifiers._subblock_terms(joint_ratio(*joint), joint.log_p, K)
+        _, a, b = subblock_terms(*joint, K)
         assert subblock_h(joint, p, q, K) > (1.0 - a) / (1.0 + b)
         assert_in_band(joint, p, q, K)
 
@@ -559,6 +560,21 @@ class TestSubblockBand:
         assert joint == PrefixJoint(0.0, 0.0)
         assert subblock_h(joint, p, q, 1) == 0.0
         assert assert_in_band(joint, p, q, 1) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("joint", [PrefixJoint(0.0, LOG_ZERO), PrefixJoint(-1.0, -706.0)],
+                             ids=["zero-target-joint", "log-ratio-705"])
+    def test_an_infinite_ratio_is_decided_by_its_terms(self, joint, K):
+        # r = inf is read in subblock_terms alone: b = inf makes the band
+        # (0, 0) and h 0, bit for bit, and the surplus row is _surplus's
+        # q (p == 0) row, the one token-level mass a zero joint ratio keeps
+        p, q = kernel_pair(3, 4, "sparse", "flat")
+        terms = subblock_terms(*joint, K)
+        assert terms == (math.inf, 0.0, math.inf)
+        assert [x.hex() for x in subblock_band(terms, K)] == [(0.0).hex()] * 2
+        h, w = subblock_accept_prob([terms], p.mass[None], q.mass[None], K)
+        assert [x.hex() for x in h] == [(0.0).hex()]
+        assert w[0].tobytes() == (q.mass * (p.mass == 0.0)).tobytes() and w[0].sum() > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -1399,9 +1415,9 @@ class TestVerifySpectrGbv:
     @pytest.mark.parametrize("shape", ["zero-target", "peaked"])
     def test_joints_equal_chained_extend_joint(self, monkeypatch, no_band, shape):
         # every joint the scan reads, held with == to extend_joint chained
-        # along its row: the band reads every sub-block's joint, and the rule,
-        # as its two log joints, those of the tests it computes, which in the
-        # reference (``no_band``) are all of them; on "zero-target" drafted
+        # along its row: ``subblock_terms`` reads every sub-block's joint, and
+        # the rule, through those triples, the joints of the tests it computes,
+        # which in the reference (``no_band``) are all of them; on "zero-target" drafted
         # token 2 has target probability 0, so LOG_ZERO must absorb the rest
         # of the row
         if shape == "zero-target":
@@ -1410,15 +1426,20 @@ class TestVerifySpectrGbv:
             pair = ModelPair(MarkovModel(3, 1, draft), MarkovModel(3, 1, target))
         else:
             pair = generate_pair(16, 1, 4, 0.05, 0.0)
-        seen = {"band": [], "sub": [], "full": [], "residual": []}
-        real_band, real_sub, real_full, real_residual = (
-            verifiers.subblock_band, verifiers.subblock_accept_prob, verifiers.full_block_accept_prob,
+        # "terms" holds (triple, its log joints) for each triple subblock_terms made
+        seen = {"terms": [], "sub": [], "full": [], "residual": []}
+        real_terms, real_sub, real_full, real_residual = (
+            verifiers.subblock_terms, verifiers.subblock_accept_prob, verifiers.full_block_accept_prob,
             verifiers.block_residual,
         )
-        monkeypatch.setattr(verifiers, "subblock_band",
-                            lambda lp, lq, K: seen["band"].append((lp, lq)) or real_band(lp, lq, K))
-        monkeypatch.setattr(verifiers, "subblock_accept_prob",
-                            lambda lp, lq, *a: seen["sub"].extend(zip(lp, lq)) or real_sub(lp, lq, *a))
+
+        def terms(lp, lq, K):
+            seen["terms"].append((real_terms(lp, lq, K), (lp, lq)))
+            return seen["terms"][-1][0]
+
+        monkeypatch.setattr(verifiers, "subblock_terms", terms)
+        monkeypatch.setattr(verifiers, "subblock_accept_prob", lambda ts, *a: seen["sub"].extend(
+            next(j for made, j in seen["terms"] if made is t) for t in ts) or real_sub(ts, *a))
         monkeypatch.setattr(verifiers, "full_block_accept_prob",
                             lambda joint, K: seen["full"].append(joint) or real_full(joint, K))
         monkeypatch.setattr(verifiers, "block_residual",
@@ -1443,7 +1464,7 @@ class TestVerifySpectrGbv:
                 (chained[k][len(sub)].log_p, chained[k][len(sub)].log_q)
                 for kind, k, sub, *_ in trace if kind == "subblock"
             ]
-            assert seen["band"] == ([] if reference else subs)
+            assert [j for _, j in seen["terms"]] == subs
             if reference:
                 assert seen["sub"] == subs
             else:
@@ -1581,9 +1602,9 @@ class TestVerifySpectrGbv:
         p, q = dist(0.5, 0.3, 0.2), dist(0.2, 0.3, 0.5)
         drafts = DraftSet(((2, 2), (2, 2), (0, 1)), ((p, p),) * 3)
         j1 = extend_joint(PrefixJoint(), 2, p, q)
-        [h_sub], _ = subblock_accept_prob([j1.log_p], [j1.log_q], p.mass[None], q.mass[None], 3)
+        [h_sub], _ = subblock_accept_prob([subblock_terms(*j1, 3)], p.mass[None], q.mass[None], 3)
         h_full = full_block_accept_prob(extend_joint(j1, 2, p, q), 3)
-        lo, hi = subblock_band(*j1, 3)
+        lo, hi = subblock_band(subblock_terms(*j1, 3), 3)
         assert lo <= h_sub <= hi <= 0.999
         for reference, entry in ((False, (lo, min(1.0, hi))), (True, h_sub)):
             rng = FixedUniforms([0.999, 0.0, 0.5, 0.7])
@@ -1678,7 +1699,7 @@ class TestBlockGate:
         rows_, values = ((2, 0, 0), (2, 0, 1)), (0.5, 0.5, 0.5, 0.9, 0.3)
         p, q = dist(*self.P), dist(*self.Q)
         j = joint_of((2, 0), p, q)
-        assert subblock_band(*j, 2)[1] <= 0.5
+        assert subblock_band(subblock_terms(*j, 2), 2)[1] <= 0.5
         outs = []
         for computed in (True, False):
             n = len(rows)
@@ -1702,6 +1723,35 @@ class TestBlockGate:
         assert outs[1] == outs[0]
         assert outs[0][0].tau == 1 and len(kept) == 2
         assert kept[0].tobytes() == kept[1].tobytes() and kept[1].shape == (3,)
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("regime", ["ratio", "extreme"])
+    def test_each_tested_sub_block_forms_one_triple(self, regime, K, monkeypatch):
+        # subblock_terms is called once per tested sub-block, h_partial_evals
+        # times a call; the band reads each triple as it is made, and the rule
+        # gets the very triples of the tests it computes, in order
+        if regime == "ratio":
+            pairs = [(lambda _, p=p: p, lambda _, q=q: q) for V in (2, 5, 16) for p, q in ratio_instances(V)]
+        else:
+            pairs = [(pair.draft.conditional, pair.target.conditional) for pair in (
+                generate_pair(V, 1, 11, conc, 0, T) for V, T, conc in itertools.product((8, 64), (0.05, 5), (0.01, 1))
+            )]
+        made, banded, ruled = [], [], []
+        terms, band, rule = verifiers.subblock_terms, verifiers.subblock_band, verifiers.subblock_accept_prob
+        monkeypatch.setattr(verifiers, "subblock_terms", lambda *a: made.append(terms(*a)) or made[-1])
+        monkeypatch.setattr(verifiers, "subblock_band", lambda t, K: banded.append(t) or band(t, K))
+        monkeypatch.setattr(verifiers, "subblock_accept_prob", lambda ts, *a: ruled.extend(ts) or rule(ts, *a))
+        computed = decided = 0
+        for seed in range(100):
+            for seen in (made, banded, ruled):
+                seen.clear()
+            out, _ = verify_spectr_gbv(*self._fresh(*pairs[seed % len(pairs)], K, seed), RandomSource(seed))
+            assert len(made) == out.counters.h_partial_evals, seed
+            assert len(banded) == len(made) and all(b is t for b, t in zip(banded, made)), seed
+            rest = iter(made)
+            assert all(any(t is m for m in rest) for t in ruled), seed
+            computed, decided = computed + len(ruled), decided + len(made) - len(ruled)
+        assert computed > 0 and decided > 0
 
 
 def assert_entries(trace, reference, rng):
