@@ -101,7 +101,7 @@ class ModifiedChain:
     beneath it here.
     """
 
-    def __init__(self, base, draft: RawChain, record: ModifiedTarget, counters: Counters | None = None):
+    def __init__(self, base, draft: RawChain, record: ModifiedTarget, counters: Counters):
         raw = getattr(base, "raw", base)
         if isinstance(base, ModifiedChain) and base.record.horizon <= len(record.prefix):
             base = raw

@@ -56,7 +56,7 @@ import numpy as np
 from .harness import ModifiedChain, RawChain
 from .models import ModelPair, block_index
 from .probability import LOG_ZERO, PrefixJoint
-from .verifiers import ModifiedTarget, full_block_accept_probs, subblock_accept_prob, subblock_terms
+from .verifiers import Counters, ModifiedTarget, full_block_accept_probs, subblock_accept_prob, subblock_terms
 
 MAX_ENUM = 1_000_000
 CHECK_TOL = 1e-9
@@ -134,7 +134,7 @@ class _Instance:
         prefix = t + (y,)
         horizon = max(self.L - len(t) - 1, 0)
         mod = ModifiedTarget(horizon, self.K, prefix, self._joint(prefix) if horizon else PrefixJoint())
-        return ModifiedChain(self.qchain, self.pchain, mod)
+        return ModifiedChain(self.qchain, self.pchain, mod, Counters())
 
 
 @functools.cache

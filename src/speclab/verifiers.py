@@ -738,9 +738,7 @@ class ModifiedTarget:
     def __post_init__(self):
         self._joints[()] = self.joint
 
-    def conditional(
-        self, ctxs: list[tuple[int, ...]], q_base, p_base, counters: Counters | None = None
-    ) -> list[Distribution]:
+    def conditional(self, ctxs: list[tuple[int, ...]], q_base, p_base, counters: Counters) -> list[Distribution]:
         """Override conditionals at the (len(ctx)+1)-th position of the new
         window, for ``ctxs``: distinct contexts, each shorter than the horizon.
 
@@ -769,8 +767,7 @@ class ModifiedTarget:
         scan = [n for n, ctx in enumerate(ctxs) if joints[ctx].log_q != LOG_ZERO]
         if not scan:
             return out
-        if counters is not None:
-            counters.vocab_scans += len(scan)
+        counters.vocab_scans += len(scan)
         w = _surplus(
             np.array([p_rows[ctxs[n]].mass for n in scan]), np.array([out[n].mass for n in scan]),
             [joint_ratio(*joints[ctxs[n]]) for n in scan], self.K,
@@ -781,8 +778,7 @@ class ModifiedTarget:
             for n, keep in zip(scan, full.tolist()):
                 if not keep:
                     self.fallbacks.add(ctxs[n])
-                    if counters is not None:
-                        counters.warnings += 1
+                    counters.warnings += 1
             scan = [n for n, keep in zip(scan, full.tolist()) if keep]
             w, s = w[full], s[full]
         w /= s[:, None]

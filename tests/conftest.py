@@ -261,8 +261,9 @@ def prefix_table(drafts, cond):
 
 
 def override(mod, ctx, q_cond, p_cond, counters=None):
-    """``mod``'s conditional at one context, asked as a batch of one."""
-    return mod.conditional([ctx], batched(q_cond), batched(p_cond), counters)[0]
+    """``mod``'s conditional at one context, asked as a batch of one; its
+    work is counted into ``counters``, or into a throwaway ``Counters``."""
+    return mod.conditional([ctx], batched(q_cond), batched(p_cond), Counters() if counters is None else counters)[0]
 
 
 def subblock_rule(joints, p_next, q_next, K):

@@ -274,7 +274,7 @@ class TestChains:
         drafts = draft_rows(p0.conditional, 2, 3, rng)
         out, mod = verify_spectr_gbv(drafts, q0.conditionals, rng)
         block = out.t + (out.y,)
-        chain = ModifiedChain(q0, p0, mod)
+        chain = ModifiedChain(q0, p0, mod, Counters())
         # past the horizon the chain must agree with the raw model
         deep_ctx = tuple(0 for _ in range(mod.horizon + 1))
         got = chain.conditional(deep_ctx)
@@ -554,7 +554,7 @@ class TestPruning:
         chain = bottom
         for i, (horizon, plen) in enumerate(reversed(layers)):
             record = ModifiedTarget(horizon, 3, (i % 3 + 1,) * plen, PrefixJoint())
-            chain = ModifiedChain(chain, RawChain(pair.draft, (0,)), record)
+            chain = ModifiedChain(chain, RawChain(pair.draft, (0,)), record, Counters())
         return pair.target, bottom, chain
 
     def _layers(self, chain):

@@ -728,7 +728,7 @@ class TestOutputLawPass:
             heads = list(_heads(V, L))
             _below, mask = pass_rows
             fallbacks = [blk for blk, fallback in zip(heads, mask.tolist()) if fallback]
-            found = record.conditional(heads, inst.qchain.conditionals, inst.pchain.conditionals)
+            found = record.conditional(heads, inst.qchain.conditionals, inst.pchain.conditionals, Counters())
             assert len(found) == sum(len(r) for r in rows[:L])
             for blk, d in zip(heads, found):
                 assert bitwise(rows[len(blk)][block_index(blk, V)], d.mass), (setting, blk)

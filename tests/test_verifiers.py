@@ -1500,7 +1500,7 @@ class TestVerifySpectrGbv:
             _, mod = verify_spectr_gbv(*order0_setup(pair, 3, 4, rng), rng)
             ctxs = [c for n in range(mod.horizon) for c in itertools.product(range(V), repeat=n)]
             np.random.default_rng(seed).shuffle(ctxs)
-            mod.conditional(ctxs, q_base, p_base)
+            mod.conditional(ctxs, q_base, p_base, Counters())
             for ctx in ctxs:
                 j = mod.joint
                 for n, tok in enumerate(ctx):
@@ -1848,7 +1848,7 @@ class TestModification:
     def test_positions_past_horizon_fall_through(self, canonical_pair):
         _, mod = self._record(canonical_pair, 2, 2, seed=4)
         q, p = RawChain(canonical_pair.target, ()), RawChain(canonical_pair.draft, ())
-        chain = ModifiedChain(q, p, mod)  # the chain routes past the horizon
+        chain = ModifiedChain(q, p, mod, Counters())  # the chain routes past the horizon
         ctx = tuple(0 for _ in range(mod.horizon))  # position horizon+1
         assert chain.conditional(ctx) is canonical_pair.target.conditional(mod.prefix + ctx)
 
