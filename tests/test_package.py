@@ -101,23 +101,25 @@ def test_subblock_scalars_have_one_source():
     # subblock_terms alone: the band and the rule read no joint ratio and
     # test no r against inf, and only the block verifier and the oracle form
     # triples
-    functions = {
-        (path.name, fn.name): fn
+    functions = [
+        (path.name, fn.name, fn)
         for path in sorted(Path(speclab.__file__).parent.glob("*.py"))
         for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(fn, ast.FunctionDef)
-    }
+    ]
 
     def called(fn):
         return {getattr(node.func, "id", getattr(node.func, "attr", None))
                 for node in ast.walk(fn) if isinstance(node, ast.Call)}
 
-    for name in ("subblock_band", "subblock_accept_prob"):
-        fn = functions["verifiers.py", name]
+    readers = [(name, fn) for path, name, fn in functions
+               if path == "verifiers.py" and name in ("subblock_band", "subblock_accept_prob")]
+    assert sorted(name for name, _ in readers) == ["subblock_accept_prob", "subblock_band"]
+    for name, fn in readers:
         assert not called(fn) & {"joint_ratio", "subblock_terms", "isinf"}, name
         operands = [x for node in ast.walk(fn) if isinstance(node, ast.Compare) for x in (node.left, *node.comparators)]
         assert not [x for x in operands if isinstance(x, ast.Attribute) and x.attr == "inf"], name
-    callers = sorted(key for key, fn in functions.items() if "subblock_terms" in called(fn))
+    callers = sorted((path, name) for path, name, fn in functions if "subblock_terms" in called(fn))
     assert callers == [("oracle.py", "_acceptances"), ("verifiers.py", "verify_spectr_gbv")]
 
 

@@ -567,7 +567,7 @@ class TestSubblockBand:
     def test_an_infinite_ratio_is_decided_by_its_terms(self, joint, K):
         # r = inf is read in subblock_terms alone: b = inf makes the band
         # (0, 0) and h 0, bit for bit, and the surplus row is _surplus's
-        # q (p == 0) row, the one token-level mass a zero joint ratio keeps
+        # q (p == 0) row, the target mass on tokens the draft cannot reach
         p, q = kernel_pair(3, 4, "sparse", "flat")
         terms = subblock_terms(*joint, K)
         assert terms == (math.inf, 0.0, math.inf)
@@ -1415,11 +1415,11 @@ class TestVerifySpectrGbv:
     @pytest.mark.parametrize("shape", ["zero-target", "peaked"])
     def test_joints_equal_chained_extend_joint(self, monkeypatch, no_band, shape):
         # every joint the scan reads, held with == to extend_joint chained
-        # along its row: ``subblock_terms`` reads every sub-block's joint, and
-        # the rule, through those triples, the joints of the tests it computes,
-        # which in the reference (``no_band``) are all of them; on "zero-target" drafted
-        # token 2 has target probability 0, so LOG_ZERO must absorb the rest
-        # of the row
+        # along its row: ``subblock_terms`` reads every sub-block's joint,
+        # and the rule, through those triples, the joints of the tests it
+        # computes, which in the reference (``no_band``) are all of them; on
+        # "zero-target" drafted token 2 has target probability 0, so LOG_ZERO
+        # must absorb the rest of the row
         if shape == "zero-target":
             draft = np.array([[0.5, 0.2, 0.3], [0.3, 0.3, 0.4], [0.2, 0.5, 0.3]])
             target = np.array([[0.7, 0.3, 0.0], [0.4, 0.6, 0.0], [0.5, 0.5, 0.0]])
